@@ -114,25 +114,26 @@ def bound_constants(model: TransitionModel, reduced: ReducedModel) -> BoundConst
     """
     P = model.matrix
     L = reduced.approx
-    q = model.output_dist
-    n = P.shape[1]
-    diff_terms = np.empty(n)
-    col_terms = np.empty(n)
-    deviations = np.empty(n)
+    q = model.output_dist[:, np.newaxis]
+    # Column j of each array below is what weighted_balancedness and
+    # deviation_coefficient compute for column j.
+    abs_diff = P - L
+    np.abs(abs_diff, out=abs_diff)
     # Entries live in [0, 1], so differences at rounding scale mean the column
     # was reproduced exactly; snap them to zero so the zero-vector convention
     # applies instead of the balancedness of accumulated roundoff.
     zero_tol = 32.0 * np.finfo(np.float64).eps
-    for j in range(n):
-        diff = P[:, j] - L[:, j]
-        if np.abs(diff).max() <= zero_tol:
-            diff_terms[j] = 1.0
-            deviations[j] = 0.0
-        else:
-            diff_terms[j] = weighted_balancedness(diff, q)
-            deviations[j] = deviation_coefficient(P[:, j], L[:, j])
-        with np.errstate(invalid="ignore"):
-            col_terms[j] = weighted_balancedness(P[:, j], q) * (1.0 - deviations[j])
+    snapped = abs_diff.max(axis=0) <= zero_tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff_terms = abs_diff.sum(axis=0) / (abs_diff / q).max(axis=0)
+        ratio = np.divide(abs_diff, P, out=np.zeros_like(abs_diff), where=abs_diff != 0.0)
+        deviations = ratio.max(axis=0) * (2.0 / 3.0)
+    diff_terms[snapped] = 1.0
+    deviations[snapped] = 0.0
+    # P is nonnegative with unit column sums, so every column peak is positive.
+    col_balance = P.sum(axis=0) / (P / q).max(axis=0)
+    with np.errstate(invalid="ignore"):
+        col_terms = col_balance * (1.0 - deviations)
     kappa_diff = 0.5 * float(diff_terms.min())
     kappa_col = 0.5 * float(col_terms.min())
     kappa_prior = 0.5 * float(q.min())

@@ -27,12 +27,18 @@ from .model import CountMatrix, PairDataset
 
 _PAIRS_PREAMBLE = re.compile(r"^#\s*n=(\d+)\s+m=(\d+)\s*$")
 _LABELS_PREAMBLE = re.compile(r"^#\s*r=(\d+)\s*$")
+# Records per formatted block of write_pairs.
+_PAIRS_CHUNK = 1 << 16
 
 
 def write_pairs(path: str | Path, dataset: PairDataset) -> None:
+    """Write records in ``_PAIRS_CHUNK``-record blocks, one format call per block."""
     table = np.column_stack([dataset.inputs, dataset.outputs])
-    header = f"# n={dataset.n_inputs} m={dataset.n_outputs}\nx,y"
-    np.savetxt(path, table, fmt="%d", delimiter=",", header=header, comments="")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n={dataset.n_inputs} m={dataset.n_outputs}\nx,y\n")
+        for start in range(0, len(table), _PAIRS_CHUNK):
+            block = table[start : start + _PAIRS_CHUNK]
+            fh.write("%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_pairs(path: str | Path) -> PairDataset:

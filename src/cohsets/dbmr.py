@@ -359,6 +359,7 @@ def multi_start(
     seed: int = 0,
     tol: float = 0.0,
     snapshots: bool = False,
+    model: TransitionModel | None = None,
 ) -> tuple[ReducedModel, int, list[DbmrTrace]]:
     """Run from ``runs`` random initial affiliations; return the best model.
 
@@ -368,7 +369,8 @@ def multi_start(
     """
     if runs < 1:
         raise ValueError("runs must be positive")
-    model = estimate(counts)
+    if model is None:
+        model = estimate(counts)
     best: ReducedModel | None = None
     best_index = -1
     best_objective = float("-inf")

@@ -31,7 +31,7 @@ from .dbmr import (
 )
 from .model import CountMatrix, estimate
 from .seeding import mix_seed
-from .svd import Partition, classical_pipeline
+from .svd import Partition, classical_pipeline, spectrum_depth
 
 logger = logging.getLogger(__name__)
 
@@ -121,13 +121,15 @@ def compare_experiment(
     """Run both pipelines and assemble a comparison report.
 
     ``default_labels`` (length n, 1-based, aligned with the pruned columns)
-    adds a reference reduction to the likelihood table. Returns the report
-    dict plus an artifact dict with the matrices and partitions for rendering.
+    adds a reference reduction, with as many latent states as its largest
+    label, to the likelihood table. Returns the report dict plus an artifact
+    dict with the matrices and partitions for rendering.
     """
     model = estimate(counts)
-    classical = classical_pipeline(counts, rank, seed=mix_seed(seed, 1))
+    classical = classical_pipeline(counts, rank, seed=mix_seed(seed, 1), model=model)
     best, best_run, traces = multi_start(
-        counts, rank, runs=runs, max_steps=max_steps, seed=mix_seed(seed, 2), tol=tol
+        counts, rank, runs=runs, max_steps=max_steps, seed=mix_seed(seed, 2), tol=tol,
+        model=model,
     )
     dbmr_out = output_partition(best)
 
@@ -143,7 +145,9 @@ def compare_experiment(
     if default_labels is not None:
         default_reduced = reduce_with_affiliation(
             counts,
-            partition_to_affiliation(Partition(labels=default_labels, n_clusters=rank)),
+            partition_to_affiliation(
+                Partition(labels=default_labels, n_clusters=int(np.max(default_labels)))
+            ),
             model=model,
         )
         default_objective = relaxed_log_likelihood(
@@ -156,8 +160,11 @@ def compare_experiment(
                 f"reduced likelihood ({name}) {value} exceeds the full model's {reference}"
             )
 
-    depth = min(max(rank, 3), min(model.shape))
-    sigma_full = np.linalg.svd(model.rescaled, compute_uv=False)
+    # The classical factorization holds the leading ``depth`` values above the
+    # rank cutoff; the report pads the cut ones with zeros.
+    computed = classical.factorization.singular_values
+    depth = spectrum_depth(rank, min(model.shape))
+    sigma_full = np.concatenate([computed, np.zeros(depth - computed.size)])
     sigma_reduced = reduced_singular_values(best, model)
     bound = frobenius_kl_bound(counts, model, best, kappa_choice="post")
 
@@ -265,7 +272,7 @@ def multirun_experiment(
     if runs < 1:
         raise ValueError("runs must be positive")
     model = estimate(counts)
-    depth = min(max(rank, 3), min(model.shape))
+    depth = spectrum_depth(rank, min(model.shape))
     run_rows: list[dict] = []
     trace_rows: list[dict] = []
     best_run = -1
@@ -331,7 +338,7 @@ def _json_value(value):
 
 
 def run_table_fields(rank: int, size: int) -> list[str]:
-    depth = min(max(rank, 3), size)
+    depth = spectrum_depth(rank, size)
     return [
         "run", "objective", "frob_gap_sq", "coherence", "converged", "iterations",
     ] + [f"sigma_{k + 1}" for k in range(depth)]

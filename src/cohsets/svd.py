@@ -1,9 +1,10 @@
 """Coherent-set identification by truncated SVD of the rescaled transition matrix.
 
-The pipeline factorizes the rescaled matrix, truncates to the leading
-``rank`` singular triplets, clusters input categories on rows of the right
-singular vectors and output categories on rows of the left singular vectors,
-then matches the two clusterings by maximum total transition probability.
+The pipeline computes only the leading singular triplets of the rescaled
+matrix (ARPACK on its nonzeros), truncates to the leading ``rank`` of them,
+clusters input categories on rows of the right singular vectors and output
+categories on rows of the left singular vectors, then matches the two
+clusterings by maximum total transition probability.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import ArpackError, svds
 
 from .model import CountMatrix, TransitionModel, estimate
 from .seeding import mix_seed, rng_for
@@ -25,7 +28,7 @@ RANK_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Thin SVD restricted to singular values above the rank cutoff."""
+    """Leading singular triplets, restricted to values above the rank cutoff."""
 
     left: np.ndarray
     singular_values: np.ndarray
@@ -75,15 +78,39 @@ class ClassicalResult:
     kmeans_diagnostics: dict = field(default_factory=dict)
 
 
-def full_svd(matrix: np.ndarray) -> SvdFactorization:
+def spectrum_depth(rank: int, size: int) -> int:
+    """Leading singular values a report lists: max(rank, 3), at most ``size``."""
+    return min(max(rank, 3), size)
+
+
+def full_svd(matrix: np.ndarray, k: int | None = None) -> SvdFactorization:
+    """The ``k`` leading singular triplets of ``matrix`` (all when ``k`` is None).
+
+    Triplets with singular values at or below the rank cutoff are dropped.
+    For ``k < min(m, n)`` ARPACK runs on a CSR copy of the matrix from a
+    fixed start vector, so repeated calls return identical arrays; LAPACK
+    computes the thin SVD when ``k >= min(m, n)`` or the matrix is zero.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError("matrix must be a nonempty 2-d array")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must have finite entries")
+    size = min(matrix.shape)
+    k = size if k is None else k
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     try:
-        left, sigma, right_t = np.linalg.svd(matrix, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
+        # ARPACK cannot start on a zero matrix.
+        if k < size and matrix.any():
+            # A seeded generic vector: a structured one such as all ones is
+            # orthogonal to singular vectors of symmetric block examples.
+            start = np.random.default_rng(0).standard_normal(size)
+            left, sigma, right_t = svds(csr_array(matrix), k=k, tol=0, v0=start)
+            left, sigma, right_t = left[:, ::-1], sigma[::-1], right_t[::-1]
+        else:
+            left, sigma, right_t = np.linalg.svd(matrix, full_matrices=False)
+    except (np.linalg.LinAlgError, ArpackError) as exc:
         raise np.linalg.LinAlgError(f"SVD failed to converge: {exc}") from exc
     cutoff = RANK_TOLERANCE * max(matrix.shape) * (sigma[0] if sigma.size else 0.0)
     keep = sigma > cutoff
@@ -282,11 +309,21 @@ def match_partitions(
 
 
 def classical_pipeline(
-    counts: CountMatrix, rank: int, seed: int = 0, restarts: int = 10
+    counts: CountMatrix,
+    rank: int,
+    seed: int = 0,
+    restarts: int = 10,
+    model: TransitionModel | None = None,
 ) -> ClassicalResult:
-    """Estimate, factorize, truncate, cluster both category sets, and match."""
-    model = estimate(counts)
-    factorization = full_svd(model.rescaled)
+    """Estimate, factorize, truncate, cluster both category sets, and match.
+
+    The factorization holds the ``spectrum_depth`` leading triplets, enough
+    for the reported spectrum. ``model`` skips re-estimation when the caller
+    already holds ``estimate(counts)``.
+    """
+    if model is None:
+        model = estimate(counts)
+    factorization = full_svd(model.rescaled, spectrum_depth(rank, min(model.shape)))
     reduced_rescaled, reduced = truncate(
         factorization, rank, model.input_dist, model.output_dist
     )

@@ -128,6 +128,57 @@ def test_bound_constants_post_dominates_prior_random():
         assert constants.kappa_prior == pytest.approx(half_min)
 
 
+def _bound_constants_by_column(model, reduced):
+    """(kappa_diff, kappa_col, deviations) column by column through the helpers."""
+    P, L, q = model.matrix, reduced.approx, model.output_dist
+    n = P.shape[1]
+    diff_terms, col_terms, deviations = np.empty(n), np.empty(n), np.empty(n)
+    zero_tol = 32.0 * np.finfo(np.float64).eps
+    for j in range(n):
+        diff = P[:, j] - L[:, j]
+        if np.abs(diff).max() <= zero_tol:
+            diff_terms[j], deviations[j] = 1.0, 0.0
+        else:
+            diff_terms[j] = weighted_balancedness(diff, q)
+            deviations[j] = deviation_coefficient(P[:, j], L[:, j])
+        with np.errstate(invalid="ignore"):
+            col_terms[j] = weighted_balancedness(P[:, j], q) * (1.0 - deviations[j])
+    return 0.5 * diff_terms.min(), 0.5 * col_terms.min(), deviations
+
+
+def _assert_matches_columns(model, reduced):
+    constants = bound_constants(model, reduced)
+    kappa_diff, kappa_col, deviations = _bound_constants_by_column(model, reduced)
+    np.testing.assert_allclose(constants.kappa_diff, kappa_diff, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(constants.kappa_col, kappa_col, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(constants.deviations, deviations, rtol=1e-12, atol=0)
+    return constants
+
+
+def test_bound_constants_match_column_helpers_random():
+    rng = np.random.default_rng(113)
+    for trial in range(80):
+        m, n = int(rng.integers(2, 12)), int(rng.integers(2, 12))
+        counts = random_counts(rng, m, n, density=0.6 if trial % 2 else 1.0)
+        model = estimate(counts)
+        # singleton states reproduce every column, so every column snaps
+        r = n if trial % 5 == 0 else int(rng.integers(1, n + 1))
+        labels = np.arange(1, n + 1) if r == n else rng.integers(1, r + 1, size=n)
+        reduced = reduce_with_affiliation(
+            counts, Affiliation(labels=labels, n_latent=r), model=model
+        )
+        _assert_matches_columns(model, reduced)
+
+
+def test_bound_constants_match_column_helpers_interval(interval_example,
+                                                       interval_affiliation):
+    counts, model, _ = interval_example
+    reduced = reduce_with_affiliation(counts, interval_affiliation, model=model)
+    constants = _assert_matches_columns(model, reduced)
+    assert constants.kappa_diff == pytest.approx(1 / 30, abs=1e-12)
+    assert constants.kappa_col == -np.inf
+
+
 def test_chain_three_default(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation, model=model)

@@ -19,6 +19,28 @@ def test_pairs_roundtrip(tmp_path):
     assert back.n_outputs == dataset.n_outputs
 
 
+def _savetxt_bytes(path, dataset):
+    np.savetxt(
+        path, np.column_stack([dataset.inputs, dataset.outputs]), fmt="%d",
+        delimiter=",", header=f"# n={dataset.n_inputs} m={dataset.n_outputs}\nx,y",
+        comments="",
+    )
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("chunk, size", [(1 << 16, 57), (7, 50), (5, 35), (5, 1)])
+def test_write_pairs_matches_savetxt_bytes(tmp_path, monkeypatch, chunk, size):
+    monkeypatch.setattr(dataio, "_PAIRS_CHUNK", chunk)
+    rng = np.random.default_rng(size)
+    dataset = PairDataset(
+        inputs=rng.integers(1, 1001, size=size), outputs=rng.integers(1, 13, size=size),
+        n_inputs=1000, n_outputs=12,
+    )
+    path = tmp_path / "pairs.csv"
+    dataio.write_pairs(path, dataset)
+    assert path.read_bytes() == _savetxt_bytes(tmp_path / "reference.csv", dataset)
+
+
 def test_pairs_header_line_is_optional(tmp_path):
     path = tmp_path / "bare.csv"
     path.write_text("# n=4 m=3\n2,1\n4,3\n", encoding="utf-8")
@@ -187,6 +209,18 @@ def test_cli_compare_no_images(tmp_path):
     report = dataio.read_json(out)
     assert "images" not in report
     assert report["likelihoods"]["default"] == pytest.approx(-27549.70, abs=0.01)
+
+
+def test_cli_compare_rank_below_default_classes(tmp_path):
+    # the three-coherent default partition has three classes; rank 2 must
+    # still reduce with it rather than reject its labels
+    out = tmp_path / "report.json"
+    assert main(["compare", "--example", "three-coherent", "--rank", "2",
+                 "--runs", "5", "--no-images", "--out", str(out)]) == 0
+    report = dataio.read_json(out)
+    assert report["likelihoods"]["default"] is not None
+    assert report["likelihoods"]["default"] <= report["likelihoods"]["reference"] + 1e-9
+    assert len(report["singular_values"]["full"]) == 3
 
 
 def test_cli_compare_reads_files(tmp_path):

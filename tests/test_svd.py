@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from cohsets.model import estimate, prune_empty
+from cohsets import dbmr, model as model_module, report, svd
+from cohsets.generators import GyreConfig, gen_double_gyre
+from cohsets.model import estimate, ingest_pairs, prune_empty
 from cohsets.svd import (
     Partition,
     _assign,
@@ -44,6 +46,93 @@ def test_full_svd_orthonormal_reconstruction():
         assert np.all(np.diff(fac.singular_values) <= 1e-12)
         rebuilt = (fac.left * fac.singular_values) @ fac.right.T
         assert rebuilt == pytest.approx(matrix, abs=1e-9)
+
+
+def _gyre_matrix():
+    config = GyreConfig(nx=32, ny=16, points_per_box=10, t_end=1.0, seed=3)
+    dataset, _ = gen_double_gyre(config)
+    counts, _, _ = prune_empty(ingest_pairs(dataset))
+    return estimate(counts).rescaled
+
+
+def _assert_leading_triplets(matrix, k):
+    """Compare ``full_svd(matrix, k)`` with LAPACK's thin SVD."""
+    fac = full_svd(matrix, k)
+    left, sigma, right_t = np.linalg.svd(matrix, full_matrices=False)
+    kept = int(np.sum(sigma[:k] > svd.RANK_TOLERANCE * max(matrix.shape) * sigma[0]))
+    assert fac.rank == kept
+    np.testing.assert_allclose(fac.singular_values, sigma[:kept], rtol=0, atol=1e-12)
+    assert fac.left.T @ fac.left == pytest.approx(np.eye(kept), abs=1e-12)
+    assert fac.right.T @ fac.right == pytest.approx(np.eye(kept), abs=1e-12)
+    # every computed pair is a singular pair of its value ...
+    scale = sigma[0]
+    assert np.abs(matrix @ fac.right - fac.left * fac.singular_values).max() <= 1e-12 * scale
+    assert np.abs(matrix.T @ fac.left - fac.right * fac.singular_values).max() <= 1e-12 * scale
+    # ... and where a gap follows the kept values, the leading subspaces agree
+    if kept < sigma.size and sigma[kept - 1] - sigma[kept] > 1e-6:
+        for ours, theirs in ((fac.left, left), (fac.right, right_t.T)):
+            cosines = np.linalg.svd(theirs[:, :kept].T @ ours, compute_uv=False)
+            assert cosines.min() == pytest.approx(1.0, abs=1e-12)
+    return fac
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_full_svd_leading_triplets_paper_examples(three_example, interval_example, k):
+    # epsilon 0: (1, 1, 0.6) then zeros, and thirty singular values equal to 1
+    for _, model, _ in (three_example, interval_example):
+        _assert_leading_triplets(model.rescaled, k)
+
+
+def test_full_svd_leading_triplets_gyre():
+    matrix = _gyre_matrix()
+    assert np.count_nonzero(matrix) < 0.05 * matrix.size
+    for k in (1, 3, 4):
+        _assert_leading_triplets(matrix, k)
+
+
+def test_full_svd_tiny_matrices_all_k():
+    rng = np.random.default_rng(29)
+    for shape in ((1, 1), (1, 4), (4, 1), (2, 2), (2, 5), (5, 3), (4, 4)):
+        matrix = rng.random(shape)
+        for k in range(1, min(shape) + 2):
+            _assert_leading_triplets(matrix, k)
+    assert full_svd(np.zeros((4, 4)), 2).rank == 0
+    with pytest.raises(ValueError):
+        full_svd(np.eye(3), 0)
+
+
+def test_full_svd_repeated_calls_identical(three_example):
+    _, model, _ = three_example
+    for matrix in (model.rescaled, _gyre_matrix()):
+        first, second = full_svd(matrix, 3), full_svd(matrix, 3)
+        for a, b in ((first.left, second.left), (first.singular_values,
+                     second.singular_values), (first.right, second.right)):
+            assert np.array_equal(a, b)
+
+
+def test_compare_experiment_estimates_once(monkeypatch, three_example):
+    counts, _, default = three_example
+    calls = []
+
+    def counting_estimate(counts):
+        calls.append(1)
+        return model_module.estimate(counts)
+
+    for module in (report, svd, dbmr):
+        monkeypatch.setattr(module, "estimate", counting_estimate)
+    result, _ = report.compare_experiment(counts, 3, runs=2, default_labels=default.labels)
+    assert len(calls) == 1
+    assert result["singular_values"]["full"] == pytest.approx([1.0, 1.0, 0.6], abs=1e-12)
+
+
+def test_compare_experiment_pads_spectrum_with_zeros():
+    # two blocks: rank 2, so the third reported value is a padded zero
+    counts = CountMatrix(counts=np.kron(np.eye(2, dtype=np.int64), np.full((3, 3), 4)),
+                         total=72)
+    result, _ = report.compare_experiment(counts, 1, runs=2)
+    assert result["singular_values"]["full"] == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
+    assert result["singular_values"]["full_sigma3"] == 0.0
+    assert result["singular_values"]["full_coherence"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_full_svd_drops_numerical_zeros():
