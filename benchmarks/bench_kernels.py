@@ -1,15 +1,17 @@
-"""Timing comparison of the compiled and pure-numpy kernel paths.
+"""Timing of the hot kernels and of replaced paths against their replacements.
 
-Run with ``python3 benchmarks/bench_kernels.py``. The package picks the
-compiled path automatically when numba is importable; setting
-COHSETS_NO_NUMBA=1 forces the numpy path. This script times both
-implementations directly, so it reports the trade-off regardless of which
-path the package selected.
+Run with ``python3 benchmarks/bench_kernels.py``. The package compiles RK4
+advection with numba when numba is importable; the first table times the
+numpy and, when available, the compiled advection directly. The score and
+group-sum kernels run only through numpy's BLAS bindings, so their numba
+cells read n/a.
 
-A second table times two replaced paths against their replacements: the
-dense thin SVD against ``svd.full_svd`` with three leading triplets on the
-rescaled matrix of a 2048-box double-gyre sample, and ``np.savetxt`` against
-``dataio.write_pairs`` on 10^6 records.
+A second table times replaced paths against their replacements on a
+2048-box double-gyre sample: the dense thin SVD against ``svd.full_svd``
+with three leading triplets on the rescaled matrix; the DBMR gap terms of
+every iterate of 5 restarts through a group sum of the dense m x n density
+transport matrix against the grouped-count form ``dbmr._gap_terms``; and
+``np.savetxt`` against ``dataio.write_pairs`` on 10^6 records.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from cohsets import _accel, dataio
+from cohsets.dbmr import _gap_terms, multi_start
 from cohsets.generators import GyreConfig, gen_double_gyre
 from cohsets.model import PairDataset, estimate, ingest_pairs, prune_empty
 from cohsets.svd import full_svd
@@ -62,9 +65,7 @@ def main() -> None:
         (
             "latent_scores (2048x2048, r=8)",
             best_of(_accel._latent_scores_numpy, counts, factor),
-            best_of(_accel.latent_scores_compiled, counts, factor)
-            if _accel.HAVE_NUMBA
-            else None,
+            None,
         )
     )
 
@@ -73,9 +74,7 @@ def main() -> None:
         (
             "group_sums (2048x2048, r=8)",
             best_of(_accel._group_sums_numpy, counts, labels0, 8),
-            best_of(_accel.group_sums_compiled, counts, labels0, 8)
-            if _accel.HAVE_NUMBA
-            else None,
+            None,
         )
     )
 
@@ -95,13 +94,15 @@ def replaced_paths(rng: np.random.Generator) -> list[tuple[str, float, float]]:
     """(name, replaced path time, current path time) per replaced operation."""
     dataset, _ = gen_double_gyre(GyreConfig(points_per_box=10, t_end=2.0))
     counts, _, _ = prune_empty(ingest_pairs(dataset))
-    rescaled = estimate(counts).rescaled
+    model = estimate(counts)
+    rescaled = model.rescaled
     rows = [
         (
             f"SVD {rescaled.shape[0]}x{rescaled.shape[1]} gyre, dense/k=3",
             best_of(np.linalg.svd, rescaled, False),
             best_of(full_svd, rescaled, 3),
-        )
+        ),
+        gap_terms_row(counts, model),
     ]
 
     records = 10**6
@@ -124,6 +125,44 @@ def replaced_paths(rng: np.random.Generator) -> list[tuple[str, float, float]]:
             )
         )
     return rows
+
+
+def gap_terms_row(counts, model) -> tuple[str, float, float]:
+    """Gap terms of every iterate of 5 DBMR restarts, both ways.
+
+    The replaced path group-summed the dense density transport matrix
+    D_out^{-1} P D_in per iterate; the current one reuses the grouped counts
+    that the factor update already holds.
+    """
+    _, _, traces = multi_start(counts, 3, runs=5, seed=0, snapshots=True, model=model)
+    steps = [step for trace in traces for step in trace.steps]
+    p, q = model.input_dist, model.output_dist
+    density_transport = model.matrix * (p[np.newaxis, :] / q[:, np.newaxis])
+    full_norm_sq = float(np.sum(model.rescaled * model.rescaled))
+    counts_f = counts.counts.astype(np.float64)
+    grouped = [_accel.group_sums(counts_f, step.labels - 1, 3) for step in steps]
+
+    def dense() -> list[tuple[float, float]]:
+        terms = []
+        for step in steps:
+            labels0 = step.labels - 1
+            cross = np.sum(_accel.group_sums(density_transport, labels0, 3) * step.factor)
+            masses = np.bincount(labels0, weights=p, minlength=3)
+            approx_norm_sq = np.sum((step.factor * step.factor) / q[:, np.newaxis] * masses)
+            terms.append((full_norm_sq - 2.0 * cross + approx_norm_sq, approx_norm_sq))
+        return terms
+
+    def from_grouped() -> list[tuple[float, float]]:
+        return [
+            _gap_terms(g, step.factor, q, counts.total, full_norm_sq)
+            for step, g in zip(steps, grouped)
+        ]
+
+    return (
+        f"gap terms, {len(steps)} iterates, dense/grouped",
+        best_of(dense),
+        best_of(from_grouped),
+    )
 
 
 if __name__ == "__main__":

@@ -1,16 +1,13 @@
-"""Hot numerical kernels, compiled with numba when available.
+"""Hot numerical kernels.
 
-Every kernel exists in two versions: a numba ``@njit`` loop and a pure-numpy
-implementation.  The backend is chosen once at import time: numpy is used
-when numba cannot be imported or when the environment variable
-``COHSETS_NO_NUMBA`` is set to a truthy value (``1``, ``true``, ``yes``,
-``on``).  Both versions compute the same quantities; results may differ in
-the last floating-point bits because summation order differs.
+Trajectory advection exists in two versions: a numba ``@njit`` loop and a
+pure-numpy implementation. The backend is chosen once at import time: numba
+when it can be imported, numpy otherwise. Both compute the same endpoints;
+results may differ in the last floating-point bits.
 
-Only trajectory advection actually benefits from compilation; the score and
-group-sum kernels are matmul-shaped and run faster through numpy's BLAS
-bindings, so those stay on the numpy implementation on both backends (the
-compiled variants remain importable for timing). See
+The score and group-sum kernels are matmul-shaped and run faster through
+numpy's BLAS bindings, so they have only a numpy implementation. Their
+explicit loops are kept as references for the tests. See
 ``benchmarks/bench_kernels.py`` for measurements.
 """
 
@@ -18,18 +15,11 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("COHSETS_NO_NUMBA", "")
-    return flag.strip().lower() in {"1", "true", "yes", "on"}
-
-
 try:
-    if _numba_disabled():
-        raise ImportError("numba disabled via COHSETS_NO_NUMBA")
     from numba import njit
 
     HAVE_NUMBA = True
@@ -58,22 +48,40 @@ def velocity_arrays(x, y, t, a, delta, omega):
 ADVECT_BLOCK = 8192
 
 
+def _advect_block(x, y, t0, n_steps, h, a, delta, omega):
+    for s in range(n_steps):
+        t = t0 + s * h
+        k1x, k1y = velocity_arrays(x, y, t, a, delta, omega)
+        k2x, k2y = velocity_arrays(x + 0.5 * h * k1x, y + 0.5 * h * k1y, t + 0.5 * h, a, delta, omega)
+        k3x, k3y = velocity_arrays(x + 0.5 * h * k2x, y + 0.5 * h * k2y, t + 0.5 * h, a, delta, omega)
+        k4x, k4y = velocity_arrays(x + h * k3x, y + h * k3y, t + h, a, delta, omega)
+        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    return x, y
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _advect_rk4_numpy(xs, ys, t0, n_steps, h, a, delta, omega):
     out_x = np.array(xs, dtype=np.float64, copy=True)
     out_y = np.array(ys, dtype=np.float64, copy=True)
-    for start in range(0, out_x.size, ADVECT_BLOCK):
-        x = out_x[start : start + ADVECT_BLOCK]
-        y = out_y[start : start + ADVECT_BLOCK]
-        for s in range(n_steps):
-            t = t0 + s * h
-            k1x, k1y = velocity_arrays(x, y, t, a, delta, omega)
-            k2x, k2y = velocity_arrays(x + 0.5 * h * k1x, y + 0.5 * h * k1y, t + 0.5 * h, a, delta, omega)
-            k3x, k3y = velocity_arrays(x + 0.5 * h * k2x, y + 0.5 * h * k2y, t + 0.5 * h, a, delta, omega)
-            k4x, k4y = velocity_arrays(x + h * k3x, y + h * k3y, t + h, a, delta, omega)
-            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        out_x[start : start + ADVECT_BLOCK] = x
-        out_y[start : start + ADVECT_BLOCK] = y
+
+    def advect(start):
+        block = slice(start, start + ADVECT_BLOCK)
+        out_x[block], out_y[block] = _advect_block(
+            out_x[block], out_y[block], t0, n_steps, h, a, delta, omega
+        )
+
+    # Most of a step is numpy's sin and cos loops, which release the
+    # interpreter lock, so blocks advect in parallel on separate threads.
+    # Blocks write disjoint slices.
+    starts = range(0, out_x.size, ADVECT_BLOCK)
+    with ThreadPoolExecutor(max(1, min(len(starts), _cpu_count()))) as pool:
+        list(pool.map(advect, starts))
     return out_x, out_y
 
 
@@ -181,13 +189,9 @@ def _group_sums_loop(counts, labels0, r):
 if HAVE_NUMBA:
     BACKEND = "numba"
     advect_rk4 = njit(cache=True)(_advect_rk4_loop)
-    latent_scores_compiled = njit(cache=True)(_latent_scores_loop)
-    group_sums_compiled = njit(cache=True)(_group_sums_loop)
 else:
     BACKEND = "numpy"
     advect_rk4 = _advect_rk4_numpy
-    latent_scores_compiled = None
-    group_sums_compiled = None
 
 latent_scores = _latent_scores_numpy
 group_sums = _group_sums_numpy
@@ -198,8 +202,3 @@ def warmup() -> None:
     xs = np.array([0.5, 1.5])
     ys = np.array([0.25, 0.75])
     advect_rk4(xs, ys, 0.0, 2, 0.01, 0.25, 0.25, 2.0 * math.pi)
-    counts = np.array([[1.0, 0.0], [1.0, 2.0]])
-    factor = np.array([[0.5, 0.0], [0.5, 1.0]])
-    if HAVE_NUMBA:
-        latent_scores_compiled(counts, factor)
-        group_sums_compiled(counts, np.array([0, 1]), 2)

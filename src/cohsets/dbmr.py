@@ -171,7 +171,7 @@ def update_factor(counts: CountMatrix, affiliation: Affiliation) -> np.ndarray:
         raise ValueError(
             f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
         )
-    factor, _ = _factor_and_objective(
+    factor, _, _ = _factor_and_objective(
         counts.counts.astype(np.float64), affiliation.labels - 1, affiliation.n_latent
     )
     if affiliation.inactive:
@@ -181,14 +181,15 @@ def update_factor(counts: CountMatrix, affiliation: Affiliation) -> np.ndarray:
 
 def _factor_and_objective(
     counts_f: np.ndarray, labels0: np.ndarray, n_latent: int
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(factor, relaxed log-likelihood, grouped counts of shape (m, n_latent))."""
     grouped = group_sums(counts_f, labels0, n_latent)
     totals = grouped.sum(axis=0)
     m = counts_f.shape[0]
     factor = np.full((m, n_latent), 1.0 / m)
     active = totals > 0.0
     factor[:, active] = grouped[:, active] / totals[active]
-    return factor, _grouped_log_likelihood(grouped, factor)
+    return factor, _grouped_log_likelihood(grouped, factor), grouped
 
 
 def update_affiliation(counts: CountMatrix, factor: np.ndarray) -> Affiliation:
@@ -233,23 +234,22 @@ def _build_reduced(
 
 
 def _gap_terms(
-    density_transport: np.ndarray,
-    labels0: np.ndarray,
+    grouped: np.ndarray,
     factor: np.ndarray,
-    p: np.ndarray,
     q: np.ndarray,
+    total: int,
     full_norm_sq: float,
 ) -> tuple[float, float]:
     """(squared Frobenius gap, squared norm of the rescaled approximation).
 
-    Uses the identity |P~ - L~|^2 = |P~|^2 - 2<P~, L~> + |L~|^2 with the cross
-    term grouped by affiliation, avoiding materializing the approximation.
+    Uses the identity |P~ - L~|^2 = |P~|^2 - 2<P~, L~> + |L~|^2. The reduction
+    is a projection of the full model, so both inner terms depend only on the
+    grouped counts G: with S records and column totals T_k = sum_i G_ik,
+    <P~, L~> = sum_ik G_ik F_ik / (S q_i) and |L~|^2 = sum_ik F_ik^2 T_k / (S q_i).
     """
-    n_latent = factor.shape[1]
-    grouped = group_sums(density_transport, labels0, n_latent)
-    cross = float(np.sum(grouped * factor))
-    masses = np.bincount(labels0, weights=p, minlength=n_latent)
-    approx_norm_sq = float(np.sum((factor * factor) / q[:, np.newaxis] * masses))
+    weights = 1.0 / (total * q)[:, np.newaxis]
+    cross = float(np.sum(grouped * factor * weights))
+    approx_norm_sq = float(np.sum(factor * factor * grouped.sum(axis=0) * weights))
     return full_norm_sq - 2.0 * cross + approx_norm_sq, approx_norm_sq
 
 
@@ -281,14 +281,12 @@ def dbmr_run(
     if model is None:
         model = estimate(counts)
     counts_f = counts.counts.astype(np.float64)
-    p, q = model.input_dist, model.output_dist
+    q = model.output_dist
     full_norm_sq = float(np.sum(model.rescaled * model.rescaled))
 
     labels0 = init.labels - 1
-    factor, objective = _factor_and_objective(counts_f, labels0, n_latent)
-    gap_sq, approx_norm_sq = _gap_terms(
-        model.density_transport, labels0, factor, p, q, full_norm_sq
-    )
+    factor, objective, grouped = _factor_and_objective(counts_f, labels0, n_latent)
+    gap_sq, approx_norm_sq = _gap_terms(grouped, factor, q, counts.total, full_norm_sq)
     steps = [
         DbmrStep(
             index=0,
@@ -302,7 +300,9 @@ def dbmr_run(
     converged = False
     for index in range(1, max_steps + 1):
         new_labels0, _ = _best_labels(counts_f, factor)
-        new_factor, new_objective = _factor_and_objective(counts_f, new_labels0, n_latent)
+        new_factor, new_objective, new_grouped = _factor_and_objective(
+            counts_f, new_labels0, n_latent
+        )
         if new_objective < objective:
             # Both updates are ascent steps; a strict drop can only be a
             # rounding artifact, so keep the previous iterate.
@@ -310,9 +310,7 @@ def dbmr_run(
             converged = True
             break
         labels0, factor = new_labels0, new_factor
-        gap_sq, approx_norm_sq = _gap_terms(
-            model.density_transport, labels0, factor, p, q, full_norm_sq
-        )
+        gap_sq, approx_norm_sq = _gap_terms(new_grouped, factor, q, counts.total, full_norm_sq)
         stalled = new_objective - objective <= tol
         objective = new_objective
         steps.append(

@@ -85,20 +85,17 @@ class TransitionModel:
 
     ``matrix`` has columns that are conditional output distributions;
     ``input_dist`` and ``output_dist`` are the strictly positive marginals.
-    ``rescaled`` is D_out^{-1/2} @ matrix @ D_in^{1/2} (the object whose
-    singular values measure coherence) and ``density_transport`` is
-    D_out^{-1} @ matrix @ D_in, which maps the all-ones vector to the
-    all-ones vector.
+    ``rescaled`` is D_out^{-1/2} @ matrix @ D_in^{1/2}, the object whose
+    singular values measure coherence.
     """
 
     matrix: np.ndarray
     input_dist: np.ndarray
     output_dist: np.ndarray
     rescaled: np.ndarray
-    density_transport: np.ndarray
 
     def __post_init__(self):
-        for field in ("matrix", "input_dist", "output_dist", "rescaled", "density_transport"):
+        for field in ("matrix", "input_dist", "output_dist", "rescaled"):
             object.__setattr__(self, field, _read_only(np.asarray(getattr(self, field), dtype=np.float64)))
         m, n = self.matrix.shape
         if self.input_dist.shape != (n,) or self.output_dist.shape != (m,):
@@ -165,14 +162,7 @@ def estimate(counts: CountMatrix) -> TransitionModel:
     q = P @ p
     q /= q.sum()
     rescaled = P * (np.sqrt(p)[np.newaxis, :] / np.sqrt(q)[:, np.newaxis])
-    density_transport = P * (p[np.newaxis, :] / q[:, np.newaxis])
-    return TransitionModel(
-        matrix=P,
-        input_dist=p,
-        output_dist=q,
-        rescaled=rescaled,
-        density_transport=density_transport,
-    )
+    return TransitionModel(matrix=P, input_dist=p, output_dist=q, rescaled=rescaled)
 
 
 def kl_divergence(u: np.ndarray, v: np.ndarray) -> float:

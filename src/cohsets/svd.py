@@ -10,7 +10,7 @@ clusterings by maximum total transition probability.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -70,12 +70,10 @@ class Partition:
 class ClassicalResult:
     model: TransitionModel
     factorization: SvdFactorization
-    reduced_rescaled: np.ndarray
     reduced: np.ndarray
     input_partition: Partition
     output_partition: Partition
     coherence: float
-    kmeans_diagnostics: dict = field(default_factory=dict)
 
 
 def spectrum_depth(rank: int, size: int) -> int:
@@ -127,9 +125,10 @@ def truncate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-``rank`` truncation; returns (reduced rescaled matrix, reduced matrix).
 
-    The reduced matrix applies the same diagonal rescaling used to build the
-    rescaled matrix from the transition matrix, so it is not column-stochastic
-    in general and may contain small negative entries.
+    The reduced matrix undoes the diagonal rescaling that built the rescaled
+    matrix from the transition matrix, D_out^{1/2} @ truncated @ D_in^{-1/2},
+    so it is in transition-matrix coordinates. Its columns sum to one when
+    the leading singular value is simple; it may contain negative entries.
     """
     if not 1 <= rank <= factorization.rank:
         raise ValueError(f"rank must lie in [1, {factorization.rank}], got {rank}")
@@ -137,7 +136,7 @@ def truncate(
     reduced_rescaled = scaled_left @ factorization.right[:, :rank].T
     p = np.asarray(input_dist, dtype=np.float64)
     q = np.asarray(output_dist, dtype=np.float64)
-    reduced = reduced_rescaled * (np.sqrt(p)[np.newaxis, :] / np.sqrt(q)[:, np.newaxis])
+    reduced = reduced_rescaled * (np.sqrt(q)[:, np.newaxis] / np.sqrt(p)[np.newaxis, :])
     return reduced_rescaled, reduced
 
 
@@ -324,9 +323,7 @@ def classical_pipeline(
     if model is None:
         model = estimate(counts)
     factorization = full_svd(model.rescaled, spectrum_depth(rank, min(model.shape)))
-    reduced_rescaled, reduced = truncate(
-        factorization, rank, model.input_dist, model.output_dist
-    )
+    _, reduced = truncate(factorization, rank, model.input_dist, model.output_dist)
     input_partition = kmeans(
         factorization.right[:, :rank], rank, restarts=restarts, seed=mix_seed(seed, 1)
     )
@@ -337,10 +334,8 @@ def classical_pipeline(
     return ClassicalResult(
         model=model,
         factorization=factorization,
-        reduced_rescaled=reduced_rescaled,
         reduced=reduced,
         input_partition=input_partition,
         output_partition=output_partition,
         coherence=coherence,
-        kmeans_diagnostics={"reduced_min_entry": float(reduced.min())},
     )

@@ -1,11 +1,10 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from cohsets import _accel
+from cohsets.dbmr import multi_start
+from cohsets.generators import GyreConfig, gen_double_gyre
+from cohsets.model import ingest_pairs, prune_empty
 
 
 def test_backend_reported():
@@ -70,10 +69,6 @@ def test_latent_scores_backends_agree():
     finite = np.isfinite(reference)
     assert np.array_equal(finite, np.isfinite(looped))
     assert looped[finite] == pytest.approx(reference[finite], rel=1e-12)
-    if _accel.HAVE_NUMBA:
-        compiled = _accel.latent_scores_compiled(counts, factor)
-        assert np.array_equal(np.isfinite(compiled), finite)
-        assert compiled[finite] == pytest.approx(reference[finite], rel=1e-12)
 
 
 def test_group_sums_backends_agree():
@@ -82,49 +77,14 @@ def test_group_sums_backends_agree():
     labels0 = rng.integers(0, 4, size=13)
     reference = _accel._group_sums_numpy(counts, labels0, 4)
     assert np.array_equal(_accel._group_sums_loop(counts, labels0, 4), reference)
-    if _accel.HAVE_NUMBA:
-        assert np.array_equal(
-            _accel.group_sums_compiled(counts, labels0, 4), reference
-        )
     # grouped sums preserve the total mass
     assert reference.sum() == counts.sum()
 
 
-def test_numba_opt_out_flag():
-    """COHSETS_NO_NUMBA forces the numpy backend in a fresh interpreter."""
-    script = (
-        "from cohsets import _accel; "
-        "print(_accel.BACKEND, _accel.HAVE_NUMBA, "
-        "_accel.latent_scores_compiled is None)"
-    )
-    env = dict(os.environ, COHSETS_NO_NUMBA="1")
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0
-    assert result.stdout.split() == ["numpy", "False", "True"]
-
-
 def test_numpy_backend_runs_pipelines():
-    """A gyre sample and an alternating-ascent fit work without compilation."""
-    script = """
-import numpy as np
-from cohsets import _accel
-assert _accel.BACKEND == "numpy"
-from cohsets.dbmr import multi_start
-from cohsets.generators import GyreConfig, gen_double_gyre
-from cohsets.model import estimate, ingest_pairs, prune_empty
-
-dataset, meta = gen_double_gyre(GyreConfig(nx=8, ny=4, points_per_box=4, t_end=0.5))
-assert meta["backend"] == "numpy"
-counts, _, _ = prune_empty(ingest_pairs(dataset))
-best, best_run, traces = multi_start(counts, 3, runs=2, seed=0)
-assert np.isfinite(traces[best_run].steps[-1].objective)
-print("ok")
-"""
-    env = dict(os.environ, COHSETS_NO_NUMBA="yes")
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
+    """A gyre sample and an alternating-ascent fit work on the selected backend."""
+    dataset, meta = gen_double_gyre(GyreConfig(nx=8, ny=4, points_per_box=4, t_end=0.5))
+    assert meta["backend"] == _accel.BACKEND
+    counts, _, _ = prune_empty(ingest_pairs(dataset))
+    best, best_run, traces = multi_start(counts, 3, runs=2, seed=0)
+    assert np.isfinite(traces[best_run].steps[-1].objective)

@@ -299,10 +299,8 @@ def test_reduced_singular_values_match_direct():
         assert fast == pytest.approx(direct, abs=1e-10)
 
 
-def test_trace_gap_terms_match_direct(three_example):
-    counts, model, _ = three_example
-    init = random_affiliation(100, 3, 21)
-    _, trace = dbmr_run(counts, 3, init, snapshots=True)
+def _assert_gap_terms_match_direct(counts, model, init):
+    _, trace = dbmr_run(counts, init.n_latent, init, model=model, snapshots=True)
     for step in trace.steps:
         factor = step.factor
         approx = factor[:, step.labels - 1]
@@ -314,3 +312,15 @@ def test_trace_gap_terms_match_direct(three_example):
         assert sigma == pytest.approx(
             np.linalg.svd(scaled, compute_uv=False), abs=1e-9
         )
+
+
+def test_trace_gap_terms_match_direct(three_example):
+    counts, model, _ = three_example
+    _assert_gap_terms_match_direct(counts, model, random_affiliation(100, 3, 21))
+    # non-uniform marginals, so summing a term over the wrong axis shows
+    counts = random_counts(np.random.default_rng(61), 30, 40, density=0.3)
+    model = estimate(counts)
+    _assert_gap_terms_match_direct(counts, model, random_affiliation(40, 4, 5))
+    # the initial affiliation leaves latent state 3 empty
+    init = Affiliation(labels=np.arange(40) % 2 + 1, n_latent=3)
+    _assert_gap_terms_match_direct(counts, model, init)

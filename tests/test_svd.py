@@ -165,11 +165,19 @@ def test_interval_spectrum_thirty_ones(interval_example):
 
 
 def test_truncate_full_rank_reproduces(three_example):
-    _, model, _ = three_example
-    fac = full_svd(model.rescaled)
-    reduced_rescaled, reduced = truncate(fac, 3, model.input_dist, model.output_dist)
-    assert reduced_rescaled == pytest.approx(model.rescaled, abs=1e-12)
-    assert reduced == pytest.approx(model.matrix, abs=1e-12)
+    # the random counts have non-uniform marginals, so a back-scaling by the
+    # forward factor instead of its inverse cannot reproduce the matrix
+    nonuniform = estimate(random_counts(np.random.default_rng(5), 6, 8))
+    for model in (three_example[1], nonuniform):
+        fac = full_svd(model.rescaled)
+        reduced_rescaled, reduced = truncate(
+            fac, fac.rank, model.input_dist, model.output_dist
+        )
+        assert reduced_rescaled == pytest.approx(model.rescaled, abs=1e-12)
+        assert reduced == pytest.approx(model.matrix, abs=1e-12)
+    fac = full_svd(nonuniform.rescaled)
+    _, reduced = truncate(fac, 2, nonuniform.input_dist, nonuniform.output_dist)
+    assert reduced.sum(axis=0) == pytest.approx(np.ones(8), abs=1e-12)
 
 
 def test_truncate_rank_one_is_marginal_outer_product():
