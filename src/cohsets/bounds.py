@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dbmr import CountMatrix, ReducedModel, log_likelihood, relaxed_log_likelihood
-from .model import TransitionModel
+from .model import TransitionModel, rescale
 
 _KAPPA_CHOICES = ("post", "pr", "q1", "q2")
 
@@ -193,7 +193,7 @@ def frobenius_kl_bound(
         "q2": constants.kappa_col,
     }[kappa_choice]
     kappa_tag = constants.kappa_post_tag if kappa_choice == "post" else kappa_choice
-    gap = model.rescaled - reduced.approx_rescaled
+    gap = model.rescaled - rescale(reduced.approx, model.input_dist, model.output_dist)
     frob_gap_sq = float(np.sum(gap * gap))
     kl_sum = _weighted_kl_sum(model, reduced)
     full_objective = log_likelihood(counts, model.matrix)

@@ -22,7 +22,7 @@ from . import dataio
 from .bounds import frobenius_kl_bound
 from .dbmr import Affiliation, output_partition as derive_output_partition, reduce_with_affiliation
 from .generators import GyreConfig, gen_double_gyre, gen_interval_map, gen_three_coherent
-from .model import estimate, ingest_pairs, prune_empty
+from .model import estimate, ingest_pairs, prune_empty, rescale
 from .projection import pythagoras_check, verify_factorization
 from .report import (
     TRACE_FIELDS,
@@ -257,12 +257,12 @@ def cmd_bounds(args) -> int:
     else:
         raise ValueError("bounds requires a labels file or an example with default labels")
     model = estimate(counts)
-    reduced = reduce_with_affiliation(
-        counts, Affiliation(labels=labels, n_latent=n_latent), model=model
-    )
+    reduced = reduce_with_affiliation(counts, Affiliation(labels=labels, n_latent=n_latent))
     bound = frobenius_kl_bound(counts, model, reduced, kappa_choice=args.kappa)
     residuals = verify_factorization(model, reduced)
-    lhs, rhs = pythagoras_check(model.rescaled, reduced.approx_rescaled)
+    lhs, rhs = pythagoras_check(
+        model.rescaled, rescale(reduced.approx, model.input_dist, model.output_dist)
+    )
     payload = {
         "provenance": provenance,
         "bound": bound.to_dict(),
@@ -300,7 +300,6 @@ def cmd_render(args) -> int:
             Affiliation(
                 labels=input_partition.labels, n_latent=input_partition.n_clusters
             ),
-            model=model,
         )
         output_strip = derive_output_partition(reduced)
     render_matrix_image(

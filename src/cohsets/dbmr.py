@@ -52,12 +52,6 @@ class Affiliation:
     def inactive(self) -> tuple[int, ...]:
         return tuple(sorted(set(range(1, self.n_latent + 1)) - set(self.active)))
 
-    def matrix(self) -> np.ndarray:
-        """Binary affiliation matrix of shape (n_latent, size)."""
-        out = np.zeros((self.n_latent, self.size))
-        out[self.labels - 1, np.arange(self.size)] = 1.0
-        return out
-
 
 def partition_to_affiliation(partition: Partition) -> Affiliation:
     return Affiliation(labels=partition.labels, n_latent=partition.n_clusters)
@@ -65,12 +59,19 @@ def partition_to_affiliation(partition: Partition) -> Affiliation:
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Factor, affiliation, and the induced approximate transition matrix."""
+    """Factor and affiliation; the approximate transition matrix derives from them.
+
+    The reduction is a projection of the full model, so these two fields set
+    it fully. ``model.rescale(reduced.approx, p, q)`` gives its rescaled form.
+    """
 
     factor: np.ndarray
     affiliation: Affiliation
-    approx: np.ndarray
-    approx_rescaled: np.ndarray
+
+    @property
+    def approx(self) -> np.ndarray:
+        """Approximate transition matrix: column j is the factor column of j's label."""
+        return self.factor[:, self.affiliation.labels - 1]
 
     @property
     def n_latent(self) -> int:
@@ -215,24 +216,6 @@ def _best_labels(counts_f: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, 
     return labels0, sunk
 
 
-def _rescale(matrix: np.ndarray, model: TransitionModel) -> np.ndarray:
-    return matrix * (
-        np.sqrt(model.input_dist)[np.newaxis, :] / np.sqrt(model.output_dist)[:, np.newaxis]
-    )
-
-
-def _build_reduced(
-    factor: np.ndarray, labels0: np.ndarray, n_latent: int, model: TransitionModel
-) -> ReducedModel:
-    approx = factor[:, labels0]
-    return ReducedModel(
-        factor=factor,
-        affiliation=Affiliation(labels=labels0 + 1, n_latent=n_latent),
-        approx=approx,
-        approx_rescaled=_rescale(approx, model),
-    )
-
-
 def _gap_terms(
     grouped: np.ndarray,
     factor: np.ndarray,
@@ -242,15 +225,17 @@ def _gap_terms(
 ) -> tuple[float, float]:
     """(squared Frobenius gap, squared norm of the rescaled approximation).
 
-    Uses the identity |P~ - L~|^2 = |P~|^2 - 2<P~, L~> + |L~|^2. The reduction
-    is a projection of the full model, so both inner terms depend only on the
-    grouped counts G: with S records and column totals T_k = sum_i G_ik,
-    <P~, L~> = sum_ik G_ik F_ik / (S q_i) and |L~|^2 = sum_ik F_ik^2 T_k / (S q_i).
+    The reduction is a projection of the full model, so
+    |P~ - L~|^2 = |P~|^2 - |L~|^2, and |L~|^2 depends only on the grouped
+    counts G: with S records and column totals T_k = sum_i G_ik,
+    |L~|^2 = sum_ik F_ik^2 T_k / (S q_i). (For the maximum-likelihood factor
+    F_ik = G_ik / T_k the cross term <P~, L~> = sum_ik G_ik F_ik / (S q_i)
+    equals |L~|^2.) The difference is clamped at 0, where rounding of an exact
+    fit could otherwise make it negative.
     """
     weights = 1.0 / (total * q)[:, np.newaxis]
-    cross = float(np.sum(grouped * factor * weights))
     approx_norm_sq = float(np.sum(factor * factor * grouped.sum(axis=0) * weights))
-    return full_norm_sq - 2.0 * cross + approx_norm_sq, approx_norm_sq
+    return max(full_norm_sq - approx_norm_sq, 0.0), approx_norm_sq
 
 
 def dbmr_run(
@@ -336,7 +321,9 @@ def dbmr_run(
             labels=labels0 + 1,
             factor=factor,
         )
-    reduced = _build_reduced(factor, labels0, n_latent, model)
+    reduced = ReducedModel(
+        factor=factor, affiliation=Affiliation(labels=labels0 + 1, n_latent=n_latent)
+    )
     return reduced, DbmrTrace(steps=tuple(steps), converged=converged)
 
 
@@ -386,14 +373,9 @@ def multi_start(
     return best, best_index, traces
 
 
-def reduce_with_affiliation(
-    counts: CountMatrix, affiliation: Affiliation, model: TransitionModel | None = None
-) -> ReducedModel:
+def reduce_with_affiliation(counts: CountMatrix, affiliation: Affiliation) -> ReducedModel:
     """Maximum-likelihood reduction for a fixed affiliation, no iteration."""
-    if model is None:
-        model = estimate(counts)
-    factor = update_factor(counts, affiliation)
-    return _build_reduced(factor, affiliation.labels - 1, affiliation.n_latent, model)
+    return ReducedModel(factor=update_factor(counts, affiliation), affiliation=affiliation)
 
 
 def output_partition(reduced: ReducedModel) -> Partition:

@@ -161,8 +161,12 @@ def estimate(counts: CountMatrix) -> TransitionModel:
     P /= P.sum(axis=0, keepdims=True)
     q = P @ p
     q /= q.sum()
-    rescaled = P * (np.sqrt(p)[np.newaxis, :] / np.sqrt(q)[:, np.newaxis])
-    return TransitionModel(matrix=P, input_dist=p, output_dist=q, rescaled=rescaled)
+    return TransitionModel(matrix=P, input_dist=p, output_dist=q, rescaled=rescale(P, p, q))
+
+
+def rescale(matrix: np.ndarray, input_dist: np.ndarray, output_dist: np.ndarray) -> np.ndarray:
+    """D_out^{-1/2} @ matrix @ D_in^{1/2}: entry (i, j) times sqrt(p_j) / sqrt(q_i)."""
+    return matrix * (np.sqrt(input_dist)[np.newaxis, :] / np.sqrt(output_dist)[:, np.newaxis])
 
 
 def kl_divergence(u: np.ndarray, v: np.ndarray) -> float:

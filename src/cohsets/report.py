@@ -18,12 +18,10 @@ import numpy as np
 from ._accel import BACKEND
 from .bounds import frobenius_kl_bound
 from .dbmr import (
-    dbmr_run,
     log_likelihood,
     multi_start,
     output_partition,
     partition_to_affiliation,
-    random_affiliation,
     reduce_with_affiliation,
     reduced_singular_values,
     relaxed_log_likelihood,
@@ -136,7 +134,7 @@ def compare_experiment(
     reference = log_likelihood(counts, model.matrix)
     dbmr_objective = relaxed_log_likelihood(counts, best.factor, best.affiliation)
     svd_reduced = reduce_with_affiliation(
-        counts, partition_to_affiliation(classical.input_partition), model=model
+        counts, partition_to_affiliation(classical.input_partition)
     )
     svd_objective = relaxed_log_likelihood(
         counts, svd_reduced.factor, svd_reduced.affiliation
@@ -148,7 +146,6 @@ def compare_experiment(
             partition_to_affiliation(
                 Partition(labels=default_labels, n_clusters=int(np.max(default_labels)))
             ),
-            model=model,
         )
         default_objective = relaxed_log_likelihood(
             counts, default_reduced.factor, default_reduced.affiliation
@@ -264,26 +261,20 @@ def multirun_experiment(
 ) -> tuple[dict, list[dict], list[dict]]:
     """Restart the alternating ascent ``runs`` times and tabulate every run.
 
-    Returns (summary, run rows, trace rows). Run i uses the same derived seed
-    as the multi-start driver, so the best run here matches it. Trace rows
-    are produced only when ``trace`` is set; they carry per-iterate objective,
-    squared gap, squared approximation norm, and degree of coherence.
+    Returns (summary, run rows, trace rows). The restarts are those of
+    ``multi_start`` with the same seed, so the best run is its best run.
+    Trace rows are produced only when ``trace`` is set; they carry per-iterate
+    objective, squared gap, squared approximation norm, and degree of coherence.
     """
-    if runs < 1:
-        raise ValueError("runs must be positive")
     model = estimate(counts)
+    _, best_run, traces = multi_start(
+        counts, rank, runs=runs, max_steps=max_steps, seed=seed, tol=tol,
+        snapshots=trace, model=model,
+    )
     depth = spectrum_depth(rank, min(model.shape))
     run_rows: list[dict] = []
     trace_rows: list[dict] = []
-    best_run = -1
-    best_objective = float("-inf")
-    best_row: dict | None = None
-    for run in range(runs):
-        init = random_affiliation(counts.shape[1], rank, mix_seed(seed, run))
-        _, run_trace = dbmr_run(
-            counts, rank, init, max_steps=max_steps, tol=tol,
-            model=model, snapshots=trace,
-        )
+    for run, run_trace in enumerate(traces):
         final = run_trace.steps[-1]
         sigma = rescaled_factor_spectrum(final.factor, final.labels, model)
         row = {
@@ -310,10 +301,7 @@ def multirun_experiment(
                         "coherence": float(step_sigma[:rank].sum()),
                     }
                 )
-        if final.objective > best_objective:
-            best_objective = final.objective
-            best_run = run
-            best_row = row
+    best_row = run_rows[best_run]
     summary = {
         "rank": int(rank),
         "runs": int(runs),
@@ -322,8 +310,8 @@ def multirun_experiment(
         "tol": float(tol),
         "backend": BACKEND,
         "best_run": int(best_run),
-        "best_objective": float(best_objective),
-        "best": {k: _json_value(v) for k, v in (best_row or {}).items()},
+        "best_objective": float(best_row["objective"]),
+        "best": {k: _json_value(v) for k, v in best_row.items()},
         "run_table": [{k: _json_value(v) for k, v in row.items()} for row in run_rows],
     }
     return summary, run_rows, trace_rows

@@ -30,7 +30,7 @@ from cohsets.generators import (
     gen_three_coherent,
     gyre_velocity,
 )
-from cohsets.model import estimate, ingest_pairs, prune_empty
+from cohsets.model import estimate, ingest_pairs, prune_empty, rescale
 from cohsets.projection import build_projection, pythagoras_check, verify_factorization
 from cohsets.svd import classical_pipeline
 from tests.conftest import random_counts
@@ -58,7 +58,7 @@ def test_three_set_alternating_best_of_100(three_example):
     best, best_run, traces = multi_start(counts, 3, runs=100, seed=0)
     objective = traces[best_run].steps[-1].objective
     assert objective == pytest.approx(-0.954e5, abs=0.001e5)
-    gap = model.rescaled - best.approx_rescaled
+    gap = model.rescaled - rescale(best.approx, model.input_dist, model.output_dist)
     gap_sq = float(np.sum(gap * gap))
     assert gap_sq <= 1e-12
     report = frobenius_kl_bound(counts, model, best)
@@ -77,12 +77,13 @@ def test_interval_map_quantities(interval_example, interval_affiliation):
     assert sigma[2] == pytest.approx(1.0, abs=1e-9)
 
     best, best_run, traces = multi_start(counts, 3, runs=100, seed=0)
-    best_sigma = np.linalg.svd(best.approx_rescaled, compute_uv=False)
+    best_rescaled = rescale(best.approx, model.input_dist, model.output_dist)
+    best_sigma = np.linalg.svd(best_rescaled, compute_uv=False)
     coherence = float(best_sigma[:3].sum())
     assert coherence == pytest.approx(3.0, abs=1e-9)
 
-    default = reduce_with_affiliation(counts, interval_affiliation, model=model)
-    gap = model.rescaled - default.approx_rescaled
+    default = reduce_with_affiliation(counts, interval_affiliation)
+    gap = model.rescaled - rescale(default.approx, model.input_dist, model.output_dist)
     assert float(np.sum(gap * gap)) == pytest.approx(27.0, abs=1e-6)
     report = frobenius_kl_bound(counts, model, default)
     assert report.kappa_value == pytest.approx(1 / 30, abs=1e-9)
@@ -148,7 +149,7 @@ def test_randomized_structural_suite():
         r = int(rng.integers(1, min(n, 5) + 1))
         labels = rng.integers(1, r + 1, size=n)
         affiliation = Affiliation(labels=labels, n_latent=r)
-        reduced = reduce_with_affiliation(counts, affiliation, model=model)
+        reduced = reduce_with_affiliation(counts, affiliation)
         proj = build_projection(model.input_dist, affiliation)
 
         sym = proj.rescaled
@@ -157,7 +158,8 @@ def test_randomized_structural_suite():
         residuals = verify_factorization(model, reduced)
         assert residuals.factorization <= 1e-12
         assert residuals.output_marginal <= 1e-12
-        lhs, rhs = pythagoras_check(model.rescaled, reduced.approx_rescaled)
+        reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+        lhs, rhs = pythagoras_check(model.rescaled, reduced_rescaled)
         assert abs(lhs - rhs) <= 1e-10
 
         scale = np.sqrt(model.input_dist)[None, :] / np.sqrt(model.output_dist)[:, None]
@@ -166,7 +168,7 @@ def test_randomized_structural_suite():
             rival /= rival.sum(axis=0)
             rival_gap = np.sum((model.rescaled - rival[:, labels - 1] * scale) ** 2)
             assert lhs <= rival_gap + 1e-12
-        residual = model.rescaled - reduced.approx_rescaled
+        residual = model.rescaled - rescale(reduced.approx, model.input_dist, model.output_dist)
         for _ in range(5):
             arbitrary = rng.standard_normal((m, n))
             assert abs(np.sum(residual * (arbitrary @ sym))) <= 1e-9

@@ -18,7 +18,7 @@ from cohsets.dbmr import (
     log_likelihood,
     reduce_with_affiliation,
 )
-from cohsets.model import estimate
+from cohsets.model import estimate, rescale
 from tests.conftest import random_counts
 
 
@@ -86,7 +86,7 @@ def test_deviation_coefficient_examples():
 
 def test_bound_constants_three_default(three_example, three_affiliation):
     counts, model, _ = three_example
-    reduced = reduce_with_affiliation(counts, three_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, three_affiliation)
     constants = bound_constants(model, reduced)
     # the reduction is exact, so the difference balancedness is maximal
     assert constants.kappa_diff == 0.5
@@ -100,7 +100,7 @@ def test_bound_constants_three_default(three_example, three_affiliation):
 
 def test_bound_constants_interval_default(interval_example, interval_affiliation):
     counts, model, _ = interval_example
-    reduced = reduce_with_affiliation(counts, interval_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, interval_affiliation)
     constants = bound_constants(model, reduced)
     assert constants.kappa_diff == pytest.approx(1 / 30, abs=1e-12)
     # the reduction spreads mass onto unobserved outputs of every column
@@ -119,7 +119,7 @@ def test_bound_constants_post_dominates_prior_random():
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(
-            counts, Affiliation(labels=labels, n_latent=r), model=model
+            counts, Affiliation(labels=labels, n_latent=r)
         )
         constants = bound_constants(model, reduced)
         assert constants.kappa_post >= constants.kappa_prior - 1e-12
@@ -165,7 +165,7 @@ def test_bound_constants_match_column_helpers_random():
         r = n if trial % 5 == 0 else int(rng.integers(1, n + 1))
         labels = np.arange(1, n + 1) if r == n else rng.integers(1, r + 1, size=n)
         reduced = reduce_with_affiliation(
-            counts, Affiliation(labels=labels, n_latent=r), model=model
+            counts, Affiliation(labels=labels, n_latent=r)
         )
         _assert_matches_columns(model, reduced)
 
@@ -173,7 +173,7 @@ def test_bound_constants_match_column_helpers_random():
 def test_bound_constants_match_column_helpers_interval(interval_example,
                                                        interval_affiliation):
     counts, model, _ = interval_example
-    reduced = reduce_with_affiliation(counts, interval_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, interval_affiliation)
     constants = _assert_matches_columns(model, reduced)
     assert constants.kappa_diff == pytest.approx(1 / 30, abs=1e-12)
     assert constants.kappa_col == -np.inf
@@ -181,7 +181,7 @@ def test_bound_constants_match_column_helpers_interval(interval_example,
 
 def test_chain_three_default(three_example, three_affiliation):
     counts, model, _ = three_example
-    reduced = reduce_with_affiliation(counts, three_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, three_affiliation)
     report = frobenius_kl_bound(counts, model, reduced)
     assert report.kappa_value == 0.5
     assert report.frob_gap_sq < 1e-12
@@ -194,7 +194,7 @@ def test_chain_three_default(three_example, three_affiliation):
 
 def test_chain_interval_default(interval_example, interval_affiliation):
     counts, model, _ = interval_example
-    reduced = reduce_with_affiliation(counts, interval_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, interval_affiliation)
     report = frobenius_kl_bound(counts, model, reduced, kappa_choice="q1")
     assert report.kappa_value == pytest.approx(1 / 30, abs=1e-12)
     assert report.frob_gap_sq == pytest.approx(27.0, abs=1e-9)
@@ -205,7 +205,7 @@ def test_chain_interval_default(interval_example, interval_affiliation):
 
 def test_chain_kappa_choices(interval_example, interval_affiliation):
     counts, model, _ = interval_example
-    reduced = reduce_with_affiliation(counts, interval_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, interval_affiliation)
     post = frobenius_kl_bound(counts, model, reduced, kappa_choice="post")
     prior = frobenius_kl_bound(counts, model, reduced, kappa_choice="pr")
     assert post.kappa_tag == "q1"
@@ -219,7 +219,7 @@ def test_chain_kappa_choices(interval_example, interval_affiliation):
 
 def test_chain_degenerate_kappa(interval_example, interval_affiliation):
     counts, model, _ = interval_example
-    reduced = reduce_with_affiliation(counts, interval_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, interval_affiliation)
     report = frobenius_kl_bound(counts, model, reduced, kappa_choice="q2")
     assert report.kappa_value == -np.inf
     assert report.kl_form == np.inf
@@ -235,7 +235,7 @@ def test_chain_random_partitions():
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(
-            counts, Affiliation(labels=labels, n_latent=r), model=model
+            counts, Affiliation(labels=labels, n_latent=r)
         )
         report = frobenius_kl_bound(counts, model, reduced)
         if report.kappa_value > 0 and np.isfinite(report.kl_form):
@@ -251,15 +251,9 @@ def test_chain_random_partitions():
 def test_chain_support_violation_is_infinite(three_example):
     counts, model, _ = three_example
     affiliation = Affiliation(labels=np.ones(100, dtype=int), n_latent=1)
-    honest = reduce_with_affiliation(counts, affiliation, model=model)
     factor = np.zeros((100, 1))
     factor[0, 0] = 1.0
-    broken = ReducedModel(
-        factor=factor,
-        affiliation=affiliation,
-        approx=factor[:, np.zeros(100, dtype=int)],
-        approx_rescaled=honest.approx_rescaled,
-    )
+    broken = ReducedModel(factor=factor, affiliation=affiliation)
     report = frobenius_kl_bound(counts, model, broken)
     assert report.kl_form == np.inf
     assert report.likelihood_form == np.inf
@@ -268,27 +262,29 @@ def test_chain_support_violation_is_infinite(three_example):
 
 def test_coherence_lower_bound_three(three_example, three_affiliation):
     counts, model, _ = three_example
-    reduced = reduce_with_affiliation(counts, three_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, three_affiliation)
     bound = coherence_lower_bound(counts, model, reduced, 0.5)
     # exact reduction: the bound collapses to the full squared norm
     assert bound == pytest.approx(2.36, abs=1e-9)
-    sigma = np.linalg.svd(reduced.approx_rescaled, compute_uv=False)
+    reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+    sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
     assert np.sum(sigma[:3]) >= bound - 1e-9
 
 
 def test_coherence_lower_bound_interval(interval_example, interval_affiliation):
     counts, model, _ = interval_example
-    reduced = reduce_with_affiliation(counts, interval_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, interval_affiliation)
     bound = coherence_lower_bound(counts, model, reduced, 1 / 30)
     assert bound == pytest.approx(30 - 30 * math.log(10), abs=1e-6)
-    sigma = np.linalg.svd(reduced.approx_rescaled, compute_uv=False)
+    reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+    sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
     assert np.sum(sigma[:3]) == pytest.approx(3.0, abs=1e-9)
     assert np.sum(sigma[:3]) >= bound
 
 
 def test_coherence_lower_bound_validation(three_example, three_affiliation):
     counts, model, _ = three_example
-    reduced = reduce_with_affiliation(counts, three_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, three_affiliation)
     with pytest.raises(ValueError):
         coherence_lower_bound(counts, model, reduced, 0.0)
 
@@ -302,13 +298,14 @@ def test_coherence_lower_bound_random():
         r = int(rng.integers(1, 4))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(
-            counts, Affiliation(labels=labels, n_latent=r), model=model
+            counts, Affiliation(labels=labels, n_latent=r)
         )
         constants = bound_constants(model, reduced)
         if constants.kappa_post <= 0:
             continue
         bound = coherence_lower_bound(counts, model, reduced, constants.kappa_post)
-        sigma = np.linalg.svd(reduced.approx_rescaled, compute_uv=False)
+        reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+        sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
         assert np.sum(sigma[:r]) >= bound - 1e-9
 
 
@@ -374,7 +371,7 @@ def test_chain_matches_likelihood_identity(three_example, three_affiliation):
     counts, model, _ = three_example
     labels = np.where(np.arange(100) < 50, 1, 2)
     reduced = reduce_with_affiliation(
-        counts, Affiliation(labels=labels, n_latent=2), model=model
+        counts, Affiliation(labels=labels, n_latent=2)
     )
     report = frobenius_kl_bound(counts, model, reduced)
     full = log_likelihood(counts, model.matrix)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cohsets.dbmr import (
     Affiliation,
+    ReducedModel,
     dbmr_run,
     log_likelihood,
     multi_start,
@@ -17,7 +19,8 @@ from cohsets.dbmr import (
     update_affiliation,
     update_factor,
 )
-from cohsets.model import CountMatrix, estimate
+from cohsets.model import CountMatrix, estimate, rescale
+from cohsets.report import multirun_experiment
 from tests.conftest import random_counts
 
 # independent arithmetic for the three-set example: 50 structured columns carry
@@ -248,7 +251,7 @@ def test_multi_start_three_example(three_example):
     final = traces[best_run].steps[-1].objective
     assert final == pytest.approx(THREE_REFERENCE, abs=1e-6)
     assert all(t.steps[-1].objective <= final + 1e-9 for t in traces)
-    gap = model.rescaled - best.approx_rescaled
+    gap = model.rescaled - rescale(best.approx, model.input_dist, model.output_dist)
     assert np.sum(gap * gap) < 1e-12
     finals = {round(t.steps[-1].objective, 6) for t in traces}
     assert finals == {
@@ -267,6 +270,32 @@ def test_multi_start_tie_keeps_lowest_run():
         i for i, t in enumerate(traces) if t.steps[-1].objective == final
     )
     assert best_run == first_hit
+
+
+def test_multirun_best_matches_multi_start(three_example):
+    counts, _, _ = three_example
+    _, best_run, traces = multi_start(counts, 3, runs=8, seed=5)
+    summary, rows, _ = multirun_experiment(counts, 3, runs=8, seed=5)
+    assert summary["best_run"] == best_run
+    assert summary["best_objective"] == traces[best_run].steps[-1].objective
+    assert [row["objective"] for row in rows] == [t.steps[-1].objective for t in traces]
+
+
+def test_reduced_model_holds_factor_and_affiliation():
+    counts = random_counts(np.random.default_rng(67), 12, 15, density=0.5)
+    affiliation = random_affiliation(15, 4, 3)
+    reduced = reduce_with_affiliation(counts, affiliation)
+    assert [f.name for f in dataclasses.fields(ReducedModel)] == ["factor", "affiliation"]
+    assert np.array_equal(reduced.approx, reduced.factor[:, affiliation.labels - 1])
+
+
+def test_exact_fit_gap_is_never_negative(three_example, three_affiliation):
+    """From the true partition every iterate fits exactly; the gap is 0, not below."""
+    counts, model, _ = three_example
+    _, trace = dbmr_run(counts, 3, three_affiliation, model=model)
+    gaps = np.array([step.frob_gap_sq for step in trace.steps])
+    assert (gaps >= 0.0).all()
+    assert gaps.max() < 1e-12
 
 
 def test_output_partition_three(three_example, three_affiliation):
@@ -293,9 +322,10 @@ def test_reduced_singular_values_match_direct():
         r = int(rng.integers(1, 5))
         affiliation = random_affiliation(counts.shape[1], r, int(rng.integers(1 << 30)))
         model = estimate(counts)
-        reduced = reduce_with_affiliation(counts, affiliation, model=model)
+        reduced = reduce_with_affiliation(counts, affiliation)
         fast = reduced_singular_values(reduced, model)
-        direct = np.linalg.svd(reduced.approx_rescaled, compute_uv=False)
+        reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+        direct = np.linalg.svd(reduced_rescaled, compute_uv=False)
         assert fast == pytest.approx(direct, abs=1e-10)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cohsets.dbmr import Affiliation, reduce_with_affiliation
-from cohsets.model import estimate
+from cohsets.model import estimate, rescale
 from cohsets.projection import (
     build_projection,
     pythagoras_check,
@@ -99,7 +99,7 @@ def test_projection_eigenvalues_zero_or_one():
 
 def test_factorization_identity_three(three_example, three_affiliation):
     counts, model, _ = three_example
-    reduced = reduce_with_affiliation(counts, three_affiliation, model=model)
+    reduced = reduce_with_affiliation(counts, three_affiliation)
     residuals = verify_factorization(model, reduced)
     assert residuals.factorization < 1e-15
     assert residuals.input_fixed < 1e-15
@@ -115,14 +115,15 @@ def test_factorization_identity_random():
         model = estimate(counts)
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
-        reduced = reduce_with_affiliation(counts, _affiliation(labels, r), model=model)
+        reduced = reduce_with_affiliation(counts, _affiliation(labels, r))
         assert verify_factorization(model, reduced).max() < 1e-12
 
 
 def test_pythagoras_interval(interval_example, interval_affiliation):
     counts, model, _ = interval_example
-    reduced = reduce_with_affiliation(counts, interval_affiliation, model=model)
-    lhs, rhs = pythagoras_check(model.rescaled, reduced.approx_rescaled)
+    reduced = reduce_with_affiliation(counts, interval_affiliation)
+    reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+    lhs, rhs = pythagoras_check(model.rescaled, reduced_rescaled)
     assert lhs == pytest.approx(27.0, abs=1e-9)
     assert rhs == pytest.approx(27.0, abs=1e-9)
 
@@ -134,8 +135,9 @@ def test_pythagoras_random():
         model = estimate(counts)
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
-        reduced = reduce_with_affiliation(counts, _affiliation(labels, r), model=model)
-        lhs, rhs = pythagoras_check(model.rescaled, reduced.approx_rescaled)
+        reduced = reduce_with_affiliation(counts, _affiliation(labels, r))
+        reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+        lhs, rhs = pythagoras_check(model.rescaled, reduced_rescaled)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -151,9 +153,9 @@ def test_frobenius_orthogonality_random():
     counts = random_counts(rng, 7, 9, density=0.9)
     model = estimate(counts)
     labels = rng.integers(1, 4, size=9)
-    reduced = reduce_with_affiliation(counts, _affiliation(labels, 3), model=model)
+    reduced = reduce_with_affiliation(counts, _affiliation(labels, 3))
     proj = build_projection(model.input_dist, reduced.affiliation)
-    residual = model.rescaled - reduced.approx_rescaled
+    residual = model.rescaled - rescale(reduced.approx, model.input_dist, model.output_dist)
     for _ in range(50):
         arbitrary = rng.standard_normal((7, 9))
         assert abs(np.sum(residual * (arbitrary @ proj.rescaled))) < 1e-9
@@ -166,8 +168,9 @@ def test_projected_transition_is_best_approximation():
     counts = random_counts(rng, 6, 8, density=0.9)
     model = estimate(counts)
     labels = rng.integers(1, 4, size=8)
-    reduced = reduce_with_affiliation(counts, _affiliation(labels, 3), model=model)
-    best = np.sum((model.rescaled - reduced.approx_rescaled) ** 2)
+    reduced = reduce_with_affiliation(counts, _affiliation(labels, 3))
+    reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+    best = np.sum((model.rescaled - reduced_rescaled) ** 2)
     scale = np.sqrt(model.input_dist)[None, :] / np.sqrt(model.output_dist)[:, None]
     for _ in range(100):
         factor = rng.random((6, 3))
@@ -214,10 +217,11 @@ def test_dominance_matches_reduced_spectrum():
     counts = random_counts(rng, 8, 10, density=0.9)
     model = estimate(counts)
     labels = rng.integers(1, 4, size=10)
-    reduced = reduce_with_affiliation(counts, _affiliation(labels, 3), model=model)
+    reduced = reduce_with_affiliation(counts, _affiliation(labels, 3))
     proj = build_projection(model.input_dist, reduced.affiliation)
     via_projection = np.linalg.svd(model.rescaled @ proj.rescaled, compute_uv=False)
-    direct = np.linalg.svd(reduced.approx_rescaled, compute_uv=False)
+    reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+    direct = np.linalg.svd(reduced_rescaled, compute_uv=False)
     assert via_projection == pytest.approx(direct, abs=1e-12)
 
 
