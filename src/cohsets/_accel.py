@@ -5,10 +5,11 @@ pure-numpy implementation. The backend is chosen once at import time: numba
 when it can be imported, numpy otherwise. Both compute the same endpoints;
 results may differ in the last floating-point bits.
 
-The score and group-sum kernels are matmul-shaped and run faster through
-numpy's BLAS bindings, so they have only a numpy implementation. Their
-explicit loops are kept as references for the tests. See
-``benchmarks/bench_kernels.py`` for measurements.
+The score and group-sum kernels take the count matrix in either storage that
+``model.CountMatrix.operand`` holds: a dense array, multiplied through
+numpy's BLAS bindings, or a scipy sparse matrix, whose products visit only
+the stored nonzeros. ``benchmarks/bench_kernels.py`` times both storages
+across sizes and densities.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy import sparse
 
 try:
     from numba import njit
@@ -127,13 +129,20 @@ def _advect_rk4_loop(xs, ys, t0, n_steps, h, a, delta, omega):
     return out_x, out_y
 
 
-def _latent_scores_numpy(counts, factor):
+def latent_scores(counts, factor):
     """Score matrix s[k, j] = sum_i counts[i, j] * log(factor[i, k]).
 
-    Entries where a positive count meets a zero factor entry are -inf.
-    The clamped log is exact: a clamped entry contributes only where the
-    paired count is zero, and those terms vanish.
+    ``counts`` is a dense array or a scipy sparse matrix that stores no
+    zeros. Entries where a positive count meets a zero factor entry are -inf.
     """
+    if sparse.issparse(counts):
+        # Only positive counts are stored, so the -inf of a zero factor entry
+        # meets exactly the positive counts that make a score -inf.
+        with np.errstate(divide="ignore"):
+            log_factor = np.log(factor)
+        return (counts.T @ log_factor).T
+    # The clamped log is exact: a clamped entry contributes only where the
+    # paired count is zero, and those terms vanish.
     safe_log = np.log(np.where(factor > 0.0, factor, 1.0))
     scores = safe_log.T @ counts
     invalid = (factor <= 0.0).T.astype(np.float64) @ (counts > 0.0)
@@ -141,49 +150,16 @@ def _latent_scores_numpy(counts, factor):
     return scores
 
 
-def _latent_scores_loop(counts, factor):
-    m, n = counts.shape
-    r = factor.shape[1]
-    log_factor = np.empty((m, r))
-    for i in range(m):
-        for k in range(r):
-            if factor[i, k] > 0.0:
-                log_factor[i, k] = math.log(factor[i, k])
-            else:
-                log_factor[i, k] = -np.inf
-    scores = np.empty((r, n))
-    for j in range(n):
-        for k in range(r):
-            acc = 0.0
-            for i in range(m):
-                c = counts[i, j]
-                if c > 0.0:
-                    ll = log_factor[i, k]
-                    if ll == -np.inf:
-                        acc = -np.inf
-                        break
-                    acc += c * ll
-            scores[k, j] = acc
-    return scores
+def group_sums(counts, labels0, r):
+    """Column sums of ``counts`` grouped by 0-based ``labels0`` (m x r).
 
-
-def _group_sums_numpy(counts, labels0, r):
-    """Column sums of ``counts`` grouped by 0-based ``labels0`` (m x r)."""
+    ``counts`` is a dense array or a scipy sparse matrix; the sums of
+    integer counts are exact in both.
+    """
     n = counts.shape[1]
     onehot = np.zeros((n, r))
     onehot[np.arange(n), labels0] = 1.0
     return counts @ onehot
-
-
-def _group_sums_loop(counts, labels0, r):
-    m, n = counts.shape
-    out = np.zeros((m, r))
-    for i in range(m):
-        for j in range(n):
-            c = counts[i, j]
-            if c != 0.0:
-                out[i, labels0[j]] += c
-    return out
 
 
 if HAVE_NUMBA:
@@ -192,9 +168,6 @@ if HAVE_NUMBA:
 else:
     BACKEND = "numpy"
     advect_rk4 = _advect_rk4_numpy
-
-latent_scores = _latent_scores_numpy
-group_sums = _group_sums_numpy
 
 
 def warmup() -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dbmr import CountMatrix, ReducedModel, log_likelihood, relaxed_log_likelihood
-from .model import TransitionModel, rescale
+from .model import TransitionModel
 
 _KAPPA_CHOICES = ("post", "pr", "q1", "q2")
 
@@ -111,27 +111,32 @@ def bound_constants(model: TransitionModel, reduced: ReducedModel) -> BoundConst
     damped by (1 - deviation). kappa_col can be -inf or negative when some
     column deviates too strongly; it is then flagged unusable. kappa_post,
     the better of the two, never falls below the prior constant min(q)/2.
+
+    Column j of the difference |P - L| is |P - F| on the nonzeros of P and
+    the factor column F_k of j's label k elsewhere, so every column term is a
+    sum or maximum over the column's nonzeros plus a term of F_k.
     """
-    P = model.matrix
-    L = reduced.approx
-    q = model.output_dist[:, np.newaxis]
-    # Column j of each array below is what weighted_balancedness and
-    # deviation_coefficient compute for column j.
-    abs_diff = P - L
-    np.abs(abs_diff, out=abs_diff)
+    nz = _Nonzeros.of(model, reduced)
+    F, q = reduced.factor, model.output_dist
+    diff = np.abs(nz.values - nz.approx)
     # Entries live in [0, 1], so differences at rounding scale mean the column
     # was reproduced exactly; snap them to zero so the zero-vector convention
     # applies instead of the balancedness of accumulated roundoff.
     zero_tol = 32.0 * np.finfo(np.float64).eps
-    snapped = abs_diff.max(axis=0) <= zero_tol
+    snapped = (nz.column_max(diff) <= zero_tol) & nz.covers(F > zero_tol)
+    q_on = q[nz.rows]
+    off_sum = nz.zeros_sum(F)
+    peaks = np.maximum(nz.column_max(diff / q_on), nz.zeros_max(F / q[:, np.newaxis]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        diff_terms = abs_diff.sum(axis=0) / (abs_diff / q).max(axis=0)
-        ratio = np.divide(abs_diff, P, out=np.zeros_like(abs_diff), where=abs_diff != 0.0)
-        deviations = ratio.max(axis=0) * (2.0 / 3.0)
+        diff_terms = (nz.column_sum(diff) + off_sum) / peaks
+    # A positive F entry on a zero of P deviates infinitely.
+    deviations = np.where(
+        nz.covers(F > 0.0), nz.column_max(diff / nz.values), np.inf
+    ) * (2.0 / 3.0)
     diff_terms[snapped] = 1.0
     deviations[snapped] = 0.0
     # P is nonnegative with unit column sums, so every column peak is positive.
-    col_balance = P.sum(axis=0) / (P / q).max(axis=0)
+    col_balance = nz.column_sum(nz.values) / nz.column_max(nz.values / q_on)
     with np.errstate(invalid="ignore"):
         col_terms = col_balance * (1.0 - deviations)
     kappa_diff = 0.5 * float(diff_terms.min())
@@ -157,16 +162,114 @@ def bound_constants(model: TransitionModel, reduced: ReducedModel) -> BoundConst
     )
 
 
+@dataclass(frozen=True)
+class _Nonzeros:
+    """P and its reduction L on the nonzeros of P, in row-major order.
+
+    ``at_label`` flat-indexes an m x r array at each nonzero's row and the
+    latent state of its column.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    labels0: np.ndarray
+    at_label: np.ndarray
+    values: np.ndarray
+    approx: np.ndarray
+
+    @classmethod
+    def of(cls, model: TransitionModel, reduced: ReducedModel) -> "_Nonzeros":
+        rows, cols = model.support
+        labels0 = reduced.affiliation.labels - 1
+        at_label = rows * reduced.n_latent + labels0[cols]
+        return cls(
+            rows=rows,
+            cols=cols,
+            labels0=labels0,
+            at_label=at_label,
+            values=model.matrix[rows, cols],
+            approx=reduced.factor.ravel().take(at_label),
+        )
+
+    def column_sum(self, terms: np.ndarray) -> np.ndarray:
+        # Each column adds its terms in row order, as a dense column sum does.
+        return np.bincount(self.cols, weights=terms, minlength=self.labels0.size)
+
+    def column_max(self, terms: np.ndarray) -> np.ndarray:
+        """Per-column maximum of nonnegative terms; every column has a nonzero."""
+        peaks = np.zeros(self.labels0.size)
+        np.maximum.at(peaks, self.cols, terms)
+        return peaks
+
+    def covers(self, mask: np.ndarray) -> np.ndarray:
+        """Whether column j's support holds every true entry of ``mask[:, k_j]``."""
+        marks = mask.astype(np.float64)
+        inside = self.column_sum(marks.ravel().take(self.at_label))
+        return inside == marks.sum(axis=0)[self.labels0]
+
+    def zeros_sum(self, terms: np.ndarray) -> np.ndarray:
+        """Per column j, the sum of the nonnegative ``terms[i, k_j]`` over the
+        zeros i of column j.
+
+        That is the column total minus its part on the support, set to
+        exactly 0 where the support holds every positive term.
+        """
+        on_support = self.column_sum(terms.ravel().take(self.at_label))
+        off_support = np.maximum(terms.sum(axis=0)[self.labels0] - on_support, 0.0)
+        return np.where(self.covers(terms > 0.0), 0.0, off_support)
+
+    def zeros_max(self, terms: np.ndarray) -> np.ndarray:
+        """Per column j, the largest ``terms[i, k_j]`` over the zeros i of
+        column j; 0 for a column without zeros.
+
+        Each latent state ranks its rows by term, so column j's answer is the
+        term of the first row in k_j's ranking that is a zero of column j.
+        """
+        m, r = terms.shape
+        n = self.labels0.size
+        ranking = np.argsort(-terms, axis=0, kind="stable")
+        place = np.empty_like(ranking)
+        place[ranking, np.arange(r)] = np.arange(m)[:, np.newaxis]
+        # Only columns with a zero take part.
+        nonzeros = np.bincount(self.cols, minlength=n)
+        has_zero = nonzeros < m
+        size = np.where(has_zero, nonzeros, 0)
+        taking = has_zero[self.cols]
+        # Each such column's nonzeros by their place in the column's ranking.
+        column, taken = np.divmod(
+            np.sort(self.cols[taking] * m + place.ravel().take(self.at_label[taking])), m
+        )
+        offset = np.arange(column.size) - (np.cumsum(size) - size)[column]
+        # Sorted distinct places never fall back to their offsets once they
+        # pass them, so the first free place counts the places that match.
+        first = np.bincount(column, weights=taken == offset, minlength=n).astype(np.int64)
+        peaks = np.zeros(n)
+        labels0 = self.labels0[has_zero]
+        peaks[has_zero] = terms[ranking[first[has_zero], labels0], labels0]
+        return peaks
+
+
 def _weighted_kl_sum(model: TransitionModel, reduced: ReducedModel) -> float:
     """Input-weighted sum of columnwise KL divergences of P from the reduction."""
-    P = model.matrix
-    L = reduced.approx
-    support = P > 0.0
-    if (L[support] <= 0.0).any():
+    nz = _Nonzeros.of(model, reduced)
+    if (nz.approx <= 0.0).any():
         return float("inf")
-    ratio = np.zeros_like(P)
-    ratio[support] = P[support] * np.log(P[support] / L[support])
-    return float(model.input_dist @ ratio.sum(axis=0))
+    terms = nz.values * np.log(nz.values / nz.approx)
+    return float(model.input_dist @ nz.column_sum(terms))
+
+
+def _frob_gap_sq(model: TransitionModel, reduced: ReducedModel) -> float:
+    """|P~ - L~|^2 as a sum over the nonzeros of P plus one over its zeros.
+
+    On a zero (i, j) of P the rescaled gap is L~_ij, whose square is
+    p_j F_ik^2 / q_i. Holds for any factor.
+    """
+    nz = _Nonzeros.of(model, reduced)
+    F, p, q = reduced.factor, model.input_dist, model.output_dist
+    scale = np.sqrt(p)[nz.cols] / np.sqrt(q)[nz.rows]
+    on_support = nz.values * scale - nz.approx * scale
+    off_support = nz.zeros_sum(F * F / q[:, np.newaxis])
+    return float(np.sum(on_support * on_support) + p @ off_support)
 
 
 def frobenius_kl_bound(
@@ -193,14 +296,13 @@ def frobenius_kl_bound(
         "q2": constants.kappa_col,
     }[kappa_choice]
     kappa_tag = constants.kappa_post_tag if kappa_choice == "post" else kappa_choice
-    gap = model.rescaled - rescale(reduced.approx, model.input_dist, model.output_dist)
-    frob_gap_sq = float(np.sum(gap * gap))
+    frob_gap_sq = _frob_gap_sq(model, reduced)
     kl_sum = _weighted_kl_sum(model, reduced)
     full_objective = log_likelihood(counts, model.matrix)
     reduced_objective = relaxed_log_likelihood(
         counts, reduced.factor, reduced.affiliation
     )
-    full_norm_sq = float(np.sum(model.rescaled * model.rescaled))
+    full_norm_sq = model.rescaled_norm_sq
     if kappa_value > 0.0:
         kl_form = kl_sum / kappa_value
         likelihood_form = (full_objective - reduced_objective) / (
@@ -249,7 +351,7 @@ def coherence_lower_bound(
     reduced_objective = relaxed_log_likelihood(
         counts, reduced.factor, reduced.affiliation
     )
-    full_norm_sq = float(np.sum(model.rescaled * model.rescaled))
+    full_norm_sq = model.rescaled_norm_sq
     return float(
         (reduced_objective - full_objective) / (kappa_value * counts.total)
         + full_norm_sq

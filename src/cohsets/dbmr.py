@@ -96,8 +96,12 @@ class DbmrStep:
 
 @dataclass(frozen=True)
 class DbmrTrace:
+    """Iterates of one run; ``sunk_columns`` sums, over the run's affiliation
+    updates, the input columns that scored -inf for every latent state."""
+
     steps: tuple[DbmrStep, ...]
     converged: bool
+    sunk_columns: int
 
     @property
     def iterations(self) -> int:
@@ -114,11 +118,10 @@ def log_likelihood(counts: CountMatrix, transition: np.ndarray) -> float:
     if transition.shape != counts.shape:
         raise ValueError(f"transition shape {transition.shape} != counts shape {counts.shape}")
     _check_left_stochastic(transition, "transition")
-    observed = counts.counts > 0
-    values = transition[observed]
+    values = transition[counts.support]
     if (values <= 0.0).any():
         return float("-inf")
-    return float(np.sum(counts.counts[observed] * np.log(values)))
+    return float(np.sum(counts.counts[counts.support] * np.log(values)))
 
 
 def relaxed_log_likelihood(
@@ -127,9 +130,7 @@ def relaxed_log_likelihood(
     """Likelihood with each input column scored against its latent column."""
     factor = np.asarray(factor, dtype=np.float64)
     _check_factor(counts, factor, affiliation)
-    grouped = group_sums(
-        counts.counts.astype(np.float64), affiliation.labels - 1, affiliation.n_latent
-    )
+    grouped = group_sums(counts.operand, affiliation.labels - 1, affiliation.n_latent)
     return _grouped_log_likelihood(grouped, factor)
 
 
@@ -142,7 +143,7 @@ def _grouped_log_likelihood(grouped: np.ndarray, factor: np.ndarray) -> float:
 
 
 def _check_left_stochastic(matrix: np.ndarray, name: str) -> None:
-    if (matrix < 0.0).any():
+    if matrix.min() < 0.0:
         raise ValueError(f"{name} has negative entries")
     gap = np.abs(matrix.sum(axis=0) - 1.0).max()
     if gap > 1e-9:
@@ -173,7 +174,7 @@ def update_factor(counts: CountMatrix, affiliation: Affiliation) -> np.ndarray:
             f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
         )
     factor, _, _ = _factor_and_objective(
-        counts.counts.astype(np.float64), affiliation.labels - 1, affiliation.n_latent
+        counts.operand, affiliation.labels - 1, affiliation.n_latent
     )
     if affiliation.inactive:
         logger.debug("inactive latent states %s set to uniform", affiliation.inactive)
@@ -181,12 +182,12 @@ def update_factor(counts: CountMatrix, affiliation: Affiliation) -> np.ndarray:
 
 
 def _factor_and_objective(
-    counts_f: np.ndarray, labels0: np.ndarray, n_latent: int
+    operand, labels0: np.ndarray, n_latent: int
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """(factor, relaxed log-likelihood, grouped counts of shape (m, n_latent))."""
-    grouped = group_sums(counts_f, labels0, n_latent)
+    grouped = group_sums(operand, labels0, n_latent)
     totals = grouped.sum(axis=0)
-    m = counts_f.shape[0]
+    m = operand.shape[0]
     factor = np.full((m, n_latent), 1.0 / m)
     active = totals > 0.0
     factor[:, active] = grouped[:, active] / totals[active]
@@ -203,14 +204,14 @@ def update_affiliation(counts: CountMatrix, factor: np.ndarray) -> Affiliation:
     if factor.ndim != 2 or factor.shape[0] != counts.shape[0]:
         raise ValueError(f"factor shape {factor.shape} incompatible with counts {counts.shape}")
     _check_left_stochastic(factor, "factor")
-    labels0, sunk = _best_labels(counts.counts.astype(np.float64), factor)
+    labels0, sunk = _best_labels(counts.operand, factor)
     if sunk:
         logger.debug("%d input columns had -inf scores for every latent state", sunk)
     return Affiliation(labels=labels0 + 1, n_latent=factor.shape[1])
 
 
-def _best_labels(counts_f: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, int]:
-    scores = latent_scores(counts_f, factor)
+def _best_labels(operand, factor: np.ndarray) -> tuple[np.ndarray, int]:
+    scores = latent_scores(operand, factor)
     labels0 = np.argmax(scores, axis=0)
     sunk = int(np.isneginf(scores).all(axis=0).sum())
     return labels0, sunk
@@ -265,12 +266,12 @@ def dbmr_run(
         raise ValueError("tol must be nonnegative")
     if model is None:
         model = estimate(counts)
-    counts_f = counts.counts.astype(np.float64)
+    operand = counts.operand
     q = model.output_dist
-    full_norm_sq = float(np.sum(model.rescaled * model.rescaled))
+    full_norm_sq = model.rescaled_norm_sq
 
     labels0 = init.labels - 1
-    factor, objective, grouped = _factor_and_objective(counts_f, labels0, n_latent)
+    factor, objective, grouped = _factor_and_objective(operand, labels0, n_latent)
     gap_sq, approx_norm_sq = _gap_terms(grouped, factor, q, counts.total, full_norm_sq)
     steps = [
         DbmrStep(
@@ -283,10 +284,12 @@ def dbmr_run(
         )
     ]
     converged = False
+    sunk_columns = 0
     for index in range(1, max_steps + 1):
-        new_labels0, _ = _best_labels(counts_f, factor)
+        new_labels0, sunk = _best_labels(operand, factor)
+        sunk_columns += sunk
         new_factor, new_objective, new_grouped = _factor_and_objective(
-            counts_f, new_labels0, n_latent
+            operand, new_labels0, n_latent
         )
         if new_objective < objective:
             # Both updates are ascent steps; a strict drop can only be a
@@ -324,7 +327,9 @@ def dbmr_run(
     reduced = ReducedModel(
         factor=factor, affiliation=Affiliation(labels=labels0 + 1, n_latent=n_latent)
     )
-    return reduced, DbmrTrace(steps=tuple(steps), converged=converged)
+    return reduced, DbmrTrace(
+        steps=tuple(steps), converged=converged, sunk_columns=sunk_columns
+    )
 
 
 def random_affiliation(n_inputs: int, n_latent: int, seed: int) -> Affiliation:

@@ -9,13 +9,30 @@ array indices are 0-based internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+
+# The DBMR kernels multiply the count matrix once per update. Sparse products
+# visit only the nonzeros but pay scipy's dispatch, about 50 microseconds per
+# call, so a count matrix is stored sparse only when at most this share of
+# its entries is nonzero and it has at least SPARSE_MIN_ENTRIES entries.
+# ``benchmarks/bench_kernels.py`` times both storages across that boundary:
+# dense products win on 100 x 100 at any density and on 300 x 300 above
+# about 10 % nonzeros; sparse ones win on 2048 x 2048 up to about 30 %.
+SPARSE_MAX_DENSITY = 0.1
+SPARSE_MIN_ENTRIES = 2**16
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _support(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzero entries, in row-major order."""
+    return tuple(_read_only(index) for index in np.nonzero(matrix))
 
 
 @dataclass(frozen=True)
@@ -78,6 +95,36 @@ class CountMatrix:
     def shape(self) -> tuple[int, int]:
         return self.counts.shape
 
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the positive counts, in row-major order."""
+        return _support(self.counts)
+
+    @property
+    def nonzeros(self) -> int:
+        return int(self.support[0].size)
+
+    @property
+    def storage(self) -> str:
+        """Storage of ``operand``: "sparse" or "dense", from shape and nonzeros."""
+        m, n = self.shape
+        if m * n >= SPARSE_MIN_ENTRIES and self.nonzeros <= SPARSE_MAX_DENSITY * m * n:
+            return "sparse"
+        return "dense"
+
+    @cached_property
+    def operand(self):
+        """The counts in float64 for the DBMR kernels, derived once.
+
+        A CSC matrix of the positive counts when ``storage`` is "sparse",
+        the dense array otherwise.
+        """
+        if self.storage == "dense":
+            return self.counts.astype(np.float64)
+        rows, cols = self.support
+        values = self.counts[rows, cols].astype(np.float64)
+        return sparse.csc_array((values, (rows, cols)), shape=self.shape)
+
 
 @dataclass(frozen=True)
 class TransitionModel:
@@ -112,6 +159,17 @@ class TransitionModel:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the positive entries, in row-major order."""
+        return _support(self.matrix)
+
+    @cached_property
+    def rescaled_norm_sq(self) -> float:
+        """Squared Frobenius norm of ``rescaled``, summed over the support."""
+        values = self.rescaled[self.support]
+        return float(np.sum(values * values))
 
 
 def ingest_pairs(dataset: PairDataset) -> CountMatrix:

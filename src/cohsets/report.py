@@ -209,7 +209,7 @@ def compare_experiment(
             "coherence_objective": float(classical.coherence),
             "reduced_min_entry": float(classical.reduced.min()),
         },
-        "diagnostics": {
+        "diagnostics": _count_diagnostics(counts, traces) | {
             "dbmr_best_run": int(best_run),
             "dbmr_best_iterations": int(traces[best_run].iterations),
             "dbmr_converged_runs": int(sum(t.converged for t in traces)),
@@ -226,6 +226,15 @@ def compare_experiment(
         "dbmr_output_partition": dbmr_out,
     }
     return report, artifacts
+
+
+def _count_diagnostics(counts: CountMatrix, traces) -> dict:
+    """Count storage the DBMR kernels ran on, and the columns they scored -inf."""
+    return {
+        "count_storage": counts.storage,
+        "count_nonzeros": counts.nonzeros,
+        "dbmr_sunk_columns": int(sum(t.sunk_columns for t in traces)),
+    }
 
 
 def render_compare_images(artifacts: dict, base: str | Path) -> list[str]:
@@ -313,6 +322,7 @@ def multirun_experiment(
         "best_objective": float(best_row["objective"]),
         "best": {k: _json_value(v) for k, v in best_row.items()},
         "run_table": [{k: _json_value(v) for k, v in row.items()} for row in run_rows],
+        "diagnostics": _count_diagnostics(counts, traces),
     }
     return summary, run_rows, trace_rows
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from cohsets import _accel
 from cohsets.dbmr import multi_start
 from cohsets.generators import GyreConfig, gen_double_gyre
 from cohsets.model import ingest_pairs, prune_empty
+from tests.dense_reference import group_sums_loop, latent_scores_loop
 
 
 def test_backend_reported():
@@ -64,19 +66,21 @@ def test_latent_scores_backends_agree():
     factor = rng.random((7, 3))
     factor[rng.random((7, 3)) < 0.3] = 0.0
     factor /= factor.sum(axis=0)
-    reference = _accel._latent_scores_numpy(counts, factor)
-    looped = _accel._latent_scores_loop(counts, factor)
-    finite = np.isfinite(reference)
-    assert np.array_equal(finite, np.isfinite(looped))
-    assert looped[finite] == pytest.approx(reference[finite], rel=1e-12)
+    looped = latent_scores_loop(counts, factor)
+    finite = np.isfinite(looped)
+    for operand in (counts, sparse.csc_array(counts)):
+        scores = _accel.latent_scores(operand, factor)
+        assert np.array_equal(finite, np.isfinite(scores))
+        assert looped[finite] == pytest.approx(scores[finite], rel=1e-12)
 
 
 def test_group_sums_backends_agree():
     rng = np.random.default_rng(179)
     counts = rng.integers(0, 9, size=(6, 13)).astype(np.float64)
     labels0 = rng.integers(0, 4, size=13)
-    reference = _accel._group_sums_numpy(counts, labels0, 4)
-    assert np.array_equal(_accel._group_sums_loop(counts, labels0, 4), reference)
+    reference = group_sums_loop(counts, labels0, 4)
+    for operand in (counts, sparse.csc_array(counts)):
+        assert np.array_equal(_accel.group_sums(operand, labels0, 4), reference)
     # grouped sums preserve the total mass
     assert reference.sum() == counts.sum()
 
