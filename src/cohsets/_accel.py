@@ -129,37 +129,59 @@ def _advect_rk4_loop(xs, ys, t0, n_steps, h, a, delta, omega):
     return out_x, out_y
 
 
-def latent_scores(counts, factor):
+def latent_scores(counts, factor, positive=None):
     """Score matrix s[k, j] = sum_i counts[i, j] * log(factor[i, k]).
 
-    ``counts`` is a dense array or a scipy sparse matrix that stores no
-    zeros. Entries where a positive count meets a zero factor entry are -inf.
+    ``factor`` is one (m, r) factor, giving (r, n) scores, or a stack of
+    them of shape (runs, m, r), giving (runs, r, n). ``counts`` is a dense
+    array or a scipy sparse matrix that stores no zeros. Entries where a
+    positive count meets a zero factor entry are -inf; on dense counts
+    ``positive`` is the float64 indicator of the positive counts, derived
+    from ``counts`` when not given.
     """
     if sparse.issparse(counts):
         # Only positive counts are stored, so the -inf of a zero factor entry
-        # meets exactly the positive counts that make a score -inf.
+        # meets exactly the positive counts that make a score -inf. One
+        # product serves every run: each score adds its column's nonzeros in
+        # storage order, whatever the number of factor columns.
         with np.errstate(divide="ignore"):
             log_factor = np.log(factor)
-        return (counts.T @ log_factor).T
+        m, r = factor.shape[-2:]
+        stacked = np.moveaxis(log_factor, -2, 0).reshape(m, -1)
+        scores = (counts.T @ stacked).T
+        return scores.reshape(factor.shape[:-2] + (r, counts.shape[1]))
     # The clamped log is exact: a clamped entry contributes only where the
-    # paired count is zero, and those terms vanish.
+    # paired count is zero, and those terms vanish. A stack multiplies each
+    # run's block with its own BLAS call inside one matmul, so every run's
+    # scores are bitwise those of a call on its factor alone; one product of
+    # all blocks stacked side by side is not (OpenBLAS sums differently in
+    # its threaded and matrix-vector paths).
     safe_log = np.log(np.where(factor > 0.0, factor, 1.0))
-    scores = safe_log.T @ counts
-    invalid = (factor <= 0.0).T.astype(np.float64) @ (counts > 0.0)
-    scores[invalid > 0.0] = -np.inf
+    scores = np.swapaxes(safe_log, -1, -2) @ counts
+    zero = factor <= 0.0
+    if zero.any():
+        if positive is None:
+            positive = (counts > 0.0).astype(np.float64)
+        invalid = np.swapaxes(zero, -1, -2).astype(np.float64) @ positive
+        scores[invalid > 0.0] = -np.inf
     return scores
 
 
 def group_sums(counts, labels0, r):
-    """Column sums of ``counts`` grouped by 0-based ``labels0`` (m x r).
+    """Column sums of ``counts`` grouped by 0-based labels.
 
-    ``counts`` is a dense array or a scipy sparse matrix; the sums of
-    integer counts are exact in both.
+    ``labels0`` is one row of n labels, giving (m, r) sums, or one row per
+    run, shape (runs, n), giving (runs, m, r). ``counts`` is a dense array
+    or a scipy sparse matrix; the sums of integer counts are exact in both.
     """
-    n = counts.shape[1]
-    onehot = np.zeros((n, r))
-    onehot[np.arange(n), labels0] = 1.0
-    return counts @ onehot
+    rows = np.atleast_2d(labels0)
+    runs, n = rows.shape
+    onehot = np.zeros((n, runs * r))
+    onehot[np.arange(n), rows + r * np.arange(runs)[:, np.newaxis]] = 1.0
+    sums = (counts @ onehot).reshape(-1, runs, r)
+    if np.ndim(labels0) == 1:
+        return sums[:, 0]
+    return np.ascontiguousarray(sums.transpose(1, 0, 2))
 
 
 if HAVE_NUMBA:

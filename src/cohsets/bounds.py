@@ -249,22 +249,20 @@ class _Nonzeros:
         return peaks
 
 
-def _weighted_kl_sum(model: TransitionModel, reduced: ReducedModel) -> float:
+def _weighted_kl_sum(nz: _Nonzeros, model: TransitionModel) -> float:
     """Input-weighted sum of columnwise KL divergences of P from the reduction."""
-    nz = _Nonzeros.of(model, reduced)
     if (nz.approx <= 0.0).any():
         return float("inf")
     terms = nz.values * np.log(nz.values / nz.approx)
     return float(model.input_dist @ nz.column_sum(terms))
 
 
-def _frob_gap_sq(model: TransitionModel, reduced: ReducedModel) -> float:
+def _frob_gap_sq(nz: _Nonzeros, model: TransitionModel, reduced: ReducedModel) -> float:
     """|P~ - L~|^2 as a sum over the nonzeros of P plus one over its zeros.
 
     On a zero (i, j) of P the rescaled gap is L~_ij, whose square is
     p_j F_ik^2 / q_i. Holds for any factor.
     """
-    nz = _Nonzeros.of(model, reduced)
     F, p, q = reduced.factor, model.input_dist, model.output_dist
     scale = np.sqrt(p)[nz.cols] / np.sqrt(q)[nz.rows]
     on_support = nz.values * scale - nz.approx * scale
@@ -296,8 +294,9 @@ def frobenius_kl_bound(
         "q2": constants.kappa_col,
     }[kappa_choice]
     kappa_tag = constants.kappa_post_tag if kappa_choice == "post" else kappa_choice
-    frob_gap_sq = _frob_gap_sq(model, reduced)
-    kl_sum = _weighted_kl_sum(model, reduced)
+    nz = _Nonzeros.of(model, reduced)
+    frob_gap_sq = _frob_gap_sq(nz, model, reduced)
+    kl_sum = _weighted_kl_sum(nz, model)
     full_objective = log_likelihood(counts, model.matrix)
     reduced_objective = relaxed_log_likelihood(
         counts, reduced.factor, reduced.affiliation

@@ -5,10 +5,19 @@ hard affiliation of input categories to latent states. The alternating loop
 maximizes the relaxed log-likelihood of the observed counts: affiliations pick
 the best latent column per input, the factor renormalizes grouped counts.
 Both update steps are monotone in the relaxed log-likelihood.
+
+All restarts ascend together: each iteration scores and groups the counts
+of every restart still ascending with one call per kernel, their factors
+stacked as (runs, m, r). Each restart keeps the arithmetic, and so the
+trace, it has when ascending alone, and retires when its objective dips or
+stalls or it reaches its step cap. ``dbmr_run`` is the batch of one.
+Restarts run in consecutive chunks of max(1, BATCH_ENTRIES // (r (m + n)))
+restarts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 
@@ -20,6 +29,12 @@ from .seeding import mix_seed
 from .svd import Partition
 
 logger = logging.getLogger(__name__)
+
+# A chunk of A restarts holds its stacked factors, scores and one-hot labels
+# in arrays of about A * r * (m + n) float64 entries; this caps that number
+# (8 MB an array). The 100 restarts of an r = 3 fit on a 100 x 100 matrix
+# form one chunk; on a 2048 x 2048 matrix a chunk holds 85 restarts.
+BATCH_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -131,15 +146,23 @@ def relaxed_log_likelihood(
     factor = np.asarray(factor, dtype=np.float64)
     _check_factor(counts, factor, affiliation)
     grouped = group_sums(counts.operand, affiliation.labels - 1, affiliation.n_latent)
-    return _grouped_log_likelihood(grouped, factor)
+    return float(_log_likelihoods(grouped[np.newaxis], factor[np.newaxis])[0])
 
 
-def _grouped_log_likelihood(grouped: np.ndarray, factor: np.ndarray) -> float:
+def _log_likelihoods(grouped: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Per run, sum of G log F over the observed entries (G > 0) of its (m, r)
+    block, taken in row-major order; -inf where F is zero on an observed
+    entry. Both arrays are (runs, m, r).
+    """
     observed = grouped > 0.0
-    values = factor[observed]
-    if (values <= 0.0).any():
-        return float("-inf")
-    return float(np.sum(grouped[observed] * np.log(values)))
+    with np.errstate(divide="ignore"):
+        terms = grouped[observed] * np.log(factor[observed])
+    # Each run's terms are added pairwise on their own, as np.sum adds them;
+    # summing padded rows would group them differently and move the last bits.
+    ends = np.cumsum(observed.reshape(observed.shape[0], -1).sum(axis=1)).tolist()
+    return np.array([
+        np.add.reduce(terms[start:end]) for start, end in zip([0] + ends[:-1], ends)
+    ])
 
 
 def _check_left_stochastic(matrix: np.ndarray, name: str) -> None:
@@ -173,25 +196,23 @@ def update_factor(counts: CountMatrix, affiliation: Affiliation) -> np.ndarray:
         raise ValueError(
             f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
         )
-    factor, _, _ = _factor_and_objective(
-        counts.operand, affiliation.labels - 1, affiliation.n_latent
+    _, factor = _ml_factors(
+        counts.operand, (affiliation.labels - 1)[np.newaxis], affiliation.n_latent
     )
     if affiliation.inactive:
         logger.debug("inactive latent states %s set to uniform", affiliation.inactive)
-    return factor
+    return factor[0]
 
 
-def _factor_and_objective(
-    operand, labels0: np.ndarray, n_latent: int
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """(factor, relaxed log-likelihood, grouped counts of shape (m, n_latent))."""
+def _ml_factors(operand, labels0: np.ndarray, n_latent: int) -> tuple[np.ndarray, np.ndarray]:
+    """(grouped counts, maximum-likelihood factors), both (runs, m, n_latent),
+    for the 0-based labels in each row of ``labels0``; latent states without
+    inputs get the uniform column."""
     grouped = group_sums(operand, labels0, n_latent)
-    totals = grouped.sum(axis=0)
-    m = operand.shape[0]
-    factor = np.full((m, n_latent), 1.0 / m)
-    active = totals > 0.0
-    factor[:, active] = grouped[:, active] / totals[active]
-    return factor, _grouped_log_likelihood(grouped, factor), grouped
+    totals = grouped.sum(axis=1, keepdims=True)
+    factor = np.full(grouped.shape, 1.0 / grouped.shape[1])
+    np.divide(grouped, totals, out=factor, where=totals > 0.0)
+    return grouped, factor
 
 
 def update_affiliation(counts: CountMatrix, factor: np.ndarray) -> Affiliation:
@@ -204,17 +225,17 @@ def update_affiliation(counts: CountMatrix, factor: np.ndarray) -> Affiliation:
     if factor.ndim != 2 or factor.shape[0] != counts.shape[0]:
         raise ValueError(f"factor shape {factor.shape} incompatible with counts {counts.shape}")
     _check_left_stochastic(factor, "factor")
-    labels0, sunk = _best_labels(counts.operand, factor)
-    if sunk:
-        logger.debug("%d input columns had -inf scores for every latent state", sunk)
-    return Affiliation(labels=labels0 + 1, n_latent=factor.shape[1])
+    labels0, sunk = _best_labels(counts, factor[np.newaxis])
+    if sunk[0]:
+        logger.debug("%d input columns had -inf scores for every latent state", sunk[0])
+    return Affiliation(labels=labels0[0] + 1, n_latent=factor.shape[1])
 
 
-def _best_labels(operand, factor: np.ndarray) -> tuple[np.ndarray, int]:
-    scores = latent_scores(operand, factor)
-    labels0 = np.argmax(scores, axis=0)
-    sunk = int(np.isneginf(scores).all(axis=0).sum())
-    return labels0, sunk
+def _best_labels(counts: CountMatrix, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per run of the (runs, m, r) ``factor``: best 0-based latent state per
+    input column, and how many columns scored -inf for every state."""
+    scores = latent_scores(counts.operand, factor, counts.positive)
+    return np.argmax(scores, axis=1), np.isneginf(scores).all(axis=1).sum(axis=1)
 
 
 def _gap_terms(
@@ -223,8 +244,8 @@ def _gap_terms(
     q: np.ndarray,
     total: int,
     full_norm_sq: float,
-) -> tuple[float, float]:
-    """(squared Frobenius gap, squared norm of the rescaled approximation).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per run: (squared Frobenius gap, squared norm of the rescaled approximation).
 
     The reduction is a projection of the full model, so
     |P~ - L~|^2 = |P~|^2 - |L~|^2, and |L~|^2 depends only on the grouped
@@ -232,11 +253,13 @@ def _gap_terms(
     |L~|^2 = sum_ik F_ik^2 T_k / (S q_i). (For the maximum-likelihood factor
     F_ik = G_ik / T_k the cross term <P~, L~> = sum_ik G_ik F_ik / (S q_i)
     equals |L~|^2.) The difference is clamped at 0, where rounding of an exact
-    fit could otherwise make it negative.
+    fit could otherwise make it negative. Each run's terms are one contiguous
+    (m, r) block of the (runs, m, r) arrays, reduced in one sum per block.
     """
     weights = 1.0 / (total * q)[:, np.newaxis]
-    approx_norm_sq = float(np.sum(factor * factor * grouped.sum(axis=0) * weights))
-    return max(full_norm_sq - approx_norm_sq, 0.0), approx_norm_sq
+    terms = factor * factor * grouped.sum(axis=1, keepdims=True) * weights
+    approx_norm_sq = terms.reshape(terms.shape[0], -1).sum(axis=1)
+    return np.maximum(full_norm_sq - approx_norm_sq, 0.0), approx_norm_sq
 
 
 def dbmr_run(
@@ -260,75 +283,89 @@ def dbmr_run(
         raise ValueError(f"init covers {init.size} of {counts.shape[1]} inputs")
     if init.n_latent != n_latent:
         raise ValueError(f"init has {init.n_latent} latent states, expected {n_latent}")
+    if model is None:
+        model = estimate(counts)
+    (trace,) = _ascend(
+        counts, model, (init.labels - 1)[np.newaxis], n_latent, max_steps, tol, snapshots
+    )
+    return _final_model(trace, n_latent), trace
+
+
+def _ascend(
+    counts: CountMatrix,
+    model: TransitionModel,
+    labels0: np.ndarray,
+    n_latent: int,
+    max_steps: int,
+    tol: float,
+    snapshots: bool,
+) -> list[DbmrTrace]:
+    """Ascend from each row of 0-based initial labels together; one trace per row.
+
+    Every iteration updates the restarts still ascending with one score and
+    one group-sum call. A restart whose objective dips keeps its previous
+    iterate; one that dips, stalls or reaches ``max_steps`` retires.
+    """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    if model is None:
-        model = estimate(counts)
     operand = counts.operand
-    q = model.output_dist
-    full_norm_sq = model.rescaled_norm_sq
-
-    labels0 = init.labels - 1
-    factor, objective, grouped = _factor_and_objective(operand, labels0, n_latent)
-    gap_sq, approx_norm_sq = _gap_terms(grouped, factor, q, counts.total, full_norm_sq)
-    steps = [
-        DbmrStep(
-            index=0,
-            objective=objective,
-            frob_gap_sq=gap_sq,
-            approx_norm_sq=approx_norm_sq,
-            labels=labels0 + 1 if snapshots else None,
-            factor=factor if snapshots else None,
-        )
-    ]
-    converged = False
-    sunk_columns = 0
-    for index in range(1, max_steps + 1):
-        new_labels0, sunk = _best_labels(operand, factor)
-        sunk_columns += sunk
-        new_factor, new_objective, new_grouped = _factor_and_objective(
-            operand, new_labels0, n_latent
-        )
-        if new_objective < objective:
+    gap_args = (model.output_dist, counts.total, model.rescaled_norm_sq)
+    runs = labels0.shape[0]
+    steps: list[list[DbmrStep]] = [[] for _ in range(runs)]
+    traces: list[DbmrTrace | None] = [None] * runs
+    sunk_columns = np.zeros(runs, dtype=np.int64)
+    live = np.arange(runs)  # rows of the restarts still ascending
+    grouped, factor = _ml_factors(operand, labels0, n_latent)
+    objective = _log_likelihoods(grouped, factor)
+    accepted = np.ones(runs, dtype=bool)
+    converged = np.zeros(runs, dtype=bool)
+    for index in range(max_steps + 1):
+        if index:
+            new_labels0, sunk = _best_labels(counts, factor)
+            sunk_columns[live] += sunk
+            grouped, new_factor = _ml_factors(operand, new_labels0, n_latent)
+            new_objective = _log_likelihoods(grouped, new_factor)
             # Both updates are ascent steps; a strict drop can only be a
-            # rounding artifact, so keep the previous iterate.
-            logger.debug("objective dipped by %g at step %d", objective - new_objective, index)
-            converged = True
+            # rounding artifact, so a restart that dips keeps its previous
+            # iterate and stops.
+            dipped = new_objective < objective
+            if dipped.any():
+                logger.debug("objective dipped in %d restarts at step %d", dipped.sum(), index)
+            accepted = ~dipped
+            converged = dipped | (new_objective - objective <= tol)
+            labels0 = np.where(accepted[:, np.newaxis], new_labels0, labels0)
+            factor = np.where(accepted[:, np.newaxis, np.newaxis], new_factor, factor)
+            objective = np.where(accepted, new_objective, objective)
+        gap_sq, approx_norm_sq = _gap_terms(grouped, factor, *gap_args)
+        scalars = zip(objective.tolist(), gap_sq.tolist(), approx_norm_sq.tolist())
+        for row, (run, taken, values) in enumerate(zip(live.tolist(), accepted.tolist(), scalars)):
+            if taken:
+                snapshot = (labels0[row] + 1, factor[row].copy()) if snapshots else (None, None)
+                steps[run].append(DbmrStep(index, *values, *snapshot))
+        finished = converged | (index == max_steps)
+        for row in np.flatnonzero(finished):
+            run, last = live[row], steps[live[row]][-1]
+            if last.labels is None:
+                # The final iterate always keeps its snapshots.
+                steps[run][-1] = dataclasses.replace(
+                    last, labels=labels0[row] + 1, factor=factor[row].copy()
+                )
+            traces[run] = DbmrTrace(tuple(steps[run]), bool(converged[row]), int(sunk_columns[run]))
+        going = ~finished
+        if not going.any():
             break
-        labels0, factor = new_labels0, new_factor
-        gap_sq, approx_norm_sq = _gap_terms(new_grouped, factor, q, counts.total, full_norm_sq)
-        stalled = new_objective - objective <= tol
-        objective = new_objective
-        steps.append(
-            DbmrStep(
-                index=index,
-                objective=objective,
-                frob_gap_sq=gap_sq,
-                approx_norm_sq=approx_norm_sq,
-                labels=labels0 + 1 if snapshots else None,
-                factor=factor if snapshots else None,
-            )
+        live, labels0, factor, objective = (
+            live[going], labels0[going], factor[going], objective[going]
         )
-        if stalled:
-            converged = True
-            break
-    last = steps[-1]
-    if last.labels is None:
-        steps[-1] = DbmrStep(
-            index=last.index,
-            objective=last.objective,
-            frob_gap_sq=last.frob_gap_sq,
-            approx_norm_sq=last.approx_norm_sq,
-            labels=labels0 + 1,
-            factor=factor,
-        )
-    reduced = ReducedModel(
-        factor=factor, affiliation=Affiliation(labels=labels0 + 1, n_latent=n_latent)
-    )
-    return reduced, DbmrTrace(
-        steps=tuple(steps), converged=converged, sunk_columns=sunk_columns
+    return traces
+
+
+def _final_model(trace: DbmrTrace, n_latent: int) -> ReducedModel:
+    last = trace.steps[-1]
+    return ReducedModel(
+        factor=last.factor, affiliation=Affiliation(labels=last.labels, n_latent=n_latent)
     )
 
 
@@ -336,9 +373,11 @@ def random_affiliation(n_inputs: int, n_latent: int, seed: int) -> Affiliation:
     """Uniform random labels; deterministic per seed."""
     if n_inputs < 1 or n_latent < 1:
         raise ValueError("n_inputs and n_latent must be positive")
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(1, n_latent + 1, size=n_inputs)
-    return Affiliation(labels=labels, n_latent=n_latent)
+    return Affiliation(labels=_random_labels(n_inputs, n_latent, seed), n_latent=n_latent)
+
+
+def _random_labels(n_inputs: int, n_latent: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(1, n_latent + 1, size=n_inputs)
 
 
 def multi_start(
@@ -359,23 +398,22 @@ def multi_start(
     """
     if runs < 1:
         raise ValueError("runs must be positive")
+    if n_latent < 1:
+        raise ValueError("n_latent must be positive")
     if model is None:
         model = estimate(counts)
-    best: ReducedModel | None = None
-    best_index = -1
-    best_objective = float("-inf")
+    m, n = counts.shape
+    chunk = max(1, BATCH_ENTRIES // (n_latent * (m + n)))
     traces: list[DbmrTrace] = []
-    for run in range(runs):
-        init = random_affiliation(counts.shape[1], n_latent, mix_seed(seed, run))
-        reduced, trace = dbmr_run(
-            counts, n_latent, init, max_steps=max_steps, tol=tol,
-            model=model, snapshots=snapshots,
-        )
-        traces.append(trace)
-        final = trace.steps[-1].objective
-        if final > best_objective:
-            best, best_index, best_objective = reduced, run, final
-    return best, best_index, traces
+    for start in range(0, runs, chunk):
+        inits = np.stack([
+            _random_labels(n, n_latent, mix_seed(seed, run))
+            for run in range(start, min(start + chunk, runs))
+        ])
+        traces += _ascend(counts, model, inits - 1, n_latent, max_steps, tol, snapshots)
+    finals = [trace.steps[-1].objective for trace in traces]
+    best_index = finals.index(max(finals))
+    return _final_model(traces[best_index], n_latent), best_index, traces
 
 
 def reduce_with_affiliation(counts: CountMatrix, affiliation: Affiliation) -> ReducedModel:

@@ -125,6 +125,15 @@ class CountMatrix:
         values = self.counts[rows, cols].astype(np.float64)
         return sparse.csc_array((values, (rows, cols)), shape=self.shape)
 
+    @cached_property
+    def positive(self) -> np.ndarray | None:
+        """Float64 indicator of the positive counts, derived once, with which
+        the dense score kernel places its -inf scores; None when ``operand``
+        is sparse, since sparse products visit only the positive counts."""
+        if self.storage == "sparse":
+            return None
+        return (self.counts > 0).astype(np.float64)
+
 
 @dataclass(frozen=True)
 class TransitionModel:

@@ -229,11 +229,13 @@ def compare_experiment(
 
 
 def _count_diagnostics(counts: CountMatrix, traces) -> dict:
-    """Count storage the DBMR kernels ran on, and the columns they scored -inf."""
+    """Count storage the DBMR kernels ran on, the columns they scored -inf,
+    and the update pairs of all restarts."""
     return {
         "count_storage": counts.storage,
         "count_nonzeros": counts.nonzeros,
         "dbmr_sunk_columns": int(sum(t.sunk_columns for t in traces)),
+        "dbmr_update_pairs": int(sum(t.iterations for t in traces)),
     }
 
 

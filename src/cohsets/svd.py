@@ -10,10 +10,10 @@ clusterings by maximum total transition probability.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackError, svds
 
@@ -276,8 +276,66 @@ def _coherence_scores(
 
 
 def _best_assignment(scores: np.ndarray) -> tuple[np.ndarray, float]:
-    rows, cols = linear_sum_assignment(-scores)
-    return cols, float(scores[rows, cols].sum())
+    """Column paired with each row of a square score matrix at maximum total
+    score, and that total."""
+    if not np.isfinite(scores).all():
+        raise ValueError("coherence scores must be finite")
+    cols = np.array(_min_cost_assignment((-scores).tolist()), dtype=np.int64)
+    return cols, float(scores[np.arange(cols.size), cols].sum())
+
+
+def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
+    """Minimum-cost assignment of a square cost matrix by shortest augmenting
+    paths (Crouse, IEEE TAES 2016), the algorithm of scipy's
+    ``linear_sum_assignment``, with its order of operations, so that ties
+    resolve the same way. Returns the column of each row.
+    """
+    size = len(cost)
+    u, v = [0.0] * size, [0.0] * size
+    col4row, row4col, path = [-1] * size, [-1] * size, [-1] * size
+    for current in range(size):
+        # Dijkstra from row ``current`` over reduced costs to a free column.
+        shortest = [math.inf] * size
+        seen_rows, seen_cols = [False] * size, [False] * size
+        # Scanning columns from the last makes a constant matrix's solution
+        # the identity.
+        remaining = list(range(size - 1, -1, -1))
+        row, sink, min_val = current, -1, 0.0
+        while sink == -1:
+            seen_rows[row] = True
+            index, lowest = -1, math.inf
+            for position, col in enumerate(remaining):
+                reduced = min_val + cost[row][col] - u[row] - v[col]
+                if reduced < shortest[col]:
+                    path[col], shortest[col] = row, reduced
+                # Among equal costs, prefer a free column: it ends the path.
+                if shortest[col] < lowest or (shortest[col] == lowest and row4col[col] == -1):
+                    index, lowest = position, shortest[col]
+            min_val = lowest
+            col = remaining[index]
+            if row4col[col] == -1:
+                sink = col
+            else:
+                row = row4col[col]
+            seen_cols[col] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[current] += min_val
+        for row in range(size):
+            if seen_rows[row] and row != current:
+                u[row] += min_val - shortest[col4row[row]]
+        for col in range(size):
+            if seen_cols[col]:
+                v[col] -= min_val - shortest[col]
+        # Augment along the path back to ``current``.
+        col = sink
+        while True:
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == current:
+                break
+    return col4row
 
 
 def match_partitions(

@@ -6,7 +6,8 @@ states than inputs or with empty latent states, and factors with zeros that
 sink input columns to -inf for every latent state. The two DBMR kernels run
 on a dense array and on a scipy sparse matrix; the bound chain runs on the
 nonzeros of P. Each result is compared with the dense formulas in
-``tests/dense_reference.py``.
+``tests/dense_reference.py``. The batched DBMR ascent is compared, bit for
+bit, with the sequential one kept there.
 """
 
 import tracemalloc
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from cohsets import _accel, model as model_module
+from cohsets import _accel, dbmr, model as model_module
 from cohsets.bounds import (
     _frob_gap_sq,
     _Nonzeros,
@@ -30,17 +31,21 @@ from cohsets.dbmr import (
     Affiliation,
     ReducedModel,
     dbmr_run,
+    multi_start,
     random_affiliation,
     reduce_with_affiliation,
 )
 from cohsets.generators import GyreConfig, gen_double_gyre
 from cohsets.model import CountMatrix, estimate, ingest_pairs, prune_empty
 from cohsets.report import compare_experiment, multirun_experiment
+from cohsets.seeding import mix_seed
 from tests.dense_reference import (
+    best_labels_reference,
     bound_constants_dense,
     frob_gap_sq_dense,
     group_sums_loop,
     latent_scores_loop,
+    multi_start_reference,
     weighted_kl_sum_dense,
     zeros_max_dense,
 )
@@ -150,15 +155,16 @@ def test_bound_chain_matches_dense_formulas(case):
     assert np.array_equal(constants.deviations, deviations)
     np.testing.assert_allclose(constants.kappa_col, kappa_col, rtol=1e-14)
     np.testing.assert_allclose(constants.kappa_diff, kappa_diff, rtol=1e-12)
+    nz = _Nonzeros.of(model, reduced)
     np.testing.assert_allclose(
-        _weighted_kl_sum(model, reduced), weighted_kl_sum_dense(model, reduced), rtol=1e-14
+        _weighted_kl_sum(nz, model), weighted_kl_sum_dense(model, reduced), rtol=1e-14
     )
     weighted = reduced.factor / model.output_dist[:, np.newaxis]
     assert np.array_equal(
-        _Nonzeros.of(model, reduced).zeros_max(weighted),
+        nz.zeros_max(weighted),
         zeros_max_dense(model.matrix, weighted, reduced.affiliation.labels - 1),
     )
-    gap, dense_gap = _frob_gap_sq(model, reduced), frob_gap_sq_dense(model, reduced)
+    gap, dense_gap = _frob_gap_sq(nz, model, reduced), frob_gap_sq_dense(model, reduced)
     assert abs(gap - dense_gap) <= 1e-12 * (dense_gap + model.rescaled_norm_sq)
     if exact:
         # the zeros of an exact fit contribute exactly nothing
@@ -192,8 +198,8 @@ def test_off_support_mass_is_never_snapped(three_example, three_affiliation):
         assert (deviations[state_one] == (np.inf if extra > 1e-9 else 0.0)).all()
 
 
-def _runs_on_storage(monkeypatch, counts_array, storage, init):
-    """DBMR run on a fresh CountMatrix whose operand takes ``storage``."""
+def _counts_on_storage(monkeypatch, counts_array, storage):
+    """A fresh CountMatrix whose operand takes ``storage``."""
     if storage == "sparse":
         monkeypatch.setattr(model_module, "SPARSE_MIN_ENTRIES", 0)
         monkeypatch.setattr(model_module, "SPARSE_MAX_DENSITY", 1.0)
@@ -202,6 +208,12 @@ def _runs_on_storage(monkeypatch, counts_array, storage, init):
     counts = CountMatrix(counts=counts_array, total=int(counts_array.sum()))
     assert counts.storage == storage
     assert sparse.issparse(counts.operand) == (storage == "sparse")
+    return counts
+
+
+def _runs_on_storage(monkeypatch, counts_array, storage, init):
+    """DBMR run on a fresh CountMatrix whose operand takes ``storage``."""
+    counts = _counts_on_storage(monkeypatch, counts_array, storage)
     return dbmr_run(counts, init.n_latent, init, snapshots=True)
 
 
@@ -226,6 +238,148 @@ def test_dbmr_identical_on_both_storages(monkeypatch, source, three_example,
         assert [s.objective for s in dense_trace.steps] == [s.objective for s in sparse_trace.steps]
 
 
+def _assert_same_restarts(batched, sequential):
+    """Best model, best run and every trace agree bit for bit."""
+    (best, best_run, traces), (ref_best, ref_run, ref_traces) = batched, sequential
+    assert best_run == ref_run
+    assert np.array_equal(best.factor, ref_best.factor)
+    assert np.array_equal(best.affiliation.labels, ref_best.affiliation.labels)
+    assert len(traces) == len(ref_traces)
+    for trace, ref in zip(traces, ref_traces):
+        assert trace.iterations == ref.iterations
+        assert trace.converged == ref.converged
+        assert trace.sunk_columns == ref.sunk_columns
+        for step, ref_step in zip(trace.steps, ref.steps):
+            assert step.index == ref_step.index
+            assert step.objective == ref_step.objective
+            assert step.frob_gap_sq == ref_step.frob_gap_sq
+            assert step.approx_norm_sq == ref_step.approx_norm_sq
+            for value, ref_value in ((step.labels, ref_step.labels), (step.factor, ref_step.factor)):
+                assert (value is None) == (ref_value is None)
+                if value is not None:
+                    assert np.array_equal(value, ref_value)
+
+
+def _chunked(patch, counts, n_latent, restarts_per_chunk):
+    """Cap the batch so that chunks hold ``restarts_per_chunk`` restarts."""
+    m, n = counts.shape
+    patch.setattr(dbmr, "BATCH_ENTRIES", restarts_per_chunk * n_latent * (m + n))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_multi_start_matches_sequential_runs(data):
+    """The batched ascent reproduces R sequential runs: labels, factors, step
+    objectives and gaps, iterations, convergence, sunk columns, best run."""
+    counts_array, _ = data.draw(count_arrays())
+    if counts_array.sum() == 0:
+        counts_array = counts_array.copy()
+        counts_array[0, 0] = 1
+    pruned, _, _ = prune_empty(CountMatrix(counts=counts_array, total=int(counts_array.sum())))
+    n_latent = data.draw(st.integers(1, pruned.shape[1] + 2))
+    runs = data.draw(st.integers(1, 7))
+    options = dict(
+        max_steps=data.draw(st.sampled_from([1, 2, 3, 500])),
+        seed=data.draw(st.integers(0, 50)),
+        snapshots=data.draw(st.booleans()),
+    )
+    storage = data.draw(st.sampled_from(["dense", "sparse"]))
+    per_chunk = data.draw(st.sampled_from([None, 1, 2, 3]))
+    with pytest.MonkeyPatch.context() as patch:
+        counts = _counts_on_storage(patch, pruned.counts, storage)
+        if per_chunk is not None:
+            _chunked(patch, counts, n_latent, per_chunk)
+        batched = multi_start(counts, n_latent, runs, **options)
+        sequential = multi_start_reference(counts, n_latent, runs, **options)
+    _assert_same_restarts(batched, sequential)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_batched_kernels_and_labels_match_single_runs(data):
+    """Stacked factors and labels give each run's single-run scores, group
+    sums, labels and sunk-column counts, on both storages."""
+    counts_array, _ = data.draw(count_arrays())
+    m, n = counts_array.shape
+    r = data.draw(st.integers(1, n + 2))
+    runs = data.draw(st.integers(1, 4))
+    factor = np.stack([data.draw(factors(m, r, counts_array)) for _ in range(runs)])
+    labels0 = data.draw(arrays(np.int64, (runs, n), elements=st.integers(0, r - 1)))
+    for storage in ("dense", "sparse"):
+        with pytest.MonkeyPatch.context() as patch:
+            counts = _counts_on_storage(patch, counts_array, storage)
+            scores = _accel.latent_scores(counts.operand, factor, counts.positive)
+            sums = _accel.group_sums(counts.operand, labels0, r)
+            labels, sunk = dbmr._best_labels(counts, factor)
+            for run in range(runs):
+                single = _accel.latent_scores(counts.operand, factor[run])
+                assert np.array_equal(scores[run], single)
+                assert np.array_equal(sums[run], group_sums_loop(counts_array, labels0[run], r))
+                ref_labels, ref_sunk = best_labels_reference(counts.operand, factor[run])
+                assert np.array_equal(labels[run], ref_labels)
+                assert sunk[run] == ref_sunk
+
+
+@pytest.mark.parametrize("shape", [(7, 1, 3), (94, 108, 2)])
+def test_stacked_dense_scores_match_single_runs(shape):
+    """Scores of stacked factors equal single-run scores bit for bit where one
+    BLAS product of all blocks side by side would not: on one input column
+    (matrix-vector path) and on products large enough to be threaded."""
+    m, n, r = shape
+    rng = np.random.default_rng(73)
+    for _ in range(60 if n == 1 else 1):
+        counts = rng.choice([0.0, 1.0, 2.0, 6.0], size=(m, n))
+        runs = int(rng.integers(2, 6)) if n == 1 else 52
+        # positive factors: a -inf score would hide the finite sums
+        factor = 1.0 - rng.random((runs, m, r))
+        scores = _accel.latent_scores(counts, factor)
+        for run, single in enumerate(factor):
+            assert np.array_equal(scores[run], _accel.latent_scores(counts, single))
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("source", ["three", "interval", "gyre"])
+def test_multi_start_matches_sequential_on_examples(source, storage, three_example,
+                                                    interval_example):
+    """Paper examples and a gyre sample, with and without snapshots and with
+    chunk boundaries: restarts retire at different steps, and the lowest of
+    equally good restarts wins."""
+    if source == "gyre":
+        dataset, _ = gen_double_gyre(GyreConfig(nx=16, ny=8, points_per_box=8, t_end=1.0))
+        counts_array = prune_empty(ingest_pairs(dataset))[0].counts
+    else:
+        counts_array = (three_example if source == "three" else interval_example)[0].counts
+    for snapshots, per_chunk in ((False, None), (True, 7)):
+        with pytest.MonkeyPatch.context() as patch:
+            counts = _counts_on_storage(patch, counts_array, storage)
+            if per_chunk is not None:
+                _chunked(patch, counts, 3, per_chunk)
+            batched = multi_start(counts, 3, 20, seed=11, snapshots=snapshots)
+            sequential = multi_start_reference(counts, 3, 20, seed=11, snapshots=snapshots)
+        _assert_same_restarts(batched, sequential)
+        _, best_run, traces = batched
+        if source != "interval":  # every interval-map restart stops after 2 pairs
+            assert len({trace.iterations for trace in traces}) > 1
+        finals = [trace.steps[-1].objective for trace in traces]
+        assert best_run == finals.index(max(finals))
+
+
+def test_multi_start_tie_goes_to_the_lowest_run():
+    """Block counts: several restarts end on the same objective; the first wins."""
+    counts = CountMatrix(
+        counts=np.array([[5, 5, 0, 0], [5, 5, 0, 0], [0, 0, 5, 5], [0, 0, 5, 5]]),
+        total=40,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        _chunked(patch, counts, 2, 2)
+        batched = multi_start(counts, 2, runs=9, seed=3)
+    _assert_same_restarts(batched, multi_start_reference(counts, 2, runs=9, seed=3))
+    _, best_run, traces = batched
+    finals = [trace.steps[-1].objective for trace in traces]
+    assert finals.count(max(finals)) > 1
+    assert best_run == finals.index(max(finals))
+
+
 def test_storage_follows_shape_and_nonzeros():
     small = np.eye(100, dtype=np.int64)
     assert CountMatrix(counts=small, total=100).storage == "dense"
@@ -236,8 +390,13 @@ def test_storage_follows_shape_and_nonzeros():
     assert counts.nonzeros == size
     assert sparse.issparse(counts.operand)
     assert np.array_equal(counts.operand.toarray(), sparse_counts)
+    assert counts.positive is None
     full = np.ones((size, size), dtype=np.int64)
     assert CountMatrix(counts=full, total=size * size).storage == "dense"
+    dense = CountMatrix(counts=small * 3, total=300)
+    assert dense.positive.dtype == np.float64
+    assert np.array_equal(dense.positive, small > 0)
+    assert dense.positive is dense.positive  # derived once
 
 
 def test_bound_chain_allocates_no_dense_matrix():
@@ -274,5 +433,10 @@ def test_reports_carry_storage_counters(three_example):
             # column of a DBMR iterate scores -inf everywhere
             "dbmr_sunk_columns": 0,
         }
-        assert summary["diagnostics"] == expected
-        assert {key: report["diagnostics"][key] for key in expected} == expected
+        for diagnostics, seed in ((summary["diagnostics"], 4), (report["diagnostics"], mix_seed(4, 2))):
+            _, _, traces = multi_start(counts, 3, runs=3, seed=seed)
+            pairs = sum(trace.iterations for trace in traces)
+            assert pairs > 0
+            assert {key: diagnostics[key] for key in expected} == expected
+            assert diagnostics["dbmr_update_pairs"] == pairs
+        assert set(summary["diagnostics"]) == set(expected) | {"dbmr_update_pairs"}

@@ -349,6 +349,63 @@ def test_match_beats_every_permutation():
         assert objective == pytest.approx(best, abs=1e-12)
 
 
+def _assignment_cases():
+    """Square score matrices: random, small-integer ties, constant, and with
+    all-zero columns (empty output clusters)."""
+    rng = np.random.default_rng(29)
+    for r in range(1, 8):
+        for _ in range(40):
+            yield rng.random((r, r))
+            yield rng.integers(0, 3, size=(r, r)).astype(np.float64)
+            tied = rng.choice([0.0, 0.25, 0.5, 1.0 / 3.0], size=(r, r))
+            tied[:, rng.integers(r, size=int(rng.integers(1, r + 1)))] = 0.0
+            yield tied
+        yield np.zeros((r, r))
+        yield np.ones((r, r))
+
+
+def test_best_assignment_matches_scipy():
+    """The augmenting-path solver returns scipy's assignment, ties included."""
+    from scipy.optimize import linear_sum_assignment
+
+    for scores in _assignment_cases():
+        rows, cols = linear_sum_assignment(-scores)
+        assignment, objective = svd._best_assignment(scores)
+        assert np.array_equal(assignment, cols)
+        assert objective == float(scores[rows, cols].sum())
+
+
+def test_best_assignment_beats_every_permutation():
+    for scores in _assignment_cases():
+        r = scores.shape[0]
+        if r > 6:
+            continue
+        assignment, objective = svd._best_assignment(scores)
+        assert sorted(assignment.tolist()) == list(range(r))
+        best = max(
+            sum(scores[k, perm[k]] for k in range(r))
+            for perm in itertools.permutations(range(r))
+        )
+        assert objective >= best - 1e-12
+
+
+def test_best_assignment_rejects_nonfinite_scores():
+    with pytest.raises(ValueError):
+        svd._best_assignment(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_import_leaves_out_scipy_optimize():
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cohsets; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
+
+
 def test_classical_pipeline_three_example(three_example):
     counts, model, default = three_example
     result = classical_pipeline(counts, 3, seed=0)
