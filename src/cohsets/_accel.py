@@ -129,15 +129,13 @@ def _advect_rk4_loop(xs, ys, t0, n_steps, h, a, delta, omega):
     return out_x, out_y
 
 
-def latent_scores(counts, factor, positive=None):
+def latent_scores(counts, factor):
     """Score matrix s[k, j] = sum_i counts[i, j] * log(factor[i, k]).
 
     ``factor`` is one (m, r) factor, giving (r, n) scores, or a stack of
     them of shape (runs, m, r), giving (runs, r, n). ``counts`` is a dense
     array or a scipy sparse matrix that stores no zeros. Entries where a
-    positive count meets a zero factor entry are -inf; on dense counts
-    ``positive`` is the float64 indicator of the positive counts, derived
-    from ``counts`` when not given.
+    positive count meets a zero factor entry are -inf.
     """
     if sparse.issparse(counts):
         # Only positive counts are stored, so the -inf of a zero factor entry
@@ -160,9 +158,9 @@ def latent_scores(counts, factor, positive=None):
     scores = np.swapaxes(safe_log, -1, -2) @ counts
     zero = factor <= 0.0
     if zero.any():
-        if positive is None:
-            positive = (counts > 0.0).astype(np.float64)
-        invalid = np.swapaxes(zero, -1, -2).astype(np.float64) @ positive
+        # Counts are nonnegative, so a column meets a zero factor entry with
+        # a positive count exactly where this product is positive.
+        invalid = np.swapaxes(zero, -1, -2).astype(np.float64) @ counts
         scores[invalid > 0.0] = -np.inf
     return scores
 

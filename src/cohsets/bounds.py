@@ -272,7 +272,6 @@ def _frob_gap_sq(nz: _Nonzeros, model: TransitionModel, reduced: ReducedModel) -
 
 def frobenius_kl_bound(
     counts: CountMatrix,
-    model: TransitionModel,
     reduced: ReducedModel,
     kappa_choice: str = "post",
 ) -> BoundReport:
@@ -286,6 +285,7 @@ def frobenius_kl_bound(
     """
     if kappa_choice not in _KAPPA_CHOICES:
         raise ValueError(f"kappa_choice must be one of {_KAPPA_CHOICES}")
+    model = counts.model
     constants = bound_constants(model, reduced)
     kappa_value = {
         "post": constants.kappa_post,
@@ -336,7 +336,6 @@ def frobenius_kl_bound(
 
 def coherence_lower_bound(
     counts: CountMatrix,
-    model: TransitionModel,
     reduced: ReducedModel,
     kappa_value: float,
 ) -> float:
@@ -346,6 +345,7 @@ def coherence_lower_bound(
     """
     if kappa_value <= 0.0:
         raise ValueError("kappa_value must be positive")
+    model = counts.model
     full_objective = log_likelihood(counts, model.matrix)
     reduced_objective = relaxed_log_likelihood(
         counts, reduced.factor, reduced.affiliation

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import dataio
 from .bounds import frobenius_kl_bound
-from .dbmr import Affiliation, output_partition as derive_output_partition, reduce_with_affiliation
+from .dbmr import output_partition as derive_output_partition, reduce_with_affiliation
 from .generators import GyreConfig, gen_double_gyre, gen_interval_map, gen_three_coherent
-from .model import estimate, ingest_pairs, prune_empty, rescale
+from .model import Partition, ingest_pairs, prune_empty, rescale
 from .projection import pythagoras_check, verify_factorization
 from .report import (
     TRACE_FIELDS,
@@ -33,11 +33,12 @@ from .report import (
     run_table_fields,
     write_csv,
 )
-from .svd import Partition
 
 logger = logging.getLogger(__name__)
 
-_EXAMPLES = ("three-coherent", "interval-map", "double-gyre")
+# Categorical examples: generator of (dataset, default partition) by name.
+_CATEGORICAL = {"three-coherent": gen_three_coherent, "interval-map": gen_interval_map}
+_EXAMPLES = (*_CATEGORICAL, "double-gyre")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,20 +113,14 @@ def _gyre_config(args) -> GyreConfig:
 
 def _generate(args):
     """Build (dataset, default labels or None, metadata) for --example."""
-    if args.example == "three-coherent":
-        dataset, partition = gen_three_coherent(epsilon=args.epsilon, seed=args.seed)
-        meta = {"example": args.example, "epsilon": args.epsilon, "seed": args.seed,
-                "default_labels": [int(v) for v in partition.labels],
-                "n_latent": partition.n_clusters}
-        return dataset, partition.labels, meta
-    if args.example == "interval-map":
-        dataset, partition = gen_interval_map(epsilon=args.epsilon, seed=args.seed)
-        meta = {"example": args.example, "epsilon": args.epsilon, "seed": args.seed,
-                "default_labels": [int(v) for v in partition.labels],
-                "n_latent": partition.n_clusters}
-        return dataset, partition.labels, meta
-    dataset, meta = gen_double_gyre(_gyre_config(args))
-    return dataset, None, meta
+    if args.example not in _CATEGORICAL:
+        dataset, meta = gen_double_gyre(_gyre_config(args))
+        return dataset, None, meta
+    dataset, partition = _CATEGORICAL[args.example](epsilon=args.epsilon, seed=args.seed)
+    meta = {"example": args.example, "epsilon": args.epsilon, "seed": args.seed,
+            "default_labels": [int(v) for v in partition.labels],
+            "n_latent": partition.n_clusters}
+    return dataset, partition.labels, meta
 
 
 def _load_file(path: str):
@@ -175,32 +170,36 @@ def _resolve(args):
     return pruned, row_map, col_map, labels, provenance, original_shape
 
 
-def _file_labels(path: str, col_map: np.ndarray, original_n: int):
-    """Load a labels file covering either all original or only kept inputs."""
+def _input_partition(path, col_map: np.ndarray, original_n: int, default_labels):
+    """Partition of the kept inputs from the labels file at ``path``, else from
+    the example's default labels; None when there are neither.
+
+    A labels file covers either all original or only the kept inputs.
+    """
+    if path is None:
+        if default_labels is None:
+            return None
+        return Partition(labels=default_labels, n_clusters=int(default_labels.max()))
     raw, n_latent = dataio.read_labels(path)
     if raw.size == original_n:
-        return raw[col_map - 1], n_latent
-    if raw.size == col_map.size:
-        return raw, n_latent
-    raise ValueError(
-        f"labels file covers {raw.size} inputs, expected {original_n} "
-        f"(or {col_map.size} after pruning)"
-    )
+        raw = raw[col_map - 1]
+    elif raw.size != col_map.size:
+        raise ValueError(
+            f"labels file covers {raw.size} inputs, expected {original_n} "
+            f"(or {col_map.size} after pruning)"
+        )
+    return Partition(labels=raw, n_clusters=n_latent)
 
 
 def cmd_generate(args) -> int:
-    dataset, _, meta = _generate_checked(args)
+    if args.example is None:
+        raise ValueError("generate requires --example")
+    dataset, _, meta = _generate(args)
     dataio.write_pairs(args.out, dataset)
     dataio.write_json(Path(args.out).with_name(Path(args.out).name + ".meta.json"), meta)
     print(f"wrote {dataset.size} records over {dataset.n_inputs} -> "
           f"{dataset.n_outputs} categories to {args.out}")
     return 0
-
-
-def _generate_checked(args):
-    if args.example is None:
-        raise ValueError("generate requires --example")
-    return _generate(args)
 
 
 def cmd_compare(args) -> int:
@@ -249,16 +248,12 @@ def cmd_multirun(args) -> int:
 
 def cmd_bounds(args) -> int:
     counts, _, col_map, default_labels, provenance, original_shape = _resolve(args)
-    if args.labels is not None:
-        labels, n_latent = _file_labels(args.labels, col_map, original_shape[1])
-    elif default_labels is not None:
-        labels = default_labels
-        n_latent = int(labels.max())
-    else:
+    partition = _input_partition(args.labels, col_map, original_shape[1], default_labels)
+    if partition is None:
         raise ValueError("bounds requires a labels file or an example with default labels")
-    model = estimate(counts)
-    reduced = reduce_with_affiliation(counts, Affiliation(labels=labels, n_latent=n_latent))
-    bound = frobenius_kl_bound(counts, model, reduced, kappa_choice=args.kappa)
+    model = counts.model
+    reduced = reduce_with_affiliation(counts, partition)
+    bound = frobenius_kl_bound(counts, reduced, kappa_choice=args.kappa)
     residuals = verify_factorization(model, reduced)
     lhs, rhs = pythagoras_check(
         model.rescaled, rescale(reduced.approx, model.input_dist, model.output_dist)
@@ -284,26 +279,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_render(args) -> int:
     counts, _, col_map, default_labels, _, original_shape = _resolve(args)
-    model = estimate(counts)
-    input_partition = None
+    input_partition = _input_partition(args.labels, col_map, original_shape[1], default_labels)
     output_strip = None
-    if args.labels is not None:
-        labels, n_latent = _file_labels(args.labels, col_map, original_shape[1])
-        input_partition = Partition(labels=labels, n_clusters=n_latent)
-    elif default_labels is not None:
-        input_partition = Partition(
-            labels=default_labels, n_clusters=int(default_labels.max())
-        )
     if input_partition is not None:
-        reduced = reduce_with_affiliation(
-            counts,
-            Affiliation(
-                labels=input_partition.labels, n_latent=input_partition.n_clusters
-            ),
-        )
-        output_strip = derive_output_partition(reduced)
+        output_strip = derive_output_partition(reduce_with_affiliation(counts, input_partition))
     render_matrix_image(
-        model.matrix, args.out,
+        counts.model.matrix, args.out,
         input_partition=input_partition, output_partition=output_strip,
     )
     print(f"wrote {args.out}")

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import group_sums, latent_scores
-from .model import CountMatrix, TransitionModel, estimate
+from .model import CountMatrix, Partition, TransitionModel
 from .seeding import mix_seed
-from .svd import Partition
 
 logger = logging.getLogger(__name__)
 
@@ -38,41 +37,6 @@ BATCH_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
-class Affiliation:
-    """Hard assignment of input categories to latent states, labels 1-based."""
-
-    labels: np.ndarray
-    n_latent: int
-
-    def __post_init__(self) -> None:
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        if labels.ndim != 1 or labels.size == 0:
-            raise ValueError("labels must be a nonempty 1-d array")
-        if self.n_latent < 1:
-            raise ValueError("n_latent must be positive")
-        if (labels < 1).any() or (labels > self.n_latent).any():
-            raise ValueError(f"labels must lie in [1, {self.n_latent}]")
-
-    @property
-    def size(self) -> int:
-        return int(self.labels.size)
-
-    @property
-    def active(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.unique(self.labels))
-
-    @property
-    def inactive(self) -> tuple[int, ...]:
-        return tuple(sorted(set(range(1, self.n_latent + 1)) - set(self.active)))
-
-
-def partition_to_affiliation(partition: Partition) -> Affiliation:
-    return Affiliation(labels=partition.labels, n_latent=partition.n_clusters)
-
-
-@dataclass(frozen=True)
 class ReducedModel:
     """Factor and affiliation; the approximate transition matrix derives from them.
 
@@ -81,7 +45,7 @@ class ReducedModel:
     """
 
     factor: np.ndarray
-    affiliation: Affiliation
+    affiliation: Partition
 
     @property
     def approx(self) -> np.ndarray:
@@ -90,7 +54,7 @@ class ReducedModel:
 
     @property
     def n_latent(self) -> int:
-        return self.affiliation.n_latent
+        return self.affiliation.n_clusters
 
     @property
     def inactive(self) -> tuple[int, ...]:
@@ -140,12 +104,12 @@ def log_likelihood(counts: CountMatrix, transition: np.ndarray) -> float:
 
 
 def relaxed_log_likelihood(
-    counts: CountMatrix, factor: np.ndarray, affiliation: Affiliation
+    counts: CountMatrix, factor: np.ndarray, affiliation: Partition
 ) -> float:
     """Likelihood with each input column scored against its latent column."""
     factor = np.asarray(factor, dtype=np.float64)
     _check_factor(counts, factor, affiliation)
-    grouped = group_sums(counts.operand, affiliation.labels - 1, affiliation.n_latent)
+    grouped = group_sums(counts.operand, affiliation.labels - 1, affiliation.n_clusters)
     return float(_log_likelihoods(grouped[np.newaxis], factor[np.newaxis])[0])
 
 
@@ -173,11 +137,11 @@ def _check_left_stochastic(matrix: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} columns must sum to 1 within 1e-9 (off by {gap:g})")
 
 
-def _check_factor(counts: CountMatrix, factor: np.ndarray, affiliation: Affiliation) -> None:
+def _check_factor(counts: CountMatrix, factor: np.ndarray, affiliation: Partition) -> None:
     m = counts.shape[0]
-    if factor.shape != (m, affiliation.n_latent):
+    if factor.shape != (m, affiliation.n_clusters):
         raise ValueError(
-            f"factor shape {factor.shape} != ({m}, {affiliation.n_latent})"
+            f"factor shape {factor.shape} != ({m}, {affiliation.n_clusters})"
         )
     if affiliation.size != counts.shape[1]:
         raise ValueError(
@@ -186,7 +150,7 @@ def _check_factor(counts: CountMatrix, factor: np.ndarray, affiliation: Affiliat
     _check_left_stochastic(factor, "factor")
 
 
-def update_factor(counts: CountMatrix, affiliation: Affiliation) -> np.ndarray:
+def update_factor(counts: CountMatrix, affiliation: Partition) -> np.ndarray:
     """Maximum-likelihood factor for a fixed affiliation.
 
     Columns of latent states with no affiliated inputs have no data; they are
@@ -197,7 +161,7 @@ def update_factor(counts: CountMatrix, affiliation: Affiliation) -> np.ndarray:
             f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
         )
     _, factor = _ml_factors(
-        counts.operand, (affiliation.labels - 1)[np.newaxis], affiliation.n_latent
+        counts.operand, (affiliation.labels - 1)[np.newaxis], affiliation.n_clusters
     )
     if affiliation.inactive:
         logger.debug("inactive latent states %s set to uniform", affiliation.inactive)
@@ -215,7 +179,7 @@ def _ml_factors(operand, labels0: np.ndarray, n_latent: int) -> tuple[np.ndarray
     return grouped, factor
 
 
-def update_affiliation(counts: CountMatrix, factor: np.ndarray) -> Affiliation:
+def update_affiliation(counts: CountMatrix, factor: np.ndarray) -> Partition:
     """Best latent state per input column; ties take the smallest label.
 
     Columns scoring -inf against every latent column fall back to label 1 and
@@ -228,13 +192,13 @@ def update_affiliation(counts: CountMatrix, factor: np.ndarray) -> Affiliation:
     labels0, sunk = _best_labels(counts, factor[np.newaxis])
     if sunk[0]:
         logger.debug("%d input columns had -inf scores for every latent state", sunk[0])
-    return Affiliation(labels=labels0[0] + 1, n_latent=factor.shape[1])
+    return Partition(labels=labels0[0] + 1, n_clusters=factor.shape[1])
 
 
 def _best_labels(counts: CountMatrix, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per run of the (runs, m, r) ``factor``: best 0-based latent state per
     input column, and how many columns scored -inf for every state."""
-    scores = latent_scores(counts.operand, factor, counts.positive)
+    scores = latent_scores(counts.operand, factor)
     return np.argmax(scores, axis=1), np.isneginf(scores).all(axis=1).sum(axis=1)
 
 
@@ -264,11 +228,9 @@ def _gap_terms(
 
 def dbmr_run(
     counts: CountMatrix,
-    n_latent: int,
-    init: Affiliation,
+    init: Partition,
     max_steps: int = 500,
     tol: float = 0.0,
-    model: TransitionModel | None = None,
     snapshots: bool = True,
 ) -> tuple[ReducedModel, DbmrTrace]:
     """Alternate affiliation and factor updates from ``init`` until the
@@ -277,23 +239,19 @@ def dbmr_run(
 
     The trace records every iterate including the initial one. The final
     iterate always keeps label and factor snapshots; earlier iterates keep
-    them only when ``snapshots`` is true.
+    them only when ``snapshots`` is true. The latent states are the clusters
+    of ``init``.
     """
     if init.size != counts.shape[1]:
         raise ValueError(f"init covers {init.size} of {counts.shape[1]} inputs")
-    if init.n_latent != n_latent:
-        raise ValueError(f"init has {init.n_latent} latent states, expected {n_latent}")
-    if model is None:
-        model = estimate(counts)
     (trace,) = _ascend(
-        counts, model, (init.labels - 1)[np.newaxis], n_latent, max_steps, tol, snapshots
+        counts, (init.labels - 1)[np.newaxis], init.n_clusters, max_steps, tol, snapshots
     )
-    return _final_model(trace, n_latent), trace
+    return _final_model(trace, init.n_clusters), trace
 
 
 def _ascend(
     counts: CountMatrix,
-    model: TransitionModel,
     labels0: np.ndarray,
     n_latent: int,
     max_steps: int,
@@ -310,7 +268,7 @@ def _ascend(
         raise ValueError("max_steps must be positive")
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    operand = counts.operand
+    operand, model = counts.operand, counts.model
     gap_args = (model.output_dist, counts.total, model.rescaled_norm_sq)
     runs = labels0.shape[0]
     steps: list[list[DbmrStep]] = [[] for _ in range(runs)]
@@ -365,15 +323,15 @@ def _ascend(
 def _final_model(trace: DbmrTrace, n_latent: int) -> ReducedModel:
     last = trace.steps[-1]
     return ReducedModel(
-        factor=last.factor, affiliation=Affiliation(labels=last.labels, n_latent=n_latent)
+        factor=last.factor, affiliation=Partition(labels=last.labels, n_clusters=n_latent)
     )
 
 
-def random_affiliation(n_inputs: int, n_latent: int, seed: int) -> Affiliation:
+def random_affiliation(n_inputs: int, n_latent: int, seed: int) -> Partition:
     """Uniform random labels; deterministic per seed."""
     if n_inputs < 1 or n_latent < 1:
         raise ValueError("n_inputs and n_latent must be positive")
-    return Affiliation(labels=_random_labels(n_inputs, n_latent, seed), n_latent=n_latent)
+    return Partition(labels=_random_labels(n_inputs, n_latent, seed), n_clusters=n_latent)
 
 
 def _random_labels(n_inputs: int, n_latent: int, seed: int) -> np.ndarray:
@@ -388,7 +346,6 @@ def multi_start(
     seed: int = 0,
     tol: float = 0.0,
     snapshots: bool = False,
-    model: TransitionModel | None = None,
 ) -> tuple[ReducedModel, int, list[DbmrTrace]]:
     """Run from ``runs`` random initial affiliations; return the best model.
 
@@ -400,8 +357,6 @@ def multi_start(
         raise ValueError("runs must be positive")
     if n_latent < 1:
         raise ValueError("n_latent must be positive")
-    if model is None:
-        model = estimate(counts)
     m, n = counts.shape
     chunk = max(1, BATCH_ENTRIES // (n_latent * (m + n)))
     traces: list[DbmrTrace] = []
@@ -410,13 +365,13 @@ def multi_start(
             _random_labels(n, n_latent, mix_seed(seed, run))
             for run in range(start, min(start + chunk, runs))
         ])
-        traces += _ascend(counts, model, inits - 1, n_latent, max_steps, tol, snapshots)
+        traces += _ascend(counts, inits - 1, n_latent, max_steps, tol, snapshots)
     finals = [trace.steps[-1].objective for trace in traces]
     best_index = finals.index(max(finals))
     return _final_model(traces[best_index], n_latent), best_index, traces
 
 
-def reduce_with_affiliation(counts: CountMatrix, affiliation: Affiliation) -> ReducedModel:
+def reduce_with_affiliation(counts: CountMatrix, affiliation: Partition) -> ReducedModel:
     """Maximum-likelihood reduction for a fixed affiliation, no iteration."""
     return ReducedModel(factor=update_factor(counts, affiliation), affiliation=affiliation)
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .model import CountMatrix, PairDataset
+from .model import CountMatrix, PairDataset, Partition
 from .seeding import rng_for
-from .svd import Partition
 
 DOMAIN_WIDTH = 2.0
 DOMAIN_HEIGHT = 1.0

@@ -36,6 +36,46 @@ def _support(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class Partition:
+    """1-based cluster labels over a category range.
+
+    An affiliation of input categories to latent states is a partition of
+    the inputs; its clusters are the latent states.
+    """
+
+    labels: np.ndarray
+    n_clusters: int
+
+    def __post_init__(self) -> None:
+        labels = _read_only(np.ascontiguousarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "labels", labels)
+        if labels.ndim != 1 or labels.size == 0:
+            raise ValueError("labels must be a nonempty 1-d array")
+        if self.n_clusters < 1:
+            raise ValueError("n_clusters must be positive")
+        if (labels < 1).any() or (labels > self.n_clusters).any():
+            raise ValueError(f"labels must lie in [1, {self.n_clusters}]")
+
+    @property
+    def size(self) -> int:
+        return int(self.labels.size)
+
+    def members(self, cluster: int) -> np.ndarray:
+        """1-based category indices belonging to ``cluster``."""
+        return np.nonzero(self.labels == cluster)[0] + 1
+
+    @property
+    def active(self) -> tuple[int, ...]:
+        """Clusters with at least one member, in increasing order."""
+        return tuple(int(v) for v in np.unique(self.labels))
+
+    @property
+    def inactive(self) -> tuple[int, ...]:
+        """Clusters without members, in increasing order."""
+        return tuple(sorted(set(range(1, self.n_clusters + 1)) - set(self.active)))
+
+
+@dataclass(frozen=True)
 class PairDataset:
     """Sample of S categorical transitions.
 
@@ -126,13 +166,9 @@ class CountMatrix:
         return sparse.csc_array((values, (rows, cols)), shape=self.shape)
 
     @cached_property
-    def positive(self) -> np.ndarray | None:
-        """Float64 indicator of the positive counts, derived once, with which
-        the dense score kernel places its -inf scores; None when ``operand``
-        is sparse, since sparse products visit only the positive counts."""
-        if self.storage == "sparse":
-            return None
-        return (self.counts > 0).astype(np.float64)
+    def model(self) -> TransitionModel:
+        """The estimated transition model of these counts, derived once."""
+        return estimate(self)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dbmr import Affiliation, ReducedModel
-from .model import TransitionModel
+from .dbmr import ReducedModel
+from .model import Partition, TransitionModel
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class FactorizationResiduals:
         return max(self.factorization, self.input_fixed, self.output_marginal)
 
 
-def build_projection(input_dist: np.ndarray, affiliation: Affiliation) -> InducedProjection:
+def build_projection(input_dist: np.ndarray, affiliation: Partition) -> InducedProjection:
     """Projection averaging over affiliation classes, weighted by ``input_dist``.
 
     Entry (i, j) is input_dist[i] / (class mass of i) when i and j share a
@@ -57,7 +57,7 @@ def build_projection(input_dist: np.ndarray, affiliation: Affiliation) -> Induce
     if (p <= 0.0).any():
         raise ValueError("input_dist must be strictly positive")
     labels0 = affiliation.labels - 1
-    masses = np.bincount(labels0, weights=p, minlength=affiliation.n_latent)
+    masses = np.bincount(labels0, weights=p, minlength=affiliation.n_clusters)
     same = labels0[:, np.newaxis] == labels0[np.newaxis, :]
     matrix = np.where(same, (p / masses[labels0])[:, np.newaxis], 0.0)
     root_p = np.sqrt(p)
@@ -80,17 +80,24 @@ def verify_factorization(
 
     Holds exactly when the factor came from the maximum-likelihood update for
     its affiliation; residuals are reported in the max norm.
+
+    Column j of the projected matrix P Pi is column k_j of P W, where W is
+    the (inputs x latent) matrix with entry p_j / mass_k when input j lies
+    in class k; so the residuals need only class averages, never Pi itself.
     """
-    projection = build_projection(model.input_dist, reduced.affiliation)
+    p, affiliation = model.input_dist, reduced.affiliation
+    if affiliation.size != p.size:
+        raise ValueError(f"affiliation covers {affiliation.size} of {p.size} inputs")
+    labels0 = affiliation.labels - 1
+    masses = np.bincount(labels0, weights=p, minlength=affiliation.n_clusters)
+    weights = np.zeros((p.size, affiliation.n_clusters))
+    weights[np.arange(p.size), labels0] = p / masses[labels0]
+    active = np.unique(labels0)
     factorization = float(
-        np.abs(reduced.approx - model.matrix @ projection.matrix).max()
+        np.abs(reduced.factor - model.matrix @ weights)[:, active].max()
     )
-    input_fixed = float(
-        np.abs(projection.matrix @ model.input_dist - model.input_dist).max()
-    )
-    output_marginal = float(
-        np.abs(reduced.approx @ model.input_dist - model.output_dist).max()
-    )
+    input_fixed = float(np.abs(weights @ masses - p).max())
+    output_marginal = float(np.abs(reduced.factor @ masses - model.output_dist).max())
     return FactorizationResiduals(
         factorization=factorization,
         input_fixed=input_fixed,

@@ -21,15 +21,14 @@ from .dbmr import (
     log_likelihood,
     multi_start,
     output_partition,
-    partition_to_affiliation,
     reduce_with_affiliation,
     reduced_singular_values,
     relaxed_log_likelihood,
     rescaled_factor_spectrum,
 )
-from .model import CountMatrix, estimate
+from .model import CountMatrix, Partition
 from .seeding import mix_seed
-from .svd import Partition, classical_pipeline, spectrum_depth
+from .svd import classical_pipeline, spectrum_depth
 
 logger = logging.getLogger(__name__)
 
@@ -123,29 +122,23 @@ def compare_experiment(
     label, to the likelihood table. Returns the report dict plus an artifact
     dict with the matrices and partitions for rendering.
     """
-    model = estimate(counts)
-    classical = classical_pipeline(counts, rank, seed=mix_seed(seed, 1), model=model)
+    model = counts.model
+    classical = classical_pipeline(counts, rank, seed=mix_seed(seed, 1))
     best, best_run, traces = multi_start(
-        counts, rank, runs=runs, max_steps=max_steps, seed=mix_seed(seed, 2), tol=tol,
-        model=model,
+        counts, rank, runs=runs, max_steps=max_steps, seed=mix_seed(seed, 2), tol=tol
     )
     dbmr_out = output_partition(best)
 
     reference = log_likelihood(counts, model.matrix)
-    dbmr_objective = relaxed_log_likelihood(counts, best.factor, best.affiliation)
-    svd_reduced = reduce_with_affiliation(
-        counts, partition_to_affiliation(classical.input_partition)
-    )
+    dbmr_objective = traces[best_run].steps[-1].objective
+    svd_reduced = reduce_with_affiliation(counts, classical.input_partition)
     svd_objective = relaxed_log_likelihood(
         counts, svd_reduced.factor, svd_reduced.affiliation
     )
     default_objective = None
     if default_labels is not None:
         default_reduced = reduce_with_affiliation(
-            counts,
-            partition_to_affiliation(
-                Partition(labels=default_labels, n_clusters=int(np.max(default_labels)))
-            ),
+            counts, Partition(labels=default_labels, n_clusters=int(np.max(default_labels)))
         )
         default_objective = relaxed_log_likelihood(
             counts, default_reduced.factor, default_reduced.affiliation
@@ -163,7 +156,7 @@ def compare_experiment(
     depth = spectrum_depth(rank, min(model.shape))
     sigma_full = np.concatenate([computed, np.zeros(depth - computed.size)])
     sigma_reduced = reduced_singular_values(best, model)
-    bound = frobenius_kl_bound(counts, model, best, kappa_choice="post")
+    bound = frobenius_kl_bound(counts, best, kappa_choice="post")
 
     report = {
         "dataset": {
@@ -220,9 +213,6 @@ def compare_experiment(
         "model": model,
         "classical": classical,
         "reduced": best,
-        "dbmr_input_partition": Partition(
-            labels=best.affiliation.labels, n_clusters=best.affiliation.n_latent
-        ),
         "dbmr_output_partition": dbmr_out,
     }
     return report, artifacts
@@ -246,14 +236,14 @@ def render_compare_images(artifacts: dict, base: str | Path) -> list[str]:
         base = base.with_suffix("")
     model = artifacts["model"]
     classical = artifacts["classical"]
+    reduced = artifacts["reduced"]
+    dbmr_parts = (reduced.affiliation, artifacts["dbmr_output_partition"])
     paths = []
     for suffix, matrix, parts in (
-        ("P", model.matrix,
-         (artifacts["dbmr_input_partition"], artifacts["dbmr_output_partition"])),
+        ("P", model.matrix, dbmr_parts),
         ("svd", classical.reduced,
          (classical.input_partition, classical.output_partition)),
-        ("dbmr", artifacts["reduced"].approx,
-         (artifacts["dbmr_input_partition"], artifacts["dbmr_output_partition"])),
+        ("dbmr", reduced.approx, dbmr_parts),
     ):
         path = base.with_name(base.name + f".{suffix}.ppm")
         render_matrix_image(matrix, path, input_partition=parts[0], output_partition=parts[1])
@@ -277,10 +267,9 @@ def multirun_experiment(
     Trace rows are produced only when ``trace`` is set; they carry per-iterate
     objective, squared gap, squared approximation norm, and degree of coherence.
     """
-    model = estimate(counts)
+    model = counts.model
     _, best_run, traces = multi_start(
-        counts, rank, runs=runs, max_steps=max_steps, seed=seed, tol=tol,
-        snapshots=trace, model=model,
+        counts, rank, runs=runs, max_steps=max_steps, seed=seed, tol=tol, snapshots=trace
     )
     depth = spectrum_depth(rank, min(model.shape))
     run_rows: list[dict] = []

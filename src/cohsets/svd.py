@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackError, svds
 
-from .model import CountMatrix, TransitionModel, estimate
+from .model import CountMatrix, Partition, TransitionModel
 from .seeding import mix_seed, rng_for
 
 logger = logging.getLogger(__name__)
@@ -37,33 +37,6 @@ class SvdFactorization:
     @property
     def rank(self) -> int:
         return int(self.singular_values.size)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """1-based cluster labels over a category range."""
-
-    labels: np.ndarray
-    n_clusters: int
-
-    def __post_init__(self) -> None:
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        if labels.ndim != 1 or labels.size == 0:
-            raise ValueError("labels must be a nonempty 1-d array")
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be positive")
-        if (labels < 1).any() or (labels > self.n_clusters).any():
-            raise ValueError(f"labels must lie in [1, {self.n_clusters}]")
-
-    @property
-    def size(self) -> int:
-        return int(self.labels.size)
-
-    def members(self, cluster: int) -> np.ndarray:
-        """1-based category indices belonging to ``cluster``."""
-        return np.nonzero(self.labels == cluster)[0] + 1
 
 
 @dataclass(frozen=True)
@@ -370,16 +343,13 @@ def classical_pipeline(
     rank: int,
     seed: int = 0,
     restarts: int = 10,
-    model: TransitionModel | None = None,
 ) -> ClassicalResult:
     """Estimate, factorize, truncate, cluster both category sets, and match.
 
     The factorization holds the ``spectrum_depth`` leading triplets, enough
-    for the reported spectrum. ``model`` skips re-estimation when the caller
-    already holds ``estimate(counts)``.
+    for the reported spectrum.
     """
-    if model is None:
-        model = estimate(counts)
+    model = counts.model
     factorization = full_svd(model.rescaled, spectrum_depth(rank, min(model.shape)))
     _, reduced = truncate(factorization, rank, model.input_dist, model.output_dist)
     input_partition = kmeans(

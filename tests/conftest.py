@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cohsets import _accel
-from cohsets.dbmr import partition_to_affiliation
 from cohsets.generators import gen_interval_map, gen_three_coherent
-from cohsets.model import estimate, ingest_pairs, prune_empty
+from cohsets.model import ingest_pairs, prune_empty
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -17,24 +16,24 @@ def warm_kernels():
 def three_example():
     dataset, partition = gen_three_coherent()
     counts, _, _ = prune_empty(ingest_pairs(dataset))
-    return counts, estimate(counts), partition
+    return counts, counts.model, partition
 
 
 @pytest.fixture(scope="session")
 def interval_example():
     dataset, partition = gen_interval_map()
     counts, _, _ = prune_empty(ingest_pairs(dataset))
-    return counts, estimate(counts), partition
+    return counts, counts.model, partition
 
 
 @pytest.fixture(scope="session")
 def three_affiliation(three_example):
-    return partition_to_affiliation(three_example[2])
+    return three_example[2]
 
 
 @pytest.fixture(scope="session")
 def interval_affiliation(interval_example):
-    return partition_to_affiliation(interval_example[2])
+    return interval_example[2]
 
 
 def random_counts(rng, m, n, density=1.0, scale=20):

@@ -3,7 +3,8 @@
 Each function computes its quantity entry by entry over the full m x n
 matrix, the way the program did before it worked on the nonzeros of the
 counts: explicit loops for the two DBMR kernels, dense m x n temporaries for
-the bound chain. The DBMR ascent is also kept as it ran before its restarts
+the bound chain, the n x n induced projection for the factorization
+residuals. The DBMR ascent is also kept as it ran before its restarts
 advanced together: one restart at a time.
 """
 
@@ -15,13 +16,13 @@ import numpy as np
 from scipy import sparse
 
 from cohsets.dbmr import (
-    Affiliation,
     DbmrStep,
     DbmrTrace,
     ReducedModel,
     random_affiliation,
 )
-from cohsets.model import estimate, rescale
+from cohsets.model import Partition, estimate, rescale
+from cohsets.projection import FactorizationResiduals, build_projection
 from cohsets.seeding import mix_seed
 
 
@@ -165,19 +166,15 @@ def _gap_terms(grouped, factor, q, total, full_norm_sq):
     return max(full_norm_sq - approx_norm_sq, 0.0), approx_norm_sq
 
 
-def dbmr_run_reference(
-    counts, n_latent, init, max_steps=500, tol=0.0, model=None, snapshots=True
-):
+def dbmr_run_reference(counts, init, max_steps=500, tol=0.0, snapshots=True):
     if init.size != counts.shape[1]:
         raise ValueError(f"init covers {init.size} of {counts.shape[1]} inputs")
-    if init.n_latent != n_latent:
-        raise ValueError(f"init has {init.n_latent} latent states, expected {n_latent}")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    if model is None:
-        model = estimate(counts)
+    n_latent = init.n_clusters
+    model = estimate(counts)
     operand = counts.operand
     q = model.output_dist
     full_norm_sq = model.rescaled_norm_sq
@@ -236,7 +233,7 @@ def dbmr_run_reference(
             factor=factor,
         )
     reduced = ReducedModel(
-        factor=factor, affiliation=Affiliation(labels=labels0 + 1, n_latent=n_latent)
+        factor=factor, affiliation=Partition(labels=labels0 + 1, n_clusters=n_latent)
     )
     return reduced, DbmrTrace(
         steps=tuple(steps), converged=converged, sunk_columns=sunk_columns
@@ -244,12 +241,10 @@ def dbmr_run_reference(
 
 
 def multi_start_reference(
-    counts, n_latent, runs, max_steps=500, seed=0, tol=0.0, snapshots=False, model=None
+    counts, n_latent, runs, max_steps=500, seed=0, tol=0.0, snapshots=False
 ):
     if runs < 1:
         raise ValueError("runs must be positive")
-    if model is None:
-        model = estimate(counts)
     best = None
     best_index = -1
     best_objective = float("-inf")
@@ -257,11 +252,29 @@ def multi_start_reference(
     for run in range(runs):
         init = random_affiliation(counts.shape[1], n_latent, mix_seed(seed, run))
         reduced, trace = dbmr_run_reference(
-            counts, n_latent, init, max_steps=max_steps, tol=tol,
-            model=model, snapshots=snapshots,
+            counts, init, max_steps=max_steps, tol=tol, snapshots=snapshots
         )
         traces.append(trace)
         final = trace.steps[-1].objective
         if final > best_objective:
             best, best_index, best_objective = reduced, run, final
     return best, best_index, traces
+
+
+def verify_factorization_reference(model, reduced):
+    """Residuals of the exact factorization through the dense n x n projection."""
+    projection = build_projection(model.input_dist, reduced.affiliation)
+    factorization = float(
+        np.abs(reduced.approx - model.matrix @ projection.matrix).max()
+    )
+    input_fixed = float(
+        np.abs(projection.matrix @ model.input_dist - model.input_dist).max()
+    )
+    output_marginal = float(
+        np.abs(reduced.approx @ model.input_dist - model.output_dist).max()
+    )
+    return FactorizationResiduals(
+        factorization=factorization,
+        input_fixed=input_fixed,
+        output_marginal=output_marginal,
+    )

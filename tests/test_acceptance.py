@@ -14,10 +14,8 @@ import pytest
 
 from cohsets.bounds import frobenius_kl_bound, pinsker_l2
 from cohsets.dbmr import (
-    Affiliation,
     log_likelihood,
     multi_start,
-    partition_to_affiliation,
     reduce_with_affiliation,
     relaxed_log_likelihood,
     rescaled_factor_spectrum,
@@ -30,7 +28,7 @@ from cohsets.generators import (
     gen_three_coherent,
     gyre_velocity,
 )
-from cohsets.model import estimate, ingest_pairs, prune_empty, rescale
+from cohsets.model import Partition, estimate, ingest_pairs, prune_empty, rescale
 from cohsets.projection import build_projection, pythagoras_check, verify_factorization
 from cohsets.svd import classical_pipeline
 from tests.conftest import random_counts
@@ -61,7 +59,7 @@ def test_three_set_alternating_best_of_100(three_example):
     gap = model.rescaled - rescale(best.approx, model.input_dist, model.output_dist)
     gap_sq = float(np.sum(gap * gap))
     assert gap_sq <= 1e-12
-    report = frobenius_kl_bound(counts, model, best)
+    report = frobenius_kl_bound(counts, best)
     assert abs(report.kl_form) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -85,7 +83,7 @@ def test_interval_map_quantities(interval_example, interval_affiliation):
     default = reduce_with_affiliation(counts, interval_affiliation)
     gap = model.rescaled - rescale(default.approx, model.input_dist, model.output_dist)
     assert float(np.sum(gap * gap)) == pytest.approx(27.0, abs=1e-6)
-    report = frobenius_kl_bound(counts, model, default)
+    report = frobenius_kl_bound(counts, default)
     assert report.kappa_value == pytest.approx(1 / 30, abs=1e-9)
     default_objective = relaxed_log_likelihood(
         counts, default.factor, default.affiliation
@@ -111,7 +109,7 @@ def _perturbed_instance_checks(dataset, rank, seed):
     )
     assert np.all(sigma_reduced <= sigma_full + 1e-9)
     for choice in ("pr", "post"):
-        report = frobenius_kl_bound(counts, model, best, kappa_choice=choice)
+        report = frobenius_kl_bound(counts, best, kappa_choice=choice)
         assert report.kappa_value > 0.0
         assert np.isfinite(report.kl_form)
         assert report.frob_gap_sq <= report.kl_form + 1e-9
@@ -148,7 +146,7 @@ def test_randomized_structural_suite():
         model = estimate(counts)
         r = int(rng.integers(1, min(n, 5) + 1))
         labels = rng.integers(1, r + 1, size=n)
-        affiliation = Affiliation(labels=labels, n_latent=r)
+        affiliation = Partition(labels=labels, n_clusters=r)
         reduced = reduce_with_affiliation(counts, affiliation)
         proj = build_projection(model.input_dist, affiliation)
 

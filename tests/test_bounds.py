@@ -13,12 +13,11 @@ from cohsets.bounds import (
     weighted_balancedness,
 )
 from cohsets.dbmr import (
-    Affiliation,
     ReducedModel,
     log_likelihood,
     reduce_with_affiliation,
 )
-from cohsets.model import estimate, rescale
+from cohsets.model import Partition, estimate, rescale
 from tests.conftest import random_counts
 
 
@@ -119,7 +118,7 @@ def test_bound_constants_post_dominates_prior_random():
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(
-            counts, Affiliation(labels=labels, n_latent=r)
+            counts, Partition(labels=labels, n_clusters=r)
         )
         constants = bound_constants(model, reduced)
         assert constants.kappa_post >= constants.kappa_prior - 1e-12
@@ -165,7 +164,7 @@ def test_bound_constants_match_column_helpers_random():
         r = n if trial % 5 == 0 else int(rng.integers(1, n + 1))
         labels = np.arange(1, n + 1) if r == n else rng.integers(1, r + 1, size=n)
         reduced = reduce_with_affiliation(
-            counts, Affiliation(labels=labels, n_latent=r)
+            counts, Partition(labels=labels, n_clusters=r)
         )
         _assert_matches_columns(model, reduced)
 
@@ -182,7 +181,7 @@ def test_bound_constants_match_column_helpers_interval(interval_example,
 def test_chain_three_default(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
-    report = frobenius_kl_bound(counts, model, reduced)
+    report = frobenius_kl_bound(counts, reduced)
     assert report.kappa_value == 0.5
     assert report.frob_gap_sq < 1e-12
     assert report.kl_form == pytest.approx(0.0, abs=1e-12)
@@ -193,9 +192,9 @@ def test_chain_three_default(three_example, three_affiliation):
 
 
 def test_chain_interval_default(interval_example, interval_affiliation):
-    counts, model, _ = interval_example
+    counts, _, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    report = frobenius_kl_bound(counts, model, reduced, kappa_choice="q1")
+    report = frobenius_kl_bound(counts, reduced, kappa_choice="q1")
     assert report.kappa_value == pytest.approx(1 / 30, abs=1e-12)
     assert report.frob_gap_sq == pytest.approx(27.0, abs=1e-9)
     assert report.kl_form == pytest.approx(30 * math.log(10), abs=1e-9)
@@ -204,23 +203,23 @@ def test_chain_interval_default(interval_example, interval_affiliation):
 
 
 def test_chain_kappa_choices(interval_example, interval_affiliation):
-    counts, model, _ = interval_example
+    counts, _, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    post = frobenius_kl_bound(counts, model, reduced, kappa_choice="post")
-    prior = frobenius_kl_bound(counts, model, reduced, kappa_choice="pr")
+    post = frobenius_kl_bound(counts, reduced, kappa_choice="post")
+    prior = frobenius_kl_bound(counts, reduced, kappa_choice="pr")
     assert post.kappa_tag == "q1"
     assert prior.kappa_value == pytest.approx(1 / 180)
     # the prior constant is smaller, so its bound is looser
     assert prior.kl_form >= post.kl_form
     assert prior.frob_gap_sq <= prior.kl_form
     with pytest.raises(ValueError):
-        frobenius_kl_bound(counts, model, reduced, kappa_choice="mystery")
+        frobenius_kl_bound(counts, reduced, kappa_choice="mystery")
 
 
 def test_chain_degenerate_kappa(interval_example, interval_affiliation):
-    counts, model, _ = interval_example
+    counts, _, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    report = frobenius_kl_bound(counts, model, reduced, kappa_choice="q2")
+    report = frobenius_kl_bound(counts, reduced, kappa_choice="q2")
     assert report.kappa_value == -np.inf
     assert report.kl_form == np.inf
     assert report.likelihood_form == np.inf
@@ -231,13 +230,12 @@ def test_chain_random_partitions():
     rng = np.random.default_rng(109)
     for _ in range(60):
         counts = random_counts(rng, rng.integers(2, 10), rng.integers(2, 10), density=0.8)
-        model = estimate(counts)
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(
-            counts, Affiliation(labels=labels, n_latent=r)
+            counts, Partition(labels=labels, n_clusters=r)
         )
-        report = frobenius_kl_bound(counts, model, reduced)
+        report = frobenius_kl_bound(counts, reduced)
         if report.kappa_value > 0 and np.isfinite(report.kl_form):
             assert report.frob_gap_sq <= report.kl_form + 1e-9
             assert report.likelihood_form == pytest.approx(
@@ -249,12 +247,12 @@ def test_chain_random_partitions():
 
 
 def test_chain_support_violation_is_infinite(three_example):
-    counts, model, _ = three_example
-    affiliation = Affiliation(labels=np.ones(100, dtype=int), n_latent=1)
+    counts, _, _ = three_example
+    affiliation = Partition(labels=np.ones(100, dtype=int), n_clusters=1)
     factor = np.zeros((100, 1))
     factor[0, 0] = 1.0
     broken = ReducedModel(factor=factor, affiliation=affiliation)
-    report = frobenius_kl_bound(counts, model, broken)
+    report = frobenius_kl_bound(counts, broken)
     assert report.kl_form == np.inf
     assert report.likelihood_form == np.inf
     assert report.coherence_bound == -np.inf
@@ -263,7 +261,7 @@ def test_chain_support_violation_is_infinite(three_example):
 def test_coherence_lower_bound_three(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
-    bound = coherence_lower_bound(counts, model, reduced, 0.5)
+    bound = coherence_lower_bound(counts, reduced, 0.5)
     # exact reduction: the bound collapses to the full squared norm
     assert bound == pytest.approx(2.36, abs=1e-9)
     reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
@@ -274,7 +272,7 @@ def test_coherence_lower_bound_three(three_example, three_affiliation):
 def test_coherence_lower_bound_interval(interval_example, interval_affiliation):
     counts, model, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    bound = coherence_lower_bound(counts, model, reduced, 1 / 30)
+    bound = coherence_lower_bound(counts, reduced, 1 / 30)
     assert bound == pytest.approx(30 - 30 * math.log(10), abs=1e-6)
     reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
     sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
@@ -283,10 +281,10 @@ def test_coherence_lower_bound_interval(interval_example, interval_affiliation):
 
 
 def test_coherence_lower_bound_validation(three_example, three_affiliation):
-    counts, model, _ = three_example
+    counts, _, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
     with pytest.raises(ValueError):
-        coherence_lower_bound(counts, model, reduced, 0.0)
+        coherence_lower_bound(counts, reduced, 0.0)
 
 
 def test_coherence_lower_bound_random():
@@ -298,12 +296,12 @@ def test_coherence_lower_bound_random():
         r = int(rng.integers(1, 4))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(
-            counts, Affiliation(labels=labels, n_latent=r)
+            counts, Partition(labels=labels, n_clusters=r)
         )
         constants = bound_constants(model, reduced)
         if constants.kappa_post <= 0:
             continue
-        bound = coherence_lower_bound(counts, model, reduced, constants.kappa_post)
+        bound = coherence_lower_bound(counts, reduced, constants.kappa_post)
         reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
         sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
         assert np.sum(sigma[:r]) >= bound - 1e-9
@@ -371,9 +369,9 @@ def test_chain_matches_likelihood_identity(three_example, three_affiliation):
     counts, model, _ = three_example
     labels = np.where(np.arange(100) < 50, 1, 2)
     reduced = reduce_with_affiliation(
-        counts, Affiliation(labels=labels, n_latent=2)
+        counts, Partition(labels=labels, n_clusters=2)
     )
-    report = frobenius_kl_bound(counts, model, reduced)
+    report = frobenius_kl_bound(counts, reduced)
     full = log_likelihood(counts, model.matrix)
     merged = log_likelihood(counts, reduced.approx)
     expected = (full - merged) / (report.kappa_value * counts.total)

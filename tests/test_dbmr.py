@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cohsets.dbmr import (
-    Affiliation,
     ReducedModel,
     dbmr_run,
     log_likelihood,
@@ -19,7 +18,7 @@ from cohsets.dbmr import (
     update_affiliation,
     update_factor,
 )
-from cohsets.model import CountMatrix, estimate, rescale
+from cohsets.model import CountMatrix, Partition, estimate, rescale
 from cohsets.report import multirun_experiment
 from tests.conftest import random_counts
 
@@ -60,7 +59,7 @@ def test_log_likelihood_validates_stochastic():
 def test_relaxed_equals_full_on_identity_affiliation(three_example):
     counts, model, _ = three_example
     n = counts.shape[1]
-    identity = Affiliation(labels=np.arange(1, n + 1), n_latent=n)
+    identity = Partition(labels=np.arange(1, n + 1), n_clusters=n)
     factor = update_factor(counts, identity)
     assert factor == pytest.approx(model.matrix, abs=1e-12)
     assert relaxed_log_likelihood(counts, factor, identity) == pytest.approx(
@@ -90,7 +89,7 @@ def test_relaxed_matches_gathered_likelihood():
 
 def test_relaxed_support_violation(three_example):
     counts, _, _ = three_example
-    affiliation = Affiliation(labels=np.ones(100, dtype=int), n_latent=2)
+    affiliation = Partition(labels=np.ones(100, dtype=int), n_clusters=2)
     factor = np.zeros((100, 2))
     factor[0, 0] = 1.0
     factor[:, 1] = 1.0 / 100
@@ -109,7 +108,7 @@ def test_update_factor_three_default(three_example, three_affiliation):
 
 def test_update_factor_inactive_uniform():
     counts = CountMatrix(counts=np.array([[2, 1], [2, 3]]), total=8)
-    affiliation = Affiliation(labels=np.array([1, 1]), n_latent=2)
+    affiliation = Partition(labels=np.array([1, 1]), n_clusters=2)
     factor = update_factor(counts, affiliation)
     assert factor[:, 0] == pytest.approx([3 / 8, 5 / 8])
     assert factor[:, 1] == pytest.approx([0.5, 0.5])
@@ -165,7 +164,7 @@ def test_update_affiliation_recovers_blocks(three_example, three_affiliation):
 
 def test_dbmr_run_three_default_exact(three_example, three_affiliation):
     counts, model, _ = three_example
-    reduced, trace = dbmr_run(counts, 3, three_affiliation)
+    reduced, trace = dbmr_run(counts, three_affiliation)
     assert trace.converged
     assert np.abs(reduced.approx - model.matrix).max() < 1e-15
     assert trace.steps[-1].objective == pytest.approx(THREE_REFERENCE, abs=1e-6)
@@ -175,7 +174,7 @@ def test_dbmr_run_three_default_exact(three_example, three_affiliation):
 def test_dbmr_run_trace_length_with_hmax_one(three_example):
     counts, _, _ = three_example
     init = random_affiliation(100, 3, 5)
-    _, trace = dbmr_run(counts, 3, init, max_steps=1)
+    _, trace = dbmr_run(counts, init, max_steps=1)
     assert len(trace.steps) == 2
     assert trace.steps[0].index == 0
     assert trace.steps[1].index == 1
@@ -187,7 +186,7 @@ def test_dbmr_traces_monotone_random():
         counts = random_counts(rng, rng.integers(2, 10), rng.integers(2, 10), density=0.7)
         r = int(rng.integers(1, 4))
         init = random_affiliation(counts.shape[1], r, int(rng.integers(1 << 30)))
-        _, trace = dbmr_run(counts, r, init, max_steps=50)
+        _, trace = dbmr_run(counts, init, max_steps=50)
         objectives = trace.objectives
         assert np.all(np.diff(objectives) >= 0.0)
         assert trace.converged
@@ -200,8 +199,8 @@ def test_dbmr_preserves_average_of_extremes():
     counts = CountMatrix(
         counts=np.column_stack([col_a, (col_a + col_b) // 2, col_b]), total=24
     )
-    init = Affiliation(labels=np.array([1, 2, 3]), n_latent=3)
-    reduced, trace = dbmr_run(counts, 3, init)
+    init = Partition(labels=np.array([1, 2, 3]), n_clusters=3)
+    reduced, trace = dbmr_run(counts, init)
     model = estimate(counts)
     assert np.abs(reduced.approx - model.matrix).max() == 0.0
     assert reduced.affiliation.inactive == ()
@@ -211,11 +210,11 @@ def test_dbmr_preserves_average_of_extremes():
 def test_dbmr_snapshots_toggle(three_example):
     counts, _, _ = three_example
     init = random_affiliation(100, 3, 9)
-    _, trace = dbmr_run(counts, 3, init, snapshots=False)
+    _, trace = dbmr_run(counts, init, snapshots=False)
     assert all(s.labels is None and s.factor is None for s in trace.steps[:-1])
     assert trace.steps[-1].labels is not None
     assert trace.steps[-1].factor is not None
-    _, full_trace = dbmr_run(counts, 3, init, snapshots=True)
+    _, full_trace = dbmr_run(counts, init, snapshots=True)
     assert all(s.labels is not None for s in full_trace.steps)
 
 
@@ -223,11 +222,11 @@ def test_dbmr_run_validation(three_example):
     counts, _, _ = three_example
     init = random_affiliation(100, 3, 0)
     with pytest.raises(ValueError):
-        dbmr_run(counts, 2, init)
+        dbmr_run(counts, random_affiliation(99, 3, 0))
     with pytest.raises(ValueError):
-        dbmr_run(counts, 3, init, max_steps=0)
+        dbmr_run(counts, init, max_steps=0)
     with pytest.raises(ValueError):
-        dbmr_run(counts, 3, init, tol=-1.0)
+        dbmr_run(counts, init, tol=-1.0)
 
 
 def test_random_affiliation_deterministic():
@@ -291,8 +290,8 @@ def test_reduced_model_holds_factor_and_affiliation():
 
 def test_exact_fit_gap_is_never_negative(three_example, three_affiliation):
     """From the true partition every iterate fits exactly; the gap is 0, not below."""
-    counts, model, _ = three_example
-    _, trace = dbmr_run(counts, 3, three_affiliation, model=model)
+    counts, _, _ = three_example
+    _, trace = dbmr_run(counts, three_affiliation)
     gaps = np.array([step.frob_gap_sq for step in trace.steps])
     assert (gaps >= 0.0).all()
     assert gaps.max() < 1e-12
@@ -308,7 +307,7 @@ def test_output_partition_three(three_example, three_affiliation):
 def test_output_partition_uniform_ties_go_low():
     counts = CountMatrix(counts=np.array([[2, 2], [2, 2]]), total=8)
     reduced = reduce_with_affiliation(
-        counts, Affiliation(labels=np.array([1, 2]), n_latent=2)
+        counts, Partition(labels=np.array([1, 2]), n_clusters=2)
     )
     part = output_partition(reduced)
     assert part.labels.tolist() == [1, 1]
@@ -330,7 +329,7 @@ def test_reduced_singular_values_match_direct():
 
 
 def _assert_gap_terms_match_direct(counts, model, init):
-    _, trace = dbmr_run(counts, init.n_latent, init, model=model, snapshots=True)
+    _, trace = dbmr_run(counts, init, snapshots=True)
     for step in trace.steps:
         factor = step.factor
         approx = factor[:, step.labels - 1]
@@ -352,5 +351,5 @@ def test_trace_gap_terms_match_direct(three_example):
     model = estimate(counts)
     _assert_gap_terms_match_direct(counts, model, random_affiliation(40, 4, 5))
     # the initial affiliation leaves latent state 3 empty
-    init = Affiliation(labels=np.arange(40) % 2 + 1, n_latent=3)
+    init = Partition(labels=np.arange(40) % 2 + 1, n_clusters=3)
     _assert_gap_terms_match_direct(counts, model, init)

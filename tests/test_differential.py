@@ -28,7 +28,6 @@ from cohsets.bounds import (
     frobenius_kl_bound,
 )
 from cohsets.dbmr import (
-    Affiliation,
     ReducedModel,
     dbmr_run,
     multi_start,
@@ -36,7 +35,8 @@ from cohsets.dbmr import (
     reduce_with_affiliation,
 )
 from cohsets.generators import GyreConfig, gen_double_gyre
-from cohsets.model import CountMatrix, estimate, ingest_pairs, prune_empty
+from cohsets.model import CountMatrix, Partition, estimate, ingest_pairs, prune_empty
+from cohsets.projection import verify_factorization
 from cohsets.report import compare_experiment, multirun_experiment
 from cohsets.seeding import mix_seed
 from tests.dense_reference import (
@@ -46,6 +46,7 @@ from tests.dense_reference import (
     group_sums_loop,
     latent_scores_loop,
     multi_start_reference,
+    verify_factorization_reference,
     weighted_kl_sum_dense,
     zeros_max_dense,
 )
@@ -118,11 +119,11 @@ def reductions(draw):
         kept = blocks[col_map - 1]
         r = int(kept.max()) + 1
         # blocks whose columns were all pruned leave latent states empty
-        affiliation = Affiliation(labels=kept + 1, n_latent=r)
+        affiliation = Partition(labels=kept + 1, n_clusters=r)
     else:
         r = draw(st.integers(1, n + 2))
-        affiliation = Affiliation(
-            labels=draw(arrays(np.int64, n, elements=st.integers(1, r))), n_latent=r
+        affiliation = Partition(
+            labels=draw(arrays(np.int64, n, elements=st.integers(1, r))), n_clusters=r
         )
     if exact or draw(st.booleans()):
         reduced = reduce_with_affiliation(pruned, affiliation)
@@ -169,18 +170,16 @@ def test_bound_chain_matches_dense_formulas(case):
     if exact:
         # the zeros of an exact fit contribute exactly nothing
         assert gap <= 1e-24
-        assert frobenius_kl_bound(counts, model, reduced).frob_gap_sq == gap
+        assert frobenius_kl_bound(counts, reduced).frob_gap_sq == gap
 
 
 def test_exact_fit_gaps(three_example, three_affiliation, interval_example,
                         interval_affiliation):
-    counts, model, _ = three_example
-    bound = frobenius_kl_bound(counts, model, reduce_with_affiliation(counts, three_affiliation))
+    counts, _, _ = three_example
+    bound = frobenius_kl_bound(counts, reduce_with_affiliation(counts, three_affiliation))
     assert bound.frob_gap_sq <= 1e-24
-    counts, model, _ = interval_example
-    bound = frobenius_kl_bound(
-        counts, model, reduce_with_affiliation(counts, interval_affiliation)
-    )
+    counts, _, _ = interval_example
+    bound = frobenius_kl_bound(counts, reduce_with_affiliation(counts, interval_affiliation))
     assert abs(bound.frob_gap_sq - 27.0) <= 1e-12
 
 
@@ -214,7 +213,7 @@ def _counts_on_storage(monkeypatch, counts_array, storage):
 def _runs_on_storage(monkeypatch, counts_array, storage, init):
     """DBMR run on a fresh CountMatrix whose operand takes ``storage``."""
     counts = _counts_on_storage(monkeypatch, counts_array, storage)
-    return dbmr_run(counts, init.n_latent, init, snapshots=True)
+    return dbmr_run(counts, init, snapshots=True)
 
 
 @pytest.mark.parametrize("source", ["three", "interval", "gyre"])
@@ -308,7 +307,7 @@ def test_batched_kernels_and_labels_match_single_runs(data):
     for storage in ("dense", "sparse"):
         with pytest.MonkeyPatch.context() as patch:
             counts = _counts_on_storage(patch, counts_array, storage)
-            scores = _accel.latent_scores(counts.operand, factor, counts.positive)
+            scores = _accel.latent_scores(counts.operand, factor)
             sums = _accel.group_sums(counts.operand, labels0, r)
             labels, sunk = dbmr._best_labels(counts, factor)
             for run in range(runs):
@@ -390,34 +389,59 @@ def test_storage_follows_shape_and_nonzeros():
     assert counts.nonzeros == size
     assert sparse.issparse(counts.operand)
     assert np.array_equal(counts.operand.toarray(), sparse_counts)
-    assert counts.positive is None
     full = np.ones((size, size), dtype=np.int64)
     assert CountMatrix(counts=full, total=size * size).storage == "dense"
-    dense = CountMatrix(counts=small * 3, total=300)
-    assert dense.positive.dtype == np.float64
-    assert np.array_equal(dense.positive, small > 0)
-    assert dense.positive is dense.positive  # derived once
 
 
-def test_bound_chain_allocates_no_dense_matrix():
-    """The bound chain's memory follows the nonzeros, not m x n."""
-    size = 2000
+def _two_per_column(size):
+    """(counts, reduction): two counts a column of a size x size matrix, and
+    the reduction of a random 3-state affiliation, its model estimated."""
     rng = np.random.default_rng(191)
     counts_array = np.zeros((size, size), dtype=np.int64)
     for shift in (0, 1):
         counts_array[(np.arange(size) + shift * rng.integers(1, size)) % size, np.arange(size)] += 1
     counts = CountMatrix(counts=counts_array, total=int(counts_array.sum()))
-    model = estimate(counts)
-    affiliation = random_affiliation(size, 3, 0)
-    reduced = reduce_with_affiliation(counts, affiliation)
+    counts.model  # estimated before any tracing, as a caller holding the counts has it
+    return counts, reduce_with_affiliation(counts, random_affiliation(size, 3, 0))
+
+
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        frobenius_kl_bound(counts, model, reduced)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_bound_chain_allocates_no_dense_matrix():
+    """The bound chain's memory follows the nonzeros, not m x n."""
+    size = 2000
+    counts, reduced = _two_per_column(size)
+    peak = _traced_peak(lambda: frobenius_kl_bound(counts, reduced))
     # an m x n boolean mask alone would take size * size bytes
     assert peak < size * size
+
+
+def test_factorization_residuals_allocate_no_projection():
+    """The residuals need class averages, not the n x n induced projection."""
+    size = 2000
+    counts, reduced = _two_per_column(size)
+    peak = _traced_peak(lambda: verify_factorization(counts.model, reduced))
+    assert peak < 8 * size * size
+
+
+@SETTINGS
+@given(case=reductions())
+def test_factorization_residuals_match_dense_projection(case):
+    """Residuals of ML and of arbitrary factors, with empty latent states,
+    equal those through the dense projection up to rounding."""
+    _, model, reduced, _ = case
+    residuals = verify_factorization(model, reduced)
+    dense = verify_factorization_reference(model, reduced)
+    for field in ("factorization", "input_fixed", "output_marginal"):
+        assert abs(getattr(residuals, field) - getattr(dense, field)) <= 1e-12
 
 
 def test_reports_carry_storage_counters(three_example):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from cohsets import model as model_module
 from cohsets.model import (
     CountMatrix,
     PairDataset,
+    Partition,
     TransitionModel,
     estimate,
     ingest_pairs,
@@ -84,6 +86,34 @@ def test_estimate_rejects_unpruned():
     counts = CountMatrix(counts=np.array([[1, 0], [1, 0]]), total=2)
     with pytest.raises(ValueError, match="pruned"):
         estimate(counts)
+
+
+def test_count_matrix_model_is_estimated_once(monkeypatch):
+    counts = random_counts(np.random.default_rng(13), 4, 6)
+    calls = []
+    original = model_module.estimate
+
+    def counting_estimate(counts):
+        calls.append(1)
+        return original(counts)
+
+    monkeypatch.setattr(model_module, "estimate", counting_estimate)
+    model = counts.model
+    assert counts.model is model
+    assert len(calls) == 1
+    assert np.array_equal(model.matrix, original(counts).matrix)
+    unpruned = CountMatrix(counts=np.array([[1, 0], [1, 0]]), total=2)
+    with pytest.raises(ValueError, match="pruned"):
+        unpruned.model
+
+
+def test_partition_active_and_inactive():
+    partition = Partition(labels=np.array([3, 1, 3, 1]), n_clusters=4)
+    assert partition.active == (1, 3)
+    assert partition.inactive == (2, 4)
+    assert partition.members(3).tolist() == [1, 3]
+    with pytest.raises(ValueError):
+        Partition(labels=np.array([1, 5]), n_clusters=4)
 
 
 def test_estimate_identity():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cohsets.dbmr import Affiliation, reduce_with_affiliation
-from cohsets.model import estimate, rescale
+from cohsets.dbmr import reduce_with_affiliation
+from cohsets.model import Partition, estimate, rescale
 from cohsets.projection import (
     build_projection,
     pythagoras_check,
@@ -12,8 +12,8 @@ from cohsets.projection import (
 from tests.conftest import random_counts
 
 
-def _affiliation(labels: np.ndarray, r: int) -> Affiliation:
-    return Affiliation(labels=np.asarray(labels, dtype=int), n_latent=r)
+def _affiliation(labels: np.ndarray, r: int) -> Partition:
+    return Partition(labels=np.asarray(labels, dtype=int), n_clusters=r)
 
 
 def test_projection_small_literal():

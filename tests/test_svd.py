@@ -5,9 +5,8 @@ import pytest
 
 from cohsets import dbmr, model as model_module, report, svd
 from cohsets.generators import GyreConfig, gen_double_gyre
-from cohsets.model import estimate, ingest_pairs, prune_empty
+from cohsets.model import Partition, estimate, ingest_pairs, prune_empty
 from cohsets.svd import (
-    Partition,
     _assign,
     _coherence_scores,
     _lloyd,
@@ -112,14 +111,19 @@ def test_full_svd_repeated_calls_identical(three_example):
 
 def test_compare_experiment_estimates_once(monkeypatch, three_example):
     counts, _, default = three_example
+    # the fixture's counts already hold their model
+    counts = CountMatrix(counts=counts.counts, total=counts.total)
     calls = []
+    original = model_module.estimate
 
     def counting_estimate(counts):
         calls.append(1)
-        return model_module.estimate(counts)
+        return original(counts)
 
-    for module in (report, svd, dbmr):
-        monkeypatch.setattr(module, "estimate", counting_estimate)
+    # model_module's binding is the one CountMatrix.model looks up
+    for module in (model_module, report, svd, dbmr):
+        if getattr(module, "estimate", None) is original:
+            monkeypatch.setattr(module, "estimate", counting_estimate)
     result, _ = report.compare_experiment(counts, 3, runs=2, default_labels=default.labels)
     assert len(calls) == 1
     assert result["singular_values"]["full"] == pytest.approx([1.0, 1.0, 0.6], abs=1e-12)
