@@ -123,15 +123,17 @@ def bound_constants(model: TransitionModel, reduced: ReducedModel) -> BoundConst
     # was reproduced exactly; snap them to zero so the zero-vector convention
     # applies instead of the balancedness of accumulated roundoff.
     zero_tol = 32.0 * np.finfo(np.float64).eps
-    snapped = (nz.column_max(diff) <= zero_tol) & nz.covers(F > zero_tol)
+    # Off its support, column j of |P - L| is F[:, k_j]; off_peak is its largest entry there.
+    off_peak = nz.zeros_max(F)
+    snapped = np.maximum(nz.column_max(diff), off_peak) <= zero_tol
     q_on = q[nz.rows]
-    off_sum = nz.zeros_sum(F)
+    off_sum = nz.zeros_sum(F, off_peak)
     peaks = np.maximum(nz.column_max(diff / q_on), nz.zeros_max(F / q[:, np.newaxis]))
     with np.errstate(divide="ignore", invalid="ignore"):
         diff_terms = (nz.column_sum(diff) + off_sum) / peaks
     # A positive F entry on a zero of P deviates infinitely.
     deviations = np.where(
-        nz.covers(F > 0.0), nz.column_max(diff / nz.values), np.inf
+        off_peak == 0.0, nz.column_max(diff / nz.values), np.inf
     ) * (2.0 / 3.0)
     diff_terms[snapped] = 1.0
     deviations[snapped] = 0.0
@@ -201,48 +203,45 @@ class _Nonzeros:
         np.maximum.at(peaks, self.cols, terms)
         return peaks
 
-    def covers(self, mask: np.ndarray) -> np.ndarray:
-        """Whether column j's support holds every true entry of ``mask[:, k_j]``."""
-        marks = mask.astype(np.float64)
-        inside = self.column_sum(marks.ravel().take(self.at_label))
-        return inside == marks.sum(axis=0)[self.labels0]
-
-    def zeros_sum(self, terms: np.ndarray) -> np.ndarray:
+    def zeros_sum(self, terms: np.ndarray, peaks: np.ndarray) -> np.ndarray:
         """Per column j, the sum of the nonnegative ``terms[i, k_j]`` over the
-        zeros i of column j.
+        zeros i of column j; ``peaks`` is ``zeros_max(terms)``.
 
         That is the column total minus its part on the support, set to
-        exactly 0 where the support holds every positive term.
+        exactly 0 where no term off the support is positive.
         """
         on_support = self.column_sum(terms.ravel().take(self.at_label))
         off_support = np.maximum(terms.sum(axis=0)[self.labels0] - on_support, 0.0)
-        return np.where(self.covers(terms > 0.0), 0.0, off_support)
+        return np.where(peaks == 0.0, 0.0, off_support)
 
     def zeros_max(self, terms: np.ndarray) -> np.ndarray:
         """Per column j, the largest ``terms[i, k_j]`` over the zeros i of
         column j; 0 for a column without zeros.
 
         Each latent state ranks its rows by term, so column j's answer is the
-        term of the first row in k_j's ranking that is a zero of column j.
+        term of the first row in k_j's ranking that is a zero of column j;
+        that term does not depend on how ties are ranked.
         """
         m, r = terms.shape
         n = self.labels0.size
-        ranking = np.argsort(-terms, axis=0, kind="stable")
+        ranking = np.argsort(-terms, axis=0)
         place = np.empty_like(ranking)
         place[ranking, np.arange(r)] = np.arange(m)[:, np.newaxis]
-        # Only columns with a zero take part.
+        # Only columns with a zero take part; each gets one slot per nonzero.
         nonzeros = np.bincount(self.cols, minlength=n)
         has_zero = nonzeros < m
         size = np.where(has_zero, nonzeros, 0)
+        starts = np.cumsum(size) - size
         taking = has_zero[self.cols]
-        # Each such column's nonzeros by their place in the column's ranking.
-        column, taken = np.divmod(
-            np.sort(self.cols[taking] * m + place.ravel().take(self.at_label[taking])), m
-        )
-        offset = np.arange(column.size) - (np.cumsum(size) - size)[column]
-        # Sorted distinct places never fall back to their offsets once they
-        # pass them, so the first free place counts the places that match.
-        first = np.bincount(column, weights=taken == offset, minlength=n).astype(np.int64)
+        cols, places = self.cols[taking], place.ravel().take(self.at_label[taking])
+        # The first free place of a column with s nonzeros is at most s, so
+        # marking the places below s in its slots finds it: the first
+        # unmarked slot, or s when all are marked.
+        low = places < size[cols]
+        marked = np.zeros(cols.size, dtype=bool)
+        marked[starts[cols[low]] + places[low]] = True
+        free = np.append(np.flatnonzero(~marked), cols.size)
+        first = np.minimum(free[np.searchsorted(free, starts)] - starts, size)
         peaks = np.zeros(n)
         labels0 = self.labels0[has_zero]
         peaks[has_zero] = terms[ranking[first[has_zero], labels0], labels0]
@@ -266,7 +265,8 @@ def _frob_gap_sq(nz: _Nonzeros, model: TransitionModel, reduced: ReducedModel) -
     F, p, q = reduced.factor, model.input_dist, model.output_dist
     scale = np.sqrt(p)[nz.cols] / np.sqrt(q)[nz.rows]
     on_support = nz.values * scale - nz.approx * scale
-    off_support = nz.zeros_sum(F * F / q[:, np.newaxis])
+    terms = F * F / q[:, np.newaxis]
+    off_support = nz.zeros_sum(terms, nz.zeros_max(terms))
     return float(np.sum(on_support * on_support) + p @ off_support)
 
 

@@ -22,7 +22,7 @@ from . import dataio
 from .bounds import frobenius_kl_bound
 from .dbmr import output_partition as derive_output_partition, reduce_with_affiliation
 from .generators import GyreConfig, gen_double_gyre, gen_interval_map, gen_three_coherent
-from .model import Partition, ingest_pairs, prune_empty, rescale
+from .model import Partition, count_occurring
 from .projection import pythagoras_check, verify_factorization
 from .report import (
     TRACE_FIELDS,
@@ -123,17 +123,23 @@ def _generate(args):
     return dataset, partition.labels, meta
 
 
+def _records(dataset):
+    """Declared (m, n) and the 0-based (row, column) entry of each record."""
+    return (dataset.n_outputs, dataset.n_inputs), (dataset.outputs - 1, dataset.inputs - 1)
+
+
 def _load_file(path: str):
-    """Read a pairs or counts file, sniffing the format from the first byte."""
+    """Declared shape, entries, default labels and provenance of a pairs or
+    counts file, sniffing the format from the first byte."""
     target = Path(path)
     if not target.exists():
         raise ValueError(f"no such file: {path}")
     with open(target, "r", encoding="utf-8") as fh:
         head = fh.readline().lstrip()
     if head.startswith("#"):
-        counts = ingest_pairs(dataio.read_pairs(target))
+        shape, entries = _records(dataio.read_pairs(target))
     else:
-        counts = dataio.read_counts(target)
+        shape, *entries = dataio.read_count_entries(target)
     labels = None
     sidecar = target.with_name(target.name + ".meta.json")
     if sidecar.exists():
@@ -142,25 +148,24 @@ def _load_file(path: str):
             labels = np.asarray(meta["default_labels"], dtype=np.int64)
     else:
         meta = {}
-    return counts, labels, {"source": str(path), **{
+    return shape, entries, labels, {"source": str(path), **{
         k: meta[k] for k in ("example", "epsilon", "seed") if k in meta
     }}
 
 
 def _resolve(args):
     """Return (pruned counts, row_map, col_map, pruned default labels, provenance,
-    original shape)."""
+    original shape); only the categories that occur are counted."""
     if args.data is not None:
-        counts, labels, provenance = _load_file(args.data)
+        original_shape, entries, labels, provenance = _load_file(args.data)
     elif args.example is not None:
         dataset, labels, meta = _generate(args)
-        counts = ingest_pairs(dataset)
+        original_shape, entries = _records(dataset)
         provenance = {"source": args.example,
                       **{k: meta[k] for k in ("example", "epsilon", "seed") if k in meta}}
     else:
         raise ValueError("provide a data file or --example")
-    original_shape = counts.shape
-    pruned, row_map, col_map = prune_empty(counts)
+    pruned, row_map, col_map = count_occurring(*entries)
     if labels is not None:
         if labels.size != original_shape[1]:
             raise ValueError(
@@ -251,13 +256,10 @@ def cmd_bounds(args) -> int:
     partition = _input_partition(args.labels, col_map, original_shape[1], default_labels)
     if partition is None:
         raise ValueError("bounds requires a labels file or an example with default labels")
-    model = counts.model
     reduced = reduce_with_affiliation(counts, partition)
     bound = frobenius_kl_bound(counts, reduced, kappa_choice=args.kappa)
-    residuals = verify_factorization(model, reduced)
-    lhs, rhs = pythagoras_check(
-        model.rescaled, rescale(reduced.approx, model.input_dist, model.output_dist)
-    )
+    residuals = verify_factorization(counts.model, reduced)
+    lhs, rhs = pythagoras_check(counts.model, reduced)
     payload = {
         "provenance": provenance,
         "bound": bound.to_dict(),
@@ -294,13 +296,13 @@ def cmd_render(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    if args.verbose:
+        # the package logs its anomalies at DEBUG
+        logging.getLogger("cohsets").setLevel(logging.DEBUG)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, np.linalg.LinAlgError) as exc:

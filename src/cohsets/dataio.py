@@ -74,7 +74,9 @@ def write_counts(path: str | Path, counts: CountMatrix) -> None:
             fh.write(f"{i + 1} {j + 1} {counts.counts[i, j]}\n")
 
 
-def read_counts(path: str | Path) -> CountMatrix:
+def read_count_entries(path: str | Path) -> tuple:
+    """Declared (m, n) and the 0-based row, 0-based column and count of each
+    positive entry, checked against the header; allocates nothing of m x n."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().split()
         if len(first) != 3:
@@ -85,19 +87,26 @@ def read_counts(path: str | Path) -> CountMatrix:
             raise ValueError(f"{path}: non-integer header field ({exc})") from exc
         body = fh.read()
     table = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2)
-    counts = np.zeros((m, n), dtype=np.int64)
-    if table.size:
-        if table.shape[1] != 3:
-            raise ValueError(f"{path}: expected 'i j count' lines")
-        i, j, c = table[:, 0], table[:, 1], table[:, 2]
-        if (i < 1).any() or (i > m).any() or (j < 1).any() or (j > n).any():
-            raise ValueError(f"{path}: entry index outside declared {m} x {n} shape")
-        if (c < 0).any():
-            raise ValueError(f"{path}: negative count")
-        np.add.at(counts, (i - 1, j - 1), c)
-    if int(counts.sum()) != total:
-        raise ValueError(f"{path}: entries sum to {int(counts.sum())}, header declares {total}")
-    return CountMatrix(counts=counts, total=total)
+    if table.size == 0:
+        table = table.reshape(0, 3)
+    if table.shape[1] != 3:
+        raise ValueError(f"{path}: expected 'i j count' lines")
+    i, j, c = table[:, 0], table[:, 1], table[:, 2]
+    if (i < 1).any() or (i > m).any() or (j < 1).any() or (j > n).any():
+        raise ValueError(f"{path}: entry index outside declared {m} x {n} shape")
+    if (c < 0).any():
+        raise ValueError(f"{path}: negative count")
+    if int(c.sum()) != total:
+        raise ValueError(f"{path}: entries sum to {int(c.sum())}, header declares {total}")
+    positive = c > 0
+    return (m, n), i[positive] - 1, j[positive] - 1, c[positive]
+
+
+def read_counts(path: str | Path) -> CountMatrix:
+    shape, rows, cols, values = read_count_entries(path)
+    counts = np.zeros(shape, dtype=np.int64)
+    np.add.at(counts, (rows, cols), values)
+    return CountMatrix(counts=counts, total=int(values.sum()))
 
 
 def write_labels(path: str | Path, labels: np.ndarray, n_labels: int) -> None:

@@ -1,9 +1,9 @@
 """Empirical transition-model estimation from categorical pair data.
 
 The pipeline is: raw (input, output) pairs -> count matrix -> left-stochastic
-transition matrix with input/output marginals and the rescaled variants used
-by the coherence analysis.  Categories are 1-based at every public boundary;
-array indices are 0-based internally.
+transition matrix with input/output marginals, from which the rescaled
+matrix of the coherence analysis derives.  Categories are 1-based at every
+public boundary; array indices are 0-based internally.
 """
 
 from __future__ import annotations
@@ -173,21 +173,19 @@ class CountMatrix:
 
 @dataclass(frozen=True)
 class TransitionModel:
-    """Left-stochastic transition matrix with marginals and rescalings.
+    """Left-stochastic transition matrix with its marginals.
 
     ``matrix`` has columns that are conditional output distributions;
     ``input_dist`` and ``output_dist`` are the strictly positive marginals.
-    ``rescaled`` is D_out^{-1/2} @ matrix @ D_in^{1/2}, the object whose
-    singular values measure coherence.
+    Every other matrix derives from these three.
     """
 
     matrix: np.ndarray
     input_dist: np.ndarray
     output_dist: np.ndarray
-    rescaled: np.ndarray
 
     def __post_init__(self):
-        for field in ("matrix", "input_dist", "output_dist", "rescaled"):
+        for field in ("matrix", "input_dist", "output_dist"):
             object.__setattr__(self, field, _read_only(np.asarray(getattr(self, field), dtype=np.float64)))
         m, n = self.matrix.shape
         if self.input_dist.shape != (n,) or self.output_dist.shape != (m,):
@@ -205,6 +203,12 @@ class TransitionModel:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
+    @property
+    def rescaled(self) -> np.ndarray:
+        """D_out^{-1/2} @ matrix @ D_in^{1/2}, the matrix whose singular values
+        measure coherence; built anew on each access."""
+        return rescale(self.matrix, self.input_dist, self.output_dist)
+
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the positive entries, in row-major order."""
@@ -212,8 +216,11 @@ class TransitionModel:
 
     @cached_property
     def rescaled_norm_sq(self) -> float:
-        """Squared Frobenius norm of ``rescaled``, summed over the support."""
-        values = self.rescaled[self.support]
+        """Squared Frobenius norm of ``rescaled``, summed over the support with
+        ``rescale``'s product per entry."""
+        rows, cols = self.support
+        scale = np.sqrt(self.input_dist)[cols] / np.sqrt(self.output_dist)[rows]
+        values = self.matrix[rows, cols] * scale
         return float(np.sum(values * values))
 
 
@@ -244,6 +251,27 @@ def prune_empty(counts: CountMatrix) -> tuple[CountMatrix, np.ndarray, np.ndarra
     )
 
 
+def count_occurring(
+    rows: np.ndarray, cols: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[CountMatrix, np.ndarray, np.ndarray]:
+    """``prune_empty`` of the counts that add the positive ``weights[u]`` (1
+    by default) at 0-based (rows[u], cols[u]), in memory that grows with the
+    entries and the categories that occur, never with a declared m x n shape.
+    """
+    if rows.size == 0:
+        raise ValueError("empty model: all counts are zero")
+    total = rows.size if weights is None else int(weights.sum())
+    box = (int(rows.max()) + 1, int(cols.max()) + 1)
+    if box[0] * box[1] <= 4 * rows.size:
+        # The entries' bounding box has few cells per entry: count on it.
+        counts = np.bincount(rows * box[1] + cols, weights, box[0] * box[1])
+        return prune_empty(CountMatrix(counts=counts.reshape(box), total=total))
+    (row_map, row_at), (col_map, col_at) = (np.unique(i, return_inverse=True) for i in (rows, cols))
+    counts = np.bincount(row_at * col_map.size + col_at, weights, row_map.size * col_map.size)
+    counts = CountMatrix(counts=counts.reshape(row_map.size, -1), total=total)
+    return counts, _read_only(row_map + 1), _read_only(col_map + 1)
+
+
 def estimate(counts: CountMatrix) -> TransitionModel:
     """Empirical transition model from a pruned count matrix.
 
@@ -253,10 +281,9 @@ def estimate(counts: CountMatrix) -> TransitionModel:
     renormalized to sum exactly to one so downstream identities hold to
     machine precision.
     """
-    N = counts.counts.astype(np.float64)
+    N = counts.counts
     col_sums = N.sum(axis=0)
-    row_sums = N.sum(axis=1)
-    if (col_sums <= 0).any() or (row_sums <= 0).any():
+    if (col_sums <= 0).any() or (N.sum(axis=1) <= 0).any():
         raise ValueError("counts must be pruned: zero row or column sum found")
     p = col_sums / counts.total
     p /= p.sum()
@@ -264,7 +291,7 @@ def estimate(counts: CountMatrix) -> TransitionModel:
     P /= P.sum(axis=0, keepdims=True)
     q = P @ p
     q /= q.sum()
-    return TransitionModel(matrix=P, input_dist=p, output_dist=q, rescaled=rescale(P, p, q))
+    return TransitionModel(matrix=P, input_dist=p, output_dist=q)
 
 
 def rescale(matrix: np.ndarray, input_dist: np.ndarray, output_dist: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _frob_gap_sq, _Nonzeros
 from .dbmr import ReducedModel
 from .model import Partition, TransitionModel
 
@@ -105,19 +106,21 @@ def verify_factorization(
     )
 
 
-def pythagoras_check(
-    rescaled_full: np.ndarray, rescaled_reduced: np.ndarray
-) -> tuple[float, float]:
-    """Return (squared gap, squared-norm difference); equal when the reduction
-    factors through the induced projection."""
-    full = np.asarray(rescaled_full, dtype=np.float64)
-    red = np.asarray(rescaled_reduced, dtype=np.float64)
-    if full.shape != red.shape:
-        raise ValueError(f"shape mismatch: {full.shape} != {red.shape}")
-    gap = full - red
-    lhs = float(np.sum(gap * gap))
-    rhs = float(np.sum(full * full) - np.sum(red * red))
-    return lhs, rhs
+def pythagoras_check(model: TransitionModel, reduced: ReducedModel) -> tuple[float, float]:
+    """Return (squared gap, squared-norm difference) of the rescaled matrices;
+    equal when the reduction factors through the induced projection.
+
+    The gap is the bound chain's, from the nonzeros of P and the factor; the
+    rescaled reduction's squared norm is sum_ik F_ik^2 mass_k / q_i, with
+    mass_k the input mass of latent state k.
+    """
+    F, labels = reduced.factor, reduced.affiliation.labels
+    if F.shape[0] != model.shape[0] or labels.size != model.shape[1]:
+        raise ValueError(f"reduction of {F.shape[0]} x {labels.size} for a {model.shape} model")
+    masses = np.bincount(labels - 1, weights=model.input_dist, minlength=reduced.n_latent)
+    reduced_norm_sq = float(np.sum(F * F / model.output_dist[:, np.newaxis] * masses))
+    gap = _frob_gap_sq(_Nonzeros.of(model, reduced), model, reduced)
+    return gap, model.rescaled_norm_sq - reduced_norm_sq
 
 
 def singular_value_dominance(

@@ -28,7 +28,7 @@ from .dbmr import (
 )
 from .model import CountMatrix, Partition
 from .seeding import mix_seed
-from .svd import classical_pipeline, spectrum_depth
+from .svd import classical_pipeline, spectrum_depth, truncate
 
 logger = logging.getLogger(__name__)
 
@@ -157,6 +157,7 @@ def compare_experiment(
     sigma_full = np.concatenate([computed, np.zeros(depth - computed.size)])
     sigma_reduced = reduced_singular_values(best, model)
     bound = frobenius_kl_bound(counts, best, kappa_choice="post")
+    truncated = truncate(classical.factorization, rank, model.input_dist, model.output_dist)
 
     report = {
         "dataset": {
@@ -200,7 +201,7 @@ def compare_experiment(
         },
         "classical": {
             "coherence_objective": float(classical.coherence),
-            "reduced_min_entry": float(classical.reduced.min()),
+            "reduced_min_entry": float(truncated.min()),
         },
         "diagnostics": _count_diagnostics(counts, traces) | {
             "dbmr_best_run": int(best_run),
@@ -212,6 +213,7 @@ def compare_experiment(
     artifacts = {
         "model": model,
         "classical": classical,
+        "truncated": truncated,
         "reduced": best,
         "dbmr_output_partition": dbmr_out,
     }
@@ -241,7 +243,7 @@ def render_compare_images(artifacts: dict, base: str | Path) -> list[str]:
     paths = []
     for suffix, matrix, parts in (
         ("P", model.matrix, dbmr_parts),
-        ("svd", classical.reduced,
+        ("svd", artifacts["truncated"],
          (classical.input_partition, classical.output_partition)),
         ("dbmr", reduced.approx, dbmr_parts),
     ):

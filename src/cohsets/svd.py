@@ -41,9 +41,7 @@ class SvdFactorization:
 
 @dataclass(frozen=True)
 class ClassicalResult:
-    model: TransitionModel
     factorization: SvdFactorization
-    reduced: np.ndarray
     input_partition: Partition
     output_partition: Partition
     coherence: float
@@ -95,22 +93,20 @@ def truncate(
     rank: int,
     input_dist: np.ndarray,
     output_dist: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-``rank`` truncation; returns (reduced rescaled matrix, reduced matrix).
+) -> np.ndarray:
+    """Rank-``rank`` truncation in transition-matrix coordinates.
 
-    The reduced matrix undoes the diagonal rescaling that built the rescaled
-    matrix from the transition matrix, D_out^{1/2} @ truncated @ D_in^{-1/2},
-    so it is in transition-matrix coordinates. Its columns sum to one when
-    the leading singular value is simple; it may contain negative entries.
+    The truncated rescaled matrix is taken back through the diagonal
+    rescaling that built it from the transition matrix,
+    D_out^{1/2} @ truncated @ D_in^{-1/2}. Its columns sum to one when the
+    leading singular value is simple; it may contain negative entries.
     """
     if not 1 <= rank <= factorization.rank:
         raise ValueError(f"rank must lie in [1, {factorization.rank}], got {rank}")
     scaled_left = factorization.left[:, :rank] * factorization.singular_values[:rank]
-    reduced_rescaled = scaled_left @ factorization.right[:, :rank].T
-    p = np.asarray(input_dist, dtype=np.float64)
-    q = np.asarray(output_dist, dtype=np.float64)
-    reduced = reduced_rescaled * (np.sqrt(q)[:, np.newaxis] / np.sqrt(p)[np.newaxis, :])
-    return reduced_rescaled, reduced
+    reduced = scaled_left @ factorization.right[:, :rank].T
+    reduced *= np.sqrt(output_dist)[:, np.newaxis] / np.sqrt(input_dist)[np.newaxis, :]
+    return reduced
 
 
 def degree_of_coherence(matrix: np.ndarray, rank: int) -> float:
@@ -344,14 +340,15 @@ def classical_pipeline(
     seed: int = 0,
     restarts: int = 10,
 ) -> ClassicalResult:
-    """Estimate, factorize, truncate, cluster both category sets, and match.
+    """Estimate, factorize, cluster both category sets, and match.
 
     The factorization holds the ``spectrum_depth`` leading triplets, enough
-    for the reported spectrum.
+    for the reported spectrum; ``rank`` must not exceed the triplets kept.
     """
     model = counts.model
     factorization = full_svd(model.rescaled, spectrum_depth(rank, min(model.shape)))
-    _, reduced = truncate(factorization, rank, model.input_dist, model.output_dist)
+    if not 1 <= rank <= factorization.rank:
+        raise ValueError(f"rank must lie in [1, {factorization.rank}], got {rank}")
     input_partition = kmeans(
         factorization.right[:, :rank], rank, restarts=restarts, seed=mix_seed(seed, 1)
     )
@@ -360,9 +357,7 @@ def classical_pipeline(
     )
     output_partition, coherence = match_partitions(model, input_partition, raw_output)
     return ClassicalResult(
-        model=model,
         factorization=factorization,
-        reduced=reduced,
         input_partition=input_partition,
         output_partition=output_partition,
         coherence=coherence,

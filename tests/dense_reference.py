@@ -3,8 +3,8 @@
 Each function computes its quantity entry by entry over the full m x n
 matrix, the way the program did before it worked on the nonzeros of the
 counts: explicit loops for the two DBMR kernels, dense m x n temporaries for
-the bound chain, the n x n induced projection for the factorization
-residuals. The DBMR ascent is also kept as it ran before its restarts
+the bound chain and the Pythagoras pair, the n x n induced projection for
+the factorization residuals. The DBMR ascent is also kept as it ran before its restarts
 advanced together: one restart at a time.
 """
 
@@ -108,6 +108,16 @@ def weighted_kl_sum_dense(model, reduced):
 def frob_gap_sq_dense(model, reduced):
     gap = model.rescaled - rescale(reduced.approx, model.input_dist, model.output_dist)
     return float(np.sum(gap * gap))
+
+
+def pythagoras_check_dense(rescaled_full, rescaled_reduced):
+    """(squared gap, squared-norm difference) of two dense rescaled matrices."""
+    full = np.asarray(rescaled_full, dtype=np.float64)
+    red = np.asarray(rescaled_reduced, dtype=np.float64)
+    if full.shape != red.shape:
+        raise ValueError(f"shape mismatch: {full.shape} != {red.shape}")
+    gap = full - red
+    return float(np.sum(gap * gap)), float(np.sum(full * full) - np.sum(red * red))
 
 
 # The DBMR ascent as the program ran it before restarts were batched: one

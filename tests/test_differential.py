@@ -35,10 +35,11 @@ from cohsets.dbmr import (
     reduce_with_affiliation,
 )
 from cohsets.generators import GyreConfig, gen_double_gyre
-from cohsets.model import CountMatrix, Partition, estimate, ingest_pairs, prune_empty
-from cohsets.projection import verify_factorization
+from cohsets.model import CountMatrix, Partition, estimate, ingest_pairs, prune_empty, rescale
+from cohsets.projection import pythagoras_check, verify_factorization
 from cohsets.report import compare_experiment, multirun_experiment
 from cohsets.seeding import mix_seed
+from cohsets.svd import classical_pipeline
 from tests.dense_reference import (
     best_labels_reference,
     bound_constants_dense,
@@ -46,6 +47,7 @@ from tests.dense_reference import (
     group_sums_loop,
     latent_scores_loop,
     multi_start_reference,
+    pythagoras_check_dense,
     verify_factorization_reference,
     weighted_kl_sum_dense,
     zeros_max_dense,
@@ -430,6 +432,35 @@ def test_factorization_residuals_allocate_no_projection():
     counts, reduced = _two_per_column(size)
     peak = _traced_peak(lambda: verify_factorization(counts.model, reduced))
     assert peak < 8 * size * size
+
+
+def test_estimate_and_classical_pipeline_peaks():
+    """On a 2048-box gyre sample the model holds P alone: estimating it
+    allocates P and an m x n mask, and the classical pipeline adds only the
+    rescaled matrix it factorizes."""
+    config = GyreConfig(nx=64, ny=32, points_per_box=10, t_end=2.0, seed=2000)
+    counts, _, _ = prune_empty(ingest_pairs(gen_double_gyre(config)[0]))
+    matrix_bytes = 8 * counts.shape[0] * counts.shape[1]
+
+    def fresh():
+        return CountMatrix(counts=counts.counts, total=counts.total)
+
+    assert _traced_peak(lambda: estimate(fresh())) < 1.5 * matrix_bytes
+    assert _traced_peak(lambda: classical_pipeline(fresh(), 3)) < 2.5 * matrix_bytes
+
+
+@SETTINGS
+@given(case=reductions())
+def test_pythagoras_matches_dense_formula(case):
+    """The pair from the nonzeros and the factor equals the dense one for the
+    ML factor of any drawn affiliation, empty latent states included."""
+    counts, model, reduced, _ = case
+    reduced = reduce_with_affiliation(counts, reduced.affiliation)
+    p, q = model.input_dist, model.output_dist
+    dense = pythagoras_check_dense(model.rescaled, rescale(reduced.approx, p, q))
+    tolerance = 1e-12 * (1.0 + model.rescaled_norm_sq)
+    for value, expected in zip(pythagoras_check(model, reduced), dense):
+        assert abs(value - expected) <= tolerance
 
 
 @SETTINGS

@@ -1,3 +1,8 @@
+import os
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -336,3 +341,63 @@ def test_cli_mismatched_labels_width(tmp_path):
     labels_path = tmp_path / "labels.txt"
     dataio.write_labels(labels_path, np.ones(7, dtype=int), 1)
     assert main(["bounds", str(pairs_path), str(labels_path)]) == 2
+
+
+def _cli_capped(args):
+    """Run the CLI in a child process capped at 2 GiB of address space."""
+    cap = 2 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run(
+        [sys.executable, "-m", "cohsets", *args], capture_output=True, text=True,
+        preexec_fn=limit, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), timeout=300,
+    )
+
+
+def test_cli_declared_shape_is_not_allocated(tmp_path):
+    """Files that declare 10^6 x 10^6 categories but hold three records are
+    counted over the categories that occur: the capped child exits 0, or 2
+    with a message, never with a traceback."""
+    pairs_path = tmp_path / "wide.csv"
+    pairs_path.write_text("# n=1000000 m=1000000\nx,y\n1,1\n500000,2\n1000000,1000000\n",
+                          encoding="utf-8")
+    counts_path = tmp_path / "wide.txt"
+    counts_path.write_text("1000000 1000000 3\n1 1 1\n2 500000 1\n1000000 1000000 1\n",
+                           encoding="utf-8")
+    for source in (pairs_path, counts_path):
+        result = _cli_capped(["compare", str(source), "--rank", "1", "--runs", "2",
+                              "--no-images", "--out", str(tmp_path / "wide.json")])
+        assert result.returncode == 0 or (
+            result.returncode == 2 and "Traceback" not in result.stderr
+        ), result.stderr
+
+
+def test_cli_counts_file_keeps_occurring_categories(tmp_path):
+    """Zero entries and unused categories of a counts file are pruned, as
+    ``prune_empty`` prunes the dense matrix."""
+    counts_path = tmp_path / "sparse.txt"
+    counts_path.write_text("5 6 12\n1 2 4\n4 2 3\n4 5 5\n2 3 0\n", encoding="utf-8")
+    out = tmp_path / "sparse.json"
+    assert main(["compare", str(counts_path), "--rank", "1", "--runs", "2",
+                 "--no-images", "--out", str(out)]) == 0
+    dataset = dataio.read_json(out)["dataset"]
+    assert dataset["kept_outputs"] == [1, 4]
+    assert dataset["kept_inputs"] == [2, 5]
+
+
+def test_cli_verbose_logs_anomalies(tmp_path):
+    """--verbose shows the package's DEBUG anomalies, here an inactive latent state."""
+    pairs_path = tmp_path / "data.csv"
+    dataio.write_pairs(pairs_path, gen_three_coherent()[0])
+    labels_path = tmp_path / "labels.txt"
+    dataio.write_labels(labels_path, np.repeat([1, 2, 3], [25, 25, 50]), 4)
+    for flags, logged in ((["--verbose"], True), ([], False)):
+        result = subprocess.run(
+            [sys.executable, "-m", "cohsets", *flags, "bounds", str(pairs_path),
+             str(labels_path), "--out", str(tmp_path / "bounds.json")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert ("inactive latent states (4,)" in result.stderr) == logged

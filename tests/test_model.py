@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cohsets.model import (
     PairDataset,
     Partition,
     TransitionModel,
+    count_occurring,
     estimate,
     ingest_pairs,
     kl_divergence,
@@ -172,13 +175,46 @@ def test_rescaled_leading_singular_structure():
                    np.abs(direction + root_p).max()) < 1e-8
 
 
+def test_transition_model_holds_p_and_its_marginals():
+    """Every other matrix of the model derives from its three fields."""
+    assert tuple(field.name for field in dataclasses.fields(TransitionModel)) == (
+        "matrix", "input_dist", "output_dist"
+    )
+    model = estimate(random_counts(np.random.default_rng(3), 6, 8, density=0.5))
+    # the norm gathers on the support with rescale's product per entry
+    values = model.rescaled[model.support]
+    assert model.rescaled_norm_sq == float(np.sum(values * values))
+
+
+@pytest.mark.parametrize("n", [7, 10**9])
+def test_count_occurring_is_prune_empty(n):
+    """Counting only the occurring categories, from records or from weighted
+    entries, gives the pruned count matrix and maps whatever n is declared."""
+    rng = np.random.default_rng(n)
+    used = np.sort(rng.choice(n, size=6, replace=False))  # 0-based categories
+    inputs, outputs = rng.integers(0, 6, 40), rng.integers(0, 4, 40)
+    # the same records over categories 1..6, counted on the full matrix
+    expected, rows, cols = prune_empty(ingest_pairs(
+        PairDataset(inputs=inputs + 1, outputs=outputs + 1, n_inputs=6, n_outputs=6)
+    ))
+    entry_rows, entry_cols = np.nonzero(expected.counts)
+    weights = expected.counts[entry_rows, entry_cols]
+    for counts, row_map, col_map in (
+        count_occurring(used[outputs], used[inputs]),
+        count_occurring(used[rows - 1][entry_rows], used[cols - 1][entry_cols], weights),
+    ):
+        assert np.array_equal(counts.counts, expected.counts)
+        assert counts.total == expected.total == 40
+        assert np.array_equal(row_map, used[rows - 1] + 1)
+        assert np.array_equal(col_map, used[cols - 1] + 1)
+
+
 def test_transition_model_validation():
     with pytest.raises(ValueError):
         TransitionModel(
             matrix=np.array([[0.5, 0.2], [0.5, 0.7]]),
             input_dist=np.array([0.5, 0.5]),
             output_dist=np.array([0.35, 0.65]),
-            rescaled=np.eye(2),
         )
 
 

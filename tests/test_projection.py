@@ -122,8 +122,7 @@ def test_factorization_identity_random():
 def test_pythagoras_interval(interval_example, interval_affiliation):
     counts, model, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
-    lhs, rhs = pythagoras_check(model.rescaled, reduced_rescaled)
+    lhs, rhs = pythagoras_check(model, reduced)
     assert lhs == pytest.approx(27.0, abs=1e-9)
     assert rhs == pytest.approx(27.0, abs=1e-9)
 
@@ -136,14 +135,16 @@ def test_pythagoras_random():
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(counts, _affiliation(labels, r))
-        reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
-        lhs, rhs = pythagoras_check(model.rescaled, reduced_rescaled)
+        lhs, rhs = pythagoras_check(model, reduced)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def test_pythagoras_shape_mismatch():
+def test_pythagoras_shape_mismatch(three_example, interval_example, interval_affiliation):
+    """A reduction of another model's shape is refused."""
+    counts, _, _ = interval_example
+    reduced = reduce_with_affiliation(counts, interval_affiliation)
     with pytest.raises(ValueError):
-        pythagoras_check(np.eye(3), np.eye(2))
+        pythagoras_check(three_example[1], reduced)
 
 
 def test_frobenius_orthogonality_random():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from cohsets import dbmr, model as model_module, report, svd
 from cohsets.generators import GyreConfig, gen_double_gyre
-from cohsets.model import Partition, estimate, ingest_pairs, prune_empty
+from cohsets.model import Partition, estimate, ingest_pairs, prune_empty, rescale
 from cohsets.svd import (
     _assign,
     _coherence_scores,
@@ -174,13 +175,12 @@ def test_truncate_full_rank_reproduces(three_example):
     nonuniform = estimate(random_counts(np.random.default_rng(5), 6, 8))
     for model in (three_example[1], nonuniform):
         fac = full_svd(model.rescaled)
-        reduced_rescaled, reduced = truncate(
-            fac, fac.rank, model.input_dist, model.output_dist
-        )
+        reduced = truncate(fac, fac.rank, model.input_dist, model.output_dist)
+        reduced_rescaled = rescale(reduced, model.input_dist, model.output_dist)
         assert reduced_rescaled == pytest.approx(model.rescaled, abs=1e-12)
         assert reduced == pytest.approx(model.matrix, abs=1e-12)
     fac = full_svd(nonuniform.rescaled)
-    _, reduced = truncate(fac, 2, nonuniform.input_dist, nonuniform.output_dist)
+    reduced = truncate(fac, 2, nonuniform.input_dist, nonuniform.output_dist)
     assert reduced.sum(axis=0) == pytest.approx(np.ones(8), abs=1e-12)
 
 
@@ -189,7 +189,8 @@ def test_truncate_rank_one_is_marginal_outer_product():
     counts = random_counts(rng, 6, 8)
     model = estimate(counts)
     fac = full_svd(model.rescaled)
-    reduced_rescaled, _ = truncate(fac, 1, model.input_dist, model.output_dist)
+    reduced = truncate(fac, 1, model.input_dist, model.output_dist)
+    reduced_rescaled = rescale(reduced, model.input_dist, model.output_dist)
     expected = np.sqrt(model.output_dist)[:, None] * np.sqrt(model.input_dist)[None, :]
     assert reduced_rescaled == pytest.approx(expected, abs=1e-9)
 
@@ -210,7 +211,8 @@ def test_truncation_error_matches_tail():
         sigma = np.linalg.svd(matrix, compute_uv=False)
         fac = full_svd(matrix)
         for rank in (1, 3, 5):
-            red, _ = truncate(fac, rank, np.full(9, 1 / 9), np.full(7, 1 / 7))
+            # unit marginals make the back-scaling the identity
+            red = truncate(fac, rank, np.ones(9), np.ones(7))
             err = np.sum((matrix - red) ** 2)
             assert err == pytest.approx(np.sum(sigma[rank:] ** 2), abs=1e-8)
 
@@ -417,7 +419,22 @@ def test_classical_pipeline_three_example(three_example):
     assert relabelings_equal(result.output_partition, default)
     # matched clusters pair E_k with its own image: 0.8 + 0.8 + 1.0
     assert result.coherence == pytest.approx(2.6, abs=1e-9)
-    assert result.reduced == pytest.approx(model.matrix, abs=1e-8)
+    reduced = truncate(result.factorization, 3, model.input_dist, model.output_dist)
+    assert reduced == pytest.approx(model.matrix, abs=1e-8)
+
+
+def test_classical_result_holds_no_matrix(interval_example):
+    """The result keeps the factorization and partitions; ``truncate``
+    derives the rank-r matrix."""
+    counts, _, _ = interval_example
+    result = classical_pipeline(counts, 3, seed=0)
+    arrays = [
+        value
+        for holder in (result, result.factorization)
+        for value in (getattr(holder, field.name) for field in dataclasses.fields(holder))
+        if isinstance(value, np.ndarray)
+    ]
+    assert arrays and all(array.shape != counts.shape for array in arrays)
 
 
 def test_classical_pipeline_interval_keeps_triples(interval_example):
