@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -136,10 +137,15 @@ def _load_file(path: str):
         raise ValueError(f"no such file: {path}")
     with open(target, "r", encoding="utf-8") as fh:
         head = fh.readline().lstrip()
+    start = time.perf_counter()
     if head.startswith("#"):
+        kind, unit = "pairs", "records"
         shape, entries = _records(dataio.read_pairs(target))
     else:
+        kind, unit = "counts", "entries"
         shape, *entries = dataio.read_count_entries(target)
+    logger.info("read %s file %s: %d %s, %.1f MB in %.3f s", kind, path, entries[0].size, unit,
+                target.stat().st_size / 1e6, time.perf_counter() - start)
     labels = None
     sidecar = target.with_name(target.name + ".meta.json")
     if sidecar.exists():

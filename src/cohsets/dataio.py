@@ -7,15 +7,25 @@ Pairs file::
     3,5
     ...
 
-The ``x,y`` header line is optional on input and always written on output.
-Count file: a ``<m> <n> <S>`` line followed by one ``i j count`` line per
-nonzero entry.  Labels file: an optional ``# r=<r>`` preamble followed by one
-1-based integer label per line.  All category indices are 1-based.
+The ``x,y`` header line is optional on input (in any letter case) and always
+written on output.  Count file: a ``<m> <n> <S>`` line followed by one
+``i j count`` line per nonzero entry.  Labels file: an optional ``# r=<r>``
+preamble followed by one 1-based integer label per line.  All category
+indices are 1-based.
+
+Accepted input grammar of the pairs and count bodies: LF or CRLF line ends,
+blank lines, spaces around each field, and ``#`` comments, on a line of their
+own or after the fields (``2,2 # note``).  Every other line must hold exactly
+the format's integer fields (two comma-separated for pairs, three
+whitespace-separated for counts); a float, an empty field, letters or a wrong
+field count raise ``ValueError``.
+
+Bodies are parsed by ``np.loadtxt`` from the path, and rows are written by
+formatting whole blocks of digits in numpy.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import warnings
@@ -27,18 +37,45 @@ from .model import CountMatrix, PairDataset
 
 _PAIRS_PREAMBLE = re.compile(r"^#\s*n=(\d+)\s+m=(\d+)\s*$")
 _LABELS_PREAMBLE = re.compile(r"^#\s*r=(\d+)\s*$")
-# Records per formatted block of write_pairs.
+# Rows per formatted block of the writers; bounds the memory of one block.
 _PAIRS_CHUNK = 1 << 16
 
 
+def _format_rows(table: np.ndarray, sep: str = " ") -> bytes:
+    """ASCII lines of a nonempty, nonnegative integer table, fields joined by
+    ``sep``.
+
+    Builds the characters of every field as ``width + 1`` slots: the decimal
+    digits right-aligned, NUL in the leading slots, then ``sep`` or the line
+    end; dropping the NULs leaves the lines.
+    """
+    width = len(str(int(table.max())))
+    chars = np.empty((*table.shape, width + 1), dtype=np.uint8)
+    chars[:, :-1, width] = ord(sep)
+    chars[:, -1, width] = ord("\n")
+    rest = table
+    for place in range(width - 1, -1, -1):
+        quot = rest // 10
+        digit = (rest - quot * 10 + ord("0")).astype(np.uint8)
+        if place < width - 1:  # the ones digit shows even for 0
+            digit *= rest > 0
+        chars[:, :, place] = digit
+        rest = quot
+    flat = chars.ravel()
+    return flat[flat != 0].tobytes()
+
+
+def _write_table(fh, table: np.ndarray, sep: str = " ") -> None:
+    """Write ``table``'s rows in ``_PAIRS_CHUNK``-row blocks."""
+    for start in range(0, len(table), _PAIRS_CHUNK):
+        fh.write(_format_rows(table[start : start + _PAIRS_CHUNK], sep))
+
+
 def write_pairs(path: str | Path, dataset: PairDataset) -> None:
-    """Write records in ``_PAIRS_CHUNK``-record blocks, one format call per block."""
     table = np.column_stack([dataset.inputs, dataset.outputs])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={dataset.n_inputs} m={dataset.n_outputs}\nx,y\n")
-        for start in range(0, len(table), _PAIRS_CHUNK):
-            block = table[start : start + _PAIRS_CHUNK]
-            fh.write("%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(f"# n={dataset.n_inputs} m={dataset.n_outputs}\nx,y\n".encode())
+        _write_table(fh, table, ",")
 
 
 def read_pairs(path: str | Path) -> PairDataset:
@@ -48,16 +85,14 @@ def read_pairs(path: str | Path) -> PairDataset:
         if match is None:
             raise ValueError(f"{path}: expected preamble '# n=<n> m=<m>', got {first.strip()!r}")
         n, m = int(match.group(1)), int(match.group(2))
-        pos = fh.tell()
-        second = fh.readline()
-        if second.strip().lower() != "x,y":
-            fh.seek(pos)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # empty body is reported below
-                table = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed record line ({exc})") from exc
+        header = fh.readline().strip().lower() == "x,y"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty body is reported below
+            table = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2,
+                               skiprows=2 if header else 1, encoding="utf-8")
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed record line ({exc})") from exc
     if table.size == 0:
         raise ValueError(f"{path}: no records")
     if table.shape[1] != 2:
@@ -67,11 +102,10 @@ def read_pairs(path: str | Path) -> PairDataset:
 
 def write_counts(path: str | Path, counts: CountMatrix) -> None:
     m, n = counts.shape
-    rows, cols = np.nonzero(counts.counts)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m} {n} {counts.total}\n")
-        for i, j in zip(rows, cols):
-            fh.write(f"{i + 1} {j + 1} {counts.counts[i, j]}\n")
+    rows, cols = counts.support
+    with open(path, "wb") as fh:
+        fh.write(f"{m} {n} {counts.total}\n".encode())
+        _write_table(fh, np.column_stack([rows + 1, cols + 1, counts.counts[rows, cols]]))
 
 
 def read_count_entries(path: str | Path) -> tuple:
@@ -79,14 +113,13 @@ def read_count_entries(path: str | Path) -> tuple:
     positive entry, checked against the header; allocates nothing of m x n."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().split()
-        if len(first) != 3:
-            raise ValueError(f"{path}: expected first line '<m> <n> <S>'")
-        try:
-            m, n, total = (int(tok) for tok in first)
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-integer header field ({exc})") from exc
-        body = fh.read()
-    table = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2)
+    if len(first) != 3:
+        raise ValueError(f"{path}: expected first line '<m> <n> <S>'")
+    try:
+        m, n, total = (int(tok) for tok in first)
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-integer header field ({exc})") from exc
+    table = np.loadtxt(path, dtype=np.int64, ndmin=2, skiprows=1, encoding="utf-8")
     if table.size == 0:
         table = table.reshape(0, 3)
     if table.shape[1] != 3:
@@ -111,10 +144,11 @@ def read_counts(path: str | Path) -> CountMatrix:
 
 def write_labels(path: str | Path, labels: np.ndarray, n_labels: int) -> None:
     labels = np.asarray(labels, dtype=np.int64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# r={n_labels}\n")
-        for value in labels:
-            fh.write(f"{value}\n")
+    if (labels < 0).any():
+        raise ValueError("labels must be nonnegative")
+    with open(path, "wb") as fh:
+        fh.write(f"# r={n_labels}\n".encode())
+        _write_table(fh, labels[:, None])
 
 
 def read_labels(path: str | Path) -> tuple[np.ndarray, int]:

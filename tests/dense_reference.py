@@ -6,22 +6,29 @@ counts: explicit loops for the two DBMR kernels, dense m x n temporaries for
 the bound chain and the Pythagoras pair, the n x n induced projection for
 the factorization residuals. The DBMR ascent is also kept as it ran before its restarts
 advanced together: one restart at a time.
+
+The text readers and writers are kept as they ran before ``cohsets.dataio``
+parsed bodies from the path and formatted rows in numpy blocks: the pairs
+reader runs ``np.loadtxt`` on the open text handle, and the count and label
+writers format one line per entry.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy import sparse
 
+from cohsets.dataio import _PAIRS_PREAMBLE
 from cohsets.dbmr import (
     DbmrStep,
     DbmrTrace,
     ReducedModel,
     random_affiliation,
 )
-from cohsets.model import Partition, estimate, rescale
+from cohsets.model import PairDataset, Partition, estimate, rescale
 from cohsets.projection import FactorizationResiduals, build_projection
 from cohsets.seeding import mix_seed
 
@@ -288,3 +295,48 @@ def verify_factorization_reference(model, reduced):
         input_fixed=input_fixed,
         output_marginal=output_marginal,
     )
+
+
+def read_pairs_handle_reference(path):
+    """``read_pairs`` with ``np.loadtxt`` on the open handle, after a
+    ``tell``/``seek`` past the optional ``x,y`` line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        match = _PAIRS_PREAMBLE.match(first.strip())
+        if match is None:
+            raise ValueError(f"{path}: expected preamble '# n=<n> m=<m>', got {first.strip()!r}")
+        n, m = int(match.group(1)), int(match.group(2))
+        pos = fh.tell()
+        second = fh.readline()
+        if second.strip().lower() != "x,y":
+            fh.seek(pos)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                table = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed record line ({exc})") from exc
+    if table.size == 0:
+        raise ValueError(f"{path}: no records")
+    if table.shape[1] != 2:
+        raise ValueError(f"{path}: expected two comma-separated fields per record")
+    return PairDataset(inputs=table[:, 0], outputs=table[:, 1], n_inputs=n, n_outputs=m)
+
+
+def write_counts_lines_reference(path, counts):
+    """One f-string line per positive entry, in ``np.nonzero`` order."""
+    m, n = counts.shape
+    rows, cols = np.nonzero(counts.counts)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{m} {n} {counts.total}\n")
+        for i, j in zip(rows, cols):
+            fh.write(f"{i + 1} {j + 1} {counts.counts[i, j]}\n")
+
+
+def write_labels_lines_reference(path, labels, n_labels):
+    """One f-string line per label."""
+    labels = np.asarray(labels, dtype=np.int64)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# r={n_labels}\n")
+        for value in labels:
+            fh.write(f"{value}\n")

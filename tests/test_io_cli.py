@@ -1,16 +1,28 @@
+import contextlib
+import io
 import os
+import re
 import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohsets import dataio
 from cohsets.cli import main
 from cohsets.generators import gen_interval_map, gen_three_coherent
 from cohsets.model import CountMatrix, PairDataset, ingest_pairs
 from tests.conftest import random_counts
+from tests.dense_reference import (
+    read_pairs_handle_reference,
+    write_counts_lines_reference,
+    write_labels_lines_reference,
+)
 
 
 def test_pairs_roundtrip(tmp_path):
@@ -33,14 +45,30 @@ def _savetxt_bytes(path, dataset):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("chunk, size", [(1 << 16, 57), (7, 50), (5, 35), (5, 1)])
-def test_write_pairs_matches_savetxt_bytes(tmp_path, monkeypatch, chunk, size):
-    monkeypatch.setattr(dataio, "_PAIRS_CHUNK", chunk)
+def _random_pairs(size):
     rng = np.random.default_rng(size)
-    dataset = PairDataset(
-        inputs=rng.integers(1, 1001, size=size), outputs=rng.integers(1, 13, size=size),
-        n_inputs=1000, n_outputs=12,
-    )
+    return rng.integers(1, 1001, size=size), rng.integers(1, 13, size=size)
+
+
+# Every digit width from 1 to 19: 10^k and 10^k - 1 up to 10^18.
+_WIDTHS = np.sort(np.concatenate([10 ** np.arange(19), 10 ** np.arange(1, 19) - 1]))
+
+
+@pytest.mark.parametrize("chunk, inputs, outputs", [
+    pytest.param(1 << 16, *_random_pairs(57), id="65536-57"),
+    pytest.param(7, *_random_pairs(50), id="7-50"),
+    pytest.param(5, *_random_pairs(35), id="5-35"),
+    pytest.param(5, *_random_pairs(1), id="5-1"),
+    pytest.param(4, _WIDTHS, _WIDTHS[::-1], id="up-to-1e18"),
+    pytest.param(1 << 16, np.array([7, 10, 9, 99, 100, 1, 12345, 5]),
+                 np.array([3, 3, 1000, 2, 999, 10, 1, 7]), id="width-changes-in-block"),
+    pytest.param(1 << 16, np.array([3]), np.array([42]), id="one-record"),
+    pytest.param(4, np.arange(1, 10), np.arange(9, 0, -1), id="single-digit"),
+])
+def test_write_pairs_matches_savetxt_bytes(tmp_path, monkeypatch, chunk, inputs, outputs):
+    monkeypatch.setattr(dataio, "_PAIRS_CHUNK", chunk)
+    dataset = PairDataset(inputs=inputs, outputs=outputs,
+                          n_inputs=int(inputs.max()), n_outputs=int(outputs.max()))
     path = tmp_path / "pairs.csv"
     dataio.write_pairs(path, dataset)
     assert path.read_bytes() == _savetxt_bytes(tmp_path / "reference.csv", dataset)
@@ -72,6 +100,54 @@ def test_pairs_malformed(tmp_path):
     wide.write_text("# n=2 m=2\n1,1,1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="two comma-separated fields"):
         dataio.read_pairs(wide)
+
+
+def _pairs_body(draw):
+    """A pairs-file body over a 9 x 9 preamble: records with spaces around
+    their fields and trailing comments, blank and comment lines, and in half
+    the bodies one malformed line."""
+    field = st.integers(1, 9).map(str)
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    record = st.builds(lambda a, b, p, q, note: f"{p}{a}{q},{p}{b}{q}{note}",
+                       field, field, pad, pad, st.sampled_from(["", " # c", "#c", "  # 1,2"]))
+    line = st.one_of(record, record, record, st.sampled_from(["", "   ", "# note"]))
+    header = draw(st.one_of(st.just(None), st.sampled_from(["x", "X"]).flatmap(
+        lambda x: st.sampled_from(["y", "Y"]).map(lambda y: f"{x},{y}"))))
+    body = draw(st.lists(line, max_size=8))
+    if draw(st.booleans()):
+        malformed = st.sampled_from(["1,2,3", "1,", ",2", "1.5,2", "a,2", "1,b", "x,y", "1;2"])
+        body.insert(draw(st.integers(0, len(body))), draw(malformed))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["# n=9 m=9", *([header] if header else []), *body, *[""] * draw(st.integers(0, 2))]
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _read_outcome(reader, path):
+    try:
+        dataset = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return dataset.inputs.tolist(), dataset.outputs.tolist(), dataset.n_inputs, dataset.n_outputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_read_pairs_grammar_matches_handle_reader(data):
+    """read_pairs accepts exactly what loadtxt on the open handle accepts,
+    with the same arrays or the same error, and the CLI exits 2 on every
+    rejected file without a traceback."""
+    body = _pairs_body(data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.csv"
+        path.write_bytes(body.encode())
+        outcome = _read_outcome(dataio.read_pairs, path)
+        assert outcome == _read_outcome(read_pairs_handle_reference, path)
+        if isinstance(outcome, str):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["render", str(path), "--out", str(Path(tmp) / "m.ppm")])
+            assert code == 2
+            assert stderr.getvalue() == f"error: {outcome}\n"
 
 
 def test_counts_roundtrip(tmp_path):
@@ -109,6 +185,26 @@ def test_counts_malformed(tmp_path):
     negative.write_text("2 2 0\n1 1 -1\n1 2 1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="negative count"):
         dataio.read_counts(negative)
+
+
+def test_count_and_label_writers_match_line_formatting(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_PAIRS_CHUNK", 5)
+    rng = np.random.default_rng(11)
+    for index in range(6):
+        counts = random_counts(rng, rng.integers(1, 14), rng.integers(1, 14), density=0.6)
+        dataio.write_counts(tmp_path / "counts.txt", counts)
+        write_counts_lines_reference(tmp_path / "reference.txt", counts)
+        assert (tmp_path / "counts.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    big = CountMatrix(counts=np.array([[0, 10**15], [7, 0]]), total=10**15 + 7)
+    dataio.write_counts(tmp_path / "counts.txt", big)
+    write_counts_lines_reference(tmp_path / "reference.txt", big)
+    assert (tmp_path / "counts.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    for labels in ([1], [3, 1, 2], rng.integers(1, 12, size=23), [9, 10, 100, 1, 1000]):
+        dataio.write_labels(tmp_path / "labels.txt", labels, 1000)
+        write_labels_lines_reference(tmp_path / "reference.txt", labels, 1000)
+        assert (tmp_path / "labels.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    with pytest.raises(ValueError, match="nonnegative"):
+        dataio.write_labels(tmp_path / "labels.txt", [1, -2], 2)
 
 
 def test_labels_roundtrip(tmp_path):
@@ -401,3 +497,36 @@ def test_cli_verbose_logs_anomalies(tmp_path):
         )
         assert result.returncode == 0, result.stderr
         assert ("inactive latent states (4,)" in result.stderr) == logged
+
+
+def test_cli_verbose_logs_each_read(tmp_path):
+    """--verbose logs one INFO line per data file read; the report bytes are
+    the same with and without it, and without it stderr stays empty."""
+    pairs_path = tmp_path / "data.csv"
+    dataio.write_pairs(pairs_path, gen_three_coherent()[0])
+    labels_path = tmp_path / "labels.txt"
+    dataio.write_labels(labels_path, np.repeat([1, 2, 3], [25, 25, 50]), 3)
+    counts_path = tmp_path / "counts.txt"
+    counts_path.write_text("5 6 12\n1 2 4\n4 2 3\n4 5 5\n2 3 0\n", encoding="utf-8")
+    runs = {
+        r"read pairs file \S+: 25000 records, 0\.\d MB in \d+\.\d{3} s": (
+            "bounds", str(pairs_path), str(labels_path)),
+        r"read counts file \S+: 3 entries, 0\.0 MB in \d+\.\d{3} s": (
+            "compare", str(counts_path), "--rank", "1", "--runs", "2", "--no-images"),
+    }
+    for pattern, command in runs.items():
+        reports = []
+        for flags in (["--verbose"], []):
+            out = tmp_path / f"report{len(reports)}.json"
+            result = subprocess.run(
+                [sys.executable, "-m", "cohsets", *flags, *command, "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            reads = [line for line in result.stderr.splitlines() if " read " in line]
+            if flags:
+                assert len(reads) == 1 and re.fullmatch(f"INFO cohsets.cli: {pattern}", reads[0])
+            else:
+                assert result.stderr == ""
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
