@@ -17,6 +17,25 @@ The third table times the text formats in a temporary directory: a pairs
 file of 10^6 records over 300 categories, and a counts file of the 10^6
 entries of a fully occupied 1000 x 1000 count matrix, each written and read
 back, in MB/s of file.
+
+The fourth table times the steps of a compare request that once ran on
+dense m x n arrays and now run on the nonzeros of the counts, on the
+2048-box double-gyre sample of the gyre-flow benchmark's first seed-2
+request (64 x 32 boxes, 10 points a box, t_end 2, seed 2000; 0.39 %
+nonzero). It explains that workload's gain; ``perfbench/`` measures it.
+
+Replaced paths. The dense column below was measured on the code before the
+counts and P were stored as their entries (same sample, one BLAS thread of
+a 2-vCPU x86-64 machine, medians of 7 calls); the entry versions returned
+the same singular values and the same minimum up to rounding:
+
+    step                          dense m x n   on the entries
+    ingest_pairs + prune_empty        60 ms         1.7 ms
+    estimate                          61 ms         1.1 ms
+    rescaled                          20 ms         0.23 ms
+    full_svd (3 triplets)            117 ms          63 ms
+    truncate(...).min()               38 ms         2.7 ms (reduced_min_entry)
+    _coherence_scores                 19 ms         0.19 ms
 """
 
 from __future__ import annotations
@@ -29,8 +48,9 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from cohsets import _accel, dataio
-from cohsets.model import CountMatrix, PairDataset
+from cohsets import _accel, dataio, svd
+from cohsets.generators import GyreConfig, gen_double_gyre
+from cohsets.model import CountMatrix, PairDataset, estimate, ingest_pairs, prune_empty
 
 REPEATS = 3
 LATENT = 3
@@ -117,6 +137,32 @@ def text_io_table(rng: np.random.Generator) -> None:
             print(f"{name:<40} {seconds:>8.3f}s {path.stat().st_size / 1e6 / seconds:>8.1f}")
 
 
+def entries_table() -> None:
+    dataset, _ = gen_double_gyre(GyreConfig(seed=2000, nx=64, ny=32, points_per_box=10, t_end=2.0))
+    counts, _, _ = prune_empty(ingest_pairs(dataset))
+    model = estimate(counts)
+    factorization = svd.full_svd(model.rescaled, 3)
+    inputs = svd.kmeans(factorization.right, 3, seed=1)
+    outputs = svd.kmeans(factorization.left, 3, seed=2)
+    p, q = model.input_dist, model.output_dist
+    print(f"gyre sample: {counts.shape[0]} x {counts.shape[1]}, {counts.nonzeros} nonzeros")
+    print(f"{'step on the entries':<40} {'median':>9}")
+    for name, run in (
+        ("ingest_pairs + prune_empty", lambda: prune_empty(ingest_pairs(dataset))),
+        ("estimate", lambda: estimate(CountMatrix(counts=counts.counts, total=counts.total))),
+        ("rescaled", lambda: model.rescaled),
+        ("full_svd (3 triplets)", lambda: svd.full_svd(model.rescaled, 3)),
+        ("reduced_min_entry", lambda: svd.reduced_min_entry(factorization, 3, p, q)),
+        ("_coherence_scores", lambda: svd._coherence_scores(model, inputs, outputs)),
+    ):
+        times = []
+        for _ in range(7):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        print(f"{name:<40} {np.median(times) * 1e3:>7.2f}ms")
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
     advection_table(rng)
@@ -124,6 +170,8 @@ def main() -> None:
     storage_table(rng)
     print()
     text_io_table(rng)
+    print()
+    entries_table()
 
 
 if __name__ == "__main__":

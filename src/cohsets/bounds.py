@@ -166,14 +166,16 @@ def bound_constants(model: TransitionModel, reduced: ReducedModel) -> BoundConst
 
 @dataclass(frozen=True)
 class _Nonzeros:
-    """P and its reduction L on the nonzeros of P, in row-major order.
+    """P and its reduction L on the nonzeros of P, in P's column-major order.
 
-    ``at_label`` flat-indexes an m x r array at each nonzero's row and the
-    latent state of its column.
+    Column j's nonzeros are the slice ``starts[j]:starts[j + 1]``; every
+    column of P has one. ``at_label`` flat-indexes an m x r array at each
+    nonzero's row and the latent state of its column.
     """
 
     rows: np.ndarray
     cols: np.ndarray
+    starts: np.ndarray
     labels0: np.ndarray
     at_label: np.ndarray
     values: np.ndarray
@@ -187,9 +189,10 @@ class _Nonzeros:
         return cls(
             rows=rows,
             cols=cols,
+            starts=model.matrix.indptr[:-1],
             labels0=labels0,
             at_label=at_label,
-            values=model.matrix[rows, cols],
+            values=model.matrix.data,
             approx=reduced.factor.ravel().take(at_label),
         )
 
@@ -198,10 +201,8 @@ class _Nonzeros:
         return np.bincount(self.cols, weights=terms, minlength=self.labels0.size)
 
     def column_max(self, terms: np.ndarray) -> np.ndarray:
-        """Per-column maximum of nonnegative terms; every column has a nonzero."""
-        peaks = np.zeros(self.labels0.size)
-        np.maximum.at(peaks, self.cols, terms)
-        return peaks
+        """Per-column maximum of the terms; every column has a nonzero."""
+        return np.maximum.reduceat(terms, self.starts)
 
     def zeros_sum(self, terms: np.ndarray, peaks: np.ndarray) -> np.ndarray:
         """Per column j, the sum of the nonnegative ``terms[i, k_j]`` over the

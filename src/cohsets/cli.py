@@ -27,6 +27,7 @@ from .model import Partition, count_occurring
 from .projection import pythagoras_check, verify_factorization
 from .report import (
     TRACE_FIELDS,
+    check_image_shape,
     compare_experiment,
     multirun_experiment,
     render_compare_images,
@@ -215,6 +216,8 @@ def cmd_generate(args) -> int:
 
 def cmd_compare(args) -> int:
     counts, row_map, col_map, labels, provenance, _ = _resolve(args)
+    if not args.no_images:
+        check_image_shape(counts.shape)
     report, artifacts = compare_experiment(
         counts, rank=args.rank, runs=args.runs, seed=args.seed,
         max_steps=args.hmax, tol=args.tol, default_labels=labels,
@@ -287,6 +290,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_render(args) -> int:
     counts, _, col_map, default_labels, _, original_shape = _resolve(args)
+    check_image_shape(counts.shape)
     input_partition = _input_partition(args.labels, col_map, original_shape[1], default_labels)
     output_strip = None
     if input_partition is not None:

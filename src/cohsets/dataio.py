@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import CountMatrix, PairDataset
+from .model import CountMatrix, PairDataset, count_entries
 
 _PAIRS_PREAMBLE = re.compile(r"^#\s*n=(\d+)\s+m=(\d+)\s*$")
 _LABELS_PREAMBLE = re.compile(r"^#\s*r=(\d+)\s*$")
@@ -102,10 +102,11 @@ def read_pairs(path: str | Path) -> PairDataset:
 
 def write_counts(path: str | Path, counts: CountMatrix) -> None:
     m, n = counts.shape
-    rows, cols = counts.support
+    # Lines go in row-major order.
+    entries = counts.counts.tocsr().tocoo()
     with open(path, "wb") as fh:
         fh.write(f"{m} {n} {counts.total}\n".encode())
-        _write_table(fh, np.column_stack([rows + 1, cols + 1, counts.counts[rows, cols]]))
+        _write_table(fh, np.column_stack([entries.row + 1, entries.col + 1, entries.data]))
 
 
 def read_count_entries(path: str | Path) -> tuple:
@@ -136,10 +137,7 @@ def read_count_entries(path: str | Path) -> tuple:
 
 
 def read_counts(path: str | Path) -> CountMatrix:
-    shape, rows, cols, values = read_count_entries(path)
-    counts = np.zeros(shape, dtype=np.int64)
-    np.add.at(counts, (rows, cols), values)
-    return CountMatrix(counts=counts, total=int(values.sum()))
+    return count_entries(*read_count_entries(path))
 
 
 def write_labels(path: str | Path, labels: np.ndarray, n_labels: int) -> None:

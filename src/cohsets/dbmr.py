@@ -22,6 +22,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from ._accel import group_sums, latent_scores
 from .model import CountMatrix, Partition, TransitionModel
@@ -91,16 +92,26 @@ class DbmrTrace:
         return np.array([step.objective for step in self.steps])
 
 
-def log_likelihood(counts: CountMatrix, transition: np.ndarray) -> float:
-    """Count-weighted log of transition entries; -inf on support violation."""
-    transition = np.asarray(transition, dtype=np.float64)
+def log_likelihood(counts: CountMatrix, transition) -> float:
+    """Count-weighted log of transition entries; -inf on support violation.
+
+    ``transition`` is a dense array or a scipy sparse matrix, taken as CSC;
+    it is read at the positive counts only, straight from its stored values
+    when it is stored on exactly the counts' entries, as the estimated
+    model's P is.
+    """
+    transition = sparse.csc_array(transition, dtype=np.float64)
     if transition.shape != counts.shape:
         raise ValueError(f"transition shape {transition.shape} != counts shape {counts.shape}")
     _check_left_stochastic(transition, "transition")
-    values = transition[counts.support]
+    N = counts.counts
+    same_entries = np.array_equal(transition.indptr, N.indptr) and np.array_equal(
+        transition.indices, N.indices
+    )
+    values = transition.data if same_entries else transition[counts.support]
     if (values <= 0.0).any():
         return float("-inf")
-    return float(np.sum(counts.counts[counts.support] * np.log(values)))
+    return float(np.sum(N.data * np.log(values)))
 
 
 def relaxed_log_likelihood(

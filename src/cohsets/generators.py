@@ -24,9 +24,10 @@ DOMAIN_HEIGHT = 1.0
 def pairs_from_counts(counts: CountMatrix) -> PairDataset:
     """Expand a count matrix into records ordered by (input, output)."""
     m, n = counts.shape
-    by_input = counts.counts.T
-    inputs = np.repeat(np.arange(1, n + 1), by_input.sum(axis=1))
-    outputs = np.repeat(np.tile(np.arange(1, m + 1), n), by_input.ravel())
+    # The counts are stored column by column, rows increasing within each.
+    rows, cols = counts.support
+    inputs = np.repeat(cols + 1, counts.counts.data)
+    outputs = np.repeat(rows + 1, counts.counts.data)
     return PairDataset(inputs=inputs, outputs=outputs, n_inputs=n, n_outputs=m)
 
 

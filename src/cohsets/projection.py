@@ -89,15 +89,18 @@ def verify_factorization(
     p, affiliation = model.input_dist, reduced.affiliation
     if affiliation.size != p.size:
         raise ValueError(f"affiliation covers {affiliation.size} of {p.size} inputs")
-    labels0 = affiliation.labels - 1
-    masses = np.bincount(labels0, weights=p, minlength=affiliation.n_clusters)
-    weights = np.zeros((p.size, affiliation.n_clusters))
-    weights[np.arange(p.size), labels0] = p / masses[labels0]
+    labels0, r = affiliation.labels - 1, affiliation.n_clusters
+    masses = np.bincount(labels0, weights=p, minlength=r)
+    # The one nonzero W_jk of row j of W.
+    weights = p / masses[labels0]
+    # Entry (i, j) of P adds P_ij W_jk to (i, k_j) of P W.
+    rows, cols = model.support
+    class_averages = np.bincount(
+        rows * r + labels0[cols], model.matrix.data * weights[cols], model.shape[0] * r
+    ).reshape(-1, r)
     active = np.unique(labels0)
-    factorization = float(
-        np.abs(reduced.factor - model.matrix @ weights)[:, active].max()
-    )
-    input_fixed = float(np.abs(weights @ masses - p).max())
+    factorization = float(np.abs(reduced.factor - class_averages)[:, active].max())
+    input_fixed = float(np.abs(weights * masses[labels0] - p).max())
     output_marginal = float(np.abs(reduced.factor @ masses - model.output_dist).max())
     return FactorizationResiduals(
         factorization=factorization,

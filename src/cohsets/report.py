@@ -14,6 +14,7 @@ import logging
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from ._accel import BACKEND
 from .bounds import frobenius_kl_bound
@@ -28,7 +29,7 @@ from .dbmr import (
 )
 from .model import CountMatrix, Partition
 from .seeding import mix_seed
-from .svd import classical_pipeline, spectrum_depth, truncate
+from .svd import classical_pipeline, reduced_min_entry, spectrum_depth, truncate
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +41,22 @@ _PALETTE = np.array(
     ],
     dtype=np.uint8,
 )
+
+# Images are drawn only for matrices of at most this many entries (4096 x
+# 4096). Drawing one builds its m x n float64 matrix and several m x n
+# temporaries, about 0.5 GB at this size, and the PPM holds 3 bytes per
+# entry; the 2048 x 2048 double-gyre default stays under the limit.
+MAX_IMAGE_CELLS = 2**24
+
+
+def check_image_shape(shape: tuple[int, int]) -> None:
+    """Refuse to draw a matrix of more than ``MAX_IMAGE_CELLS`` entries."""
+    m, n = shape
+    if m * n > MAX_IMAGE_CELLS:
+        raise ValueError(
+            f"a {m} x {n} matrix has more than {MAX_IMAGE_CELLS} entries, too many to "
+            "draw; run compare with --no-images for the report alone"
+        )
 
 
 def render_matrix_image(
@@ -53,10 +70,16 @@ def render_matrix_image(
     Magnitudes map linearly to darkness; negative entries render in red.
     The left column colors the output partition, the bottom row the input
     partition; absent strips stay white. The canvas is (rows+1, cols+1).
+    ``matrix`` is a dense array or a scipy sparse matrix of at most
+    ``MAX_IMAGE_CELLS`` entries.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.size == 0:
+    if not sparse.issparse(matrix):
+        matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or 0 in matrix.shape:
         raise ValueError("matrix must be a nonempty 2-d array")
+    check_image_shape(matrix.shape)
+    if sparse.issparse(matrix):
+        matrix = matrix.toarray()
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must have finite entries")
     m, n = matrix.shape
@@ -157,7 +180,6 @@ def compare_experiment(
     sigma_full = np.concatenate([computed, np.zeros(depth - computed.size)])
     sigma_reduced = reduced_singular_values(best, model)
     bound = frobenius_kl_bound(counts, best, kappa_choice="post")
-    truncated = truncate(classical.factorization, rank, model.input_dist, model.output_dist)
 
     report = {
         "dataset": {
@@ -201,9 +223,13 @@ def compare_experiment(
         },
         "classical": {
             "coherence_objective": float(classical.coherence),
-            "reduced_min_entry": float(truncated.min()),
+            "reduced_min_entry": reduced_min_entry(
+                classical.factorization, rank, model.input_dist, model.output_dist
+            ),
         },
         "diagnostics": _count_diagnostics(counts, traces) | {
+            "svd_path": classical.factorization.path,
+            "svd_values_cut": classical.factorization.values_cut,
             "dbmr_best_run": int(best_run),
             "dbmr_best_iterations": int(traces[best_run].iterations),
             "dbmr_converged_runs": int(sum(t.converged for t in traces)),
@@ -213,7 +239,7 @@ def compare_experiment(
     artifacts = {
         "model": model,
         "classical": classical,
-        "truncated": truncated,
+        "rank": int(rank),
         "reduced": best,
         "dbmr_output_partition": dbmr_out,
     }
@@ -232,7 +258,8 @@ def _count_diagnostics(counts: CountMatrix, traces) -> dict:
 
 
 def render_compare_images(artifacts: dict, base: str | Path) -> list[str]:
-    """Write the estimated, truncated, and reduced matrices next to ``base``."""
+    """Write the estimated, truncated, and reduced matrices next to ``base``;
+    the m x n truncated matrix is built here, for its image only."""
     base = Path(base)
     if base.suffix == ".json":
         base = base.with_suffix("")
@@ -243,7 +270,8 @@ def render_compare_images(artifacts: dict, base: str | Path) -> list[str]:
     paths = []
     for suffix, matrix, parts in (
         ("P", model.matrix, dbmr_parts),
-        ("svd", artifacts["truncated"],
+        ("svd", truncate(classical.factorization, artifacts["rank"],
+                         model.input_dist, model.output_dist),
          (classical.input_partition, classical.output_partition)),
         ("dbmr", reduced.approx, dbmr_parts),
     ):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy import sparse
 from scipy.sparse.linalg import ArpackError, svds
 
 from .model import CountMatrix, Partition, TransitionModel
@@ -28,11 +28,17 @@ RANK_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Leading singular triplets, restricted to values above the rank cutoff."""
+    """Leading singular triplets, restricted to values above the rank cutoff.
+
+    ``path`` names the solver that ran, "arpack" or "lapack"; ``values_cut``
+    counts the computed values at or below the rank cutoff, which were dropped.
+    """
 
     left: np.ndarray
     singular_values: np.ndarray
     right: np.ndarray
+    path: str
+    values_cut: int
 
     @property
     def rank(self) -> int:
@@ -52,40 +58,66 @@ def spectrum_depth(rank: int, size: int) -> int:
     return min(max(rank, 3), size)
 
 
-def full_svd(matrix: np.ndarray, k: int | None = None) -> SvdFactorization:
+def full_svd(matrix, k: int | None = None) -> SvdFactorization:
     """The ``k`` leading singular triplets of ``matrix`` (all when ``k`` is None).
 
-    Triplets with singular values at or below the rank cutoff are dropped.
-    For ``k < min(m, n)`` ARPACK runs on a CSR copy of the matrix from a
-    fixed start vector, so repeated calls return identical arrays; LAPACK
-    computes the thin SVD when ``k >= min(m, n)`` or the matrix is zero.
+    ``matrix`` is a dense array or a scipy sparse matrix; a dense one is
+    converted to CSC, so only the nonzeros are read. Triplets with singular
+    values at or below the rank cutoff are dropped. For ``k < min(m, n)``
+    ARPACK runs on the nonzeros from a fixed start vector, so repeated calls
+    return identical arrays. LAPACK computes the thin SVD of the densified
+    matrix when ``k >= min(m, n)``, so the dense array has at most k rows or
+    columns, and when the matrix is zero.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.size == 0:
+    matrix = sparse.csc_array(matrix, dtype=np.float64)
+    if min(matrix.shape) == 0:
         raise ValueError("matrix must be a nonempty 2-d array")
-    if not np.isfinite(matrix).all():
+    if not np.isfinite(matrix.data).all():
         raise ValueError("matrix must have finite entries")
     size = min(matrix.shape)
     k = size if k is None else k
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    # ARPACK cannot start on a zero matrix.
+    path = "arpack" if k < size and matrix.data.any() else "lapack"
     try:
-        # ARPACK cannot start on a zero matrix.
-        if k < size and matrix.any():
+        if path == "arpack":
             # A seeded generic vector: a structured one such as all ones is
             # orthogonal to singular vectors of symmetric block examples.
             start = np.random.default_rng(0).standard_normal(size)
-            left, sigma, right_t = svds(csr_array(matrix), k=k, tol=0, v0=start)
+            left, sigma, right_t = svds(matrix, k=k, tol=0, v0=start)
             left, sigma, right_t = left[:, ::-1], sigma[::-1], right_t[::-1]
         else:
-            left, sigma, right_t = np.linalg.svd(matrix, full_matrices=False)
+            left, sigma, right_t = np.linalg.svd(matrix.toarray(), full_matrices=False)
     except (np.linalg.LinAlgError, ArpackError) as exc:
         raise np.linalg.LinAlgError(f"SVD failed to converge: {exc}") from exc
     cutoff = RANK_TOLERANCE * max(matrix.shape) * (sigma[0] if sigma.size else 0.0)
     keep = sigma > cutoff
     return SvdFactorization(
-        left=left[:, keep], singular_values=sigma[keep], right=right_t[keep].T
+        left=left[:, keep],
+        singular_values=sigma[keep],
+        right=right_t[keep].T,
+        path=path,
+        values_cut=int(sigma.size - keep.sum()),
     )
+
+
+def _truncated_factors(
+    factorization: SvdFactorization,
+    rank: int,
+    input_dist: np.ndarray,
+    output_dist: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(m x rank, n x rank) factors whose product A @ B.T is the rank-``rank``
+    truncation in transition-matrix coordinates: the sqrt(q) and 1/sqrt(p)
+    rescalings are folded into the left and right singular vectors."""
+    if not 1 <= rank <= factorization.rank:
+        raise ValueError(f"rank must lie in [1, {factorization.rank}], got {rank}")
+    left = factorization.left[:, :rank] * (
+        factorization.singular_values[:rank] * np.sqrt(output_dist)[:, np.newaxis]
+    )
+    right = factorization.right[:, :rank] / np.sqrt(input_dist)[:, np.newaxis]
+    return left, right
 
 
 def truncate(
@@ -94,19 +126,35 @@ def truncate(
     input_dist: np.ndarray,
     output_dist: np.ndarray,
 ) -> np.ndarray:
-    """Rank-``rank`` truncation in transition-matrix coordinates.
+    """Rank-``rank`` truncation in transition-matrix coordinates, as a dense
+    m x n array; only images need it whole.
 
     The truncated rescaled matrix is taken back through the diagonal
     rescaling that built it from the transition matrix,
     D_out^{1/2} @ truncated @ D_in^{-1/2}. Its columns sum to one when the
     leading singular value is simple; it may contain negative entries.
     """
-    if not 1 <= rank <= factorization.rank:
-        raise ValueError(f"rank must lie in [1, {factorization.rank}], got {rank}")
-    scaled_left = factorization.left[:, :rank] * factorization.singular_values[:rank]
-    reduced = scaled_left @ factorization.right[:, :rank].T
-    reduced *= np.sqrt(output_dist)[:, np.newaxis] / np.sqrt(input_dist)[np.newaxis, :]
-    return reduced
+    left, right = _truncated_factors(factorization, rank, input_dist, output_dist)
+    return left @ right.T
+
+
+# ``reduced_min_entry`` forms the truncation this many entries at a time.
+ROW_BLOCK_ENTRIES = 2**16
+
+
+def reduced_min_entry(
+    factorization: SvdFactorization,
+    rank: int,
+    input_dist: np.ndarray,
+    output_dist: np.ndarray,
+) -> float:
+    """Smallest entry of ``truncate``'s matrix, formed in blocks of rows so
+    that no m x n array is built."""
+    left, right = _truncated_factors(factorization, rank, input_dist, output_dist)
+    step = max(1, ROW_BLOCK_ENTRIES // right.shape[0])
+    return float(min(
+        (left[start:start + step] @ right.T).min() for start in range(0, left.shape[0], step)
+    ))
 
 
 def degree_of_coherence(matrix: np.ndarray, rank: int) -> float:
@@ -231,17 +279,17 @@ def _coherence_scores(
     """Matrix of transition probabilities between clusters.
 
     Entry (k, l) is the probability that the output lands in output cluster
-    l+1 given that the input lies in input cluster k+1.
+    l+1 given that the input lies in input cluster k+1: the joint mass
+    P_ij p_j of the entries from input cluster k+1 to output cluster l+1,
+    over the input cluster's mass.
     """
     r = input_partition.n_clusters
-    joint = model.matrix * model.input_dist[np.newaxis, :]
-    in_onehot = np.zeros((model.shape[1], r))
-    in_onehot[np.arange(model.shape[1]), input_partition.labels - 1] = 1.0
-    out_onehot = np.zeros((model.shape[0], r))
-    out_onehot[np.arange(model.shape[0]), output_partition.labels - 1] = 1.0
-    cluster_joint = out_onehot.T @ joint @ in_onehot
-    input_mass = model.input_dist @ in_onehot
-    return (cluster_joint / input_mass[np.newaxis, :]).T
+    rows, cols = model.support
+    in_labels0 = input_partition.labels - 1
+    pair = in_labels0[cols] * r + (output_partition.labels - 1)[rows]
+    joint = np.bincount(pair, model.matrix.data * model.input_dist[cols], r * r)
+    input_mass = np.bincount(in_labels0, model.input_dist, r)
+    return joint.reshape(r, r) / input_mass[:, np.newaxis]
 
 
 def _best_assignment(scores: np.ndarray) -> tuple[np.ndarray, float]:

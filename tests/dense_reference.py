@@ -11,6 +11,11 @@ The text readers and writers are kept as they ran before ``cohsets.dataio``
 parsed bodies from the path and formatted rows in numpy blocks: the pairs
 reader runs ``np.loadtxt`` on the open text handle, and the count and label
 writers format one line per entry.
+
+The estimate, the likelihood and norm of the full model, the cluster
+scores of the partition matching and the truncation are kept as they ran
+before the counts and P were stored as their nonzeros: on dense m x n
+arrays. ``dense`` gives the m x n array of counts or of a stored matrix.
 """
 
 from __future__ import annotations
@@ -28,9 +33,70 @@ from cohsets.dbmr import (
     ReducedModel,
     random_affiliation,
 )
-from cohsets.model import PairDataset, Partition, estimate, rescale
+from cohsets.model import CountMatrix, PairDataset, Partition, estimate, rescale
 from cohsets.projection import FactorizationResiduals, build_projection
 from cohsets.seeding import mix_seed
+
+
+def dense(matrix) -> np.ndarray:
+    """The m x n array of a ``CountMatrix``'s counts, or of a dense or scipy
+    sparse matrix."""
+    if isinstance(matrix, CountMatrix):
+        matrix = matrix.counts
+    return matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
+
+
+def estimate_dense(counts):
+    """(P, p, q) of ``model.estimate``, from the dense counts."""
+    N = dense(counts)
+    col_sums = N.sum(axis=0)
+    if (col_sums <= 0).any() or (N.sum(axis=1) <= 0).any():
+        raise ValueError("counts must be pruned: zero row or column sum found")
+    p = col_sums / counts.total
+    p /= p.sum()
+    P = N / col_sums[np.newaxis, :]
+    P /= P.sum(axis=0, keepdims=True)
+    q = P @ p
+    q /= q.sum()
+    return P, p, q
+
+
+def log_likelihood_dense(counts, P):
+    """Sum of N log P over the positive counts; -inf where P is zero there."""
+    N = dense(counts)
+    observed = N > 0
+    if (P[observed] <= 0.0).any():
+        return float("-inf")
+    return float(np.sum(N[observed] * np.log(P[observed])))
+
+
+def rescaled_norm_sq_dense(P, p, q):
+    rescaled = rescale(P, p, q)
+    return float(np.sum(rescaled * rescaled))
+
+
+def coherence_scores_dense(P, p, input_partition, output_partition):
+    """Cluster-to-cluster transition probabilities from one-hot products."""
+    m, n = P.shape
+    r = input_partition.n_clusters
+    joint = P * p[np.newaxis, :]
+    in_onehot = np.zeros((n, r))
+    in_onehot[np.arange(n), input_partition.labels - 1] = 1.0
+    out_onehot = np.zeros((m, r))
+    out_onehot[np.arange(m), output_partition.labels - 1] = 1.0
+    cluster_joint = out_onehot.T @ joint @ in_onehot
+    input_mass = p @ in_onehot
+    return (cluster_joint / input_mass[np.newaxis, :]).T
+
+
+def truncate_dense(factorization, rank, input_dist, output_dist):
+    """The rank-``rank`` rescaled truncation, then the inverse rescaling."""
+    if not 1 <= rank <= factorization.rank:
+        raise ValueError(f"rank must lie in [1, {factorization.rank}], got {rank}")
+    scaled_left = factorization.left[:, :rank] * factorization.singular_values[:rank]
+    reduced = scaled_left @ factorization.right[:, :rank].T
+    reduced *= np.sqrt(output_dist)[:, np.newaxis] / np.sqrt(input_dist)[np.newaxis, :]
+    return reduced
 
 
 def latent_scores_loop(counts, factor):
@@ -73,7 +139,7 @@ def group_sums_loop(counts, labels0, r):
 
 def bound_constants_dense(model, reduced):
     """(kappa_diff, kappa_col, deviations) from dense |P - L| temporaries."""
-    P = model.matrix
+    P = dense(model.matrix)
     L = reduced.approx
     q = model.output_dist[:, np.newaxis]
     abs_diff = np.abs(P - L)
@@ -102,7 +168,7 @@ def zeros_max_dense(P, weighted, labels0):
 
 
 def weighted_kl_sum_dense(model, reduced):
-    P = model.matrix
+    P = dense(model.matrix)
     L = reduced.approx
     support = P > 0.0
     if (L[support] <= 0.0).any():
@@ -113,7 +179,7 @@ def weighted_kl_sum_dense(model, reduced):
 
 
 def frob_gap_sq_dense(model, reduced):
-    gap = model.rescaled - rescale(reduced.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale(reduced.approx, model.input_dist, model.output_dist)
     return float(np.sum(gap * gap))
 
 
@@ -282,7 +348,7 @@ def verify_factorization_reference(model, reduced):
     """Residuals of the exact factorization through the dense n x n projection."""
     projection = build_projection(model.input_dist, reduced.affiliation)
     factorization = float(
-        np.abs(reduced.approx - model.matrix @ projection.matrix).max()
+        np.abs(reduced.approx - dense(model.matrix) @ projection.matrix).max()
     )
     input_fixed = float(
         np.abs(projection.matrix @ model.input_dist - model.input_dist).max()
@@ -326,11 +392,12 @@ def read_pairs_handle_reference(path):
 def write_counts_lines_reference(path, counts):
     """One f-string line per positive entry, in ``np.nonzero`` order."""
     m, n = counts.shape
-    rows, cols = np.nonzero(counts.counts)
+    N = dense(counts)
+    rows, cols = np.nonzero(N)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{m} {n} {counts.total}\n")
         for i, j in zip(rows, cols):
-            fh.write(f"{i + 1} {j + 1} {counts.counts[i, j]}\n")
+            fh.write(f"{i + 1} {j + 1} {N[i, j]}\n")
 
 
 def write_labels_lines_reference(path, labels, n_labels):

@@ -32,6 +32,7 @@ from cohsets.model import Partition, estimate, ingest_pairs, prune_empty, rescal
 from cohsets.projection import build_projection, pythagoras_check, verify_factorization
 from cohsets.svd import classical_pipeline, truncate
 from tests.conftest import random_counts
+from tests.dense_reference import dense
 
 
 def test_three_set_classical_spectrum_and_reduction(three_example):
@@ -43,12 +44,12 @@ def test_three_set_classical_spectrum_and_reduction(three_example):
     assert sigma[1] == pytest.approx(1.0, abs=1e-9)
     assert sigma[2] == pytest.approx(0.6, abs=1e-9)
     reduced = truncate(result.factorization, 3, model.input_dist, model.output_dist)
-    assert np.abs(reduced - model.matrix).max() <= 1e-8
+    assert np.abs(reduced - dense(model.matrix)).max() <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(f"PASS three-set classical: sigma=({sigma[0]:.9f}, {sigma[1]:.9f}, "
           f"{sigma[2]:.9f}), reduction residual "
-          f"{np.abs(reduced - model.matrix).max():.2e}, {elapsed:.2f}s")
+          f"{np.abs(reduced - dense(model.matrix)).max():.2e}, {elapsed:.2f}s")
 
 
 def test_three_set_alternating_best_of_100(three_example):
@@ -57,7 +58,7 @@ def test_three_set_alternating_best_of_100(three_example):
     best, best_run, traces = multi_start(counts, 3, runs=100, seed=0)
     objective = traces[best_run].steps[-1].objective
     assert objective == pytest.approx(-0.954e5, abs=0.001e5)
-    gap = model.rescaled - rescale(best.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale(best.approx, model.input_dist, model.output_dist)
     gap_sq = float(np.sum(gap * gap))
     assert gap_sq <= 1e-12
     report = frobenius_kl_bound(counts, best)
@@ -71,7 +72,7 @@ def test_three_set_alternating_best_of_100(three_example):
 def test_interval_map_quantities(interval_example, interval_affiliation):
     counts, model, _ = interval_example
     start = time.perf_counter()
-    sigma = np.linalg.svd(model.rescaled, compute_uv=False)
+    sigma = np.linalg.svd(dense(model.rescaled), compute_uv=False)
     assert sigma[1] == pytest.approx(1.0, abs=1e-9)
     assert sigma[2] == pytest.approx(1.0, abs=1e-9)
 
@@ -82,7 +83,7 @@ def test_interval_map_quantities(interval_example, interval_affiliation):
     assert coherence == pytest.approx(3.0, abs=1e-9)
 
     default = reduce_with_affiliation(counts, interval_affiliation)
-    gap = model.rescaled - rescale(default.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale(default.approx, model.input_dist, model.output_dist)
     assert float(np.sum(gap * gap)) == pytest.approx(27.0, abs=1e-6)
     report = frobenius_kl_bound(counts, default)
     assert report.kappa_value == pytest.approx(1 / 30, abs=1e-9)
@@ -104,7 +105,7 @@ def _perturbed_instance_checks(dataset, rank, seed):
     counts, _, _ = prune_empty(ingest_pairs(dataset))
     model = estimate(counts)
     best, best_run, traces = multi_start(counts, rank, runs=3, seed=seed)
-    sigma_full = np.linalg.svd(model.rescaled, compute_uv=False)
+    sigma_full = np.linalg.svd(dense(model.rescaled), compute_uv=False)
     sigma_reduced = rescaled_factor_spectrum(
         best.factor, best.affiliation.labels, model
     )
@@ -164,9 +165,9 @@ def test_randomized_structural_suite():
         for _ in range(100):
             rival = rng.random((m, r))
             rival /= rival.sum(axis=0)
-            rival_gap = np.sum((model.rescaled - rival[:, labels - 1] * scale) ** 2)
+            rival_gap = np.sum((dense(model.rescaled) - rival[:, labels - 1] * scale) ** 2)
             assert lhs <= rival_gap + 1e-12
-        residual = model.rescaled - rescale(reduced.approx, model.input_dist, model.output_dist)
+        residual = dense(model.rescaled) - rescale(reduced.approx, model.input_dist, model.output_dist)
         for _ in range(5):
             arbitrary = rng.standard_normal((m, n))
             assert abs(np.sum(residual * (arbitrary @ sym))) <= 1e-9

@@ -19,6 +19,7 @@ from cohsets.dbmr import (
 )
 from cohsets.model import Partition, estimate, rescale
 from tests.conftest import random_counts
+from tests.dense_reference import dense
 
 
 def test_balancedness_examples():
@@ -129,7 +130,7 @@ def test_bound_constants_post_dominates_prior_random():
 
 def _bound_constants_by_column(model, reduced):
     """(kappa_diff, kappa_col, deviations) column by column through the helpers."""
-    P, L, q = model.matrix, reduced.approx, model.output_dist
+    P, L, q = dense(model.matrix), reduced.approx, model.output_dist
     n = P.shape[1]
     diff_terms, col_terms, deviations = np.empty(n), np.empty(n), np.empty(n)
     zero_tol = 32.0 * np.finfo(np.float64).eps
@@ -186,7 +187,7 @@ def test_chain_three_default(three_example, three_affiliation):
     assert report.frob_gap_sq < 1e-12
     assert report.kl_form == pytest.approx(0.0, abs=1e-12)
     assert report.likelihood_form == pytest.approx(0.0, abs=1e-9)
-    full_norm = float(np.sum(model.rescaled ** 2))
+    full_norm = float(np.sum(dense(model.rescaled) ** 2))
     assert report.coherence_bound == pytest.approx(full_norm, abs=1e-9)
     assert full_norm == pytest.approx(2.36, abs=1e-9)
 

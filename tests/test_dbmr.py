@@ -21,6 +21,7 @@ from cohsets.dbmr import (
 from cohsets.model import CountMatrix, Partition, estimate, rescale
 from cohsets.report import multirun_experiment
 from tests.conftest import random_counts
+from tests.dense_reference import dense
 
 # independent arithmetic for the three-set example: 50 structured columns carry
 # 25 cells of count 8 at probability 0.032 and 25 cells of count 2 at 0.008,
@@ -61,7 +62,7 @@ def test_relaxed_equals_full_on_identity_affiliation(three_example):
     n = counts.shape[1]
     identity = Partition(labels=np.arange(1, n + 1), n_clusters=n)
     factor = update_factor(counts, identity)
-    assert factor == pytest.approx(model.matrix, abs=1e-12)
+    assert factor == pytest.approx(dense(model.matrix), abs=1e-12)
     assert relaxed_log_likelihood(counts, factor, identity) == pytest.approx(
         log_likelihood(counts, model.matrix)
     )
@@ -137,7 +138,7 @@ def test_update_affiliation_is_columnwise_argmax():
         affiliation = update_affiliation(counts, factor)
         logf = np.log(factor)
         for j in range(counts.shape[1]):
-            scores = counts.counts[:, j] @ logf
+            scores = dense(counts)[:, j] @ logf
             assert affiliation.labels[j] - 1 == int(np.argmax(scores))
 
 
@@ -166,7 +167,7 @@ def test_dbmr_run_three_default_exact(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced, trace = dbmr_run(counts, three_affiliation)
     assert trace.converged
-    assert np.abs(reduced.approx - model.matrix).max() < 1e-15
+    assert np.abs(reduced.approx - dense(model.matrix)).max() < 1e-15
     assert trace.steps[-1].objective == pytest.approx(THREE_REFERENCE, abs=1e-6)
     assert trace.steps[-1].frob_gap_sq < 1e-12
 
@@ -202,7 +203,7 @@ def test_dbmr_preserves_average_of_extremes():
     init = Partition(labels=np.array([1, 2, 3]), n_clusters=3)
     reduced, trace = dbmr_run(counts, init)
     model = estimate(counts)
-    assert np.abs(reduced.approx - model.matrix).max() == 0.0
+    assert np.abs(reduced.approx - dense(model.matrix)).max() == 0.0
     assert reduced.affiliation.inactive == ()
     assert len(np.unique(reduced.affiliation.labels)) == 3
 
@@ -250,7 +251,7 @@ def test_multi_start_three_example(three_example):
     final = traces[best_run].steps[-1].objective
     assert final == pytest.approx(THREE_REFERENCE, abs=1e-6)
     assert all(t.steps[-1].objective <= final + 1e-9 for t in traces)
-    gap = model.rescaled - rescale(best.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale(best.approx, model.input_dist, model.output_dist)
     assert np.sum(gap * gap) < 1e-12
     finals = {round(t.steps[-1].objective, 6) for t in traces}
     assert finals == {
@@ -334,7 +335,7 @@ def _assert_gap_terms_match_direct(counts, model, init):
         factor = step.factor
         approx = factor[:, step.labels - 1]
         scaled = approx * np.sqrt(model.input_dist)[None, :] / np.sqrt(model.output_dist)[:, None]
-        gap = model.rescaled - scaled
+        gap = dense(model.rescaled) - scaled
         assert step.frob_gap_sq == pytest.approx(np.sum(gap * gap), abs=1e-9)
         assert step.approx_norm_sq == pytest.approx(np.sum(scaled * scaled), abs=1e-9)
         sigma = rescaled_factor_spectrum(factor, step.labels, model)

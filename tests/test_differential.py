@@ -7,7 +7,10 @@ sink input columns to -inf for every latent state. The two DBMR kernels run
 on a dense array and on a scipy sparse matrix; the bound chain runs on the
 nonzeros of P. Each result is compared with the dense formulas in
 ``tests/dense_reference.py``. The batched DBMR ascent is compared, bit for
-bit, with the sequential one kept there.
+bit, with the sequential one kept there. The model estimated on the entries
+of the counts, its likelihood and norm, the cluster scores and the
+truncation's smallest entry are compared with the dense m x n formulas kept
+there too.
 """
 
 import tracemalloc
@@ -30,6 +33,7 @@ from cohsets.bounds import (
 from cohsets.dbmr import (
     ReducedModel,
     dbmr_run,
+    log_likelihood,
     multi_start,
     random_affiliation,
     reduce_with_affiliation,
@@ -39,10 +43,16 @@ from cohsets.model import CountMatrix, Partition, estimate, ingest_pairs, prune_
 from cohsets.projection import pythagoras_check, verify_factorization
 from cohsets.report import compare_experiment, multirun_experiment
 from cohsets.seeding import mix_seed
-from cohsets.svd import classical_pipeline
+from cohsets.svd import _coherence_scores, classical_pipeline, full_svd, reduced_min_entry, truncate
 from tests.dense_reference import (
+    dense,
     best_labels_reference,
     bound_constants_dense,
+    coherence_scores_dense,
+    estimate_dense,
+    log_likelihood_dense,
+    rescaled_norm_sq_dense,
+    truncate_dense,
     frob_gap_sq_dense,
     group_sums_loop,
     latent_scores_loop,
@@ -165,7 +175,7 @@ def test_bound_chain_matches_dense_formulas(case):
     weighted = reduced.factor / model.output_dist[:, np.newaxis]
     assert np.array_equal(
         nz.zeros_max(weighted),
-        zeros_max_dense(model.matrix, weighted, reduced.affiliation.labels - 1),
+        zeros_max_dense(dense(model.matrix), weighted, reduced.affiliation.labels - 1),
     )
     gap, dense_gap = _frob_gap_sq(nz, model, reduced), frob_gap_sq_dense(model, reduced)
     assert abs(gap - dense_gap) <= 1e-12 * (dense_gap + model.rescaled_norm_sq)
@@ -173,6 +183,47 @@ def test_bound_chain_matches_dense_formulas(case):
         # the zeros of an exact fit contribute exactly nothing
         assert gap <= 1e-24
         assert frobenius_kl_bound(counts, reduced).frob_gap_sq == gap
+
+
+def _assert_close(value, expected, scale=None):
+    """Agreement within 1e-12 relative to ``scale`` (default: the expected value)."""
+    scale = np.abs(expected) if scale is None else scale
+    assert np.all(np.abs(np.asarray(value) - expected) <= 1e-12 * scale)
+
+
+@SETTINGS
+@given(case=reductions(), data=st.data())
+def test_entry_model_matches_dense_formulas(case, data):
+    """P, p and q, the full model's likelihood and rescaled norm, the cluster
+    scores and the truncation estimated on the entries of the counts agree
+    with the dense m x n formulas, on both storages. The drawn matrices
+    include a single category, columns with one nonzero, exact block fits,
+    truncation ranks up to min(m, n) and partitions with empty clusters."""
+    pruned, _, reduced, _ = case
+    storage = data.draw(st.sampled_from(["dense", "sparse"]))
+    with pytest.MonkeyPatch.context() as patch:
+        counts = _counts_on_storage(patch, dense(pruned), storage)
+        model = counts.model
+    P, p, q = estimate_dense(counts)
+    _assert_close(dense(model.matrix), P)
+    _assert_close(model.input_dist, p)
+    _assert_close(model.output_dist, q)
+    _assert_close(model.rescaled_norm_sq, rescaled_norm_sq_dense(P, p, q))
+    _assert_close(log_likelihood(counts, model.matrix), log_likelihood_dense(counts, P))
+    m, n = counts.shape
+    r = reduced.n_latent
+    outputs = Partition(labels=data.draw(arrays(np.int64, m, elements=st.integers(1, r))), n_clusters=r)
+    with np.errstate(invalid="ignore"):  # an empty input cluster scores 0 / 0
+        scores = _coherence_scores(model, reduced.affiliation, outputs)
+        expected = coherence_scores_dense(P, p, reduced.affiliation, outputs)
+    assert np.array_equal(np.isnan(scores), np.isnan(expected))
+    _assert_close(scores[~np.isnan(expected)], expected[~np.isnan(expected)])
+    factorization = full_svd(model.rescaled, data.draw(st.integers(1, min(m, n) + 1)))
+    rank = data.draw(st.integers(1, factorization.rank))
+    reference = truncate_dense(factorization, rank, p, q)
+    scale = np.abs(reference).max()
+    _assert_close(truncate(factorization, rank, p, q), reference, scale)
+    _assert_close(reduced_min_entry(factorization, rank, p, q), reference.min(), scale)
 
 
 def test_exact_fit_gaps(three_example, three_affiliation, interval_example,
@@ -384,6 +435,8 @@ def test_multi_start_tie_goes_to_the_lowest_run():
 def test_storage_follows_shape_and_nonzeros():
     small = np.eye(100, dtype=np.int64)
     assert CountMatrix(counts=small, total=100).storage == "dense"
+    # the dense kernels' BLAS products run on C-ordered counts
+    assert CountMatrix(counts=small, total=100).operand.flags.c_contiguous
     size = 512
     sparse_counts = np.eye(size, dtype=np.int64)
     counts = CountMatrix(counts=sparse_counts, total=size)
@@ -435,9 +488,10 @@ def test_factorization_residuals_allocate_no_projection():
 
 
 def test_estimate_and_classical_pipeline_peaks():
-    """On a 2048-box gyre sample the model holds P alone: estimating it
-    allocates P and an m x n mask, and the classical pipeline adds only the
-    rescaled matrix it factorizes."""
+    """On a 2048-box gyre sample (0.4 % nonzero) the counts, P, its rescaled
+    form and everything a compare derives from them live on the nonzeros:
+    estimating the model, the classical pipeline and a whole fresh compare
+    each peak below a quarter of one m x n float64 array."""
     config = GyreConfig(nx=64, ny=32, points_per_box=10, t_end=2.0, seed=2000)
     counts, _, _ = prune_empty(ingest_pairs(gen_double_gyre(config)[0]))
     matrix_bytes = 8 * counts.shape[0] * counts.shape[1]
@@ -445,8 +499,9 @@ def test_estimate_and_classical_pipeline_peaks():
     def fresh():
         return CountMatrix(counts=counts.counts, total=counts.total)
 
-    assert _traced_peak(lambda: estimate(fresh())) < 1.5 * matrix_bytes
-    assert _traced_peak(lambda: classical_pipeline(fresh(), 3)) < 2.5 * matrix_bytes
+    assert _traced_peak(lambda: estimate(fresh())) < 0.25 * matrix_bytes
+    assert _traced_peak(lambda: classical_pipeline(fresh(), 3)) < 0.25 * matrix_bytes
+    assert _traced_peak(lambda: compare_experiment(fresh(), 3, runs=5, seed=2)) < 0.25 * matrix_bytes
 
 
 @SETTINGS
@@ -457,9 +512,9 @@ def test_pythagoras_matches_dense_formula(case):
     counts, model, reduced, _ = case
     reduced = reduce_with_affiliation(counts, reduced.affiliation)
     p, q = model.input_dist, model.output_dist
-    dense = pythagoras_check_dense(model.rescaled, rescale(reduced.approx, p, q))
+    reference = pythagoras_check_dense(dense(model.rescaled), rescale(reduced.approx, p, q))
     tolerance = 1e-12 * (1.0 + model.rescaled_norm_sq)
-    for value, expected in zip(pythagoras_check(model, reduced), dense):
+    for value, expected in zip(pythagoras_check(model, reduced), reference):
         assert abs(value - expected) <= tolerance
 
 
@@ -470,9 +525,9 @@ def test_factorization_residuals_match_dense_projection(case):
     equal those through the dense projection up to rounding."""
     _, model, reduced, _ = case
     residuals = verify_factorization(model, reduced)
-    dense = verify_factorization_reference(model, reduced)
+    reference = verify_factorization_reference(model, reduced)
     for field in ("factorization", "input_fixed", "output_marginal"):
-        assert abs(getattr(residuals, field) - getattr(dense, field)) <= 1e-12
+        assert abs(getattr(residuals, field) - getattr(reference, field)) <= 1e-12
 
 
 def test_reports_carry_storage_counters(three_example):
@@ -483,7 +538,7 @@ def test_reports_carry_storage_counters(three_example):
         summary, _, _ = multirun_experiment(counts, 3, runs=3, seed=4)
         expected = {
             "count_storage": storage,
-            "count_nonzeros": int(np.count_nonzero(counts.counts)),
+            "count_nonzeros": int(np.count_nonzero(dense(counts))),
             # each column's own latent state covers its support, so no
             # column of a DBMR iterate scores -inf everywhere
             "dbmr_sunk_columns": 0,
@@ -495,3 +550,6 @@ def test_reports_carry_storage_counters(three_example):
             assert {key: diagnostics[key] for key in expected} == expected
             assert diagnostics["dbmr_update_pairs"] == pairs
         assert set(summary["diagnostics"]) == set(expected) | {"dbmr_update_pairs"}
+        # three triplets of a 100 x 100 or larger matrix come from ARPACK
+        assert report["diagnostics"]["svd_path"] == "arpack"
+        assert report["diagnostics"]["svd_values_cut"] == 0

@@ -19,6 +19,7 @@ from cohsets.generators import gen_interval_map, gen_three_coherent
 from cohsets.model import CountMatrix, PairDataset, ingest_pairs
 from tests.conftest import random_counts
 from tests.dense_reference import (
+    dense,
     read_pairs_handle_reference,
     write_counts_lines_reference,
     write_labels_lines_reference,
@@ -157,7 +158,7 @@ def test_counts_roundtrip(tmp_path):
         path = tmp_path / f"counts{index}.txt"
         dataio.write_counts(path, counts)
         back = dataio.read_counts(path)
-        assert np.array_equal(back.counts, counts.counts)
+        assert np.array_equal(dense(back), dense(counts))
         assert back.total == counts.total
 
 
@@ -165,7 +166,7 @@ def test_counts_duplicate_entries_accumulate(tmp_path):
     path = tmp_path / "dups.txt"
     path.write_text("2 2 7\n1 1 3\n1 1 2\n2 2 2\n", encoding="utf-8")
     counts = dataio.read_counts(path)
-    assert counts.counts.tolist() == [[5, 0], [0, 2]]
+    assert dense(counts).tolist() == [[5, 0], [0, 2]]
 
 
 def test_counts_malformed(tmp_path):
@@ -439,9 +440,8 @@ def test_cli_mismatched_labels_width(tmp_path):
     assert main(["bounds", str(pairs_path), str(labels_path)]) == 2
 
 
-def _cli_capped(args):
-    """Run the CLI in a child process capped at 2 GiB of address space."""
-    cap = 2 << 30
+def _cli_capped(args, cap=2 << 30):
+    """Run the CLI in a child process capped at ``cap`` bytes of address space."""
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -468,6 +468,50 @@ def test_cli_declared_shape_is_not_allocated(tmp_path):
         assert result.returncode == 0 or (
             result.returncode == 2 and "Traceback" not in result.stderr
         ), result.stderr
+
+
+def _occurring_pairs(path, categories, records):
+    """Write a pairs file in which all ``categories`` inputs and outputs occur."""
+    rng = np.random.default_rng(categories)
+    inputs, outputs = (rng.permutation(np.arange(records) % categories) + 1 for _ in range(2))
+    dataio.write_pairs(path, PairDataset(inputs=inputs, outputs=outputs,
+                                         n_inputs=categories, n_outputs=categories))
+
+
+def test_cli_refuses_images_of_a_huge_shape(tmp_path, monkeypatch):
+    """Above ``report.MAX_IMAGE_CELLS`` entries, compare without --no-images
+    and render exit 2 with a message naming --no-images, before any pipeline
+    runs."""
+    from cohsets import cli
+
+    pairs_path = tmp_path / "wide.csv"
+    _occurring_pairs(pairs_path, 4097, 4097)
+    monkeypatch.setattr(cli, "compare_experiment", lambda *args, **kwargs: pytest.fail("ran"))
+    monkeypatch.setattr(cli, "reduce_with_affiliation", lambda *args: pytest.fail("ran"))
+    for args in (["compare", str(pairs_path), "--out", str(tmp_path / "r.json")],
+                 ["render", str(pairs_path), "--out", str(tmp_path / "m.ppm")]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert main(args) == 2
+        assert "--no-images" in stderr.getvalue()
+    assert not any(tmp_path.glob("*.json")) and not any(tmp_path.glob("*.ppm"))
+
+
+@pytest.mark.slow
+def test_cli_compare_memory_follows_the_records(tmp_path):
+    """100 000 records whose 20 000 inputs and outputs all occur: compare
+    --no-images runs under a 3 GiB address-space cap, where the dense
+    20 000 x 20 000 counts alone would take 3.2 GB; with images it exits 2
+    with a message and no traceback."""
+    pairs_path = tmp_path / "wide.csv"
+    _occurring_pairs(pairs_path, 20_000, 100_000)
+    args = ["compare", str(pairs_path), "--runs", "5", "--out", str(tmp_path / "wide.json")]
+    result = _cli_capped([*args, "--no-images"], cap=3 << 30)
+    assert result.returncode == 0, result.stderr
+    assert dataio.read_json(tmp_path / "wide.json")["diagnostics"]["count_nonzeros"] > 90_000
+    result = _cli_capped(args, cap=3 << 30)
+    assert result.returncode == 2, result.stderr
+    assert "--no-images" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_cli_counts_file_keeps_occurring_categories(tmp_path):

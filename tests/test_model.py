@@ -16,13 +16,14 @@ from cohsets.model import (
     prune_empty,
 )
 from tests.conftest import random_counts
+from tests.dense_reference import dense
 
 
 def test_ingest_small():
     ds = PairDataset(inputs=[1, 1, 2], outputs=[1, 2, 2], n_inputs=2, n_outputs=2)
     counts = ingest_pairs(ds)
     assert counts.total == 3
-    assert counts.counts.tolist() == [[1, 0], [1, 1]]
+    assert dense(counts).tolist() == [[1, 0], [1, 1]]
 
 
 def test_ingest_matches_block_construction(three_example):
@@ -36,7 +37,7 @@ def test_ingest_matches_block_construction(three_example):
                 expected[i, j] = 2
             elif i >= 50 and j >= 50:
                 expected[i, j] = 5
-    assert np.array_equal(counts.counts, expected)
+    assert np.array_equal(dense(counts), expected)
     assert counts.total == 25000
 
 
@@ -67,14 +68,14 @@ def test_prune_drops_empty_rows_and_columns():
     assert pruned.shape == (2, 2)
     assert row_map.tolist() == [1, 3]
     assert col_map.tolist() == [1, 3]
-    assert pruned.counts.tolist() == [[2, 1], [1, 3]]
+    assert dense(pruned).tolist() == [[2, 1], [1, 3]]
     assert pruned.total == 7
 
 
 def test_prune_noop_when_dense():
     counts = CountMatrix(counts=np.array([[1, 2], [3, 4]]), total=10)
     pruned, row_map, col_map = prune_empty(counts)
-    assert np.array_equal(pruned.counts, counts.counts)
+    assert np.array_equal(dense(pruned), dense(counts))
     assert row_map.tolist() == [1, 2]
     assert col_map.tolist() == [1, 2]
 
@@ -104,7 +105,7 @@ def test_count_matrix_model_is_estimated_once(monkeypatch):
     model = counts.model
     assert counts.model is model
     assert len(calls) == 1
-    assert np.array_equal(model.matrix, original(counts).matrix)
+    assert np.array_equal(dense(model.matrix), dense(original(counts).matrix))
     unpruned = CountMatrix(counts=np.array([[1, 0], [1, 0]]), total=2)
     with pytest.raises(ValueError, match="pruned"):
         unpruned.model
@@ -122,7 +123,7 @@ def test_partition_active_and_inactive():
 def test_estimate_identity():
     counts = CountMatrix(counts=np.array([[3, 0], [0, 7]]), total=10)
     model = estimate(counts)
-    assert np.allclose(model.matrix, np.eye(2))
+    assert np.allclose(dense(model.matrix), np.eye(2))
     assert np.allclose(model.input_dist, [0.3, 0.7])
     assert np.allclose(model.output_dist, [0.3, 0.7])
 
@@ -132,18 +133,18 @@ def test_estimate_three_example_marginals(three_example):
     assert np.allclose(model.input_dist, 0.01)
     assert np.allclose(model.output_dist, 0.01)
     # columns of E1 mix 0.8 into F1 and 0.2 into F2
-    assert model.matrix[:25, 0] == pytest.approx([0.032] * 25)
-    assert model.matrix[25:50, 0] == pytest.approx([0.008] * 25)
-    assert model.matrix[50:, 0] == pytest.approx([0.0] * 50)
+    assert dense(model.matrix)[:25, 0] == pytest.approx([0.032] * 25)
+    assert dense(model.matrix)[25:50, 0] == pytest.approx([0.008] * 25)
+    assert dense(model.matrix)[50:, 0] == pytest.approx([0.0] * 50)
 
 
 def test_estimate_interval_entries(interval_example):
     _, model, _ = interval_example
-    values = np.unique(np.round(model.matrix, 12))
+    values = np.unique(np.round(dense(model.matrix), 12))
     assert values.tolist() == [0.0, pytest.approx(1 / 3)]
     assert np.allclose(model.input_dist, 1 / 90)
     # uniform marginals make the rescaled matrix equal the raw one
-    assert np.allclose(model.rescaled, model.matrix)
+    assert np.allclose(dense(model.rescaled), dense(model.matrix))
 
 
 def test_estimate_random_invariants():
@@ -153,11 +154,11 @@ def test_estimate_random_invariants():
         pruned, _, _ = prune_empty(counts)
         model = estimate(pruned)
         n = model.shape[1]
-        assert model.matrix.sum(axis=0) == pytest.approx(np.ones(n))
-        assert model.matrix @ model.input_dist == pytest.approx(model.output_dist)
-        expected = model.matrix * np.sqrt(model.input_dist)[None, :]
+        assert dense(model.matrix).sum(axis=0) == pytest.approx(np.ones(n))
+        assert dense(model.matrix) @ model.input_dist == pytest.approx(model.output_dist)
+        expected = dense(model.matrix) * np.sqrt(model.input_dist)[None, :]
         expected /= np.sqrt(model.output_dist)[:, None]
-        assert model.rescaled == pytest.approx(expected)
+        assert dense(model.rescaled) == pytest.approx(expected)
 
 
 def test_rescaled_leading_singular_structure():
@@ -167,7 +168,7 @@ def test_rescaled_leading_singular_structure():
         counts = random_counts(rng, rng.integers(2, 10), rng.integers(2, 10), density=0.8)
         pruned, _, _ = prune_empty(counts)
         model = estimate(pruned)
-        u, s, vt = np.linalg.svd(model.rescaled)
+        u, s, vt = np.linalg.svd(dense(model.rescaled))
         assert s[0] == pytest.approx(1.0, abs=1e-9)
         root_p = np.sqrt(model.input_dist)
         direction = vt[0] / np.linalg.norm(vt[0])
@@ -182,7 +183,7 @@ def test_transition_model_holds_p_and_its_marginals():
     )
     model = estimate(random_counts(np.random.default_rng(3), 6, 8, density=0.5))
     # the norm gathers on the support with rescale's product per entry
-    values = model.rescaled[model.support]
+    values = dense(model.rescaled)[model.support]
     assert model.rescaled_norm_sq == float(np.sum(values * values))
 
 
@@ -197,13 +198,13 @@ def test_count_occurring_is_prune_empty(n):
     expected, rows, cols = prune_empty(ingest_pairs(
         PairDataset(inputs=inputs + 1, outputs=outputs + 1, n_inputs=6, n_outputs=6)
     ))
-    entry_rows, entry_cols = np.nonzero(expected.counts)
-    weights = expected.counts[entry_rows, entry_cols]
+    entry_rows, entry_cols = np.nonzero(dense(expected))
+    weights = dense(expected)[entry_rows, entry_cols]
     for counts, row_map, col_map in (
         count_occurring(used[outputs], used[inputs]),
         count_occurring(used[rows - 1][entry_rows], used[cols - 1][entry_cols], weights),
     ):
-        assert np.array_equal(counts.counts, expected.counts)
+        assert np.array_equal(dense(counts), dense(expected))
         assert counts.total == expected.total == 40
         assert np.array_equal(row_map, used[rows - 1] + 1)
         assert np.array_equal(col_map, used[cols - 1] + 1)

@@ -10,6 +10,7 @@ from cohsets.projection import (
     verify_factorization,
 )
 from tests.conftest import random_counts
+from tests.dense_reference import dense
 
 
 def _affiliation(labels: np.ndarray, r: int) -> Partition:
@@ -156,7 +157,7 @@ def test_frobenius_orthogonality_random():
     labels = rng.integers(1, 4, size=9)
     reduced = reduce_with_affiliation(counts, _affiliation(labels, 3))
     proj = build_projection(model.input_dist, reduced.affiliation)
-    residual = model.rescaled - rescale(reduced.approx, model.input_dist, model.output_dist)
+    residual = dense(model.rescaled) - rescale(reduced.approx, model.input_dist, model.output_dist)
     for _ in range(50):
         arbitrary = rng.standard_normal((7, 9))
         assert abs(np.sum(residual * (arbitrary @ proj.rescaled))) < 1e-9
@@ -171,20 +172,20 @@ def test_projected_transition_is_best_approximation():
     labels = rng.integers(1, 4, size=8)
     reduced = reduce_with_affiliation(counts, _affiliation(labels, 3))
     reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
-    best = np.sum((model.rescaled - reduced_rescaled) ** 2)
+    best = np.sum((dense(model.rescaled) - reduced_rescaled) ** 2)
     scale = np.sqrt(model.input_dist)[None, :] / np.sqrt(model.output_dist)[:, None]
     for _ in range(100):
         factor = rng.random((6, 3))
         factor /= factor.sum(axis=0)
         rival = factor[:, labels - 1] * scale
-        rival_gap = np.sum((model.rescaled - rival) ** 2)
+        rival_gap = np.sum((dense(model.rescaled) - rival) ** 2)
         assert best <= rival_gap + 1e-12
 
 
 def test_dominance_three(three_example, three_affiliation):
     counts, model, _ = three_example
     proj = build_projection(model.input_dist, three_affiliation)
-    pairs = singular_value_dominance(model.rescaled, proj.rescaled)
+    pairs = singular_value_dominance(dense(model.rescaled), proj.rescaled)
     top = [(round(a, 9), round(b, 9)) for a, b in pairs[:4]]
     assert top == [(1.0, 1.0), (1.0, 1.0), (0.6, 0.6), (0.0, 0.0)]
 
@@ -192,7 +193,7 @@ def test_dominance_three(three_example, three_affiliation):
 def test_dominance_interval(interval_example, interval_affiliation):
     counts, model, _ = interval_example
     proj = build_projection(model.input_dist, interval_affiliation)
-    pairs = singular_value_dominance(model.rescaled, proj.rescaled)
+    pairs = singular_value_dominance(dense(model.rescaled), proj.rescaled)
     # the default grouping keeps three perfectly coherent directions and
     # annihilates the other 27 unit directions
     assert [round(a, 9) for a, _ in pairs[:3]] == [1.0, 1.0, 1.0]
@@ -208,7 +209,7 @@ def test_dominance_random():
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         proj = build_projection(model.input_dist, _affiliation(labels, r))
-        for projected, original in singular_value_dominance(model.rescaled, proj.rescaled):
+        for projected, original in singular_value_dominance(dense(model.rescaled), proj.rescaled):
             assert projected <= original + 1e-9
 
 
@@ -220,7 +221,7 @@ def test_dominance_matches_reduced_spectrum():
     labels = rng.integers(1, 4, size=10)
     reduced = reduce_with_affiliation(counts, _affiliation(labels, 3))
     proj = build_projection(model.input_dist, reduced.affiliation)
-    via_projection = np.linalg.svd(model.rescaled @ proj.rescaled, compute_uv=False)
+    via_projection = np.linalg.svd(dense(model.rescaled) @ proj.rescaled, compute_uv=False)
     reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
     direct = np.linalg.svd(reduced_rescaled, compute_uv=False)
     assert via_projection == pytest.approx(direct, abs=1e-12)

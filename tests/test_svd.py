@@ -21,6 +21,7 @@ from cohsets.svd import (
 from cohsets.model import CountMatrix
 from cohsets.seeding import rng_for
 from tests.conftest import random_counts
+from tests.dense_reference import dense
 
 
 def relabelings_equal(a: Partition, b: Partition) -> bool:
@@ -58,7 +59,7 @@ def _gyre_matrix():
 def _assert_leading_triplets(matrix, k):
     """Compare ``full_svd(matrix, k)`` with LAPACK's thin SVD."""
     fac = full_svd(matrix, k)
-    left, sigma, right_t = np.linalg.svd(matrix, full_matrices=False)
+    left, sigma, right_t = np.linalg.svd(dense(matrix), full_matrices=False)
     kept = int(np.sum(sigma[:k] > svd.RANK_TOLERANCE * max(matrix.shape) * sigma[0]))
     assert fac.rank == kept
     np.testing.assert_allclose(fac.singular_values, sigma[:kept], rtol=0, atol=1e-12)
@@ -85,7 +86,7 @@ def test_full_svd_leading_triplets_paper_examples(three_example, interval_exampl
 
 def test_full_svd_leading_triplets_gyre():
     matrix = _gyre_matrix()
-    assert np.count_nonzero(matrix) < 0.05 * matrix.size
+    assert matrix.nnz < 0.05 * np.prod(matrix.shape)
     for k in (1, 3, 4):
         _assert_leading_triplets(matrix, k)
 
@@ -138,6 +139,17 @@ def test_compare_experiment_pads_spectrum_with_zeros():
     assert result["singular_values"]["full"] == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
     assert result["singular_values"]["full_sigma3"] == 0.0
     assert result["singular_values"]["full_coherence"] == pytest.approx(1.0, abs=1e-12)
+    # ARPACK computed three values of the 6 x 6 matrix and the cutoff dropped one
+    assert result["diagnostics"]["svd_path"] == "arpack"
+    assert result["diagnostics"]["svd_values_cut"] == 1
+
+
+def test_compare_reports_the_lapack_path():
+    """Three triplets cover a 3 x 3 spectrum, so LAPACK factorizes it."""
+    counts = CountMatrix(counts=np.array([[4, 0, 0], [0, 4, 1], [0, 1, 4]]), total=14)
+    result, _ = report.compare_experiment(counts, 2, runs=2)
+    assert result["diagnostics"]["svd_path"] == "lapack"
+    assert result["diagnostics"]["svd_values_cut"] == 0
 
 
 def test_full_svd_drops_numerical_zeros():
@@ -157,16 +169,16 @@ def test_three_example_spectrum(three_example):
     fac = full_svd(model.rescaled)
     assert fac.rank == 3
     assert fac.singular_values == pytest.approx([1.0, 1.0, 0.6], abs=1e-12)
-    full = np.linalg.svd(model.rescaled, compute_uv=False)
+    full = np.linalg.svd(dense(model.rescaled), compute_uv=False)
     assert full[3:].max() < 1e-10
 
 
 def test_interval_spectrum_thirty_ones(interval_example):
     _, model, _ = interval_example
-    sigma = np.linalg.svd(model.rescaled, compute_uv=False)
+    sigma = np.linalg.svd(dense(model.rescaled), compute_uv=False)
     assert sigma[:30] == pytest.approx(np.ones(30), abs=1e-9)
     assert sigma[30:].max() < 1e-10
-    assert np.sum(model.rescaled**2) == pytest.approx(30.0)
+    assert np.sum(dense(model.rescaled) ** 2) == pytest.approx(30.0)
 
 
 def test_truncate_full_rank_reproduces(three_example):
@@ -177,8 +189,8 @@ def test_truncate_full_rank_reproduces(three_example):
         fac = full_svd(model.rescaled)
         reduced = truncate(fac, fac.rank, model.input_dist, model.output_dist)
         reduced_rescaled = rescale(reduced, model.input_dist, model.output_dist)
-        assert reduced_rescaled == pytest.approx(model.rescaled, abs=1e-12)
-        assert reduced == pytest.approx(model.matrix, abs=1e-12)
+        assert reduced_rescaled == pytest.approx(dense(model.rescaled), abs=1e-12)
+        assert reduced == pytest.approx(dense(model.matrix), abs=1e-12)
     fac = full_svd(nonuniform.rescaled)
     reduced = truncate(fac, 2, nonuniform.input_dist, nonuniform.output_dist)
     assert reduced.sum(axis=0) == pytest.approx(np.ones(8), abs=1e-12)
@@ -233,16 +245,16 @@ def test_coherence_maximized_by_singular_frames():
 
 def test_degree_of_coherence_bounds(three_example, interval_example):
     _, model3, _ = three_example
-    assert degree_of_coherence(model3.rescaled, 3) == pytest.approx(2.6, abs=1e-9)
+    assert degree_of_coherence(dense(model3.rescaled), 3) == pytest.approx(2.6, abs=1e-9)
     _, model9, _ = interval_example
-    assert degree_of_coherence(model9.rescaled, 3) == pytest.approx(3.0, abs=1e-9)
-    assert degree_of_coherence(model9.rescaled, 1) == pytest.approx(1.0, abs=1e-9)
+    assert degree_of_coherence(dense(model9.rescaled), 3) == pytest.approx(3.0, abs=1e-9)
+    assert degree_of_coherence(dense(model9.rescaled), 1) == pytest.approx(1.0, abs=1e-9)
     rng = np.random.default_rng(2)
     for _ in range(20):
         counts = random_counts(rng, 6, 6)
         model = estimate(counts)
         for r in (1, 2, 3):
-            assert degree_of_coherence(model.rescaled, r) <= r + 1e-9
+            assert degree_of_coherence(dense(model.rescaled), r) <= r + 1e-9
 
 
 def test_degree_of_coherence_rank_validation():
@@ -420,7 +432,7 @@ def test_classical_pipeline_three_example(three_example):
     # matched clusters pair E_k with its own image: 0.8 + 0.8 + 1.0
     assert result.coherence == pytest.approx(2.6, abs=1e-9)
     reduced = truncate(result.factorization, 3, model.input_dist, model.output_dist)
-    assert reduced == pytest.approx(model.matrix, abs=1e-8)
+    assert reduced == pytest.approx(dense(model.matrix), abs=1e-8)
 
 
 def test_classical_result_holds_no_matrix(interval_example):
