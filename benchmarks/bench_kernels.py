@@ -24,6 +24,14 @@ dense m x n arrays and now run on the nonzeros of the counts, on the
 request (64 x 32 boxes, 10 points a box, t_end 2, seed 2000; 0.39 %
 nonzero). It explains that workload's gain; ``perfbench/`` measures it.
 
+The fifth table times the k-means of a classical pipeline, both sides with
+10 restarts each: the restarts run one at a time, as kept in
+``tests/dense_reference.py``, against the batched Lloyd loop of
+``svd.kmeans``, on the singular vectors of the three-coherent example at
+window noise 3 (100 x 3 points) and of the gyre sample above (2048 x 3).
+Both give the same labels, which the table asserts. It explains the
+k-means part of paper-batch's gain; ``perfbench/`` measures it.
+
 Replaced paths. The dense column below was measured on the code before the
 counts and P were stored as their entries (same sample, one BLAS thread of
 a 2-vCPU x86-64 machine, medians of 7 calls); the entry versions returned
@@ -41,6 +49,7 @@ the same singular values and the same minimum up to rounding:
 from __future__ import annotations
 
 import math
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -49,8 +58,12 @@ import numpy as np
 from scipy import sparse
 
 from cohsets import _accel, dataio, svd
-from cohsets.generators import GyreConfig, gen_double_gyre
+from cohsets.generators import GyreConfig, gen_double_gyre, gen_three_coherent
 from cohsets.model import CountMatrix, PairDataset, estimate, ingest_pairs, prune_empty
+
+# The k-means restarts run one at a time are kept as a test reference.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.dense_reference import kmeans_reference  # noqa: E402
 
 REPEATS = 3
 LATENT = 3
@@ -137,13 +150,17 @@ def text_io_table(rng: np.random.Generator) -> None:
             print(f"{name:<40} {seconds:>8.3f}s {path.stat().st_size / 1e6 / seconds:>8.1f}")
 
 
-def entries_table() -> None:
+def gyre_sample() -> PairDataset:
     dataset, _ = gen_double_gyre(GyreConfig(seed=2000, nx=64, ny=32, points_per_box=10, t_end=2.0))
+    return dataset
+
+
+def entries_table(dataset: PairDataset) -> None:
     counts, _, _ = prune_empty(ingest_pairs(dataset))
     model = estimate(counts)
     factorization = svd.full_svd(model.rescaled, 3)
-    inputs = svd.kmeans(factorization.right, 3, seed=1)
-    outputs = svd.kmeans(factorization.left, 3, seed=2)
+    inputs, _ = svd.kmeans(factorization.right, 3, seed=1)
+    outputs, _ = svd.kmeans(factorization.left, 3, seed=2)
     p, q = model.input_dist, model.output_dist
     print(f"gyre sample: {counts.shape[0]} x {counts.shape[1]}, {counts.nonzeros} nonzeros")
     print(f"{'step on the entries':<40} {'median':>9}")
@@ -163,6 +180,30 @@ def entries_table() -> None:
         print(f"{name:<40} {np.median(times) * 1e3:>7.2f}ms")
 
 
+def kmeans_table(gyre: PairDataset) -> None:
+    three, _ = gen_three_coherent(epsilon=3)
+    samples = (("three-coherent eps=3, 100 x 3", three), ("gyre sample, 2048 x 3", gyre))
+    print(f"{'kmeans, 10 restarts, both sides':<40} {'one at a time':>14} {'batched':>9}")
+    for name, dataset in samples:
+        counts, _, _ = prune_empty(ingest_pairs(dataset))
+        factorization = svd.full_svd(counts.model.rescaled, 3)
+        sides = (factorization.right, factorization.left)
+        for side, seed in zip(sides, (1, 2)):
+            reference, _, _ = kmeans_reference(side, 3, seed=seed)
+            assert np.array_equal(svd.kmeans(side, 3, seed=seed)[0].labels, reference)
+        times = []
+        for run in (lambda points, seed: kmeans_reference(points, 3, seed=seed),
+                    lambda points, seed: svd.kmeans(points, 3, seed=seed)):
+            calls = []
+            for _ in range(7):
+                start = time.perf_counter()
+                for side, seed in zip(sides, (1, 2)):
+                    run(side, seed)
+                calls.append(time.perf_counter() - start)
+            times.append(np.median(calls))
+        print(f"{name:<40} {times[0] * 1e3:>12.2f}ms {times[1] * 1e3:>7.2f}ms")
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
     advection_table(rng)
@@ -171,7 +212,10 @@ def main() -> None:
     print()
     text_io_table(rng)
     print()
-    entries_table()
+    gyre = gyre_sample()
+    entries_table(gyre)
+    print()
+    kmeans_table(gyre)
 
 
 if __name__ == "__main__":

@@ -39,8 +39,9 @@ def velocity_arrays(x, y, t, a, delta, omega):
     sw = delta * math.sin(omega * t)
     f = sw * x * x + (1.0 - 2.0 * sw) * x
     dfdx = 2.0 * sw * x + 1.0 - 2.0 * sw
-    u = -a * np.pi * np.sin(np.pi * f) * np.cos(np.pi * y)
-    v = a * np.pi * np.cos(np.pi * f) * np.sin(np.pi * y) * dfdx
+    pi_f, pi_y = np.pi * f, np.pi * y
+    u = -a * np.pi * np.sin(pi_f) * np.cos(pi_y)
+    v = a * np.pi * np.cos(pi_f) * np.sin(pi_y) * dfdx
     return u, v
 
 

@@ -103,7 +103,9 @@ def deviation_coefficient(u: np.ndarray, v: np.ndarray) -> float:
     return float(ratio.max() * (2.0 / 3.0))
 
 
-def bound_constants(model: TransitionModel, reduced: ReducedModel) -> BoundConstants:
+def bound_constants(
+    model: TransitionModel, reduced: ReducedModel, nz: _Nonzeros | None = None
+) -> BoundConstants:
     """Columnwise balancedness constants for the model/reduction pair.
 
     kappa_diff halves the smallest weighted balancedness of the column
@@ -114,9 +116,10 @@ def bound_constants(model: TransitionModel, reduced: ReducedModel) -> BoundConst
 
     Column j of the difference |P - L| is |P - F| on the nonzeros of P and
     the factor column F_k of j's label k elsewhere, so every column term is a
-    sum or maximum over the column's nonzeros plus a term of F_k.
+    sum or maximum over the column's nonzeros plus a term of F_k. ``nz`` is
+    the pair's nonzero view when the caller has built it.
     """
-    nz = _Nonzeros.of(model, reduced)
+    nz = _Nonzeros.of(model, reduced) if nz is None else nz
     F, q = reduced.factor, model.output_dist
     diff = np.abs(nz.values - nz.approx)
     # Entries live in [0, 1], so differences at rounding scale mean the column
@@ -287,7 +290,8 @@ def frobenius_kl_bound(
     if kappa_choice not in _KAPPA_CHOICES:
         raise ValueError(f"kappa_choice must be one of {_KAPPA_CHOICES}")
     model = counts.model
-    constants = bound_constants(model, reduced)
+    nz = _Nonzeros.of(model, reduced)
+    constants = bound_constants(model, reduced, nz)
     kappa_value = {
         "post": constants.kappa_post,
         "pr": constants.kappa_prior,
@@ -295,7 +299,6 @@ def frobenius_kl_bound(
         "q2": constants.kappa_col,
     }[kappa_choice]
     kappa_tag = constants.kappa_post_tag if kappa_choice == "post" else kappa_choice
-    nz = _Nonzeros.of(model, reduced)
     frob_gap_sq = _frob_gap_sq(nz, model, reduced)
     kl_sum = _weighted_kl_sum(nz, model)
     full_objective = log_likelihood(counts, model.matrix)

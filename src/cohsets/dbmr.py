@@ -17,7 +17,6 @@ restarts.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass
 
@@ -76,20 +75,47 @@ class DbmrStep:
 
 @dataclass(frozen=True)
 class DbmrTrace:
-    """Iterates of one run; ``sunk_columns`` sums, over the run's affiliation
-    updates, the input columns that scored -inf for every latent state."""
+    """Iterates of one run, the initial one first, as arrays of one entry per
+    iterate: ``objectives``, ``frob_gap_sq`` and ``approx_norm_sq``.
 
-    steps: tuple[DbmrStep, ...]
+    ``labels`` and ``factor`` are the final iterate's. When snapshots were
+    asked for, ``label_snapshots`` (iterates, n) and ``factor_snapshots``
+    (iterates, m, r) hold every iterate's. ``sunk_columns`` sums, over the
+    run's affiliation updates, the input columns that scored -inf for every
+    latent state.
+    """
+
+    objectives: np.ndarray
+    frob_gap_sq: np.ndarray
+    approx_norm_sq: np.ndarray
+    labels: np.ndarray
+    factor: np.ndarray
     converged: bool
     sunk_columns: int
+    label_snapshots: np.ndarray | None = None
+    factor_snapshots: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
-        return len(self.steps) - 1
+        return self.objectives.size - 1
 
     @property
-    def objectives(self) -> np.ndarray:
-        return np.array([step.objective for step in self.steps])
+    def steps(self) -> tuple[DbmrStep, ...]:
+        """One ``DbmrStep`` per iterate, built on access; the last always
+        carries the final labels and factor."""
+        scalars = zip(
+            self.objectives.tolist(), self.frob_gap_sq.tolist(), self.approx_norm_sq.tolist()
+        )
+        steps = []
+        for index, values in enumerate(scalars):
+            if index == self.iterations:
+                snapshot = (self.labels, self.factor)
+            elif self.label_snapshots is not None:
+                snapshot = (self.label_snapshots[index], self.factor_snapshots[index])
+            else:
+                snapshot = (None, None)
+            steps.append(DbmrStep(index, *values, *snapshot))
+        return tuple(steps)
 
 
 def log_likelihood(counts: CountMatrix, transition) -> float:
@@ -171,7 +197,7 @@ def update_factor(counts: CountMatrix, affiliation: Partition) -> np.ndarray:
         raise ValueError(
             f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
         )
-    _, factor = _ml_factors(
+    _, _, factor = _ml_factors(
         counts.operand, (affiliation.labels - 1)[np.newaxis], affiliation.n_clusters
     )
     if affiliation.inactive:
@@ -179,15 +205,18 @@ def update_factor(counts: CountMatrix, affiliation: Partition) -> np.ndarray:
     return factor[0]
 
 
-def _ml_factors(operand, labels0: np.ndarray, n_latent: int) -> tuple[np.ndarray, np.ndarray]:
-    """(grouped counts, maximum-likelihood factors), both (runs, m, n_latent),
-    for the 0-based labels in each row of ``labels0``; latent states without
+def _ml_factors(
+    operand, labels0: np.ndarray, n_latent: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grouped counts, latent totals, maximum-likelihood factors) for the
+    0-based labels in each row of ``labels0``: (runs, m, n_latent),
+    (runs, 1, n_latent) and (runs, m, n_latent). Latent states without
     inputs get the uniform column."""
     grouped = group_sums(operand, labels0, n_latent)
     totals = grouped.sum(axis=1, keepdims=True)
     factor = np.full(grouped.shape, 1.0 / grouped.shape[1])
     np.divide(grouped, totals, out=factor, where=totals > 0.0)
-    return grouped, factor
+    return grouped, totals, factor
 
 
 def update_affiliation(counts: CountMatrix, factor: np.ndarray) -> Partition:
@@ -214,7 +243,7 @@ def _best_labels(counts: CountMatrix, factor: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _gap_terms(
-    grouped: np.ndarray,
+    totals: np.ndarray,
     factor: np.ndarray,
     q: np.ndarray,
     total: int,
@@ -224,7 +253,7 @@ def _gap_terms(
 
     The reduction is a projection of the full model, so
     |P~ - L~|^2 = |P~|^2 - |L~|^2, and |L~|^2 depends only on the grouped
-    counts G: with S records and column totals T_k = sum_i G_ik,
+    counts G: with S records and the latent totals T_k = sum_i G_ik,
     |L~|^2 = sum_ik F_ik^2 T_k / (S q_i). (For the maximum-likelihood factor
     F_ik = G_ik / T_k the cross term <P~, L~> = sum_ik G_ik F_ik / (S q_i)
     equals |L~|^2.) The difference is clamped at 0, where rounding of an exact
@@ -232,7 +261,7 @@ def _gap_terms(
     (m, r) block of the (runs, m, r) arrays, reduced in one sum per block.
     """
     weights = 1.0 / (total * q)[:, np.newaxis]
-    terms = factor * factor * grouped.sum(axis=1, keepdims=True) * weights
+    terms = factor * factor * totals * weights
     approx_norm_sq = terms.reshape(terms.shape[0], -1).sum(axis=1)
     return np.maximum(full_norm_sq - approx_norm_sq, 0.0), approx_norm_sq
 
@@ -282,11 +311,15 @@ def _ascend(
     operand, model = counts.operand, counts.model
     gap_args = (model.output_dist, counts.total, model.rescaled_norm_sq)
     runs = labels0.shape[0]
-    steps: list[list[DbmrStep]] = [[] for _ in range(runs)]
-    traces: list[DbmrTrace | None] = [None] * runs
+    final_labels = np.empty_like(labels0)
+    final_factor = np.empty((runs, counts.shape[0], n_latent))
+    final_converged = np.zeros(runs, dtype=bool)
     sunk_columns = np.zeros(runs, dtype=np.int64)
+    # Per iteration, the runs whose iterate was taken and that iterate's
+    # objective, gap and norm, plus labels and factor with snapshots.
+    history: list[tuple[np.ndarray, ...]] = []
     live = np.arange(runs)  # rows of the restarts still ascending
-    grouped, factor = _ml_factors(operand, labels0, n_latent)
+    grouped, totals, factor = _ml_factors(operand, labels0, n_latent)
     objective = _log_likelihoods(grouped, factor)
     accepted = np.ones(runs, dtype=bool)
     converged = np.zeros(runs, dtype=bool)
@@ -294,7 +327,7 @@ def _ascend(
         if index:
             new_labels0, sunk = _best_labels(counts, factor)
             sunk_columns[live] += sunk
-            grouped, new_factor = _ml_factors(operand, new_labels0, n_latent)
+            grouped, totals, new_factor = _ml_factors(operand, new_labels0, n_latent)
             new_objective = _log_likelihoods(grouped, new_factor)
             # Both updates are ascent steps; a strict drop can only be a
             # rounding artifact, so a restart that dips keeps its previous
@@ -307,34 +340,45 @@ def _ascend(
             labels0 = np.where(accepted[:, np.newaxis], new_labels0, labels0)
             factor = np.where(accepted[:, np.newaxis, np.newaxis], new_factor, factor)
             objective = np.where(accepted, new_objective, objective)
-        gap_sq, approx_norm_sq = _gap_terms(grouped, factor, *gap_args)
-        scalars = zip(objective.tolist(), gap_sq.tolist(), approx_norm_sq.tolist())
-        for row, (run, taken, values) in enumerate(zip(live.tolist(), accepted.tolist(), scalars)):
-            if taken:
-                snapshot = (labels0[row] + 1, factor[row].copy()) if snapshots else (None, None)
-                steps[run].append(DbmrStep(index, *values, *snapshot))
+        gap_sq, approx_norm_sq = _gap_terms(totals, factor, *gap_args)
+        taken = (live, objective, gap_sq, approx_norm_sq)
+        if snapshots:
+            taken += (labels0 + 1, factor)
+        history.append(tuple(column[accepted] for column in taken))
         finished = converged | (index == max_steps)
-        for row in np.flatnonzero(finished):
-            run, last = live[row], steps[live[row]][-1]
-            if last.labels is None:
-                # The final iterate always keeps its snapshots.
-                steps[run][-1] = dataclasses.replace(
-                    last, labels=labels0[row] + 1, factor=factor[row].copy()
-                )
-            traces[run] = DbmrTrace(tuple(steps[run]), bool(converged[row]), int(sunk_columns[run]))
+        done = live[finished]
+        final_labels[done], final_factor[done] = labels0[finished] + 1, factor[finished]
+        final_converged[done] = converged[finished]
         going = ~finished
         if not going.any():
             break
         live, labels0, factor, objective = (
             live[going], labels0[going], factor[going], objective[going]
         )
-    return traces
+    # Each run's taken iterates, in iteration order.
+    taken_runs, *columns = (np.concatenate(column) for column in zip(*history))
+    order = np.argsort(taken_runs, kind="stable")
+    objectives, gaps, norms, *stacked = (column[order] for column in columns)
+    ends = np.cumsum(np.bincount(taken_runs, minlength=runs)).tolist()
+    return [
+        DbmrTrace(
+            objectives=objectives[start:end],
+            frob_gap_sq=gaps[start:end],
+            approx_norm_sq=norms[start:end],
+            labels=final_labels[run],
+            factor=final_factor[run],
+            converged=bool(final_converged[run]),
+            sunk_columns=int(sunk_columns[run]),
+            label_snapshots=stacked[0][start:end] if snapshots else None,
+            factor_snapshots=stacked[1][start:end] if snapshots else None,
+        )
+        for run, (start, end) in enumerate(zip([0] + ends[:-1], ends))
+    ]
 
 
 def _final_model(trace: DbmrTrace, n_latent: int) -> ReducedModel:
-    last = trace.steps[-1]
     return ReducedModel(
-        factor=last.factor, affiliation=Partition(labels=last.labels, n_clusters=n_latent)
+        factor=trace.factor, affiliation=Partition(labels=trace.labels, n_clusters=n_latent)
     )
 
 
@@ -377,7 +421,7 @@ def multi_start(
             for run in range(start, min(start + chunk, runs))
         ])
         traces += _ascend(counts, inits - 1, n_latent, max_steps, tol, snapshots)
-    finals = [trace.steps[-1].objective for trace in traces]
+    finals = [trace.objectives[-1] for trace in traces]
     best_index = finals.index(max(finals))
     return _final_model(traces[best_index], n_latent), best_index, traces
 

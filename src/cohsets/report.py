@@ -153,7 +153,7 @@ def compare_experiment(
     dbmr_out = output_partition(best)
 
     reference = log_likelihood(counts, model.matrix)
-    dbmr_objective = traces[best_run].steps[-1].objective
+    dbmr_objective = float(traces[best_run].objectives[-1])
     svd_reduced = reduce_with_affiliation(counts, classical.input_partition)
     svd_objective = relaxed_log_likelihood(
         counts, svd_reduced.factor, svd_reduced.affiliation
@@ -230,6 +230,7 @@ def compare_experiment(
         "diagnostics": _count_diagnostics(counts, traces) | {
             "svd_path": classical.factorization.path,
             "svd_values_cut": classical.factorization.values_cut,
+            "kmeans_repairs": int(classical.kmeans_repairs),
             "dbmr_best_run": int(best_run),
             "dbmr_best_iterations": int(traces[best_run].iterations),
             "dbmr_converged_runs": int(sum(t.converged for t in traces)),
@@ -305,12 +306,11 @@ def multirun_experiment(
     run_rows: list[dict] = []
     trace_rows: list[dict] = []
     for run, run_trace in enumerate(traces):
-        final = run_trace.steps[-1]
-        sigma = rescaled_factor_spectrum(final.factor, final.labels, model)
+        sigma = rescaled_factor_spectrum(run_trace.factor, run_trace.labels, model)
         row = {
             "run": run,
-            "objective": final.objective,
-            "frob_gap_sq": final.frob_gap_sq,
+            "objective": float(run_trace.objectives[-1]),
+            "frob_gap_sq": float(run_trace.frob_gap_sq[-1]),
             "coherence": float(sigma[:rank].sum()),
             "converged": int(run_trace.converged),
             "iterations": run_trace.iterations,

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, svds
 
+from .dbmr import BATCH_ENTRIES
 from .model import CountMatrix, Partition, TransitionModel
 from .seeding import mix_seed, rng_for
 
@@ -47,10 +48,14 @@ class SvdFactorization:
 
 @dataclass(frozen=True)
 class ClassicalResult:
+    """``kmeans_repairs`` sums the empty clusters k-means repaired over the
+    restarts of both sides."""
+
     factorization: SvdFactorization
     input_partition: Partition
     output_partition: Partition
     coherence: float
+    kmeans_repairs: int
 
 
 def spectrum_depth(rank: int, size: int) -> int:
@@ -168,69 +173,122 @@ def degree_of_coherence(matrix: np.ndarray, rank: int) -> float:
     return float(sigma[:rank].sum())
 
 
-def _plus_plus_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_centers(
+    points: np.ndarray, k: int, rngs: list[np.random.Generator]
+) -> np.ndarray:
+    """Plus-plus centers (restarts, k, d), one restart per generator; each
+    restart makes the draws it makes alone."""
     n = points.shape[0]
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    centers[0] = points[int(rng.integers(n))]
-    dist_sq = np.sum((points - centers[0]) ** 2, axis=1)
+    picks = np.empty((len(rngs), k), dtype=np.int64)
+    picks[:, 0] = [rng.integers(n) for rng in rngs]
+    dist_sq = np.sum((points - points[picks[:, :1]]) ** 2, axis=2)
     for c in range(1, k):
-        total = dist_sq.sum()
-        if total > 0.0:
-            idx = int(rng.choice(n, p=dist_sq / total))
-        else:
-            idx = int(rng.integers(n))
-        centers[c] = points[idx]
-        np.minimum(dist_sq, np.sum((points - centers[c]) ** 2, axis=1), out=dist_sq)
-    return centers
+        for row, (rng, total) in enumerate(zip(rngs, dist_sq.sum(axis=1).tolist())):
+            picks[row, c] = (
+                rng.choice(n, p=dist_sq[row] / total) if total > 0.0 else rng.integers(n)
+            )
+        np.minimum(dist_sq, np.sum((points - points[picks[:, c:c + 1]]) ** 2, axis=2),
+                   out=dist_sq)
+    return points[picks]
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, int]:
-    """Nearest-center labels with empty clusters repaired; returns (labels, repairs)."""
-    dist_sq = (
-        np.sum(points**2, axis=1)[:, np.newaxis]
-        - 2.0 * points @ centers.T
-        + np.sum(centers**2, axis=1)[np.newaxis, :]
-    )
-    labels = np.argmin(dist_sq, axis=1)
-    k = centers.shape[0]
-    sizes = np.bincount(labels, minlength=k)
-    empties = np.nonzero(sizes == 0)[0]
-    if empties.size == 0:
-        return labels, 0
-    # Hand the farthest points to empty clusters, never draining a cluster
-    # below one member. Stable sort keeps ties deterministic.
-    own = dist_sq[np.arange(points.shape[0]), labels]
-    order = np.argsort(-own, kind="stable")
-    cursor = 0
-    for empty in empties:
-        while sizes[labels[order[cursor]]] <= 1:
+def _repair_empty(labels: np.ndarray, sizes: np.ndarray, dist_sq: np.ndarray) -> int:
+    """Hand the farthest points to each restart's empty clusters, in place,
+    never draining a cluster below one member; returns the clusters repaired.
+
+    ``dist_sq`` is (restarts, n, k). A stable sort keeps ties deterministic.
+    """
+    repaired = 0
+    for row in np.flatnonzero((sizes == 0).any(axis=1)):
+        row_labels, row_sizes = labels[row], sizes[row]
+        empties = np.flatnonzero(row_sizes == 0)
+        own = dist_sq[row, np.arange(row_labels.size), row_labels]
+        order = np.argsort(-own, kind="stable")
+        cursor = 0
+        for empty in empties:
+            while row_sizes[row_labels[order[cursor]]] <= 1:
+                cursor += 1
+            pick = order[cursor]
             cursor += 1
-        pick = order[cursor]
-        cursor += 1
-        sizes[labels[pick]] -= 1
-        labels[pick] = empty
-        sizes[empty] = 1
-    return labels, int(empties.size)
+            row_sizes[row_labels[pick]] -= 1
+            row_labels[pick] = empty
+            row_sizes[empty] = 1
+        repaired += int(empties.size)
+    return repaired
+
+
+def _cluster_keys(labels: np.ndarray, k: int) -> np.ndarray:
+    """Flat bin of each point's cluster, restart by restart, for 0-based
+    labels (restarts, n)."""
+    return (labels + k * np.arange(labels.shape[0])[:, np.newaxis]).ravel()
+
+
+def _cluster_means(columns: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean of each nonempty cluster's points, (restarts, k, d).
+
+    ``columns`` (d, at least restarts n) holds the points' coordinates,
+    repeated once per restart. The points of a cluster are added in row
+    order, as a mean over axis 0 of an (s, d) array adds them; a lone
+    coordinate is added pairwise, as numpy sums a 1-d array.
+    """
+    runs, k = sizes.shape
+    keys = _cluster_keys(labels, k)
+    columns = columns[:, :keys.size]
+    if columns.shape[0] == 1:
+        parts = np.split(columns[0, np.argsort(keys, kind="stable")], np.cumsum(sizes)[:-1])
+        sums = np.array([part.sum() for part in parts])[:, np.newaxis]
+    else:
+        sums = np.stack([np.bincount(keys, column, runs * k) for column in columns], axis=1)
+    return (sums / sizes.reshape(-1, 1)).reshape(runs, k, -1)
 
 
 def _lloyd(
-    points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int
-) -> tuple[np.ndarray, np.ndarray, list[float], int]:
-    centers = _plus_plus_centers(points, k, rng)
-    labels = None
-    objectives: list[float] = []
+    points: np.ndarray, k: int, rngs: list[np.random.Generator], max_iters: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Lloyd iterations from plus-plus centers, one restart per generator,
+    all restarts advancing together.
+
+    Returns each restart's final 0-based labels (restarts, n) and
+    within-cluster squared distance, and the empty clusters repaired over
+    all restarts. A restart stops when its labels repeat or after
+    ``max_iters`` assignments. Its arithmetic is that of the restart run
+    alone: its distances come from its own BLAS call inside one batched
+    ``matmul``, and its objective is summed over its own contiguous row.
+    """
+    n = points.shape[0]
+    centers = _plus_plus_centers(points, k, rngs)
+    norms = np.sum(points**2, axis=1)[:, np.newaxis]
+    doubled = 2.0 * points
+    columns = np.tile(points.T, len(rngs))
+    final_labels = np.empty((len(rngs), n), dtype=np.int64)
+    final_objective = np.empty(len(rngs))
+    live = np.arange(len(rngs))  # restarts still iterating
+    labels = objective = None
     repairs = 0
     for _ in range(max_iters):
-        new_labels, repaired = _assign(points, centers)
-        repairs += repaired
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
+        dist_sq = (
+            norms
+            - doubled @ centers.transpose(0, 2, 1)
+            + np.sum(centers**2, axis=2)[:, np.newaxis, :]
+        )
+        new_labels = np.argmin(dist_sq, axis=2)
+        sizes = np.bincount(_cluster_keys(new_labels, k), minlength=live.size * k).reshape(-1, k)
+        repairs += _repair_empty(new_labels, sizes, dist_sq)
+        if labels is not None:
+            repeated = (new_labels == labels).all(axis=1)
+            final_labels[live[repeated]] = labels[repeated]
+            final_objective[live[repeated]] = objective[repeated]
+            going = ~repeated
+            live, new_labels, sizes = live[going], new_labels[going], sizes[going]
+            if not live.size:
+                break
         labels = new_labels
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-        gaps = points - centers[labels]
-        objectives.append(float(np.sum(gaps * gaps)))
-    return labels, centers, objectives, repairs
+        centers = _cluster_means(columns, labels, sizes)
+        gaps = points - centers[np.arange(live.size)[:, np.newaxis], labels]
+        objective = (gaps * gaps).reshape(live.size, -1).sum(axis=1)
+    else:
+        final_labels[live], final_objective[live] = labels, objective
+    return final_labels, final_objective, repairs
 
 
 def kmeans(
@@ -239,11 +297,14 @@ def kmeans(
     restarts: int = 10,
     max_iters: int = 100,
     seed: int = 0,
-) -> Partition:
+) -> tuple[Partition, int]:
     """Lloyd iterations with plus-plus seeding over ``restarts`` deterministic restarts.
 
-    The best restart is chosen by final within-cluster squared distance;
-    ties keep the lowest restart index. All returned clusters are nonempty.
+    Restart i draws from ``rng_for(seed, i)``. The best restart is chosen
+    by final within-cluster squared distance; ties keep the lowest restart
+    index. All returned clusters are nonempty. Returns the partition and the
+    empty clusters repaired, summed over restarts. Restarts iterate together
+    in chunks of max(1, ``BATCH_ENTRIES`` // (n max(k, d))).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -252,25 +313,23 @@ def kmeans(
         raise ValueError("points must be a nonempty 1-d or 2-d array")
     if not np.isfinite(points).all():
         raise ValueError("points must have finite entries")
-    n = points.shape[0]
+    n, d = points.shape
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must lie in [1, {n}], got {n_clusters}")
     if restarts < 1 or max_iters < 1:
         raise ValueError("restarts and max_iters must be positive")
-    best_labels = None
-    best_objective = np.inf
-    total_repairs = 0
-    for restart in range(restarts):
-        labels, _, objectives, repairs = _lloyd(
-            points, n_clusters, rng_for(seed, restart), max_iters
-        )
-        total_repairs += repairs
-        if objectives[-1] < best_objective:
-            best_objective = objectives[-1]
-            best_labels = labels
-    if total_repairs:
-        logger.debug("kmeans repaired %d empty clusters across restarts", total_repairs)
-    return Partition(labels=best_labels + 1, n_clusters=n_clusters)
+    chunk = max(1, BATCH_ENTRIES // (n * max(n_clusters, d)))
+    best_labels, best_objective, repairs = None, np.inf, 0
+    for start in range(0, restarts, chunk):
+        rngs = [rng_for(seed, restart) for restart in range(start, min(start + chunk, restarts))]
+        labels, objectives, repaired = _lloyd(points, n_clusters, rngs, max_iters)
+        repairs += repaired
+        best = int(np.argmin(objectives))
+        if objectives[best] < best_objective:
+            best_labels, best_objective = labels[best], objectives[best]
+    if repairs:
+        logger.debug("kmeans repaired %d empty clusters across restarts", repairs)
+    return Partition(labels=best_labels + 1, n_clusters=n_clusters), repairs
 
 
 def _coherence_scores(
@@ -397,10 +456,10 @@ def classical_pipeline(
     factorization = full_svd(model.rescaled, spectrum_depth(rank, min(model.shape)))
     if not 1 <= rank <= factorization.rank:
         raise ValueError(f"rank must lie in [1, {factorization.rank}], got {rank}")
-    input_partition = kmeans(
+    input_partition, input_repairs = kmeans(
         factorization.right[:, :rank], rank, restarts=restarts, seed=mix_seed(seed, 1)
     )
-    raw_output = kmeans(
+    raw_output, output_repairs = kmeans(
         factorization.left[:, :rank], rank, restarts=restarts, seed=mix_seed(seed, 2)
     )
     output_partition, coherence = match_partitions(model, input_partition, raw_output)
@@ -409,4 +468,5 @@ def classical_pipeline(
         input_partition=input_partition,
         output_partition=output_partition,
         coherence=coherence,
+        kmeans_repairs=input_repairs + output_repairs,
     )

@@ -16,12 +16,16 @@ The estimate, the likelihood and norm of the full model, the cluster
 scores of the partition matching and the truncation are kept as they ran
 before the counts and P were stored as their nonzeros: on dense m x n
 arrays. ``dense`` gives the m x n array of counts or of a stored matrix.
+
+k-means is kept as it ran before its restarts iterated together: one
+restart at a time, one boolean-mask mean per cluster.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -29,13 +33,12 @@ from scipy import sparse
 from cohsets.dataio import _PAIRS_PREAMBLE
 from cohsets.dbmr import (
     DbmrStep,
-    DbmrTrace,
     ReducedModel,
     random_affiliation,
 )
 from cohsets.model import CountMatrix, PairDataset, Partition, estimate, rescale
 from cohsets.projection import FactorizationResiduals, build_projection
-from cohsets.seeding import mix_seed
+from cohsets.seeding import mix_seed, rng_for
 
 
 def dense(matrix) -> np.ndarray:
@@ -249,6 +252,20 @@ def _gap_terms(grouped, factor, q, total, full_norm_sq):
     return max(full_norm_sq - approx_norm_sq, 0.0), approx_norm_sq
 
 
+@dataclass(frozen=True)
+class StepTrace:
+    """A DBMR trace as the ascent kept it before it recorded arrays: one
+    ``DbmrStep`` per iterate."""
+
+    steps: tuple
+    converged: bool
+    sunk_columns: int
+
+    @property
+    def iterations(self):
+        return len(self.steps) - 1
+
+
 def dbmr_run_reference(counts, init, max_steps=500, tol=0.0, snapshots=True):
     if init.size != counts.shape[1]:
         raise ValueError(f"init covers {init.size} of {counts.shape[1]} inputs")
@@ -318,7 +335,7 @@ def dbmr_run_reference(counts, init, max_steps=500, tol=0.0, snapshots=True):
     reduced = ReducedModel(
         factor=factor, affiliation=Partition(labels=labels0 + 1, n_clusters=n_latent)
     )
-    return reduced, DbmrTrace(
+    return reduced, StepTrace(
         steps=tuple(steps), converged=converged, sunk_columns=sunk_columns
     )
 
@@ -407,3 +424,84 @@ def write_labels_lines_reference(path, labels, n_labels):
         fh.write(f"# r={n_labels}\n")
         for value in labels:
             fh.write(f"{value}\n")
+
+
+def plus_plus_centers_reference(points, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    centers[0] = points[int(rng.integers(n))]
+    dist_sq = np.sum((points - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = dist_sq.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=dist_sq / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[c] = points[idx]
+        np.minimum(dist_sq, np.sum((points - centers[c]) ** 2, axis=1), out=dist_sq)
+    return centers
+
+
+def assign_reference(points, centers):
+    """Nearest-center labels with empty clusters repaired; returns (labels, repairs)."""
+    dist_sq = (
+        np.sum(points**2, axis=1)[:, np.newaxis]
+        - 2.0 * points @ centers.T
+        + np.sum(centers**2, axis=1)[np.newaxis, :]
+    )
+    labels = np.argmin(dist_sq, axis=1)
+    k = centers.shape[0]
+    sizes = np.bincount(labels, minlength=k)
+    empties = np.nonzero(sizes == 0)[0]
+    if empties.size == 0:
+        return labels, 0
+    own = dist_sq[np.arange(points.shape[0]), labels]
+    order = np.argsort(-own, kind="stable")
+    cursor = 0
+    for empty in empties:
+        while sizes[labels[order[cursor]]] <= 1:
+            cursor += 1
+        pick = order[cursor]
+        cursor += 1
+        sizes[labels[pick]] -= 1
+        labels[pick] = empty
+        sizes[empty] = 1
+    return labels, int(empties.size)
+
+
+def lloyd_reference(points, k, rng, max_iters):
+    """(labels, centers, objective per iteration, repairs) of one restart."""
+    centers = plus_plus_centers_reference(points, k, rng)
+    labels = None
+    objectives = []
+    repairs = 0
+    for _ in range(max_iters):
+        new_labels, repaired = assign_reference(points, centers)
+        repairs += repaired
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+        gaps = points - centers[labels]
+        objectives.append(float(np.sum(gaps * gaps)))
+    return labels, centers, objectives, repairs
+
+
+def kmeans_reference(points, n_clusters, restarts=10, max_iters=100, seed=0):
+    """(best 1-based labels, best objective, repairs over all restarts)."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 1:
+        points = points[:, np.newaxis]
+    best_labels = None
+    best_objective = np.inf
+    total_repairs = 0
+    for restart in range(restarts):
+        labels, _, objectives, repairs = lloyd_reference(
+            points, n_clusters, rng_for(seed, restart), max_iters
+        )
+        total_repairs += repairs
+        if objectives[-1] < best_objective:
+            best_objective = objectives[-1]
+            best_labels = labels
+    return best_labels + 1, best_objective, total_repairs

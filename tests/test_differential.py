@@ -7,12 +7,14 @@ sink input columns to -inf for every latent state. The two DBMR kernels run
 on a dense array and on a scipy sparse matrix; the bound chain runs on the
 nonzeros of P. Each result is compared with the dense formulas in
 ``tests/dense_reference.py``. The batched DBMR ascent is compared, bit for
-bit, with the sequential one kept there. The model estimated on the entries
-of the counts, its likelihood and norm, the cluster scores and the
-truncation's smallest entry are compared with the dense m x n formulas kept
-there too.
+bit, with the sequential one kept there, and the batched k-means restarts,
+on points with repeated rows, with the restarts run one at a time. The
+model estimated on the entries of the counts, its likelihood and norm, the
+cluster scores and the truncation's smallest entry are compared with the
+dense m x n formulas kept there too.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from cohsets import _accel, dbmr, model as model_module
+from cohsets import _accel, dbmr, model as model_module, svd
 from cohsets.bounds import (
     _frob_gap_sq,
     _Nonzeros,
@@ -42,7 +44,7 @@ from cohsets.generators import GyreConfig, gen_double_gyre
 from cohsets.model import CountMatrix, Partition, estimate, ingest_pairs, prune_empty, rescale
 from cohsets.projection import pythagoras_check, verify_factorization
 from cohsets.report import compare_experiment, multirun_experiment
-from cohsets.seeding import mix_seed
+from cohsets.seeding import mix_seed, rng_for
 from cohsets.svd import _coherence_scores, classical_pipeline, full_svd, reduced_min_entry, truncate
 from tests.dense_reference import (
     dense,
@@ -54,8 +56,11 @@ from tests.dense_reference import (
     rescaled_norm_sq_dense,
     truncate_dense,
     frob_gap_sq_dense,
+    dbmr_run_reference,
     group_sums_loop,
+    kmeans_reference,
     latent_scores_loop,
+    lloyd_reference,
     multi_start_reference,
     pythagoras_check_dense,
     verify_factorization_reference,
@@ -432,6 +437,77 @@ def test_multi_start_tie_goes_to_the_lowest_run():
     assert best_run == finals.index(max(finals))
 
 
+@pytest.mark.parametrize("snapshots", [False, True])
+def test_derived_steps_equal_the_per_step_trace(snapshots, three_example, interval_example):
+    """A trace keeps one array per quantity; the steps derived from it are
+    the ones the sequential ascent records step by step, with snapshots on
+    every step or on the last one only."""
+    for counts in (three_example[0], interval_example[0]):
+        for seed, max_steps in itertools.product(range(4), (1, 500)):
+            init = random_affiliation(counts.shape[1], 3, seed)
+            batched = dbmr_run(counts, init, max_steps=max_steps, snapshots=snapshots)
+            sequential = dbmr_run_reference(counts, init, max_steps=max_steps, snapshots=snapshots)
+            _assert_same_restarts((*batched[:1], 0, batched[1:]), (*sequential[:1], 0, sequential[1:]))
+            trace, ref = batched[1], sequential[1]
+            assert trace.objectives.tolist() == [step.objective for step in ref.steps]
+            assert trace.frob_gap_sq.tolist() == [step.frob_gap_sq for step in ref.steps]
+            assert trace.approx_norm_sq.tolist() == [step.approx_norm_sq for step in ref.steps]
+            assert all((step.labels is not None) == snapshots for step in trace.steps[:-1])
+
+
+@st.composite
+def kmeans_cases(draw):
+    """k-means arguments: points whose rows repeat a few distinct ones, any
+    number of clusters up to the points, 1 to 12 restarts, and iteration
+    caps that stop restarts before their labels repeat, in row- or
+    column-major layout. The distinct rows are drawn by hypothesis (ties,
+    zeros) or are normal samples, whose sums round differently in another
+    order."""
+    d = draw(st.sampled_from([1, 2, 3, 5]))
+    n = draw(st.integers(1, 24))
+    shape = (draw(st.integers(1, n)), d)
+    if draw(st.booleans()):
+        distinct = draw(arrays(np.float64, shape, elements=st.floats(-4.0, 4.0)))
+    else:
+        distinct = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(shape)
+    rows = draw(arrays(np.int64, n, elements=st.integers(0, distinct.shape[0] - 1)))
+    # The pipeline clusters column-major slices of the singular vectors.
+    layout = draw(st.sampled_from([np.ascontiguousarray, np.asfortranarray]))
+    return {
+        "points": layout(distinct[rows]),
+        "n_clusters": draw(st.integers(1, n)),
+        "restarts": draw(st.integers(1, 12)),
+        "max_iters": draw(st.sampled_from([1, 2, 3, 100])),
+        "seed": draw(st.integers(0, 2**32)),
+    }
+
+
+@SETTINGS
+@given(case=kmeans_cases(), per_chunk=st.sampled_from([None, 1, 2, 5]))
+def test_kmeans_matches_restarts_run_one_at_a_time(case, per_chunk):
+    """The batched Lloyd loop gives every restart the labels, objective and
+    repairs of the restart run alone; ``kmeans`` picks the same best
+    restart, also across chunks of restarts."""
+    points, k, restarts, max_iters, seed = case.values()
+    labels, objectives, repairs = svd._lloyd(
+        points, k, [rng_for(seed, restart) for restart in range(restarts)], max_iters
+    )
+    refs = [lloyd_reference(points, k, rng_for(seed, restart), max_iters)
+            for restart in range(restarts)]
+    for restart, (ref_labels, _, ref_objectives, _) in enumerate(refs):
+        assert np.array_equal(labels[restart], ref_labels)
+        assert objectives[restart] == ref_objectives[-1]
+    assert repairs == sum(ref[3] for ref in refs)
+    ref_labels, ref_objective, ref_repairs = kmeans_reference(**case)
+    assert objectives.min() == ref_objective
+    with pytest.MonkeyPatch.context() as patch:
+        if per_chunk is not None:
+            patch.setattr(svd, "BATCH_ENTRIES", per_chunk * points.shape[0] * max(k, points.shape[1]))
+        partition, total_repairs = svd.kmeans(**case)
+    assert np.array_equal(partition.labels, ref_labels)
+    assert total_repairs == ref_repairs
+
+
 def test_storage_follows_shape_and_nonzeros():
     small = np.eye(100, dtype=np.int64)
     assert CountMatrix(counts=small, total=100).storage == "dense"
@@ -553,3 +629,5 @@ def test_reports_carry_storage_counters(three_example):
         # three triplets of a 100 x 100 or larger matrix come from ARPACK
         assert report["diagnostics"]["svd_path"] == "arpack"
         assert report["diagnostics"]["svd_values_cut"] == 0
+        classical = classical_pipeline(counts, 3, seed=mix_seed(4, 1))
+        assert report["diagnostics"]["kmeans_repairs"] == classical.kmeans_repairs

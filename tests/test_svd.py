@@ -8,7 +8,6 @@ from cohsets import dbmr, model as model_module, report, svd
 from cohsets.generators import GyreConfig, gen_double_gyre
 from cohsets.model import Partition, estimate, ingest_pairs, prune_empty, rescale
 from cohsets.svd import (
-    _assign,
     _coherence_scores,
     _lloyd,
     classical_pipeline,
@@ -21,7 +20,7 @@ from cohsets.svd import (
 from cohsets.model import CountMatrix
 from cohsets.seeding import rng_for
 from tests.conftest import random_counts
-from tests.dense_reference import dense
+from tests.dense_reference import assign_reference, dense
 
 
 def relabelings_equal(a: Partition, b: Partition) -> bool:
@@ -152,6 +151,20 @@ def test_compare_reports_the_lapack_path():
     assert result["diagnostics"]["svd_values_cut"] == 0
 
 
+def test_compare_reports_kmeans_repairs(monkeypatch, three_example):
+    """Both sides' repairs reach the report. Clustering all-zero points in
+    place of the singular vectors' rows forces two repairs after each
+    restart's first and repeating assignment: 10 restarts, two sides."""
+    clustered = svd.kmeans
+    monkeypatch.setattr(
+        svd, "kmeans", lambda points, k, **options: clustered(np.zeros_like(points), k, **options)
+    )
+    counts, _, _ = three_example
+    result, artifacts = report.compare_experiment(counts, 3, runs=2)
+    assert artifacts["classical"].kmeans_repairs == 2 * 10 * 2 * 2
+    assert result["diagnostics"]["kmeans_repairs"] == 2 * 10 * 2 * 2
+
+
 def test_full_svd_drops_numerical_zeros():
     # rank-1 matrix embedded in 4x4
     u = np.array([1.0, 2.0, 3.0, 4.0])[:, None]
@@ -266,7 +279,7 @@ def test_degree_of_coherence_rank_validation():
 
 def test_kmeans_separated_clusters():
     points = np.array([0.0, 0.01, 10.0, 10.01])
-    part = kmeans(points, 2, seed=0)
+    part, _ = kmeans(points, 2, seed=0)
     assert part.labels[0] == part.labels[1]
     assert part.labels[2] == part.labels[3]
     assert part.labels[0] != part.labels[2]
@@ -274,23 +287,26 @@ def test_kmeans_separated_clusters():
 
 def test_kmeans_singletons():
     points = np.array([[0.0], [5.0], [9.0]])
-    part = kmeans(points, 3, seed=1)
+    part, _ = kmeans(points, 3, seed=1)
     assert sorted(part.labels.tolist()) == [1, 2, 3]
 
 
 def test_kmeans_determinism():
     rng = np.random.default_rng(4)
     points = rng.normal(size=(40, 3))
-    a = kmeans(points, 4, seed=7)
-    b = kmeans(points, 4, seed=7)
+    a, _ = kmeans(points, 4, seed=7)
+    b, _ = kmeans(points, 4, seed=7)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_kmeans_duplicate_points_padded():
     points = np.zeros((6, 2))
-    part = kmeans(points, 3, seed=0)
+    part, repairs = kmeans(points, 3, seed=0)
     assert part.n_clusters == 3
     assert len(set(part.labels.tolist())) == 3
+    # Every assignment of six equal points leaves two clusters empty: each
+    # restart repairs them after its first and its repeating assignment.
+    assert repairs == 10 * 2 * 2
 
 
 def test_kmeans_validation():
@@ -303,19 +319,29 @@ def test_kmeans_validation():
 
 
 def test_lloyd_objective_monotone_and_fixed_point():
+    """Capping the batched loop after 1, 2, ... assignments gives each
+    restart's objective after that many iterations; the final labels are
+    their own centers' assignment."""
     rng = np.random.default_rng(13)
     for trial in range(20):
         points = rng.normal(size=(50, 2))
-        labels, centers, objectives, _ = _lloyd(points, 5, rng_for(trial, 0), 100)
-        assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
-        again, _ = _assign(points, centers)
-        assert np.array_equal(again, labels)
+        objectives = np.array([
+            _lloyd(points, 5, [rng_for(trial, restart) for restart in range(3)], cap)[1]
+            for cap in range(1, 25)
+        ])
+        assert np.all(np.diff(objectives, axis=0) <= 1e-12)
+        labels, final, _ = _lloyd(points, 5, [rng_for(trial, restart) for restart in range(3)], 100)
+        assert np.array_equal(final, objectives[-1])
+        for row in labels:
+            centers = np.stack([points[row == c].mean(axis=0) for c in range(5)])
+            again, _ = assign_reference(points, centers)
+            assert np.array_equal(again, row)
 
 
 def test_kmeans_recovers_blocks(three_example):
     _, model, default = three_example
     fac = full_svd(model.rescaled)
-    part = kmeans(fac.right[:, :3], 3, seed=0)
+    part, _ = kmeans(fac.right[:, :3], 3, seed=0)
     assert relabelings_equal(part, default)
 
 
