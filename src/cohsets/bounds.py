@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dbmr import CountMatrix, ReducedModel, log_likelihood, relaxed_log_likelihood
-from .model import TransitionModel
+from .dbmr import ReducedModel
 
 _KAPPA_CHOICES = ("post", "pr", "q1", "q2")
 
@@ -103,9 +102,7 @@ def deviation_coefficient(u: np.ndarray, v: np.ndarray) -> float:
     return float(ratio.max() * (2.0 / 3.0))
 
 
-def bound_constants(
-    model: TransitionModel, reduced: ReducedModel, nz: _Nonzeros | None = None
-) -> BoundConstants:
+def bound_constants(reduced: ReducedModel) -> BoundConstants:
     """Columnwise balancedness constants for the model/reduction pair.
 
     kappa_diff halves the smallest weighted balancedness of the column
@@ -116,18 +113,15 @@ def bound_constants(
 
     Column j of the difference |P - L| is |P - F| on the nonzeros of P and
     the factor column F_k of j's label k elsewhere, so every column term is a
-    sum or maximum over the column's nonzeros plus a term of F_k. ``nz`` is
-    the pair's nonzero view when the caller has built it.
+    sum or maximum over the column's nonzeros plus a term of F_k.
     """
-    nz = _Nonzeros.of(model, reduced) if nz is None else nz
-    F, q = reduced.factor, model.output_dist
+    nz, F, q = reduced.nonzero_view, reduced.factor, reduced.model.output_dist
     diff = np.abs(nz.values - nz.approx)
     # Entries live in [0, 1], so differences at rounding scale mean the column
     # was reproduced exactly; snap them to zero so the zero-vector convention
     # applies instead of the balancedness of accumulated roundoff.
     zero_tol = 32.0 * np.finfo(np.float64).eps
-    # Off its support, column j of |P - L| is F[:, k_j]; off_peak is its largest entry there.
-    off_peak = nz.zeros_max(F)
+    off_peak = reduced.off_peak
     snapped = np.maximum(nz.column_max(diff), off_peak) <= zero_tol
     q_on = q[nz.rows]
     off_sum = nz.zeros_sum(F, off_peak)
@@ -167,118 +161,16 @@ def bound_constants(
     )
 
 
-@dataclass(frozen=True)
-class _Nonzeros:
-    """P and its reduction L on the nonzeros of P, in P's column-major order.
-
-    Column j's nonzeros are the slice ``starts[j]:starts[j + 1]``; every
-    column of P has one. ``at_label`` flat-indexes an m x r array at each
-    nonzero's row and the latent state of its column.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    starts: np.ndarray
-    labels0: np.ndarray
-    at_label: np.ndarray
-    values: np.ndarray
-    approx: np.ndarray
-
-    @classmethod
-    def of(cls, model: TransitionModel, reduced: ReducedModel) -> "_Nonzeros":
-        rows, cols = model.support
-        labels0 = reduced.affiliation.labels - 1
-        at_label = rows * reduced.n_latent + labels0[cols]
-        return cls(
-            rows=rows,
-            cols=cols,
-            starts=model.matrix.indptr[:-1],
-            labels0=labels0,
-            at_label=at_label,
-            values=model.matrix.data,
-            approx=reduced.factor.ravel().take(at_label),
-        )
-
-    def column_sum(self, terms: np.ndarray) -> np.ndarray:
-        # Each column adds its terms in row order, as a dense column sum does.
-        return np.bincount(self.cols, weights=terms, minlength=self.labels0.size)
-
-    def column_max(self, terms: np.ndarray) -> np.ndarray:
-        """Per-column maximum of the terms; every column has a nonzero."""
-        return np.maximum.reduceat(terms, self.starts)
-
-    def zeros_sum(self, terms: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-        """Per column j, the sum of the nonnegative ``terms[i, k_j]`` over the
-        zeros i of column j; ``peaks`` is ``zeros_max(terms)``.
-
-        That is the column total minus its part on the support, set to
-        exactly 0 where no term off the support is positive.
-        """
-        on_support = self.column_sum(terms.ravel().take(self.at_label))
-        off_support = np.maximum(terms.sum(axis=0)[self.labels0] - on_support, 0.0)
-        return np.where(peaks == 0.0, 0.0, off_support)
-
-    def zeros_max(self, terms: np.ndarray) -> np.ndarray:
-        """Per column j, the largest ``terms[i, k_j]`` over the zeros i of
-        column j; 0 for a column without zeros.
-
-        Each latent state ranks its rows by term, so column j's answer is the
-        term of the first row in k_j's ranking that is a zero of column j;
-        that term does not depend on how ties are ranked.
-        """
-        m, r = terms.shape
-        n = self.labels0.size
-        ranking = np.argsort(-terms, axis=0)
-        place = np.empty_like(ranking)
-        place[ranking, np.arange(r)] = np.arange(m)[:, np.newaxis]
-        # Only columns with a zero take part; each gets one slot per nonzero.
-        nonzeros = np.bincount(self.cols, minlength=n)
-        has_zero = nonzeros < m
-        size = np.where(has_zero, nonzeros, 0)
-        starts = np.cumsum(size) - size
-        taking = has_zero[self.cols]
-        cols, places = self.cols[taking], place.ravel().take(self.at_label[taking])
-        # The first free place of a column with s nonzeros is at most s, so
-        # marking the places below s in its slots finds it: the first
-        # unmarked slot, or s when all are marked.
-        low = places < size[cols]
-        marked = np.zeros(cols.size, dtype=bool)
-        marked[starts[cols[low]] + places[low]] = True
-        free = np.append(np.flatnonzero(~marked), cols.size)
-        first = np.minimum(free[np.searchsorted(free, starts)] - starts, size)
-        peaks = np.zeros(n)
-        labels0 = self.labels0[has_zero]
-        peaks[has_zero] = terms[ranking[first[has_zero], labels0], labels0]
-        return peaks
-
-
-def _weighted_kl_sum(nz: _Nonzeros, model: TransitionModel) -> float:
+def _weighted_kl_sum(reduced: ReducedModel) -> float:
     """Input-weighted sum of columnwise KL divergences of P from the reduction."""
+    nz = reduced.nonzero_view
     if (nz.approx <= 0.0).any():
         return float("inf")
     terms = nz.values * np.log(nz.values / nz.approx)
-    return float(model.input_dist @ nz.column_sum(terms))
+    return float(reduced.model.input_dist @ nz.column_sum(terms))
 
 
-def _frob_gap_sq(nz: _Nonzeros, model: TransitionModel, reduced: ReducedModel) -> float:
-    """|P~ - L~|^2 as a sum over the nonzeros of P plus one over its zeros.
-
-    On a zero (i, j) of P the rescaled gap is L~_ij, whose square is
-    p_j F_ik^2 / q_i. Holds for any factor.
-    """
-    F, p, q = reduced.factor, model.input_dist, model.output_dist
-    scale = np.sqrt(p)[nz.cols] / np.sqrt(q)[nz.rows]
-    on_support = nz.values * scale - nz.approx * scale
-    terms = F * F / q[:, np.newaxis]
-    off_support = nz.zeros_sum(terms, nz.zeros_max(terms))
-    return float(np.sum(on_support * on_support) + p @ off_support)
-
-
-def frobenius_kl_bound(
-    counts: CountMatrix,
-    reduced: ReducedModel,
-    kappa_choice: str = "post",
-) -> BoundReport:
+def frobenius_kl_bound(reduced: ReducedModel, kappa_choice: str = "post") -> BoundReport:
     """Evaluate the bound chain: squared gap <= KL form = likelihood form.
 
     The KL form divides the input-weighted columnwise KL sum by the chosen
@@ -289,9 +181,8 @@ def frobenius_kl_bound(
     """
     if kappa_choice not in _KAPPA_CHOICES:
         raise ValueError(f"kappa_choice must be one of {_KAPPA_CHOICES}")
-    model = counts.model
-    nz = _Nonzeros.of(model, reduced)
-    constants = bound_constants(model, reduced, nz)
+    counts = reduced.counts
+    constants = bound_constants(reduced)
     kappa_value = {
         "post": constants.kappa_post,
         "pr": constants.kappa_prior,
@@ -299,19 +190,14 @@ def frobenius_kl_bound(
         "q2": constants.kappa_col,
     }[kappa_choice]
     kappa_tag = constants.kappa_post_tag if kappa_choice == "post" else kappa_choice
-    frob_gap_sq = _frob_gap_sq(nz, model, reduced)
-    kl_sum = _weighted_kl_sum(nz, model)
-    full_objective = log_likelihood(counts, model.matrix)
-    reduced_objective = relaxed_log_likelihood(
-        counts, reduced.factor, reduced.affiliation
-    )
-    full_norm_sq = model.rescaled_norm_sq
+    frob_gap_sq = reduced.frob_gap_sq
+    kl_sum = _weighted_kl_sum(reduced)
     if kappa_value > 0.0:
         kl_form = kl_sum / kappa_value
-        likelihood_form = (full_objective - reduced_objective) / (
+        likelihood_form = (counts.full_log_likelihood - reduced.log_likelihood) / (
             kappa_value * counts.total
         )
-        coherence_bound = full_norm_sq - likelihood_form
+        coherence_bound = coherence_lower_bound(reduced, kappa_value)
         if np.isfinite(kl_form):
             if frob_gap_sq > kl_form + 1e-9:
                 raise FloatingPointError(
@@ -338,26 +224,18 @@ def frobenius_kl_bound(
     )
 
 
-def coherence_lower_bound(
-    counts: CountMatrix,
-    reduced: ReducedModel,
-    kappa_value: float,
-) -> float:
-    """Lower bound on the reduced degree of coherence from the likelihood drop.
+def coherence_lower_bound(reduced: ReducedModel, kappa_value: float) -> float:
+    """Lower bound on the reduced degree of coherence from the likelihood drop:
+    |P~|^2 minus the drop over kappa times the sample size.
 
     Returns -inf when the reduction misses observed support.
     """
     if kappa_value <= 0.0:
         raise ValueError("kappa_value must be positive")
-    model = counts.model
-    full_objective = log_likelihood(counts, model.matrix)
-    reduced_objective = relaxed_log_likelihood(
-        counts, reduced.factor, reduced.affiliation
-    )
-    full_norm_sq = model.rescaled_norm_sq
+    counts = reduced.counts
     return float(
-        (reduced_objective - full_objective) / (kappa_value * counts.total)
-        + full_norm_sq
+        (reduced.log_likelihood - counts.full_log_likelihood) / (kappa_value * counts.total)
+        + counts.model.rescaled_norm_sq
     )
 
 

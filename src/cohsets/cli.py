@@ -266,9 +266,15 @@ def cmd_bounds(args) -> int:
     if partition is None:
         raise ValueError("bounds requires a labels file or an example with default labels")
     reduced = reduce_with_affiliation(counts, partition)
-    bound = frobenius_kl_bound(counts, reduced, kappa_choice=args.kappa)
-    residuals = verify_factorization(counts.model, reduced)
-    lhs, rhs = pythagoras_check(counts.model, reduced)
+    bound = frobenius_kl_bound(reduced, kappa_choice=args.kappa)
+    residuals = verify_factorization(reduced)
+    lhs, rhs = pythagoras_check(reduced)
+    # The ML factor of a fixed affiliation is P times the induced projection,
+    # so both identities hold up to rounding.
+    if not residuals.max() <= 1e-9:
+        raise FloatingPointError(f"factorization residuals reach {residuals.max()}")
+    if not abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs)):
+        raise FloatingPointError(f"squared gap {lhs} differs from the norm difference {rhs}")
     payload = {
         "provenance": provenance,
         "bound": bound.to_dict(),

@@ -1,10 +1,12 @@
 """Direct Bayesian model reduction by alternating likelihood ascent.
 
-A reduced model is a left-stochastic factor of shape (outputs, latent) plus a
-hard affiliation of input categories to latent states. The alternating loop
-maximizes the relaxed log-likelihood of the observed counts: affiliations pick
-the best latent column per input, the factor renormalizes grouped counts.
-Both update steps are monotone in the relaxed log-likelihood.
+A reduced model of a count matrix is a left-stochastic factor of shape
+(outputs, latent) plus a hard affiliation of input categories to latent
+states; what the bound chain and the projection checks read of it derives
+from these once. The alternating loop maximizes the relaxed log-likelihood
+of the observed counts: affiliations pick the best latent column per input,
+the factor renormalizes grouped counts. Both update steps are monotone in
+the relaxed log-likelihood.
 
 All restarts ascend together: each iteration scores and groups the counts
 of every restart still ascending with one call per kernel, their factors
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -37,15 +40,108 @@ BATCH_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
-class ReducedModel:
-    """Factor and affiliation; the approximate transition matrix derives from them.
+class _Nonzeros:
+    """P and its reduction L on the nonzeros of P, in P's column-major order.
 
-    The reduction is a projection of the full model, so these two fields set
-    it fully. ``model.rescale(reduced.approx, p, q)`` gives its rescaled form.
+    Column j's nonzeros are the slice ``starts[j]:starts[j + 1]``; every
+    column of P has one. ``at_label`` flat-indexes an m x r array at each
+    nonzero's row and the latent state of its column.
     """
 
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    labels0: np.ndarray
+    at_label: np.ndarray
+    values: np.ndarray
+    approx: np.ndarray
+
+    def column_sum(self, terms: np.ndarray) -> np.ndarray:
+        # Each column adds its terms in row order, as a dense column sum does.
+        return np.bincount(self.cols, weights=terms, minlength=self.labels0.size)
+
+    def column_max(self, terms: np.ndarray) -> np.ndarray:
+        """Per-column maximum of the terms; every column has a nonzero."""
+        return np.maximum.reduceat(terms, self.starts)
+
+    def zeros_sum(self, terms: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+        """Per column j, the sum of the nonnegative ``terms[i, k_j]`` over the
+        zeros i of column j; ``peaks`` is ``zeros_max`` of the terms or of
+        the factor whose entries they scale (F^2 / q is zero where F is).
+
+        That is the column total minus its part on the support, clamped at
+        0, and set to exactly 0 where ``peaks`` shows no positive term off
+        the support.
+        """
+        on_support = self.column_sum(terms.ravel().take(self.at_label))
+        off_support = np.maximum(terms.sum(axis=0)[self.labels0] - on_support, 0.0)
+        return np.where(peaks == 0.0, 0.0, off_support)
+
+    def zeros_max(self, terms: np.ndarray) -> np.ndarray:
+        """Per column j, the largest ``terms[i, k_j]`` over the zeros i of
+        column j; 0 for a column without zeros.
+
+        Each latent state ranks its rows by term, so column j's answer is the
+        term of the first row in k_j's ranking that is a zero of column j;
+        that term does not depend on how ties are ranked.
+        """
+        m, r = terms.shape
+        n = self.labels0.size
+        ranking = np.argsort(-terms, axis=0)
+        place = np.empty_like(ranking)
+        place[ranking, np.arange(r)] = np.arange(m)[:, np.newaxis]
+        # Only columns with a zero take part; each gets one slot per nonzero.
+        nonzeros = np.bincount(self.cols, minlength=n)
+        has_zero = nonzeros < m
+        size = np.where(has_zero, nonzeros, 0)
+        starts = np.cumsum(size) - size
+        taking = has_zero[self.cols]
+        cols, places = self.cols[taking], place.ravel().take(self.at_label[taking])
+        # The first free place of a column with s nonzeros is at most s, so
+        # marking the places below s in its slots finds it: the first
+        # unmarked slot, or s when all are marked.
+        low = places < size[cols]
+        marked = np.zeros(cols.size, dtype=bool)
+        marked[starts[cols[low]] + places[low]] = True
+        free = np.append(np.flatnonzero(~marked), cols.size)
+        first = np.minimum(free[np.searchsorted(free, starts)] - starts, size)
+        peaks = np.zeros(n)
+        labels0 = self.labels0[has_zero]
+        peaks[has_zero] = terms[ranking[first[has_zero], labels0], labels0]
+        return peaks
+
+
+@dataclass(frozen=True)
+class ReducedModel:
+    """A reduction of the counts: a left-stochastic factor (outputs x latent)
+    and an affiliation of the inputs to its latent states.
+
+    The reduction is a projection of the full model ``counts.model``, so
+    these three fields set it fully; they are checked once, here. Every
+    other piece derives from them at most once. ``model.rescale(reduced.approx,
+    p, q)`` gives its rescaled form.
+    """
+
+    counts: CountMatrix
     factor: np.ndarray
     affiliation: Partition
+
+    def __post_init__(self) -> None:
+        factor = np.asarray(self.factor, dtype=np.float64)
+        factor.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
+        m, n = self.counts.shape
+        if factor.shape != (m, self.affiliation.n_clusters):
+            raise ValueError(
+                f"factor shape {factor.shape} != ({m}, {self.affiliation.n_clusters})"
+            )
+        if self.affiliation.size != n:
+            raise ValueError(f"affiliation covers {self.affiliation.size} of {n} inputs")
+        _check_left_stochastic(factor, "factor")
+
+    @property
+    def model(self) -> TransitionModel:
+        return self.counts.model
 
     @property
     def approx(self) -> np.ndarray:
@@ -59,6 +155,56 @@ class ReducedModel:
     @property
     def inactive(self) -> tuple[int, ...]:
         return self.affiliation.inactive
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """Input mass of each latent state."""
+        return np.bincount(
+            self.affiliation.labels - 1, weights=self.model.input_dist, minlength=self.n_latent
+        )
+
+    @cached_property
+    def log_likelihood(self) -> float:
+        """Relaxed log-likelihood: each input column scored against its latent column."""
+        grouped = group_sums(self.counts.operand, self.affiliation.labels - 1, self.n_latent)
+        return float(_log_likelihoods(grouped[np.newaxis], self.factor[np.newaxis])[0])
+
+    @cached_property
+    def nonzero_view(self) -> _Nonzeros:
+        """P and the reduction on the nonzeros of P."""
+        model = self.model
+        rows, cols = model.support
+        labels0 = self.affiliation.labels - 1
+        at_label = rows * self.n_latent + labels0[cols]
+        return _Nonzeros(
+            rows=rows,
+            cols=cols,
+            starts=model.matrix.indptr[:-1],
+            labels0=labels0,
+            at_label=at_label,
+            values=model.matrix.data,
+            approx=self.factor.ravel().take(at_label),
+        )
+
+    @cached_property
+    def off_peak(self) -> np.ndarray:
+        """Per input column j, the largest factor entry F[i, k_j] over the
+        zeros i of column j of P: column j of |P - L| off its support."""
+        return self.nonzero_view.zeros_max(self.factor)
+
+    @cached_property
+    def frob_gap_sq(self) -> float:
+        """|P~ - L~|^2 as a sum over the nonzeros of P plus one over its zeros.
+
+        On a zero (i, j) of P the rescaled gap is L~_ij, whose square is
+        p_j F_ik^2 / q_i. Holds for any factor.
+        """
+        nz, F = self.nonzero_view, self.factor
+        p, q = self.model.input_dist, self.model.output_dist
+        scale = np.sqrt(p)[nz.cols] / np.sqrt(q)[nz.rows]
+        on_support = nz.values * scale - nz.approx * scale
+        off_support = nz.zeros_sum(F * F / q[:, np.newaxis], self.off_peak)
+        return float(np.sum(on_support * on_support) + p @ off_support)
 
 
 @dataclass(frozen=True)
@@ -140,16 +286,6 @@ def log_likelihood(counts: CountMatrix, transition) -> float:
     return float(np.sum(N.data * np.log(values)))
 
 
-def relaxed_log_likelihood(
-    counts: CountMatrix, factor: np.ndarray, affiliation: Partition
-) -> float:
-    """Likelihood with each input column scored against its latent column."""
-    factor = np.asarray(factor, dtype=np.float64)
-    _check_factor(counts, factor, affiliation)
-    grouped = group_sums(counts.operand, affiliation.labels - 1, affiliation.n_clusters)
-    return float(_log_likelihoods(grouped[np.newaxis], factor[np.newaxis])[0])
-
-
 def _log_likelihoods(grouped: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Per run, sum of G log F over the observed entries (G > 0) of its (m, r)
     block, taken in row-major order; -inf where F is zero on an observed
@@ -172,19 +308,6 @@ def _check_left_stochastic(matrix: np.ndarray, name: str) -> None:
     gap = np.abs(matrix.sum(axis=0) - 1.0).max()
     if gap > 1e-9:
         raise ValueError(f"{name} columns must sum to 1 within 1e-9 (off by {gap:g})")
-
-
-def _check_factor(counts: CountMatrix, factor: np.ndarray, affiliation: Partition) -> None:
-    m = counts.shape[0]
-    if factor.shape != (m, affiliation.n_clusters):
-        raise ValueError(
-            f"factor shape {factor.shape} != ({m}, {affiliation.n_clusters})"
-        )
-    if affiliation.size != counts.shape[1]:
-        raise ValueError(
-            f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
-        )
-    _check_left_stochastic(factor, "factor")
 
 
 def update_factor(counts: CountMatrix, affiliation: Partition) -> np.ndarray:
@@ -287,7 +410,7 @@ def dbmr_run(
     (trace,) = _ascend(
         counts, (init.labels - 1)[np.newaxis], init.n_clusters, max_steps, tol, snapshots
     )
-    return _final_model(trace, init.n_clusters), trace
+    return _final_model(counts, trace, init.n_clusters), trace
 
 
 def _ascend(
@@ -376,9 +499,11 @@ def _ascend(
     ]
 
 
-def _final_model(trace: DbmrTrace, n_latent: int) -> ReducedModel:
+def _final_model(counts: CountMatrix, trace: DbmrTrace, n_latent: int) -> ReducedModel:
     return ReducedModel(
-        factor=trace.factor, affiliation=Partition(labels=trace.labels, n_clusters=n_latent)
+        counts=counts,
+        factor=trace.factor,
+        affiliation=Partition(labels=trace.labels, n_clusters=n_latent),
     )
 
 
@@ -423,12 +548,14 @@ def multi_start(
         traces += _ascend(counts, inits - 1, n_latent, max_steps, tol, snapshots)
     finals = [trace.objectives[-1] for trace in traces]
     best_index = finals.index(max(finals))
-    return _final_model(traces[best_index], n_latent), best_index, traces
+    return _final_model(counts, traces[best_index], n_latent), best_index, traces
 
 
 def reduce_with_affiliation(counts: CountMatrix, affiliation: Partition) -> ReducedModel:
     """Maximum-likelihood reduction for a fixed affiliation, no iteration."""
-    return ReducedModel(factor=update_factor(counts, affiliation), affiliation=affiliation)
+    return ReducedModel(
+        counts=counts, factor=update_factor(counts, affiliation), affiliation=affiliation
+    )
 
 
 def output_partition(reduced: ReducedModel) -> Partition:
@@ -440,21 +567,17 @@ def output_partition(reduced: ReducedModel) -> Partition:
     return Partition(labels=labels0 + 1, n_clusters=reduced.n_latent)
 
 
-def rescaled_factor_spectrum(
-    factor: np.ndarray, labels: np.ndarray, model: TransitionModel
-) -> np.ndarray:
+def reduced_singular_values(reduced: ReducedModel) -> np.ndarray:
     """Singular values of the rescaled approximation, padded to min(m, n).
 
     The rescaled approximation factors through an (outputs x latent) core whose
     columns carry the square root of each latent state's input mass, against an
     orthonormal row frame; the core's SVD therefore matches the full matrix's.
     """
-    factor = np.asarray(factor, dtype=np.float64)
-    labels0 = np.asarray(labels, dtype=np.int64) - 1
-    masses = np.bincount(labels0, weights=model.input_dist, minlength=factor.shape[1])
+    model = reduced.model
     core = (
-        factor
-        * np.sqrt(masses)[np.newaxis, :]
+        reduced.factor
+        * np.sqrt(reduced.masses)[np.newaxis, :]
         / np.sqrt(model.output_dist)[:, np.newaxis]
     )
     sigma = np.linalg.svd(core, compute_uv=False)
@@ -462,8 +585,3 @@ def rescaled_factor_spectrum(
     if sigma.size >= size:
         return sigma[:size]
     return np.concatenate([sigma, np.zeros(size - sigma.size)])
-
-
-def reduced_singular_values(reduced: ReducedModel, model: TransitionModel) -> np.ndarray:
-    """Spectrum of a reduced model's rescaled approximation."""
-    return rescaled_factor_spectrum(reduced.factor, reduced.affiliation.labels, model)

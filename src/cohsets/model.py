@@ -195,6 +195,12 @@ class CountMatrix:
         """The estimated transition model of these counts, derived once."""
         return estimate(self)
 
+    @cached_property
+    def full_log_likelihood(self) -> float:
+        """Log-likelihood of the counts under ``model``, derived once: P is
+        stored on exactly the positive counts, so it is sum N log P over them."""
+        return float(np.sum(self.counts.data * np.log(self.model.matrix.data)))
+
 
 @dataclass(frozen=True)
 class TransitionModel:

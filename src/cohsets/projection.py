@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _frob_gap_sq, _Nonzeros
 from .dbmr import ReducedModel
-from .model import Partition, TransitionModel
+from .model import Partition
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,7 @@ def build_projection(input_dist: np.ndarray, affiliation: Partition) -> InducedP
     )
 
 
-def verify_factorization(
-    model: TransitionModel, reduced: ReducedModel
-) -> FactorizationResiduals:
+def verify_factorization(reduced: ReducedModel) -> FactorizationResiduals:
     """Check that the reduced model is the transition matrix times the projection.
 
     Holds exactly when the factor came from the maximum-likelihood update for
@@ -86,18 +83,14 @@ def verify_factorization(
     the (inputs x latent) matrix with entry p_j / mass_k when input j lies
     in class k; so the residuals need only class averages, never Pi itself.
     """
-    p, affiliation = model.input_dist, reduced.affiliation
-    if affiliation.size != p.size:
-        raise ValueError(f"affiliation covers {affiliation.size} of {p.size} inputs")
-    labels0, r = affiliation.labels - 1, affiliation.n_clusters
-    masses = np.bincount(labels0, weights=p, minlength=r)
+    model, nz, masses = reduced.model, reduced.nonzero_view, reduced.masses
+    p, labels0 = model.input_dist, nz.labels0
     # The one nonzero W_jk of row j of W.
     weights = p / masses[labels0]
     # Entry (i, j) of P adds P_ij W_jk to (i, k_j) of P W.
-    rows, cols = model.support
     class_averages = np.bincount(
-        rows * r + labels0[cols], model.matrix.data * weights[cols], model.shape[0] * r
-    ).reshape(-1, r)
+        nz.at_label, nz.values * weights[nz.cols], model.shape[0] * reduced.n_latent
+    ).reshape(-1, reduced.n_latent)
     active = np.unique(labels0)
     factorization = float(np.abs(reduced.factor - class_averages)[:, active].max())
     input_fixed = float(np.abs(weights * masses[labels0] - p).max())
@@ -109,21 +102,17 @@ def verify_factorization(
     )
 
 
-def pythagoras_check(model: TransitionModel, reduced: ReducedModel) -> tuple[float, float]:
+def pythagoras_check(reduced: ReducedModel) -> tuple[float, float]:
     """Return (squared gap, squared-norm difference) of the rescaled matrices;
     equal when the reduction factors through the induced projection.
 
-    The gap is the bound chain's, from the nonzeros of P and the factor; the
-    rescaled reduction's squared norm is sum_ik F_ik^2 mass_k / q_i, with
-    mass_k the input mass of latent state k.
+    The gap is the bound chain's, ``reduced.frob_gap_sq``; the rescaled
+    reduction's squared norm is sum_ik F_ik^2 mass_k / q_i, with mass_k the
+    input mass of latent state k.
     """
-    F, labels = reduced.factor, reduced.affiliation.labels
-    if F.shape[0] != model.shape[0] or labels.size != model.shape[1]:
-        raise ValueError(f"reduction of {F.shape[0]} x {labels.size} for a {model.shape} model")
-    masses = np.bincount(labels - 1, weights=model.input_dist, minlength=reduced.n_latent)
-    reduced_norm_sq = float(np.sum(F * F / model.output_dist[:, np.newaxis] * masses))
-    gap = _frob_gap_sq(_Nonzeros.of(model, reduced), model, reduced)
-    return gap, model.rescaled_norm_sq - reduced_norm_sq
+    F, model = reduced.factor, reduced.model
+    reduced_norm_sq = float(np.sum(F * F / model.output_dist[:, np.newaxis] * reduced.masses))
+    return reduced.frob_gap_sq, model.rescaled_norm_sq - reduced_norm_sq
 
 
 def singular_value_dominance(

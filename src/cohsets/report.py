@@ -19,13 +19,11 @@ from scipy import sparse
 from ._accel import BACKEND
 from .bounds import frobenius_kl_bound
 from .dbmr import (
-    log_likelihood,
+    ReducedModel,
     multi_start,
     output_partition,
     reduce_with_affiliation,
     reduced_singular_values,
-    relaxed_log_likelihood,
-    rescaled_factor_spectrum,
 )
 from .model import CountMatrix, Partition
 from .seeding import mix_seed
@@ -152,20 +150,14 @@ def compare_experiment(
     )
     dbmr_out = output_partition(best)
 
-    reference = log_likelihood(counts, model.matrix)
+    reference = counts.full_log_likelihood
     dbmr_objective = float(traces[best_run].objectives[-1])
-    svd_reduced = reduce_with_affiliation(counts, classical.input_partition)
-    svd_objective = relaxed_log_likelihood(
-        counts, svd_reduced.factor, svd_reduced.affiliation
-    )
+    svd_objective = reduce_with_affiliation(counts, classical.input_partition).log_likelihood
     default_objective = None
     if default_labels is not None:
-        default_reduced = reduce_with_affiliation(
+        default_objective = reduce_with_affiliation(
             counts, Partition(labels=default_labels, n_clusters=int(np.max(default_labels)))
-        )
-        default_objective = relaxed_log_likelihood(
-            counts, default_reduced.factor, default_reduced.affiliation
-        )
+        ).log_likelihood
     for name, value in (("svd", svd_objective), ("dbmr", dbmr_objective),
                         ("default", default_objective)):
         if value is not None and value > reference + 1e-9:
@@ -178,8 +170,14 @@ def compare_experiment(
     computed = classical.factorization.singular_values
     depth = spectrum_depth(rank, min(model.shape))
     sigma_full = np.concatenate([computed, np.zeros(depth - computed.size)])
-    sigma_reduced = reduced_singular_values(best, model)
-    bound = frobenius_kl_bound(counts, best, kappa_choice="post")
+    sigma_reduced = reduced_singular_values(best)
+    # The reduction projects the full model, so no singular value grows.
+    if not (sigma_reduced[:depth] <= sigma_full[:depth] + 1e-9 * (1.0 + sigma_full[0])).all():
+        raise FloatingPointError(
+            f"reduced singular values {sigma_reduced[:depth].tolist()} exceed the full "
+            f"model's {sigma_full[:depth].tolist()}"
+        )
+    bound = frobenius_kl_bound(best, kappa_choice="post")
 
     report = {
         "dataset": {
@@ -305,8 +303,13 @@ def multirun_experiment(
     depth = spectrum_depth(rank, min(model.shape))
     run_rows: list[dict] = []
     trace_rows: list[dict] = []
+
+    def spectrum(factor: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        affiliation = Partition(labels=labels, n_clusters=rank)
+        return reduced_singular_values(ReducedModel(counts, factor, affiliation))
+
     for run, run_trace in enumerate(traces):
-        sigma = rescaled_factor_spectrum(run_trace.factor, run_trace.labels, model)
+        sigma = spectrum(run_trace.factor, run_trace.labels)
         row = {
             "run": run,
             "objective": float(run_trace.objectives[-1]),
@@ -320,7 +323,7 @@ def multirun_experiment(
         run_rows.append(row)
         if trace:
             for step in run_trace.steps:
-                step_sigma = rescaled_factor_spectrum(step.factor, step.labels, model)
+                step_sigma = spectrum(step.factor, step.labels)
                 trace_rows.append(
                     {
                         "run": run,

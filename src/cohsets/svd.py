@@ -452,9 +452,11 @@ def classical_pipeline(
     The factorization holds the ``spectrum_depth`` leading triplets, enough
     for the reported spectrum; ``rank`` must not exceed the triplets kept.
     """
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
     model = counts.model
     factorization = full_svd(model.rescaled, spectrum_depth(rank, min(model.shape)))
-    if not 1 <= rank <= factorization.rank:
+    if rank > factorization.rank:
         raise ValueError(f"rank must lie in [1, {factorization.rank}], got {rank}")
     input_partition, input_repairs = kmeans(
         factorization.right[:, :rank], rank, restarts=restarts, seed=mix_seed(seed, 1)

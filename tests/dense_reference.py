@@ -333,7 +333,9 @@ def dbmr_run_reference(counts, init, max_steps=500, tol=0.0, snapshots=True):
             factor=factor,
         )
     reduced = ReducedModel(
-        factor=factor, affiliation=Partition(labels=labels0 + 1, n_clusters=n_latent)
+        counts=counts,
+        factor=factor,
+        affiliation=Partition(labels=labels0 + 1, n_clusters=n_latent),
     )
     return reduced, StepTrace(
         steps=tuple(steps), converged=converged, sunk_columns=sunk_columns

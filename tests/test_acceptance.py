@@ -14,11 +14,11 @@ import pytest
 
 from cohsets.bounds import frobenius_kl_bound, pinsker_l2
 from cohsets.dbmr import (
+    ReducedModel,
     log_likelihood,
     multi_start,
     reduce_with_affiliation,
-    relaxed_log_likelihood,
-    rescaled_factor_spectrum,
+    reduced_singular_values,
 )
 from cohsets.generators import (
     GyreConfig,
@@ -61,7 +61,7 @@ def test_three_set_alternating_best_of_100(three_example):
     gap = dense(model.rescaled) - rescale(best.approx, model.input_dist, model.output_dist)
     gap_sq = float(np.sum(gap * gap))
     assert gap_sq <= 1e-12
-    report = frobenius_kl_bound(counts, best)
+    report = frobenius_kl_bound(best)
     assert abs(report.kl_form) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -85,11 +85,9 @@ def test_interval_map_quantities(interval_example, interval_affiliation):
     default = reduce_with_affiliation(counts, interval_affiliation)
     gap = dense(model.rescaled) - rescale(default.approx, model.input_dist, model.output_dist)
     assert float(np.sum(gap * gap)) == pytest.approx(27.0, abs=1e-6)
-    report = frobenius_kl_bound(counts, default)
+    report = frobenius_kl_bound(default)
     assert report.kappa_value == pytest.approx(1 / 30, abs=1e-9)
-    default_objective = relaxed_log_likelihood(
-        counts, default.factor, default.affiliation
-    )
+    default_objective = default.log_likelihood
     assert default_objective == pytest.approx(-0.2755e5, abs=5.0)
     reference = log_likelihood(counts, model.matrix)
     assert reference == pytest.approx(-0.0890e5, abs=5.0)
@@ -106,12 +104,10 @@ def _perturbed_instance_checks(dataset, rank, seed):
     model = estimate(counts)
     best, best_run, traces = multi_start(counts, rank, runs=3, seed=seed)
     sigma_full = np.linalg.svd(dense(model.rescaled), compute_uv=False)
-    sigma_reduced = rescaled_factor_spectrum(
-        best.factor, best.affiliation.labels, model
-    )
+    sigma_reduced = reduced_singular_values(best)
     assert np.all(sigma_reduced <= sigma_full + 1e-9)
     for choice in ("pr", "post"):
-        report = frobenius_kl_bound(counts, best, kappa_choice=choice)
+        report = frobenius_kl_bound(best, kappa_choice=choice)
         assert report.kappa_value > 0.0
         assert np.isfinite(report.kl_form)
         assert report.frob_gap_sq <= report.kl_form + 1e-9
@@ -155,10 +151,10 @@ def test_randomized_structural_suite():
         sym = proj.rescaled
         assert np.abs(sym - sym.T).max() <= 1e-10
         assert np.abs(sym @ sym - sym).max() <= 1e-10
-        residuals = verify_factorization(model, reduced)
+        residuals = verify_factorization(reduced)
         assert residuals.factorization <= 1e-12
         assert residuals.output_marginal <= 1e-12
-        lhs, rhs = pythagoras_check(model, reduced)
+        lhs, rhs = pythagoras_check(reduced)
         assert abs(lhs - rhs) <= 1e-10
 
         scale = np.sqrt(model.input_dist)[None, :] / np.sqrt(model.output_dist)[:, None]
@@ -250,7 +246,8 @@ def test_three_set_restart_bimodality(three_example):
     sigma3 = []
     for trace in traces:
         final = trace.steps[-1]
-        sigma = rescaled_factor_spectrum(final.factor, final.labels, model)
+        reduced = ReducedModel(counts, final.factor, Partition(final.labels, 3))
+        sigma = reduced_singular_values(reduced)
         assert sigma[1] == pytest.approx(1.0, abs=1e-9)
         sigma3.append(float(sigma[2]))
     sigma3 = np.asarray(sigma3)

@@ -87,7 +87,7 @@ def test_deviation_coefficient_examples():
 def test_bound_constants_three_default(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
-    constants = bound_constants(model, reduced)
+    constants = bound_constants(reduced)
     # the reduction is exact, so the difference balancedness is maximal
     assert constants.kappa_diff == 0.5
     assert constants.kappa_col == pytest.approx(0.15625, abs=1e-15)
@@ -101,7 +101,7 @@ def test_bound_constants_three_default(three_example, three_affiliation):
 def test_bound_constants_interval_default(interval_example, interval_affiliation):
     counts, model, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    constants = bound_constants(model, reduced)
+    constants = bound_constants(reduced)
     assert constants.kappa_diff == pytest.approx(1 / 30, abs=1e-12)
     # the reduction spreads mass onto unobserved outputs of every column
     assert constants.kappa_col == -np.inf
@@ -121,7 +121,7 @@ def test_bound_constants_post_dominates_prior_random():
         reduced = reduce_with_affiliation(
             counts, Partition(labels=labels, n_clusters=r)
         )
-        constants = bound_constants(model, reduced)
+        constants = bound_constants(reduced)
         assert constants.kappa_post >= constants.kappa_prior - 1e-12
         assert constants.kappa_post == max(constants.kappa_diff, constants.kappa_col)
         half_min = 0.5 * model.output_dist.min()
@@ -147,7 +147,7 @@ def _bound_constants_by_column(model, reduced):
 
 
 def _assert_matches_columns(model, reduced):
-    constants = bound_constants(model, reduced)
+    constants = bound_constants(reduced)
     kappa_diff, kappa_col, deviations = _bound_constants_by_column(model, reduced)
     np.testing.assert_allclose(constants.kappa_diff, kappa_diff, rtol=1e-12, atol=0)
     np.testing.assert_allclose(constants.kappa_col, kappa_col, rtol=1e-12, atol=0)
@@ -182,7 +182,7 @@ def test_bound_constants_match_column_helpers_interval(interval_example,
 def test_chain_three_default(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
-    report = frobenius_kl_bound(counts, reduced)
+    report = frobenius_kl_bound(reduced)
     assert report.kappa_value == 0.5
     assert report.frob_gap_sq < 1e-12
     assert report.kl_form == pytest.approx(0.0, abs=1e-12)
@@ -195,7 +195,7 @@ def test_chain_three_default(three_example, three_affiliation):
 def test_chain_interval_default(interval_example, interval_affiliation):
     counts, _, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    report = frobenius_kl_bound(counts, reduced, kappa_choice="q1")
+    report = frobenius_kl_bound(reduced, kappa_choice="q1")
     assert report.kappa_value == pytest.approx(1 / 30, abs=1e-12)
     assert report.frob_gap_sq == pytest.approx(27.0, abs=1e-9)
     assert report.kl_form == pytest.approx(30 * math.log(10), abs=1e-9)
@@ -206,21 +206,21 @@ def test_chain_interval_default(interval_example, interval_affiliation):
 def test_chain_kappa_choices(interval_example, interval_affiliation):
     counts, _, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    post = frobenius_kl_bound(counts, reduced, kappa_choice="post")
-    prior = frobenius_kl_bound(counts, reduced, kappa_choice="pr")
+    post = frobenius_kl_bound(reduced, kappa_choice="post")
+    prior = frobenius_kl_bound(reduced, kappa_choice="pr")
     assert post.kappa_tag == "q1"
     assert prior.kappa_value == pytest.approx(1 / 180)
     # the prior constant is smaller, so its bound is looser
     assert prior.kl_form >= post.kl_form
     assert prior.frob_gap_sq <= prior.kl_form
     with pytest.raises(ValueError):
-        frobenius_kl_bound(counts, reduced, kappa_choice="mystery")
+        frobenius_kl_bound(reduced, kappa_choice="mystery")
 
 
 def test_chain_degenerate_kappa(interval_example, interval_affiliation):
     counts, _, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    report = frobenius_kl_bound(counts, reduced, kappa_choice="q2")
+    report = frobenius_kl_bound(reduced, kappa_choice="q2")
     assert report.kappa_value == -np.inf
     assert report.kl_form == np.inf
     assert report.likelihood_form == np.inf
@@ -236,7 +236,7 @@ def test_chain_random_partitions():
         reduced = reduce_with_affiliation(
             counts, Partition(labels=labels, n_clusters=r)
         )
-        report = frobenius_kl_bound(counts, reduced)
+        report = frobenius_kl_bound(reduced)
         if report.kappa_value > 0 and np.isfinite(report.kl_form):
             assert report.frob_gap_sq <= report.kl_form + 1e-9
             assert report.likelihood_form == pytest.approx(
@@ -252,8 +252,8 @@ def test_chain_support_violation_is_infinite(three_example):
     affiliation = Partition(labels=np.ones(100, dtype=int), n_clusters=1)
     factor = np.zeros((100, 1))
     factor[0, 0] = 1.0
-    broken = ReducedModel(factor=factor, affiliation=affiliation)
-    report = frobenius_kl_bound(counts, broken)
+    broken = ReducedModel(counts=counts, factor=factor, affiliation=affiliation)
+    report = frobenius_kl_bound(broken)
     assert report.kl_form == np.inf
     assert report.likelihood_form == np.inf
     assert report.coherence_bound == -np.inf
@@ -262,7 +262,7 @@ def test_chain_support_violation_is_infinite(three_example):
 def test_coherence_lower_bound_three(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
-    bound = coherence_lower_bound(counts, reduced, 0.5)
+    bound = coherence_lower_bound(reduced, 0.5)
     # exact reduction: the bound collapses to the full squared norm
     assert bound == pytest.approx(2.36, abs=1e-9)
     reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
@@ -273,7 +273,7 @@ def test_coherence_lower_bound_three(three_example, three_affiliation):
 def test_coherence_lower_bound_interval(interval_example, interval_affiliation):
     counts, model, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    bound = coherence_lower_bound(counts, reduced, 1 / 30)
+    bound = coherence_lower_bound(reduced, 1 / 30)
     assert bound == pytest.approx(30 - 30 * math.log(10), abs=1e-6)
     reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
     sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
@@ -285,7 +285,7 @@ def test_coherence_lower_bound_validation(three_example, three_affiliation):
     counts, _, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
     with pytest.raises(ValueError):
-        coherence_lower_bound(counts, reduced, 0.0)
+        coherence_lower_bound(reduced, 0.0)
 
 
 def test_coherence_lower_bound_random():
@@ -299,10 +299,10 @@ def test_coherence_lower_bound_random():
         reduced = reduce_with_affiliation(
             counts, Partition(labels=labels, n_clusters=r)
         )
-        constants = bound_constants(model, reduced)
+        constants = bound_constants(reduced)
         if constants.kappa_post <= 0:
             continue
-        bound = coherence_lower_bound(counts, reduced, constants.kappa_post)
+        bound = coherence_lower_bound(reduced, constants.kappa_post)
         reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
         sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
         assert np.sum(sigma[:r]) >= bound - 1e-9
@@ -372,7 +372,7 @@ def test_chain_matches_likelihood_identity(three_example, three_affiliation):
     reduced = reduce_with_affiliation(
         counts, Partition(labels=labels, n_clusters=2)
     )
-    report = frobenius_kl_bound(counts, reduced)
+    report = frobenius_kl_bound(reduced)
     full = log_likelihood(counts, model.matrix)
     merged = log_likelihood(counts, reduced.approx)
     expected = (full - merged) / (report.kappa_value * counts.total)

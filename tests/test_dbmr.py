@@ -13,8 +13,6 @@ from cohsets.dbmr import (
     random_affiliation,
     reduce_with_affiliation,
     reduced_singular_values,
-    relaxed_log_likelihood,
-    rescaled_factor_spectrum,
     update_affiliation,
     update_factor,
 )
@@ -63,7 +61,7 @@ def test_relaxed_equals_full_on_identity_affiliation(three_example):
     identity = Partition(labels=np.arange(1, n + 1), n_clusters=n)
     factor = update_factor(counts, identity)
     assert factor == pytest.approx(dense(model.matrix), abs=1e-12)
-    assert relaxed_log_likelihood(counts, factor, identity) == pytest.approx(
+    assert ReducedModel(counts, factor, identity).log_likelihood == pytest.approx(
         log_likelihood(counts, model.matrix)
     )
 
@@ -71,7 +69,7 @@ def test_relaxed_equals_full_on_identity_affiliation(three_example):
 def test_relaxed_interval_default(interval_example, interval_affiliation):
     counts, _, _ = interval_example
     factor = update_factor(counts, interval_affiliation)
-    value = relaxed_log_likelihood(counts, factor, interval_affiliation)
+    value = ReducedModel(counts, factor, interval_affiliation).log_likelihood
     assert value == pytest.approx(8100 * math.log(1 / 30), abs=1e-8)
 
 
@@ -84,7 +82,7 @@ def test_relaxed_matches_gathered_likelihood():
         affiliation = random_affiliation(counts.shape[1], r, int(rng.integers(1 << 30)))
         reduced = reduce_with_affiliation(counts, affiliation)
         direct = log_likelihood(counts, reduced.approx)
-        relaxed = relaxed_log_likelihood(counts, reduced.factor, affiliation)
+        relaxed = reduced.log_likelihood
         assert relaxed == pytest.approx(direct, rel=1e-12)
 
 
@@ -94,7 +92,7 @@ def test_relaxed_support_violation(three_example):
     factor = np.zeros((100, 2))
     factor[0, 0] = 1.0
     factor[:, 1] = 1.0 / 100
-    assert relaxed_log_likelihood(counts, factor, affiliation) == -np.inf
+    assert ReducedModel(counts, factor, affiliation).log_likelihood == -np.inf
 
 
 def test_update_factor_three_default(three_example, three_affiliation):
@@ -285,7 +283,7 @@ def test_reduced_model_holds_factor_and_affiliation():
     counts = random_counts(np.random.default_rng(67), 12, 15, density=0.5)
     affiliation = random_affiliation(15, 4, 3)
     reduced = reduce_with_affiliation(counts, affiliation)
-    assert [f.name for f in dataclasses.fields(ReducedModel)] == ["factor", "affiliation"]
+    assert [f.name for f in dataclasses.fields(ReducedModel)] == ["counts", "factor", "affiliation"]
     assert np.array_equal(reduced.approx, reduced.factor[:, affiliation.labels - 1])
 
 
@@ -323,7 +321,7 @@ def test_reduced_singular_values_match_direct():
         affiliation = random_affiliation(counts.shape[1], r, int(rng.integers(1 << 30)))
         model = estimate(counts)
         reduced = reduce_with_affiliation(counts, affiliation)
-        fast = reduced_singular_values(reduced, model)
+        fast = reduced_singular_values(reduced)
         reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
         direct = np.linalg.svd(reduced_rescaled, compute_uv=False)
         assert fast == pytest.approx(direct, abs=1e-10)
@@ -338,7 +336,8 @@ def _assert_gap_terms_match_direct(counts, model, init):
         gap = dense(model.rescaled) - scaled
         assert step.frob_gap_sq == pytest.approx(np.sum(gap * gap), abs=1e-9)
         assert step.approx_norm_sq == pytest.approx(np.sum(scaled * scaled), abs=1e-9)
-        sigma = rescaled_factor_spectrum(factor, step.labels, model)
+        reduced = ReducedModel(counts, factor, Partition(step.labels, factor.shape[1]))
+        sigma = reduced_singular_values(reduced)
         assert sigma == pytest.approx(
             np.linalg.svd(scaled, compute_uv=False), abs=1e-9
         )

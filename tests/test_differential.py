@@ -26,10 +26,9 @@ from scipy import sparse
 
 from cohsets import _accel, dbmr, model as model_module, svd
 from cohsets.bounds import (
-    _frob_gap_sq,
-    _Nonzeros,
     _weighted_kl_sum,
     bound_constants,
+    coherence_lower_bound,
     frobenius_kl_bound,
 )
 from cohsets.dbmr import (
@@ -145,16 +144,20 @@ def reductions(draw):
     if exact or draw(st.booleans()):
         reduced = reduce_with_affiliation(pruned, affiliation)
         if draw(st.booleans()):
-            # an ML factor with one entry raised, off the fit when exact
+            # an ML factor with one entry raised and its column renormalized,
+            # off the fit when exact
             factor = reduced.factor.copy()
-            factor[draw(st.integers(0, m - 1)), draw(st.integers(0, r - 1))] += draw(
-                st.sampled_from([1e-17, 0.01])
-            )
-            reduced, exact = ReducedModel(factor=factor, affiliation=affiliation), False
+            k = draw(st.integers(0, r - 1))
+            factor[draw(st.integers(0, m - 1)), k] += draw(st.sampled_from([1e-17, 0.01]))
+            factor[:, k] /= factor[:, k].sum()
+            reduced = ReducedModel(counts=pruned, factor=factor, affiliation=affiliation)
+            exact = False
     else:
         factor = draw(factors(m, r))
         factor[draw(st.integers(0, m - 1))] += 0.5  # every column carries mass
-        reduced = ReducedModel(factor=factor / factor.sum(axis=0), affiliation=affiliation)
+        reduced = ReducedModel(
+            counts=pruned, factor=factor / factor.sum(axis=0), affiliation=affiliation
+        )
     return pruned, model, reduced, exact
 
 
@@ -165,7 +168,7 @@ def test_bound_chain_matches_dense_formulas(case):
     kappa_diff, kappa_col, deviations = bound_constants_dense(model, reduced)
     kappa_prior = 0.5 * model.output_dist.min()
     try:
-        constants = bound_constants(model, reduced)
+        constants = bound_constants(reduced)
     except FloatingPointError:
         assert max(kappa_diff, kappa_col) < kappa_prior - 1e-12 * (1.0 + kappa_prior)
         return
@@ -173,21 +176,26 @@ def test_bound_chain_matches_dense_formulas(case):
     assert np.array_equal(constants.deviations, deviations)
     np.testing.assert_allclose(constants.kappa_col, kappa_col, rtol=1e-14)
     np.testing.assert_allclose(constants.kappa_diff, kappa_diff, rtol=1e-12)
-    nz = _Nonzeros.of(model, reduced)
     np.testing.assert_allclose(
-        _weighted_kl_sum(nz, model), weighted_kl_sum_dense(model, reduced), rtol=1e-14
+        _weighted_kl_sum(reduced), weighted_kl_sum_dense(model, reduced), rtol=1e-14
     )
     weighted = reduced.factor / model.output_dist[:, np.newaxis]
     assert np.array_equal(
-        nz.zeros_max(weighted),
+        reduced.nonzero_view.zeros_max(weighted),
         zeros_max_dense(dense(model.matrix), weighted, reduced.affiliation.labels - 1),
     )
-    gap, dense_gap = _frob_gap_sq(nz, model, reduced), frob_gap_sq_dense(model, reduced)
+    gap, dense_gap = reduced.frob_gap_sq, frob_gap_sq_dense(model, reduced)
     assert abs(gap - dense_gap) <= 1e-12 * (dense_gap + model.rescaled_norm_sq)
     if exact:
         # the zeros of an exact fit contribute exactly nothing
         assert gap <= 1e-24
-        assert frobenius_kl_bound(counts, reduced).frob_gap_sq == gap
+    bound = frobenius_kl_bound(reduced)
+    assert bound.frob_gap_sq == gap
+    # Pythagoras reads the chain's gap, and the chain's coherence bound is
+    # the one coherence_lower_bound gives for its kappa
+    assert pythagoras_check(reduced)[0] == bound.frob_gap_sq
+    if bound.kappa_value > 0.0:
+        assert coherence_lower_bound(reduced, bound.kappa_value) == bound.coherence_bound
 
 
 def _assert_close(value, expected, scale=None):
@@ -234,10 +242,10 @@ def test_entry_model_matches_dense_formulas(case, data):
 def test_exact_fit_gaps(three_example, three_affiliation, interval_example,
                         interval_affiliation):
     counts, _, _ = three_example
-    bound = frobenius_kl_bound(counts, reduce_with_affiliation(counts, three_affiliation))
+    bound = frobenius_kl_bound(reduce_with_affiliation(counts, three_affiliation))
     assert bound.frob_gap_sq <= 1e-24
     counts, _, _ = interval_example
-    bound = frobenius_kl_bound(counts, reduce_with_affiliation(counts, interval_affiliation))
+    bound = frobenius_kl_bound(reduce_with_affiliation(counts, interval_affiliation))
     assert abs(bound.frob_gap_sq - 27.0) <= 1e-12
 
 
@@ -248,8 +256,9 @@ def test_off_support_mass_is_never_snapped(three_example, three_affiliation):
     for extra in (1e-17, 0.01):
         factor = exact.factor.copy()
         factor[60, 0] += extra  # row 60 carries no count of latent state 1's inputs
-        reduced = ReducedModel(factor=factor, affiliation=three_affiliation)
-        deviations = bound_constants(model, reduced).deviations
+        factor[:, 0] /= factor[:, 0].sum()
+        reduced = ReducedModel(counts=counts, factor=factor, affiliation=three_affiliation)
+        deviations = bound_constants(reduced).deviations
         assert np.array_equal(deviations, bound_constants_dense(model, reduced)[2])
         state_one = three_affiliation.labels == 1
         assert (deviations[state_one] == (np.inf if extra > 1e-9 else 0.0)).all()
@@ -550,7 +559,7 @@ def test_bound_chain_allocates_no_dense_matrix():
     """The bound chain's memory follows the nonzeros, not m x n."""
     size = 2000
     counts, reduced = _two_per_column(size)
-    peak = _traced_peak(lambda: frobenius_kl_bound(counts, reduced))
+    peak = _traced_peak(lambda: frobenius_kl_bound(reduced))
     # an m x n boolean mask alone would take size * size bytes
     assert peak < size * size
 
@@ -559,7 +568,7 @@ def test_factorization_residuals_allocate_no_projection():
     """The residuals need class averages, not the n x n induced projection."""
     size = 2000
     counts, reduced = _two_per_column(size)
-    peak = _traced_peak(lambda: verify_factorization(counts.model, reduced))
+    peak = _traced_peak(lambda: verify_factorization(reduced))
     assert peak < 8 * size * size
 
 
@@ -590,7 +599,7 @@ def test_pythagoras_matches_dense_formula(case):
     p, q = model.input_dist, model.output_dist
     reference = pythagoras_check_dense(dense(model.rescaled), rescale(reduced.approx, p, q))
     tolerance = 1e-12 * (1.0 + model.rescaled_norm_sq)
-    for value, expected in zip(pythagoras_check(model, reduced), reference):
+    for value, expected in zip(pythagoras_check(reduced), reference):
         assert abs(value - expected) <= tolerance
 
 
@@ -600,7 +609,7 @@ def test_factorization_residuals_match_dense_projection(case):
     """Residuals of ML and of arbitrary factors, with empty latent states,
     equal those through the dense projection up to rounding."""
     _, model, reduced, _ = case
-    residuals = verify_factorization(model, reduced)
+    residuals = verify_factorization(reduced)
     reference = verify_factorization_reference(model, reduced)
     for field in ("factorization", "input_fixed", "output_marginal"):
         assert abs(getattr(residuals, field) - getattr(reference, field)) <= 1e-12

@@ -418,6 +418,53 @@ def test_cli_exit_codes(tmp_path):
         main([])
 
 
+def test_cli_compare_refuses_rank_zero_before_factorizing(tmp_path, capsys, monkeypatch):
+    from cohsets import svd
+
+    monkeypatch.setattr(svd, "full_svd", lambda *args, **kwargs: pytest.fail("factorized"))
+    assert main(["compare", "--example", "three-coherent", "--rank", "0", "--runs", "1",
+                 "--no-images", "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: rank must be positive, got 0\n"
+
+
+def test_cli_compare_exits_3_when_a_singular_value_grows(tmp_path, capsys, monkeypatch):
+    """A reduced singular value above the full one is a numerical failure."""
+    from cohsets import report
+
+    spectrum = report.reduced_singular_values
+    monkeypatch.setattr(report, "reduced_singular_values", lambda reduced: spectrum(reduced) + 1e-6)
+    out = tmp_path / "r.json"
+    assert main(["compare", "--example", "three-coherent", "--runs", "2",
+                 "--no-images", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: reduced singular values")
+    assert not out.exists()
+
+
+def test_cli_bounds_exits_3_when_pythagoras_fails(capsys, monkeypatch):
+    from cohsets import cli
+
+    check = cli.pythagoras_check
+    monkeypatch.setattr(cli, "pythagoras_check", lambda reduced: (check(reduced)[0] + 1e-6, check(reduced)[1]))
+    assert main(["bounds", "--example", "interval-map"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: squared gap")
+
+
+def test_cli_bounds_exits_3_when_the_factorization_fails(capsys, monkeypatch):
+    import dataclasses
+
+    from cohsets import cli
+
+    verify = cli.verify_factorization
+    monkeypatch.setattr(cli, "verify_factorization",
+                        lambda reduced: dataclasses.replace(verify(reduced), input_fixed=1e-6))
+    assert main(["bounds", "--example", "interval-map"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: factorization residuals")
+
+
 def test_cli_module_entry_point(tmp_path):
     import subprocess
     import sys

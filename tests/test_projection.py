@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cohsets.dbmr import reduce_with_affiliation
+from cohsets.dbmr import ReducedModel, reduce_with_affiliation
 from cohsets.model import Partition, estimate, rescale
 from cohsets.projection import (
     build_projection,
@@ -101,7 +101,7 @@ def test_projection_eigenvalues_zero_or_one():
 def test_factorization_identity_three(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
-    residuals = verify_factorization(model, reduced)
+    residuals = verify_factorization(reduced)
     assert residuals.factorization < 1e-15
     assert residuals.input_fixed < 1e-15
     assert residuals.output_marginal < 1e-15
@@ -117,13 +117,13 @@ def test_factorization_identity_random():
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(counts, _affiliation(labels, r))
-        assert verify_factorization(model, reduced).max() < 1e-12
+        assert verify_factorization(reduced).max() < 1e-12
 
 
 def test_pythagoras_interval(interval_example, interval_affiliation):
     counts, model, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    lhs, rhs = pythagoras_check(model, reduced)
+    lhs, rhs = pythagoras_check(reduced)
     assert lhs == pytest.approx(27.0, abs=1e-9)
     assert rhs == pytest.approx(27.0, abs=1e-9)
 
@@ -136,16 +136,24 @@ def test_pythagoras_random():
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(counts, _affiliation(labels, r))
-        lhs, rhs = pythagoras_check(model, reduced)
+        lhs, rhs = pythagoras_check(reduced)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_pythagoras_shape_mismatch(three_example, interval_example, interval_affiliation):
-    """A reduction of another model's shape is refused."""
+    """A reduction of another model's shape is refused where it is built, so
+    no check ever sees a mismatched model and reduction."""
     counts, _, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    with pytest.raises(ValueError):
-        pythagoras_check(three_example[1], reduced)
+    other = three_example[0]
+    with pytest.raises(ValueError, match="factor shape"):
+        ReducedModel(other, reduced.factor, interval_affiliation)
+    with pytest.raises(ValueError, match="affiliation covers"):
+        ReducedModel(other, np.full((100, 3), 0.01), interval_affiliation)
+    with pytest.raises(ValueError, match="sum to 1"):
+        ReducedModel(counts, 2.0 * reduced.factor, interval_affiliation)
+    with pytest.raises(ValueError, match="negative"):
+        ReducedModel(counts, reduced.factor - 0.5, interval_affiliation)
 
 
 def test_frobenius_orthogonality_random():
