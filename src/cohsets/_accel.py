@@ -1,9 +1,7 @@
 """Hot numerical kernels.
 
-Trajectory advection exists in two versions: a numba ``@njit`` loop and a
-pure-numpy implementation. The backend is chosen once at import time: numba
-when it can be imported, numpy otherwise. Both compute the same endpoints;
-results may differ in the last floating-point bits.
+Trajectory advection steps blocks of points through vectorized numpy RK4
+stages, one thread per available CPU.
 
 The score and group-sum kernels take the count matrix in either storage that
 ``model.CountMatrix.operand`` holds: a dense array, multiplied through
@@ -20,13 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
 
 
 def velocity_arrays(x, y, t, a, delta, omega):
@@ -45,9 +36,9 @@ def velocity_arrays(x, y, t, a, delta, omega):
     return u, v
 
 
-# Points advected together by the numpy path. A block's stage temporaries
-# stay in cache across all steps; each point sees the same arithmetic as
-# when the whole array steps at once, so results are bitwise identical.
+# Points advected together. A block's stage temporaries stay in cache across
+# all steps; each point sees the same arithmetic as when the whole array
+# steps at once, so results are bitwise identical.
 ADVECT_BLOCK = 8192
 
 
@@ -69,7 +60,9 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _advect_rk4_numpy(xs, ys, t0, n_steps, h, a, delta, omega):
+def advect_rk4(xs, ys, t0, n_steps, h, a, delta, omega):
+    """RK4 endpoints of the double-gyre flow after ``n_steps`` steps of size
+    ``h`` from time ``t0``; the input arrays are left untouched."""
     out_x = np.array(xs, dtype=np.float64, copy=True)
     out_y = np.array(ys, dtype=np.float64, copy=True)
 
@@ -85,48 +78,6 @@ def _advect_rk4_numpy(xs, ys, t0, n_steps, h, a, delta, omega):
     starts = range(0, out_x.size, ADVECT_BLOCK)
     with ThreadPoolExecutor(max(1, min(len(starts), _cpu_count()))) as pool:
         list(pool.map(advect, starts))
-    return out_x, out_y
-
-
-def _advect_rk4_loop(xs, ys, t0, n_steps, h, a, delta, omega):
-    # Same stage arithmetic as the numpy path; the velocity formula is
-    # inlined because numba cannot call the vectorized helper.
-    out_x = xs.copy()
-    out_y = ys.copy()
-    api = a * math.pi
-    n = xs.shape[0]
-    for s in range(n_steps):
-        t = t0 + s * h
-        sw1 = delta * math.sin(omega * t)
-        sw2 = delta * math.sin(omega * (t + 0.5 * h))
-        sw3 = delta * math.sin(omega * (t + h))
-        for i in range(n):
-            x = out_x[i]
-            y = out_y[i]
-            f = sw1 * x * x + (1.0 - 2.0 * sw1) * x
-            df = 2.0 * sw1 * x + 1.0 - 2.0 * sw1
-            k1x = -api * math.sin(math.pi * f) * math.cos(math.pi * y)
-            k1y = api * math.cos(math.pi * f) * math.sin(math.pi * y) * df
-            px = x + 0.5 * h * k1x
-            py = y + 0.5 * h * k1y
-            f = sw2 * px * px + (1.0 - 2.0 * sw2) * px
-            df = 2.0 * sw2 * px + 1.0 - 2.0 * sw2
-            k2x = -api * math.sin(math.pi * f) * math.cos(math.pi * py)
-            k2y = api * math.cos(math.pi * f) * math.sin(math.pi * py) * df
-            px = x + 0.5 * h * k2x
-            py = y + 0.5 * h * k2y
-            f = sw2 * px * px + (1.0 - 2.0 * sw2) * px
-            df = 2.0 * sw2 * px + 1.0 - 2.0 * sw2
-            k3x = -api * math.sin(math.pi * f) * math.cos(math.pi * py)
-            k3y = api * math.cos(math.pi * f) * math.sin(math.pi * py) * df
-            px = x + h * k3x
-            py = y + h * k3y
-            f = sw3 * px * px + (1.0 - 2.0 * sw3) * px
-            df = 2.0 * sw3 * px + 1.0 - 2.0 * sw3
-            k4x = -api * math.sin(math.pi * f) * math.cos(math.pi * py)
-            k4y = api * math.cos(math.pi * f) * math.sin(math.pi * py) * df
-            out_x[i] = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            out_y[i] = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
     return out_x, out_y
 
 
@@ -183,16 +134,8 @@ def group_sums(counts, labels0, r):
     return np.ascontiguousarray(sums.transpose(1, 0, 2))
 
 
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    advect_rk4 = njit(cache=True)(_advect_rk4_loop)
-else:
-    BACKEND = "numpy"
-    advect_rk4 = _advect_rk4_numpy
-
-
 def warmup() -> None:
-    """Trigger jit compilation on tiny inputs so later timings are clean."""
+    """Advect two points two steps; kept for ``perfbench/ready.py``'s set-up probe."""
     xs = np.array([0.5, 1.5])
     ys = np.array([0.25, 0.75])
     advect_rk4(xs, ys, 0.0, 2, 0.01, 0.25, 0.25, 2.0 * math.pi)

@@ -78,6 +78,14 @@ def write_pairs(path: str | Path, dataset: PairDataset) -> None:
         _write_table(fh, table, ",")
 
 
+def _load_body(path: str | Path, **kwargs) -> np.ndarray:
+    """Integer rows of a file's body; an empty body gives an empty table,
+    which the callers report, so numpy's warning about it is muted."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, dtype=np.int64, ndmin=2, encoding="utf-8", **kwargs)
+
+
 def read_pairs(path: str | Path) -> PairDataset:
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -87,10 +95,7 @@ def read_pairs(path: str | Path) -> PairDataset:
         n, m = int(match.group(1)), int(match.group(2))
         header = fh.readline().strip().lower() == "x,y"
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # empty body is reported below
-            table = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2,
-                               skiprows=2 if header else 1, encoding="utf-8")
+        table = _load_body(path, delimiter=",", skiprows=2 if header else 1)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed record line ({exc})") from exc
     if table.size == 0:
@@ -120,7 +125,7 @@ def read_count_entries(path: str | Path) -> tuple:
         m, n, total = (int(tok) for tok in first)
     except ValueError as exc:
         raise ValueError(f"{path}: non-integer header field ({exc})") from exc
-    table = np.loadtxt(path, dtype=np.int64, ndmin=2, skiprows=1, encoding="utf-8")
+    table = _load_body(path, skiprows=1)
     if table.size == 0:
         table = table.reshape(0, 3)
     if table.shape[1] != 3:

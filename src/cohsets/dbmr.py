@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from ._accel import group_sums, latent_scores
 from .model import CountMatrix, Partition, TransitionModel
@@ -262,28 +261,6 @@ class DbmrTrace:
                 snapshot = (None, None)
             steps.append(DbmrStep(index, *values, *snapshot))
         return tuple(steps)
-
-
-def log_likelihood(counts: CountMatrix, transition) -> float:
-    """Count-weighted log of transition entries; -inf on support violation.
-
-    ``transition`` is a dense array or a scipy sparse matrix, taken as CSC;
-    it is read at the positive counts only, straight from its stored values
-    when it is stored on exactly the counts' entries, as the estimated
-    model's P is.
-    """
-    transition = sparse.csc_array(transition, dtype=np.float64)
-    if transition.shape != counts.shape:
-        raise ValueError(f"transition shape {transition.shape} != counts shape {counts.shape}")
-    _check_left_stochastic(transition, "transition")
-    N = counts.counts
-    same_entries = np.array_equal(transition.indptr, N.indptr) and np.array_equal(
-        transition.indices, N.indices
-    )
-    values = transition.data if same_entries else transition[counts.support]
-    if (values <= 0.0).any():
-        return float("-inf")
-    return float(np.sum(N.data * np.log(values)))
 
 
 def _log_likelihoods(grouped: np.ndarray, factor: np.ndarray) -> np.ndarray:

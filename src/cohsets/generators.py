@@ -255,7 +255,6 @@ def gen_double_gyre(config: GyreConfig = GyreConfig()) -> tuple[PairDataset, dic
         "rho": config.rho,
         "seed": config.seed,
         "sample_size": total,
-        "backend": _accel.BACKEND,
         "clamped_endpoints": clamped,
         "max_boundary_drift": drift,
         "input_range": [float(x_in.min()), float(x_in.max()),

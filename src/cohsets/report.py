@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from ._accel import BACKEND
 from .bounds import frobenius_kl_bound
 from .dbmr import (
     ReducedModel,
@@ -191,7 +190,6 @@ def compare_experiment(
             "seed": int(seed),
             "max_steps": int(max_steps),
             "tol": float(tol),
-            "backend": BACKEND,
         },
         "singular_values": {
             "full": _float_list(sigma_full[:depth]),
@@ -341,7 +339,6 @@ def multirun_experiment(
         "seed": int(seed),
         "max_steps": int(max_steps),
         "tol": float(tol),
-        "backend": BACKEND,
         "best_run": int(best_run),
         "best_objective": float(best_row["objective"]),
         "best": {k: _json_value(v) for k, v in best_row.items()},

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from cohsets import _accel
 from cohsets.generators import gen_interval_map, gen_three_coherent
 from cohsets.model import ingest_pairs, prune_empty
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # jit compilation must not leak into timed sections
-    _accel.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ import pytest
 from cohsets.dbmr import (
     ReducedModel,
     dbmr_run,
-    log_likelihood,
     multi_start,
     output_partition,
     random_affiliation,
@@ -19,7 +18,7 @@ from cohsets.dbmr import (
 from cohsets.model import CountMatrix, Partition, estimate, rescale
 from cohsets.report import multirun_experiment
 from tests.conftest import random_counts
-from tests.dense_reference import dense
+from tests.dense_reference import dense, log_likelihood_dense
 
 # independent arithmetic for the three-set example: 50 structured columns carry
 # 25 cells of count 8 at probability 0.032 and 25 cells of count 2 at 0.008,
@@ -32,27 +31,12 @@ THREE_MERGED = 25000 * math.log(0.02)
 
 
 def test_log_likelihood_trivial():
-    counts = CountMatrix(counts=np.array([[1]]), total=1)
-    assert log_likelihood(counts, np.array([[1.0]])) == 0.0
+    assert CountMatrix(counts=np.array([[1]]), total=1).full_log_likelihood == 0.0
 
 
 def test_log_likelihood_three_example(three_example):
-    counts, model, _ = three_example
-    assert log_likelihood(counts, model.matrix) == pytest.approx(THREE_REFERENCE, abs=1e-6)
-
-
-def test_log_likelihood_support_violation():
-    counts = CountMatrix(counts=np.array([[1, 0], [1, 2]]), total=4)
-    transition = np.array([[0.0, 0.5], [1.0, 0.5]])
-    assert log_likelihood(counts, transition) == -np.inf
-
-
-def test_log_likelihood_validates_stochastic():
-    counts = CountMatrix(counts=np.array([[1, 1], [1, 1]]), total=4)
-    with pytest.raises(ValueError):
-        log_likelihood(counts, np.array([[0.6, 0.5], [0.6, 0.5]]))
-    with pytest.raises(ValueError):
-        log_likelihood(counts, np.array([[1.2, 0.5], [-0.2, 0.5]]))
+    counts, _, _ = three_example
+    assert counts.full_log_likelihood == pytest.approx(THREE_REFERENCE, abs=1e-6)
 
 
 def test_relaxed_equals_full_on_identity_affiliation(three_example):
@@ -62,7 +46,7 @@ def test_relaxed_equals_full_on_identity_affiliation(three_example):
     factor = update_factor(counts, identity)
     assert factor == pytest.approx(dense(model.matrix), abs=1e-12)
     assert ReducedModel(counts, factor, identity).log_likelihood == pytest.approx(
-        log_likelihood(counts, model.matrix)
+        counts.full_log_likelihood
     )
 
 
@@ -81,7 +65,7 @@ def test_relaxed_matches_gathered_likelihood():
         r = int(rng.integers(1, 4))
         affiliation = random_affiliation(counts.shape[1], r, int(rng.integers(1 << 30)))
         reduced = reduce_with_affiliation(counts, affiliation)
-        direct = log_likelihood(counts, reduced.approx)
+        direct = log_likelihood_dense(counts, reduced.approx)
         relaxed = reduced.log_likelihood
         assert relaxed == pytest.approx(direct, rel=1e-12)
 

@@ -34,7 +34,6 @@ from cohsets.bounds import (
 from cohsets.dbmr import (
     ReducedModel,
     dbmr_run,
-    log_likelihood,
     multi_start,
     random_affiliation,
     reduce_with_affiliation,
@@ -222,7 +221,7 @@ def test_entry_model_matches_dense_formulas(case, data):
     _assert_close(model.input_dist, p)
     _assert_close(model.output_dist, q)
     _assert_close(model.rescaled_norm_sq, rescaled_norm_sq_dense(P, p, q))
-    _assert_close(log_likelihood(counts, model.matrix), log_likelihood_dense(counts, P))
+    _assert_close(counts.full_log_likelihood, log_likelihood_dense(counts, P))
     m, n = counts.shape
     r = reduced.n_latent
     outputs = Partition(labels=data.draw(arrays(np.int64, m, elements=st.integers(1, r))), n_clusters=r)

@@ -169,6 +169,20 @@ def test_counts_duplicate_entries_accumulate(tmp_path):
     assert dense(counts).tolist() == [[5, 0], [0, 2]]
 
 
+def test_cli_empty_counts_body_writes_only_the_error(tmp_path):
+    """A counts file with a header and no entries exits 2, and stderr holds
+    only the error line, no warning from the parser."""
+    counts_path = tmp_path / "empty.txt"
+    counts_path.write_text("3 3 0\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "cohsets", "compare", str(counts_path), "--no-images",
+         "--out", str(tmp_path / "empty.json")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr == "error: empty model: all counts are zero\n"
+
+
 def test_counts_malformed(tmp_path):
     bad_header = tmp_path / "a.txt"
     bad_header.write_text("2 2\n1 1 4\n", encoding="utf-8")
@@ -359,6 +373,43 @@ def test_cli_multirun_tables(tmp_path, capsys):
         by_run.setdefault(int(fields[0]), []).append(float(fields[2]))
         assert by_run[int(fields[0])] == sorted(by_run[int(fields[0])])
     assert set(by_run) == set(range(5))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+COMPARE_KEYS = {"bound", "classical", "dataset", "diagnostics", "images", "likelihoods",
+                "partitions", "provenance", "singular_values"}
+FIT_OPTIONS = {"rank", "runs", "seed", "max_steps", "tol"}
+EXAMPLE_PROVENANCE = {"source", "example", "epsilon", "seed"}
+MULTIRUN_KEYS = FIT_OPTIONS | {"best_run", "best_objective", "best", "run_table",
+                               "provenance", "diagnostics"}
+GYRE_META_KEYS = {"example", "amplitude", "delta", "omega", "t_start", "t_end", "step", "nx",
+                  "ny", "points_per_box", "rho", "seed", "sample_size", "clamped_endpoints",
+                  "max_boundary_drift", "input_range", "output_range"}
+
+
+def test_output_keys_match_the_readme_schema(tmp_path):
+    """The compare report (top level and provenance), the multirun summary and
+    the double-gyre sidecar hold exactly the keys the README's report schema
+    names: a key it does not document fails here."""
+    schema = README.read_text(encoding="utf-8").split("## Report schema\n", 1)[1]
+    documented = set(re.findall(r"`(\w+)`", schema.split("\n## ", 1)[0]))
+    example = ["--example", "three-coherent", "--runs", "2"]
+    assert main(["compare", *example, "--out", str(tmp_path / "report.json")]) == 0
+    assert main(["multirun", *example, "--out", str(tmp_path / "runs")]) == 0
+    assert main(["generate", "--example", "double-gyre", "--t1", "0.1", "--points-per-box", "1",
+                 "--out", str(tmp_path / "gyre.csv")]) == 0
+    report = dataio.read_json(tmp_path / "report.json")
+    summary = dataio.read_json(tmp_path / "runs.json")
+    outputs = {
+        "compare": (report, COMPARE_KEYS),
+        "compare provenance": (report["provenance"], EXAMPLE_PROVENANCE | FIT_OPTIONS),
+        "multirun": (summary, MULTIRUN_KEYS),
+        "multirun provenance": (summary["provenance"], EXAMPLE_PROVENANCE),
+        "double-gyre sidecar": (dataio.read_json(tmp_path / "gyre.csv.meta.json"), GYRE_META_KEYS),
+    }
+    for name, (output, keys) in outputs.items():
+        assert set(output) == keys, name
+        assert keys <= documented, (name, keys - documented)
 
 
 def test_cli_bounds_stdout(capsys):
