@@ -10,13 +10,9 @@ turn likelihood gaps into Frobenius-norm bounds.
 from .bounds import (
     BoundConstants,
     BoundReport,
-    balancedness,
     bound_constants,
     coherence_lower_bound,
-    deviation_coefficient,
     frobenius_kl_bound,
-    pinsker_l2,
-    weighted_balancedness,
 )
 from .dataio import (
     canonical_json,
@@ -30,17 +26,13 @@ from .dataio import (
     write_pairs,
 )
 from .dbmr import (
-    DbmrStep,
     DbmrTrace,
     ReducedModel,
     dbmr_run,
     multi_start,
     output_partition,
-    random_affiliation,
     reduce_with_affiliation,
     reduced_singular_values,
-    update_affiliation,
-    update_factor,
 )
 from .generators import (
     GyreConfig,
@@ -48,11 +40,9 @@ from .generators import (
     gen_double_gyre,
     gen_interval_map,
     gen_three_coherent,
-    gyre_velocity,
     interval_map_counts,
     pairs_from_counts,
     perturb_pairs,
-    stream_function,
     three_coherent_counts,
 )
 from .model import (
@@ -62,16 +52,11 @@ from .model import (
     TransitionModel,
     estimate,
     ingest_pairs,
-    kl_divergence,
     prune_empty,
-    rescale,
 )
 from .projection import (
     FactorizationResiduals,
-    InducedProjection,
-    build_projection,
     pythagoras_check,
-    singular_value_dominance,
     verify_factorization,
 )
 from .report import (
@@ -84,7 +69,6 @@ from .svd import (
     ClassicalResult,
     SvdFactorization,
     classical_pipeline,
-    degree_of_coherence,
     full_svd,
     kmeans,
     match_partitions,
@@ -98,36 +82,29 @@ __all__ = [
     "BoundReport",
     "ClassicalResult",
     "CountMatrix",
-    "DbmrStep",
     "DbmrTrace",
     "FactorizationResiduals",
     "GyreConfig",
-    "InducedProjection",
     "PairDataset",
     "Partition",
     "ReducedModel",
     "SvdFactorization",
     "TransitionModel",
     "advect",
-    "balancedness",
     "bound_constants",
     "canonical_json",
     "classical_pipeline",
     "coherence_lower_bound",
     "compare_experiment",
     "dbmr_run",
-    "degree_of_coherence",
-    "deviation_coefficient",
     "estimate",
     "frobenius_kl_bound",
     "full_svd",
     "gen_double_gyre",
     "gen_interval_map",
     "gen_three_coherent",
-    "gyre_velocity",
     "ingest_pairs",
     "interval_map_counts",
-    "kl_divergence",
     "kmeans",
     "match_partitions",
     "mix_seed",
@@ -136,10 +113,8 @@ __all__ = [
     "output_partition",
     "pairs_from_counts",
     "perturb_pairs",
-    "pinsker_l2",
     "prune_empty",
     "pythagoras_check",
-    "random_affiliation",
     "read_counts",
     "read_json",
     "read_labels",
@@ -147,16 +122,10 @@ __all__ = [
     "reduce_with_affiliation",
     "reduced_singular_values",
     "render_matrix_image",
-    "rescale",
     "rng_for",
-    "singular_value_dominance",
-    "stream_function",
     "three_coherent_counts",
     "truncate",
-    "update_affiliation",
-    "update_factor",
     "verify_factorization",
-    "weighted_balancedness",
     "write_counts",
     "write_json",
     "write_labels",

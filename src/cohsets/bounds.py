@@ -61,55 +61,17 @@ class BoundReport:
         }
 
 
-def balancedness(x: np.ndarray) -> float:
-    """1-norm over (length times max magnitude); 1.0 for the zero vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("x must be a nonempty 1-d array")
-    peak = np.abs(x).max()
-    if peak == 0.0:
-        return 1.0
-    return float(np.abs(x).sum() / (x.size * peak))
-
-
-def weighted_balancedness(x: np.ndarray, weights: np.ndarray) -> float:
-    """1-norm over the largest weight-relative magnitude; 1.0 for zero."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if x.shape != weights.shape or x.ndim != 1 or x.size == 0:
-        raise ValueError("x and weights must be nonempty 1-d arrays of equal length")
-    if (weights <= 0.0).any():
-        raise ValueError("weights must be strictly positive")
-    peak = (np.abs(x) / weights).max()
-    if peak == 0.0:
-        return 1.0
-    return float(np.abs(x).sum() / peak)
-
-
-def deviation_coefficient(u: np.ndarray, v: np.ndarray) -> float:
-    """Two thirds of the largest relative deviation of v from u.
-
-    Zero-over-zero entries contribute 0; a positive deviation on a zero entry
-    of u makes the coefficient infinite.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1 or u.size == 0:
-        raise ValueError("u and v must be nonempty 1-d arrays of equal length")
-    diff = np.abs(u - v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(diff == 0.0, 0.0, diff / u)
-    return float(ratio.max() * (2.0 / 3.0))
-
-
 def bound_constants(reduced: ReducedModel) -> BoundConstants:
     """Columnwise balancedness constants for the model/reduction pair.
 
     kappa_diff halves the smallest weighted balancedness of the column
     differences; kappa_col halves the smallest weighted column balancedness
-    damped by (1 - deviation). kappa_col can be -inf or negative when some
-    column deviates too strongly; it is then flagged unusable. kappa_post,
-    the better of the two, never falls below the prior constant min(q)/2.
+    damped by (1 - deviation). The weighted balancedness of a column x is
+    sum_i |x_i| / max_i (|x_i| / q_i), and 1 for a zero column; the deviation
+    of column j is two thirds of max_i |P_ij - L_ij| / P_ij. kappa_col can be
+    -inf or negative when some column deviates too strongly; it is then
+    flagged unusable. kappa_post, the better of the two, never falls below
+    the prior constant min(q)/2.
 
     Column j of the difference |P - L| is |P - F| on the nonzeros of P and
     the factor column F_k of j's label k elsewhere, so every column term is a
@@ -237,41 +199,3 @@ def coherence_lower_bound(reduced: ReducedModel, kappa_value: float) -> float:
         (reduced.log_likelihood - counts.full_log_likelihood) / (kappa_value * counts.total)
         + counts.model.rescaled_norm_sq
     )
-
-
-def pinsker_l2(
-    u: np.ndarray, v: np.ndarray, weights: np.ndarray
-) -> tuple[tuple[float, bool], ...]:
-    """Four KL-based upper bounds for squared distances between distributions.
-
-    Returns ((a), (b), (c), (d)) as (value, applicable) pairs:
-      (a) bounds the squared 2-norm via the difference balancedness,
-      (b) bounds the weight-relative squared distance via the weighted kind,
-      (c) and (d) replace the difference balancedness with the balancedness
-          of u damped by (1 - deviation); they require deviation < 1.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    kl = _kl(u, v)
-    size = u.size
-    diff = u - v
-    alpha = deviation_coefficient(u, v)
-    bound_a = 2.0 * kl / (size * balancedness(diff))
-    bound_b = 2.0 * kl / weighted_balancedness(diff, weights)
-    applicable = bool(alpha < 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound_c = 2.0 * kl / (size * balancedness(u) * (1.0 - alpha))
-        bound_d = 2.0 * kl / (weighted_balancedness(u, weights) * (1.0 - alpha))
-    return (
-        (float(bound_a), True),
-        (float(bound_b), True),
-        (float(bound_c), applicable),
-        (float(bound_d), applicable),
-    )
-
-
-def _kl(u: np.ndarray, v: np.ndarray) -> float:
-    support = u > 0.0
-    if (v[support] <= 0.0).any():
-        return float("inf")
-    return float(np.sum(u[support] * np.log(u[support] / v[support])))

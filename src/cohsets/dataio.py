@@ -18,7 +18,8 @@ blank lines, spaces around each field, and ``#`` comments, on a line of their
 own or after the fields (``2,2 # note``).  Every other line must hold exactly
 the format's integer fields (two comma-separated for pairs, three
 whitespace-separated for counts); a float, an empty field, letters or a wrong
-field count raise ``ValueError``.
+field count raise ``ValueError``.  A body that numpy cannot read is reported
+with the file line of its first malformed line.
 
 Bodies are parsed by ``np.loadtxt`` from the path, and rows are written by
 formatting whole blocks of digits in numpy.
@@ -26,6 +27,7 @@ formatting whole blocks of digits in numpy.
 
 from __future__ import annotations
 
+import bisect
 import json
 import re
 import warnings
@@ -78,12 +80,38 @@ def write_pairs(path: str | Path, dataset: PairDataset) -> None:
         _write_table(fh, table, ",")
 
 
-def _load_body(path: str | Path, **kwargs) -> np.ndarray:
-    """Integer rows of a file's body; an empty body gives an empty table,
-    which the callers report, so numpy's warning about it is muted."""
+def _loadtxt(source, **kwargs) -> np.ndarray:
+    """Integer rows of a path or of a list of lines; an empty body gives an
+    empty table, which the callers report, so numpy's warning about it is
+    muted."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, dtype=np.int64, ndmin=2, encoding="utf-8", **kwargs)
+        return np.loadtxt(source, dtype=np.int64, ndmin=2, encoding="utf-8", **kwargs)
+
+
+def _load_body(path: str | Path, skiprows: int, fields: int, what: str, **kwargs) -> np.ndarray:
+    """Integer rows of the lines of ``path`` after the first ``skiprows``.
+
+    A body numpy rejects is reported by the file line of its first malformed
+    ``what``: the last line of the shortest run of body lines that numpy
+    rejects or reads with other than ``fields`` fields a row. The search
+    parses a logarithmic number of such runs, and only on this error path.
+    """
+    try:
+        return _loadtxt(path, skiprows=skiprows, **kwargs)
+    except ValueError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+
+        def malformed(end: int) -> bool:
+            try:
+                table = _loadtxt(lines[skiprows:end], **kwargs)
+            except ValueError:
+                return True
+            return table.size > 0 and table.shape[1] != fields
+
+        end = bisect.bisect_left(range(len(lines)), True, skiprows + 1, len(lines), key=malformed)
+        raise ValueError(f"{path}: line {end}: malformed {what} {lines[end - 1].rstrip()!r}") from exc
 
 
 def read_pairs(path: str | Path) -> PairDataset:
@@ -94,10 +122,7 @@ def read_pairs(path: str | Path) -> PairDataset:
             raise ValueError(f"{path}: expected preamble '# n=<n> m=<m>', got {first.strip()!r}")
         n, m = int(match.group(1)), int(match.group(2))
         header = fh.readline().strip().lower() == "x,y"
-    try:
-        table = _load_body(path, delimiter=",", skiprows=2 if header else 1)
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed record line ({exc})") from exc
+    table = _load_body(path, 2 if header else 1, 2, "record", delimiter=",")
     if table.size == 0:
         raise ValueError(f"{path}: no records")
     if table.shape[1] != 2:
@@ -125,7 +150,7 @@ def read_count_entries(path: str | Path) -> tuple:
         m, n, total = (int(tok) for tok in first)
     except ValueError as exc:
         raise ValueError(f"{path}: non-integer header field ({exc})") from exc
-    table = _load_body(path, skiprows=1)
+    table = _load_body(path, 1, 3, "entry")
     if table.size == 0:
         table = table.reshape(0, 3)
     if table.shape[1] != 3:

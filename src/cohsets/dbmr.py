@@ -117,8 +117,7 @@ class ReducedModel:
 
     The reduction is a projection of the full model ``counts.model``, so
     these three fields set it fully; they are checked once, here. Every
-    other piece derives from them at most once. ``model.rescale(reduced.approx,
-    p, q)`` gives its rescaled form.
+    other piece derives from them at most once.
     """
 
     counts: CountMatrix
@@ -136,7 +135,11 @@ class ReducedModel:
             )
         if self.affiliation.size != n:
             raise ValueError(f"affiliation covers {self.affiliation.size} of {n} inputs")
-        _check_left_stochastic(factor, "factor")
+        if factor.min() < 0.0:
+            raise ValueError("factor has negative entries")
+        gap = np.abs(factor.sum(axis=0) - 1.0).max()
+        if gap > 1e-9:
+            raise ValueError(f"factor columns must sum to 1 within 1e-9 (off by {gap:g})")
 
     @property
     def model(self) -> TransitionModel:
@@ -207,18 +210,6 @@ class ReducedModel:
 
 
 @dataclass(frozen=True)
-class DbmrStep:
-    """One iterate: objective scalars always, label/factor snapshots optional."""
-
-    index: int
-    objective: float
-    frob_gap_sq: float
-    approx_norm_sq: float
-    labels: np.ndarray | None
-    factor: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class DbmrTrace:
     """Iterates of one run, the initial one first, as arrays of one entry per
     iterate: ``objectives``, ``frob_gap_sq`` and ``approx_norm_sq``.
@@ -244,24 +235,6 @@ class DbmrTrace:
     def iterations(self) -> int:
         return self.objectives.size - 1
 
-    @property
-    def steps(self) -> tuple[DbmrStep, ...]:
-        """One ``DbmrStep`` per iterate, built on access; the last always
-        carries the final labels and factor."""
-        scalars = zip(
-            self.objectives.tolist(), self.frob_gap_sq.tolist(), self.approx_norm_sq.tolist()
-        )
-        steps = []
-        for index, values in enumerate(scalars):
-            if index == self.iterations:
-                snapshot = (self.labels, self.factor)
-            elif self.label_snapshots is not None:
-                snapshot = (self.label_snapshots[index], self.factor_snapshots[index])
-            else:
-                snapshot = (None, None)
-            steps.append(DbmrStep(index, *values, *snapshot))
-        return tuple(steps)
-
 
 def _log_likelihoods(grouped: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Per run, sum of G log F over the observed entries (G > 0) of its (m, r)
@@ -279,32 +252,6 @@ def _log_likelihoods(grouped: np.ndarray, factor: np.ndarray) -> np.ndarray:
     ])
 
 
-def _check_left_stochastic(matrix: np.ndarray, name: str) -> None:
-    if matrix.min() < 0.0:
-        raise ValueError(f"{name} has negative entries")
-    gap = np.abs(matrix.sum(axis=0) - 1.0).max()
-    if gap > 1e-9:
-        raise ValueError(f"{name} columns must sum to 1 within 1e-9 (off by {gap:g})")
-
-
-def update_factor(counts: CountMatrix, affiliation: Partition) -> np.ndarray:
-    """Maximum-likelihood factor for a fixed affiliation.
-
-    Columns of latent states with no affiliated inputs have no data; they are
-    set to the uniform distribution and logged.
-    """
-    if affiliation.size != counts.shape[1]:
-        raise ValueError(
-            f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
-        )
-    _, _, factor = _ml_factors(
-        counts.operand, (affiliation.labels - 1)[np.newaxis], affiliation.n_clusters
-    )
-    if affiliation.inactive:
-        logger.debug("inactive latent states %s set to uniform", affiliation.inactive)
-    return factor[0]
-
-
 def _ml_factors(
     operand, labels0: np.ndarray, n_latent: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,22 +264,6 @@ def _ml_factors(
     factor = np.full(grouped.shape, 1.0 / grouped.shape[1])
     np.divide(grouped, totals, out=factor, where=totals > 0.0)
     return grouped, totals, factor
-
-
-def update_affiliation(counts: CountMatrix, factor: np.ndarray) -> Partition:
-    """Best latent state per input column; ties take the smallest label.
-
-    Columns scoring -inf against every latent column fall back to label 1 and
-    are logged.
-    """
-    factor = np.asarray(factor, dtype=np.float64)
-    if factor.ndim != 2 or factor.shape[0] != counts.shape[0]:
-        raise ValueError(f"factor shape {factor.shape} incompatible with counts {counts.shape}")
-    _check_left_stochastic(factor, "factor")
-    labels0, sunk = _best_labels(counts, factor[np.newaxis])
-    if sunk[0]:
-        logger.debug("%d input columns had -inf scores for every latent state", sunk[0])
-    return Partition(labels=labels0[0] + 1, n_clusters=factor.shape[1])
 
 
 def _best_labels(counts: CountMatrix, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,10 +308,10 @@ def dbmr_run(
     objective stalls (increase <= ``tol``, exact equality at the default 0)
     or ``max_steps`` update pairs have run.
 
-    The trace records every iterate including the initial one. The final
-    iterate always keeps label and factor snapshots; earlier iterates keep
-    them only when ``snapshots`` is true. The latent states are the clusters
-    of ``init``.
+    The trace records every iterate including the initial one, with label
+    and factor snapshots of each when ``snapshots`` is true; it always keeps
+    the final labels and factor. The latent states are the clusters of
+    ``init``.
     """
     if init.size != counts.shape[1]:
         raise ValueError(f"init covers {init.size} of {counts.shape[1]} inputs")
@@ -484,13 +415,6 @@ def _final_model(counts: CountMatrix, trace: DbmrTrace, n_latent: int) -> Reduce
     )
 
 
-def random_affiliation(n_inputs: int, n_latent: int, seed: int) -> Partition:
-    """Uniform random labels; deterministic per seed."""
-    if n_inputs < 1 or n_latent < 1:
-        raise ValueError("n_inputs and n_latent must be positive")
-    return Partition(labels=_random_labels(n_inputs, n_latent, seed), n_clusters=n_latent)
-
-
 def _random_labels(n_inputs: int, n_latent: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(1, n_latent + 1, size=n_inputs)
 
@@ -529,10 +453,21 @@ def multi_start(
 
 
 def reduce_with_affiliation(counts: CountMatrix, affiliation: Partition) -> ReducedModel:
-    """Maximum-likelihood reduction for a fixed affiliation, no iteration."""
-    return ReducedModel(
-        counts=counts, factor=update_factor(counts, affiliation), affiliation=affiliation
+    """Maximum-likelihood reduction for a fixed affiliation, no iteration.
+
+    Columns of latent states with no affiliated inputs have no data; they are
+    set to the uniform distribution and logged.
+    """
+    if affiliation.size != counts.shape[1]:
+        raise ValueError(
+            f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
+        )
+    _, _, factor = _ml_factors(
+        counts.operand, (affiliation.labels - 1)[np.newaxis], affiliation.n_clusters
     )
+    if affiliation.inactive:
+        logger.debug("inactive latent states %s set to uniform", affiliation.inactive)
+    return ReducedModel(counts=counts, factor=factor[0], affiliation=affiliation)
 
 
 def output_partition(reduced: ReducedModel) -> Partition:
@@ -544,21 +479,28 @@ def output_partition(reduced: ReducedModel) -> Partition:
     return Partition(labels=labels0 + 1, n_clusters=reduced.n_latent)
 
 
-def reduced_singular_values(reduced: ReducedModel) -> np.ndarray:
-    """Singular values of the rescaled approximation, padded to min(m, n).
+def reduced_singular_values(
+    model: TransitionModel, factors: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Singular values of the rescaled approximation of each stacked
+    reduction, padded with zeros or cut to min(m, n): (runs, min(m, n)).
 
-    The rescaled approximation factors through an (outputs x latent) core whose
-    columns carry the square root of each latent state's input mass, against an
-    orthonormal row frame; the core's SVD therefore matches the full matrix's.
+    ``factors`` (runs, m, r) and 1-based ``labels`` (runs, n) hold one
+    reduction per row. Its rescaled approximation factors through an
+    (outputs x latent) core whose columns carry the square root of each
+    latent state's input mass, against an orthonormal row frame; the core's
+    SVD therefore matches the full matrix's. All cores go to one SVD call,
+    which factors each on its own, so a row's values are bitwise those of its
+    reduction alone.
     """
-    model = reduced.model
-    core = (
-        reduced.factor
-        * np.sqrt(reduced.masses)[np.newaxis, :]
-        / np.sqrt(model.output_dist)[:, np.newaxis]
-    )
-    sigma = np.linalg.svd(core, compute_uv=False)
+    runs, _, r = factors.shape
+    # One bincount sums every run's masses: run k's labels are offset by k r.
+    keys = (labels - 1 + r * np.arange(runs)[:, np.newaxis]).ravel()
+    weights = np.tile(model.input_dist, runs)
+    masses = np.bincount(keys, weights=weights, minlength=runs * r).reshape(runs, r)
+    cores = factors * np.sqrt(masses)[:, np.newaxis, :] / np.sqrt(model.output_dist)[:, np.newaxis]
+    sigma = np.linalg.svd(cores, compute_uv=False)
     size = min(model.shape)
-    if sigma.size >= size:
-        return sigma[:size]
-    return np.concatenate([sigma, np.zeros(size - sigma.size)])
+    if sigma.shape[1] >= size:
+        return sigma[:, :size]
+    return np.concatenate([sigma, np.zeros((runs, size - sigma.shape[1]))], axis=1)

@@ -156,24 +156,6 @@ class GyreConfig:
         return self.n_boxes * self.points_per_box
 
 
-def stream_function(x, y, t: float, config: GyreConfig = GyreConfig()):
-    """Scalar stream function of the double gyre; the flow follows its contours."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    sway = config.delta * math.sin(config.omega * t)
-    warp = sway * x * x + (1.0 - 2.0 * sway) * x
-    return config.amplitude * np.sin(math.pi * warp) * np.sin(math.pi * y)
-
-
-def gyre_velocity(x, y, t: float, config: GyreConfig = GyreConfig()):
-    """Velocity components (dx/dt, dy/dt) at time ``t``."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    return _accel.velocity_arrays(
-        x, y, t, config.amplitude, config.delta, config.omega
-    )
-
-
 def advect(x, y, config: GyreConfig = GyreConfig()):
     """Integrate points through the flow with fixed-step fourth-order stages."""
     x = np.ascontiguousarray(np.atleast_1d(np.asarray(x, dtype=np.float64)))

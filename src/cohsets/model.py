@@ -71,10 +71,6 @@ class Partition:
     def size(self) -> int:
         return int(self.labels.size)
 
-    def members(self, cluster: int) -> np.ndarray:
-        """1-based category indices belonging to ``cluster``."""
-        return np.nonzero(self.labels == cluster)[0] + 1
-
     @property
     def active(self) -> tuple[int, ...]:
         """Clusters with at least one member, in increasing order."""
@@ -242,8 +238,11 @@ class TransitionModel:
     @property
     def rescaled(self) -> sparse.csc_array:
         """D_out^{-1/2} @ matrix @ D_in^{1/2} on the entries of P, the matrix
-        whose singular values measure coherence; built anew on each access."""
-        return rescale(self.matrix, self.input_dist, self.output_dist)
+        whose singular values measure coherence: entry (i, j) times
+        sqrt(p_j) / sqrt(q_i). Built anew on each access."""
+        rows, cols = self.support
+        values = self.matrix.data * (np.sqrt(self.input_dist)[cols] / np.sqrt(self.output_dist)[rows])
+        return sparse.csc_array((values, self.matrix.indices, self.matrix.indptr), shape=self.shape)
 
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -376,37 +375,3 @@ def estimate(counts: CountMatrix) -> TransitionModel:
     q = matrix @ p
     q /= q.sum()
     return TransitionModel(matrix=matrix, input_dist=p, output_dist=q)
-
-
-def rescale(matrix, input_dist: np.ndarray, output_dist: np.ndarray):
-    """D_out^{-1/2} @ matrix @ D_in^{1/2}: entry (i, j) times sqrt(p_j) / sqrt(q_i).
-
-    A dense array gives a dense array; a CSC matrix is rescaled on its
-    stored entries and gives a CSC matrix.
-    """
-    if not sparse.issparse(matrix):
-        return matrix * (np.sqrt(input_dist)[np.newaxis, :] / np.sqrt(output_dist)[:, np.newaxis])
-    rows, cols = _csc_support(matrix)
-    values = matrix.data * (np.sqrt(input_dist)[cols] / np.sqrt(output_dist)[rows])
-    return sparse.csc_array((values, matrix.indices, matrix.indptr), shape=matrix.shape)
-
-
-def kl_divergence(u: np.ndarray, v: np.ndarray) -> float:
-    """Kullback-Leibler divergence sum_i u_i log(u_i / v_i).
-
-    Conventions: 0 log 0 = 0; +inf as soon as some u_i > 0 has v_i = 0.
-    Both arguments must be probability vectors (sums within 1e-9 of one).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("arguments must be 1-d vectors of equal length")
-    if (u < 0).any() or (v < 0).any():
-        raise ValueError("probability vectors must be nonnegative")
-    if abs(u.sum() - 1.0) > 1e-9 or abs(v.sum() - 1.0) > 1e-9:
-        raise ValueError("arguments must sum to 1 within 1e-9")
-    support = u > 0
-    if (v[support] == 0).any():
-        return float("inf")
-    us = u[support]
-    return float(np.sum(us * np.log(us / v[support])))

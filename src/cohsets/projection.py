@@ -1,9 +1,10 @@
-"""Projections induced by an affiliation and exactness checks for reduction.
+"""Exactness checks of a reduction against the projection its affiliation induces.
 
-An affiliation of input categories induces a transition-matrix projection
-whose rescaled form is an orthogonal projection. The reduced model factors
-through it exactly, which yields a Pythagoras identity for the squared
-Frobenius gap and entrywise singular-value dominance for the projected matrix.
+An affiliation of input categories induces a transition-matrix projection Pi
+(entry (i, j) is p_i over the input mass of i's class when i and j share a
+class) whose rescaled form is an orthogonal projection. The maximum-likelihood
+reduction is P Pi, which yields a Pythagoras identity for the squared
+Frobenius gap. The checks here measure both without building Pi.
 """
 
 from __future__ import annotations
@@ -13,21 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dbmr import ReducedModel
-from .model import Partition
-
-
-@dataclass(frozen=True)
-class InducedProjection:
-    """Column-stochastic projection matrix with its rescaled symmetric form."""
-
-    matrix: np.ndarray
-    rescaled: np.ndarray
-    active: tuple[int, ...]
-    eigenvectors: tuple[np.ndarray, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.active)
 
 
 @dataclass(frozen=True)
@@ -40,37 +26,6 @@ class FactorizationResiduals:
 
     def max(self) -> float:
         return max(self.factorization, self.input_fixed, self.output_marginal)
-
-
-def build_projection(input_dist: np.ndarray, affiliation: Partition) -> InducedProjection:
-    """Projection averaging over affiliation classes, weighted by ``input_dist``.
-
-    Entry (i, j) is input_dist[i] / (class mass of i) when i and j share a
-    latent state and 0 otherwise. The rescaled form conjugates by the square
-    root of ``input_dist`` and is symmetric idempotent. Eigenvectors with
-    eigenvalue 1 are the input distribution restricted to each active class,
-    listed in increasing label order.
-    """
-    p = np.asarray(input_dist, dtype=np.float64)
-    if p.ndim != 1 or p.size != affiliation.size:
-        raise ValueError(f"input_dist must be 1-d of length {affiliation.size}")
-    if (p <= 0.0).any():
-        raise ValueError("input_dist must be strictly positive")
-    labels0 = affiliation.labels - 1
-    masses = np.bincount(labels0, weights=p, minlength=affiliation.n_clusters)
-    same = labels0[:, np.newaxis] == labels0[np.newaxis, :]
-    matrix = np.where(same, (p / masses[labels0])[:, np.newaxis], 0.0)
-    root_p = np.sqrt(p)
-    rescaled = matrix * (root_p[np.newaxis, :] / root_p[:, np.newaxis])
-    eigenvectors = tuple(
-        np.where(labels0 == k - 1, p, 0.0) for k in affiliation.active
-    )
-    return InducedProjection(
-        matrix=matrix,
-        rescaled=rescaled,
-        active=affiliation.active,
-        eigenvectors=eigenvectors,
-    )
 
 
 def verify_factorization(reduced: ReducedModel) -> FactorizationResiduals:
@@ -113,18 +68,3 @@ def pythagoras_check(reduced: ReducedModel) -> tuple[float, float]:
     F, model = reduced.factor, reduced.model
     reduced_norm_sq = float(np.sum(F * F / model.output_dist[:, np.newaxis] * reduced.masses))
     return reduced.frob_gap_sq, model.rescaled_norm_sq - reduced_norm_sq
-
-
-def singular_value_dominance(
-    rescaled: np.ndarray, projection_rescaled: np.ndarray
-) -> list[tuple[float, float]]:
-    """Pair each singular value of the projected matrix with the full one.
-
-    Projecting cannot increase any singular value, so within each pair the
-    first entry is at most the second.
-    """
-    rescaled = np.asarray(rescaled, dtype=np.float64)
-    projected = rescaled @ np.asarray(projection_rescaled, dtype=np.float64)
-    sigma_projected = np.linalg.svd(projected, compute_uv=False)
-    sigma_full = np.linalg.svd(rescaled, compute_uv=False)
-    return [(float(a), float(b)) for a, b in zip(sigma_projected, sigma_full)]

@@ -17,13 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .bounds import frobenius_kl_bound
-from .dbmr import (
-    ReducedModel,
-    multi_start,
-    output_partition,
-    reduce_with_affiliation,
-    reduced_singular_values,
-)
+from .dbmr import multi_start, output_partition, reduce_with_affiliation, reduced_singular_values
 from .model import CountMatrix, Partition
 from .seeding import mix_seed
 from .svd import classical_pipeline, reduced_min_entry, spectrum_depth, truncate
@@ -159,17 +153,17 @@ def compare_experiment(
         ).log_likelihood
     for name, value in (("svd", svd_objective), ("dbmr", dbmr_objective),
                         ("default", default_objective)):
-        if value is not None and value > reference + 1e-9:
-            raise FloatingPointError(
-                f"reduced likelihood ({name}) {value} exceeds the full model's {reference}"
-            )
+        if value is not None:
+            _check_below_full(name, value, reference)
 
     # The classical factorization holds the leading ``depth`` values above the
     # rank cutoff; the report pads the cut ones with zeros.
     computed = classical.factorization.singular_values
     depth = spectrum_depth(rank, min(model.shape))
     sigma_full = np.concatenate([computed, np.zeros(depth - computed.size)])
-    sigma_reduced = reduced_singular_values(best)
+    sigma_reduced = reduced_singular_values(
+        model, best.factor[np.newaxis], best.affiliation.labels[np.newaxis]
+    )[0]
     # The reduction projects the full model, so no singular value grows.
     if not (sigma_reduced[:depth] <= sigma_full[:depth] + 1e-9 * (1.0 + sigma_full[0])).all():
         raise FloatingPointError(
@@ -243,6 +237,15 @@ def compare_experiment(
     return report, artifacts
 
 
+def _check_below_full(name: str, value: float, reference: float) -> None:
+    """A reduction is a projection of the full model, so its likelihood is at
+    most the full model's ``reference``; exceeding it is a numerical failure."""
+    if value > reference + 1e-9:
+        raise FloatingPointError(
+            f"reduced likelihood ({name}) {value} exceeds the full model's {reference}"
+        )
+
+
 def _count_diagnostics(counts: CountMatrix, traces) -> dict:
     """Count storage the DBMR kernels ran on, the columns they scored -inf,
     and the update pairs of all restarts."""
@@ -293,44 +296,48 @@ def multirun_experiment(
     ``multi_start`` with the same seed, so the best run is its best run.
     Trace rows are produced only when ``trace`` is set; they carry per-iterate
     objective, squared gap, squared approximation norm, and degree of coherence.
+    The final spectra of all runs come from one stacked SVD, and with ``trace``
+    those of all iterates from one more. A run whose final objective exceeds
+    the full model's likelihood is a numerical failure.
     """
     model = counts.model
     _, best_run, traces = multi_start(
         counts, rank, runs=runs, max_steps=max_steps, seed=seed, tol=tol, snapshots=trace
     )
     depth = spectrum_depth(rank, min(model.shape))
+    sigma = reduced_singular_values(
+        model, np.stack([t.factor for t in traces]), np.stack([t.labels for t in traces])
+    )
+    coherence = sigma[:, :rank].sum(axis=1).tolist()
     run_rows: list[dict] = []
-    trace_rows: list[dict] = []
-
-    def spectrum(factor: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        affiliation = Partition(labels=labels, n_clusters=rank)
-        return reduced_singular_values(ReducedModel(counts, factor, affiliation))
-
     for run, run_trace in enumerate(traces):
-        sigma = spectrum(run_trace.factor, run_trace.labels)
+        objective = float(run_trace.objectives[-1])
+        _check_below_full(f"run {run}", objective, counts.full_log_likelihood)
         row = {
             "run": run,
-            "objective": float(run_trace.objectives[-1]),
+            "objective": objective,
             "frob_gap_sq": float(run_trace.frob_gap_sq[-1]),
-            "coherence": float(sigma[:rank].sum()),
+            "coherence": coherence[run],
             "converged": int(run_trace.converged),
             "iterations": run_trace.iterations,
         }
         for k in range(depth):
-            row[f"sigma_{k + 1}"] = float(sigma[k])
+            row[f"sigma_{k + 1}"] = float(sigma[run, k])
         run_rows.append(row)
-        if trace:
-            for step in run_trace.steps:
-                step_sigma = spectrum(step.factor, step.labels)
+    trace_rows: list[dict] = []
+    if trace:
+        step_sigma = reduced_singular_values(
+            model,
+            np.concatenate([t.factor_snapshots for t in traces]),
+            np.concatenate([t.label_snapshots for t in traces]),
+        )
+        step_coherence = iter(step_sigma[:, :rank].sum(axis=1).tolist())
+        for run, run_trace in enumerate(traces):
+            scalars = zip(run_trace.objectives.tolist(), run_trace.frob_gap_sq.tolist(),
+                          run_trace.approx_norm_sq.tolist())
+            for step, values in enumerate(scalars):
                 trace_rows.append(
-                    {
-                        "run": run,
-                        "step": step.index,
-                        "objective": step.objective,
-                        "frob_gap_sq": step.frob_gap_sq,
-                        "approx_norm_sq": step.approx_norm_sq,
-                        "coherence": float(step_sigma[:rank].sum()),
-                    }
+                    dict(zip(TRACE_FIELDS, (run, step, *values, next(step_coherence))))
                 )
     best_row = run_rows[best_run]
     summary = {

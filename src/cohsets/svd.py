@@ -162,17 +162,6 @@ def reduced_min_entry(
     ))
 
 
-def degree_of_coherence(matrix: np.ndarray, rank: int) -> float:
-    """Sum of the ``rank`` leading singular values of ``matrix``."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("matrix must be 2-d")
-    if not 1 <= rank <= min(matrix.shape):
-        raise ValueError(f"rank must lie in [1, {min(matrix.shape)}], got {rank}")
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    return float(sigma[:rank].sum())
-
-
 def _plus_plus_centers(
     points: np.ndarray, k: int, rngs: list[np.random.Generator]
 ) -> np.ndarray:

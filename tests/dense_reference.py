@@ -19,6 +19,13 @@ arrays. ``dense`` gives the m x n array of counts or of a stored matrix.
 
 k-means is kept as it ran before its restarts iterated together: one
 restart at a time, one boolean-mask mean per cluster.
+
+The paper's lemmas that no command runs are checked through short copies
+without input validation: the balancedness constants and Pinsker-type bounds
+of one column, the KL divergence, the n x n induced projection and the
+singular-value pairs of a projected matrix. The reduced spectrum is kept as
+it was computed for one reduction at a time, from its factor and the input
+mass of each latent state.
 """
 
 from __future__ import annotations
@@ -26,18 +33,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
 
 from cohsets.dataio import _PAIRS_PREAMBLE
-from cohsets.dbmr import (
-    DbmrStep,
-    ReducedModel,
-    random_affiliation,
-)
-from cohsets.model import CountMatrix, PairDataset, Partition, estimate, rescale
-from cohsets.projection import FactorizationResiduals, build_projection
+from cohsets.dbmr import ReducedModel
+from cohsets.model import CountMatrix, PairDataset, Partition, estimate
+from cohsets.projection import FactorizationResiduals
 from cohsets.seeding import mix_seed, rng_for
 
 
@@ -47,6 +51,17 @@ def dense(matrix) -> np.ndarray:
     if isinstance(matrix, CountMatrix):
         matrix = matrix.counts
     return matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
+
+
+def rescale_dense(matrix, input_dist, output_dist):
+    """D_out^{-1/2} @ matrix @ D_in^{1/2} of a dense m x n array."""
+    return matrix * (np.sqrt(input_dist)[np.newaxis, :] / np.sqrt(output_dist)[:, np.newaxis])
+
+
+def random_partition(n_inputs, n_latent, seed):
+    """Uniform random labels, drawn as ``dbmr.multi_start`` draws a restart's."""
+    labels = np.random.default_rng(seed).integers(1, n_latent + 1, size=n_inputs)
+    return Partition(labels=labels, n_clusters=n_latent)
 
 
 def estimate_dense(counts):
@@ -74,7 +89,7 @@ def log_likelihood_dense(counts, P):
 
 
 def rescaled_norm_sq_dense(P, p, q):
-    rescaled = rescale(P, p, q)
+    rescaled = rescale_dense(P, p, q)
     return float(np.sum(rescaled * rescaled))
 
 
@@ -182,7 +197,7 @@ def weighted_kl_sum_dense(model, reduced):
 
 
 def frob_gap_sq_dense(model, reduced):
-    gap = dense(model.rescaled) - rescale(reduced.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale_dense(reduced.approx, model.input_dist, model.output_dist)
     return float(np.sum(gap * gap))
 
 
@@ -250,6 +265,18 @@ def _gap_terms(grouped, factor, q, total, full_norm_sq):
     weights = 1.0 / (total * q)[:, np.newaxis]
     approx_norm_sq = float(np.sum(factor * factor * grouped.sum(axis=0) * weights))
     return max(full_norm_sq - approx_norm_sq, 0.0), approx_norm_sq
+
+
+@dataclass(frozen=True)
+class DbmrStep:
+    """One iterate: objective scalars always, label/factor snapshots optional."""
+
+    index: int
+    objective: float
+    frob_gap_sq: float
+    approx_norm_sq: float
+    labels: np.ndarray | None
+    factor: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -352,7 +379,7 @@ def multi_start_reference(
     best_objective = float("-inf")
     traces = []
     for run in range(runs):
-        init = random_affiliation(counts.shape[1], n_latent, mix_seed(seed, run))
+        init = random_partition(counts.shape[1], n_latent, mix_seed(seed, run))
         reduced, trace = dbmr_run_reference(
             counts, init, max_steps=max_steps, tol=tol, snapshots=snapshots
         )
@@ -361,6 +388,117 @@ def multi_start_reference(
         if final > best_objective:
             best, best_index, best_objective = reduced, run, final
     return best, best_index, traces
+
+
+def build_projection(input_dist, affiliation):
+    """Column-stochastic projection averaging over affiliation classes,
+    weighted by ``input_dist``, with its rescaled symmetric form.
+
+    Entry (i, j) is input_dist[i] / (class mass of i) when i and j share a
+    latent state and 0 otherwise. The rescaled form conjugates by the square
+    root of ``input_dist`` and is symmetric idempotent. Eigenvectors with
+    eigenvalue 1 are the input distribution restricted to each active class,
+    listed in increasing label order.
+    """
+    p = np.asarray(input_dist, dtype=np.float64)
+    labels0 = affiliation.labels - 1
+    masses = np.bincount(labels0, weights=p, minlength=affiliation.n_clusters)
+    same = labels0[:, np.newaxis] == labels0[np.newaxis, :]
+    matrix = np.where(same, (p / masses[labels0])[:, np.newaxis], 0.0)
+    root_p = np.sqrt(p)
+    rescaled = matrix * (root_p[np.newaxis, :] / root_p[:, np.newaxis])
+    eigenvectors = tuple(np.where(labels0 == k - 1, p, 0.0) for k in affiliation.active)
+    return SimpleNamespace(matrix=matrix, rescaled=rescaled, active=affiliation.active,
+                           eigenvectors=eigenvectors, rank=len(affiliation.active))
+
+
+def singular_value_dominance(rescaled, projection_rescaled):
+    """Pair each singular value of the projected matrix with the full one.
+
+    Projecting cannot increase any singular value, so within each pair the
+    first entry is at most the second.
+    """
+    sigma_projected = np.linalg.svd(rescaled @ projection_rescaled, compute_uv=False)
+    sigma_full = np.linalg.svd(rescaled, compute_uv=False)
+    return [(float(a), float(b)) for a, b in zip(sigma_projected, sigma_full)]
+
+
+def reduced_singular_values_reference(reduced):
+    """Singular values of one reduction's rescaled approximation from its
+    (outputs x latent) core, padded with zeros or cut to min(m, n)."""
+    model = reduced.model
+    core = (
+        reduced.factor
+        * np.sqrt(reduced.masses)[np.newaxis, :]
+        / np.sqrt(model.output_dist)[:, np.newaxis]
+    )
+    sigma = np.linalg.svd(core, compute_uv=False)
+    size = min(model.shape)
+    if sigma.size >= size:
+        return sigma[:size]
+    return np.concatenate([sigma, np.zeros(size - sigma.size)])
+
+
+def kl(u, v):
+    """sum_i u_i log(u_i / v_i) with 0 log 0 = 0; +inf when some u_i > 0 has v_i = 0."""
+    support = u > 0.0
+    if (v[support] <= 0.0).any():
+        return float("inf")
+    return float(np.sum(u[support] * np.log(u[support] / v[support])))
+
+
+def balancedness(x):
+    """1-norm over (length times max magnitude); 1.0 for the zero vector."""
+    peak = np.abs(x).max()
+    if peak == 0.0:
+        return 1.0
+    return float(np.abs(x).sum() / (x.size * peak))
+
+
+def weighted_balancedness(x, weights):
+    """1-norm over the largest weight-relative magnitude; 1.0 for zero."""
+    peak = (np.abs(x) / weights).max()
+    if peak == 0.0:
+        return 1.0
+    return float(np.abs(x).sum() / peak)
+
+
+def deviation_coefficient(u, v):
+    """Two thirds of the largest relative deviation of v from u.
+
+    Zero-over-zero entries contribute 0; a positive deviation on a zero entry
+    of u makes the coefficient infinite.
+    """
+    diff = np.abs(u - v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(diff == 0.0, 0.0, diff / u)
+    return float(ratio.max() * (2.0 / 3.0))
+
+
+def pinsker_l2(u, v, weights):
+    """Four KL-based upper bounds for squared distances between distributions.
+
+    Returns ((a), (b), (c), (d)) as (value, applicable) pairs:
+      (a) bounds the squared 2-norm via the difference balancedness,
+      (b) bounds the weight-relative squared distance via the weighted kind,
+      (c) and (d) replace the difference balancedness with the balancedness
+          of u damped by (1 - deviation); they require deviation < 1.
+    """
+    divergence = kl(u, v)
+    diff = u - v
+    alpha = deviation_coefficient(u, v)
+    bound_a = 2.0 * divergence / (u.size * balancedness(diff))
+    bound_b = 2.0 * divergence / weighted_balancedness(diff, weights)
+    applicable = bool(alpha < 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound_c = 2.0 * divergence / (u.size * balancedness(u) * (1.0 - alpha))
+        bound_d = 2.0 * divergence / (weighted_balancedness(u, weights) * (1.0 - alpha))
+    return (
+        (float(bound_a), True),
+        (float(bound_b), True),
+        (float(bound_c), applicable),
+        (float(bound_d), applicable),
+    )
 
 
 def verify_factorization_reference(model, reduced):

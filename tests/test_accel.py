@@ -71,4 +71,4 @@ def test_numpy_backend_runs_pipelines():
     dataset, _ = gen_double_gyre(GyreConfig(nx=8, ny=4, points_per_box=4, t_end=0.5))
     counts, _, _ = prune_empty(ingest_pairs(dataset))
     best, best_run, traces = multi_start(counts, 3, runs=2, seed=0)
-    assert np.isfinite(traces[best_run].steps[-1].objective)
+    assert np.isfinite(traces[best_run].objectives[-1])

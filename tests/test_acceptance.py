@@ -11,26 +11,27 @@ import time
 import numpy as np
 import pytest
 
-from cohsets.bounds import frobenius_kl_bound, pinsker_l2
-from cohsets.dbmr import (
-    ReducedModel,
-    multi_start,
-    reduce_with_affiliation,
-    reduced_singular_values,
-)
+from cohsets import _accel
+from cohsets.bounds import frobenius_kl_bound
+from cohsets.dbmr import multi_start, reduce_with_affiliation, reduced_singular_values
 from cohsets.generators import (
     GyreConfig,
     advect,
     gen_double_gyre,
     gen_interval_map,
     gen_three_coherent,
-    gyre_velocity,
 )
-from cohsets.model import Partition, estimate, ingest_pairs, prune_empty, rescale
-from cohsets.projection import build_projection, pythagoras_check, verify_factorization
+from cohsets.model import Partition, estimate, ingest_pairs, prune_empty
+from cohsets.projection import pythagoras_check, verify_factorization
 from cohsets.svd import classical_pipeline, truncate
 from tests.conftest import random_counts
-from tests.dense_reference import dense, log_likelihood_dense
+from tests.dense_reference import (
+    build_projection,
+    dense,
+    log_likelihood_dense,
+    pinsker_l2,
+    rescale_dense,
+)
 
 
 def test_three_set_classical_spectrum_and_reduction(three_example):
@@ -54,9 +55,9 @@ def test_three_set_alternating_best_of_100(three_example):
     counts, model, _ = three_example
     start = time.perf_counter()
     best, best_run, traces = multi_start(counts, 3, runs=100, seed=0)
-    objective = traces[best_run].steps[-1].objective
+    objective = traces[best_run].objectives[-1]
     assert objective == pytest.approx(-0.954e5, abs=0.001e5)
-    gap = dense(model.rescaled) - rescale(best.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale_dense(best.approx, model.input_dist, model.output_dist)
     gap_sq = float(np.sum(gap * gap))
     assert gap_sq <= 1e-12
     report = frobenius_kl_bound(best)
@@ -75,13 +76,13 @@ def test_interval_map_quantities(interval_example, interval_affiliation):
     assert sigma[2] == pytest.approx(1.0, abs=1e-9)
 
     best, best_run, traces = multi_start(counts, 3, runs=100, seed=0)
-    best_rescaled = rescale(best.approx, model.input_dist, model.output_dist)
+    best_rescaled = rescale_dense(best.approx, model.input_dist, model.output_dist)
     best_sigma = np.linalg.svd(best_rescaled, compute_uv=False)
     coherence = float(best_sigma[:3].sum())
     assert coherence == pytest.approx(3.0, abs=1e-9)
 
     default = reduce_with_affiliation(counts, interval_affiliation)
-    gap = dense(model.rescaled) - rescale(default.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale_dense(default.approx, model.input_dist, model.output_dist)
     assert float(np.sum(gap * gap)) == pytest.approx(27.0, abs=1e-6)
     report = frobenius_kl_bound(default)
     assert report.kappa_value == pytest.approx(1 / 30, abs=1e-9)
@@ -102,7 +103,9 @@ def _perturbed_instance_checks(dataset, rank, seed):
     model = estimate(counts)
     best, best_run, traces = multi_start(counts, rank, runs=3, seed=seed)
     sigma_full = np.linalg.svd(dense(model.rescaled), compute_uv=False)
-    sigma_reduced = reduced_singular_values(best)
+    sigma_reduced = reduced_singular_values(
+        model, best.factor[np.newaxis], best.affiliation.labels[np.newaxis]
+    )[0]
     assert np.all(sigma_reduced <= sigma_full + 1e-9)
     for choice in ("pr", "post"):
         report = frobenius_kl_bound(best, kappa_choice=choice)
@@ -110,7 +113,7 @@ def _perturbed_instance_checks(dataset, rank, seed):
         assert np.isfinite(report.kl_form)
         assert report.frob_gap_sq <= report.kl_form + 1e-9
     reference = log_likelihood_dense(counts, dense(model.matrix))
-    assert traces[best_run].steps[-1].objective <= reference + 1e-9
+    assert traces[best_run].objectives[-1] <= reference + 1e-9
     for trace in traces:
         assert np.all(np.diff(trace.objectives) >= 0.0)
     return float(sigma_full[1])
@@ -161,7 +164,7 @@ def test_randomized_structural_suite():
             rival /= rival.sum(axis=0)
             rival_gap = np.sum((dense(model.rescaled) - rival[:, labels - 1] * scale) ** 2)
             assert lhs <= rival_gap + 1e-12
-        residual = dense(model.rescaled) - rescale(reduced.approx, model.input_dist, model.output_dist)
+        residual = dense(model.rescaled) - rescale_dense(reduced.approx, model.input_dist, model.output_dist)
         for _ in range(5):
             arbitrary = rng.standard_normal((m, n))
             assert abs(np.sum(residual * (arbitrary @ sym))) <= 1e-9
@@ -221,10 +224,13 @@ def test_double_gyre_dataset_and_integrator():
     factor = float(coarse.max() / fine.max())
     assert 12.0 <= factor <= 20.0
 
+    def velocity(x, y, t):
+        return _accel.velocity_arrays(x, y, t, config.amplitude, config.delta, config.omega)
+
     h = 1e-5
     for t in (0.0, 0.9, 17.3):
-        du_dx = (gyre_velocity(x + h, y, t)[0] - gyre_velocity(x - h, y, t)[0]) / (2 * h)
-        dv_dy = (gyre_velocity(x, y + h, t)[1] - gyre_velocity(x, y - h, t)[1]) / (2 * h)
+        du_dx = (velocity(x + h, y, t)[0] - velocity(x - h, y, t)[0]) / (2 * h)
+        dv_dy = (velocity(x, y + h, t)[1] - velocity(x, y - h, t)[1]) / (2 * h)
         assert np.abs(du_dx + dv_dy).max() <= 1e-6
 
     x_lo, x_hi, y_lo, y_hi = metadata["input_range"]
@@ -240,14 +246,11 @@ def test_double_gyre_dataset_and_integrator():
 def test_three_set_restart_bimodality(three_example):
     counts, model, _ = three_example
     _, _, traces = multi_start(counts, 3, runs=100, seed=0)
-    sigma3 = []
-    for trace in traces:
-        final = trace.steps[-1]
-        reduced = ReducedModel(counts, final.factor, Partition(final.labels, 3))
-        sigma = reduced_singular_values(reduced)
-        assert sigma[1] == pytest.approx(1.0, abs=1e-9)
-        sigma3.append(float(sigma[2]))
-    sigma3 = np.asarray(sigma3)
+    sigma = reduced_singular_values(
+        model, np.stack([t.factor for t in traces]), np.stack([t.labels for t in traces])
+    )
+    assert sigma[:, 1] == pytest.approx(np.ones(100), abs=1e-9)
+    sigma3 = sigma[:, 2]
     near_six = np.abs(sigma3 - 0.6) < 0.1
     near_zero = sigma3 < 0.1
     assert near_six.any()

@@ -1,8 +1,10 @@
 """The benchmark's hooks into the program resolve.
 
-``perfbench/tracing.py`` wraps the functions its ``TRACED`` table names, and
-``perfbench/ready.py`` calls ``cohsets._accel.warmup``. A renamed or removed
-function would break those runs without failing any other test.
+``perfbench/tracing.py`` wraps the functions its ``TRACED`` table names,
+``perfbench/ready.py`` calls ``cohsets._accel.warmup``, and
+``benchmarks/bench_kernels.py`` imports names from ``cohsets`` and from
+``tests/dense_reference.py``. A renamed or removed function would break those
+runs without failing any other test.
 """
 
 import importlib.util
@@ -13,19 +15,29 @@ import numpy as np
 import cohsets
 from cohsets.model import CountMatrix
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def _load(name, path):
+    """The module at ``path``, executed without calling its ``main``."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def _tracing():
+    return _load("perfbench_tracing", PERFBENCH / "tracing.py")
+
+
 def test_traced_names_resolve():
     for name, (module_name, attr, _) in _tracing().TRACED.items():
         assert callable(getattr(importlib.import_module(module_name), attr, None)), name
+
+
+def test_kernel_benchmark_imports_resolve():
+    assert callable(_load("bench_kernels", ROOT / "benchmarks" / "bench_kernels.py").main)
 
 
 def test_ready_probe_warmup_exists():

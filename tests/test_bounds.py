@@ -3,22 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from cohsets.bounds import (
-    balancedness,
-    bound_constants,
-    coherence_lower_bound,
-    deviation_coefficient,
-    frobenius_kl_bound,
-    pinsker_l2,
-    weighted_balancedness,
-)
+from cohsets.bounds import bound_constants, coherence_lower_bound, frobenius_kl_bound
 from cohsets.dbmr import (
     ReducedModel,
     reduce_with_affiliation,
 )
-from cohsets.model import Partition, estimate, rescale
+from cohsets.model import Partition, estimate
 from tests.conftest import random_counts
-from tests.dense_reference import dense, log_likelihood_dense
+from tests.dense_reference import (
+    balancedness,
+    dense,
+    deviation_coefficient,
+    log_likelihood_dense,
+    pinsker_l2,
+    rescale_dense,
+    weighted_balancedness,
+)
 
 
 def test_balancedness_examples():
@@ -26,13 +26,6 @@ def test_balancedness_examples():
     assert balancedness(np.array([1.0, 0.0, 0.0, 0.0])) == 0.25
     assert balancedness(np.array([2.0, -1.0, 1.0])) == pytest.approx(2 / 3)
     assert balancedness(np.zeros(5)) == 1.0
-
-
-def test_balancedness_validation():
-    with pytest.raises(ValueError):
-        balancedness(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        balancedness(np.array([]))
 
 
 def test_balancedness_range():
@@ -52,13 +45,6 @@ def test_weighted_balancedness_examples():
     y = np.array([2.0, -1.0, 1.0])
     uniform = np.full(3, 1 / 3)
     assert weighted_balancedness(y, uniform) == pytest.approx(3 * (1 / 3) * balancedness(y))
-
-
-def test_weighted_balancedness_validation():
-    with pytest.raises(ValueError):
-        weighted_balancedness(np.ones(3), np.ones(2))
-    with pytest.raises(ValueError):
-        weighted_balancedness(np.ones(2), np.array([1.0, 0.0]))
 
 
 def test_weighted_dominates_scaled_plain():
@@ -264,7 +250,7 @@ def test_coherence_lower_bound_three(three_example, three_affiliation):
     bound = coherence_lower_bound(reduced, 0.5)
     # exact reduction: the bound collapses to the full squared norm
     assert bound == pytest.approx(2.36, abs=1e-9)
-    reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+    reduced_rescaled = rescale_dense(reduced.approx, model.input_dist, model.output_dist)
     sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
     assert np.sum(sigma[:3]) >= bound - 1e-9
 
@@ -274,7 +260,7 @@ def test_coherence_lower_bound_interval(interval_example, interval_affiliation):
     reduced = reduce_with_affiliation(counts, interval_affiliation)
     bound = coherence_lower_bound(reduced, 1 / 30)
     assert bound == pytest.approx(30 - 30 * math.log(10), abs=1e-6)
-    reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+    reduced_rescaled = rescale_dense(reduced.approx, model.input_dist, model.output_dist)
     sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
     assert np.sum(sigma[:3]) == pytest.approx(3.0, abs=1e-9)
     assert np.sum(sigma[:3]) >= bound
@@ -302,7 +288,7 @@ def test_coherence_lower_bound_random():
         if constants.kappa_post <= 0:
             continue
         bound = coherence_lower_bound(reduced, constants.kappa_post)
-        reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
+        reduced_rescaled = rescale_dense(reduced.approx, model.input_dist, model.output_dist)
         sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
         assert np.sum(sigma[:r]) >= bound - 1e-9
 

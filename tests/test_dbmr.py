@@ -6,19 +6,17 @@ import pytest
 
 from cohsets.dbmr import (
     ReducedModel,
+    _best_labels,
     dbmr_run,
     multi_start,
     output_partition,
-    random_affiliation,
     reduce_with_affiliation,
     reduced_singular_values,
-    update_affiliation,
-    update_factor,
 )
-from cohsets.model import CountMatrix, Partition, estimate, rescale
+from cohsets.model import CountMatrix, Partition, estimate
 from cohsets.report import multirun_experiment
 from tests.conftest import random_counts
-from tests.dense_reference import dense, log_likelihood_dense
+from tests.dense_reference import dense, log_likelihood_dense, random_partition, rescale_dense
 
 # independent arithmetic for the three-set example: 50 structured columns carry
 # 25 cells of count 8 at probability 0.032 and 25 cells of count 2 at 0.008,
@@ -43,7 +41,7 @@ def test_relaxed_equals_full_on_identity_affiliation(three_example):
     counts, model, _ = three_example
     n = counts.shape[1]
     identity = Partition(labels=np.arange(1, n + 1), n_clusters=n)
-    factor = update_factor(counts, identity)
+    factor = reduce_with_affiliation(counts, identity).factor
     assert factor == pytest.approx(dense(model.matrix), abs=1e-12)
     assert ReducedModel(counts, factor, identity).log_likelihood == pytest.approx(
         counts.full_log_likelihood
@@ -52,7 +50,7 @@ def test_relaxed_equals_full_on_identity_affiliation(three_example):
 
 def test_relaxed_interval_default(interval_example, interval_affiliation):
     counts, _, _ = interval_example
-    factor = update_factor(counts, interval_affiliation)
+    factor = reduce_with_affiliation(counts, interval_affiliation).factor
     value = ReducedModel(counts, factor, interval_affiliation).log_likelihood
     assert value == pytest.approx(8100 * math.log(1 / 30), abs=1e-8)
 
@@ -63,7 +61,7 @@ def test_relaxed_matches_gathered_likelihood():
     for _ in range(30):
         counts = random_counts(rng, rng.integers(2, 9), rng.integers(2, 9))
         r = int(rng.integers(1, 4))
-        affiliation = random_affiliation(counts.shape[1], r, int(rng.integers(1 << 30)))
+        affiliation = random_partition(counts.shape[1], r, int(rng.integers(1 << 30)))
         reduced = reduce_with_affiliation(counts, affiliation)
         direct = log_likelihood_dense(counts, reduced.approx)
         relaxed = reduced.log_likelihood
@@ -81,7 +79,7 @@ def test_relaxed_support_violation(three_example):
 
 def test_update_factor_three_default(three_example, three_affiliation):
     counts, _, _ = three_example
-    factor = update_factor(counts, three_affiliation)
+    factor = reduce_with_affiliation(counts, three_affiliation).factor
     assert factor.shape == (100, 3)
     assert factor[:25, 0] == pytest.approx(np.full(25, 0.032))
     assert factor[25:50, 0] == pytest.approx(np.full(25, 0.008))
@@ -92,7 +90,7 @@ def test_update_factor_three_default(three_example, three_affiliation):
 def test_update_factor_inactive_uniform():
     counts = CountMatrix(counts=np.array([[2, 1], [2, 3]]), total=8)
     affiliation = Partition(labels=np.array([1, 1]), n_clusters=2)
-    factor = update_factor(counts, affiliation)
+    factor = reduce_with_affiliation(counts, affiliation).factor
     assert factor[:, 0] == pytest.approx([3 / 8, 5 / 8])
     assert factor[:, 1] == pytest.approx([0.5, 0.5])
     assert affiliation.inactive == (2,)
@@ -103,10 +101,17 @@ def test_update_factor_left_stochastic_random():
     for _ in range(50):
         counts = random_counts(rng, rng.integers(2, 10), rng.integers(2, 10), density=0.6)
         r = int(rng.integers(1, 5))
-        affiliation = random_affiliation(counts.shape[1], r, int(rng.integers(1 << 30)))
-        factor = update_factor(counts, affiliation)
+        affiliation = random_partition(counts.shape[1], r, int(rng.integers(1 << 30)))
+        factor = reduce_with_affiliation(counts, affiliation).factor
         assert factor.sum(axis=0) == pytest.approx(np.ones(r))
         assert (factor >= 0).all()
+
+
+def _updated_labels(counts, factor):
+    """1-based labels of the ascent's affiliation update for one factor, and
+    the columns that scored -inf for every latent state."""
+    labels0, sunk = _best_labels(counts, factor[np.newaxis])
+    return labels0[0] + 1, int(sunk[0])
 
 
 def test_update_affiliation_is_columnwise_argmax():
@@ -117,32 +122,31 @@ def test_update_affiliation_is_columnwise_argmax():
         r = int(rng.integers(1, 4))
         factor = rng.random((counts.shape[0], r))
         factor /= factor.sum(axis=0)
-        affiliation = update_affiliation(counts, factor)
+        labels, _ = _updated_labels(counts, factor)
         logf = np.log(factor)
         for j in range(counts.shape[1]):
             scores = dense(counts)[:, j] @ logf
-            assert affiliation.labels[j] - 1 == int(np.argmax(scores))
+            assert labels[j] - 1 == int(np.argmax(scores))
 
 
 def test_update_affiliation_tie_takes_smaller_label():
     counts = CountMatrix(counts=np.array([[3, 1], [1, 3]]), total=8)
     factor = np.array([[0.5, 0.5], [0.5, 0.5]])
-    affiliation = update_affiliation(counts, factor)
-    assert affiliation.labels.tolist() == [1, 1]
+    assert _updated_labels(counts, factor)[0].tolist() == [1, 1]
 
 
 def test_update_affiliation_all_sunk_falls_back_to_one():
     counts = CountMatrix(counts=np.array([[1, 1], [1, 1]]), total=4)
     factor = np.array([[1.0, 0.0], [0.0, 1.0]])
-    affiliation = update_affiliation(counts, factor)
-    assert affiliation.labels.tolist() == [1, 1]
+    labels, sunk = _updated_labels(counts, factor)
+    assert labels.tolist() == [1, 1]
+    assert sunk == 2
 
 
 def test_update_affiliation_recovers_blocks(three_example, three_affiliation):
     counts, _, _ = three_example
-    factor = update_factor(counts, three_affiliation)
-    again = update_affiliation(counts, factor)
-    assert np.array_equal(again.labels, three_affiliation.labels)
+    factor = reduce_with_affiliation(counts, three_affiliation).factor
+    assert np.array_equal(_updated_labels(counts, factor)[0], three_affiliation.labels)
 
 
 def test_dbmr_run_three_default_exact(three_example, three_affiliation):
@@ -150,17 +154,18 @@ def test_dbmr_run_three_default_exact(three_example, three_affiliation):
     reduced, trace = dbmr_run(counts, three_affiliation)
     assert trace.converged
     assert np.abs(reduced.approx - dense(model.matrix)).max() < 1e-15
-    assert trace.steps[-1].objective == pytest.approx(THREE_REFERENCE, abs=1e-6)
-    assert trace.steps[-1].frob_gap_sq < 1e-12
+    assert trace.objectives[-1] == pytest.approx(THREE_REFERENCE, abs=1e-6)
+    assert trace.frob_gap_sq[-1] < 1e-12
 
 
 def test_dbmr_run_trace_length_with_hmax_one(three_example):
     counts, _, _ = three_example
-    init = random_affiliation(100, 3, 5)
+    init = random_partition(100, 3, 5)
     _, trace = dbmr_run(counts, init, max_steps=1)
-    assert len(trace.steps) == 2
-    assert trace.steps[0].index == 0
-    assert trace.steps[1].index == 1
+    assert trace.iterations == 1
+    for values in (trace.objectives, trace.frob_gap_sq, trace.approx_norm_sq,
+                   trace.label_snapshots, trace.factor_snapshots):
+        assert len(values) == 2
 
 
 def test_dbmr_traces_monotone_random():
@@ -168,7 +173,7 @@ def test_dbmr_traces_monotone_random():
     for _ in range(100):
         counts = random_counts(rng, rng.integers(2, 10), rng.integers(2, 10), density=0.7)
         r = int(rng.integers(1, 4))
-        init = random_affiliation(counts.shape[1], r, int(rng.integers(1 << 30)))
+        init = random_partition(counts.shape[1], r, int(rng.integers(1 << 30)))
         _, trace = dbmr_run(counts, init, max_steps=50)
         objectives = trace.objectives
         assert np.all(np.diff(objectives) >= 0.0)
@@ -192,35 +197,46 @@ def test_dbmr_preserves_average_of_extremes():
 
 def test_dbmr_snapshots_toggle(three_example):
     counts, _, _ = three_example
-    init = random_affiliation(100, 3, 9)
+    init = random_partition(100, 3, 9)
     _, trace = dbmr_run(counts, init, snapshots=False)
-    assert all(s.labels is None and s.factor is None for s in trace.steps[:-1])
-    assert trace.steps[-1].labels is not None
-    assert trace.steps[-1].factor is not None
+    assert trace.label_snapshots is None and trace.factor_snapshots is None
     _, full_trace = dbmr_run(counts, init, snapshots=True)
-    assert all(s.labels is not None for s in full_trace.steps)
+    assert len(full_trace.label_snapshots) == len(full_trace.objectives)
+    assert len(full_trace.factor_snapshots) == len(full_trace.objectives)
+    # the final labels and factor are kept either way, and are the last snapshot
+    for kept in (trace, full_trace):
+        assert np.array_equal(kept.labels, full_trace.label_snapshots[-1])
+        assert np.array_equal(kept.factor, full_trace.factor_snapshots[-1])
 
 
 def test_dbmr_run_validation(three_example):
     counts, _, _ = three_example
-    init = random_affiliation(100, 3, 0)
+    init = random_partition(100, 3, 0)
     with pytest.raises(ValueError):
-        dbmr_run(counts, random_affiliation(99, 3, 0))
+        dbmr_run(counts, random_partition(99, 3, 0))
     with pytest.raises(ValueError):
         dbmr_run(counts, init, max_steps=0)
     with pytest.raises(ValueError):
         dbmr_run(counts, init, tol=-1.0)
 
 
+def _initial_labels(n_inputs, n_latent, runs, seed):
+    """Each restart's random initial affiliation in ``multi_start``."""
+    counts = CountMatrix(counts=np.ones((2, n_inputs), dtype=np.int64), total=2 * n_inputs)
+    _, _, traces = multi_start(counts, n_latent, runs, max_steps=1, seed=seed, snapshots=True)
+    return np.stack([trace.label_snapshots[0] for trace in traces])
+
+
 def test_random_affiliation_deterministic():
-    a = random_affiliation(50, 3, 123)
-    b = random_affiliation(50, 3, 123)
-    assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(random_affiliation(20, 1, 7).labels, np.ones(20, dtype=int))
+    a = _initial_labels(50, 3, 4, 123)
+    assert np.array_equal(a, _initial_labels(50, 3, 4, 123))
+    # every restart draws its own labels
+    assert len({row.tobytes() for row in a}) == 4
+    assert np.array_equal(_initial_labels(20, 1, 2, 7), np.ones((2, 20), dtype=int))
 
 
 def test_random_affiliation_covers_labels():
-    labels = random_affiliation(3000, 3, 11).labels
+    labels = _initial_labels(3000, 3, 1, 11)[0]
     counts = np.bincount(labels, minlength=4)[1:]
     # each label is a fair coin among three; 4 sigma around 1000
     assert np.all(np.abs(counts - 1000) < 4 * np.sqrt(3000 * (1 / 3) * (2 / 3)))
@@ -230,12 +246,12 @@ def test_multi_start_three_example(three_example):
     counts, model, _ = three_example
     best, best_run, traces = multi_start(counts, 3, runs=100, seed=0)
     assert len(traces) == 100
-    final = traces[best_run].steps[-1].objective
+    final = traces[best_run].objectives[-1]
     assert final == pytest.approx(THREE_REFERENCE, abs=1e-6)
-    assert all(t.steps[-1].objective <= final + 1e-9 for t in traces)
-    gap = dense(model.rescaled) - rescale(best.approx, model.input_dist, model.output_dist)
+    assert all(t.objectives[-1] <= final + 1e-9 for t in traces)
+    gap = dense(model.rescaled) - rescale_dense(best.approx, model.input_dist, model.output_dist)
     assert np.sum(gap * gap) < 1e-12
-    finals = {round(t.steps[-1].objective, 6) for t in traces}
+    finals = {round(t.objectives[-1], 6) for t in traces}
     assert finals == {
         round(THREE_REFERENCE, 6), round(THREE_MERGED, 6)
     }
@@ -247,9 +263,9 @@ def test_multi_start_tie_keeps_lowest_run():
         total=40,
     )
     best, best_run, traces = multi_start(counts, 2, runs=6, seed=3)
-    final = traces[best_run].steps[-1].objective
+    final = traces[best_run].objectives[-1]
     first_hit = min(
-        i for i, t in enumerate(traces) if t.steps[-1].objective == final
+        i for i, t in enumerate(traces) if t.objectives[-1] == final
     )
     assert best_run == first_hit
 
@@ -259,13 +275,13 @@ def test_multirun_best_matches_multi_start(three_example):
     _, best_run, traces = multi_start(counts, 3, runs=8, seed=5)
     summary, rows, _ = multirun_experiment(counts, 3, runs=8, seed=5)
     assert summary["best_run"] == best_run
-    assert summary["best_objective"] == traces[best_run].steps[-1].objective
-    assert [row["objective"] for row in rows] == [t.steps[-1].objective for t in traces]
+    assert summary["best_objective"] == traces[best_run].objectives[-1]
+    assert [row["objective"] for row in rows] == [t.objectives[-1] for t in traces]
 
 
 def test_reduced_model_holds_factor_and_affiliation():
     counts = random_counts(np.random.default_rng(67), 12, 15, density=0.5)
-    affiliation = random_affiliation(15, 4, 3)
+    affiliation = random_partition(15, 4, 3)
     reduced = reduce_with_affiliation(counts, affiliation)
     assert [f.name for f in dataclasses.fields(ReducedModel)] == ["counts", "factor", "affiliation"]
     assert np.array_equal(reduced.approx, reduced.factor[:, affiliation.labels - 1])
@@ -275,7 +291,7 @@ def test_exact_fit_gap_is_never_negative(three_example, three_affiliation):
     """From the true partition every iterate fits exactly; the gap is 0, not below."""
     counts, _, _ = three_example
     _, trace = dbmr_run(counts, three_affiliation)
-    gaps = np.array([step.frob_gap_sq for step in trace.steps])
+    gaps = trace.frob_gap_sq
     assert (gaps >= 0.0).all()
     assert gaps.max() < 1e-12
 
@@ -297,43 +313,47 @@ def test_output_partition_uniform_ties_go_low():
 
 
 def test_reduced_singular_values_match_direct():
-    """The factored spectrum equals the SVD of the materialized matrix."""
+    """The factored spectra of a stack equal the SVDs of the materialized matrices."""
     rng = np.random.default_rng(53)
-    for _ in range(40):
+    for _ in range(20):
         counts = random_counts(rng, rng.integers(2, 10), rng.integers(3, 10), density=0.8)
         r = int(rng.integers(1, 5))
-        affiliation = random_affiliation(counts.shape[1], r, int(rng.integers(1 << 30)))
         model = estimate(counts)
-        reduced = reduce_with_affiliation(counts, affiliation)
-        fast = reduced_singular_values(reduced)
-        reduced_rescaled = rescale(reduced.approx, model.input_dist, model.output_dist)
-        direct = np.linalg.svd(reduced_rescaled, compute_uv=False)
-        assert fast == pytest.approx(direct, abs=1e-10)
+        reductions = [
+            reduce_with_affiliation(
+                counts, random_partition(counts.shape[1], r, int(rng.integers(1 << 30)))
+            )
+            for _ in range(3)
+        ]
+        fast = reduced_singular_values(
+            model,
+            np.stack([reduced.factor for reduced in reductions]),
+            np.stack([reduced.affiliation.labels for reduced in reductions]),
+        )
+        for sigma, reduced in zip(fast, reductions):
+            reduced_rescaled = rescale_dense(reduced.approx, model.input_dist, model.output_dist)
+            direct = np.linalg.svd(reduced_rescaled, compute_uv=False)
+            assert sigma == pytest.approx(direct, abs=1e-10)
 
 
 def _assert_gap_terms_match_direct(counts, model, init):
     _, trace = dbmr_run(counts, init, snapshots=True)
-    for step in trace.steps:
-        factor = step.factor
-        approx = factor[:, step.labels - 1]
-        scaled = approx * np.sqrt(model.input_dist)[None, :] / np.sqrt(model.output_dist)[:, None]
+    spectra = reduced_singular_values(model, trace.factor_snapshots, trace.label_snapshots)
+    for step, (factor, labels) in enumerate(zip(trace.factor_snapshots, trace.label_snapshots)):
+        scaled = rescale_dense(factor[:, labels - 1], model.input_dist, model.output_dist)
         gap = dense(model.rescaled) - scaled
-        assert step.frob_gap_sq == pytest.approx(np.sum(gap * gap), abs=1e-9)
-        assert step.approx_norm_sq == pytest.approx(np.sum(scaled * scaled), abs=1e-9)
-        reduced = ReducedModel(counts, factor, Partition(step.labels, factor.shape[1]))
-        sigma = reduced_singular_values(reduced)
-        assert sigma == pytest.approx(
-            np.linalg.svd(scaled, compute_uv=False), abs=1e-9
-        )
+        assert trace.frob_gap_sq[step] == pytest.approx(np.sum(gap * gap), abs=1e-9)
+        assert trace.approx_norm_sq[step] == pytest.approx(np.sum(scaled * scaled), abs=1e-9)
+        assert spectra[step] == pytest.approx(np.linalg.svd(scaled, compute_uv=False), abs=1e-9)
 
 
 def test_trace_gap_terms_match_direct(three_example):
     counts, model, _ = three_example
-    _assert_gap_terms_match_direct(counts, model, random_affiliation(100, 3, 21))
+    _assert_gap_terms_match_direct(counts, model, random_partition(100, 3, 21))
     # non-uniform marginals, so summing a term over the wrong axis shows
     counts = random_counts(np.random.default_rng(61), 30, 40, density=0.3)
     model = estimate(counts)
-    _assert_gap_terms_match_direct(counts, model, random_affiliation(40, 4, 5))
+    _assert_gap_terms_match_direct(counts, model, random_partition(40, 4, 5))
     # the initial affiliation leaves latent state 3 empty
     init = Partition(labels=np.arange(40) % 2 + 1, n_clusters=3)
     _assert_gap_terms_match_direct(counts, model, init)

@@ -35,15 +35,16 @@ from cohsets.dbmr import (
     ReducedModel,
     dbmr_run,
     multi_start,
-    random_affiliation,
     reduce_with_affiliation,
+    reduced_singular_values,
 )
 from cohsets.generators import GyreConfig, gen_double_gyre
-from cohsets.model import CountMatrix, Partition, estimate, ingest_pairs, prune_empty, rescale
+from cohsets.model import CountMatrix, Partition, estimate, ingest_pairs, prune_empty
 from cohsets.projection import pythagoras_check, verify_factorization
 from cohsets.report import compare_experiment, multirun_experiment
 from cohsets.seeding import mix_seed, rng_for
 from cohsets.svd import _coherence_scores, classical_pipeline, full_svd, reduced_min_entry, truncate
+from tests.conftest import random_counts
 from tests.dense_reference import (
     dense,
     best_labels_reference,
@@ -61,6 +62,9 @@ from tests.dense_reference import (
     lloyd_reference,
     multi_start_reference,
     pythagoras_check_dense,
+    random_partition,
+    reduced_singular_values_reference,
+    rescale_dense,
     verify_factorization_reference,
     weighted_kl_sum_dense,
     zeros_max_dense,
@@ -291,7 +295,7 @@ def test_dbmr_identical_on_both_storages(monkeypatch, source, three_example,
     else:
         counts = (three_example if source == "three" else interval_example)[0]
     for seed in range(3):
-        init = random_affiliation(counts.shape[1], 3, seed)
+        init = random_partition(counts.shape[1], 3, seed)
         with monkeypatch.context() as patch:
             dense_reduced, dense_trace = _runs_on_storage(patch, counts.counts, "dense", init)
         with monkeypatch.context() as patch:
@@ -300,7 +304,7 @@ def test_dbmr_identical_on_both_storages(monkeypatch, source, three_example,
         assert np.array_equal(dense_reduced.factor, sparse_reduced.factor)
         assert dense_trace.iterations == sparse_trace.iterations
         assert dense_trace.sunk_columns == sparse_trace.sunk_columns
-        assert [s.objective for s in dense_trace.steps] == [s.objective for s in sparse_trace.steps]
+        assert dense_trace.objectives.tolist() == sparse_trace.objectives.tolist()
 
 
 def _assert_same_restarts(batched, sequential):
@@ -314,15 +318,16 @@ def _assert_same_restarts(batched, sequential):
         assert trace.iterations == ref.iterations
         assert trace.converged == ref.converged
         assert trace.sunk_columns == ref.sunk_columns
-        for step, ref_step in zip(trace.steps, ref.steps):
-            assert step.index == ref_step.index
-            assert step.objective == ref_step.objective
-            assert step.frob_gap_sq == ref_step.frob_gap_sq
-            assert step.approx_norm_sq == ref_step.approx_norm_sq
-            for value, ref_value in ((step.labels, ref_step.labels), (step.factor, ref_step.factor)):
-                assert (value is None) == (ref_value is None)
-                if value is not None:
-                    assert np.array_equal(value, ref_value)
+        assert trace.objectives.tolist() == [step.objective for step in ref.steps]
+        assert trace.frob_gap_sq.tolist() == [step.frob_gap_sq for step in ref.steps]
+        assert trace.approx_norm_sq.tolist() == [step.approx_norm_sq for step in ref.steps]
+        assert np.array_equal(trace.labels, ref.steps[-1].labels)
+        assert np.array_equal(trace.factor, ref.steps[-1].factor)
+        if trace.label_snapshots is None:
+            assert all(step.labels is None for step in ref.steps[:-1])
+        else:
+            assert np.array_equal(trace.label_snapshots, [step.labels for step in ref.steps])
+            assert np.array_equal(trace.factor_snapshots, [step.factor for step in ref.steps])
 
 
 def _chunked(patch, counts, n_latent, restarts_per_chunk):
@@ -425,7 +430,7 @@ def test_multi_start_matches_sequential_on_examples(source, storage, three_examp
         _, best_run, traces = batched
         if source != "interval":  # every interval-map restart stops after 2 pairs
             assert len({trace.iterations for trace in traces}) > 1
-        finals = [trace.steps[-1].objective for trace in traces]
+        finals = [trace.objectives[-1] for trace in traces]
         assert best_run == finals.index(max(finals))
 
 
@@ -440,27 +445,23 @@ def test_multi_start_tie_goes_to_the_lowest_run():
         batched = multi_start(counts, 2, runs=9, seed=3)
     _assert_same_restarts(batched, multi_start_reference(counts, 2, runs=9, seed=3))
     _, best_run, traces = batched
-    finals = [trace.steps[-1].objective for trace in traces]
+    finals = [trace.objectives[-1] for trace in traces]
     assert finals.count(max(finals)) > 1
     assert best_run == finals.index(max(finals))
 
 
 @pytest.mark.parametrize("snapshots", [False, True])
 def test_derived_steps_equal_the_per_step_trace(snapshots, three_example, interval_example):
-    """A trace keeps one array per quantity; the steps derived from it are
-    the ones the sequential ascent records step by step, with snapshots on
-    every step or on the last one only."""
+    """A trace keeps one array per quantity, holding what the sequential
+    ascent records step by step; snapshots of every step are kept only when
+    asked for, the final labels and factor always."""
     for counts in (three_example[0], interval_example[0]):
         for seed, max_steps in itertools.product(range(4), (1, 500)):
-            init = random_affiliation(counts.shape[1], 3, seed)
+            init = random_partition(counts.shape[1], 3, seed)
             batched = dbmr_run(counts, init, max_steps=max_steps, snapshots=snapshots)
             sequential = dbmr_run_reference(counts, init, max_steps=max_steps, snapshots=snapshots)
             _assert_same_restarts((*batched[:1], 0, batched[1:]), (*sequential[:1], 0, sequential[1:]))
-            trace, ref = batched[1], sequential[1]
-            assert trace.objectives.tolist() == [step.objective for step in ref.steps]
-            assert trace.frob_gap_sq.tolist() == [step.frob_gap_sq for step in ref.steps]
-            assert trace.approx_norm_sq.tolist() == [step.approx_norm_sq for step in ref.steps]
-            assert all((step.labels is not None) == snapshots for step in trace.steps[:-1])
+            assert (batched[1].label_snapshots is not None) == snapshots
 
 
 @st.composite
@@ -541,7 +542,7 @@ def _two_per_column(size):
         counts_array[(np.arange(size) + shift * rng.integers(1, size)) % size, np.arange(size)] += 1
     counts = CountMatrix(counts=counts_array, total=int(counts_array.sum()))
     counts.model  # estimated before any tracing, as a caller holding the counts has it
-    return counts, reduce_with_affiliation(counts, random_affiliation(size, 3, 0))
+    return counts, reduce_with_affiliation(counts, random_partition(size, 3, 0))
 
 
 def _traced_peak(call) -> int:
@@ -596,7 +597,7 @@ def test_pythagoras_matches_dense_formula(case):
     counts, model, reduced, _ = case
     reduced = reduce_with_affiliation(counts, reduced.affiliation)
     p, q = model.input_dist, model.output_dist
-    reference = pythagoras_check_dense(dense(model.rescaled), rescale(reduced.approx, p, q))
+    reference = pythagoras_check_dense(dense(model.rescaled), rescale_dense(reduced.approx, p, q))
     tolerance = 1e-12 * (1.0 + model.rescaled_norm_sq)
     for value, expected in zip(pythagoras_check(reduced), reference):
         assert abs(value - expected) <= tolerance
@@ -612,6 +613,49 @@ def test_factorization_residuals_match_dense_projection(case):
     reference = verify_factorization_reference(model, reduced)
     for field in ("factorization", "input_fixed", "output_marginal"):
         assert abs(getattr(residuals, field) - getattr(reference, field)) <= 1e-12
+
+
+def _assert_stacked_spectra_bitwise(counts, labels, n_latent):
+    """The spectra of the stacked ML reductions of the label rows equal,
+    bit for bit, those computed one reduction at a time."""
+    reductions = [
+        reduce_with_affiliation(counts, Partition(labels=row, n_clusters=n_latent))
+        for row in labels
+    ]
+    factors = np.stack([reduced.factor for reduced in reductions])
+    stacked = reduced_singular_values(counts.model, factors, np.asarray(labels))
+    assert stacked.shape == (len(reductions), min(counts.shape))
+    for sigma, reduced in zip(stacked, reductions):
+        assert sigma.tobytes() == reduced_singular_values_reference(reduced).tobytes()
+
+
+def test_stacked_spectra_match_one_reduction_at_a_time(three_example, interval_example):
+    """The paper examples with their default partitions, random ones, and one
+    that leaves latent state 3 without inputs (zero mass); then r below
+    min(m, n), whose spectra are padded with zeros, and r at or above it."""
+    rng = np.random.default_rng(233)
+    for counts, _, partition in (three_example, interval_example):
+        labels = [
+            partition.labels,
+            np.minimum(partition.labels, 2),
+            *rng.integers(1, 4, size=(6, counts.shape[1])),
+        ]
+        _assert_stacked_spectra_bitwise(counts, labels, 3)
+    for m, n, r in ((9, 6, 2), (9, 6, 6), (9, 6, 8), (5, 8, 7)):
+        counts = random_counts(rng, m, n)
+        _assert_stacked_spectra_bitwise(counts, rng.integers(1, r + 1, size=(4, n)), r)
+
+
+@SETTINGS
+@given(case=reductions(), data=st.data())
+def test_stacked_spectra_match_on_drawn_stacks(case, data):
+    """Drawn counts and a stack of one to four drawn affiliations, with more
+    latent states than inputs or empty ones."""
+    counts = case[0]
+    r = data.draw(st.integers(1, counts.shape[1] + 2))
+    runs = data.draw(st.integers(1, 4))
+    labels = data.draw(arrays(np.int64, (runs, counts.shape[1]), elements=st.integers(1, r)))
+    _assert_stacked_spectra_bitwise(counts, labels, r)
 
 
 def test_reports_carry_storage_counters(three_example):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cohsets import _accel
 from cohsets.generators import (
     DOMAIN_HEIGHT,
     DOMAIN_WIDTH,
@@ -11,16 +12,26 @@ from cohsets.generators import (
     gen_double_gyre,
     gen_interval_map,
     gen_three_coherent,
-    gyre_velocity,
     interval_map_counts,
     pairs_from_counts,
     perturb_pairs,
-    stream_function,
     three_coherent_counts,
 )
 from cohsets.model import ingest_pairs
 from tests.conftest import random_counts
 from tests.dense_reference import dense
+
+
+def velocity(x, y, t, config):
+    """Velocity components (dx/dt, dy/dt) of the configured flow at time ``t``."""
+    return _accel.velocity_arrays(x, y, t, config.amplitude, config.delta, config.omega)
+
+
+def stream_function(x, y, t, config):
+    """Scalar stream function of the double gyre; the flow follows its contours."""
+    sway = config.delta * math.sin(config.omega * t)
+    warp = sway * x * x + (1.0 - 2.0 * sway) * x
+    return config.amplitude * np.sin(math.pi * warp) * np.sin(math.pi * y)
 
 
 def test_three_coherent_counts_oracle():
@@ -159,10 +170,10 @@ def test_velocity_vanishes_on_walls():
     x = np.linspace(0.0, 2.0, 65)
     for t in (0.0, 0.3, 1.7, 11.25):
         for wall in (0.0, DOMAIN_WIDTH):
-            u, _ = gyre_velocity(np.full_like(y, wall), y, t, config)
+            u, _ = velocity(np.full_like(y, wall), y, t, config)
             assert np.abs(u).max() < 1e-12
         for wall in (0.0, DOMAIN_HEIGHT):
-            _, v = gyre_velocity(x, np.full_like(x, wall), t, config)
+            _, v = velocity(x, np.full_like(x, wall), t, config)
             assert np.abs(v).max() < 1e-12
 
 
@@ -174,7 +185,7 @@ def test_velocity_matches_stream_function_gradient():
     y = rng.uniform(0.05, 0.95, 1000)
     h = 1e-6
     for t in (0.0, 0.4, 2.9):
-        u, v = gyre_velocity(x, y, t, config)
+        u, v = velocity(x, y, t, config)
         dpsi_dy = (stream_function(x, y + h, t, config)
                    - stream_function(x, y - h, t, config)) / (2 * h)
         dpsi_dx = (stream_function(x + h, y, t, config)
@@ -190,10 +201,10 @@ def test_velocity_divergence_free():
     y = rng.uniform(0.05, 0.95, 500)
     h = 1e-5
     for t in (0.0, 0.7, 3.3):
-        du_dx = (gyre_velocity(x + h, y, t, config)[0]
-                 - gyre_velocity(x - h, y, t, config)[0]) / (2 * h)
-        dv_dy = (gyre_velocity(x, y + h, t, config)[1]
-                 - gyre_velocity(x, y - h, t, config)[1]) / (2 * h)
+        du_dx = (velocity(x + h, y, t, config)[0]
+                 - velocity(x - h, y, t, config)[0]) / (2 * h)
+        dv_dy = (velocity(x, y + h, t, config)[1]
+                 - velocity(x, y - h, t, config)[1]) / (2 * h)
         assert np.abs(du_dx + dv_dy).max() <= 1e-6
 
 

@@ -1,6 +1,7 @@
 """Module boundaries of the package: no module imports a sibling module's
-private (underscore-prefixed) name. Importing the ``_accel`` module, or its
-public names, is allowed."""
+private (underscore-prefixed) name, and the package exports each name of
+``cohsets.__all__`` once. Importing the ``_accel`` module, or its public
+names, is allowed."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,8 @@ def private_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_siblings_private_name():
     found = [line for path in sorted(PACKAGE.glob("*.py")) for line in private_imports(path)]
     assert found == []
+
+
+def test_every_exported_name_resolves_once():
+    assert len(cohsets.__all__) == len(set(cohsets.__all__))
+    assert [name for name in cohsets.__all__ if not hasattr(cohsets, name)] == []

@@ -135,14 +135,29 @@ def _read_outcome(reader, path):
 @given(st.data())
 def test_read_pairs_grammar_matches_handle_reader(data):
     """read_pairs accepts exactly what loadtxt on the open handle accepts,
-    with the same arrays or the same error, and the CLI exits 2 on every
-    rejected file without a traceback."""
+    with the same arrays or the same error, except that a body loadtxt
+    rejects is reported by the file line and text of its malformed line: the
+    first line through which the file no longer reads as two-field records.
+    The CLI exits 2 on every rejected file without a traceback."""
     body = _pairs_body(data.draw)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pairs.csv"
         path.write_bytes(body.encode())
         outcome = _read_outcome(dataio.read_pairs, path)
-        assert outcome == _read_outcome(read_pairs_handle_reference, path)
+        expected = _read_outcome(read_pairs_handle_reference, path)
+        if isinstance(expected, str) and "malformed record line" in expected:
+            pattern = rf"{re.escape(str(path))}: line (\d+): malformed record (.*)"
+            line, text = re.fullmatch(pattern, outcome).groups()
+            lines = body.splitlines()
+            assert text == repr(lines[int(line) - 1].rstrip())
+            head = Path(tmp) / "head.csv"
+            for end, rejected in ((int(line) - 1, False), (int(line), True)):
+                head.write_text("\n".join(lines[:end]) + "\n", encoding="utf-8")
+                head_outcome = _read_outcome(read_pairs_handle_reference, head)
+                assert (isinstance(head_outcome, str) and "no records" not in head_outcome) \
+                    == rejected
+        else:
+            assert outcome == expected
         if isinstance(outcome, str):
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
@@ -181,6 +196,20 @@ def test_cli_empty_counts_body_writes_only_the_error(tmp_path):
     )
     assert result.returncode == 2
     assert result.stderr == "error: empty model: all counts are zero\n"
+
+
+def test_cli_malformed_counts_entry_names_the_file_line(tmp_path):
+    """A counts entry that does not parse exits 2 with one stderr line that
+    names the file and the line of the entry."""
+    counts_path = tmp_path / "bad.txt"
+    counts_path.write_text("3 3 1\n1 1 x\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "cohsets", "compare", str(counts_path), "--no-images",
+         "--out", str(tmp_path / "bad.json")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"error: {counts_path}: line 2: malformed entry '1 1 x'\n"
 
 
 def test_counts_malformed(tmp_path):
@@ -483,12 +512,35 @@ def test_cli_compare_exits_3_when_a_singular_value_grows(tmp_path, capsys, monke
     from cohsets import report
 
     spectrum = report.reduced_singular_values
-    monkeypatch.setattr(report, "reduced_singular_values", lambda reduced: spectrum(reduced) + 1e-6)
+    monkeypatch.setattr(report, "reduced_singular_values", lambda *args: spectrum(*args) + 1e-6)
     out = tmp_path / "r.json"
     assert main(["compare", "--example", "three-coherent", "--runs", "2",
                  "--no-images", "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: reduced singular values")
     assert not out.exists()
+
+
+def test_cli_multirun_exits_3_when_a_run_beats_the_full_model(tmp_path, capsys, monkeypatch):
+    """A restart whose final objective exceeds the full model's likelihood
+    is a numerical failure: a reduction is a projection of the full model."""
+    import dataclasses
+
+    from cohsets import report
+
+    ascend = report.multi_start
+
+    def raised(counts, *args, **kwargs):
+        best, best_run, traces = ascend(counts, *args, **kwargs)
+        lifted = counts.full_log_likelihood + 1e-6 - traces[-1].objectives[-1]
+        traces[-1] = dataclasses.replace(traces[-1], objectives=traces[-1].objectives + lifted)
+        return best, best_run, traces
+
+    monkeypatch.setattr(report, "multi_start", raised)
+    base = tmp_path / "runs"
+    assert main(["multirun", "--example", "three-coherent", "--runs", "3",
+                 "--out", str(base)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: reduced likelihood (run 2)")
+    assert not (tmp_path / "runs.json").exists()
 
 
 def test_cli_bounds_exits_3_when_pythagoras_fails(capsys, monkeypatch):

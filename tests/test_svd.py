@@ -6,12 +6,11 @@ import pytest
 
 from cohsets import dbmr, model as model_module, report, svd
 from cohsets.generators import GyreConfig, gen_double_gyre
-from cohsets.model import Partition, estimate, ingest_pairs, prune_empty, rescale
+from cohsets.model import Partition, estimate, ingest_pairs, prune_empty
 from cohsets.svd import (
     _coherence_scores,
     _lloyd,
     classical_pipeline,
-    degree_of_coherence,
     full_svd,
     kmeans,
     match_partitions,
@@ -20,7 +19,7 @@ from cohsets.svd import (
 from cohsets.model import CountMatrix
 from cohsets.seeding import rng_for
 from tests.conftest import random_counts
-from tests.dense_reference import assign_reference, dense
+from tests.dense_reference import assign_reference, dense, rescale_dense
 
 
 def relabelings_equal(a: Partition, b: Partition) -> bool:
@@ -201,7 +200,7 @@ def test_truncate_full_rank_reproduces(three_example):
     for model in (three_example[1], nonuniform):
         fac = full_svd(model.rescaled)
         reduced = truncate(fac, fac.rank, model.input_dist, model.output_dist)
-        reduced_rescaled = rescale(reduced, model.input_dist, model.output_dist)
+        reduced_rescaled = rescale_dense(reduced, model.input_dist, model.output_dist)
         assert reduced_rescaled == pytest.approx(dense(model.rescaled), abs=1e-12)
         assert reduced == pytest.approx(dense(model.matrix), abs=1e-12)
     fac = full_svd(nonuniform.rescaled)
@@ -215,7 +214,7 @@ def test_truncate_rank_one_is_marginal_outer_product():
     model = estimate(counts)
     fac = full_svd(model.rescaled)
     reduced = truncate(fac, 1, model.input_dist, model.output_dist)
-    reduced_rescaled = rescale(reduced, model.input_dist, model.output_dist)
+    reduced_rescaled = rescale_dense(reduced, model.input_dist, model.output_dist)
     expected = np.sqrt(model.output_dist)[:, None] * np.sqrt(model.input_dist)[None, :]
     assert reduced_rescaled == pytest.approx(expected, abs=1e-9)
 
@@ -249,32 +248,29 @@ def test_coherence_maximized_by_singular_frames():
     sigma = np.linalg.svd(matrix, compute_uv=False)
     r = 3
     top = sigma[:r].sum()
-    assert degree_of_coherence(matrix, r) == pytest.approx(top)
     for _ in range(100):
         frame, _ = np.linalg.qr(rng.normal(size=(8, r)))
         total = np.linalg.norm(matrix @ frame, ord="nuc")
         assert total <= top + 1e-8
 
 
+def _coherence(model, r):
+    """Degree of coherence: the sum of the r leading singular values of P~."""
+    return np.linalg.svd(dense(model.rescaled), compute_uv=False)[:r].sum()
+
+
 def test_degree_of_coherence_bounds(three_example, interval_example):
     _, model3, _ = three_example
-    assert degree_of_coherence(dense(model3.rescaled), 3) == pytest.approx(2.6, abs=1e-9)
+    assert _coherence(model3, 3) == pytest.approx(2.6, abs=1e-9)
     _, model9, _ = interval_example
-    assert degree_of_coherence(dense(model9.rescaled), 3) == pytest.approx(3.0, abs=1e-9)
-    assert degree_of_coherence(dense(model9.rescaled), 1) == pytest.approx(1.0, abs=1e-9)
+    assert _coherence(model9, 3) == pytest.approx(3.0, abs=1e-9)
+    assert _coherence(model9, 1) == pytest.approx(1.0, abs=1e-9)
     rng = np.random.default_rng(2)
     for _ in range(20):
         counts = random_counts(rng, 6, 6)
         model = estimate(counts)
         for r in (1, 2, 3):
-            assert degree_of_coherence(dense(model.rescaled), r) <= r + 1e-9
-
-
-def test_degree_of_coherence_rank_validation():
-    with pytest.raises(ValueError):
-        degree_of_coherence(np.eye(3), 4)
-    with pytest.raises(ValueError):
-        degree_of_coherence(np.eye(3), 0)
+            assert _coherence(model, r) <= r + 1e-9
 
 
 def test_kmeans_separated_clusters():
