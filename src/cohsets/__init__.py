@@ -9,7 +9,6 @@ turn likelihood gaps into Frobenius-norm bounds.
 
 from .bounds import (
     BoundConstants,
-    BoundReport,
     bound_constants,
     coherence_lower_bound,
     frobenius_kl_bound,
@@ -55,7 +54,6 @@ from .model import (
     prune_empty,
 )
 from .projection import (
-    FactorizationResiduals,
     pythagoras_check,
     verify_factorization,
 )
@@ -79,11 +77,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundConstants",
-    "BoundReport",
     "ClassicalResult",
     "CountMatrix",
     "DbmrTrace",
-    "FactorizationResiduals",
     "GyreConfig",
     "PairDataset",
     "Partition",

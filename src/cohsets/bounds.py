@@ -31,36 +31,6 @@ class BoundConstants:
     deviations: np.ndarray
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    constants: BoundConstants
-    kappa_choice: str
-    kappa_value: float
-    kappa_tag: str
-    frob_gap_sq: float
-    kl_form: float
-    likelihood_form: float
-    coherence_bound: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa_diff": self.constants.kappa_diff,
-            "kappa_col": self.constants.kappa_col,
-            "kappa_prior": self.constants.kappa_prior,
-            "kappa_post": self.constants.kappa_post,
-            "kappa_post_tag": self.constants.kappa_post_tag,
-            "col_usable": self.constants.col_usable,
-            "max_deviation": float(np.max(self.constants.deviations)),
-            "kappa_choice": self.kappa_choice,
-            "kappa_value": self.kappa_value,
-            "kappa_tag": self.kappa_tag,
-            "frob_gap_sq": self.frob_gap_sq,
-            "kl_form": self.kl_form,
-            "likelihood_form": self.likelihood_form,
-            "coherence_bound": self.coherence_bound,
-        }
-
-
 def bound_constants(reduced: ReducedModel) -> BoundConstants:
     """Columnwise balancedness constants for the model/reduction pair.
 
@@ -132,14 +102,15 @@ def _weighted_kl_sum(reduced: ReducedModel) -> float:
     return float(reduced.model.input_dist @ nz.column_sum(terms))
 
 
-def frobenius_kl_bound(reduced: ReducedModel, kappa_choice: str = "post") -> BoundReport:
+def frobenius_kl_bound(reduced: ReducedModel, kappa_choice: str = "post") -> dict:
     """Evaluate the bound chain: squared gap <= KL form = likelihood form.
 
     The KL form divides the input-weighted columnwise KL sum by the chosen
     kappa; the likelihood form rescales the log-likelihood drop from the full
     model to the reduction by kappa times the sample size. Both are infinite
-    when the reduction misses observed support. The report also carries the
-    induced lower bound on the reduced model's degree of coherence.
+    when the reduction misses observed support. Returns the report's
+    ``bound`` section: the constants, the chosen kappa, the chain values, and
+    the induced lower bound on the reduced model's degree of coherence.
     """
     if kappa_choice not in _KAPPA_CHOICES:
         raise ValueError(f"kappa_choice must be one of {_KAPPA_CHOICES}")
@@ -174,16 +145,22 @@ def frobenius_kl_bound(reduced: ReducedModel, kappa_choice: str = "post") -> Bou
         kl_form = float("inf") if kl_sum > 0 else 0.0
         likelihood_form = kl_form
         coherence_bound = float("-inf")
-    return BoundReport(
-        constants=constants,
-        kappa_choice=kappa_choice,
-        kappa_value=kappa_value,
-        kappa_tag=kappa_tag,
-        frob_gap_sq=frob_gap_sq,
-        kl_form=kl_form,
-        likelihood_form=likelihood_form,
-        coherence_bound=coherence_bound,
-    )
+    return {
+        "kappa_diff": constants.kappa_diff,
+        "kappa_col": constants.kappa_col,
+        "kappa_prior": constants.kappa_prior,
+        "kappa_post": constants.kappa_post,
+        "kappa_post_tag": constants.kappa_post_tag,
+        "col_usable": constants.col_usable,
+        "max_deviation": float(constants.deviations.max()),
+        "kappa_choice": kappa_choice,
+        "kappa_value": kappa_value,
+        "kappa_tag": kappa_tag,
+        "frob_gap_sq": frob_gap_sq,
+        "kl_form": kl_form,
+        "likelihood_form": likelihood_form,
+        "coherence_bound": coherence_bound,
+    }
 
 
 def coherence_lower_bound(reduced: ReducedModel, kappa_value: float) -> float:

@@ -20,19 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .bounds import frobenius_kl_bound
 from .dbmr import output_partition as derive_output_partition, reduce_with_affiliation
 from .generators import GyreConfig, gen_double_gyre, gen_interval_map, gen_three_coherent
 from .model import Partition, count_occurring
-from .projection import pythagoras_check, verify_factorization
 from .report import (
-    TRACE_FIELDS,
+    bounds_experiment,
     check_image_shape,
     compare_experiment,
     multirun_experiment,
     render_compare_images,
     render_matrix_image,
-    run_table_fields,
     write_csv,
 )
 
@@ -249,11 +246,11 @@ def cmd_multirun(args) -> int:
     json_path = base.with_name(base.name + ".json")
     runs_path = base.with_name(base.name + ".runs.csv")
     dataio.write_json(json_path, summary)
-    write_csv(runs_path, run_table_fields(args.rank, min(counts.shape)), run_rows)
+    write_csv(runs_path, run_rows)
     written = [str(json_path), str(runs_path)]
     if args.trace:
         trace_path = base.with_name(base.name + ".trace.csv")
-        write_csv(trace_path, TRACE_FIELDS, trace_rows)
+        write_csv(trace_path, trace_rows)
         written.append(str(trace_path))
     print(f"best run {summary['best_run']} objective {summary['best_objective']:.4f}")
     print("wrote " + " ".join(written))
@@ -265,26 +262,8 @@ def cmd_bounds(args) -> int:
     partition = _input_partition(args.labels, col_map, original_shape[1], default_labels)
     if partition is None:
         raise ValueError("bounds requires a labels file or an example with default labels")
-    reduced = reduce_with_affiliation(counts, partition)
-    bound = frobenius_kl_bound(reduced, kappa_choice=args.kappa)
-    residuals = verify_factorization(reduced)
-    lhs, rhs = pythagoras_check(reduced)
-    # The ML factor of a fixed affiliation is P times the induced projection,
-    # so both identities hold up to rounding.
-    if not residuals.max() <= 1e-9:
-        raise FloatingPointError(f"factorization residuals reach {residuals.max()}")
-    if not abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs)):
-        raise FloatingPointError(f"squared gap {lhs} differs from the norm difference {rhs}")
-    payload = {
-        "provenance": provenance,
-        "bound": bound.to_dict(),
-        "factorization_residuals": {
-            "factorization": residuals.factorization,
-            "input_fixed": residuals.input_fixed,
-            "output_marginal": residuals.output_marginal,
-        },
-        "pythagoras": {"gap_sq": lhs, "norm_difference": rhs},
-    }
+    payload = bounds_experiment(counts, partition, args.kappa)
+    payload["provenance"] = provenance
     text = dataio.canonical_json(payload)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

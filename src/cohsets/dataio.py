@@ -14,12 +14,13 @@ preamble followed by one 1-based integer label per line.  All category
 indices are 1-based.
 
 Accepted input grammar of the pairs and count bodies: LF or CRLF line ends,
-blank lines, spaces around each field, and ``#`` comments, on a line of their
-own or after the fields (``2,2 # note``).  Every other line must hold exactly
-the format's integer fields (two comma-separated for pairs, three
-whitespace-separated for counts); a float, an empty field, letters or a wrong
-field count raise ``ValueError``.  A body that numpy cannot read is reported
-with the file line of its first malformed line.
+blank lines (also of only whitespace), spaces around each field, and ``#``
+comments, on a line of their own or after the fields (``2,2 # note``).
+Every other line must hold exactly the format's integer fields (two
+comma-separated for pairs, three whitespace-separated for counts); a float,
+an empty field, letters or a wrong field count raise ``ValueError``.  A body
+that numpy cannot read is reported with the file line of its first malformed
+line.
 
 Bodies are parsed by ``np.loadtxt`` from the path, and rows are written by
 formatting whole blocks of digits in numpy.
@@ -92,7 +93,11 @@ def _loadtxt(source, **kwargs) -> np.ndarray:
 def _load_body(path: str | Path, skiprows: int, fields: int, what: str, **kwargs) -> np.ndarray:
     """Integer rows of the lines of ``path`` after the first ``skiprows``.
 
-    A body numpy rejects is reported by the file line of its first malformed
+    With a delimiter, numpy reads a line of only whitespace (and comment) as
+    one empty field, though the grammar counts it blank; when numpy rejects
+    the body, such lines are blanked and the body is read again.
+
+    A body still rejected is reported by the file line of its first malformed
     ``what``: the last line of the shortest run of body lines that numpy
     rejects or reads with other than ``fields`` fields a row. The search
     parses a logarithmic number of such runs, and only on this error path.
@@ -100,18 +105,23 @@ def _load_body(path: str | Path, skiprows: int, fields: int, what: str, **kwargs
     try:
         return _loadtxt(path, skiprows=skiprows, **kwargs)
     except ValueError as exc:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        error = exc
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line if line.split("#", 1)[0].strip() else "\n" for line in fh]
+    try:
+        return _loadtxt(lines[skiprows:], **kwargs)
+    except ValueError:
+        pass
 
-        def malformed(end: int) -> bool:
-            try:
-                table = _loadtxt(lines[skiprows:end], **kwargs)
-            except ValueError:
-                return True
-            return table.size > 0 and table.shape[1] != fields
+    def malformed(end: int) -> bool:
+        try:
+            table = _loadtxt(lines[skiprows:end], **kwargs)
+        except ValueError:
+            return True
+        return table.size > 0 and table.shape[1] != fields
 
-        end = bisect.bisect_left(range(len(lines)), True, skiprows + 1, len(lines), key=malformed)
-        raise ValueError(f"{path}: line {end}: malformed {what} {lines[end - 1].rstrip()!r}") from exc
+    end = bisect.bisect_left(range(len(lines)), True, skiprows + 1, len(lines), key=malformed)
+    raise ValueError(f"{path}: line {end}: malformed {what} {lines[end - 1].rstrip()!r}") from error
 
 
 def read_pairs(path: str | Path) -> PairDataset:

@@ -9,30 +9,17 @@ Frobenius gap. The checks here measure both without building Pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dbmr import ReducedModel
 
 
-@dataclass(frozen=True)
-class FactorizationResiduals:
-    """Max-norm residuals of the exact-factorization identities."""
-
-    factorization: float
-    input_fixed: float
-    output_marginal: float
-
-    def max(self) -> float:
-        return max(self.factorization, self.input_fixed, self.output_marginal)
-
-
-def verify_factorization(reduced: ReducedModel) -> FactorizationResiduals:
+def verify_factorization(reduced: ReducedModel) -> dict[str, float]:
     """Check that the reduced model is the transition matrix times the projection.
 
     Holds exactly when the factor came from the maximum-likelihood update for
-    its affiliation; residuals are reported in the max norm.
+    its affiliation; returns the report's ``factorization_residuals``
+    section, each residual in the max norm.
 
     Column j of the projected matrix P Pi is column k_j of P W, where W is
     the (inputs x latent) matrix with entry p_j / mass_k when input j lies
@@ -47,14 +34,11 @@ def verify_factorization(reduced: ReducedModel) -> FactorizationResiduals:
         nz.at_label, nz.values * weights[nz.cols], model.shape[0] * reduced.n_latent
     ).reshape(-1, reduced.n_latent)
     active = np.unique(labels0)
-    factorization = float(np.abs(reduced.factor - class_averages)[:, active].max())
-    input_fixed = float(np.abs(weights * masses[labels0] - p).max())
-    output_marginal = float(np.abs(reduced.factor @ masses - model.output_dist).max())
-    return FactorizationResiduals(
-        factorization=factorization,
-        input_fixed=input_fixed,
-        output_marginal=output_marginal,
-    )
+    return {
+        "factorization": float(np.abs(reduced.factor - class_averages)[:, active].max()),
+        "input_fixed": float(np.abs(weights * masses[labels0] - p).max()),
+        "output_marginal": float(np.abs(reduced.factor @ masses - model.output_dist).max()),
+    }
 
 
 def pythagoras_check(reduced: ReducedModel) -> tuple[float, float]:

@@ -3,8 +3,10 @@
 The compare experiment runs both identification pipelines on one dataset and
 collects spectra, likelihoods, the bound chain, and partitions. The multirun
 experiment records every restart of the alternating ascent, optionally with
-per-iterate traces. Reports are plain dicts of JSON-safe values so they
-serialize canonically.
+per-iterate traces. The bounds experiment reports the bound chain and the
+projection identities of a fixed partition. Each experiment raises
+``FloatingPointError`` when an identity of the paper fails beyond rounding.
+Reports are plain dicts of JSON-safe values so they serialize canonically.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from scipy import sparse
 from .bounds import frobenius_kl_bound
 from .dbmr import multi_start, output_partition, reduce_with_affiliation, reduced_singular_values
 from .model import CountMatrix, Partition
+from .projection import pythagoras_check, verify_factorization
 from .seeding import mix_seed
 from .svd import classical_pipeline, reduced_min_entry, spectrum_depth, truncate
 
@@ -95,28 +98,12 @@ def render_matrix_image(
         fh.write(canvas.tobytes())
 
 
-def write_csv(path: str | Path, fieldnames: list[str], rows: list[dict]) -> None:
+def write_csv(path: str | Path, rows: list[dict]) -> None:
+    """Write ``rows`` (nonempty, of Python scalars) under the first row's keys."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({key: _cell(row.get(key)) for key in fieldnames})
-
-
-def _cell(value):
-    if isinstance(value, (np.floating, float)):
-        return repr(float(value))
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
-def _float_list(values) -> list[float]:
-    return [float(v) for v in values]
-
-
-def _int_list(values) -> list[int]:
-    return [int(v) for v in values]
+        writer.writerows(rows)
 
 
 def compare_experiment(
@@ -170,7 +157,6 @@ def compare_experiment(
             f"reduced singular values {sigma_reduced[:depth].tolist()} exceed the full "
             f"model's {sigma_full[:depth].tolist()}"
         )
-    bound = frobenius_kl_bound(best, kappa_choice="post")
 
     report = {
         "dataset": {
@@ -186,8 +172,8 @@ def compare_experiment(
             "tol": float(tol),
         },
         "singular_values": {
-            "full": _float_list(sigma_full[:depth]),
-            "reduced": _float_list(sigma_reduced[:depth]),
+            "full": sigma_full[:depth].tolist(),
+            "reduced": sigma_reduced[:depth].tolist(),
             "full_sigma2": float(sigma_full[1]) if sigma_full.size > 1 else None,
             "full_sigma3": float(sigma_full[2]) if sigma_full.size > 2 else None,
             "reduced_sigma2": float(sigma_reduced[1]) if sigma_reduced.size > 1 else None,
@@ -201,15 +187,13 @@ def compare_experiment(
             "dbmr": dbmr_objective,
             "default": default_objective,
         },
-        "bound": bound.to_dict(),
+        "bound": frobenius_kl_bound(best, kappa_choice="post"),
         "partitions": {
-            "classical_input": _int_list(classical.input_partition.labels),
-            "classical_output": _int_list(classical.output_partition.labels),
-            "dbmr_input": _int_list(best.affiliation.labels),
-            "dbmr_output": _int_list(dbmr_out.labels),
-            "default_input": (
-                _int_list(default_labels) if default_labels is not None else None
-            ),
+            "classical_input": classical.input_partition.labels.tolist(),
+            "classical_output": classical.output_partition.labels.tolist(),
+            "dbmr_input": best.affiliation.labels.tolist(),
+            "dbmr_output": dbmr_out.labels.tolist(),
+            "default_input": default_labels.tolist() if default_labels is not None else None,
         },
         "classical": {
             "coherence_objective": float(classical.coherence),
@@ -224,7 +208,7 @@ def compare_experiment(
             "dbmr_best_run": int(best_run),
             "dbmr_best_iterations": int(traces[best_run].iterations),
             "dbmr_converged_runs": int(sum(t.converged for t in traces)),
-            "dbmr_inactive_latent": _int_list(best.inactive),
+            "dbmr_inactive_latent": list(best.inactive),
         },
     }
     artifacts = {
@@ -321,8 +305,8 @@ def multirun_experiment(
             "converged": int(run_trace.converged),
             "iterations": run_trace.iterations,
         }
-        for k in range(depth):
-            row[f"sigma_{k + 1}"] = float(sigma[run, k])
+        for k, value in enumerate(sigma[run, :depth].tolist()):
+            row[f"sigma_{k + 1}"] = value
         run_rows.append(row)
     trace_rows: list[dict] = []
     if trace:
@@ -347,27 +331,35 @@ def multirun_experiment(
         "max_steps": int(max_steps),
         "tol": float(tol),
         "best_run": int(best_run),
-        "best_objective": float(best_row["objective"]),
-        "best": {k: _json_value(v) for k, v in best_row.items()},
-        "run_table": [{k: _json_value(v) for k, v in row.items()} for row in run_rows],
+        "best_objective": best_row["objective"],
+        "best": best_row,
+        "run_table": run_rows,
         "diagnostics": _count_diagnostics(counts, traces),
     }
     return summary, run_rows, trace_rows
 
 
-def _json_value(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
-def run_table_fields(rank: int, size: int) -> list[str]:
-    depth = spectrum_depth(rank, size)
-    return [
-        "run", "objective", "frob_gap_sq", "coherence", "converged", "iterations",
-    ] + [f"sigma_{k + 1}" for k in range(depth)]
-
-
 TRACE_FIELDS = ["run", "step", "objective", "frob_gap_sq", "approx_norm_sq", "coherence"]
+
+
+def bounds_experiment(counts: CountMatrix, partition: Partition, kappa_choice: str) -> dict:
+    """Reduce with the fixed input ``partition`` and report its bound chain,
+    factorization residuals and Pythagoras pair.
+
+    The ML factor of a fixed affiliation is P times the induced projection,
+    so both identities hold up to rounding; a residual above 1e-9, or a
+    Pythagoras pair apart by more than 1e-9 (1 + gap), is a numerical failure.
+    """
+    reduced = reduce_with_affiliation(counts, partition)
+    bound = frobenius_kl_bound(reduced, kappa_choice=kappa_choice)
+    residuals = verify_factorization(reduced)
+    lhs, rhs = pythagoras_check(reduced)
+    if not max(residuals.values()) <= 1e-9:
+        raise FloatingPointError(f"factorization residuals reach {max(residuals.values())}")
+    if not abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs)):
+        raise FloatingPointError(f"squared gap {lhs} differs from the norm difference {rhs}")
+    return {
+        "bound": bound,
+        "factorization_residuals": residuals,
+        "pythagoras": {"gap_sq": lhs, "norm_difference": rhs},
+    }

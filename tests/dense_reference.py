@@ -41,7 +41,6 @@ from scipy import sparse
 from cohsets.dataio import _PAIRS_PREAMBLE
 from cohsets.dbmr import ReducedModel
 from cohsets.model import CountMatrix, PairDataset, Partition, estimate
-from cohsets.projection import FactorizationResiduals
 from cohsets.seeding import mix_seed, rng_for
 
 
@@ -513,16 +512,17 @@ def verify_factorization_reference(model, reduced):
     output_marginal = float(
         np.abs(reduced.approx @ model.input_dist - model.output_dist).max()
     )
-    return FactorizationResiduals(
-        factorization=factorization,
-        input_fixed=input_fixed,
-        output_marginal=output_marginal,
-    )
+    return {
+        "factorization": factorization,
+        "input_fixed": input_fixed,
+        "output_marginal": output_marginal,
+    }
 
 
 def read_pairs_handle_reference(path):
     """``read_pairs`` with ``np.loadtxt`` on the open handle, after a
-    ``tell``/``seek`` past the optional ``x,y`` line."""
+    ``tell``/``seek`` past the optional ``x,y`` line; a line of only
+    whitespace and comment is read as blank, as the README grammar says."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         match = _PAIRS_PREAMBLE.match(first.strip())
@@ -536,7 +536,8 @@ def read_pairs_handle_reference(path):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                table = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+                body = (line if line.split("#", 1)[0].strip() else "\n" for line in fh)
+                table = np.loadtxt(body, delimiter=",", dtype=np.int64, ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed record line ({exc})") from exc
     if table.size == 0:

@@ -1,0 +1,100 @@
+"""Run one command set against two source trees and list the outputs that differ.
+
+Usage::
+
+    python tests/same_outputs.py SRC_A SRC_B [NAME ...]
+
+Each tree's commands run as ``python -m cohsets`` with ``PYTHONPATH`` set to
+that tree, in a temporary directory of its own, writing every output under a
+relative path. The exit code and the standard output and error of each
+command are kept as ``NAME.log`` next to its files. Every command that exits
+nonzero, and every file present on one side only or whose bytes differ, is
+printed; the exit code is 1 if there is any, else 0. ``NAME`` arguments run
+only those commands (default: all).
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# A labels file over the three-coherent example's 100 inputs, for render.
+LABELS = "# r=4\n" + "".join(f"{j % 4 + 1}\n" for j in range(100))
+
+GYRE = ["--example", "double-gyre", "--t1", "2", "--points-per-box", "10"]
+
+COMMANDS = {
+    "compare-three": ["compare", "--example", "three-coherent", "--epsilon", "3",
+                      "--runs", "20", "--out", "three.json"],
+    "compare-gyre": ["compare", *GYRE, "--runs", "5", "--out", "gyre.json"],
+    "multirun": ["multirun", "--example", "three-coherent", "--runs", "10", "--trace",
+                 "--out", "multi"],
+    **{f"bounds-{kappa}": ["bounds", "--example", "interval-map", "--kappa", kappa,
+                           "--out", f"bounds-{kappa}.json"]
+       for kappa in ("post", "pr", "q1", "q2")},
+    "render": ["render", "--example", "three-coherent", "--labels", "labels.txt",
+               "--out", "render.ppm"],
+    "generate": ["generate", *GYRE, "--out", "gyre.csv"],
+}
+
+
+def run_commands(tree: Path, workdir: Path, names) -> list[str]:
+    """Run the named commands with ``tree`` on the import path, in ``workdir``;
+    returns those that exited nonzero."""
+    (workdir / "labels.txt").write_text(LABELS, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(tree.resolve()))
+    failed = []
+    for name in names:
+        result = subprocess.run(
+            [sys.executable, "-m", "cohsets", *COMMANDS[name]],
+            cwd=workdir, env=env, capture_output=True, text=True,
+        )
+        (workdir / f"{name}.log").write_text(
+            f"exit {result.returncode}\n{result.stdout}{result.stderr}", encoding="utf-8"
+        )
+        if result.returncode != 0:
+            failed.append(f"{name} (exit {result.returncode}) with {tree}")
+    return failed
+
+
+def differing_files(dir_a: Path, dir_b: Path) -> list[str]:
+    """Relative paths present on one side only or with different bytes, sorted."""
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    return sorted(
+        str(rel) for rel in files_a | files_b
+        if rel not in files_a or rel not in files_b
+        or (dir_a / rel).read_bytes() != (dir_b / rel).read_bytes()
+    )
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    trees, names = [Path(arg) for arg in argv[:2]], argv[2:] or list(COMMANDS)
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        print(f"unknown commands {unknown}; choose from {list(COMMANDS)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [Path(tmp) / side for side in ("a", "b")]
+        failed = []
+        for tree, workdir in zip(trees, dirs):
+            workdir.mkdir()
+            failed += run_commands(tree, workdir, names)
+        differ = differing_files(*dirs)
+        compared = sum(1 for p in dirs[0].rglob("*") if p.is_file())
+    for line in [f"failed: {entry}" for entry in failed] + [f"differs: {rel}" for rel in differ]:
+        print(line)
+    if failed or differ:
+        return 1
+    print(f"no difference in {compared} files from {len(names)} commands")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

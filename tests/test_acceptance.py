@@ -61,11 +61,11 @@ def test_three_set_alternating_best_of_100(three_example):
     gap_sq = float(np.sum(gap * gap))
     assert gap_sq <= 1e-12
     report = frobenius_kl_bound(best)
-    assert abs(report.kl_form) <= 1e-12
+    assert abs(report["kl_form"]) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"PASS three-set best-of-100: objective {objective:.2f}, "
-          f"gap_sq {gap_sq:.2e}, kl mid term {report.kl_form:.2e}, {elapsed:.2f}s")
+          f"gap_sq {gap_sq:.2e}, kl mid term {report['kl_form']:.2e}, {elapsed:.2f}s")
 
 
 def test_interval_map_quantities(interval_example, interval_affiliation):
@@ -85,7 +85,7 @@ def test_interval_map_quantities(interval_example, interval_affiliation):
     gap = dense(model.rescaled) - rescale_dense(default.approx, model.input_dist, model.output_dist)
     assert float(np.sum(gap * gap)) == pytest.approx(27.0, abs=1e-6)
     report = frobenius_kl_bound(default)
-    assert report.kappa_value == pytest.approx(1 / 30, abs=1e-9)
+    assert report["kappa_value"] == pytest.approx(1 / 30, abs=1e-9)
     default_objective = default.log_likelihood
     assert default_objective == pytest.approx(-0.2755e5, abs=5.0)
     reference = log_likelihood_dense(counts, dense(model.matrix))
@@ -93,7 +93,7 @@ def test_interval_map_quantities(interval_example, interval_affiliation):
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"PASS interval map: sigma2={sigma[1]:.9f} sigma3={sigma[2]:.9f}, "
-          f"best C3={coherence:.9f}, gap_sq 27, kappa {report.kappa_value:.6f}, "
+          f"best C3={coherence:.9f}, gap_sq 27, kappa {report['kappa_value']:.6f}, "
           f"default ll {default_objective:.2f}, reference {reference:.2f}, "
           f"{elapsed:.2f}s")
 
@@ -109,9 +109,9 @@ def _perturbed_instance_checks(dataset, rank, seed):
     assert np.all(sigma_reduced <= sigma_full + 1e-9)
     for choice in ("pr", "post"):
         report = frobenius_kl_bound(best, kappa_choice=choice)
-        assert report.kappa_value > 0.0
-        assert np.isfinite(report.kl_form)
-        assert report.frob_gap_sq <= report.kl_form + 1e-9
+        assert report["kappa_value"] > 0.0
+        assert np.isfinite(report["kl_form"])
+        assert report["frob_gap_sq"] <= report["kl_form"] + 1e-9
     reference = log_likelihood_dense(counts, dense(model.matrix))
     assert traces[best_run].objectives[-1] <= reference + 1e-9
     for trace in traces:
@@ -153,8 +153,8 @@ def test_randomized_structural_suite():
         assert np.abs(sym - sym.T).max() <= 1e-10
         assert np.abs(sym @ sym - sym).max() <= 1e-10
         residuals = verify_factorization(reduced)
-        assert residuals.factorization <= 1e-12
-        assert residuals.output_marginal <= 1e-12
+        assert residuals["factorization"] <= 1e-12
+        assert residuals["output_marginal"] <= 1e-12
         lhs, rhs = pythagoras_check(reduced)
         assert abs(lhs - rhs) <= 1e-10
 

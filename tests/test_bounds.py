@@ -168,12 +168,12 @@ def test_chain_three_default(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
     report = frobenius_kl_bound(reduced)
-    assert report.kappa_value == 0.5
-    assert report.frob_gap_sq < 1e-12
-    assert report.kl_form == pytest.approx(0.0, abs=1e-12)
-    assert report.likelihood_form == pytest.approx(0.0, abs=1e-9)
+    assert report["kappa_value"] == 0.5
+    assert report["frob_gap_sq"] < 1e-12
+    assert report["kl_form"] == pytest.approx(0.0, abs=1e-12)
+    assert report["likelihood_form"] == pytest.approx(0.0, abs=1e-9)
     full_norm = float(np.sum(dense(model.rescaled) ** 2))
-    assert report.coherence_bound == pytest.approx(full_norm, abs=1e-9)
+    assert report["coherence_bound"] == pytest.approx(full_norm, abs=1e-9)
     assert full_norm == pytest.approx(2.36, abs=1e-9)
 
 
@@ -181,11 +181,11 @@ def test_chain_interval_default(interval_example, interval_affiliation):
     counts, _, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
     report = frobenius_kl_bound(reduced, kappa_choice="q1")
-    assert report.kappa_value == pytest.approx(1 / 30, abs=1e-12)
-    assert report.frob_gap_sq == pytest.approx(27.0, abs=1e-9)
-    assert report.kl_form == pytest.approx(30 * math.log(10), abs=1e-9)
-    assert report.likelihood_form == pytest.approx(report.kl_form, abs=1e-6)
-    assert report.frob_gap_sq <= report.kl_form
+    assert report["kappa_value"] == pytest.approx(1 / 30, abs=1e-12)
+    assert report["frob_gap_sq"] == pytest.approx(27.0, abs=1e-9)
+    assert report["kl_form"] == pytest.approx(30 * math.log(10), abs=1e-9)
+    assert report["likelihood_form"] == pytest.approx(report["kl_form"], abs=1e-6)
+    assert report["frob_gap_sq"] <= report["kl_form"]
 
 
 def test_chain_kappa_choices(interval_example, interval_affiliation):
@@ -193,11 +193,11 @@ def test_chain_kappa_choices(interval_example, interval_affiliation):
     reduced = reduce_with_affiliation(counts, interval_affiliation)
     post = frobenius_kl_bound(reduced, kappa_choice="post")
     prior = frobenius_kl_bound(reduced, kappa_choice="pr")
-    assert post.kappa_tag == "q1"
-    assert prior.kappa_value == pytest.approx(1 / 180)
+    assert post["kappa_tag"] == "q1"
+    assert prior["kappa_value"] == pytest.approx(1 / 180)
     # the prior constant is smaller, so its bound is looser
-    assert prior.kl_form >= post.kl_form
-    assert prior.frob_gap_sq <= prior.kl_form
+    assert prior["kl_form"] >= post["kl_form"]
+    assert prior["frob_gap_sq"] <= prior["kl_form"]
     with pytest.raises(ValueError):
         frobenius_kl_bound(reduced, kappa_choice="mystery")
 
@@ -206,10 +206,10 @@ def test_chain_degenerate_kappa(interval_example, interval_affiliation):
     counts, _, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
     report = frobenius_kl_bound(reduced, kappa_choice="q2")
-    assert report.kappa_value == -np.inf
-    assert report.kl_form == np.inf
-    assert report.likelihood_form == np.inf
-    assert report.coherence_bound == -np.inf
+    assert report["kappa_value"] == -np.inf
+    assert report["kl_form"] == np.inf
+    assert report["likelihood_form"] == np.inf
+    assert report["coherence_bound"] == -np.inf
 
 
 def test_chain_random_partitions():
@@ -222,14 +222,13 @@ def test_chain_random_partitions():
             counts, Partition(labels=labels, n_clusters=r)
         )
         report = frobenius_kl_bound(reduced)
-        if report.kappa_value > 0 and np.isfinite(report.kl_form):
-            assert report.frob_gap_sq <= report.kl_form + 1e-9
-            assert report.likelihood_form == pytest.approx(
-                report.kl_form, rel=1e-9, abs=1e-9
+        if report["kappa_value"] > 0 and np.isfinite(report["kl_form"]):
+            assert report["frob_gap_sq"] <= report["kl_form"] + 1e-9
+            assert report["likelihood_form"] == pytest.approx(
+                report["kl_form"], rel=1e-9, abs=1e-9
             )
-        payload = report.to_dict()
-        assert payload["kappa_choice"] == "post"
-        assert payload["frob_gap_sq"] == report.frob_gap_sq
+        assert report["kappa_choice"] == "post"
+        assert report["frob_gap_sq"] == reduced.frob_gap_sq
 
 
 def test_chain_support_violation_is_infinite(three_example):
@@ -239,9 +238,9 @@ def test_chain_support_violation_is_infinite(three_example):
     factor[0, 0] = 1.0
     broken = ReducedModel(counts=counts, factor=factor, affiliation=affiliation)
     report = frobenius_kl_bound(broken)
-    assert report.kl_form == np.inf
-    assert report.likelihood_form == np.inf
-    assert report.coherence_bound == -np.inf
+    assert report["kl_form"] == np.inf
+    assert report["likelihood_form"] == np.inf
+    assert report["coherence_bound"] == -np.inf
 
 
 def test_coherence_lower_bound_three(three_example, three_affiliation):
@@ -360,6 +359,6 @@ def test_chain_matches_likelihood_identity(three_example, three_affiliation):
     report = frobenius_kl_bound(reduced)
     full = log_likelihood_dense(counts, dense(model.matrix))
     merged = log_likelihood_dense(counts, reduced.approx)
-    expected = (full - merged) / (report.kappa_value * counts.total)
-    assert report.likelihood_form == pytest.approx(expected, rel=1e-12)
-    assert report.frob_gap_sq <= report.kl_form + 1e-9
+    expected = (full - merged) / (report["kappa_value"] * counts.total)
+    assert report["likelihood_form"] == pytest.approx(expected, rel=1e-12)
+    assert report["frob_gap_sq"] <= report["kl_form"] + 1e-9

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import os
@@ -111,7 +112,7 @@ def _pairs_body(draw):
     pad = st.sampled_from(["", " ", "  ", "\t"])
     record = st.builds(lambda a, b, p, q, note: f"{p}{a}{q},{p}{b}{q}{note}",
                        field, field, pad, pad, st.sampled_from(["", " # c", "#c", "  # 1,2"]))
-    line = st.one_of(record, record, record, st.sampled_from(["", "   ", "# note"]))
+    line = st.one_of(record, record, record, st.sampled_from(["", "   ", "\t", "# note", "  # note"]))
     header = draw(st.one_of(st.just(None), st.sampled_from(["x", "X"]).flatmap(
         lambda x: st.sampled_from(["y", "Y"]).map(lambda y: f"{x},{y}"))))
     body = draw(st.lists(line, max_size=8))
@@ -164,6 +165,17 @@ def test_read_pairs_grammar_matches_handle_reader(data):
                 code = main(["render", str(path), "--out", str(Path(tmp) / "m.ppm")])
             assert code == 2
             assert stderr.getvalue() == f"error: {outcome}\n"
+
+
+def test_cli_whitespace_only_pairs_line_is_blank(tmp_path):
+    """A line of only spaces in a pairs body reads as a blank line: the file
+    renders to the same bytes as the file without it."""
+    spaced, plain = tmp_path / "spaced.csv", tmp_path / "plain.csv"
+    spaced.write_text("# n=2 m=2\n1,1\n   \n2,2\n", encoding="utf-8")
+    plain.write_text("# n=2 m=2\n1,1\n2,2\n", encoding="utf-8")
+    for path in (spaced, plain):
+        assert main(["render", str(path), "--out", str(path.with_suffix(".ppm"))]) == 0
+    assert spaced.with_suffix(".ppm").read_bytes() == plain.with_suffix(".ppm").read_bytes()
 
 
 def test_counts_roundtrip(tmp_path):
@@ -414,31 +426,129 @@ MULTIRUN_KEYS = FIT_OPTIONS | {"best_run", "best_objective", "best", "run_table"
 GYRE_META_KEYS = {"example", "amplitude", "delta", "omega", "t_start", "t_end", "step", "nx",
                   "ny", "points_per_box", "rho", "seed", "sample_size", "clamped_endpoints",
                   "max_boundary_drift", "input_range", "output_range"}
+BOUND_KEYS = {"kappa_diff", "kappa_col", "kappa_prior", "kappa_post", "kappa_post_tag",
+              "col_usable", "max_deviation", "kappa_choice", "kappa_value", "kappa_tag",
+              "frob_gap_sq", "kl_form", "likelihood_form", "coherence_bound"}
+BOUNDS_KEYS = {"provenance", "bound", "factorization_residuals", "pythagoras"}
+RESIDUAL_KEYS = {"factorization", "input_fixed", "output_marginal"}
+PYTHAGORAS_KEYS = {"gap_sq", "norm_difference"}
+RUNS_COLUMNS = {"run", "objective", "frob_gap_sq", "coherence", "converged", "iterations"}
+TRACE_COLUMNS = {"run", "step", "objective", "frob_gap_sq", "approx_norm_sq", "coherence"}
+
+
+def _csv_columns(path):
+    """The header of a CSV file, with its ``sigma_<k>`` columns checked to run
+    ``sigma_1``, ``sigma_2``, ... and named by that pattern once."""
+    header = path.read_text(encoding="utf-8").splitlines()[0].split(",")
+    sigma = [column for column in header if re.fullmatch(r"sigma_\d+", column)]
+    assert sigma == [f"sigma_{k}" for k in range(1, len(sigma) + 1)]
+    return {column for column in header if column not in sigma} | ({"sigma_<k>"} if sigma else set())
 
 
 def test_output_keys_match_the_readme_schema(tmp_path):
-    """The compare report (top level and provenance), the multirun summary and
-    the double-gyre sidecar hold exactly the keys the README's report schema
+    """The compare report (top level, provenance and bound), the multirun
+    summary and CSV headers, the bounds payload and its sections, and the
+    double-gyre sidecar hold exactly the keys the README's report schema
     names: a key it does not document fails here."""
     schema = README.read_text(encoding="utf-8").split("## Report schema\n", 1)[1]
-    documented = set(re.findall(r"`(\w+)`", schema.split("\n## ", 1)[0]))
+    documented = set(re.findall(r"`(\w+|sigma_<k>)`", schema.split("\n## ", 1)[0]))
     example = ["--example", "three-coherent", "--runs", "2"]
     assert main(["compare", *example, "--out", str(tmp_path / "report.json")]) == 0
-    assert main(["multirun", *example, "--out", str(tmp_path / "runs")]) == 0
+    assert main(["multirun", *example, "--trace", "--out", str(tmp_path / "runs")]) == 0
+    assert main(["bounds", "--example", "three-coherent", "--out", str(tmp_path / "bounds.json")]) == 0
     assert main(["generate", "--example", "double-gyre", "--t1", "0.1", "--points-per-box", "1",
                  "--out", str(tmp_path / "gyre.csv")]) == 0
     report = dataio.read_json(tmp_path / "report.json")
     summary = dataio.read_json(tmp_path / "runs.json")
+    bounds = dataio.read_json(tmp_path / "bounds.json")
     outputs = {
         "compare": (report, COMPARE_KEYS),
         "compare provenance": (report["provenance"], EXAMPLE_PROVENANCE | FIT_OPTIONS),
+        "compare bound": (report["bound"], BOUND_KEYS),
         "multirun": (summary, MULTIRUN_KEYS),
         "multirun provenance": (summary["provenance"], EXAMPLE_PROVENANCE),
+        "runs.csv": (_csv_columns(tmp_path / "runs.runs.csv"), RUNS_COLUMNS | {"sigma_<k>"}),
+        "trace.csv": (_csv_columns(tmp_path / "runs.trace.csv"), TRACE_COLUMNS),
+        "bounds": (bounds, BOUNDS_KEYS),
+        "bounds provenance": (bounds["provenance"], EXAMPLE_PROVENANCE),
+        "bounds bound": (bounds["bound"], BOUND_KEYS),
+        "bounds factorization_residuals": (bounds["factorization_residuals"], RESIDUAL_KEYS),
+        "bounds pythagoras": (bounds["pythagoras"], PYTHAGORAS_KEYS),
         "double-gyre sidecar": (dataio.read_json(tmp_path / "gyre.csv.meta.json"), GYRE_META_KEYS),
     }
     for name, (output, keys) in outputs.items():
         assert set(output) == keys, name
         assert keys <= documented, (name, keys - documented)
+
+
+def test_readme_python_quick_start_prints_its_commented_values(capsys):
+    """The README's Python quick start runs, and each printed value rounds to
+    its comment at two decimals."""
+    quick_start = README.read_text(encoding="utf-8").split("## Quick start\n", 1)[1]
+    code = quick_start.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    capsys.readouterr()
+    checks = re.findall(r"^print\((.+)\)\s+# (?:about )?(.+)$", code, re.MULTILINE)
+    assert len(checks) == 2
+    for expression, comment in checks:
+        value = np.asarray(eval(expression, namespace), dtype=np.float64)
+        assert np.round(value, 2).tolist() == ast.literal_eval(comment), expression
+
+
+def _compare_provenance(tmp_path, flag, value):
+    out = tmp_path / "report.json"
+    assert main(["compare", "--example", "three-coherent", "--runs", "2", "--no-images",
+                 flag, value, "--out", str(out)]) == 0
+    return dataio.read_json(out)["provenance"]
+
+
+def _gyre_sidecar(tmp_path, flag, value):
+    out = tmp_path / "gyre.csv"
+    assert main(["generate", "--example", "double-gyre", "--t1", "1", "--points-per-box", "1",
+                 flag, value, "--out", str(out)]) == 0
+    return dataio.read_json(tmp_path / "gyre.csv.meta.json")
+
+
+def _render_strips(tmp_path, flag, value):
+    """Whether the input and output strips of a render of a file without a
+    sidecar hold any colored pixel, with and without ``flag``."""
+    data, labels = tmp_path / "data.csv", tmp_path / "labels.txt"
+    dataset, _ = gen_three_coherent()
+    dataio.write_pairs(data, dataset)
+    dataio.write_labels(labels, np.arange(100) % 4 + 1, 4)
+    colored = {}
+    for name, extra in (("bare", []), ("labels", [flag, str(labels)])):
+        out = tmp_path / f"{name}.ppm"
+        assert main(["render", str(data), *extra, "--out", str(out)]) == 0
+        pixels = np.frombuffer(out.read_bytes()[15:], dtype=np.uint8).reshape(101, 101, 3)
+        colored[name] = bool((pixels[:100, 0] != 255).any() and (pixels[100, 1:] != 255).any())
+    return colored
+
+
+_FLAG_CASES = [
+    (_compare_provenance, "--epsilon", "2", "epsilon", 2),
+    (_compare_provenance, "--hmax", "7", "max_steps", 7),
+    (_compare_provenance, "--tol", "0.5", "tol", 0.5),
+    (_gyre_sidecar, "--A", "0.2", "amplitude", 0.2),
+    (_gyre_sidecar, "--delta", "0.1", "delta", 0.1),
+    (_gyre_sidecar, "--omega", "3.0", "omega", 3.0),
+    (_gyre_sidecar, "--t0", "0.5", "t_start", 0.5),
+    (_gyre_sidecar, "--step", "0.05", "step", 0.05),
+    (_gyre_sidecar, "--rho", "0.04", "rho", 0.04),
+    (_render_strips, "--labels", None, "labels", True),
+]
+
+
+@pytest.mark.parametrize("read, flag, value, key, expected", _FLAG_CASES,
+                         ids=[case[1][2:] for case in _FLAG_CASES])
+def test_cli_flags_reach_where_they_are_recorded(tmp_path, read, flag, value, key, expected):
+    """Each flag no other test sets shows up where its command records it;
+    ``render --labels`` colors the strips of a file that has no sidecar."""
+    recorded = read(tmp_path, flag, value)
+    assert recorded[key] == expected
+    if read is _render_strips:
+        assert recorded["bare"] is False
 
 
 def test_cli_bounds_stdout(capsys):
@@ -544,10 +654,10 @@ def test_cli_multirun_exits_3_when_a_run_beats_the_full_model(tmp_path, capsys, 
 
 
 def test_cli_bounds_exits_3_when_pythagoras_fails(capsys, monkeypatch):
-    from cohsets import cli
+    from cohsets import report
 
-    check = cli.pythagoras_check
-    monkeypatch.setattr(cli, "pythagoras_check", lambda reduced: (check(reduced)[0] + 1e-6, check(reduced)[1]))
+    check = report.pythagoras_check
+    monkeypatch.setattr(report, "pythagoras_check", lambda reduced: (check(reduced)[0] + 1e-6, check(reduced)[1]))
     assert main(["bounds", "--example", "interval-map"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -555,13 +665,11 @@ def test_cli_bounds_exits_3_when_pythagoras_fails(capsys, monkeypatch):
 
 
 def test_cli_bounds_exits_3_when_the_factorization_fails(capsys, monkeypatch):
-    import dataclasses
+    from cohsets import report
 
-    from cohsets import cli
-
-    verify = cli.verify_factorization
-    monkeypatch.setattr(cli, "verify_factorization",
-                        lambda reduced: dataclasses.replace(verify(reduced), input_fixed=1e-6))
+    verify = report.verify_factorization
+    monkeypatch.setattr(report, "verify_factorization",
+                        lambda reduced: verify(reduced) | {"input_fixed": 1e-6})
     assert main(["bounds", "--example", "interval-map"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -90,10 +90,10 @@ def test_factorization_identity_three(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
     residuals = verify_factorization(reduced)
-    assert residuals.factorization < 1e-15
-    assert residuals.input_fixed < 1e-15
-    assert residuals.output_marginal < 1e-15
-    assert residuals.max() < 1e-15
+    assert residuals["factorization"] < 1e-15
+    assert residuals["input_fixed"] < 1e-15
+    assert residuals["output_marginal"] < 1e-15
+    assert max(residuals.values()) < 1e-15
 
 
 def test_factorization_identity_random():
@@ -105,7 +105,7 @@ def test_factorization_identity_random():
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(counts, _affiliation(labels, r))
-        assert verify_factorization(reduced).max() < 1e-12
+        assert max(verify_factorization(reduced).values()) < 1e-12
 
 
 def test_pythagoras_interval(interval_example, interval_affiliation):
