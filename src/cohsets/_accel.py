@@ -6,8 +6,10 @@ stages, one thread per available CPU.
 The score and group-sum kernels take the count matrix in either storage that
 ``model.CountMatrix.operand`` holds: a dense array, multiplied through
 numpy's BLAS bindings, or a scipy sparse matrix, whose products visit only
-the stored nonzeros. ``benchmarks/bench_kernels.py`` times both storages
-across sizes and densities.
+the stored nonzeros. Only the sparse storage of large, mostly empty count
+matrices loads scipy; the paper's examples run on dense arrays, so this
+module imports numpy alone. ``benchmarks/bench_kernels.py`` times both
+storages across sizes and densities.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import sparse
 
 
 def velocity_arrays(x, y, t, a, delta, omega):
@@ -89,7 +90,7 @@ def latent_scores(counts, factor):
     array or a scipy sparse matrix that stores no zeros. Entries where a
     positive count meets a zero factor entry are -inf.
     """
-    if sparse.issparse(counts):
+    if not isinstance(counts, np.ndarray):
         # Only positive counts are stored, so the -inf of a zero factor entry
         # meets exactly the positive counts that make a score -inf. One
         # product serves every run: each score adds its column's nonzeros in

@@ -38,6 +38,13 @@ logger = logging.getLogger(__name__)
 # Categorical examples: generator of (dataset, default partition) by name.
 _CATEGORICAL = {"three-coherent": gen_three_coherent, "interval-map": gen_interval_map}
 _EXAMPLES = (*_CATEGORICAL, "double-gyre")
+# The double-gyre overrides: flag, GyreConfig field (its default applies when
+# the flag is absent) and type. Only --example double-gyre reads them.
+_GYRE_FLAGS = (
+    ("--A", "amplitude", float), ("--delta", "delta", float), ("--omega", "omega", float),
+    ("--t0", "t_start", float), ("--t1", "t_end", float), ("--step", "step", float),
+    ("--rho", "rho", float), ("--points-per-box", "points_per_box", int),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,18 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("data", nargs="?", help="pairs or counts file (omit with --example)")
     data.add_argument("--example", choices=_EXAMPLES, help="generate this example instead")
-    data.add_argument("--epsilon", type=int, default=0,
+    # --epsilon and the gyre overrides are left out of the namespace when
+    # absent, so that a given one the input never reads can be refused.
+    data.add_argument("--epsilon", type=int, default=argparse.SUPPRESS,
                       help="window half-width for categorical noise (default 0)")
     data.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     gyre = data.add_argument_group("double-gyre overrides")
-    gyre.add_argument("--A", type=float, default=0.25, dest="amplitude")
-    gyre.add_argument("--delta", type=float, default=0.25)
-    gyre.add_argument("--omega", type=float, default=2.0 * np.pi)
-    gyre.add_argument("--t0", type=float, default=0.0)
-    gyre.add_argument("--t1", type=float, default=40.0)
-    gyre.add_argument("--step", type=float, default=0.01)
-    gyre.add_argument("--rho", type=float, default=1.0 / 32.0)
-    gyre.add_argument("--points-per-box", type=int, default=100)
+    for flag, field, kind in _GYRE_FLAGS:
+        gyre.add_argument(flag, type=kind, dest=field, default=argparse.SUPPRESS,
+                          help=f"default {getattr(GyreConfig, field):g}")
 
     fit = argparse.ArgumentParser(add_help=False)
     fit.add_argument("--rank", type=int, default=3, help="latent states / truncation rank")
@@ -102,21 +106,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gyre_config(args) -> GyreConfig:
-    return GyreConfig(
-        amplitude=args.amplitude, delta=args.delta, omega=args.omega,
-        t_start=args.t0, t_end=args.t1, step=args.step,
-        rho=args.rho, points_per_box=args.points_per_box, seed=args.seed,
-    )
+def _refuse_unread_flags(args) -> None:
+    """Refuse a data file given with --example, and the flags the chosen
+    input never reads: --epsilon except with a categorical example, the gyre
+    overrides except with --example double-gyre."""
+    if args.data is not None and args.example is not None:
+        raise ValueError("give a data file or --example, not both")
+    if args.data is None and args.example is None:
+        return
+    unread = []
+    if hasattr(args, "epsilon") and args.example not in _CATEGORICAL:
+        unread.append("--epsilon")
+    if args.example != "double-gyre":
+        unread += [flag for flag, field, _ in _GYRE_FLAGS if hasattr(args, field)]
+    if unread:
+        source = "a data file" if args.data is not None else f"--example {args.example}"
+        verb = "is" if len(unread) == 1 else "are"
+        raise ValueError(f"{', '.join(unread)} {verb} not read with {source}")
 
 
 def _generate(args):
     """Build (dataset, default labels or None, metadata) for --example."""
     if args.example not in _CATEGORICAL:
-        dataset, meta = gen_double_gyre(_gyre_config(args))
+        overrides = {field: getattr(args, field) for _, field, _ in _GYRE_FLAGS
+                     if hasattr(args, field)}
+        dataset, meta = gen_double_gyre(GyreConfig(seed=args.seed, **overrides))
         return dataset, None, meta
-    dataset, partition = _CATEGORICAL[args.example](epsilon=args.epsilon, seed=args.seed)
-    meta = {"example": args.example, "epsilon": args.epsilon, "seed": args.seed,
+    epsilon = getattr(args, "epsilon", 0)
+    dataset, partition = _CATEGORICAL[args.example](epsilon=epsilon, seed=args.seed)
+    meta = {"example": args.example, "epsilon": epsilon, "seed": args.seed,
             "default_labels": [int(v) for v in partition.labels],
             "n_latent": partition.n_clusters}
     return dataset, partition.labels, meta
@@ -296,6 +314,7 @@ def main(argv=None) -> int:
         # the package logs its anomalies at DEBUG
         logging.getLogger("cohsets").setLevel(logging.DEBUG)
     try:
+        _refuse_unread_flags(args)
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -142,11 +142,14 @@ def read_pairs(path: str | Path) -> PairDataset:
 
 def write_counts(path: str | Path, counts: CountMatrix) -> None:
     m, n = counts.shape
-    # Lines go in row-major order.
-    entries = counts.counts.tocsr().tocoo()
+    # Lines go in row-major order: a stable sort of the column-major entries
+    # by row keeps the columns increasing within each row.
+    rows, cols = counts.support
+    order = np.argsort(rows, kind="stable")
     with open(path, "wb") as fh:
         fh.write(f"{m} {n} {counts.total}\n".encode())
-        _write_table(fh, np.column_stack([entries.row + 1, entries.col + 1, entries.data]))
+        _write_table(fh, np.column_stack([rows[order] + 1, cols[order] + 1,
+                                          counts.counts.data[order]]))
 
 
 def read_count_entries(path: str | Path) -> tuple:

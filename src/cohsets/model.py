@@ -5,7 +5,7 @@ transition matrix with input/output marginals, from which the rescaled
 matrix of the coherence analysis derives.  Categories are 1-based at every
 public boundary; array indices are 0-based internally.
 
-Storage: a count matrix holds its positive counts once, as a CSC matrix:
+Storage: a count matrix holds its positive counts once, as a ``CscMatrix``:
 column j's rows (increasing) and counts are the slice
 ``indptr[j]:indptr[j + 1]`` of ``indices`` and ``data``.  Counting sorts or
 bins flat keys of the records, pruning relabels the stored entries, and the
@@ -14,15 +14,23 @@ entries, so memory grows with the records and the nonzeros, never with
 m x n.  Dense m x n arrays remain only in ``CountMatrix.operand`` when the
 storage rule below picks dense (small or dense count matrices, where BLAS
 beats scipy's dispatch), where ``report`` draws a picture, and in the tests.
+
+scipy is loaded by ``scipy_sparse`` on first use, and only two things use
+it: the sparse ``operand``, a scipy ``csc_array`` on the counts' arrays, and
+ARPACK in ``svd.full_svd``.  The paper's 90-100 category examples need
+neither, so a process that runs only them never imports scipy.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy import sparse
+
+logger = logging.getLogger(__name__)
 
 # The DBMR kernels multiply the count matrix once per update. Sparse products
 # visit only the nonzeros but pay scipy's dispatch, about 50 microseconds per
@@ -35,15 +43,99 @@ SPARSE_MAX_DENSITY = 0.1
 SPARSE_MIN_ENTRIES = 2**16
 
 
+@cache
+def scipy_sparse():
+    """``scipy.sparse`` with ``scipy.sparse.linalg`` loaded, imported on the
+    first call; the time the import took is logged at DEBUG."""
+    start = time.perf_counter()
+    import scipy.sparse.linalg
+
+    logger.debug("loaded scipy.sparse for sparse storage or ARPACK in %.3f s",
+                 time.perf_counter() - start)
+    return scipy.sparse
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
-def _csc_support(matrix: sparse.csc_array) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class CscMatrix:
+    """A matrix in compressed sparse column form.
+
+    Column j's row indices and values are the slice
+    ``indptr[j]:indptr[j + 1]`` of ``indices`` and ``data``. The index
+    arrays are int64 and all three are read-only.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        m, n = (int(size) for size in self.shape)
+        object.__setattr__(self, "shape", (m, n))
+        for name in ("indptr", "indices"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        for name in ("indptr", "indices", "data"):
+            _read_only(getattr(self, name))
+        size = self.data.size
+        if self.indptr.shape != (n + 1,) or not self.indices.size == size == self.indptr[-1]:
+            raise ValueError(f"CSC arrays do not describe {size} entries of a {m} x {n} matrix")
+
+    @property
+    def nnz(self) -> int:
+        return int(self.data.size)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=self.data.dtype)
+        dense[_csc_support(self)] = self.data
+        return dense
+
+    def to_scipy(self):
+        """A scipy ``csc_array`` on these same arrays, without a copy."""
+        return scipy_sparse().csc_array((self.data, self.indices, self.indptr), shape=self.shape)
+
+
+def _csc_support(matrix: CscMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the stored entries, in storage (column-major) order."""
     cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
-    return _read_only(matrix.indices.astype(np.int64)), _read_only(cols)
+    return matrix.indices, _read_only(cols)
+
+
+def _from_entries(shape, rows: np.ndarray, cols: np.ndarray, data: np.ndarray) -> CscMatrix:
+    """The CSC matrix of entries given in column-major order, rows
+    increasing within each column."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=shape[1]))))
+    return CscMatrix(indptr, rows, data, shape)
+
+
+def _push(matrix: CscMatrix, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for the column index ``cols`` of each entry; each row
+    adds its terms column by column, as scipy's CSC product does."""
+    return np.bincount(matrix.indices, matrix.data * x[cols], matrix.shape[0])
+
+
+def as_csc(matrix, dtype) -> CscMatrix:
+    """``matrix`` as a ``CscMatrix`` of ``dtype`` with rows increasing and
+    distinct within each column: a ``CscMatrix`` as it is, a scipy sparse
+    matrix (anything with ``tocsc``) with its duplicates summed, a dense
+    array on its nonzeros."""
+    if isinstance(matrix, CscMatrix):
+        if matrix.data.dtype == dtype:
+            return matrix
+        return CscMatrix(matrix.indptr, matrix.indices, matrix.data.astype(dtype), matrix.shape)
+    if hasattr(matrix, "tocsc"):
+        csc = matrix.tocsc(copy=True)
+        csc.sum_duplicates()
+        return CscMatrix(csc.indptr, csc.indices, csc.data.astype(dtype), csc.shape)
+    dense = np.asarray(matrix)
+    if dense.ndim != 2:
+        raise ValueError("matrix must be a 2-d array")
+    cols, rows = np.nonzero(dense.T)
+    return _from_entries(dense.shape, rows, cols, dense[rows, cols].astype(dtype))
 
 
 @dataclass(frozen=True)
@@ -125,31 +217,26 @@ class PairDataset:
 class CountMatrix:
     """Nonnegative integer transition counts, outputs along rows.
 
-    ``counts`` holds the positive counts once, as an int64 CSC matrix whose
-    rows increase within each column; a dense array or any scipy sparse
-    matrix given here is converted to it. ``support``, ``nonzeros``,
-    ``storage``, ``operand`` and ``model`` derive from it.
+    ``counts`` holds the positive counts once, as an int64 ``CscMatrix``;
+    a dense array or a scipy sparse matrix given here is converted to it
+    (see ``as_csc``). ``support``, ``nonzeros``, ``storage``, ``operand``
+    and ``model`` derive from it.
     """
 
-    counts: sparse.csc_array
+    counts: CscMatrix
     total: int
 
     def __post_init__(self):
-        counts = self.counts
-        if not sparse.issparse(counts):
-            counts = np.asarray(counts)
-            if counts.ndim != 2:
-                raise ValueError("counts must be a 2-d array")
-        counts = sparse.csc_array(counts, dtype=np.int64)
-        counts.sum_duplicates()
+        counts = as_csc(self.counts, np.int64)
         if (counts.data < 0).any():
             raise ValueError("counts must be nonnegative")
         if not counts.data.all():
-            counts.eliminate_zeros()
+            rows, cols = _csc_support(counts)
+            positive = counts.data > 0
+            counts = _from_entries(counts.shape, rows[positive], cols[positive],
+                                   counts.data[positive])
         if int(counts.data.sum()) != self.total:
             raise ValueError("declared total does not equal the entry sum")
-        for entries in (counts.data, counts.indices, counts.indptr):
-            _read_only(entries)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -177,11 +264,11 @@ class CountMatrix:
     def operand(self):
         """The counts in float64 for the DBMR kernels, derived once.
 
-        A CSC matrix of the positive counts when ``storage`` is "sparse",
-        the dense array otherwise.
+        A scipy CSC matrix of the positive counts when ``storage`` is
+        "sparse", the dense array otherwise.
         """
         if self.storage == "sparse":
-            return self.counts.astype(np.float64)
+            return as_csc(self.counts, np.float64).to_scipy()
         dense = np.zeros(self.shape)
         dense[self.support] = self.counts.data
         return dense
@@ -202,19 +289,19 @@ class CountMatrix:
 class TransitionModel:
     """Left-stochastic transition matrix with its marginals.
 
-    ``matrix`` is a float64 CSC matrix of the positive entries of P, whose
-    columns are conditional output distributions (a dense array given here
-    is converted); ``input_dist`` and ``output_dist`` are the strictly
-    positive marginals. Every other matrix derives from these three.
+    ``matrix`` is a float64 ``CscMatrix`` of the positive entries of P,
+    whose columns are conditional output distributions (a dense array or a
+    scipy sparse matrix given here is converted); ``input_dist`` and
+    ``output_dist`` are the strictly positive marginals. Every other matrix
+    derives from these three.
     """
 
-    matrix: sparse.csc_array
+    matrix: CscMatrix
     input_dist: np.ndarray
     output_dist: np.ndarray
 
     def __post_init__(self):
-        matrix = sparse.csc_array(self.matrix, dtype=np.float64)
-        matrix.sum_duplicates()
+        matrix = as_csc(self.matrix, np.float64)
         object.__setattr__(self, "matrix", matrix)
         for field in ("input_dist", "output_dist"):
             object.__setattr__(self, field, _read_only(np.asarray(getattr(self, field), dtype=np.float64)))
@@ -228,7 +315,7 @@ class TransitionModel:
             raise ValueError("transition matrix columns must sum to 1")
         if (self.input_dist <= 0).any() or (self.output_dist <= 0).any():
             raise ValueError("marginals must be strictly positive")
-        if np.abs(matrix @ self.input_dist - self.output_dist).max() > 1e-12:
+        if np.abs(_push(matrix, self.support[1], self.input_dist) - self.output_dist).max() > 1e-12:
             raise ValueError("output marginal must equal matrix @ input marginal")
 
     @property
@@ -236,13 +323,13 @@ class TransitionModel:
         return self.matrix.shape
 
     @property
-    def rescaled(self) -> sparse.csc_array:
+    def rescaled(self) -> CscMatrix:
         """D_out^{-1/2} @ matrix @ D_in^{1/2} on the entries of P, the matrix
         whose singular values measure coherence: entry (i, j) times
         sqrt(p_j) / sqrt(q_i). Built anew on each access."""
         rows, cols = self.support
         values = self.matrix.data * (np.sqrt(self.input_dist)[cols] / np.sqrt(self.output_dist)[rows])
-        return sparse.csc_array((values, self.matrix.indices, self.matrix.indptr), shape=self.shape)
+        return CscMatrix(self.matrix.indptr, self.matrix.indices, values, self.shape)
 
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
@@ -299,9 +386,9 @@ def count_entries(
         raise ValueError(f"a {m} x {n} count matrix exceeds the flat index range")
     keys, values = _distinct(cols * m + rows, m * n, weights)
     entry_cols, entry_rows = np.divmod(keys, m)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(entry_cols, minlength=n))))
-    matrix = sparse.csc_array((values, entry_rows, indptr), shape=(m, n), dtype=np.int64)
-    return CountMatrix(counts=matrix, total=int(values.sum()))
+    values = values.astype(np.int64, copy=False)
+    return CountMatrix(counts=_from_entries((m, n), entry_rows, entry_cols, values),
+                       total=int(values.sum()))
 
 
 def ingest_pairs(dataset: PairDataset) -> CountMatrix:
@@ -327,7 +414,7 @@ def prune_empty(counts: CountMatrix) -> tuple[CountMatrix, np.ndarray, np.ndarra
     # Relabelling rows by rank keeps them increasing within each column.
     rows = (np.cumsum(occupied) - 1)[N.indices]
     indptr = np.append(N.indptr[keep_cols], N.nnz)
-    pruned = sparse.csc_array((N.data, rows, indptr), shape=(keep_rows.size, keep_cols.size))
+    pruned = CscMatrix(indptr, rows, N.data, (keep_rows.size, keep_cols.size))
     return (
         CountMatrix(counts=pruned, total=counts.total),
         _read_only(keep_rows + 1),
@@ -371,7 +458,7 @@ def estimate(counts: CountMatrix) -> TransitionModel:
     values = N.data / col_sums[cols]
     # Each column adds its entries in row order, as a dense column sum does.
     values /= np.bincount(cols, values, n)[cols]
-    matrix = sparse.csc_array((_read_only(values), N.indices, N.indptr), shape=N.shape)
-    q = matrix @ p
+    matrix = CscMatrix(N.indptr, N.indices, values, N.shape)
+    q = _push(matrix, cols, p)
     q /= q.sum()
     return TransitionModel(matrix=matrix, input_dist=p, output_dist=q)

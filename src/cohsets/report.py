@@ -16,7 +16,6 @@ import logging
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .bounds import frobenius_kl_bound
 from .dbmr import multi_start, output_partition, reduce_with_affiliation, reduced_singular_values
@@ -64,16 +63,15 @@ def render_matrix_image(
     Magnitudes map linearly to darkness; negative entries render in red.
     The left column colors the output partition, the bottom row the input
     partition; absent strips stay white. The canvas is (rows+1, cols+1).
-    ``matrix`` is a dense array or a scipy sparse matrix of at most
-    ``MAX_IMAGE_CELLS`` entries.
+    ``matrix`` is a dense array or a CSC matrix (``model.CscMatrix`` or
+    scipy's) of at most ``MAX_IMAGE_CELLS`` entries.
     """
-    if not sparse.issparse(matrix):
-        matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or 0 in matrix.shape:
+    if len(matrix.shape) != 2 or 0 in matrix.shape:
         raise ValueError("matrix must be a nonempty 2-d array")
     check_image_shape(matrix.shape)
-    if sparse.issparse(matrix):
+    if not isinstance(matrix, np.ndarray):
         matrix = matrix.toarray()
+    matrix = matrix.astype(np.float64, copy=False)
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must have finite entries")
     m, n = matrix.shape

@@ -45,11 +45,11 @@ from cohsets.seeding import mix_seed, rng_for
 
 
 def dense(matrix) -> np.ndarray:
-    """The m x n array of a ``CountMatrix``'s counts, or of a dense or scipy
-    sparse matrix."""
+    """The m x n array of a ``CountMatrix``'s counts, or of a dense or CSC
+    matrix (``CscMatrix`` or scipy's)."""
     if isinstance(matrix, CountMatrix):
         matrix = matrix.counts
-    return matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
+    return matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
 
 
 def rescale_dense(matrix, input_dist, output_dist):

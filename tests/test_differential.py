@@ -274,7 +274,7 @@ def _counts_on_storage(monkeypatch, counts_array, storage):
         monkeypatch.setattr(model_module, "SPARSE_MAX_DENSITY", 1.0)
     else:
         monkeypatch.setattr(model_module, "SPARSE_MAX_DENSITY", -1.0)
-    counts = CountMatrix(counts=counts_array, total=int(counts_array.sum()))
+    counts = CountMatrix(counts=counts_array, total=int(dense(counts_array).sum()))
     assert counts.storage == storage
     assert sparse.issparse(counts.operand) == (storage == "sparse")
     return counts
@@ -662,7 +662,11 @@ def test_stacked_spectra_match_on_drawn_stacks(case, data):
 def test_reports_carry_storage_counters(three_example):
     dataset, _ = gen_double_gyre(GyreConfig(nx=32, ny=16, points_per_box=4, t_end=0.5))
     gyre, _, _ = prune_empty(ingest_pairs(dataset))
-    for counts, storage in ((three_example[0], "dense"), (gyre, "sparse")):
+    full = random_counts(np.random.default_rng(8), 130, 130)
+    # three triplets of the 100 x 100 matrix come from LAPACK, of the
+    # 130 x 130 and 512 x 512 matrices from ARPACK
+    for counts, storage, path in ((three_example[0], "dense", "lapack"),
+                                  (full, "dense", "arpack"), (gyre, "sparse", "arpack")):
         report, _ = compare_experiment(counts, 3, runs=3, seed=4)
         summary, _, _ = multirun_experiment(counts, 3, runs=3, seed=4)
         expected = {
@@ -679,8 +683,7 @@ def test_reports_carry_storage_counters(three_example):
             assert {key: diagnostics[key] for key in expected} == expected
             assert diagnostics["dbmr_update_pairs"] == pairs
         assert set(summary["diagnostics"]) == set(expected) | {"dbmr_update_pairs"}
-        # three triplets of a 100 x 100 or larger matrix come from ARPACK
-        assert report["diagnostics"]["svd_path"] == "arpack"
+        assert report["diagnostics"]["svd_path"] == path
         assert report["diagnostics"]["svd_values_cut"] == 0
         classical = classical_pipeline(counts, 3, seed=mix_seed(4, 1))
         assert report["diagnostics"]["kmeans_repairs"] == classical.kmeans_repairs

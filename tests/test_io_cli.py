@@ -551,6 +551,33 @@ def test_cli_flags_reach_where_they_are_recorded(tmp_path, read, flag, value, ke
         assert recorded["bare"] is False
 
 
+_UNREAD_CASES = [
+    (["generate", "--example", "double-gyre", "--epsilon", "3"],
+     "--epsilon is not read with --example double-gyre"),
+    (["generate", "--example", "three-coherent", "--rho", "0.5", "--A", "9"],
+     "--A, --rho are not read with --example three-coherent"),
+    (["compare", "DATA", "--t1", "2"], "--t1 is not read with a data file"),
+    (["bounds", "DATA", "--epsilon", "0"], "--epsilon is not read with a data file"),
+    (["render", "DATA", "--points-per-box", "4", "--omega", "1"],
+     "--omega, --points-per-box are not read with a data file"),
+    (["multirun", "DATA", "--example", "interval-map"],
+     "give a data file or --example, not both"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _UNREAD_CASES,
+                         ids=["gyre-epsilon", "categorical-gyre", "file-t1", "file-epsilon",
+                              "file-gyre", "file-example"])
+def test_cli_refuses_flags_the_input_never_reads(tmp_path, capsys, argv, message):
+    """Exit 2 with one line naming the flags, and write nothing."""
+    data = tmp_path / "data.csv"
+    dataio.write_pairs(data, gen_three_coherent()[0])
+    argv = [str(data) if arg == "DATA" else arg for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["data.csv"]
+
+
 def test_cli_bounds_stdout(capsys):
     import json
 

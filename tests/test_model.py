@@ -6,6 +6,7 @@ import pytest
 from cohsets import model as model_module
 from cohsets.model import (
     CountMatrix,
+    CscMatrix,
     PairDataset,
     Partition,
     TransitionModel,
@@ -57,6 +58,46 @@ def test_count_matrix_validation():
         CountMatrix(counts=np.array([[1, -1], [0, 2]]), total=2)
     with pytest.raises(ValueError):
         CountMatrix(counts=np.array([[1, 1], [0, 2]]), total=5)
+
+
+def _triple(matrix: CscMatrix) -> tuple:
+    return (matrix.shape, matrix.indptr.tolist(), matrix.indices.tolist(), matrix.data.tolist())
+
+
+def test_csc_matrix_from_dense_and_scipy_input():
+    """Dense input is stored on its nonzeros, scipy input with its duplicates
+    summed; both give the same int64-indexed triple, and ``toarray`` and
+    ``to_scipy`` give the matrix back, the latter on the same arrays."""
+    from scipy import sparse
+
+    array = np.array([[0, 3, 0, 1], [2, 0, 0, 0], [0, 5, 0, 4]])
+    from_dense = model_module.as_csc(array, np.int64)
+    assert _triple(from_dense) == ((3, 4), [0, 1, 3, 3, 5], [1, 0, 2, 0, 2], [2, 3, 5, 1, 4])
+    assert from_dense.indices.dtype == from_dense.indptr.dtype == np.int64
+    assert not from_dense.data.flags.writeable
+    # the entry (2, 1) given as 2 + 3, in no particular order
+    coo = sparse.coo_array(([4, 1, 2, 3, 2, 3], ([2, 0, 2, 0, 1, 2], [3, 3, 1, 1, 0, 1])),
+                           shape=(3, 4))
+    assert _triple(model_module.as_csc(coo, np.int64)) == _triple(from_dense)
+    assert model_module.as_csc(from_dense, np.int64) is from_dense
+    assert np.array_equal(from_dense.toarray(), array)
+    wrapped = from_dense.to_scipy()
+    assert np.shares_memory(wrapped.data, from_dense.data)
+    assert np.shares_memory(wrapped.indices, from_dense.indices)
+    assert np.array_equal(wrapped.toarray(), array)
+    with pytest.raises(ValueError, match="entries"):
+        CscMatrix(np.array([0, 1]), np.array([0]), np.array([1.0]), (1, 2))
+
+
+def test_push_is_scipys_csc_product_bit_for_bit():
+    """q = P p adds each row's terms column by column, as scipy does."""
+    rng = np.random.default_rng(17)
+    for shape in ((5, 7), (60, 40), (300, 300)):
+        counts = random_counts(rng, *shape, density=0.3)
+        model = counts.model
+        p = rng.random(shape[1])
+        assert np.array_equal(model_module._push(model.matrix, model.support[1], p),
+                              model.matrix.to_scipy() @ p)
 
 
 def test_prune_drops_empty_rows_and_columns():

@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from cohsets import dbmr, model as model_module, report, svd
-from cohsets.generators import GyreConfig, gen_double_gyre
-from cohsets.model import Partition, estimate, ingest_pairs, prune_empty
+from cohsets.generators import (
+    GyreConfig,
+    gen_double_gyre,
+    interval_map_counts,
+    three_coherent_counts,
+)
+from cohsets.model import Partition, count_occurring, estimate, ingest_pairs, prune_empty
 from cohsets.svd import (
     _coherence_scores,
     _lloyd,
@@ -17,7 +22,7 @@ from cohsets.svd import (
     truncate,
 )
 from cohsets.model import CountMatrix
-from cohsets.seeding import rng_for
+from cohsets.seeding import mix_seed, rng_for
 from tests.conftest import random_counts
 from tests.dense_reference import assign_reference, dense, rescale_dense
 
@@ -57,7 +62,8 @@ def _gyre_matrix():
 def _assert_leading_triplets(matrix, k):
     """Compare ``full_svd(matrix, k)`` with LAPACK's thin SVD."""
     fac = full_svd(matrix, k)
-    left, sigma, right_t = np.linalg.svd(dense(matrix), full_matrices=False)
+    matrix = dense(matrix)
+    left, sigma, right_t = np.linalg.svd(matrix, full_matrices=False)
     kept = int(np.sum(sigma[:k] > svd.RANK_TOLERANCE * max(matrix.shape) * sigma[0]))
     assert fac.rank == kept
     np.testing.assert_allclose(fac.singular_values, sigma[:kept], rtol=0, atol=1e-12)
@@ -87,6 +93,16 @@ def test_full_svd_leading_triplets_gyre():
     assert matrix.nnz < 0.05 * np.prod(matrix.shape)
     for k in (1, 3, 4):
         _assert_leading_triplets(matrix, k)
+
+
+def test_full_svd_size_rule():
+    """LAPACK up to LAPACK_MAX_ENTRIES entries, ARPACK on a larger dense
+    matrix unless k covers its spectrum; both give its leading triplets."""
+    rng = np.random.default_rng(31)
+    for shape, k, path in (((128, 128), 3, "lapack"), ((129, 128), 3, "arpack"),
+                           ((130, 140), 4, "arpack"), ((130, 140), 130, "lapack")):
+        assert full_svd(rng.random(shape), k).path == path
+        _assert_leading_triplets(rng.random(shape), k)
 
 
 def test_full_svd_tiny_matrices_all_k():
@@ -137,8 +153,9 @@ def test_compare_experiment_pads_spectrum_with_zeros():
     assert result["singular_values"]["full"] == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
     assert result["singular_values"]["full_sigma3"] == 0.0
     assert result["singular_values"]["full_coherence"] == pytest.approx(1.0, abs=1e-12)
-    # ARPACK computed three values of the 6 x 6 matrix and the cutoff dropped one
-    assert result["diagnostics"]["svd_path"] == "arpack"
+    # LAPACK factorized the 6 x 6 matrix; of its three leading values the
+    # cutoff dropped one
+    assert result["diagnostics"]["svd_path"] == "lapack"
     assert result["diagnostics"]["svd_values_cut"] == 1
 
 
@@ -434,18 +451,6 @@ def test_best_assignment_rejects_nonfinite_scores():
         svd._best_assignment(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
-def test_import_leaves_out_scipy_optimize():
-    import subprocess
-    import sys
-
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cohsets; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-    )
-    assert result.stdout.strip() == "False"
-
-
 def test_classical_pipeline_three_example(three_example):
     counts, model, default = three_example
     result = classical_pipeline(counts, 3, seed=0)
@@ -489,3 +494,63 @@ def test_classical_pipeline_rank_one():
     result = classical_pipeline(counts, 1, seed=0)
     assert result.input_partition.n_clusters == 1
     assert result.coherence == pytest.approx(1.0)
+
+
+def _workload_counts(workload_seed):
+    """(name, pruned counts, compare seed) of each paper-batch request of the
+    benchmark for ``workload_seed``: three-coherent at epsilon 0-10, then
+    interval-map at 0 and 1, each record moved within modular windows drawn
+    from one generator in that order."""
+    rng = np.random.default_rng([workload_seed, 1])
+    items = [("three-coherent", e) for e in range(11)] + [("interval-map", e) for e in (0, 1)]
+    for index, (name, epsilon) in enumerate(items):
+        example = three_coherent_counts if name == "three-coherent" else interval_map_counts
+        pattern = dense(example())
+        m, n = pattern.shape
+        rows, cols = np.nonzero(pattern)
+        inputs = np.repeat(cols, pattern[rows, cols])
+        outputs = np.repeat(rows, pattern[rows, cols])
+        if epsilon:
+            inputs = (inputs + rng.integers(-epsilon, epsilon + 1, inputs.size)) % n
+            outputs = (outputs + rng.integers(-epsilon, epsilon + 1, outputs.size)) % m
+        counts = count_occurring(outputs, inputs)[0]
+        yield f"{name}/eps={epsilon}", counts, workload_seed * 1000 + index
+
+
+def _arpack_factorization(matrix, k):
+    """``full_svd``'s triplets as ARPACK gives them: scipy's ``svds`` from
+    the same start vector, largest first, cut at the same tolerance."""
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import svds
+
+    start = np.random.default_rng(0).standard_normal(min(matrix.shape))
+    left, sigma, right_t = svds(csc_array((matrix.data, matrix.indices, matrix.indptr),
+                                          shape=matrix.shape), k=k, tol=0, v0=start)
+    left, sigma, right_t = left[:, ::-1], sigma[::-1], right_t[::-1]
+    keep = sigma > svd.RANK_TOLERANCE * max(matrix.shape) * sigma[0]
+    return svd.SvdFactorization(left=left[:, keep], singular_values=sigma[keep],
+                                right=right_t[keep].T, path="arpack",
+                                values_cut=int(sigma.size - keep.sum()))
+
+
+@pytest.mark.parametrize("workload_seed", [2, 5])
+def test_lapack_and_arpack_triplets_give_the_same_partitions(monkeypatch, workload_seed):
+    """On every paper-batch input with a gap at the rank-3 cut, the classical
+    partitions from LAPACK's triplets equal those from ARPACK's. The interval
+    map at epsilon 0 has sigma = 1 thirty times, so its leading subspace and
+    the partition on it depend on the solver; it is left out."""
+    for name, counts, seed in _workload_counts(workload_seed):
+        lapack = classical_pipeline(counts, 3, seed=mix_seed(seed, 1))
+        assert lapack.factorization.path == "lapack"
+        sigma = np.linalg.svd(dense(counts.model.rescaled), compute_uv=False)
+        if name == "interval-map/eps=0":
+            assert sigma[3] == pytest.approx(sigma[2], abs=1e-12)
+            continue
+        assert sigma[2] - sigma[3] > 0.05
+        with monkeypatch.context() as patch:
+            patch.setattr(svd, "full_svd", _arpack_factorization)
+            arpack = classical_pipeline(counts, 3, seed=mix_seed(seed, 1))
+        np.testing.assert_allclose(arpack.factorization.singular_values,
+                                   lapack.factorization.singular_values, rtol=0, atol=1e-14)
+        assert np.array_equal(arpack.input_partition.labels, lapack.input_partition.labels), name
+        assert np.array_equal(arpack.output_partition.labels, lapack.output_partition.labels), name
