@@ -31,6 +31,16 @@ window noise 3 (100 x 3 points) and of the gyre sample above (2048 x 3).
 Both give the same labels, which the table asserts. It explains the
 k-means part of paper-batch's gain; ``perfbench/`` measures it.
 
+The sixth table reproduces the size rule of ``svd.full_svd``: three leading
+triplets of the rescaled matrix by LAPACK's thin SVD of the densified matrix
+against ARPACK on its nonzeros, on fully occupied count matrices of 100 to
+400 categories, block-structured (four diagonal blocks over a uniform
+floor) and unstructured (the floor alone). Both paths run
+through ``full_svd`` with ``svd.LAPACK_MAX_ENTRIES`` moved out of the way,
+and their singular values agree, which the table asserts; the last column
+names the path ``full_svd`` takes at the shipped limit. Run it on one BLAS
+thread (``OPENBLAS_NUM_THREADS=1``), as the program's figures were taken.
+
 Replaced paths. The dense column below was measured on the code before the
 counts and P were stored as their entries (same sample, one BLAS thread of
 a 2-vCPU x86-64 machine, medians of 7 calls); the entry versions returned
@@ -68,6 +78,7 @@ REPEATS = 3
 LATENT = 3
 SIZES = (100, 300, 2048)
 DENSITIES = (0.001, 0.004, 0.01, 0.03, 0.1, 0.3, 1.0)
+SVD_SIZES = (100, 128, 200, 300, 400)
 
 
 def best_of(fn, *args, repeats: int = REPEATS) -> float:
@@ -196,6 +207,37 @@ def kmeans_table(gyre: PairDataset) -> None:
         print(f"{name:<40} {times[0] * 1e3:>12.2f}ms {times[1] * 1e3:>7.2f}ms")
 
 
+def svd_counts(rng: np.random.Generator, size: int, structured: bool) -> CountMatrix:
+    """A fully occupied size x size count matrix: uniform counts of 1-9,
+    plus 30 in each cell of four diagonal blocks when ``structured``."""
+    counts = rng.integers(1, 10, (size, size))
+    if structured:
+        block = np.arange(size) * 4 // size
+        counts = counts + 30 * (block[:, np.newaxis] == block)
+    return CountMatrix(counts=counts, total=int(counts.sum()))
+
+
+def svd_rule_table(rng: np.random.Generator) -> None:
+    print(f"{'full_svd, 3 triplets':<30} {'LAPACK':>9} {'ARPACK':>9}  selected "
+          f"(LAPACK up to {svd.LAPACK_MAX_ENTRIES} entries)")
+    shipped = svd.LAPACK_MAX_ENTRIES
+    for structured in (True, False):
+        for size in SVD_SIZES:
+            rescaled = svd_counts(rng, size, structured).model.rescaled
+            times, values = [], []
+            try:
+                for limit in (size * size, 0):
+                    svd.LAPACK_MAX_ENTRIES = limit
+                    values.append(svd.full_svd(rescaled, 3).singular_values)
+                    times.append(best_of(svd.full_svd, rescaled, 3, repeats=5))
+            finally:
+                svd.LAPACK_MAX_ENTRIES = shipped
+            assert np.allclose(*values, rtol=1e-10, atol=1e-12)
+            name = f"{'block' if structured else 'unstructured'} {size} x {size}"
+            print(f"{name:<30} {times[0] * 1e3:>7.2f}ms {times[1] * 1e3:>7.2f}ms  "
+                  f"{svd.full_svd(rescaled, 3).path}")
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
     advection_table(rng)
@@ -208,6 +250,8 @@ def main() -> None:
     entries_table(gyre)
     print()
     kmeans_table(gyre)
+    print()
+    svd_rule_table(rng)
 
 
 if __name__ == "__main__":

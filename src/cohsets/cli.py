@@ -22,7 +22,7 @@ import numpy as np
 from . import dataio
 from .dbmr import output_partition as derive_output_partition, reduce_with_affiliation
 from .generators import GyreConfig, gen_double_gyre, gen_interval_map, gen_three_coherent
-from .model import Partition, count_occurring
+from .model import PairDataset, Partition, count_occurring
 from .report import (
     bounds_experiment,
     check_image_shape,
@@ -56,11 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("data", nargs="?", help="pairs or counts file (omit with --example)")
     data.add_argument("--example", choices=_EXAMPLES, help="generate this example instead")
-    # --epsilon and the gyre overrides are left out of the namespace when
-    # absent, so that a given one the input never reads can be refused.
+    # --epsilon, --seed and the gyre overrides are left out of the namespace
+    # when absent, so that a given one the input never reads can be refused.
     data.add_argument("--epsilon", type=int, default=argparse.SUPPRESS,
                       help="window half-width for categorical noise (default 0)")
-    data.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    data.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                      help="master seed (default 0)")
     gyre = data.add_argument_group("double-gyre overrides")
     for flag, field, kind in _GYRE_FLAGS:
         gyre.add_argument(flag, type=kind, dest=field, default=argparse.SUPPRESS,
@@ -109,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _refuse_unread_flags(args) -> None:
     """Refuse a data file given with --example, and the flags the chosen
     input never reads: --epsilon except with a categorical example, the gyre
-    overrides except with --example double-gyre."""
+    overrides except with --example double-gyre, and --seed where nothing
+    draws: outside compare and multirun, with a data file or a categorical
+    example at epsilon 0."""
     if args.data is not None and args.example is not None:
         raise ValueError("give a data file or --example, not both")
     if args.data is None and args.example is None:
@@ -119,35 +122,38 @@ def _refuse_unread_flags(args) -> None:
         unread.append("--epsilon")
     if args.example != "double-gyre":
         unread += [flag for flag, field, _ in _GYRE_FLAGS if hasattr(args, field)]
+    draws = args.command in ("compare", "multirun") or args.example == "double-gyre" or (
+        args.example in _CATEGORICAL and getattr(args, "epsilon", 0) != 0)
+    if hasattr(args, "seed") and not draws:
+        unread.append("--seed")
     if unread:
         source = "a data file" if args.data is not None else f"--example {args.example}"
+        if args.example in _CATEGORICAL and "--seed" in unread:
+            source += " at epsilon 0"
         verb = "is" if len(unread) == 1 else "are"
         raise ValueError(f"{', '.join(unread)} {verb} not read with {source}")
 
 
 def _generate(args):
-    """Build (dataset, default labels or None, metadata) for --example."""
+    """Build (dataset, metadata) for --example; the metadata of a categorical
+    example holds its default labels."""
+    seed = getattr(args, "seed", 0)
     if args.example not in _CATEGORICAL:
         overrides = {field: getattr(args, field) for _, field, _ in _GYRE_FLAGS
                      if hasattr(args, field)}
-        dataset, meta = gen_double_gyre(GyreConfig(seed=args.seed, **overrides))
-        return dataset, None, meta
+        return gen_double_gyre(GyreConfig(seed=seed, **overrides))
     epsilon = getattr(args, "epsilon", 0)
-    dataset, partition = _CATEGORICAL[args.example](epsilon=epsilon, seed=args.seed)
-    meta = {"example": args.example, "epsilon": epsilon, "seed": args.seed,
+    dataset, partition = _CATEGORICAL[args.example](epsilon=epsilon, seed=seed)
+    meta = {"example": args.example, "epsilon": epsilon, "seed": seed,
             "default_labels": [int(v) for v in partition.labels],
             "n_latent": partition.n_clusters}
-    return dataset, partition.labels, meta
+    return dataset, meta
 
 
-def _records(dataset):
-    """Declared (m, n) and the 0-based (row, column) entry of each record."""
-    return (dataset.n_outputs, dataset.n_inputs), (dataset.outputs - 1, dataset.inputs - 1)
-
-
-def _load_file(path: str):
-    """Declared shape, entries, default labels and provenance of a pairs or
-    counts file, sniffing the format from the first byte."""
+def _read_file(path: str):
+    """The records (a ``PairDataset``) or entries (as ``read_count_entries``
+    gives them) of a pairs or counts file, sniffing the format from the first
+    byte, and the metadata of its sidecar, if any."""
     target = Path(path)
     if not target.exists():
         raise ValueError(f"no such file: {path}")
@@ -155,73 +161,58 @@ def _load_file(path: str):
         head = fh.readline().lstrip()
     start = time.perf_counter()
     if head.startswith("#"):
-        kind, unit = "pairs", "records"
-        shape, entries = _records(dataio.read_pairs(target))
+        data = dataio.read_pairs(target)
+        kind, unit, size = "pairs", "records", data.size
     else:
-        kind, unit = "counts", "entries"
-        shape, *entries = dataio.read_count_entries(target)
-    logger.info("read %s file %s: %d %s, %.1f MB in %.3f s", kind, path, entries[0].size, unit,
+        data = dataio.read_count_entries(target)
+        kind, unit, size = "counts", "entries", data[1].size
+    logger.info("read %s file %s: %d %s, %.1f MB in %.3f s", kind, path, size, unit,
                 target.stat().st_size / 1e6, time.perf_counter() - start)
-    labels = None
     sidecar = target.with_name(target.name + ".meta.json")
-    if sidecar.exists():
-        meta = dataio.read_json(sidecar)
-        if meta.get("default_labels") is not None:
-            labels = np.asarray(meta["default_labels"], dtype=np.int64)
-    else:
-        meta = {}
-    return shape, entries, labels, {"source": str(path), **{
-        k: meta[k] for k in ("example", "epsilon", "seed") if k in meta
-    }}
+    return data, dataio.read_json(sidecar) if sidecar.exists() else {}
 
 
-def _resolve(args):
-    """Return (pruned counts, row_map, col_map, pruned default labels, provenance,
-    original shape); only the categories that occur are counted."""
+def _resolve(args, labels_path=None):
+    """Return (pruned counts, row_map, col_map, provenance, input partition or
+    None); only the categories that occur are counted.
+
+    The partition is read from ``labels_path`` when given, else taken from
+    the default labels of the example or the sidecar, with as many latent
+    states as its largest kept label. Either covers all declared inputs or
+    only the kept ones.
+    """
     if args.data is not None:
-        original_shape, entries, labels, provenance = _load_file(args.data)
+        source, (data, meta) = args.data, _read_file(args.data)
     elif args.example is not None:
-        dataset, labels, meta = _generate(args)
-        original_shape, entries = _records(dataset)
-        provenance = {"source": args.example,
-                      **{k: meta[k] for k in ("example", "epsilon", "seed") if k in meta}}
+        source, (data, meta) = args.example, _generate(args)
     else:
         raise ValueError("provide a data file or --example")
-    pruned, row_map, col_map = count_occurring(*entries)
-    if labels is not None:
-        if labels.size != original_shape[1]:
-            raise ValueError(
-                f"default labels cover {labels.size} of {original_shape[1]} inputs"
-            )
+    if isinstance(data, PairDataset):
+        data = (data.n_outputs, data.n_inputs), data.outputs - 1, data.inputs - 1
+    (_, n_inputs), *entries = data
+    counts, row_map, col_map = count_occurring(*entries)
+    provenance = {"source": source,
+                  **{k: meta[k] for k in ("example", "epsilon", "seed") if k in meta}}
+    if labels_path is not None:
+        what, (labels, n_latent) = "labels file covers", dataio.read_labels(labels_path)
+    elif meta.get("default_labels") is not None:
+        what, n_latent = "default labels cover", None
+        labels = np.asarray(meta["default_labels"], dtype=np.int64)
+    else:
+        return counts, row_map, col_map, provenance, None
+    if labels.size == n_inputs:
         labels = labels[col_map - 1]
-    return pruned, row_map, col_map, labels, provenance, original_shape
-
-
-def _input_partition(path, col_map: np.ndarray, original_n: int, default_labels):
-    """Partition of the kept inputs from the labels file at ``path``, else from
-    the example's default labels; None when there are neither.
-
-    A labels file covers either all original or only the kept inputs.
-    """
-    if path is None:
-        if default_labels is None:
-            return None
-        return Partition(labels=default_labels, n_clusters=int(default_labels.max()))
-    raw, n_latent = dataio.read_labels(path)
-    if raw.size == original_n:
-        raw = raw[col_map - 1]
-    elif raw.size != col_map.size:
-        raise ValueError(
-            f"labels file covers {raw.size} inputs, expected {original_n} "
-            f"(or {col_map.size} after pruning)"
-        )
-    return Partition(labels=raw, n_clusters=n_latent)
+    elif labels.size != col_map.size:
+        raise ValueError(f"{what} {labels.size} inputs, expected {n_inputs} "
+                         f"(or {col_map.size} after pruning)")
+    partition = Partition(labels=labels, n_clusters=n_latent or int(labels.max()))
+    return counts, row_map, col_map, provenance, partition
 
 
 def cmd_generate(args) -> int:
     if args.example is None:
         raise ValueError("generate requires --example")
-    dataset, _, meta = _generate(args)
+    dataset, meta = _generate(args)
     dataio.write_pairs(args.out, dataset)
     dataio.write_json(Path(args.out).with_name(Path(args.out).name + ".meta.json"), meta)
     print(f"wrote {dataset.size} records over {dataset.n_inputs} -> "
@@ -230,12 +221,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    counts, row_map, col_map, labels, provenance, _ = _resolve(args)
+    counts, row_map, col_map, provenance, partition = _resolve(args)
     if not args.no_images:
         check_image_shape(counts.shape)
     report, artifacts = compare_experiment(
-        counts, rank=args.rank, runs=args.runs, seed=args.seed,
-        max_steps=args.hmax, tol=args.tol, default_labels=labels,
+        counts, rank=args.rank, runs=args.runs, seed=getattr(args, "seed", 0),
+        max_steps=args.hmax, tol=args.tol,
+        default_labels=None if partition is None else partition.labels,
         provenance=provenance,
     )
     report["dataset"]["kept_inputs"] = [int(v) for v in col_map]
@@ -254,9 +246,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_multirun(args) -> int:
-    counts, _, _, _, provenance, _ = _resolve(args)
+    counts, _, _, provenance, _ = _resolve(args)
     summary, run_rows, trace_rows = multirun_experiment(
-        counts, rank=args.rank, runs=args.runs, seed=args.seed,
+        counts, rank=args.rank, runs=args.runs, seed=getattr(args, "seed", 0),
         max_steps=args.hmax, tol=args.tol, trace=args.trace,
     )
     summary["provenance"] = provenance
@@ -276,8 +268,7 @@ def cmd_multirun(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    counts, _, col_map, default_labels, provenance, original_shape = _resolve(args)
-    partition = _input_partition(args.labels, col_map, original_shape[1], default_labels)
+    counts, _, _, provenance, partition = _resolve(args, args.labels)
     if partition is None:
         raise ValueError("bounds requires a labels file or an example with default labels")
     payload = bounds_experiment(counts, partition, args.kappa)
@@ -292,9 +283,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_render(args) -> int:
-    counts, _, col_map, default_labels, _, original_shape = _resolve(args)
+    counts, _, _, _, input_partition = _resolve(args, args.labels)
     check_image_shape(counts.shape)
-    input_partition = _input_partition(args.labels, col_map, original_shape[1], default_labels)
     output_strip = None
     if input_partition is not None:
         output_strip = derive_output_partition(reduce_with_affiliation(counts, input_partition))

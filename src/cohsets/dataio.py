@@ -10,17 +10,17 @@ Pairs file::
 The ``x,y`` header line is optional on input (in any letter case) and always
 written on output.  Count file: a ``<m> <n> <S>`` line followed by one
 ``i j count`` line per nonzero entry.  Labels file: an optional ``# r=<r>``
-preamble followed by one 1-based integer label per line.  All category
+first line followed by one 1-based integer label per line.  All category
 indices are 1-based.
 
-Accepted input grammar of the pairs and count bodies: LF or CRLF line ends,
-blank lines (also of only whitespace), spaces around each field, and ``#``
-comments, on a line of their own or after the fields (``2,2 # note``).
+Accepted input grammar of the pairs, count and label bodies: LF or CRLF line
+ends, blank lines (also of only whitespace), spaces around each field, and
+``#`` comments, on a line of their own or after the fields (``2,2 # note``).
 Every other line must hold exactly the format's integer fields (two
-comma-separated for pairs, three whitespace-separated for counts); a float,
-an empty field, letters or a wrong field count raise ``ValueError``.  A body
-that numpy cannot read is reported with the file line of its first malformed
-line.
+comma-separated for pairs, three whitespace-separated for counts, one for
+labels); a float, an empty field, letters or a wrong field count raise
+``ValueError``.  A body that numpy cannot read is reported with the file
+line of its first malformed line.
 
 Bodies are parsed by ``np.loadtxt`` from the path, and rows are written by
 formatting whole blocks of digits in numpy.
@@ -195,29 +195,17 @@ def write_labels(path: str | Path, labels: np.ndarray, n_labels: int) -> None:
 def read_labels(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a label vector; returns (labels, r).
 
-    Without an ``# r=`` preamble, r defaults to the largest label present.
+    A first line ``# r=<r>`` declares r; without it, r is the largest label.
     """
-    declared = None
-    values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            match = _LABELS_PREAMBLE.match(text)
-            if match is not None:
-                declared = int(match.group(1))
-                continue
-            if text.startswith("#"):
-                continue
-            try:
-                values.append(int(text))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not an integer label: {text!r}") from exc
-    if not values:
+        match = _LABELS_PREAMBLE.match(fh.readline().strip())
+    table = _load_body(path, 0, 1, "label")
+    if table.size == 0:
         raise ValueError(f"{path}: no labels")
-    labels = np.asarray(values, dtype=np.int64)
-    n_labels = declared if declared is not None else int(labels.max())
+    if table.shape[1] != 1:
+        raise ValueError(f"{path}: expected one label per line")
+    labels = table[:, 0]
+    n_labels = int(match.group(1)) if match is not None else int(labels.max())
     if (labels < 1).any() or (labels > n_labels).any():
         raise ValueError(f"{path}: labels must lie in [1, {n_labels}]")
     return labels, n_labels

@@ -479,11 +479,17 @@ def output_partition(reduced: ReducedModel) -> Partition:
     return Partition(labels=labels0 + 1, n_clusters=reduced.n_latent)
 
 
+def spectrum_depth(rank: int, size: int) -> int:
+    """Leading singular values a report lists: max(rank, 3), at most ``size``."""
+    return min(max(rank, 3), size)
+
+
 def reduced_singular_values(
     model: TransitionModel, factors: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """Singular values of the rescaled approximation of each stacked
-    reduction, padded with zeros or cut to min(m, n): (runs, min(m, n)).
+    """The leading singular values a report lists of the rescaled
+    approximation of each stacked reduction: max(r, 3) values, padded with
+    zeros and cut to min(m, n); (runs, depth).
 
     ``factors`` (runs, m, r) and 1-based ``labels`` (runs, n) hold one
     reduction per row. Its rescaled approximation factors through an
@@ -500,7 +506,7 @@ def reduced_singular_values(
     masses = np.bincount(keys, weights=weights, minlength=runs * r).reshape(runs, r)
     cores = factors * np.sqrt(masses)[:, np.newaxis, :] / np.sqrt(model.output_dist)[:, np.newaxis]
     sigma = np.linalg.svd(cores, compute_uv=False)
-    size = min(model.shape)
-    if sigma.shape[1] >= size:
-        return sigma[:, :size]
-    return np.concatenate([sigma, np.zeros((runs, size - sigma.shape[1]))], axis=1)
+    depth = spectrum_depth(r, min(model.shape))
+    if sigma.shape[1] >= depth:
+        return sigma[:, :depth]
+    return np.concatenate([sigma, np.zeros((runs, depth - sigma.shape[1]))], axis=1)

@@ -18,11 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import frobenius_kl_bound
-from .dbmr import multi_start, output_partition, reduce_with_affiliation, reduced_singular_values
+from .dbmr import (
+    multi_start,
+    output_partition,
+    reduce_with_affiliation,
+    reduced_singular_values,
+    spectrum_depth,
+)
 from .model import CountMatrix, Partition
 from .projection import pythagoras_check, verify_factorization
 from .seeding import mix_seed
-from .svd import classical_pipeline, reduced_min_entry, spectrum_depth, truncate
+from .svd import classical_pipeline, reduced_min_entry, truncate
 
 logger = logging.getLogger(__name__)
 
@@ -150,10 +156,10 @@ def compare_experiment(
         model, best.factor[np.newaxis], best.affiliation.labels[np.newaxis]
     )[0]
     # The reduction projects the full model, so no singular value grows.
-    if not (sigma_reduced[:depth] <= sigma_full[:depth] + 1e-9 * (1.0 + sigma_full[0])).all():
+    if not (sigma_reduced <= sigma_full + 1e-9 * (1.0 + sigma_full[0])).all():
         raise FloatingPointError(
-            f"reduced singular values {sigma_reduced[:depth].tolist()} exceed the full "
-            f"model's {sigma_full[:depth].tolist()}"
+            f"reduced singular values {sigma_reduced.tolist()} exceed the full "
+            f"model's {sigma_full.tolist()}"
         )
 
     report = {
@@ -170,8 +176,8 @@ def compare_experiment(
             "tol": float(tol),
         },
         "singular_values": {
-            "full": sigma_full[:depth].tolist(),
-            "reduced": sigma_reduced[:depth].tolist(),
+            "full": sigma_full.tolist(),
+            "reduced": sigma_reduced.tolist(),
             "full_sigma2": float(sigma_full[1]) if sigma_full.size > 1 else None,
             "full_sigma3": float(sigma_full[2]) if sigma_full.size > 2 else None,
             "reduced_sigma2": float(sigma_reduced[1]) if sigma_reduced.size > 1 else None,
@@ -286,7 +292,6 @@ def multirun_experiment(
     _, best_run, traces = multi_start(
         counts, rank, runs=runs, max_steps=max_steps, seed=seed, tol=tol, snapshots=trace
     )
-    depth = spectrum_depth(rank, min(model.shape))
     sigma = reduced_singular_values(
         model, np.stack([t.factor for t in traces]), np.stack([t.labels for t in traces])
     )
@@ -303,7 +308,7 @@ def multirun_experiment(
             "converged": int(run_trace.converged),
             "iterations": run_trace.iterations,
         }
-        for k, value in enumerate(sigma[run, :depth].tolist()):
+        for k, value in enumerate(sigma[run].tolist()):
             row[f"sigma_{k + 1}"] = value
         run_rows.append(row)
     trace_rows: list[dict] = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dbmr import BATCH_ENTRIES
+from .dbmr import BATCH_ENTRIES, spectrum_depth
 from .model import CountMatrix, Partition, TransitionModel, as_csc, scipy_sparse
 from .seeding import mix_seed, rng_for
 
@@ -67,11 +67,6 @@ class ClassicalResult:
     output_partition: Partition
     coherence: float
     kmeans_repairs: int
-
-
-def spectrum_depth(rank: int, size: int) -> int:
-    """Leading singular values a report lists: max(rank, 3), at most ``size``."""
-    return min(max(rank, 3), size)
 
 
 def full_svd(matrix, k: int | None = None) -> SvdFactorization:

@@ -6,7 +6,9 @@ Usage::
 
 Each tree's commands run as ``python -m cohsets`` with ``PYTHONPATH`` set to
 that tree, in a temporary directory of its own, writing every output under a
-relative path. The exit code and the standard output and error of each
+relative path. Each directory first gets the same inputs: a labels file for
+the three-coherent example and a seeded 300 x 300 block pairs file of 10^5
+records with its labels file. The exit code and the standard output and error of each
 command are kept as ``NAME.log`` next to its files. Every command that exits
 nonzero, and every file present on one side only or whose bytes differ, is
 printed; the exit code is 1 if there is any, else 0. ``NAME`` arguments run
@@ -20,6 +22,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # A labels file over the three-coherent example's 100 inputs, for render.
 LABELS = "# r=4\n" + "".join(f"{j % 4 + 1}\n" for j in range(100))
@@ -38,13 +42,37 @@ COMMANDS = {
     "render": ["render", "--example", "three-coherent", "--labels", "labels.txt",
                "--out", "render.ppm"],
     "generate": ["generate", *GYRE, "--out", "gyre.csv"],
+    "compare-pairs": ["compare", "pairs.csv", "--rank", "4", "--runs", "10",
+                      "--out", "pairs.json"],
+    "multirun-pairs": ["multirun", "pairs.csv", "--rank", "4", "--runs", "5", "--trace",
+                       "--out", "pairs-multi"],
+    "bounds-pairs": ["bounds", "pairs.csv", "pairs-labels.txt", "--out", "pairs-bounds.json"],
 }
+
+
+def write_block_pairs(workdir: Path, n: int = 300, blocks: int = 4,
+                      records: int = 100_000, leak: float = 0.25) -> None:
+    """A seeded pairs file over n x n categories in ``blocks`` diagonal
+    blocks: an output leaves its input's block with probability ``leak``.
+    Written next to it, the labels file of the blocks. This is the
+    benchmark's pairs-file regime: a nearly full 300 x 300 count matrix,
+    stored dense and factorized by ARPACK."""
+    rng = np.random.default_rng(20231)
+    size = n // blocks
+    inputs = rng.integers(0, n, records)
+    inside = inputs // size * size + rng.integers(0, size, records)
+    outputs = np.where(rng.random(records) < leak, rng.integers(0, n, records), inside)
+    body = "".join(f"{x},{y}\n" for x, y in zip((inputs + 1).tolist(), (outputs + 1).tolist()))
+    (workdir / "pairs.csv").write_text(f"# n={n} m={n}\nx,y\n{body}", encoding="utf-8")
+    labels = "".join(f"{j // size + 1}\n" for j in range(n))
+    (workdir / "pairs-labels.txt").write_text(f"# r={blocks}\n{labels}", encoding="utf-8")
 
 
 def run_commands(tree: Path, workdir: Path, names) -> list[str]:
     """Run the named commands with ``tree`` on the import path, in ``workdir``;
     returns those that exited nonzero."""
     (workdir / "labels.txt").write_text(LABELS, encoding="utf-8")
+    write_block_pairs(workdir)
     env = dict(os.environ, PYTHONPATH=str(tree.resolve()))
     failed = []
     for name in names:

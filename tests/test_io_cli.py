@@ -282,8 +282,12 @@ def test_labels_preamble_optional(tmp_path):
 def test_labels_malformed(tmp_path):
     not_int = tmp_path / "a.txt"
     not_int.write_text("1\ntwo\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="a.txt:2"):
+    with pytest.raises(ValueError, match="a.txt: line 2: malformed label 'two'"):
         dataio.read_labels(not_int)
+    two_fields = tmp_path / "d.txt"
+    two_fields.write_text("1 2\n2 1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="one label per line"):
+        dataio.read_labels(two_fields)
     out_of_range = tmp_path / "b.txt"
     out_of_range.write_text("# r=2\n3\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"\[1, 2\]"):
@@ -292,6 +296,59 @@ def test_labels_malformed(tmp_path):
     empty.write_text("# r=2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no labels"):
         dataio.read_labels(empty)
+
+
+def test_labels_preamble_is_the_first_line_only(tmp_path):
+    """``# r=<r>`` declares r on the first line only; later it is a comment."""
+    path = tmp_path / "late.txt"
+    path.write_text("1\n2\n# r=5\n", encoding="utf-8")
+    assert dataio.read_labels(path)[1] == 2
+    path.write_text("# r=5\n1\n2\n", encoding="utf-8")
+    assert dataio.read_labels(path)[1] == 5
+
+
+def _body(fields: list[str], end: str) -> str:
+    """Lines of ``fields`` between blank, whitespace-only and comment lines,
+    with a trailing comment on every other field line."""
+    fillers = ["", "   ", "# own line", "\t"]
+    lines = list(fillers)
+    for index, text in enumerate(fields):
+        lines += [f" {text} # tail" if index % 2 else text, fillers[index % 4]]
+    return end.join(lines) + end
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_pairs_counts_and_labels_share_one_body_grammar(tmp_path, end):
+    """One body written as a pairs, a counts and a labels file reads to the
+    same numbers through each reader."""
+    values = [3, 1, 2, 2, 4, 1]
+    pairs, counts, labels = (tmp_path / name for name in ("p.csv", "c.txt", "l.txt"))
+    pairs.write_bytes(("# n=4 m=4" + end + _body([f"{v},{v}" for v in values], end)).encode())
+    counts.write_bytes(
+        (f"4 4 {len(values)}" + end + _body([f"{v} {v} 1" for v in values], end)).encode()
+    )
+    labels.write_bytes(("# r=4" + end + _body([str(v) for v in values], end)).encode())
+    dataset = dataio.read_pairs(pairs)
+    _, rows, cols, weights = dataio.read_count_entries(counts)
+    read, r = dataio.read_labels(labels)
+    assert dataset.inputs.tolist() == dataset.outputs.tolist() == values
+    assert (rows + 1).tolist() == (cols + 1).tolist() == values
+    assert weights.tolist() == [1] * len(values)
+    assert read.tolist() == values and r == 4
+
+
+def test_cli_malformed_label_names_the_file_line(tmp_path):
+    """A label that does not parse makes ``bounds`` exit 2 with one stderr
+    line that names the file and the line of the label."""
+    pairs_path, labels_path = tmp_path / "data.csv", tmp_path / "labels.txt"
+    dataio.write_pairs(pairs_path, gen_three_coherent()[0])
+    labels_path.write_text("# r=3\n1 # first\n\n2.5\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "cohsets", "bounds", str(pairs_path), str(labels_path)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"error: {labels_path}: line 4: malformed label '2.5'\n"
 
 
 def test_canonical_json_is_stable(tmp_path):
@@ -536,6 +593,7 @@ _FLAG_CASES = [
     (_gyre_sidecar, "--t0", "0.5", "t_start", 0.5),
     (_gyre_sidecar, "--step", "0.05", "step", 0.05),
     (_gyre_sidecar, "--rho", "0.04", "rho", 0.04),
+    (_gyre_sidecar, "--seed", "4", "seed", 4),
     (_render_strips, "--labels", None, "labels", True),
 ]
 
@@ -562,12 +620,22 @@ _UNREAD_CASES = [
      "--omega, --points-per-box are not read with a data file"),
     (["multirun", "DATA", "--example", "interval-map"],
      "give a data file or --example, not both"),
+    (["generate", "--example", "three-coherent", "--seed", "9"],
+     "--seed is not read with --example three-coherent at epsilon 0"),
+    (["bounds", "DATA", "--seed", "7"], "--seed is not read with a data file"),
+    (["bounds", "--example", "interval-map", "--epsilon", "0", "--seed", "7"],
+     "--seed is not read with --example interval-map at epsilon 0"),
+    (["render", "DATA", "--seed", "7"], "--seed is not read with a data file"),
+    (["render", "--example", "three-coherent", "--A", "1", "--seed", "7"],
+     "--A, --seed are not read with --example three-coherent at epsilon 0"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", _UNREAD_CASES,
                          ids=["gyre-epsilon", "categorical-gyre", "file-t1", "file-epsilon",
-                              "file-gyre", "file-example"])
+                              "file-gyre", "file-example", "generate-categorical-seed",
+                              "bounds-file-seed", "bounds-categorical-seed", "render-file-seed",
+                              "render-categorical-seed"])
 def test_cli_refuses_flags_the_input_never_reads(tmp_path, capsys, argv, message):
     """Exit 2 with one line naming the flags, and write nothing."""
     data = tmp_path / "data.csv"
@@ -601,6 +669,39 @@ def test_cli_bounds_labels_file(tmp_path):
     payload = dataio.read_json(out)
     assert payload["bound"]["kappa_choice"] == "q2"
     assert payload["bound"]["kappa_value"] == pytest.approx(0.15625, abs=1e-12)
+
+
+def test_cli_sidecar_labels_cover_all_or_the_kept_inputs(tmp_path):
+    """Default labels from a sidecar follow the labels file's rule: they cover
+    every declared input or only the kept ones, and the two give one report."""
+    dataset = PairDataset(inputs=np.array([1, 1, 2, 3, 3, 5]),
+                          outputs=np.array([1, 2, 2, 3, 1, 3]), n_inputs=5, n_outputs=3)
+    reports = []
+    for name, labels in (("all", [1, 1, 2, 2, 2]), ("kept", [1, 1, 2, 2]), ("neither", [1, 2])):
+        pairs_path = tmp_path / f"{name}.csv"
+        dataio.write_pairs(pairs_path, dataset)
+        dataio.write_json(tmp_path / f"{name}.csv.meta.json", {"default_labels": labels})
+        out = tmp_path / f"{name}.json"
+        code = main(["bounds", str(pairs_path), "--out", str(out)])
+        if name == "neither":
+            assert code == 2
+        else:
+            assert code == 0
+            payload = dataio.read_json(out)
+            reports.append((payload["bound"], payload["factorization_residuals"]))
+    assert reports[0] == reports[1]
+
+
+def test_cli_seed_is_read_where_something_draws(tmp_path):
+    """A categorical example at positive epsilon draws its noise from --seed."""
+    records = {}
+    for seed in ("0", "3"):
+        out = tmp_path / f"seed{seed}.csv"
+        assert main(["generate", "--example", "three-coherent", "--epsilon", "1",
+                     "--seed", seed, "--out", str(out)]) == 0
+        assert dataio.read_json(tmp_path / f"seed{seed}.csv.meta.json")["seed"] == int(seed)
+        records[seed] = out.read_bytes()
+    assert records["0"] != records["3"]
 
 
 def test_cli_bounds_requires_labels(tmp_path):

@@ -17,8 +17,8 @@ def test_same_tree_gives_the_same_bytes():
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    # the labels file, the payload and the command's log
-    assert result.stdout == "no difference in 3 files from 1 commands\n"
+    # the inputs (two labels files and a pairs file), the payload and the command's log
+    assert result.stdout == "no difference in 5 files from 1 commands\n"
 
 
 def test_differing_files_lists_one_sided_and_changed_files(tmp_path):
