@@ -172,14 +172,13 @@ def _read_file(path: str):
     return data, dataio.read_json(sidecar) if sidecar.exists() else {}
 
 
-def _resolve(args, labels_path=None):
-    """Return (pruned counts, row_map, col_map, provenance, input partition or
-    None); only the categories that occur are counted.
-
-    The partition is read from ``labels_path`` when given, else taken from
-    the default labels of the example or the sidecar, with as many latent
-    states as its largest kept label. Either covers all declared inputs or
-    only the kept ones.
+def _resolve(args):
+    """Return (pruned counts, row_map, col_map, provenance, input_partition);
+    only the categories that occur are counted. ``input_partition(labels_path)``,
+    called where a partition is read, returns the labels file's partition, else
+    that of the example's or the sidecar's default labels (with as many latent
+    states as its largest kept label), else None. Either labels cover all
+    declared inputs or only the kept ones.
     """
     if args.data is not None:
         source, (data, meta) = args.data, _read_file(args.data)
@@ -193,20 +192,23 @@ def _resolve(args, labels_path=None):
     counts, row_map, col_map = count_occurring(*entries)
     provenance = {"source": source,
                   **{k: meta[k] for k in ("example", "epsilon", "seed") if k in meta}}
-    if labels_path is not None:
-        what, (labels, n_latent) = "labels file covers", dataio.read_labels(labels_path)
-    elif meta.get("default_labels") is not None:
-        what, n_latent = "default labels cover", None
-        labels = np.asarray(meta["default_labels"], dtype=np.int64)
-    else:
-        return counts, row_map, col_map, provenance, None
-    if labels.size == n_inputs:
-        labels = labels[col_map - 1]
-    elif labels.size != col_map.size:
-        raise ValueError(f"{what} {labels.size} inputs, expected {n_inputs} "
-                         f"(or {col_map.size} after pruning)")
-    partition = Partition(labels=labels, n_clusters=n_latent or int(labels.max()))
-    return counts, row_map, col_map, provenance, partition
+
+    def input_partition(labels_path=None) -> Partition | None:
+        if labels_path is not None:
+            what, (labels, n_latent) = "labels file covers", dataio.read_labels(labels_path)
+        elif meta.get("default_labels") is not None:
+            what, n_latent = "default labels cover", None
+            labels = np.asarray(meta["default_labels"], dtype=np.int64)
+        else:
+            return None
+        if labels.size == n_inputs:
+            labels = labels[col_map - 1]
+        elif labels.size != col_map.size:
+            raise ValueError(f"{what} {labels.size} inputs, expected {n_inputs} "
+                             f"(or {col_map.size} after pruning)")
+        return Partition(labels=labels, n_clusters=n_latent or int(labels.max()))
+
+    return counts, row_map, col_map, provenance, input_partition
 
 
 def cmd_generate(args) -> int:
@@ -221,7 +223,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    counts, row_map, col_map, provenance, partition = _resolve(args)
+    counts, row_map, col_map, provenance, input_partition = _resolve(args)
+    partition = input_partition()
     if not args.no_images:
         check_image_shape(counts.shape)
     report, artifacts = compare_experiment(
@@ -268,7 +271,8 @@ def cmd_multirun(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    counts, _, _, provenance, partition = _resolve(args, args.labels)
+    counts, _, _, provenance, input_partition = _resolve(args)
+    partition = input_partition(args.labels)
     if partition is None:
         raise ValueError("bounds requires a labels file or an example with default labels")
     payload = bounds_experiment(counts, partition, args.kappa)
@@ -283,14 +287,15 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_render(args) -> int:
-    counts, _, _, _, input_partition = _resolve(args, args.labels)
+    counts, _, _, _, input_partition = _resolve(args)
+    partition = input_partition(args.labels)
     check_image_shape(counts.shape)
     output_strip = None
-    if input_partition is not None:
-        output_strip = derive_output_partition(reduce_with_affiliation(counts, input_partition))
+    if partition is not None:
+        output_strip = derive_output_partition(reduce_with_affiliation(counts, partition))
     render_matrix_image(
         counts.model.matrix, args.out,
-        input_partition=input_partition, output_partition=output_strip,
+        input_partition=partition, output_partition=output_strip,
     )
     print(f"wrote {args.out}")
     return 0

@@ -211,19 +211,19 @@ class ReducedModel:
 
 @dataclass(frozen=True)
 class DbmrTrace:
-    """Iterates of one run, the initial one first, as arrays of one entry per
-    iterate: ``objectives``, ``frob_gap_sq`` and ``approx_norm_sq``.
+    """Iterates of one run, the initial one first: ``objectives`` holds one
+    entry per iterate.
 
     ``labels`` and ``factor`` are the final iterate's. When snapshots were
     asked for, ``label_snapshots`` (iterates, n) and ``factor_snapshots``
-    (iterates, m, r) hold every iterate's. ``sunk_columns`` sums, over the
-    run's affiliation updates, the input columns that scored -inf for every
-    latent state.
+    (iterates, m, r) hold every iterate's; what else a table lists of an
+    iterate derives from them (``reduced_gap_terms``,
+    ``reduced_singular_values``). ``sunk_columns`` sums, over the run's
+    affiliation updates, the input columns that scored -inf for every latent
+    state.
     """
 
     objectives: np.ndarray
-    frob_gap_sq: np.ndarray
-    approx_norm_sq: np.ndarray
     labels: np.ndarray
     factor: np.ndarray
     converged: bool
@@ -252,18 +252,15 @@ def _log_likelihoods(grouped: np.ndarray, factor: np.ndarray) -> np.ndarray:
     ])
 
 
-def _ml_factors(
-    operand, labels0: np.ndarray, n_latent: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grouped counts, latent totals, maximum-likelihood factors) for the
-    0-based labels in each row of ``labels0``: (runs, m, n_latent),
-    (runs, 1, n_latent) and (runs, m, n_latent). Latent states without
+def _ml_factors(operand, labels0: np.ndarray, n_latent: int) -> tuple[np.ndarray, np.ndarray]:
+    """(grouped counts, maximum-likelihood factors) for the 0-based labels in
+    each row of ``labels0``, both (runs, m, n_latent). Latent states without
     inputs get the uniform column."""
     grouped = group_sums(operand, labels0, n_latent)
     totals = grouped.sum(axis=1, keepdims=True)
     factor = np.full(grouped.shape, 1.0 / grouped.shape[1])
     np.divide(grouped, totals, out=factor, where=totals > 0.0)
-    return grouped, totals, factor
+    return grouped, factor
 
 
 def _best_labels(counts: CountMatrix, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,30 +268,6 @@ def _best_labels(counts: CountMatrix, factor: np.ndarray) -> tuple[np.ndarray, n
     input column, and how many columns scored -inf for every state."""
     scores = latent_scores(counts.operand, factor)
     return np.argmax(scores, axis=1), np.isneginf(scores).all(axis=1).sum(axis=1)
-
-
-def _gap_terms(
-    totals: np.ndarray,
-    factor: np.ndarray,
-    q: np.ndarray,
-    total: int,
-    full_norm_sq: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per run: (squared Frobenius gap, squared norm of the rescaled approximation).
-
-    The reduction is a projection of the full model, so
-    |P~ - L~|^2 = |P~|^2 - |L~|^2, and |L~|^2 depends only on the grouped
-    counts G: with S records and the latent totals T_k = sum_i G_ik,
-    |L~|^2 = sum_ik F_ik^2 T_k / (S q_i). (For the maximum-likelihood factor
-    F_ik = G_ik / T_k the cross term <P~, L~> = sum_ik G_ik F_ik / (S q_i)
-    equals |L~|^2.) The difference is clamped at 0, where rounding of an exact
-    fit could otherwise make it negative. Each run's terms are one contiguous
-    (m, r) block of the (runs, m, r) arrays, reduced in one sum per block.
-    """
-    weights = 1.0 / (total * q)[:, np.newaxis]
-    terms = factor * factor * totals * weights
-    approx_norm_sq = terms.reshape(terms.shape[0], -1).sum(axis=1)
-    return np.maximum(full_norm_sq - approx_norm_sq, 0.0), approx_norm_sq
 
 
 def dbmr_run(
@@ -337,20 +310,19 @@ def _ascend(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    operand, model = counts.operand, counts.model
-    gap_args = (model.output_dist, counts.total, model.rescaled_norm_sq)
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, not {tol}")
+    operand = counts.operand
     runs = labels0.shape[0]
     final_labels = np.empty_like(labels0)
     final_factor = np.empty((runs, counts.shape[0], n_latent))
     final_converged = np.zeros(runs, dtype=bool)
     sunk_columns = np.zeros(runs, dtype=np.int64)
     # Per iteration, the runs whose iterate was taken and that iterate's
-    # objective, gap and norm, plus labels and factor with snapshots.
+    # objective, plus labels and factor with snapshots.
     history: list[tuple[np.ndarray, ...]] = []
     live = np.arange(runs)  # rows of the restarts still ascending
-    grouped, totals, factor = _ml_factors(operand, labels0, n_latent)
+    grouped, factor = _ml_factors(operand, labels0, n_latent)
     objective = _log_likelihoods(grouped, factor)
     accepted = np.ones(runs, dtype=bool)
     converged = np.zeros(runs, dtype=bool)
@@ -358,7 +330,7 @@ def _ascend(
         if index:
             new_labels0, sunk = _best_labels(counts, factor)
             sunk_columns[live] += sunk
-            grouped, totals, new_factor = _ml_factors(operand, new_labels0, n_latent)
+            grouped, new_factor = _ml_factors(operand, new_labels0, n_latent)
             new_objective = _log_likelihoods(grouped, new_factor)
             # Both updates are ascent steps; a strict drop can only be a
             # rounding artifact, so a restart that dips keeps its previous
@@ -371,8 +343,7 @@ def _ascend(
             labels0 = np.where(accepted[:, np.newaxis], new_labels0, labels0)
             factor = np.where(accepted[:, np.newaxis, np.newaxis], new_factor, factor)
             objective = np.where(accepted, new_objective, objective)
-        gap_sq, approx_norm_sq = _gap_terms(totals, factor, *gap_args)
-        taken = (live, objective, gap_sq, approx_norm_sq)
+        taken = (live, objective)
         if snapshots:
             taken += (labels0 + 1, factor)
         history.append(tuple(column[accepted] for column in taken))
@@ -389,13 +360,11 @@ def _ascend(
     # Each run's taken iterates, in iteration order.
     taken_runs, *columns = (np.concatenate(column) for column in zip(*history))
     order = np.argsort(taken_runs, kind="stable")
-    objectives, gaps, norms, *stacked = (column[order] for column in columns)
+    objectives, *stacked = (column[order] for column in columns)
     ends = np.cumsum(np.bincount(taken_runs, minlength=runs)).tolist()
     return [
         DbmrTrace(
             objectives=objectives[start:end],
-            frob_gap_sq=gaps[start:end],
-            approx_norm_sq=norms[start:end],
             labels=final_labels[run],
             factor=final_factor[run],
             converged=bool(final_converged[run]),
@@ -462,7 +431,7 @@ def reduce_with_affiliation(counts: CountMatrix, affiliation: Partition) -> Redu
         raise ValueError(
             f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
         )
-    _, _, factor = _ml_factors(
+    _, factor = _ml_factors(
         counts.operand, (affiliation.labels - 1)[np.newaxis], affiliation.n_clusters
     )
     if affiliation.inactive:
@@ -484,6 +453,40 @@ def spectrum_depth(rank: int, size: int) -> int:
     return min(max(rank, 3), size)
 
 
+def _latent_sums(labels: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray:
+    """Per row of the 1-based (runs, n) ``labels``, the sum of the per-input
+    ``weights`` over each of the r latent states; (runs, r). One bincount
+    sums every row: row k's labels are offset by k r."""
+    runs = labels.shape[0]
+    keys = (labels - 1 + r * np.arange(runs)[:, np.newaxis]).ravel()
+    sums = np.bincount(keys, weights=np.tile(weights, runs), minlength=runs * r)
+    return sums.reshape(runs, r)
+
+
+def reduced_gap_terms(
+    counts: CountMatrix, factors: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per stacked reduction: (squared Frobenius gap, squared norm of the
+    rescaled approximation); ``factors`` and ``labels`` as in
+    ``reduced_singular_values``, with maximum-likelihood factors.
+
+    The reduction is a projection of the full model, so
+    |P~ - L~|^2 = |P~|^2 - |L~|^2 = |P~|^2 - sum_ik F_ik^2 T_k / (S q_i), with
+    S records and T_k the (integer, so exactly summed) counts of the inputs of
+    latent state k. The difference is clamped at 0, where rounding of an exact
+    fit could make it negative. Each row's terms are one contiguous block, one
+    sum each, so a row's values are bitwise those of its reduction alone.
+    """
+    model = counts.model
+    column_totals = np.bincount(counts.support[1], weights=counts.counts.data,
+                                minlength=counts.shape[1])
+    totals = _latent_sums(labels, column_totals, factors.shape[2])[:, np.newaxis, :]
+    weights = 1.0 / (counts.total * model.output_dist)[:, np.newaxis]
+    terms = factors * factors * totals * weights
+    approx_norm_sq = terms.reshape(terms.shape[0], -1).sum(axis=1)
+    return np.maximum(model.rescaled_norm_sq - approx_norm_sq, 0.0), approx_norm_sq
+
+
 def reduced_singular_values(
     model: TransitionModel, factors: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
@@ -500,10 +503,7 @@ def reduced_singular_values(
     reduction alone.
     """
     runs, _, r = factors.shape
-    # One bincount sums every run's masses: run k's labels are offset by k r.
-    keys = (labels - 1 + r * np.arange(runs)[:, np.newaxis]).ravel()
-    weights = np.tile(model.input_dist, runs)
-    masses = np.bincount(keys, weights=weights, minlength=runs * r).reshape(runs, r)
+    masses = _latent_sums(labels, model.input_dist, r)
     cores = factors * np.sqrt(masses)[:, np.newaxis, :] / np.sqrt(model.output_dist)[:, np.newaxis]
     sigma = np.linalg.svd(cores, compute_uv=False)
     depth = spectrum_depth(r, min(model.shape))

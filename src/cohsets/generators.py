@@ -121,6 +121,9 @@ class GyreConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if self.nx < 1 or self.ny < 1 or self.points_per_box < 1:
             raise ValueError("nx, ny, and points_per_box must be positive")
         if self.step <= 0.0:

@@ -343,30 +343,19 @@ class TransitionModel:
         return float(np.sum(values * values))
 
 
-# Counting bins flat keys when their range holds at most this many cells per
-# key, so the bins grow with the keys, and sorts the keys otherwise. On 10^6
-# records over 300 x 300 categories binning takes 3 ms and sorting 26 ms (one
-# core of a 2-vCPU x86-64 machine); the 2048 x 2048 gyre sample has 200
-# cells per record and is sorted.
+# Counting bins an index when its range holds at most this many values per
+# entry, so the bins grow with the entries, and sorts its values otherwise.
+# On 10^6 records over 300 x 300 categories binning takes 3 ms and sorting
+# 26 ms (one core of a 2-vCPU x86-64 machine); the 2048 x 2048 gyre sample
+# has 200 cells per record and is sorted.
 BIN_CELLS_PER_KEY = 4
-
-
-def _distinct(keys: np.ndarray, size: int, weights: np.ndarray | None = None):
-    """Sorted distinct values of the nonnegative ``keys``, all below
-    ``size``, and the summed ``weights`` (the count by default) of each."""
-    if size > BIN_CELLS_PER_KEY * keys.size:
-        keys, at = np.unique(keys, return_inverse=True)
-        return keys, np.bincount(at, weights)
-    bins = np.bincount(keys, weights, size)
-    keys = np.flatnonzero(bins)
-    return keys, bins[keys]
 
 
 def _ranks(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted candidate values of a nonnegative index array and the rank of
     each entry among them: every value up to the largest when that range has
     at most ``BIN_CELLS_PER_KEY`` values per entry, else the distinct ones."""
-    size = int(index.max()) + 1
+    size = int(index.max(initial=-1)) + 1
     if size <= BIN_CELLS_PER_KEY * index.size:
         return np.arange(size), index
     return np.unique(index, return_inverse=True)
@@ -384,9 +373,12 @@ def count_entries(
     m, n = shape
     if m * n >= 2**63:
         raise ValueError(f"a {m} x {n} count matrix exceeds the flat index range")
-    keys, values = _distinct(cols * m + rows, m * n, weights)
-    entry_cols, entry_rows = np.divmod(keys, m)
-    values = values.astype(np.int64, copy=False)
+    # The distinct flat keys and their summed weights; keys summing to 0 drop.
+    keys, at = _ranks(cols * m + rows)
+    sums = np.bincount(at, weights, keys.size)
+    kept = np.flatnonzero(sums)
+    entry_cols, entry_rows = np.divmod(keys[kept], m)
+    values = sums[kept].astype(np.int64, copy=False)
     return CountMatrix(counts=_from_entries((m, n), entry_rows, entry_cols, values),
                        total=int(values.sum()))
 

@@ -22,6 +22,7 @@ from .dbmr import (
     multi_start,
     output_partition,
     reduce_with_affiliation,
+    reduced_gap_terms,
     reduced_singular_values,
     spectrum_depth,
 )
@@ -284,17 +285,17 @@ def multirun_experiment(
     ``multi_start`` with the same seed, so the best run is its best run.
     Trace rows are produced only when ``trace`` is set; they carry per-iterate
     objective, squared gap, squared approximation norm, and degree of coherence.
-    The final spectra of all runs come from one stacked SVD, and with ``trace``
-    those of all iterates from one more. A run whose final objective exceeds
-    the full model's likelihood is a numerical failure.
+    The gaps and spectra of the final reductions, and with ``trace`` of all
+    iterates, come from one stacked call each. A run whose final objective
+    exceeds the full model's likelihood is a numerical failure.
     """
     model = counts.model
     _, best_run, traces = multi_start(
         counts, rank, runs=runs, max_steps=max_steps, seed=seed, tol=tol, snapshots=trace
     )
-    sigma = reduced_singular_values(
-        model, np.stack([t.factor for t in traces]), np.stack([t.labels for t in traces])
-    )
+    finals = np.stack([t.factor for t in traces]), np.stack([t.labels for t in traces])
+    sigma = reduced_singular_values(model, *finals)
+    gap_sq = reduced_gap_terms(counts, *finals)[0].tolist()
     coherence = sigma[:, :rank].sum(axis=1).tolist()
     run_rows: list[dict] = []
     for run, run_trace in enumerate(traces):
@@ -303,7 +304,7 @@ def multirun_experiment(
         row = {
             "run": run,
             "objective": objective,
-            "frob_gap_sq": float(run_trace.frob_gap_sq[-1]),
+            "frob_gap_sq": gap_sq[run],
             "coherence": coherence[run],
             "converged": int(run_trace.converged),
             "iterations": run_trace.iterations,
@@ -313,18 +314,16 @@ def multirun_experiment(
         run_rows.append(row)
     trace_rows: list[dict] = []
     if trace:
-        step_sigma = reduced_singular_values(
-            model,
-            np.concatenate([t.factor_snapshots for t in traces]),
-            np.concatenate([t.label_snapshots for t in traces]),
-        )
-        step_coherence = iter(step_sigma[:, :rank].sum(axis=1).tolist())
+        snapshots = (np.concatenate([t.factor_snapshots for t in traces]),
+                     np.concatenate([t.label_snapshots for t in traces]))
+        step_sigma = reduced_singular_values(model, *snapshots)
+        step_gaps, step_norms = reduced_gap_terms(counts, *snapshots)
+        step_values = zip(step_gaps.tolist(), step_norms.tolist(),
+                          step_sigma[:, :rank].sum(axis=1).tolist())
         for run, run_trace in enumerate(traces):
-            scalars = zip(run_trace.objectives.tolist(), run_trace.frob_gap_sq.tolist(),
-                          run_trace.approx_norm_sq.tolist())
-            for step, values in enumerate(scalars):
+            for step, objective in enumerate(run_trace.objectives.tolist()):
                 trace_rows.append(
-                    dict(zip(TRACE_FIELDS, (run, step, *values, next(step_coherence))))
+                    dict(zip(TRACE_FIELDS, (run, step, objective, *next(step_values))))
                 )
     best_row = run_rows[best_run]
     summary = {

@@ -36,6 +36,12 @@ COMMANDS = {
     "compare-gyre": ["compare", *GYRE, "--runs", "5", "--out", "gyre.json"],
     "multirun": ["multirun", "--example", "three-coherent", "--runs", "10", "--trace",
                  "--out", "multi"],
+    # without --trace at rank 2, so the spectra are padded with zeros
+    "multirun-finals": ["multirun", "--example", "three-coherent", "--rank", "2",
+                        "--runs", "10", "--out", "multi-finals"],
+    # more latent states than the 90 inputs, so the spectra are cut at 90
+    "multirun-wide": ["multirun", "--example", "interval-map", "--rank", "96", "--runs", "4",
+                      "--trace", "--out", "multi-wide"],
     **{f"bounds-{kappa}": ["bounds", "--example", "interval-map", "--kappa", kappa,
                            "--out", f"bounds-{kappa}.json"]
        for kappa in ("post", "pr", "q1", "q2")},

@@ -692,6 +692,47 @@ def test_cli_sidecar_labels_cover_all_or_the_kept_inputs(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_cli_multirun_does_not_read_sidecar_labels(tmp_path, capsys):
+    """Sidecar default labels that cover neither all nor the kept inputs stop
+    compare, which reads them, and not multirun, which does not."""
+    dataset = PairDataset(inputs=np.array([1, 1, 2, 3, 3, 5]),
+                          outputs=np.array([1, 2, 2, 3, 1, 5]), n_inputs=5, n_outputs=5)
+    pairs_path = tmp_path / "data.csv"
+    dataio.write_pairs(pairs_path, dataset)
+    dataio.write_json(tmp_path / "data.csv.meta.json", {"default_labels": [1, 2]})
+    assert main(["multirun", str(pairs_path), "--rank", "2", "--runs", "3",
+                 "--out", str(tmp_path / "multi")]) == 0
+    assert (tmp_path / "multi.runs.csv").exists()
+    capsys.readouterr()
+    assert main(["compare", str(pairs_path), "--rank", "2", "--runs", "3", "--no-images",
+                 "--out", str(tmp_path / "compare.json")]) == 2
+    assert capsys.readouterr().err == (
+        "error: default labels cover 2 inputs, expected 5 (or 4 after pruning)\n")
+
+
+_NON_FINITE_CASES = [
+    ["compare", "--example", "three-coherent", "--runs", "2", "--no-images", "--tol", "nan"],
+    ["multirun", "--example", "three-coherent", "--runs", "2", "--tol", "nan"],
+    *(["generate", "--example", "double-gyre", flag, value] for flag, value in (
+        ("--A", "nan"), ("--delta", "nan"), ("--omega", "nan"), ("--t1", "inf"),
+        ("--t0", "nan"), ("--step", "nan"))),
+]
+
+
+@pytest.mark.parametrize("argv", _NON_FINITE_CASES,
+                         ids=["compare-tol", "multirun-tol", "A", "delta", "omega", "t1", "t0",
+                              "step"])
+def test_cli_refuses_non_finite_numbers(tmp_path, argv):
+    """A NaN or infinite number is refused: exit 2 with one error line and
+    nothing else on stderr, no traceback and no warning."""
+    result = subprocess.run(
+        [sys.executable, "-m", "cohsets", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert re.fullmatch(r"error: [^\n]*(nan|inf)\n", result.stderr), result.stderr
+
+
 def test_cli_seed_is_read_where_something_draws(tmp_path):
     """A categorical example at positive epsilon draws its noise from --seed."""
     records = {}
