@@ -114,7 +114,10 @@ def _refuse_unread_flags(args) -> None:
     draws: outside compare and multirun, with a data file or a categorical
     example at epsilon 0."""
     if args.data is not None and args.example is not None:
-        raise ValueError("give a data file or --example, not both")
+        if args.command != "bounds" or args.labels is not None:
+            raise ValueError("give a data file or --example, not both")
+        # bounds [DATA] [LABELS]: with --example the lone positional is the labels file
+        args.data, args.labels = None, args.data
     if args.data is None and args.example is None:
         return
     unread = []

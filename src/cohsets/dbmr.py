@@ -159,13 +159,6 @@ class ReducedModel:
         return self.affiliation.inactive
 
     @cached_property
-    def masses(self) -> np.ndarray:
-        """Input mass of each latent state."""
-        return np.bincount(
-            self.affiliation.labels - 1, weights=self.model.input_dist, minlength=self.n_latent
-        )
-
-    @cached_property
     def log_likelihood(self) -> float:
         """Relaxed log-likelihood: each input column scored against its latent column."""
         grouped = group_sums(self.counts.operand, self.affiliation.labels - 1, self.n_latent)
@@ -217,7 +210,7 @@ class DbmrTrace:
     ``labels`` and ``factor`` are the final iterate's. When snapshots were
     asked for, ``label_snapshots`` (iterates, n) and ``factor_snapshots``
     (iterates, m, r) hold every iterate's; what else a table lists of an
-    iterate derives from them (``reduced_gap_terms``,
+    iterate derives from them (``projection.pythagoras_check``,
     ``reduced_singular_values``). ``sunk_columns`` sums, over the run's
     affiliation updates, the input columns that scored -inf for every latent
     state.
@@ -453,7 +446,7 @@ def spectrum_depth(rank: int, size: int) -> int:
     return min(max(rank, 3), size)
 
 
-def _latent_sums(labels: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray:
+def latent_sums(labels: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray:
     """Per row of the 1-based (runs, n) ``labels``, the sum of the per-input
     ``weights`` over each of the r latent states; (runs, r). One bincount
     sums every row: row k's labels are offset by k r."""
@@ -461,30 +454,6 @@ def _latent_sums(labels: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray:
     keys = (labels - 1 + r * np.arange(runs)[:, np.newaxis]).ravel()
     sums = np.bincount(keys, weights=np.tile(weights, runs), minlength=runs * r)
     return sums.reshape(runs, r)
-
-
-def reduced_gap_terms(
-    counts: CountMatrix, factors: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per stacked reduction: (squared Frobenius gap, squared norm of the
-    rescaled approximation); ``factors`` and ``labels`` as in
-    ``reduced_singular_values``, with maximum-likelihood factors.
-
-    The reduction is a projection of the full model, so
-    |P~ - L~|^2 = |P~|^2 - |L~|^2 = |P~|^2 - sum_ik F_ik^2 T_k / (S q_i), with
-    S records and T_k the (integer, so exactly summed) counts of the inputs of
-    latent state k. The difference is clamped at 0, where rounding of an exact
-    fit could make it negative. Each row's terms are one contiguous block, one
-    sum each, so a row's values are bitwise those of its reduction alone.
-    """
-    model = counts.model
-    column_totals = np.bincount(counts.support[1], weights=counts.counts.data,
-                                minlength=counts.shape[1])
-    totals = _latent_sums(labels, column_totals, factors.shape[2])[:, np.newaxis, :]
-    weights = 1.0 / (counts.total * model.output_dist)[:, np.newaxis]
-    terms = factors * factors * totals * weights
-    approx_norm_sq = terms.reshape(terms.shape[0], -1).sum(axis=1)
-    return np.maximum(model.rescaled_norm_sq - approx_norm_sq, 0.0), approx_norm_sq
 
 
 def reduced_singular_values(
@@ -503,7 +472,7 @@ def reduced_singular_values(
     reduction alone.
     """
     runs, _, r = factors.shape
-    masses = _latent_sums(labels, model.input_dist, r)
+    masses = latent_sums(labels, model.input_dist, r)
     cores = factors * np.sqrt(masses)[:, np.newaxis, :] / np.sqrt(model.output_dist)[:, np.newaxis]
     sigma = np.linalg.svd(cores, compute_uv=False)
     depth = spectrum_depth(r, min(model.shape))

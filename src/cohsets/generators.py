@@ -19,6 +19,9 @@ from .seeding import rng_for
 
 DOMAIN_WIDTH = 2.0
 DOMAIN_HEIGHT = 1.0
+# Refused above this many RK4 point-steps (integration steps times sampled
+# points), about 80 times the default configuration's 4 000 x 204 800.
+MAX_POINT_STEPS = 2**36
 
 
 def pairs_from_counts(counts: CountMatrix) -> PairDataset:
@@ -131,6 +134,9 @@ class GyreConfig:
         if self.t_end < self.t_start:
             raise ValueError("t_end must not precede t_start")
         ratio = (self.t_end - self.t_start) / self.step
+        if ratio > MAX_POINT_STEPS / self.sample_size:
+            raise ValueError(f"{ratio:.4g} steps of {self.sample_size} points exceed the "
+                             f"cap of {MAX_POINT_STEPS:.3g} point-steps")
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
             raise ValueError("t_end - t_start must be an integer multiple of step")
         if not 0.0 <= self.rho <= min(DOMAIN_WIDTH, DOMAIN_HEIGHT):

@@ -1,54 +1,62 @@
-"""Exactness checks of a reduction against the projection its affiliation induces.
+"""The projection identities of stacked reductions, without building Pi.
 
 An affiliation of input categories induces a transition-matrix projection Pi
 (entry (i, j) is p_i over the input mass of i's class when i and j share a
 class) whose rescaled form is an orthogonal projection. The maximum-likelihood
 reduction is P Pi, which yields a Pythagoras identity for the squared
-Frobenius gap. The checks here measure both without building Pi.
+Frobenius gap. Each check takes the counts, ``factors`` (runs, m, r) and
+1-based ``labels`` (runs, n): one reduction per row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dbmr import ReducedModel
+from ._accel import group_sums
+from .dbmr import latent_sums
+from .model import CountMatrix, CscMatrix
 
 
-def verify_factorization(reduced: ReducedModel) -> dict[str, float]:
-    """Check that the reduced model is the transition matrix times the projection.
-
-    Holds exactly when the factor came from the maximum-likelihood update for
-    its affiliation; returns the report's ``factorization_residuals``
-    section, each residual in the max norm.
-
-    Column j of the projected matrix P Pi is column k_j of P W, where W is
-    the (inputs x latent) matrix with entry p_j / mass_k when input j lies
-    in class k; so the residuals need only class averages, never Pi itself.
+def verify_factorization(counts: CountMatrix, factors, labels) -> dict[str, np.ndarray]:
+    """Per reduction, the max-norm residuals of its factor against P Pi under
+    the report's ``factorization_residuals`` keys; all vanish for
+    maximum-likelihood factors. Column j of P Pi is column k_j of P W, with
+    W_jk = p_j / mass_k for j in class k: a class average, the group sum of
+    P diag(p) over the state's mass. States without inputs are left out.
     """
-    model, nz, masses = reduced.model, reduced.nonzero_view, reduced.masses
-    p, labels0 = model.input_dist, nz.labels0
-    # The one nonzero W_jk of row j of W.
-    weights = p / masses[labels0]
-    # Entry (i, j) of P adds P_ij W_jk to (i, k_j) of P W.
-    class_averages = np.bincount(
-        nz.at_label, nz.values * weights[nz.cols], model.shape[0] * reduced.n_latent
-    ).reshape(-1, reduced.n_latent)
-    active = np.unique(labels0)
+    model = counts.model
+    p, q, P = model.input_dist, model.output_dist, model.matrix
+    # P diag(p) in the counts' storage, not the factor's own route from the counts
+    joint = CscMatrix(P.indptr, P.indices, P.data * p[model.support[1]], P.shape)
+    operand = joint.to_scipy() if counts.storage == "sparse" else joint.toarray()
+    r = factors.shape[2]
+    masses = latent_sums(labels, p, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(factors - group_sums(operand, labels - 1, r) / masses[:, np.newaxis])
+    at_label = np.take_along_axis(masses, labels - 1, axis=1)
     return {
-        "factorization": float(np.abs(reduced.factor - class_averages)[:, active].max()),
-        "input_fixed": float(np.abs(weights * masses[labels0] - p).max()),
-        "output_marginal": float(np.abs(reduced.factor @ masses - model.output_dist).max()),
+        "factorization": np.where(masses[:, np.newaxis] > 0.0, gap, 0.0).max(axis=(1, 2)),
+        "input_fixed": np.abs(p / at_label * at_label - p).max(axis=1),
+        "output_marginal": np.abs(np.einsum("smr,sr->sm", factors, masses) - q).max(axis=1),
     }
 
 
-def pythagoras_check(reduced: ReducedModel) -> tuple[float, float]:
-    """Return (squared gap, squared-norm difference) of the rescaled matrices;
-    equal when the reduction factors through the induced projection.
+def pythagoras_check(counts: CountMatrix, factors, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Per reduction with maximum-likelihood factors: (squared Frobenius gap
+    in its Pythagoras form, squared norm of the rescaled approximation).
 
-    The gap is the bound chain's, ``reduced.frob_gap_sq``; the rescaled
-    reduction's squared norm is sum_ik F_ik^2 mass_k / q_i, with mass_k the
-    input mass of latent state k.
+    The reduction is a projection of the full model, so
+    |P~ - L~|^2 = |P~|^2 - |L~|^2 = |P~|^2 - sum_ik F_ik^2 T_k / (S q_i), with
+    S records and T_k the (integer, so exactly summed) counts of the inputs of
+    latent state k. The difference is clamped at 0, where rounding of an exact
+    fit could make it negative. Each row's terms are one contiguous block, one
+    sum each, so a row's values are bitwise those of its reduction alone.
     """
-    F, model = reduced.factor, reduced.model
-    reduced_norm_sq = float(np.sum(F * F / model.output_dist[:, np.newaxis] * reduced.masses))
-    return reduced.frob_gap_sq, model.rescaled_norm_sq - reduced_norm_sq
+    model = counts.model
+    column_totals = np.bincount(counts.support[1], weights=counts.counts.data,
+                                minlength=counts.shape[1])
+    totals = latent_sums(labels, column_totals, factors.shape[2])[:, np.newaxis, :]
+    weights = 1.0 / (counts.total * model.output_dist)[:, np.newaxis]
+    terms = factors * factors * totals * weights
+    approx_norm_sq = terms.reshape(terms.shape[0], -1).sum(axis=1)
+    return np.maximum(model.rescaled_norm_sq - approx_norm_sq, 0.0), approx_norm_sq

@@ -4,9 +4,9 @@ The compare experiment runs both identification pipelines on one dataset and
 collects spectra, likelihoods, the bound chain, and partitions. The multirun
 experiment records every restart of the alternating ascent, optionally with
 per-iterate traces. The bounds experiment reports the bound chain and the
-projection identities of a fixed partition. Each experiment raises
-``FloatingPointError`` when an identity of the paper fails beyond rounding.
-Reports are plain dicts of JSON-safe values so they serialize canonically.
+projection identities of a fixed partition. Each checks the reductions it
+reports, raising ``FloatingPointError`` when a paper identity fails beyond
+rounding. Reports are plain dicts of JSON-safe values, serialized canonically.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .dbmr import (
     multi_start,
     output_partition,
     reduce_with_affiliation,
-    reduced_gap_terms,
     reduced_singular_values,
     spectrum_depth,
 )
@@ -137,13 +136,19 @@ def compare_experiment(
 
     reference = counts.full_log_likelihood
     dbmr_objective = float(traces[best_run].objectives[-1])
-    svd_objective = reduce_with_affiliation(counts, classical.input_partition).log_likelihood
+    svd_reduced = reduce_with_affiliation(counts, classical.input_partition)
+    bound = frobenius_kl_bound(best, kappa_choice="post")
+    _check_identities(counts, np.stack([best.factor, svd_reduced.factor]),
+                     np.stack([best.affiliation.labels, svd_reduced.affiliation.labels]),
+                     direct_gap=bound["frob_gap_sq"])
     default_objective = None
     if default_labels is not None:
-        default_objective = reduce_with_affiliation(
-            counts, Partition(labels=default_labels, n_clusters=int(np.max(default_labels)))
-        ).log_likelihood
-    for name, value in (("svd", svd_objective), ("dbmr", dbmr_objective),
+        partition = Partition(labels=default_labels, n_clusters=int(np.max(default_labels)))
+        default = reduce_with_affiliation(counts, partition)
+        _check_identities(counts, default.factor[np.newaxis],
+                          default.affiliation.labels[np.newaxis])
+        default_objective = default.log_likelihood
+    for name, value in (("svd", svd_reduced.log_likelihood), ("dbmr", dbmr_objective),
                         ("default", default_objective)):
         if value is not None:
             _check_below_full(name, value, reference)
@@ -188,11 +193,11 @@ def compare_experiment(
         },
         "likelihoods": {
             "reference": reference,
-            "svd": svd_objective,
+            "svd": svd_reduced.log_likelihood,
             "dbmr": dbmr_objective,
             "default": default_objective,
         },
-        "bound": frobenius_kl_bound(best, kappa_choice="post"),
+        "bound": bound,
         "partitions": {
             "classical_input": classical.input_partition.labels.tolist(),
             "classical_output": classical.output_partition.labels.tolist(),
@@ -233,6 +238,22 @@ def _check_below_full(name: str, value: float, reference: float) -> None:
         raise FloatingPointError(
             f"reduced likelihood ({name}) {value} exceeds the full model's {reference}"
         )
+
+
+def _check_identities(counts: CountMatrix, factors, labels, direct_gap: float | None = None):
+    """Factorization residuals and Pythagoras terms of reductions stacked as
+    ``projection`` takes them. A residual above 1e-9, or a ``direct_gap`` (the
+    first one's squared gap summed directly) off its Pythagoras form by more
+    than 1e-9 (1 + gap), is a numerical failure."""
+    residuals = verify_factorization(counts, factors, labels)
+    worst = max(float(values.max()) for values in residuals.values())
+    if not worst <= 1e-9:
+        raise FloatingPointError(f"factorization residuals reach {worst}")
+    gaps, norms = pythagoras_check(counts, factors, labels)
+    if direct_gap is not None and not abs(direct_gap - gaps[0]) <= 1e-9 * (1.0 + direct_gap):
+        raise FloatingPointError(
+            f"squared gap {direct_gap} differs from the norm difference {gaps[0]}")
+    return residuals, gaps, norms
 
 
 def _count_diagnostics(counts: CountMatrix, traces) -> dict:
@@ -285,41 +306,42 @@ def multirun_experiment(
     ``multi_start`` with the same seed, so the best run is its best run.
     Trace rows are produced only when ``trace`` is set; they carry per-iterate
     objective, squared gap, squared approximation norm, and degree of coherence.
-    The gaps and spectra of the final reductions, and with ``trace`` of all
-    iterates, come from one stacked call each. A run whose final objective
-    exceeds the full model's likelihood is a numerical failure.
+    The identities, gaps and spectra of all iterates with ``trace``, else of
+    the final reductions, come from one stacked call each. A run whose final
+    objective exceeds the full model's likelihood is a numerical failure.
     """
     model = counts.model
     _, best_run, traces = multi_start(
         counts, rank, runs=runs, max_steps=max_steps, seed=seed, tol=tol, snapshots=trace
     )
-    finals = np.stack([t.factor for t in traces]), np.stack([t.labels for t in traces])
-    sigma = reduced_singular_values(model, *finals)
-    gap_sq = reduced_gap_terms(counts, *finals)[0].tolist()
-    coherence = sigma[:, :rank].sum(axis=1).tolist()
+    if trace:
+        stack = (np.concatenate([t.factor_snapshots for t in traces]),
+                 np.concatenate([t.label_snapshots for t in traces]))
+    else:
+        stack = np.stack([t.factor for t in traces]), np.stack([t.labels for t in traces])
+    _, gaps, norms = _check_identities(counts, *stack)
+    sigma = reduced_singular_values(model, *stack)
+    coherence = sigma[:, :rank].sum(axis=1)
+    # A run's final reduction is its last iterate, the last of its rows.
+    lasts = np.cumsum([t.objectives.size if trace else 1 for t in traces]) - 1
     run_rows: list[dict] = []
-    for run, run_trace in enumerate(traces):
+    for run, (run_trace, last) in enumerate(zip(traces, lasts.tolist())):
         objective = float(run_trace.objectives[-1])
         _check_below_full(f"run {run}", objective, counts.full_log_likelihood)
         row = {
             "run": run,
             "objective": objective,
-            "frob_gap_sq": gap_sq[run],
-            "coherence": coherence[run],
+            "frob_gap_sq": float(gaps[last]),
+            "coherence": float(coherence[last]),
             "converged": int(run_trace.converged),
             "iterations": run_trace.iterations,
         }
-        for k, value in enumerate(sigma[run].tolist()):
+        for k, value in enumerate(sigma[last].tolist()):
             row[f"sigma_{k + 1}"] = value
         run_rows.append(row)
     trace_rows: list[dict] = []
     if trace:
-        snapshots = (np.concatenate([t.factor_snapshots for t in traces]),
-                     np.concatenate([t.label_snapshots for t in traces]))
-        step_sigma = reduced_singular_values(model, *snapshots)
-        step_gaps, step_norms = reduced_gap_terms(counts, *snapshots)
-        step_values = zip(step_gaps.tolist(), step_norms.tolist(),
-                          step_sigma[:, :rank].sum(axis=1).tolist())
+        step_values = zip(gaps.tolist(), norms.tolist(), coherence.tolist())
         for run, run_trace in enumerate(traces):
             for step, objective in enumerate(run_trace.objectives.tolist()):
                 trace_rows.append(
@@ -346,22 +368,14 @@ TRACE_FIELDS = ["run", "step", "objective", "frob_gap_sq", "approx_norm_sq", "co
 
 def bounds_experiment(counts: CountMatrix, partition: Partition, kappa_choice: str) -> dict:
     """Reduce with the fixed input ``partition`` and report its bound chain,
-    factorization residuals and Pythagoras pair.
-
-    The ML factor of a fixed affiliation is P times the induced projection,
-    so both identities hold up to rounding; a residual above 1e-9, or a
-    Pythagoras pair apart by more than 1e-9 (1 + gap), is a numerical failure.
-    """
+    factorization residuals and Pythagoras pair (direct gap, norm difference)."""
     reduced = reduce_with_affiliation(counts, partition)
     bound = frobenius_kl_bound(reduced, kappa_choice=kappa_choice)
-    residuals = verify_factorization(reduced)
-    lhs, rhs = pythagoras_check(reduced)
-    if not max(residuals.values()) <= 1e-9:
-        raise FloatingPointError(f"factorization residuals reach {max(residuals.values())}")
-    if not abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs)):
-        raise FloatingPointError(f"squared gap {lhs} differs from the norm difference {rhs}")
+    residuals, gaps, _ = _check_identities(
+        counts, reduced.factor[np.newaxis], partition.labels[np.newaxis],
+        direct_gap=bound["frob_gap_sq"])
     return {
         "bound": bound,
-        "factorization_residuals": residuals,
-        "pythagoras": {"gap_sq": lhs, "norm_difference": rhs},
+        "factorization_residuals": {key: float(values[0]) for key, values in residuals.items()},
+        "pythagoras": {"gap_sq": bound["frob_gap_sq"], "norm_difference": float(gaps[0])},
     }

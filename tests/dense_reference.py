@@ -426,9 +426,11 @@ def reduced_singular_values_reference(reduced):
     """Singular values of one reduction's rescaled approximation from its
     (outputs x latent) core, padded with zeros or cut to min(m, n)."""
     model = reduced.model
+    masses = np.bincount(reduced.affiliation.labels - 1, weights=model.input_dist,
+                         minlength=reduced.n_latent)
     core = (
         reduced.factor
-        * np.sqrt(reduced.masses)[np.newaxis, :]
+        * np.sqrt(masses)[np.newaxis, :]
         / np.sqrt(model.output_dist)[:, np.newaxis]
     )
     sigma = np.linalg.svd(core, compute_uv=False)

@@ -152,10 +152,11 @@ def test_randomized_structural_suite():
         sym = proj.rescaled
         assert np.abs(sym - sym.T).max() <= 1e-10
         assert np.abs(sym @ sym - sym).max() <= 1e-10
-        residuals = verify_factorization(reduced)
-        assert residuals["factorization"] <= 1e-12
-        assert residuals["output_marginal"] <= 1e-12
-        lhs, rhs = pythagoras_check(reduced)
+        stack = reduced.factor[np.newaxis], labels[np.newaxis]
+        residuals = verify_factorization(counts, *stack)
+        assert residuals["factorization"][0] <= 1e-12
+        assert residuals["output_marginal"][0] <= 1e-12
+        lhs, rhs = reduced.frob_gap_sq, pythagoras_check(counts, *stack)[0][0]
         assert abs(lhs - rhs) <= 1e-10
 
         scale = np.sqrt(model.input_dist)[None, :] / np.sqrt(model.output_dist)[:, None]

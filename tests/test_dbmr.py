@@ -11,10 +11,10 @@ from cohsets.dbmr import (
     multi_start,
     output_partition,
     reduce_with_affiliation,
-    reduced_gap_terms,
     reduced_singular_values,
 )
 from cohsets.model import CountMatrix, Partition, estimate
+from cohsets.projection import pythagoras_check
 from cohsets.report import multirun_experiment
 from tests.conftest import random_counts
 from tests.dense_reference import dense, log_likelihood_dense, random_partition, rescale_dense
@@ -156,7 +156,7 @@ def test_dbmr_run_three_default_exact(three_example, three_affiliation):
     assert trace.converged
     assert np.abs(reduced.approx - dense(model.matrix)).max() < 1e-15
     assert trace.objectives[-1] == pytest.approx(THREE_REFERENCE, abs=1e-6)
-    gap_sq, _ = reduced_gap_terms(counts, trace.factor[np.newaxis], trace.labels[np.newaxis])
+    gap_sq, _ = pythagoras_check(counts, trace.factor[np.newaxis], trace.labels[np.newaxis])
     assert gap_sq[0] < 1e-12
 
 
@@ -165,7 +165,7 @@ def test_dbmr_run_trace_length_with_hmax_one(three_example):
     init = random_partition(100, 3, 5)
     _, trace = dbmr_run(counts, init, max_steps=1)
     assert trace.iterations == 1
-    gap_terms = reduced_gap_terms(counts, trace.factor_snapshots, trace.label_snapshots)
+    gap_terms = pythagoras_check(counts, trace.factor_snapshots, trace.label_snapshots)
     for values in (trace.objectives, *gap_terms, trace.label_snapshots, trace.factor_snapshots):
         assert len(values) == 2
 
@@ -293,7 +293,7 @@ def test_exact_fit_gap_is_never_negative(three_example, three_affiliation):
     """From the true partition every iterate fits exactly; the gap is 0, not below."""
     counts, _, _ = three_example
     _, trace = dbmr_run(counts, three_affiliation)
-    gaps, _ = reduced_gap_terms(counts, trace.factor_snapshots, trace.label_snapshots)
+    gaps, _ = pythagoras_check(counts, trace.factor_snapshots, trace.label_snapshots)
     assert (gaps >= 0.0).all()
     assert gaps.max() < 1e-12
 
@@ -343,7 +343,7 @@ def test_reduced_singular_values_match_direct():
 def _assert_gap_terms_match_direct(counts, model, init):
     _, trace = dbmr_run(counts, init, snapshots=True)
     spectra = reduced_singular_values(model, trace.factor_snapshots, trace.label_snapshots)
-    gaps, norms = reduced_gap_terms(counts, trace.factor_snapshots, trace.label_snapshots)
+    gaps, norms = pythagoras_check(counts, trace.factor_snapshots, trace.label_snapshots)
     for step, (factor, labels) in enumerate(zip(trace.factor_snapshots, trace.label_snapshots)):
         scaled = rescale_dense(factor[:, labels - 1], model.input_dist, model.output_dist)
         gap = dense(model.rescaled) - scaled

@@ -36,7 +36,6 @@ from cohsets.dbmr import (
     dbmr_run,
     multi_start,
     reduce_with_affiliation,
-    reduced_gap_terms,
     reduced_singular_values,
     spectrum_depth,
 )
@@ -196,9 +195,7 @@ def test_bound_chain_matches_dense_formulas(case):
         assert gap <= 1e-24
     bound = frobenius_kl_bound(reduced)
     assert bound["frob_gap_sq"] == gap
-    # Pythagoras reads the chain's gap, and the chain's coherence bound is
-    # the one coherence_lower_bound gives for its kappa
-    assert pythagoras_check(reduced)[0] == bound["frob_gap_sq"]
+    # the chain's coherence bound is the one coherence_lower_bound gives for its kappa
     if bound["kappa_value"] > 0.0:
         assert coherence_lower_bound(reduced, bound["kappa_value"]) == bound["coherence_bound"]
 
@@ -331,7 +328,7 @@ def _assert_same_restarts(batched, sequential):
             assert np.array_equal(trace.factor_snapshots, [step.factor for step in ref.steps])
             stack, ref_steps = (trace.factor_snapshots, trace.label_snapshots), ref.steps
         # the gap terms derived from the iterates are the sequential ascent's
-        gaps, norms = reduced_gap_terms(best.counts, *stack)
+        gaps, norms = pythagoras_check(best.counts, *stack)
         assert gaps.tolist() == [step.frob_gap_sq for step in ref_steps]
         assert norms.tolist() == [step.approx_norm_sq for step in ref_steps]
 
@@ -551,6 +548,11 @@ def _two_per_column(size):
     return counts, reduce_with_affiliation(counts, random_partition(size, 3, 0))
 
 
+def _stack_of_one(reduced):
+    """(factors, labels) of the one reduction, as the projection checks take a stack."""
+    return reduced.factor[np.newaxis], reduced.affiliation.labels[np.newaxis]
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -574,7 +576,7 @@ def test_factorization_residuals_allocate_no_projection():
     """The residuals need class averages, not the n x n induced projection."""
     size = 2000
     counts, reduced = _two_per_column(size)
-    peak = _traced_peak(lambda: verify_factorization(reduced))
+    peak = _traced_peak(lambda: verify_factorization(counts, *_stack_of_one(reduced)))
     assert peak < 8 * size * size
 
 
@@ -603,10 +605,12 @@ def test_pythagoras_matches_dense_formula(case):
     counts, model, reduced, _ = case
     reduced = reduce_with_affiliation(counts, reduced.affiliation)
     p, q = model.input_dist, model.output_dist
-    reference = pythagoras_check_dense(dense(model.rescaled), rescale_dense(reduced.approx, p, q))
+    gap, difference = pythagoras_check_dense(dense(model.rescaled),
+                                             rescale_dense(reduced.approx, p, q))
+    gaps, norms = pythagoras_check(counts, *_stack_of_one(reduced))
     tolerance = 1e-12 * (1.0 + model.rescaled_norm_sq)
-    for value, expected in zip(pythagoras_check(reduced), reference):
-        assert abs(value - expected) <= tolerance
+    assert abs(gaps[0] - gap) <= tolerance
+    assert abs(model.rescaled_norm_sq - norms[0] - difference) <= tolerance
 
 
 @SETTINGS
@@ -614,12 +618,12 @@ def test_pythagoras_matches_dense_formula(case):
 def test_factorization_residuals_match_dense_projection(case):
     """Residuals of ML and of arbitrary factors, with empty latent states,
     equal those through the dense projection up to rounding."""
-    _, model, reduced, _ = case
-    residuals = verify_factorization(reduced)
+    counts, model, reduced, _ = case
+    residuals = verify_factorization(counts, *_stack_of_one(reduced))
     reference = verify_factorization_reference(model, reduced)
     assert set(residuals) == set(reference)
-    for field, value in residuals.items():
-        assert abs(value - reference[field]) <= 1e-12
+    for field, values in residuals.items():
+        assert abs(values[0] - reference[field]) <= 1e-12
 
 
 def _assert_stacked_spectra_bitwise(counts, labels, n_latent):

@@ -7,6 +7,7 @@ from cohsets import _accel
 from cohsets.generators import (
     DOMAIN_HEIGHT,
     DOMAIN_WIDTH,
+    MAX_POINT_STEPS,
     GyreConfig,
     advect,
     gen_double_gyre,
@@ -162,6 +163,17 @@ def test_gyre_config_validation():
     assert config.n_boxes == 2048
     assert config.sample_size == 204800
     assert config.box_width == pytest.approx(2 / 64)
+
+
+def test_gyre_config_caps_point_steps():
+    """The cap sits far above the default's 4000 x 204800 point-steps and
+    refuses what no run could finish, whether from the span or the step."""
+    config = GyreConfig()
+    assert 50 * config.n_steps * config.sample_size < MAX_POINT_STEPS
+    for settings in ({"t_end": 1e300}, {"step": 1e-300}, {"t_end": 40.0 * 100}):
+        with pytest.raises(ValueError, match="point-steps"):
+            GyreConfig(**settings)
+    assert GyreConfig(t_end=40.0 * 80).n_steps == 320_000
 
 
 def test_velocity_vanishes_on_walls():

@@ -826,7 +826,8 @@ def test_cli_bounds_exits_3_when_pythagoras_fails(capsys, monkeypatch):
     from cohsets import report
 
     check = report.pythagoras_check
-    monkeypatch.setattr(report, "pythagoras_check", lambda reduced: (check(reduced)[0] + 1e-6, check(reduced)[1]))
+    monkeypatch.setattr(report, "pythagoras_check",
+                        lambda *stack: (check(*stack)[0] + 1e-6, check(*stack)[1]))
     assert main(["bounds", "--example", "interval-map"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -838,11 +839,188 @@ def test_cli_bounds_exits_3_when_the_factorization_fails(capsys, monkeypatch):
 
     verify = report.verify_factorization
     monkeypatch.setattr(report, "verify_factorization",
-                        lambda reduced: verify(reduced) | {"input_fixed": 1e-6})
+                        lambda *stack: verify(*stack) | {"input_fixed": np.array([1e-6])})
     assert main(["bounds", "--example", "interval-map"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numerical failure: factorization residuals")
+
+
+def _raise_residuals(monkeypatch, of_stack):
+    """Make the factorization residuals of each stack whose row count
+    satisfies ``of_stack`` read 1e-6, above the identities' tolerance."""
+    from cohsets import report
+
+    verify = report.verify_factorization
+
+    def raised(counts, factors, labels):
+        residuals = verify(counts, factors, labels)
+        if of_stack(len(factors)):
+            residuals["factorization"] = np.full(len(factors), 1e-6)
+        return residuals
+
+    monkeypatch.setattr(report, "verify_factorization", raised)
+
+
+@pytest.mark.parametrize("rows", [2, 1], ids=["svd-and-dbmr", "default"])
+def test_cli_compare_exits_3_when_a_reduction_misses_the_fixed_point(tmp_path, capsys,
+                                                                     monkeypatch, rows):
+    """compare checks its svd and dbmr reductions as one stack of two and the
+    default partition's as a stack of one."""
+    _raise_residuals(monkeypatch, lambda size: size == rows)
+    out = tmp_path / "report.json"
+    assert main(["compare", "--example", "three-coherent", "--runs", "3", "--no-images",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: factorization residuals")
+    assert not out.exists()
+
+
+def test_cli_compare_exits_3_when_pythagoras_fails(tmp_path, capsys, monkeypatch):
+    """compare holds the bound chain's direct gap of the best reduction
+    against its Pythagoras form."""
+    from cohsets import report
+
+    check = report.pythagoras_check
+    monkeypatch.setattr(report, "pythagoras_check",
+                        lambda *stack: (check(*stack)[0] + 1e-6, check(*stack)[1]))
+    out = tmp_path / "report.json"
+    assert main(["compare", "--example", "three-coherent", "--epsilon", "3", "--runs", "3",
+                 "--no-images", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: squared gap")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--trace"]], ids=["finals", "trace"])
+def test_cli_multirun_exits_3_when_a_reduction_misses_the_fixed_point(tmp_path, capsys,
+                                                                      monkeypatch, flags):
+    """multirun checks its 3 final reductions as one stack or, with --trace,
+    every iterate, finals included, as one stack of more rows: each run takes
+    at least its initial iterate and one update."""
+    _raise_residuals(monkeypatch, (lambda size: size > 3) if flags else (lambda size: size == 3))
+    base = tmp_path / "runs"
+    assert main(["multirun", "--example", "three-coherent", "--runs", "3", *flags,
+                 "--out", str(base)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: factorization residuals")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _degenerate_sources(tmp_path):
+    """(name, source arguments, rank, labels file or None) of the degenerate inputs."""
+    single = tmp_path / "single.csv"
+    single.write_text("# n=1 m=1\n1,1\n1,1\n", encoding="utf-8")
+    declared = tmp_path / "declared.csv"
+    declared.write_text("# n=1000000 m=1000000\n1,1\n500000,2\n1000000,1000000\n",
+                        encoding="utf-8")
+    single_labels, declared_labels, wide_labels = (
+        tmp_path / f"{name}.labels.txt" for name in ("single", "declared", "wide"))
+    dataio.write_labels(single_labels, np.ones(1, dtype=int), 1)
+    dataio.write_labels(declared_labels, np.array([1, 2, 2]), 2)
+    # 96 latent states over the interval map's 90 inputs: six stay empty
+    dataio.write_labels(wide_labels, np.arange(1, 91), 96)
+    return [
+        ("exact-fit", ["--example", "three-coherent"], 3, None),
+        ("single-category", [str(single)], 1, single_labels),
+        ("rank-above-n", ["--example", "interval-map"], 96, wide_labels),
+        ("declared-wide", [str(declared)], 2, declared_labels),
+    ]
+
+
+def test_cli_degenerate_inputs_pass_every_identity(tmp_path, capsys, monkeypatch):
+    """On each degenerate input compare, multirun --trace and bounds exit 0
+    with every reduction they report checked, or exit 2 with one error line."""
+    from cohsets import report
+
+    verify, checked = report.verify_factorization, []
+
+    def counted(counts, factors, labels):
+        checked.append(len(factors))
+        return verify(counts, factors, labels)
+
+    monkeypatch.setattr(report, "verify_factorization", counted)
+    outcomes = {}
+    for name, source, rank, labels in _degenerate_sources(tmp_path):
+        out = tmp_path / name
+        commands = {
+            "compare": ["compare", *source, "--rank", str(rank), "--runs", "3", "--no-images",
+                        "--out", str(out.with_suffix(".json"))],
+            "multirun": ["multirun", *source, "--rank", str(rank), "--runs", "3", "--trace",
+                         "--out", str(out)],
+            "bounds": ["bounds", *source, *([str(labels)] if labels else []),
+                       "--out", str(out.with_suffix(".bounds.json"))],
+        }
+        for command, argv in commands.items():
+            checked.clear()
+            code = main(argv)
+            err = capsys.readouterr().err
+            outcomes[name, command] = code
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+                continue
+            assert (code, err) == (0, ""), (name, command, err)
+            if command == "compare":
+                has_default = dataio.read_json(out.with_suffix(".json"))["likelihoods"]["default"]
+                assert checked == ([2] if has_default is None else [2, 1]), (name, checked)
+            elif command == "multirun":
+                trace_csv = out.with_name(name + ".trace.csv").read_text(encoding="utf-8")
+                trace_rows = len(trace_csv.splitlines()) - 1
+                assert checked == [trace_rows], (name, checked)
+            else:
+                assert checked == [1], (name, checked)
+    # only compare at a rank above the inputs' 90 is refused
+    assert [key for key, code in outcomes.items() if code] == [("rank-above-n", "compare")]
+
+
+def test_cli_compare_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """One and two BLAS threads write the same report bytes."""
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.json"
+        subprocess.run(
+            [sys.executable, "-m", "cohsets", "compare", "--example", "three-coherent",
+             "--epsilon", "3", "--runs", "5", "--no-images", "--out", str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), capture_output=True, check=True,
+        )
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_cli_bounds_reads_a_lone_positional_with_example_as_labels(tmp_path, capsys):
+    """bounds [DATA] [LABELS]: with --example the one positional is the labels file."""
+    labels_path = tmp_path / "labels.txt"
+    dataio.write_labels(labels_path, np.repeat([1, 2, 3, 4], 25), 4)
+    pairs_path = tmp_path / "data.csv"
+    dataio.write_pairs(pairs_path, gen_three_coherent()[0])
+    reports = []
+    for source in (["--example", "three-coherent"], [str(pairs_path)]):
+        out = tmp_path / f"bounds{len(reports)}.json"
+        assert main(["bounds", *source, str(labels_path), "--out", str(out)]) == 0
+        payload = dataio.read_json(out)
+        del payload["provenance"]
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    # 100 inputs in four classes of 25, not the example's default three classes
+    assert reports[0]["bound"]["frob_gap_sq"] > 0.0
+    capsys.readouterr()
+    assert main(["bounds", "--example", "three-coherent", str(pairs_path),
+                 str(labels_path)]) == 2
+    assert capsys.readouterr().err == "error: give a data file or --example, not both\n"
+
+
+@pytest.mark.parametrize("flags", [["--t1", "1e300"], ["--step", "1e-300"]], ids=["t1", "step"])
+def test_cli_refuses_gyre_requests_above_the_point_step_cap(tmp_path, capsys, monkeypatch,
+                                                            flags):
+    """About 10^302 RK4 steps are refused with exit 2 and one line, before
+    anything is integrated."""
+    from cohsets import _accel
+
+    def integrate(*args):
+        raise AssertionError("advected")
+
+    monkeypatch.setattr(_accel, "advect_rk4", integrate)
+    assert main(["generate", "--example", "double-gyre", *flags, "--points-per-box", "1",
+                 "--out", str(tmp_path / "gyre.csv")]) == 2
+    assert re.fullmatch(r"error: [^\n]* point-steps\n", capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_module_entry_point(tmp_path):

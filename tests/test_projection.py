@@ -12,6 +12,13 @@ def _affiliation(labels: np.ndarray, r: int) -> Partition:
     return Partition(labels=np.asarray(labels, dtype=int), n_clusters=r)
 
 
+def _stack(*reductions):
+    """(counts, factors, labels) of reductions of one count matrix, as the
+    checks take them."""
+    return (reductions[0].counts, np.stack([reduced.factor for reduced in reductions]),
+            np.stack([reduced.affiliation.labels for reduced in reductions]))
+
+
 def test_projection_small_literal():
     p = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
     labels = np.array([1, 1, 2, 2, 2])
@@ -89,11 +96,10 @@ def test_projection_eigenvalues_zero_or_one():
 def test_factorization_identity_three(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced = reduce_with_affiliation(counts, three_affiliation)
-    residuals = verify_factorization(reduced)
-    assert residuals["factorization"] < 1e-15
-    assert residuals["input_fixed"] < 1e-15
-    assert residuals["output_marginal"] < 1e-15
-    assert max(residuals.values()) < 1e-15
+    residuals = verify_factorization(*_stack(reduced))
+    assert residuals["factorization"][0] < 1e-15
+    assert residuals["input_fixed"][0] < 1e-15
+    assert residuals["output_marginal"][0] < 1e-15
 
 
 def test_factorization_identity_random():
@@ -105,15 +111,16 @@ def test_factorization_identity_random():
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(counts, _affiliation(labels, r))
-        assert max(verify_factorization(reduced).values()) < 1e-12
+        assert max(values[0] for values in verify_factorization(*_stack(reduced)).values()) < 1e-12
 
 
 def test_pythagoras_interval(interval_example, interval_affiliation):
     counts, model, _ = interval_example
     reduced = reduce_with_affiliation(counts, interval_affiliation)
-    lhs, rhs = pythagoras_check(reduced)
-    assert lhs == pytest.approx(27.0, abs=1e-9)
-    assert rhs == pytest.approx(27.0, abs=1e-9)
+    gaps, norms = pythagoras_check(*_stack(reduced))
+    assert reduced.frob_gap_sq == pytest.approx(27.0, abs=1e-9)
+    assert gaps[0] == pytest.approx(27.0, abs=1e-9)
+    assert norms[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_pythagoras_random():
@@ -124,8 +131,34 @@ def test_pythagoras_random():
         r = int(rng.integers(1, 5))
         labels = rng.integers(1, r + 1, size=counts.shape[1])
         reduced = reduce_with_affiliation(counts, _affiliation(labels, r))
-        lhs, rhs = pythagoras_check(reduced)
+        lhs, rhs = reduced.frob_gap_sq, pythagoras_check(*_stack(reduced))[0][0]
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+@pytest.mark.parametrize("shape, density, storage", [
+    ((9, 12), 0.8, "dense"), ((300, 300), 0.02, "sparse"),
+])
+def test_stacked_checks_match_each_reduction_alone(shape, density, storage):
+    """Each row of a stack gives its reduction's values: the Pythagoras terms
+    bit for bit, the residuals up to rounding. Latent states without inputs
+    (state 5 of every row here) are left out of the residuals, not NaN."""
+    rng = np.random.default_rng(101)
+    counts = random_counts(rng, *shape, density=density)
+    assert counts.storage == storage
+    reductions = [
+        reduce_with_affiliation(counts, _affiliation(rng.integers(1, 5, size=shape[1]), 5))
+        for _ in range(4)
+    ]
+    residuals = verify_factorization(*_stack(*reductions))
+    gaps, norms = pythagoras_check(*_stack(*reductions))
+    for row, reduced in enumerate(reductions):
+        alone = verify_factorization(*_stack(reduced))
+        for key, values in residuals.items():
+            assert values.shape == (4,)
+            assert 0.0 <= values[row] < 1e-15
+            assert abs(values[row] - alone[key][0]) < 1e-15
+        assert (gaps[row], norms[row]) == tuple(value[0] for value in pythagoras_check(*_stack(reduced)))
+        assert gaps[row] == pytest.approx(reduced.frob_gap_sq, abs=1e-12)
 
 
 def test_pythagoras_shape_mismatch(three_example, interval_example, interval_affiliation):
