@@ -41,6 +41,15 @@ and their singular values agree, which the table asserts; the last column
 names the path ``full_svd`` takes at the shipped limit. Run it on one BLAS
 thread (``OPENBLAS_NUM_THREADS=1``), as the program's figures were taken.
 
+The seventh table times the pieces of one DBMR ascent step of 100 restarts
+at r = 3 on the three-coherent example at window noise 3 (100 x 100), from
+the restarts' initial labels: the two kernels alone, then each piece of the
+step against its former stacked form, kept in ``tests/dense_reference.py``
+(labels by ``np.argmax``, factors from the grouped columns' sums, one
+objective reduction per run). Both forms give the same bits, which the
+table asserts. It explains the ascent part of paper-batch's gain;
+``perfbench/`` measures it.
+
 Replaced paths. The dense column below was measured on the code before the
 counts and P were stored as their entries (same sample, one BLAS thread of
 a 2-vCPU x86-64 machine, medians of 7 calls); the entry versions returned
@@ -66,13 +75,19 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from cohsets import _accel, dataio, svd
+from cohsets import _accel, dataio, dbmr, svd
 from cohsets.generators import GyreConfig, gen_double_gyre, gen_three_coherent
 from cohsets.model import CountMatrix, PairDataset, estimate, ingest_pairs, prune_empty
+from cohsets.seeding import mix_seed
 
 # The k-means restarts run one at a time are kept as a test reference.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from tests.dense_reference import kmeans_reference  # noqa: E402
+from tests.dense_reference import (  # noqa: E402
+    kmeans_reference,
+    log_likelihoods_stacked_reference,
+    ml_factors_stacked_reference,
+    pick_labels_stacked_reference,
+)
 
 REPEATS = 3
 LATENT = 3
@@ -238,6 +253,41 @@ def svd_rule_table(rng: np.random.Generator) -> None:
                   f"{svd.full_svd(rescaled, 3).path}")
 
 
+def ascent_step_table() -> None:
+    three, _ = gen_three_coherent(epsilon=3)
+    counts, _, _ = prune_empty(ingest_pairs(three))
+    operand, n, r, runs = counts.operand, counts.shape[1], 3, 100
+    labels0 = np.stack([dbmr._random_labels(n, r, mix_seed(0, run)) - 1 for run in range(runs)])
+    grouped, factor = dbmr._ml_factors(counts, labels0, r)
+    rows = (
+        ("latent_scores (kernel)", None, lambda: _accel.latent_scores(operand, factor)),
+        ("scores and label pick",
+         lambda: pick_labels_stacked_reference(_accel.latent_scores(operand, factor)),
+         lambda: dbmr._best_labels(counts, factor)),
+        ("group_sums (kernel)", None, lambda: _accel.group_sums(operand, labels0, r)),
+        ("group sums and factors",
+         lambda: ml_factors_stacked_reference(operand, labels0, r),
+         lambda: dbmr._ml_factors(counts, labels0, r)),
+        ("objectives",
+         lambda: log_likelihoods_stacked_reference(grouped, factor),
+         lambda: dbmr._log_likelihoods(grouped, factor)),
+    )
+    print(f"{'ascent step, 100 x 100, r=3, 100 restarts':<44} {'former':>9} {'now':>9}")
+    for name, former, now in rows:
+        if former is not None:
+            pairs = zip(*(out if isinstance(out, tuple) else (out,) for out in (former(), now())))
+            assert all(a.tobytes() == b.tobytes() for a, b in pairs), name
+        times = []
+        for run in (former, now):
+            calls = []
+            for _ in range(15 if run else 0):
+                start = time.perf_counter()
+                run()
+                calls.append(time.perf_counter() - start)
+            times.append(f"{np.median(calls) * 1e6:>7.0f}us" if calls else f"{'':>9}")
+        print(f"{name:<44} {times[0]} {times[1]}")
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
     advection_table(rng)
@@ -252,6 +302,8 @@ def main() -> None:
     kmeans_table(gyre)
     print()
     svd_rule_table(rng)
+    print()
+    ascent_step_table()
 
 
 if __name__ == "__main__":

@@ -129,10 +129,13 @@ def group_sums(counts, labels0, r):
     runs, n = rows.shape
     onehot = np.zeros((n, runs * r))
     onehot[np.arange(n), rows + r * np.arange(runs)[:, np.newaxis]] = 1.0
-    sums = (counts @ onehot).reshape(-1, runs, r)
+    sums = np.ascontiguousarray(counts @ onehot)
     if np.ndim(labels0) == 1:
-        return sums[:, 0]
-    return np.ascontiguousarray(sums.transpose(1, 0, 2))
+        return sums
+    # (m, runs, r) to (runs, m, r), each run's r sums moved as one item of 8 r
+    # bytes: a float64 transpose would copy r values per inner loop.
+    items = sums.view(np.dtype((np.void, 8 * r)))
+    return np.ascontiguousarray(items.T).view(np.float64).reshape(runs, -1, r)
 
 
 def warmup() -> None:

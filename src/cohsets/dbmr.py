@@ -15,6 +15,15 @@ trace, it has when ascending alone, and retires when its objective dips or
 stalls or it reaches its step cap. ``dbmr_run`` is the batch of one.
 Restarts run in consecutive chunks of max(1, BATCH_ENTRIES // (r (m + n)))
 restarts.
+
+Around the two kernel calls a step works on whole stacks, never per run:
+- the latent totals are one bincount of the counts' exact column totals,
+  equal bit for bit to the grouped columns' sums;
+- the objectives of the runs with the same number of observed terms are
+  the row sums of one 2-D array, which add pairwise as a run's sum alone;
+- the labels come from r - 1 elementwise passes over the score slices with
+  a strict ``>``, so ties keep the first state, as ``np.argmax`` does;
+- a step in which no restart dipped takes the new iterates as they are.
 """
 
 from __future__ import annotations
@@ -229,38 +238,85 @@ class DbmrTrace:
         return self.objectives.size - 1
 
 
+def _segment_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive segments of ``terms`` with the nondecreasing
+    ``lengths``, each added pairwise as ``np.add.reduce`` adds it alone.
+
+    The segments of one length form one block whose rows they are, and a
+    row reduction adds each row in the order of the 1-D reduction; padding
+    rows to one length would group the terms differently and move the last
+    bits.
+    """
+    sums = np.empty(lengths.size)
+    rows = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), lengths.size]
+    start = 0
+    for first, stop in zip(rows[:-1], rows[1:]):
+        count, length = stop - first, int(lengths[first])
+        block = terms[start:start + count * length].reshape(count, length)
+        sums[first:stop] = np.add.reduce(block, axis=1)
+        start += count * length
+    return sums
+
+
 def _log_likelihoods(grouped: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Per run, sum of G log F over the observed entries (G > 0) of its (m, r)
     block, taken in row-major order; -inf where F is zero on an observed
     entry. Both arrays are (runs, m, r).
+
+    The runs are summed in the order of their number of observed entries.
     """
-    observed = grouped > 0.0
+    runs = grouped.shape[0]
+    observed = (grouped > 0.0).reshape(runs, -1)
+    lengths = np.count_nonzero(observed, axis=1)
+    order = np.argsort(lengths, kind="stable")
+    # Flat positions of the observed entries, run by run in that order.
+    at = np.flatnonzero(observed[order])
+    at += np.repeat((order - np.arange(runs)) * observed.shape[1], lengths[order])
+    terms = factor.take(at)
     with np.errstate(divide="ignore"):
-        terms = grouped[observed] * np.log(factor[observed])
-    # Each run's terms are added pairwise on their own, as np.sum adds them;
-    # summing padded rows would group them differently and move the last bits.
-    ends = np.cumsum(observed.reshape(observed.shape[0], -1).sum(axis=1)).tolist()
-    return np.array([
-        np.add.reduce(terms[start:end]) for start, end in zip([0] + ends[:-1], ends)
-    ])
+        np.log(terms, out=terms)
+    terms *= grouped.take(at)
+    sums = np.empty(runs)
+    sums[order] = _segment_sums(terms, lengths[order])
+    return sums
 
 
-def _ml_factors(operand, labels0: np.ndarray, n_latent: int) -> tuple[np.ndarray, np.ndarray]:
+def _ml_factors(
+    counts: CountMatrix, labels0: np.ndarray, n_latent: int
+) -> tuple[np.ndarray, np.ndarray]:
     """(grouped counts, maximum-likelihood factors) for the 0-based labels in
     each row of ``labels0``, both (runs, m, n_latent). Latent states without
     inputs get the uniform column."""
-    grouped = group_sums(operand, labels0, n_latent)
-    totals = grouped.sum(axis=1, keepdims=True)
-    factor = np.full(grouped.shape, 1.0 / grouped.shape[1])
-    np.divide(grouped, totals, out=factor, where=totals > 0.0)
+    grouped = group_sums(counts.operand, labels0, n_latent)
+    # Sums of integer counts are exact, so these latent totals equal the
+    # grouped columns' sums bit for bit.
+    totals = latent_sums(labels0, counts.column_totals, n_latent)
+    with np.errstate(invalid="ignore"):
+        factor = grouped / totals[:, np.newaxis, :]
+    empty = totals == 0.0
+    if empty.any():
+        np.swapaxes(factor, 1, 2)[empty] = 1.0 / factor.shape[1]
     return grouped, factor
+
+
+def _pick_labels(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per run of the (runs, r, n) ``scores``: the best 0-based latent state
+    per input column, the first of tied ones as ``np.argmax`` picks it, and
+    how many columns scored -inf for every state. Overwrites ``scores[:, 0]``.
+    """
+    best = scores[:, 0]
+    labels0 = np.zeros(best.shape, dtype=np.intp)
+    for k in range(1, scores.shape[1]):
+        better = scores[:, k] > best
+        np.copyto(labels0, k, where=better)
+        np.copyto(best, scores[:, k], where=better)
+    return labels0, np.isneginf(best).sum(axis=1)
 
 
 def _best_labels(counts: CountMatrix, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per run of the (runs, m, r) ``factor``: best 0-based latent state per
     input column, and how many columns scored -inf for every state."""
-    scores = latent_scores(counts.operand, factor)
-    return np.argmax(scores, axis=1), np.isneginf(scores).all(axis=1).sum(axis=1)
+    return _pick_labels(latent_scores(counts.operand, factor))
 
 
 def dbmr_run(
@@ -305,7 +361,6 @@ def _ascend(
         raise ValueError("max_steps must be positive")
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, not {tol}")
-    operand = counts.operand
     runs = labels0.shape[0]
     final_labels = np.empty_like(labels0)
     final_factor = np.empty((runs, counts.shape[0], n_latent))
@@ -315,32 +370,37 @@ def _ascend(
     # objective, plus labels and factor with snapshots.
     history: list[tuple[np.ndarray, ...]] = []
     live = np.arange(runs)  # rows of the restarts still ascending
-    grouped, factor = _ml_factors(operand, labels0, n_latent)
+    grouped, factor = _ml_factors(counts, labels0, n_latent)
     objective = _log_likelihoods(grouped, factor)
-    accepted = np.ones(runs, dtype=bool)
+    accepted = None  # rows whose iterate was taken, when not all were
     converged = np.zeros(runs, dtype=bool)
     for index in range(max_steps + 1):
         if index:
             new_labels0, sunk = _best_labels(counts, factor)
             sunk_columns[live] += sunk
-            grouped, new_factor = _ml_factors(operand, new_labels0, n_latent)
+            grouped, new_factor = _ml_factors(counts, new_labels0, n_latent)
             new_objective = _log_likelihoods(grouped, new_factor)
             # Both updates are ascent steps; a strict drop can only be a
             # rounding artifact, so a restart that dips keeps its previous
             # iterate and stops.
             dipped = new_objective < objective
+            converged = dipped | (new_objective - objective <= tol)
             if dipped.any():
                 logger.debug("objective dipped in %d restarts at step %d", dipped.sum(), index)
-            accepted = ~dipped
-            converged = dipped | (new_objective - objective <= tol)
-            labels0 = np.where(accepted[:, np.newaxis], new_labels0, labels0)
-            factor = np.where(accepted[:, np.newaxis, np.newaxis], new_factor, factor)
-            objective = np.where(accepted, new_objective, objective)
+                accepted = ~dipped
+                labels0 = np.where(accepted[:, np.newaxis], new_labels0, labels0)
+                factor = np.where(accepted[:, np.newaxis, np.newaxis], new_factor, factor)
+                objective = np.where(accepted, new_objective, objective)
+            else:
+                accepted = None
+                labels0, factor, objective = new_labels0, new_factor, new_objective
         taken = (live, objective)
         if snapshots:
             taken += (labels0 + 1, factor)
-        history.append(tuple(column[accepted] for column in taken))
+        history.append(taken if accepted is None else tuple(column[accepted] for column in taken))
         finished = converged | (index == max_steps)
+        if not finished.any():
+            continue
         done = live[finished]
         final_labels[done], final_factor[done] = labels0[finished] + 1, factor[finished]
         final_converged[done] = converged[finished]
@@ -425,7 +485,7 @@ def reduce_with_affiliation(counts: CountMatrix, affiliation: Partition) -> Redu
             f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
         )
     _, factor = _ml_factors(
-        counts.operand, (affiliation.labels - 1)[np.newaxis], affiliation.n_clusters
+        counts, (affiliation.labels - 1)[np.newaxis], affiliation.n_clusters
     )
     if affiliation.inactive:
         logger.debug("inactive latent states %s set to uniform", affiliation.inactive)
@@ -446,12 +506,12 @@ def spectrum_depth(rank: int, size: int) -> int:
     return min(max(rank, 3), size)
 
 
-def latent_sums(labels: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray:
-    """Per row of the 1-based (runs, n) ``labels``, the sum of the per-input
+def latent_sums(labels0: np.ndarray, weights: np.ndarray, r: int) -> np.ndarray:
+    """Per row of the 0-based (runs, n) ``labels0``, the sum of the per-input
     ``weights`` over each of the r latent states; (runs, r). One bincount
     sums every row: row k's labels are offset by k r."""
-    runs = labels.shape[0]
-    keys = (labels - 1 + r * np.arange(runs)[:, np.newaxis]).ravel()
+    runs = labels0.shape[0]
+    keys = (labels0 + r * np.arange(runs)[:, np.newaxis]).ravel()
     sums = np.bincount(keys, weights=np.tile(weights, runs), minlength=runs * r)
     return sums.reshape(runs, r)
 
@@ -472,7 +532,7 @@ def reduced_singular_values(
     reduction alone.
     """
     runs, _, r = factors.shape
-    masses = latent_sums(labels, model.input_dist, r)
+    masses = latent_sums(labels - 1, model.input_dist, r)
     cores = factors * np.sqrt(masses)[:, np.newaxis, :] / np.sqrt(model.output_dist)[:, np.newaxis]
     sigma = np.linalg.svd(cores, compute_uv=False)
     depth = spectrum_depth(r, min(model.shape))

@@ -219,8 +219,8 @@ class CountMatrix:
 
     ``counts`` holds the positive counts once, as an int64 ``CscMatrix``;
     a dense array or a scipy sparse matrix given here is converted to it
-    (see ``as_csc``). ``support``, ``nonzeros``, ``storage``, ``operand``
-    and ``model`` derive from it.
+    (see ``as_csc``). ``support``, ``nonzeros``, ``column_totals``,
+    ``storage``, ``operand``, ``model`` and ``joint_operand`` derive from it.
     """
 
     counts: CscMatrix
@@ -261,17 +261,30 @@ class CountMatrix:
         return "dense"
 
     @cached_property
-    def operand(self):
-        """The counts in float64 for the DBMR kernels, derived once.
+    def column_totals(self) -> np.ndarray:
+        """Per input, the float64 total of its counts, derived once; sums of
+        integers, so exact."""
+        return np.bincount(self.support[1], weights=self.counts.data, minlength=self.shape[1])
 
-        A scipy CSC matrix of the positive counts when ``storage`` is
-        "sparse", the dense array otherwise.
-        """
-        if self.storage == "sparse":
-            return as_csc(self.counts, np.float64).to_scipy()
-        dense = np.zeros(self.shape)
-        dense[self.support] = self.counts.data
-        return dense
+    def _in_storage(self, matrix: CscMatrix):
+        """``matrix`` in float64 in ``storage``: a scipy CSC matrix when
+        "sparse", the dense array otherwise."""
+        matrix = as_csc(matrix, np.float64)
+        return matrix.to_scipy() if self.storage == "sparse" else matrix.toarray()
+
+    @cached_property
+    def operand(self):
+        """The counts in float64 for the DBMR kernels, in ``storage``, derived once."""
+        return self._in_storage(self.counts)
+
+    @cached_property
+    def joint_operand(self):
+        """P diag(p) of ``model`` in ``storage``, derived once; the
+        factorization residuals group its columns."""
+        model = self.model
+        P = model.matrix
+        values = P.data * model.input_dist[model.support[1]]
+        return self._in_storage(CscMatrix(P.indptr, P.indices, values, P.shape))
 
     @cached_property
     def model(self) -> TransitionModel:
@@ -444,7 +457,7 @@ def estimate(counts: CountMatrix) -> TransitionModel:
     if N.nnz == 0 or not np.diff(N.indptr).all() or not np.bincount(N.indices, minlength=m).all():
         raise ValueError("counts must be pruned: zero row or column sum found")
     cols = counts.support[1]
-    col_sums = np.add.reduceat(N.data, N.indptr[:-1])
+    col_sums = counts.column_totals
     p = col_sums / counts.total
     p /= p.sum()
     values = N.data / col_sums[cols]

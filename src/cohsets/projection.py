@@ -14,7 +14,7 @@ import numpy as np
 
 from ._accel import group_sums
 from .dbmr import latent_sums
-from .model import CountMatrix, CscMatrix
+from .model import CountMatrix
 
 
 def verify_factorization(counts: CountMatrix, factors, labels) -> dict[str, np.ndarray]:
@@ -24,16 +24,15 @@ def verify_factorization(counts: CountMatrix, factors, labels) -> dict[str, np.n
     W_jk = p_j / mass_k for j in class k: a class average, the group sum of
     P diag(p) over the state's mass. States without inputs are left out.
     """
-    model = counts.model
-    p, q, P = model.input_dist, model.output_dist, model.matrix
-    # P diag(p) in the counts' storage, not the factor's own route from the counts
-    joint = CscMatrix(P.indptr, P.indices, P.data * p[model.support[1]], P.shape)
-    operand = joint.to_scipy() if counts.storage == "sparse" else joint.toarray()
+    p, q = counts.model.input_dist, counts.model.output_dist
     r = factors.shape[2]
-    masses = latent_sums(labels, p, r)
+    labels0 = labels - 1
+    masses = latent_sums(labels0, p, r)
+    # P diag(p), not the factor's own route from the counts
+    grouped = group_sums(counts.joint_operand, labels0, r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.abs(factors - group_sums(operand, labels - 1, r) / masses[:, np.newaxis])
-    at_label = np.take_along_axis(masses, labels - 1, axis=1)
+        gap = np.abs(factors - grouped / masses[:, np.newaxis])
+    at_label = np.take_along_axis(masses, labels0, axis=1)
     return {
         "factorization": np.where(masses[:, np.newaxis] > 0.0, gap, 0.0).max(axis=(1, 2)),
         "input_fixed": np.abs(p / at_label * at_label - p).max(axis=1),
@@ -53,9 +52,7 @@ def pythagoras_check(counts: CountMatrix, factors, labels) -> tuple[np.ndarray, 
     sum each, so a row's values are bitwise those of its reduction alone.
     """
     model = counts.model
-    column_totals = np.bincount(counts.support[1], weights=counts.counts.data,
-                                minlength=counts.shape[1])
-    totals = latent_sums(labels, column_totals, factors.shape[2])[:, np.newaxis, :]
+    totals = latent_sums(labels - 1, counts.column_totals, factors.shape[2])[:, np.newaxis, :]
     weights = 1.0 / (counts.total * model.output_dist)[:, np.newaxis]
     terms = factors * factors * totals * weights
     approx_norm_sq = terms.reshape(terms.shape[0], -1).sum(axis=1)

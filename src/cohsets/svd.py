@@ -185,16 +185,26 @@ def _plus_plus_centers(
     points: np.ndarray, k: int, rngs: list[np.random.Generator]
 ) -> np.ndarray:
     """Plus-plus centers (restarts, k, d), one restart per generator; each
-    restart makes the draws it makes alone."""
+    restart makes the draws it makes alone.
+
+    A weighted pick is ``rng.choice(n, p=dist_sq / total)``, drawn in one
+    batch: ``choice`` draws one uniform u and returns the number of entries
+    of its normalized cdf that are <= u, and so does this, with the same
+    arithmetic. A restart whose points all coincide with its centers draws
+    ``rng.integers(n)`` instead.
+    """
     n = points.shape[0]
     picks = np.empty((len(rngs), k), dtype=np.int64)
     picks[:, 0] = [rng.integers(n) for rng in rngs]
     dist_sq = np.sum((points - points[picks[:, :1]]) ** 2, axis=2)
     for c in range(1, k):
-        for row, (rng, total) in enumerate(zip(rngs, dist_sq.sum(axis=1).tolist())):
-            picks[row, c] = (
-                rng.choice(n, p=dist_sq[row] / total) if total > 0.0 else rng.integers(n)
-            )
+        totals = dist_sq.sum(axis=1)
+        weighted = totals > 0.0
+        uniforms = np.array([rng.random() for rng, w in zip(rngs, weighted) if w])
+        cdf = np.cumsum(dist_sq[weighted] / totals[weighted, np.newaxis], axis=1)
+        cdf /= cdf[:, -1:]
+        picks[weighted, c] = (cdf <= uniforms[:, np.newaxis]).sum(axis=1)
+        picks[~weighted, c] = [rng.integers(n) for rng, w in zip(rngs, weighted) if not w]
         np.minimum(dist_sq, np.sum((points - points[picks[:, c:c + 1]]) ** 2, axis=2),
                    out=dist_sq)
     return points[picks]

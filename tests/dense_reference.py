@@ -5,7 +5,11 @@ matrix, the way the program did before it worked on the nonzeros of the
 counts: explicit loops for the two DBMR kernels, dense m x n temporaries for
 the bound chain and the Pythagoras pair, the n x n induced projection for
 the factorization residuals. The DBMR ascent is also kept as it ran before its restarts
-advanced together: one restart at a time.
+advanced together: one restart at a time. Three pieces of the stacked ascent
+step are kept as they ran before the step stopped reducing its stacks per
+run or along their middle axis: the maximum-likelihood factors from the
+grouped columns' sums, the objectives by one reduction per run, and the
+label pick by ``np.argmax``.
 
 The text readers and writers are kept as they ran before ``cohsets.dataio``
 parsed bodies from the path and formatted rows in numpy blocks: the pairs
@@ -38,6 +42,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import sparse
 
+from cohsets._accel import group_sums
 from cohsets.dataio import _PAIRS_PREAMBLE
 from cohsets.dbmr import ReducedModel
 from cohsets.model import CountMatrix, PairDataset, Partition, estimate
@@ -258,6 +263,28 @@ def best_labels_reference(operand, factor):
     labels0 = np.argmax(scores, axis=0)
     sunk = int(np.isneginf(scores).all(axis=0).sum())
     return labels0, sunk
+
+
+def ml_factors_stacked_reference(operand, labels0, n_latent):
+    grouped = group_sums(operand, labels0, n_latent)
+    totals = grouped.sum(axis=1, keepdims=True)
+    factor = np.full(grouped.shape, 1.0 / grouped.shape[1])
+    np.divide(grouped, totals, out=factor, where=totals > 0.0)
+    return grouped, factor
+
+
+def log_likelihoods_stacked_reference(grouped, factor):
+    observed = grouped > 0.0
+    with np.errstate(divide="ignore"):
+        terms = grouped[observed] * np.log(factor[observed])
+    ends = np.cumsum(observed.reshape(observed.shape[0], -1).sum(axis=1)).tolist()
+    return np.array([
+        np.add.reduce(terms[start:end]) for start, end in zip([0] + ends[:-1], ends)
+    ])
+
+
+def pick_labels_stacked_reference(scores):
+    return np.argmax(scores, axis=1), np.isneginf(scores).all(axis=1).sum(axis=1)
 
 
 def _gap_terms(grouped, factor, q, total, full_norm_sq):

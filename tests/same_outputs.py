@@ -34,6 +34,9 @@ COMMANDS = {
     "compare-three": ["compare", "--example", "three-coherent", "--epsilon", "3",
                       "--runs", "20", "--out", "three.json"],
     "compare-gyre": ["compare", *GYRE, "--runs", "5", "--out", "gyre.json"],
+    # exact window: factors with zero entries, so many scores are -inf
+    "compare-interval": ["compare", "--example", "interval-map", "--epsilon", "0",
+                         "--runs", "20", "--out", "interval.json"],
     "multirun": ["multirun", "--example", "three-coherent", "--runs", "10", "--trace",
                  "--out", "multi"],
     # without --trace at rank 2, so the spectra are padded with zeros

@@ -7,6 +7,10 @@ import pytest
 from cohsets.dbmr import (
     ReducedModel,
     _best_labels,
+    _log_likelihoods,
+    _ml_factors,
+    _pick_labels,
+    _segment_sums,
     dbmr_run,
     multi_start,
     output_partition,
@@ -17,7 +21,15 @@ from cohsets.model import CountMatrix, Partition, estimate
 from cohsets.projection import pythagoras_check
 from cohsets.report import multirun_experiment
 from tests.conftest import random_counts
-from tests.dense_reference import dense, log_likelihood_dense, random_partition, rescale_dense
+from tests.dense_reference import (
+    dense,
+    log_likelihood_dense,
+    log_likelihoods_stacked_reference,
+    ml_factors_stacked_reference,
+    pick_labels_stacked_reference,
+    random_partition,
+    rescale_dense,
+)
 
 # independent arithmetic for the three-set example: 50 structured columns carry
 # 25 cells of count 8 at probability 0.032 and 25 cells of count 2 at 0.008,
@@ -365,3 +377,66 @@ def test_trace_gap_terms_match_direct(three_example):
     # the initial affiliation leaves latent state 3 empty
     init = Partition(labels=np.arange(40) % 2 + 1, n_clusters=3)
     _assert_gap_terms_match_direct(counts, model, init)
+
+
+# Lengths around the steps of np.add.reduce's pairwise summation: fewer than
+# 8 terms in order, up to 128 in 8 interleaved partial sums, more by halving,
+# and numpy's buffer of 8192 elements.
+SEGMENT_LENGTHS = [
+    *range(1, 400), 511, 512, 513, 1024, 1025, 2047, 4096, 6144, 8191, 8192, 8193, 9000, 20000,
+]
+
+
+def test_segment_sums_add_as_single_reductions():
+    """Segments summed as rows of one array per length give the bits of
+    ``np.add.reduce`` on each segment alone: finite terms over six orders of
+    magnitude, segments holding -inf, repeated lengths, and empty segments."""
+    rng = np.random.default_rng(53)
+    lengths = np.sort(SEGMENT_LENGTHS * 3 + [0, 0, 0])
+    terms = rng.standard_normal(lengths.sum()) * 10.0 ** rng.uniform(-3.0, 3.0, lengths.sum())
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    for index in rng.choice(lengths.size, 40, replace=False):
+        if lengths[index]:
+            terms[rng.integers(starts[index], ends[index])] = -np.inf
+    alone = np.array([np.add.reduce(terms[a:b]) for a, b in zip(starts, ends)])
+    assert np.isneginf(alone).sum() > 0
+    assert _segment_sums(terms, lengths).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 7, 96])
+def test_label_pick_matches_argmax(r):
+    """The label pick gives ``np.argmax``'s first best state and
+    ``isneginf().all()``'s sunk columns, on score stacks drawn from a few
+    values (many ties) with -inf entries and whole -inf columns."""
+    rng = np.random.default_rng(59 + r)
+    for runs, n in ((1, 1), (4, 30), (9, 200)):
+        values = np.array([-np.inf, -3.5, -1.0, -1.0 + 2.0**-52, 0.0])
+        scores = rng.choice(values, size=(runs, r, n), p=[0.3, 0.2, 0.2, 0.1, 0.2])
+        scores[:, :, rng.random(n) < 0.2] = -np.inf
+        labels0, sunk = _pick_labels(scores.copy())
+        ref_labels, ref_sunk = pick_labels_stacked_reference(scores)
+        assert np.array_equal(labels0, ref_labels)
+        assert np.array_equal(sunk, ref_sunk)
+
+
+def test_factors_and_objectives_match_stacked_references():
+    """Latent totals from the column totals give the factors of the grouped
+    columns' sums bit for bit, inactive states (r up to n + 2) included, and
+    the objectives are those of one reduction per run, also for factors with
+    zeros on observed entries (-inf)."""
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        counts = random_counts(rng, rng.integers(1, 12), rng.integers(1, 12), density=0.5)
+        n = counts.shape[1]
+        r = int(rng.integers(1, n + 3))
+        labels0 = rng.integers(0, r, (int(rng.integers(1, 6)), n))
+        grouped, factor = _ml_factors(counts, labels0, r)
+        ref_grouped, ref_factor = ml_factors_stacked_reference(counts.operand, labels0, r)
+        assert grouped.tobytes() == ref_grouped.tobytes()
+        assert factor.tobytes() == ref_factor.tobytes()
+        assert (_log_likelihoods(grouped, factor).tobytes()
+                == log_likelihoods_stacked_reference(grouped, factor).tobytes())
+        holed = np.where(rng.random(factor.shape) < 0.1, 0.0, factor)
+        assert (_log_likelihoods(grouped, holed).tobytes()
+                == log_likelihoods_stacked_reference(grouped, holed).tobytes())

@@ -15,6 +15,7 @@ from cohsets.model import Partition, count_occurring, estimate, ingest_pairs, pr
 from cohsets.svd import (
     _coherence_scores,
     _lloyd,
+    _plus_plus_centers,
     classical_pipeline,
     full_svd,
     kmeans,
@@ -24,7 +25,12 @@ from cohsets.svd import (
 from cohsets.model import CountMatrix
 from cohsets.seeding import mix_seed, rng_for
 from tests.conftest import random_counts
-from tests.dense_reference import assign_reference, dense, rescale_dense
+from tests.dense_reference import (
+    assign_reference,
+    dense,
+    plus_plus_centers_reference,
+    rescale_dense,
+)
 
 
 def relabelings_equal(a: Partition, b: Partition) -> bool:
@@ -320,6 +326,26 @@ def test_kmeans_duplicate_points_padded():
     # Every assignment of six equal points leaves two clusters empty: each
     # restart repairs them after its first and its repeating assignment.
     assert repairs == 10 * 2 * 2
+
+
+def test_plus_plus_batched_draws_match_choice():
+    """Each restart's batched weighted picks are those of ``rng.choice`` on
+    its own generator, and the generator is left where ``choice`` leaves it:
+    on points with repeats (zero weights), and on coinciding points, where
+    every weight is zero and the pick is ``rng.integers``."""
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        distinct = rng.normal(size=(int(rng.integers(1, n + 1)), 2))
+        points = distinct[rng.integers(0, distinct.shape[0], n)]
+        k = int(rng.integers(1, min(n, 6) + 1))
+        seeds = [trial * 10 + restart for restart in range(4)]
+        batched = [np.random.default_rng(seed) for seed in seeds]
+        centers = _plus_plus_centers(points, k, batched)
+        for row, seed in enumerate(seeds):
+            alone = np.random.default_rng(seed)
+            assert np.array_equal(centers[row], plus_plus_centers_reference(points, k, alone))
+            assert batched[row].random() == alone.random()
 
 
 def test_kmeans_validation():
