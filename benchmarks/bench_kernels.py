@@ -258,16 +258,16 @@ def ascent_step_table() -> None:
     counts, _, _ = prune_empty(ingest_pairs(three))
     operand, n, r, runs = counts.operand, counts.shape[1], 3, 100
     labels0 = np.stack([dbmr._random_labels(n, r, mix_seed(0, run)) - 1 for run in range(runs)])
-    grouped, factor = dbmr._ml_factors(counts, labels0, r)
+    grouped, factor = dbmr.ml_factors(counts, labels0, r)
     rows = (
         ("latent_scores (kernel)", None, lambda: _accel.latent_scores(operand, factor)),
         ("scores and label pick",
          lambda: pick_labels_stacked_reference(_accel.latent_scores(operand, factor)),
-         lambda: dbmr._best_labels(counts, factor)),
+         lambda: dbmr._pick_labels(_accel.latent_scores(operand, factor))),
         ("group_sums (kernel)", None, lambda: _accel.group_sums(operand, labels0, r)),
         ("group sums and factors",
          lambda: ml_factors_stacked_reference(operand, labels0, r),
-         lambda: dbmr._ml_factors(counts, labels0, r)),
+         lambda: dbmr.ml_factors(counts, labels0, r)),
         ("objectives",
          lambda: log_likelihoods_stacked_reference(grouped, factor),
          lambda: dbmr._log_likelihoods(grouped, factor)),

@@ -63,15 +63,17 @@ def _cpu_count() -> int:
 
 def advect_rk4(xs, ys, t0, n_steps, h, a, delta, omega):
     """RK4 endpoints of the double-gyre flow after ``n_steps`` steps of size
-    ``h`` from time ``t0``; the input arrays are left untouched."""
+    ``h`` from time ``t0``, non-finite where a stage overflowed (unwarned);
+    the input arrays are left untouched."""
     out_x = np.array(xs, dtype=np.float64, copy=True)
     out_y = np.array(ys, dtype=np.float64, copy=True)
 
     def advect(start):
         block = slice(start, start + ADVECT_BLOCK)
-        out_x[block], out_y[block] = _advect_block(
-            out_x[block], out_y[block], t0, n_steps, h, a, delta, omega
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out_x[block], out_y[block] = _advect_block(
+                out_x[block], out_y[block], t0, n_steps, h, a, delta, omega
+            )
 
     # Most of a step is numpy's sin and cos loops, which release the
     # interpreter lock, so blocks advect in parallel on separate threads.

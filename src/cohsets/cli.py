@@ -108,11 +108,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _refuse_unread_flags(args) -> None:
-    """Refuse a data file given with --example, and the flags the chosen
-    input never reads: --epsilon except with a categorical example, the gyre
-    overrides except with --example double-gyre, and --seed where nothing
-    draws: outside compare and multirun, with a data file or a categorical
-    example at epsilon 0."""
+    """Refuse a --seed or --epsilon out of range, a data file given with
+    --example, and the flags the chosen input never reads: --epsilon except
+    with a categorical example, the gyre overrides except with --example
+    double-gyre, and --seed where nothing draws: outside compare and
+    multirun, with a data file or a categorical example at epsilon 0."""
+    # Sub-seeds mix the seed modulo 2**64; a category plus an epsilon shift
+    # stays in int64.
+    ranges = {"seed": (2**64 - 1, "2**64 - 1"), "epsilon": (2**62, "2**62")}
+    for flag, (high, shown) in ranges.items():
+        if not 0 <= getattr(args, flag, 0) <= high:
+            raise ValueError(f"--{flag} must lie in [0, {shown}], not {getattr(args, flag)}")
     if args.data is not None and args.example is not None:
         if args.command != "bounds" or args.labels is not None:
             raise ValueError("give a data file or --example, not both")

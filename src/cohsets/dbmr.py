@@ -8,6 +8,10 @@ of the observed counts: affiliations pick the best latent column per input,
 the factor renormalizes grouped counts. Both update steps are monotone in
 the relaxed log-likelihood.
 
+The factor of any iterate derives from its labels (``ml_factors``) bit for
+bit, as sums of integer counts are exact, so a trace keeps no factor. Where
+column j has a count N_ij, its state's entry is at least N_ij / T_k > 0.
+
 All restarts ascend together: each iteration scores and groups the counts
 of every restart still ascending with one call per kernel, their factors
 stacked as (runs, m, r). Each restart keeps the arithmetic, and so the
@@ -45,6 +49,9 @@ logger = logging.getLogger(__name__)
 # (8 MB an array). The 100 restarts of an r = 3 fit on a 100 x 100 matrix
 # form one chunk; on a 2048 x 2048 matrix a chunk holds 85 restarts.
 BATCH_ENTRIES = 2**20
+# Refused above this many entries of runs x r x (m + n): a report derives
+# all final factors as one (runs, m, r) stack, 512 MB of float64 at most.
+MAX_STACK_ENTRIES = 2**26
 
 
 @dataclass(frozen=True)
@@ -216,22 +223,18 @@ class DbmrTrace:
     """Iterates of one run, the initial one first: ``objectives`` holds one
     entry per iterate.
 
-    ``labels`` and ``factor`` are the final iterate's. When snapshots were
-    asked for, ``label_snapshots`` (iterates, n) and ``factor_snapshots``
-    (iterates, m, r) hold every iterate's; what else a table lists of an
-    iterate derives from them (``projection.pythagoras_check``,
-    ``reduced_singular_values``). ``sunk_columns`` sums, over the run's
-    affiliation updates, the input columns that scored -inf for every latent
-    state.
+    ``labels`` are the final iterate's; with snapshots, ``label_snapshots``
+    (iterates, n) holds every iterate's. An iterate's factor is ``ml_factors``
+    of its labels, bit for bit the ascent's, and what else a table lists
+    derives from both. The run stopped on a stall or a dip when
+    ``converged``, on a dip when ``dipped``.
     """
 
     objectives: np.ndarray
     labels: np.ndarray
-    factor: np.ndarray
     converged: bool
-    sunk_columns: int
+    dipped: bool
     label_snapshots: np.ndarray | None = None
-    factor_snapshots: np.ndarray | None = None
 
     @property
     def iterations(self) -> int:
@@ -281,7 +284,7 @@ def _log_likelihoods(grouped: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _ml_factors(
+def ml_factors(
     counts: CountMatrix, labels0: np.ndarray, n_latent: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(grouped counts, maximum-likelihood factors) for the 0-based labels in
@@ -299,10 +302,10 @@ def _ml_factors(
     return grouped, factor
 
 
-def _pick_labels(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pick_labels(scores: np.ndarray) -> np.ndarray:
     """Per run of the (runs, r, n) ``scores``: the best 0-based latent state
-    per input column, the first of tied ones as ``np.argmax`` picks it, and
-    how many columns scored -inf for every state. Overwrites ``scores[:, 0]``.
+    per input column, the first of tied ones as ``np.argmax`` picks it.
+    Overwrites ``scores[:, 0]``.
     """
     best = scores[:, 0]
     labels0 = np.zeros(best.shape, dtype=np.intp)
@@ -310,13 +313,7 @@ def _pick_labels(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         better = scores[:, k] > best
         np.copyto(labels0, k, where=better)
         np.copyto(best, scores[:, k], where=better)
-    return labels0, np.isneginf(best).sum(axis=1)
-
-
-def _best_labels(counts: CountMatrix, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per run of the (runs, m, r) ``factor``: best 0-based latent state per
-    input column, and how many columns scored -inf for every state."""
-    return _pick_labels(latent_scores(counts.operand, factor))
+    return labels0
 
 
 def dbmr_run(
@@ -331,16 +328,15 @@ def dbmr_run(
     or ``max_steps`` update pairs have run.
 
     The trace records every iterate including the initial one, with label
-    and factor snapshots of each when ``snapshots`` is true; it always keeps
-    the final labels and factor. The latent states are the clusters of
-    ``init``.
+    snapshots of each when ``snapshots`` is true; it always keeps the final
+    labels. The latent states are the clusters of ``init``.
     """
     if init.size != counts.shape[1]:
         raise ValueError(f"init covers {init.size} of {counts.shape[1]} inputs")
     (trace,) = _ascend(
         counts, (init.labels - 1)[np.newaxis], init.n_clusters, max_steps, tol, snapshots
     )
-    return _final_model(counts, trace, init.n_clusters), trace
+    return reduce_with_affiliation(counts, Partition(trace.labels, init.n_clusters)), trace
 
 
 def _ascend(
@@ -363,22 +359,20 @@ def _ascend(
         raise ValueError(f"tol must be nonnegative, not {tol}")
     runs = labels0.shape[0]
     final_labels = np.empty_like(labels0)
-    final_factor = np.empty((runs, counts.shape[0], n_latent))
     final_converged = np.zeros(runs, dtype=bool)
-    sunk_columns = np.zeros(runs, dtype=np.int64)
+    final_dipped = np.zeros(runs, dtype=bool)
     # Per iteration, the runs whose iterate was taken and that iterate's
-    # objective, plus labels and factor with snapshots.
+    # objective, plus its labels with snapshots.
     history: list[tuple[np.ndarray, ...]] = []
     live = np.arange(runs)  # rows of the restarts still ascending
-    grouped, factor = _ml_factors(counts, labels0, n_latent)
+    grouped, factor = ml_factors(counts, labels0, n_latent)
     objective = _log_likelihoods(grouped, factor)
     accepted = None  # rows whose iterate was taken, when not all were
-    converged = np.zeros(runs, dtype=bool)
+    converged = dipped = np.zeros(runs, dtype=bool)
     for index in range(max_steps + 1):
         if index:
-            new_labels0, sunk = _best_labels(counts, factor)
-            sunk_columns[live] += sunk
-            grouped, new_factor = _ml_factors(counts, new_labels0, n_latent)
+            new_labels0 = _pick_labels(latent_scores(counts.operand, factor))
+            grouped, new_factor = ml_factors(counts, new_labels0, n_latent)
             new_objective = _log_likelihoods(grouped, new_factor)
             # Both updates are ascent steps; a strict drop can only be a
             # rounding artifact, so a restart that dips keeps its previous
@@ -396,14 +390,14 @@ def _ascend(
                 labels0, factor, objective = new_labels0, new_factor, new_objective
         taken = (live, objective)
         if snapshots:
-            taken += (labels0 + 1, factor)
+            taken += (labels0 + 1,)
         history.append(taken if accepted is None else tuple(column[accepted] for column in taken))
         finished = converged | (index == max_steps)
         if not finished.any():
             continue
         done = live[finished]
-        final_labels[done], final_factor[done] = labels0[finished] + 1, factor[finished]
-        final_converged[done] = converged[finished]
+        final_labels[done] = labels0[finished] + 1
+        final_converged[done], final_dipped[done] = converged[finished], dipped[finished]
         going = ~finished
         if not going.any():
             break
@@ -413,28 +407,18 @@ def _ascend(
     # Each run's taken iterates, in iteration order.
     taken_runs, *columns = (np.concatenate(column) for column in zip(*history))
     order = np.argsort(taken_runs, kind="stable")
-    objectives, *stacked = (column[order] for column in columns)
+    objectives, *snapshot = (column[order] for column in columns)
     ends = np.cumsum(np.bincount(taken_runs, minlength=runs)).tolist()
     return [
         DbmrTrace(
             objectives=objectives[start:end],
             labels=final_labels[run],
-            factor=final_factor[run],
             converged=bool(final_converged[run]),
-            sunk_columns=int(sunk_columns[run]),
-            label_snapshots=stacked[0][start:end] if snapshots else None,
-            factor_snapshots=stacked[1][start:end] if snapshots else None,
+            dipped=bool(final_dipped[run]),
+            label_snapshots=snapshot[0][start:end] if snapshots else None,
         )
         for run, (start, end) in enumerate(zip([0] + ends[:-1], ends))
     ]
-
-
-def _final_model(counts: CountMatrix, trace: DbmrTrace, n_latent: int) -> ReducedModel:
-    return ReducedModel(
-        counts=counts,
-        factor=trace.factor,
-        affiliation=Partition(labels=trace.labels, n_clusters=n_latent),
-    )
 
 
 def _random_labels(n_inputs: int, n_latent: int, seed: int) -> np.ndarray:
@@ -461,6 +445,9 @@ def multi_start(
     if n_latent < 1:
         raise ValueError("n_latent must be positive")
     m, n = counts.shape
+    if runs * n_latent * (m + n) > MAX_STACK_ENTRIES:
+        raise ValueError(f"{runs} restarts of {n_latent} latent states on a {m} x {n} matrix "
+                         f"exceed the cap of 2**26 entries of runs x rank x (m + n)")
     chunk = max(1, BATCH_ENTRIES // (n_latent * (m + n)))
     traces: list[DbmrTrace] = []
     for start in range(0, runs, chunk):
@@ -471,7 +458,8 @@ def multi_start(
         traces += _ascend(counts, inits - 1, n_latent, max_steps, tol, snapshots)
     finals = [trace.objectives[-1] for trace in traces]
     best_index = finals.index(max(finals))
-    return _final_model(counts, traces[best_index], n_latent), best_index, traces
+    best = reduce_with_affiliation(counts, Partition(traces[best_index].labels, n_latent))
+    return best, best_index, traces
 
 
 def reduce_with_affiliation(counts: CountMatrix, affiliation: Partition) -> ReducedModel:
@@ -484,7 +472,7 @@ def reduce_with_affiliation(counts: CountMatrix, affiliation: Partition) -> Redu
         raise ValueError(
             f"affiliation covers {affiliation.size} of {counts.shape[1]} inputs"
         )
-    _, factor = _ml_factors(
+    _, factor = ml_factors(
         counts, (affiliation.labels - 1)[np.newaxis], affiliation.n_clusters
     )
     if affiliation.inactive:

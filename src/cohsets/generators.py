@@ -42,8 +42,8 @@ def perturb_pairs(dataset: PairDataset, epsilon: int, seed: int = 0) -> PairData
     Deterministic per seed; epsilon 0 returns the dataset unchanged.
     """
     epsilon = int(epsilon)
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon <= 2**62:  # a category plus its shift stays in int64
+        raise ValueError(f"epsilon must lie in [0, 2**62], not {epsilon}")
     if epsilon == 0:
         return dataset
     rng = np.random.default_rng(seed)
@@ -137,7 +137,8 @@ class GyreConfig:
         if ratio > MAX_POINT_STEPS / self.sample_size:
             raise ValueError(f"{ratio:.4g} steps of {self.sample_size} points exceed the "
                              f"cap of {MAX_POINT_STEPS:.3g} point-steps")
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)):
+        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, abs(ratio)) or (
+                round(ratio) == 0 and self.t_end > self.t_start):
             raise ValueError("t_end - t_start must be an integer multiple of step")
         if not 0.0 <= self.rho <= min(DOMAIN_WIDTH, DOMAIN_HEIGHT):
             raise ValueError("rho must lie in [0, min domain extent]")
@@ -210,6 +211,8 @@ def gen_double_gyre(config: GyreConfig = GyreConfig()) -> tuple[PairDataset, dic
     y_start = (iy + uniforms[:, 1]) * config.box_height
 
     x_end, y_end = advect(x_start, y_start, config)
+    if not (np.isfinite(x_end).all() and np.isfinite(y_end).all()):
+        raise FloatingPointError("the RK4 stages overflowed; lower the amplitude or the span")
     drift = max(
         0.0 - float(x_end.min()), float(x_end.max()) - DOMAIN_WIDTH,
         0.0 - float(y_end.min()), float(y_end.max()) - DOMAIN_HEIGHT, 0.0,

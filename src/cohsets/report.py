@@ -19,6 +19,7 @@ import numpy as np
 
 from .bounds import frobenius_kl_bound
 from .dbmr import (
+    ml_factors,
     multi_start,
     output_partition,
     reduce_with_affiliation,
@@ -257,12 +258,12 @@ def _check_identities(counts: CountMatrix, factors, labels, direct_gap: float | 
 
 
 def _count_diagnostics(counts: CountMatrix, traces) -> dict:
-    """Count storage the DBMR kernels ran on, the columns they scored -inf,
-    and the update pairs of all restarts."""
+    """Count storage the DBMR kernels ran on, the restarts that stopped on an
+    objective dip, and the update pairs of all restarts."""
     return {
         "count_storage": counts.storage,
         "count_nonzeros": counts.nonzeros,
-        "dbmr_sunk_columns": int(sum(t.sunk_columns for t in traces)),
+        "dbmr_dipped_runs": int(sum(t.dipped for t in traces)),
         "dbmr_update_pairs": int(sum(t.iterations for t in traces)),
     }
 
@@ -314,13 +315,10 @@ def multirun_experiment(
     _, best_run, traces = multi_start(
         counts, rank, runs=runs, max_steps=max_steps, seed=seed, tol=tol, snapshots=trace
     )
-    if trace:
-        stack = (np.concatenate([t.factor_snapshots for t in traces]),
-                 np.concatenate([t.label_snapshots for t in traces]))
-    else:
-        stack = np.stack([t.factor for t in traces]), np.stack([t.labels for t in traces])
-    _, gaps, norms = _check_identities(counts, *stack)
-    sigma = reduced_singular_values(model, *stack)
+    labels = np.concatenate([t.label_snapshots if trace else [t.labels] for t in traces])
+    _, factors = ml_factors(counts, labels - 1, rank)
+    _, gaps, norms = _check_identities(counts, factors, labels)
+    sigma = reduced_singular_values(model, factors, labels)
     coherence = sigma[:, :rank].sum(axis=1)
     # A run's final reduction is its last iterate, the last of its rows.
     lasts = np.cumsum([t.objectives.size if trace else 1 for t in traces]) - 1
@@ -358,7 +356,9 @@ def multirun_experiment(
         "best_objective": best_row["objective"],
         "best": best_row,
         "run_table": run_rows,
-        "diagnostics": _count_diagnostics(counts, traces),
+        "diagnostics": _count_diagnostics(counts, traces) | {
+            "dbmr_inactive_runs": int(sum(np.unique(t.labels).size < rank for t in traces)),
+        },
     }
     return summary, run_rows, trace_rows
 

@@ -259,10 +259,7 @@ def _factor_and_objective(operand, labels0, n_latent):
 
 
 def best_labels_reference(operand, factor):
-    scores = latent_scores_reference(operand, factor)
-    labels0 = np.argmax(scores, axis=0)
-    sunk = int(np.isneginf(scores).all(axis=0).sum())
-    return labels0, sunk
+    return np.argmax(latent_scores_reference(operand, factor), axis=0)
 
 
 def ml_factors_stacked_reference(operand, labels0, n_latent):
@@ -284,7 +281,7 @@ def log_likelihoods_stacked_reference(grouped, factor):
 
 
 def pick_labels_stacked_reference(scores):
-    return np.argmax(scores, axis=1), np.isneginf(scores).all(axis=1).sum(axis=1)
+    return np.argmax(scores, axis=1)
 
 
 def _gap_terms(grouped, factor, q, total, full_norm_sq):
@@ -312,7 +309,7 @@ class StepTrace:
 
     steps: tuple
     converged: bool
-    sunk_columns: int
+    dipped: bool
 
     @property
     def iterations(self):
@@ -345,18 +342,16 @@ def dbmr_run_reference(counts, init, max_steps=500, tol=0.0, snapshots=True):
             factor=factor if snapshots else None,
         )
     ]
-    converged = False
-    sunk_columns = 0
+    converged = dipped = False
     for index in range(1, max_steps + 1):
-        new_labels0, sunk = best_labels_reference(operand, factor)
-        sunk_columns += sunk
+        new_labels0 = best_labels_reference(operand, factor)
         new_factor, new_objective, new_grouped = _factor_and_objective(
             operand, new_labels0, n_latent
         )
         if new_objective < objective:
             # Both updates are ascent steps; a strict drop can only be a
             # rounding artifact, so keep the previous iterate.
-            converged = True
+            converged = dipped = True
             break
         labels0, factor = new_labels0, new_factor
         gap_sq, approx_norm_sq = _gap_terms(new_grouped, factor, q, counts.total, full_norm_sq)
@@ -391,7 +386,7 @@ def dbmr_run_reference(counts, init, max_steps=500, tol=0.0, snapshots=True):
         affiliation=Partition(labels=labels0 + 1, n_clusters=n_latent),
     )
     return reduced, StepTrace(
-        steps=tuple(steps), converged=converged, sunk_columns=sunk_columns
+        steps=tuple(steps), converged=converged, dipped=dipped
     )
 
 

@@ -34,6 +34,8 @@ COMMANDS = {
     "compare-three": ["compare", "--example", "three-coherent", "--epsilon", "3",
                       "--runs", "20", "--out", "three.json"],
     "compare-gyre": ["compare", *GYRE, "--runs", "5", "--out", "gyre.json"],
+    # sparse storage: the snapshot factors derive from the labels on that path
+    "multirun-gyre": ["multirun", *GYRE, "--runs", "5", "--trace", "--out", "multi-gyre"],
     # exact window: factors with zero entries, so many scores are -inf
     "compare-interval": ["compare", "--example", "interval-map", "--epsilon", "0",
                          "--runs", "20", "--out", "interval.json"],

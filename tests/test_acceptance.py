@@ -13,7 +13,12 @@ import pytest
 
 from cohsets import _accel
 from cohsets.bounds import frobenius_kl_bound
-from cohsets.dbmr import multi_start, reduce_with_affiliation, reduced_singular_values
+from cohsets.dbmr import (
+    ml_factors,
+    multi_start,
+    reduce_with_affiliation,
+    reduced_singular_values,
+)
 from cohsets.generators import (
     GyreConfig,
     advect,
@@ -247,9 +252,8 @@ def test_double_gyre_dataset_and_integrator():
 def test_three_set_restart_bimodality(three_example):
     counts, model, _ = three_example
     _, _, traces = multi_start(counts, 3, runs=100, seed=0)
-    sigma = reduced_singular_values(
-        model, np.stack([t.factor for t in traces]), np.stack([t.labels for t in traces])
-    )
+    labels = np.stack([t.labels for t in traces])
+    sigma = reduced_singular_values(model, ml_factors(counts, labels - 1, 3)[1], labels)
     assert sigma[:, 1] == pytest.approx(np.ones(100), abs=1e-9)
     sigma3 = sigma[:, 2]
     near_six = np.abs(sigma3 - 0.6) < 0.1

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from cohsets._accel import latent_scores
 from cohsets.dbmr import (
     ReducedModel,
-    _best_labels,
     _log_likelihoods,
-    _ml_factors,
+    ml_factors,
     _pick_labels,
     _segment_sums,
     dbmr_run,
@@ -121,10 +121,8 @@ def test_update_factor_left_stochastic_random():
 
 
 def _updated_labels(counts, factor):
-    """1-based labels of the ascent's affiliation update for one factor, and
-    the columns that scored -inf for every latent state."""
-    labels0, sunk = _best_labels(counts, factor[np.newaxis])
-    return labels0[0] + 1, int(sunk[0])
+    """1-based labels of the ascent's affiliation update for one factor."""
+    return _pick_labels(latent_scores(counts.operand, factor[np.newaxis]))[0] + 1
 
 
 def test_update_affiliation_is_columnwise_argmax():
@@ -135,7 +133,7 @@ def test_update_affiliation_is_columnwise_argmax():
         r = int(rng.integers(1, 4))
         factor = rng.random((counts.shape[0], r))
         factor /= factor.sum(axis=0)
-        labels, _ = _updated_labels(counts, factor)
+        labels = _updated_labels(counts, factor)
         logf = np.log(factor)
         for j in range(counts.shape[1]):
             scores = dense(counts)[:, j] @ logf
@@ -145,21 +143,19 @@ def test_update_affiliation_is_columnwise_argmax():
 def test_update_affiliation_tie_takes_smaller_label():
     counts = CountMatrix(counts=np.array([[3, 1], [1, 3]]), total=8)
     factor = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert _updated_labels(counts, factor)[0].tolist() == [1, 1]
+    assert _updated_labels(counts, factor).tolist() == [1, 1]
 
 
 def test_update_affiliation_all_sunk_falls_back_to_one():
     counts = CountMatrix(counts=np.array([[1, 1], [1, 1]]), total=4)
     factor = np.array([[1.0, 0.0], [0.0, 1.0]])
-    labels, sunk = _updated_labels(counts, factor)
-    assert labels.tolist() == [1, 1]
-    assert sunk == 2
+    assert _updated_labels(counts, factor).tolist() == [1, 1]
 
 
 def test_update_affiliation_recovers_blocks(three_example, three_affiliation):
     counts, _, _ = three_example
     factor = reduce_with_affiliation(counts, three_affiliation).factor
-    assert np.array_equal(_updated_labels(counts, factor)[0], three_affiliation.labels)
+    assert np.array_equal(_updated_labels(counts, factor), three_affiliation.labels)
 
 
 def test_dbmr_run_three_default_exact(three_example, three_affiliation):
@@ -168,7 +164,7 @@ def test_dbmr_run_three_default_exact(three_example, three_affiliation):
     assert trace.converged
     assert np.abs(reduced.approx - dense(model.matrix)).max() < 1e-15
     assert trace.objectives[-1] == pytest.approx(THREE_REFERENCE, abs=1e-6)
-    gap_sq, _ = pythagoras_check(counts, trace.factor[np.newaxis], trace.labels[np.newaxis])
+    gap_sq, _ = pythagoras_check(counts, reduced.factor[np.newaxis], trace.labels[np.newaxis])
     assert gap_sq[0] < 1e-12
 
 
@@ -177,8 +173,9 @@ def test_dbmr_run_trace_length_with_hmax_one(three_example):
     init = random_partition(100, 3, 5)
     _, trace = dbmr_run(counts, init, max_steps=1)
     assert trace.iterations == 1
-    gap_terms = pythagoras_check(counts, trace.factor_snapshots, trace.label_snapshots)
-    for values in (trace.objectives, *gap_terms, trace.label_snapshots, trace.factor_snapshots):
+    _, factors = ml_factors(counts, trace.label_snapshots - 1, 3)
+    gap_terms = pythagoras_check(counts, factors, trace.label_snapshots)
+    for values in (trace.objectives, *gap_terms, trace.label_snapshots):
         assert len(values) == 2
 
 
@@ -212,15 +209,16 @@ def test_dbmr_preserves_average_of_extremes():
 def test_dbmr_snapshots_toggle(three_example):
     counts, _, _ = three_example
     init = random_partition(100, 3, 9)
-    _, trace = dbmr_run(counts, init, snapshots=False)
-    assert trace.label_snapshots is None and trace.factor_snapshots is None
+    reduced, trace = dbmr_run(counts, init, snapshots=False)
+    assert trace.label_snapshots is None
     _, full_trace = dbmr_run(counts, init, snapshots=True)
     assert len(full_trace.label_snapshots) == len(full_trace.objectives)
-    assert len(full_trace.factor_snapshots) == len(full_trace.objectives)
-    # the final labels and factor are kept either way, and are the last snapshot
+    # the final labels are kept either way, and are the last snapshot, whose
+    # derived factor is the returned model's
     for kept in (trace, full_trace):
         assert np.array_equal(kept.labels, full_trace.label_snapshots[-1])
-        assert np.array_equal(kept.factor, full_trace.factor_snapshots[-1])
+    _, factors = ml_factors(counts, full_trace.label_snapshots - 1, 3)
+    assert reduced.factor.tobytes() == factors[-1].tobytes()
 
 
 def test_dbmr_run_validation(three_example):
@@ -305,7 +303,8 @@ def test_exact_fit_gap_is_never_negative(three_example, three_affiliation):
     """From the true partition every iterate fits exactly; the gap is 0, not below."""
     counts, _, _ = three_example
     _, trace = dbmr_run(counts, three_affiliation)
-    gaps, _ = pythagoras_check(counts, trace.factor_snapshots, trace.label_snapshots)
+    _, factors = ml_factors(counts, trace.label_snapshots - 1, 3)
+    gaps, _ = pythagoras_check(counts, factors, trace.label_snapshots)
     assert (gaps >= 0.0).all()
     assert gaps.max() < 1e-12
 
@@ -354,9 +353,10 @@ def test_reduced_singular_values_match_direct():
 
 def _assert_gap_terms_match_direct(counts, model, init):
     _, trace = dbmr_run(counts, init, snapshots=True)
-    spectra = reduced_singular_values(model, trace.factor_snapshots, trace.label_snapshots)
-    gaps, norms = pythagoras_check(counts, trace.factor_snapshots, trace.label_snapshots)
-    for step, (factor, labels) in enumerate(zip(trace.factor_snapshots, trace.label_snapshots)):
+    _, factors = ml_factors(counts, trace.label_snapshots - 1, init.n_clusters)
+    spectra = reduced_singular_values(model, factors, trace.label_snapshots)
+    gaps, norms = pythagoras_check(counts, factors, trace.label_snapshots)
+    for step, (factor, labels) in enumerate(zip(factors, trace.label_snapshots)):
         scaled = rescale_dense(factor[:, labels - 1], model.input_dist, model.output_dist)
         gap = dense(model.rescaled) - scaled
         assert gaps[step] == pytest.approx(np.sum(gap * gap), abs=1e-9)
@@ -406,18 +406,16 @@ def test_segment_sums_add_as_single_reductions():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 7, 96])
 def test_label_pick_matches_argmax(r):
-    """The label pick gives ``np.argmax``'s first best state and
-    ``isneginf().all()``'s sunk columns, on score stacks drawn from a few
-    values (many ties) with -inf entries and whole -inf columns."""
+    """The label pick gives ``np.argmax``'s first best state, on score stacks
+    drawn from a few values (many ties) with -inf entries and whole -inf
+    columns."""
     rng = np.random.default_rng(59 + r)
     for runs, n in ((1, 1), (4, 30), (9, 200)):
         values = np.array([-np.inf, -3.5, -1.0, -1.0 + 2.0**-52, 0.0])
         scores = rng.choice(values, size=(runs, r, n), p=[0.3, 0.2, 0.2, 0.1, 0.2])
         scores[:, :, rng.random(n) < 0.2] = -np.inf
-        labels0, sunk = _pick_labels(scores.copy())
-        ref_labels, ref_sunk = pick_labels_stacked_reference(scores)
-        assert np.array_equal(labels0, ref_labels)
-        assert np.array_equal(sunk, ref_sunk)
+        labels0 = _pick_labels(scores.copy())
+        assert np.array_equal(labels0, pick_labels_stacked_reference(scores))
 
 
 def test_factors_and_objectives_match_stacked_references():
@@ -431,7 +429,7 @@ def test_factors_and_objectives_match_stacked_references():
         n = counts.shape[1]
         r = int(rng.integers(1, n + 3))
         labels0 = rng.integers(0, r, (int(rng.integers(1, 6)), n))
-        grouped, factor = _ml_factors(counts, labels0, r)
+        grouped, factor = ml_factors(counts, labels0, r)
         ref_grouped, ref_factor = ml_factors_stacked_reference(counts.operand, labels0, r)
         assert grouped.tobytes() == ref_grouped.tobytes()
         assert factor.tobytes() == ref_factor.tobytes()

@@ -34,6 +34,7 @@ from cohsets.bounds import (
 from cohsets.dbmr import (
     ReducedModel,
     dbmr_run,
+    ml_factors,
     multi_start,
     reduce_with_affiliation,
     reduced_singular_values,
@@ -302,35 +303,49 @@ def test_dbmr_identical_on_both_storages(monkeypatch, source, three_example,
         assert np.array_equal(dense_reduced.affiliation.labels, sparse_reduced.affiliation.labels)
         assert np.array_equal(dense_reduced.factor, sparse_reduced.factor)
         assert dense_trace.iterations == sparse_trace.iterations
-        assert dense_trace.sunk_columns == sparse_trace.sunk_columns
+        assert dense_trace.dipped == sparse_trace.dipped
         assert dense_trace.objectives.tolist() == sparse_trace.objectives.tolist()
 
 
 def _assert_same_restarts(batched, sequential):
-    """Best model, best run and every trace agree bit for bit."""
+    """Best model, best run and every trace agree bit for bit. The factors of
+    the best model, of every final iterate and of every snapshot, derived
+    from their labels with one stacked ``ml_factors`` call each, are the
+    sequential ascent's step factors."""
     (best, best_run, traces), (ref_best, ref_run, ref_traces) = batched, sequential
+    counts, r = best.counts, best.n_latent
     assert best_run == ref_run
-    assert np.array_equal(best.factor, ref_best.factor)
+    assert best.factor.tobytes() == ref_best.factor.tobytes()
     assert np.array_equal(best.affiliation.labels, ref_best.affiliation.labels)
     assert len(traces) == len(ref_traces)
+    finals = np.stack([trace.labels for trace in traces])
+    final_factors = ml_factors(counts, finals - 1, r)[1]
+    ref_finals = np.stack([ref.steps[-1].factor for ref in ref_traces])
+    assert final_factors.tobytes() == ref_finals.tobytes()
     for trace, ref in zip(traces, ref_traces):
         assert trace.iterations == ref.iterations
         assert trace.converged == ref.converged
-        assert trace.sunk_columns == ref.sunk_columns
+        assert trace.dipped == ref.dipped
         assert trace.objectives.tolist() == [step.objective for step in ref.steps]
         assert np.array_equal(trace.labels, ref.steps[-1].labels)
-        assert np.array_equal(trace.factor, ref.steps[-1].factor)
         if trace.label_snapshots is None:
             assert all(step.labels is None for step in ref.steps[:-1])
-            stack, ref_steps = (trace.factor[np.newaxis], trace.labels[np.newaxis]), ref.steps[-1:]
+            labels, ref_steps = trace.labels[np.newaxis], ref.steps[-1:]
         else:
             assert np.array_equal(trace.label_snapshots, [step.labels for step in ref.steps])
-            assert np.array_equal(trace.factor_snapshots, [step.factor for step in ref.steps])
-            stack, ref_steps = (trace.factor_snapshots, trace.label_snapshots), ref.steps
+            labels, ref_steps = trace.label_snapshots, ref.steps
+        factors = ml_factors(counts, labels - 1, r)[1]
+        assert factors.tobytes() == np.stack([step.factor for step in ref_steps]).tobytes()
         # the gap terms derived from the iterates are the sequential ascent's
-        gaps, norms = pythagoras_check(best.counts, *stack)
+        gaps, norms = pythagoras_check(counts, factors, labels)
         assert gaps.tolist() == [step.frob_gap_sq for step in ref_steps]
         assert norms.tolist() == [step.approx_norm_sq for step in ref_steps]
+    if traces[0].label_snapshots is not None:
+        # all snapshots at once, as multirun --trace derives them
+        snapshots = np.concatenate([trace.label_snapshots for trace in traces])
+        factors = ml_factors(counts, snapshots - 1, r)[1]
+        ref_factors = [step.factor for ref in ref_traces for step in ref.steps]
+        assert factors.tobytes() == np.stack(ref_factors).tobytes()
 
 
 def _chunked(patch, counts, n_latent, restarts_per_chunk):
@@ -342,8 +357,8 @@ def _chunked(patch, counts, n_latent, restarts_per_chunk):
 @SETTINGS
 @given(data=st.data())
 def test_multi_start_matches_sequential_runs(data):
-    """The batched ascent reproduces R sequential runs: labels, factors, step
-    objectives and gaps, iterations, convergence, sunk columns, best run."""
+    """The batched ascent reproduces R sequential runs: labels, derived
+    factors, step objectives and gaps, iterations, convergence, dips, best run."""
     counts_array, _ = data.draw(count_arrays())
     if counts_array.sum() == 0:
         counts_array = counts_array.copy()
@@ -371,7 +386,7 @@ def test_multi_start_matches_sequential_runs(data):
 @given(data=st.data())
 def test_batched_kernels_and_labels_match_single_runs(data):
     """Stacked factors and labels give each run's single-run scores, group
-    sums, labels and sunk-column counts, on both storages."""
+    sums and labels, on both storages."""
     counts_array, _ = data.draw(count_arrays())
     m, n = counts_array.shape
     r = data.draw(st.integers(1, n + 2))
@@ -383,14 +398,34 @@ def test_batched_kernels_and_labels_match_single_runs(data):
             counts = _counts_on_storage(patch, counts_array, storage)
             scores = _accel.latent_scores(counts.operand, factor)
             sums = _accel.group_sums(counts.operand, labels0, r)
-            labels, sunk = dbmr._best_labels(counts, factor)
+            labels = dbmr._pick_labels(scores.copy())
             for run in range(runs):
                 single = _accel.latent_scores(counts.operand, factor[run])
                 assert np.array_equal(scores[run], single)
                 assert np.array_equal(sums[run], group_sums_loop(counts_array, labels0[run], r))
-                ref_labels, ref_sunk = best_labels_reference(counts.operand, factor[run])
-                assert np.array_equal(labels[run], ref_labels)
-                assert sunk[run] == ref_sunk
+                assert np.array_equal(labels[run], best_labels_reference(counts.operand, factor[run]))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_own_state_scores_finite_under_the_ml_factors(data):
+    """Under the maximum-likelihood factors of any labels, every input column
+    scores finite against its own latent state, on both storages: where
+    column j has a count N_ij, its state's entry is at least N_ij / T_k > 0.
+    So no column of an ascent ever scores -inf for every state. Labels are
+    drawn with more latent states than inputs and with empty states."""
+    counts_array, _ = data.draw(count_arrays())
+    n = counts_array.shape[1]
+    r = data.draw(st.integers(1, n + 3))
+    labels0 = data.draw(arrays(np.int64, (data.draw(st.integers(1, 4)), n),
+                               elements=st.integers(0, r - 1)))
+    for storage in ("dense", "sparse"):
+        with pytest.MonkeyPatch.context() as patch:
+            counts = _counts_on_storage(patch, counts_array, storage)
+            _, factors = ml_factors(counts, labels0, r)
+            scores = _accel.latent_scores(counts.operand, factors)
+        own = np.take_along_axis(scores, labels0[:, np.newaxis, :], axis=1)
+        assert np.isfinite(own).all(), (storage, counts_array, labels0)
 
 
 @pytest.mark.parametrize("shape", [(7, 1, 3), (94, 108, 2)])
@@ -457,7 +492,7 @@ def test_multi_start_tie_goes_to_the_lowest_run():
 def test_derived_steps_equal_the_per_step_trace(snapshots, three_example, interval_example):
     """A trace keeps one array per quantity, holding what the sequential
     ascent records step by step; snapshots of every step are kept only when
-    asked for, the final labels and factor always."""
+    asked for, the final labels always."""
     for counts in (three_example[0], interval_example[0]):
         for seed, max_steps in itertools.product(range(4), (1, 500)):
             init = random_partition(counts.shape[1], 3, seed)
@@ -686,9 +721,6 @@ def test_reports_carry_storage_counters(three_example):
         expected = {
             "count_storage": storage,
             "count_nonzeros": int(np.count_nonzero(dense(counts))),
-            # each column's own latent state covers its support, so no
-            # column of a DBMR iterate scores -inf everywhere
-            "dbmr_sunk_columns": 0,
         }
         for diagnostics, seed in ((summary["diagnostics"], 4), (report["diagnostics"], mix_seed(4, 2))):
             _, _, traces = multi_start(counts, 3, runs=3, seed=seed)
@@ -696,7 +728,12 @@ def test_reports_carry_storage_counters(three_example):
             assert pairs > 0
             assert {key: diagnostics[key] for key in expected} == expected
             assert diagnostics["dbmr_update_pairs"] == pairs
-        assert set(summary["diagnostics"]) == set(expected) | {"dbmr_update_pairs"}
+            assert diagnostics["dbmr_dipped_runs"] == sum(trace.dipped for trace in traces)
+        _, _, traces = multi_start(counts, 3, runs=3, seed=4)
+        inactive = sum(np.unique(trace.labels).size < 3 for trace in traces)
+        assert summary["diagnostics"]["dbmr_inactive_runs"] == inactive
+        assert set(summary["diagnostics"]) == set(expected) | {
+            "dbmr_update_pairs", "dbmr_dipped_runs", "dbmr_inactive_runs"}
         assert report["diagnostics"]["svd_path"] == path
         assert report["diagnostics"]["svd_values_cut"] == 0
         classical = classical_pipeline(counts, 3, seed=mix_seed(4, 1))

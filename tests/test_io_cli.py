@@ -7,6 +7,8 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1179,3 +1181,200 @@ def test_cli_verbose_logs_each_read(tmp_path):
                 assert result.stderr == ""
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+
+def test_cli_refuses_a_negative_or_wide_seed_before_anything_runs(tmp_path, capsys):
+    """A seed outside [0, 2**64 - 1] is refused with one line on every path:
+    the sub-seeds mix it modulo 2**64, so -1 stood for 2**64 - 1 on some
+    paths, and a categorical example's noise refused it in numpy's words."""
+    out = str(tmp_path / "out")
+    for argv in (["compare", "--example", "three-coherent", "--epsilon", "2", "--runs", "2"],
+                 ["compare", "--example", "three-coherent", "--runs", "2"],
+                 ["generate", "--example", "three-coherent", "--epsilon", "2"],
+                 ["generate", "--example", "double-gyre", "--t1", "0.01",
+                  "--points-per-box", "1"],
+                 ["multirun", "--example", "interval-map", "--runs", "2"],
+                 ["bounds", "--example", "interval-map"]):
+        for seed in ("-1", str(2**64)):
+            assert main([*argv, "--seed", seed, "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --seed must lie in [0, 2**64 - 1], not {seed}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_refuses_an_epsilon_outside_its_range_naming_the_flag(tmp_path, capsys):
+    """An epsilon whose window would leave int64 is refused with one line that
+    names --epsilon, not with numpy's bounds error."""
+    for epsilon in ("99999999999999999999", "-1"):
+        assert main(["generate", "--example", "three-coherent", "--epsilon", epsilon,
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --epsilon must lie in [0, 2**62], not {epsilon}\n")
+
+
+@pytest.mark.parametrize("flags", [["--runs", "1" + "0" * 30], ["--rank", str(2**40)]],
+                         ids=["runs", "rank"])
+def test_cli_refuses_restart_stacks_above_the_cap(tmp_path, capsys, flags):
+    """Restarts whose stacked factors would outgrow memory are refused with
+    one line before any restart runs."""
+    assert main(["multirun", "--example", "three-coherent", *flags, "--out",
+                 str(tmp_path / "multi")]) == 2
+    assert re.fullmatch(r"error: \d+ restarts of \d+ latent states on a 100 x 100 matrix "
+                        r"exceed the cap of 2\*\*26 entries of runs x rank x \(m \+ n\)\n",
+                        capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_gyre_overflow_is_a_numerical_failure(tmp_path, capsys):
+    """An amplitude that overflows the RK4 stages exits 3 with one line and no
+    warning, instead of binning NaN endpoints into boxes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["generate", "--example", "double-gyre", "--t1", "0.1",
+                     "--points-per-box", "1", "--A", "1e300",
+                     "--out", str(tmp_path / "gyre.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: the RK4 stages overflowed; lower the amplitude or the span\n")
+
+
+def test_cli_refuses_a_step_longer_than_the_span(tmp_path, capsys):
+    """A step of 1e300 over the default span of 40 is no integer multiple; it
+    used to round to zero steps and integrate nothing."""
+    assert main(["generate", "--example", "double-gyre", "--step", "1e300",
+                 "--points-per-box", "1", "--out", str(tmp_path / "gyre.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: t_end - t_start must be an integer multiple of step\n")
+
+
+def test_cli_counts_dipped_runs(tmp_path, monkeypatch):
+    """A dip forced into one restart's second update step shows in the
+    dbmr_dipped_runs of compare and multirun."""
+    from cohsets import dbmr
+
+    likelihoods = dbmr._log_likelihoods
+    calls = []
+
+    def dipping(grouped, factor):
+        sums = likelihoods(grouped, factor)
+        calls.append(len(sums))
+        if len(calls) == 3:  # the initial iterates, then two update steps
+            sums[0] = -np.inf
+        return sums
+
+    monkeypatch.setattr(dbmr, "_log_likelihoods", dipping)
+    for command, path in (("compare", "report.json"), ("multirun", "multi")):
+        calls.clear()
+        extra = ["--no-images"] if command == "compare" else []
+        assert main([command, "--example", "three-coherent", "--runs", "4", *extra,
+                     "--out", str(tmp_path / path)]) == 0
+        summary = dataio.read_json(tmp_path / (path if command == "compare" else "multi.json"))
+        assert summary["diagnostics"]["dbmr_dipped_runs"] == 1
+
+
+def test_cli_multirun_counts_runs_with_inactive_states(tmp_path):
+    """96 latent states on the interval map's 90 inputs leave states empty in
+    every run; at rank 3 no run does."""
+    for rank, inactive in (("96", 4), ("3", 0)):
+        assert main(["multirun", "--example", "interval-map", "--rank", rank, "--runs", "4",
+                     "--out", str(tmp_path / "multi")]) == 0
+        assert dataio.read_json(tmp_path / "multi.json")["diagnostics"][
+            "dbmr_inactive_runs"] == inactive
+
+
+# Values every drawn flag may take: boundaries, non-numbers and huge ones.
+_FUZZ_VALUES = ["0", "-1", "1", "2", "nan", "inf", "-inf", "1e300", str(2**40), "1" + "0" * 30]
+_FUZZ_FLAGS = {
+    "generate": ["--epsilon", "--seed", "--A", "--delta", "--omega", "--t0", "--t1", "--step",
+                 "--rho", "--points-per-box"],
+    "compare": ["--epsilon", "--seed", "--rank", "--runs", "--hmax", "--tol"],
+    "multirun": ["--epsilon", "--seed", "--rank", "--runs", "--hmax", "--tol"],
+    "bounds": ["--epsilon", "--seed"],
+    "render": ["--epsilon", "--seed"],
+}
+# One RK4 step of 2048 points; the gyre source runs with generate only.
+_TINY_GYRE = ["--example", "double-gyre", "--t1", "0.01", "--points-per-box", "1"]
+_FUZZ_CASE_SECONDS = 10.0
+
+
+def _fuzz_body(draw, kind):
+    """A tiny pairs, counts or labels body over at most 3 x 3 categories,
+    possibly without a single record."""
+    n, m, size = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    if kind == "pairs":
+        lines = [f"# n={n} m={m}", *(f"{draw(st.integers(1, n))},{draw(st.integers(1, m))}"
+                                     for _ in range(size))]
+    elif kind == "counts":
+        entries = [(draw(st.integers(1, m)), draw(st.integers(1, n)), draw(st.integers(0, 3)))
+                   for _ in range(size)]
+        lines = [f"{m} {n} {sum(c for *_, c in entries)}", *(f"{i} {j} {c}" for i, j, c in entries)]
+    else:
+        lines = [f"# r={n}", *(str(draw(st.integers(1, n))) for _ in range(size))]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _argument_lists(draw):
+    """(argv with the placeholders DATA and LABELS, the bodies to write there)."""
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    sources = ["three-coherent", "interval-map", "pairs", "counts", "labels"]
+    source = draw(st.sampled_from(sources + (["double-gyre"] if command == "generate" else [])))
+    bodies = {}
+    if source == "double-gyre":
+        argv = [command, *_TINY_GYRE]
+    elif source in ("three-coherent", "interval-map"):
+        argv = [command, "--example", source]
+    else:
+        argv, bodies["DATA"] = [command, "DATA"], _fuzz_body(draw, source)
+    if command in ("bounds", "render") and draw(st.booleans()):
+        bodies["LABELS"] = _fuzz_body(draw, "labels")
+        argv += ["LABELS"] if command == "bounds" else ["--labels", "LABELS"]
+    for flag in draw(st.lists(st.sampled_from(_FUZZ_FLAGS[command]), max_size=3, unique=True)):
+        argv += [flag, draw(st.sampled_from(_FUZZ_VALUES))]
+    if command in ("compare", "multirun") and "--runs" not in argv:
+        argv += ["--runs", "3"]
+    argv += {"compare": ["--no-images"], "multirun": ["--trace"]}.get(command, [])
+    return argv + ["--out", "OUT"], bodies
+
+
+def _run_fuzz_case(argv):
+    """Exit code, stdout, stderr, warnings and seconds of one in-process run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue(), caught, time.perf_counter() - start
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_argument_lists())
+def test_cli_keeps_its_contract_on_drawn_argument_lists(case):
+    """Any argument list of a subcommand, a source (an example or a tiny,
+    possibly empty pairs, counts or labels body) and flags at 0, negative,
+    NaN, infinite and huge values exits 0, 2 or 3 within its time budget,
+    with no traceback and no warning; exit 2 writes exactly one error line,
+    and an exit 0 run, repeated, writes the same bytes."""
+    template, bodies = case
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        paths = {"OUT": str(workdir / "out")}
+        for name, body in bodies.items():
+            paths[name] = str(workdir / name.lower())
+            Path(paths[name]).write_text(body, encoding="utf-8")
+        argv = [paths.get(arg, arg) for arg in template]
+        code, out, err, caught, seconds = _run_fuzz_case(argv)
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err and not caught, (argv, err, caught)
+        assert seconds < _FUZZ_CASE_SECONDS, (argv, seconds)
+        if code == 2:
+            assert len([line for line in err.splitlines() if "error:" in line]) == 1, (argv, err)
+        if code != 0:
+            return
+        assert err == "", (argv, err)
+        written = {p: p.read_bytes() for p in workdir.iterdir()}
+        assert _run_fuzz_case(argv)[:3] == (0, out, "")
+        assert {p: p.read_bytes() for p in workdir.iterdir()} == written, argv
