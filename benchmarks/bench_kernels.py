@@ -46,9 +46,12 @@ at r = 3 on the three-coherent example at window noise 3 (100 x 100), from
 the restarts' initial labels: the two kernels alone, then each piece of the
 step against its former stacked form, kept in ``tests/dense_reference.py``
 (labels by ``np.argmax``, factors from the grouped columns' sums, one
-objective reduction per run). Both forms give the same bits, which the
-table asserts. It explains the ascent part of paper-batch's gain;
-``perfbench/`` measures it.
+objective reduction per run, and scores by a clamped log and a second,
+zero-mask product). The score row runs on the second iterate's factors,
+which have zero entries as most of an ascent's do; its current form takes
+the log, floors -inf and makes one product. Both forms give the same bits,
+which the table asserts. It explains the ascent part of paper-batch's
+gain; ``perfbench/`` measures it.
 
 Replaced paths. The dense column below was measured on the code before the
 counts and P were stored as their entries (same sample, one BLAS thread of
@@ -83,7 +86,9 @@ from cohsets.seeding import mix_seed
 # The k-means restarts run one at a time are kept as a test reference.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.dense_reference import (  # noqa: E402
+    factor_log,
     kmeans_reference,
+    latent_scores_reference,
     log_likelihoods_stacked_reference,
     ml_factors_stacked_reference,
     pick_labels_stacked_reference,
@@ -130,7 +135,7 @@ def storage_table(rng: np.random.Generator) -> None:
             dense = counts.astype(np.float64)
             csc = sparse.csc_array(dense)
             factor = rng.random((size, LATENT))
-            factor /= factor.sum(axis=0)
+            log_factor = np.log(factor / factor.sum(axis=0))
             labels0 = rng.integers(0, LATENT, size)
 
             def per_call(kernel, operand, *args):
@@ -139,8 +144,8 @@ def storage_table(rng: np.random.Generator) -> None:
             selected = CountMatrix(counts=counts, total=int(counts.sum())).storage
             print(
                 f"{size:>6} {density:>8.3f} {csc.nnz:>9} "
-                f"{per_call(_accel.latent_scores, dense, factor) * 1e6:>11.0f}us "
-                f"{per_call(_accel.latent_scores, csc, factor) * 1e6:>7.0f}us "
+                f"{per_call(_accel.latent_scores, dense, log_factor) * 1e6:>11.0f}us "
+                f"{per_call(_accel.latent_scores, csc, log_factor) * 1e6:>7.0f}us "
                 f"{per_call(_accel.group_sums, dense, labels0, LATENT) * 1e6:>9.0f}us "
                 f"{per_call(_accel.group_sums, csc, labels0, LATENT) * 1e6:>7.0f}us  {selected}"
             )
@@ -259,18 +264,26 @@ def ascent_step_table() -> None:
     operand, n, r, runs = counts.operand, counts.shape[1], 3, 100
     labels0 = np.stack([dbmr._random_labels(n, r, mix_seed(0, run)) - 1 for run in range(runs)])
     grouped, factor = dbmr.ml_factors(counts, labels0, r)
+    log_factor = factor_log(factor)
+    # The second iterate's factors have zero entries, as most score calls of
+    # an ascent meet.
+    _, stepped = dbmr.ml_factors(
+        counts, dbmr._pick_labels(_accel.latent_scores(operand, log_factor)), r)
     rows = (
-        ("latent_scores (kernel)", None, lambda: _accel.latent_scores(operand, factor)),
+        ("latent_scores (kernel)", None, lambda: _accel.latent_scores(operand, log_factor)),
+        ("scores of zeroed factors: log and products",
+         lambda: latent_scores_reference(operand, stepped),
+         lambda: _accel.latent_scores(operand, factor_log(stepped))),
         ("scores and label pick",
-         lambda: pick_labels_stacked_reference(_accel.latent_scores(operand, factor)),
-         lambda: dbmr._pick_labels(_accel.latent_scores(operand, factor))),
+         lambda: pick_labels_stacked_reference(_accel.latent_scores(operand, log_factor)),
+         lambda: dbmr._pick_labels(_accel.latent_scores(operand, log_factor))),
         ("group_sums (kernel)", None, lambda: _accel.group_sums(operand, labels0, r)),
         ("group sums and factors",
          lambda: ml_factors_stacked_reference(operand, labels0, r),
          lambda: dbmr.ml_factors(counts, labels0, r)),
         ("objectives",
          lambda: log_likelihoods_stacked_reference(grouped, factor),
-         lambda: dbmr._log_likelihoods(grouped, factor)),
+         lambda: dbmr._log_likelihoods(grouped, log_factor)),
     )
     print(f"{'ascent step, 100 x 100, r=3, 100 restarts':<44} {'former':>9} {'now':>9}")
     for name, former, now in rows:

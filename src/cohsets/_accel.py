@@ -84,39 +84,33 @@ def advect_rk4(xs, ys, t0, n_steps, h, a, delta, omega):
     return out_x, out_y
 
 
-def latent_scores(counts, factor):
-    """Score matrix s[k, j] = sum_i counts[i, j] * log(factor[i, k]).
+def latent_scores(counts, log_factor):
+    """Score matrix s[k, j] = sum_i counts[i, j] * log_factor[i, k].
 
-    ``factor`` is one (m, r) factor, giving (r, n) scores, or a stack of
-    them of shape (runs, m, r), giving (runs, r, n). ``counts`` is a dense
-    array or a scipy sparse matrix that stores no zeros. Entries where a
-    positive count meets a zero factor entry are -inf.
+    ``log_factor`` is the log of one (m, r) factor, giving (r, n) scores, or
+    of a stack (runs, m, r), giving (runs, r, n). ``counts`` is a dense
+    array or a scipy sparse matrix. A score is -inf where a positive count
+    meets a zero factor entry: the one product reads -inf as -1e300, which
+    times a zero count adds -0 and times a positive one sends the score below
+    -5e299, where no finite score (at least -745 times its column's count
+    total) lies.
     """
-    if not isinstance(counts, np.ndarray):
-        # Only positive counts are stored, so the -inf of a zero factor entry
-        # meets exactly the positive counts that make a score -inf. One
-        # product serves every run: each score adds its column's nonzeros in
-        # storage order, whatever the number of factor columns.
-        with np.errstate(divide="ignore"):
-            log_factor = np.log(factor)
-        m, r = factor.shape[-2:]
-        stacked = np.moveaxis(log_factor, -2, 0).reshape(m, -1)
-        scores = (counts.T @ stacked).T
-        return scores.reshape(factor.shape[:-2] + (r, counts.shape[1]))
-    # The clamped log is exact: a clamped entry contributes only where the
-    # paired count is zero, and those terms vanish. A stack multiplies each
-    # run's block with its own BLAS call inside one matmul, so every run's
-    # scores are bitwise those of a call on its factor alone; one product of
-    # all blocks stacked side by side is not (OpenBLAS sums differently in
-    # its threaded and matrix-vector paths).
-    safe_log = np.log(np.where(factor > 0.0, factor, 1.0))
-    scores = np.swapaxes(safe_log, -1, -2) @ counts
-    zero = factor <= 0.0
-    if zero.any():
-        # Counts are nonnegative, so a column meets a zero factor entry with
-        # a positive count exactly where this product is positive.
-        invalid = np.swapaxes(zero, -1, -2).astype(np.float64) @ counts
-        scores[invalid > 0.0] = -np.inf
+    floored = np.maximum(log_factor, -1e300)
+    with np.errstate(over="ignore"):
+        if isinstance(counts, np.ndarray):
+            # A stack multiplies each run's block with its own BLAS call inside
+            # one matmul, so every run's scores are bitwise those of a call on
+            # its factor alone; one product of all blocks stacked side by side
+            # is not (OpenBLAS sums differently in its threaded and
+            # matrix-vector paths).
+            scores = np.swapaxes(floored, -1, -2) @ counts
+        else:
+            # One product serves every run: each score adds its column's
+            # nonzeros in storage order, whatever the number of factor columns.
+            m, r = floored.shape[-2:]
+            stacked = np.moveaxis(floored, -2, 0).reshape(m, -1)
+            scores = (counts.T @ stacked).T.reshape(floored.shape[:-2] + (r, counts.shape[1]))
+    scores[scores < -5e299] = -np.inf
     return scores
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 import time
 from pathlib import Path
@@ -104,6 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--labels", help="labels file for the partition strips")
     p_render.add_argument("--out", required=True, help="output PPM path")
     p_render.set_defaults(func=cmd_render)
+    # argparse takes -1e-3 or -inf for an option; read them as values, as -1 is.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

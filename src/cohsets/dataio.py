@@ -44,41 +44,41 @@ _LABELS_PREAMBLE = re.compile(r"^#\s*r=(\d+)\s*$")
 _PAIRS_CHUNK = 1 << 16
 
 
-def _format_rows(table: np.ndarray, sep: str = " ") -> bytes:
+def _format_rows(table: np.ndarray, sep: str = " "):
     """ASCII lines of a nonempty, nonnegative integer table, fields joined by
-    ``sep``.
+    ``sep``, yielded in blocks of ``_PAIRS_CHUNK`` rows.
 
-    Builds the characters of every field as ``width + 1`` slots: the decimal
-    digits right-aligned, NUL in the leading slots, then ``sep`` or the line
-    end; dropping the NULs leaves the lines.
+    Each candidate value is formatted once, as an item of ``width + 1``
+    bytes: its decimal digits right-aligned after NULs, then ``sep``. The
+    candidates are 0..max when that range is at most a few times the rows,
+    else the table's distinct values. A block gathers one item per field,
+    ends each row with a line end and drops the NULs.
     """
-    width = len(str(int(table.max())))
-    chars = np.empty((*table.shape, width + 1), dtype=np.uint8)
-    chars[:, :-1, width] = ord(sep)
-    chars[:, -1, width] = ord("\n")
-    rest = table
-    for place in range(width - 1, -1, -1):
-        quot = rest // 10
-        digit = (rest - quot * 10 + ord("0")).astype(np.uint8)
-        if place < width - 1:  # the ones digit shows even for 0
-            digit *= rest > 0
-        chars[:, :, place] = digit
-        rest = quot
-    flat = chars.ravel()
-    return flat[flat != 0].tobytes()
-
-
-def _write_table(fh, table: np.ndarray, sep: str = " ") -> None:
-    """Write ``table``'s rows in ``_PAIRS_CHUNK``-row blocks."""
+    top = int(table.max())
+    width = len(str(top))
+    if top < 4 * len(table):
+        values, index = np.arange(top + 1), table
+    else:
+        values, index = np.unique(table, return_inverse=True)
+    chars = np.zeros((values.size, width + 1), dtype=np.uint8)
+    chars[:, width] = ord(sep)
+    rest = values
+    for place in range(width - 1, -1, -1):  # the ones digit shows even for 0
+        chars[:, place] = np.where((rest > 0) | (place == width - 1), rest % 10 + ord("0"), 0)
+        rest = rest // 10
+    items = chars.view(np.dtype((np.void, width + 1)))[:, 0]
+    index = index.reshape(table.shape)
     for start in range(0, len(table), _PAIRS_CHUNK):
-        fh.write(_format_rows(table[start : start + _PAIRS_CHUNK], sep))
+        lines = items[index[start : start + _PAIRS_CHUNK]].view(np.uint8)
+        lines[:, -1] = ord("\n")
+        yield lines[lines != 0].tobytes()
 
 
 def write_pairs(path: str | Path, dataset: PairDataset) -> None:
     table = np.column_stack([dataset.inputs, dataset.outputs])
     with open(path, "wb") as fh:
         fh.write(f"# n={dataset.n_inputs} m={dataset.n_outputs}\nx,y\n".encode())
-        _write_table(fh, table, ",")
+        fh.writelines(_format_rows(table, ","))
 
 
 def _loadtxt(source, **kwargs) -> np.ndarray:
@@ -148,8 +148,8 @@ def write_counts(path: str | Path, counts: CountMatrix) -> None:
     order = np.argsort(rows, kind="stable")
     with open(path, "wb") as fh:
         fh.write(f"{m} {n} {counts.total}\n".encode())
-        _write_table(fh, np.column_stack([rows[order] + 1, cols[order] + 1,
-                                          counts.counts.data[order]]))
+        fh.writelines(_format_rows(np.column_stack([rows[order] + 1, cols[order] + 1,
+                                                    counts.counts.data[order]])))
 
 
 def read_count_entries(path: str | Path) -> tuple:
@@ -189,7 +189,7 @@ def write_labels(path: str | Path, labels: np.ndarray, n_labels: int) -> None:
         raise ValueError("labels must be nonnegative")
     with open(path, "wb") as fh:
         fh.write(f"# r={n_labels}\n".encode())
-        _write_table(fh, labels[:, None])
+        fh.writelines(_format_rows(labels[:, None]))
 
 
 def read_labels(path: str | Path) -> tuple[np.ndarray, int]:

@@ -21,13 +21,14 @@ Restarts run in consecutive chunks of max(1, BATCH_ENTRIES // (r (m + n)))
 restarts.
 
 Around the two kernel calls a step works on whole stacks, never per run:
+- an iterate's factors are logged once, for its objectives and its scores;
 - the latent totals are one bincount of the counts' exact column totals,
   equal bit for bit to the grouped columns' sums;
 - the objectives of the runs with the same number of observed terms are
   the row sums of one 2-D array, which add pairwise as a run's sum alone;
 - the labels come from r - 1 elementwise passes over the score slices with
   a strict ``>``, so ties keep the first state, as ``np.argmax`` does;
-- a step in which no restart dipped takes the new iterates as they are.
+- a step takes the new factors as they are; a restart that dipped retires.
 """
 
 from __future__ import annotations
@@ -178,7 +179,8 @@ class ReducedModel:
     def log_likelihood(self) -> float:
         """Relaxed log-likelihood: each input column scored against its latent column."""
         grouped = group_sums(self.counts.operand, self.affiliation.labels - 1, self.n_latent)
-        return float(_log_likelihoods(grouped[np.newaxis], self.factor[np.newaxis])[0])
+        with np.errstate(divide="ignore"):
+            return float(_log_likelihoods(grouped[np.newaxis], np.log(self.factor)[np.newaxis])[0])
 
     @cached_property
     def nonzero_view(self) -> _Nonzeros:
@@ -261,10 +263,10 @@ def _segment_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _log_likelihoods(grouped: np.ndarray, factor: np.ndarray) -> np.ndarray:
+def _log_likelihoods(grouped: np.ndarray, log_factor: np.ndarray) -> np.ndarray:
     """Per run, sum of G log F over the observed entries (G > 0) of its (m, r)
     block, taken in row-major order; -inf where F is zero on an observed
-    entry. Both arrays are (runs, m, r).
+    entry. Both arrays are (runs, m, r); the second holds log F.
 
     The runs are summed in the order of their number of observed entries.
     """
@@ -275,9 +277,7 @@ def _log_likelihoods(grouped: np.ndarray, factor: np.ndarray) -> np.ndarray:
     # Flat positions of the observed entries, run by run in that order.
     at = np.flatnonzero(observed[order])
     at += np.repeat((order - np.arange(runs)) * observed.shape[1], lengths[order])
-    terms = factor.take(at)
-    with np.errstate(divide="ignore"):
-        np.log(terms, out=terms)
+    terms = log_factor.take(at)
     terms *= grouped.take(at)
     sums = np.empty(runs)
     sums[order] = _segment_sums(terms, lengths[order])
@@ -365,29 +365,32 @@ def _ascend(
     # objective, plus its labels with snapshots.
     history: list[tuple[np.ndarray, ...]] = []
     live = np.arange(runs)  # rows of the restarts still ascending
-    grouped, factor = ml_factors(counts, labels0, n_latent)
-    objective = _log_likelihoods(grouped, factor)
+
+    def iterate(labels0):
+        # An iterate's one log, -inf at a zero entry, serves its objective and scores.
+        grouped, factor = ml_factors(counts, labels0, n_latent)
+        with np.errstate(divide="ignore"):
+            log_factor = np.log(factor, out=factor)
+        return log_factor, _log_likelihoods(grouped, log_factor)
+
+    log_factor, objective = iterate(labels0)
     accepted = None  # rows whose iterate was taken, when not all were
     converged = dipped = np.zeros(runs, dtype=bool)
     for index in range(max_steps + 1):
         if index:
-            new_labels0 = _pick_labels(latent_scores(counts.operand, factor))
-            grouped, new_factor = ml_factors(counts, new_labels0, n_latent)
-            new_objective = _log_likelihoods(grouped, new_factor)
+            new_labels0 = _pick_labels(latent_scores(counts.operand, log_factor))
+            new_log_factor, new_objective = iterate(new_labels0)
             # Both updates are ascent steps; a strict drop can only be a
             # rounding artifact, so a restart that dips keeps its previous
-            # iterate and stops.
+            # labels and objective and retires below, its factor unread.
             dipped = new_objective < objective
             converged = dipped | (new_objective - objective <= tol)
-            if dipped.any():
+            accepted = ~dipped if dipped.any() else None
+            if accepted is not None:
                 logger.debug("objective dipped in %d restarts at step %d", dipped.sum(), index)
-                accepted = ~dipped
-                labels0 = np.where(accepted[:, np.newaxis], new_labels0, labels0)
-                factor = np.where(accepted[:, np.newaxis, np.newaxis], new_factor, factor)
-                objective = np.where(accepted, new_objective, objective)
-            else:
-                accepted = None
-                labels0, factor, objective = new_labels0, new_factor, new_objective
+                new_labels0 = np.where(accepted[:, np.newaxis], new_labels0, labels0)
+                new_objective = np.where(accepted, new_objective, objective)
+            labels0, log_factor, objective = new_labels0, new_log_factor, new_objective
         taken = (live, objective)
         if snapshots:
             taken += (labels0 + 1,)
@@ -401,8 +404,8 @@ def _ascend(
         going = ~finished
         if not going.any():
             break
-        live, labels0, factor, objective = (
-            live[going], labels0[going], factor[going], objective[going]
+        live, labels0, log_factor, objective = (
+            live[going], labels0[going], log_factor[going], objective[going]
         )
     # Each run's taken iterates, in iteration order.
     taken_runs, *columns = (np.concatenate(column) for column in zip(*history))

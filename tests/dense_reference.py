@@ -221,15 +221,25 @@ def pythagoras_check_dense(rescaled_full, rescaled_reduced):
 # one through ``dbmr_run_reference``.
 
 
+def factor_log(factor):
+    """log F, -inf on the zero entries: what the score kernel and the
+    objectives take of an iterate's factor."""
+    with np.errstate(divide="ignore"):
+        return np.log(factor)
+
+
 def latent_scores_reference(counts, factor):
+    """The score kernel as it took the factor rather than its log. On dense
+    counts, for one factor or a (runs, m, r) stack, a clamped log makes one
+    product and, where the factor has zeros, the zero mask a second one."""
     if sparse.issparse(counts):
-        with np.errstate(divide="ignore"):
-            log_factor = np.log(factor)
-        return (counts.T @ log_factor).T
+        return (counts.T @ factor_log(factor)).T
     safe_log = np.log(np.where(factor > 0.0, factor, 1.0))
-    scores = safe_log.T @ counts
-    invalid = (factor <= 0.0).T.astype(np.float64) @ (counts > 0.0)
-    scores[invalid > 0.0] = -np.inf
+    scores = np.swapaxes(safe_log, -1, -2) @ counts
+    zero = factor <= 0.0
+    if zero.any():
+        invalid = np.swapaxes(zero, -1, -2).astype(np.float64) @ (counts > 0.0)
+        scores[invalid > 0.0] = -np.inf
     return scores
 
 

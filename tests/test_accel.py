@@ -6,7 +6,12 @@ from cohsets import _accel
 from cohsets.dbmr import multi_start
 from cohsets.generators import GyreConfig, gen_double_gyre
 from cohsets.model import ingest_pairs, prune_empty
-from tests.dense_reference import group_sums_loop, latent_scores_loop
+from tests.dense_reference import (
+    factor_log,
+    group_sums_loop,
+    latent_scores_loop,
+    latent_scores_reference,
+)
 
 
 def _advect_unblocked(xs, ys, t0, n_steps, h, a, delta, omega):
@@ -50,9 +55,43 @@ def test_latent_scores_backends_agree():
     looped = latent_scores_loop(counts, factor)
     finite = np.isfinite(looped)
     for operand in (counts, sparse.csc_array(counts)):
-        scores = _accel.latent_scores(operand, factor)
+        scores = _accel.latent_scores(operand, factor_log(factor))
         assert np.array_equal(finite, np.isfinite(scores))
         assert looped[finite] == pytest.approx(scores[finite], rel=1e-12)
+
+
+def test_latent_scores_of_the_log_equal_the_zero_mask_reference():
+    """On the log of a factor, the kernel's scores equal the zero-mask
+    reference's bit for bit (a zero count gives 0 on one side and -0 on the
+    other, which compare equal), with -inf at the same places: on both
+    storages, for one factor and a stack, with zero factor entries, a whole
+    zero factor column, a column of zero counts and counts of 2^40, where the
+    floor times the count overflows."""
+    rng = np.random.default_rng(191)
+    m, n, r, runs = 9, 12, 4, 3
+    counts = rng.integers(0, 6, size=(m, n)).astype(np.float64)
+    counts[rng.random((m, n)) < 0.1] = 2.0**40
+    counts[3, 7] = 2.0**40
+    counts[:, 5] = 0.0
+    factor = rng.random((runs, m, r))
+    factor[rng.random((runs, m, r)) < 0.3] = 0.0
+    factor[1, :, 2] = 0.0
+    factor[:, 3, 1] = 0.0
+    factor[:, 0, 0] = 1.0
+    factor /= np.where(factor.sum(axis=1, keepdims=True) > 0.0,
+                       factor.sum(axis=1, keepdims=True), 1.0)
+    for operand in (counts, sparse.csc_array(counts)):
+        stacked = _accel.latent_scores(operand, factor_log(factor))
+        assert stacked.shape == (runs, r, n)
+        for run in range(runs):
+            expected = latent_scores_reference(operand, factor[run])
+            assert np.isneginf(expected).any() and np.isfinite(expected).any()
+            for scores in (stacked[run], _accel.latent_scores(operand, factor_log(factor[run]))):
+                assert not np.isnan(scores).any()
+                assert np.array_equal(np.isneginf(scores), np.isneginf(expected))
+                assert np.array_equal(scores, expected)
+        # the column of zero counts scores 0 for every state, also the zero one
+        assert (stacked[:, :, 5] == 0.0).all()
 
 
 def test_group_sums_backends_agree():

@@ -23,6 +23,7 @@ from cohsets.report import multirun_experiment
 from tests.conftest import random_counts
 from tests.dense_reference import (
     dense,
+    factor_log,
     log_likelihood_dense,
     log_likelihoods_stacked_reference,
     ml_factors_stacked_reference,
@@ -122,7 +123,7 @@ def test_update_factor_left_stochastic_random():
 
 def _updated_labels(counts, factor):
     """1-based labels of the ascent's affiliation update for one factor."""
-    return _pick_labels(latent_scores(counts.operand, factor[np.newaxis]))[0] + 1
+    return _pick_labels(latent_scores(counts.operand, factor_log(factor)[np.newaxis]))[0] + 1
 
 
 def test_update_affiliation_is_columnwise_argmax():
@@ -433,8 +434,8 @@ def test_factors_and_objectives_match_stacked_references():
         ref_grouped, ref_factor = ml_factors_stacked_reference(counts.operand, labels0, r)
         assert grouped.tobytes() == ref_grouped.tobytes()
         assert factor.tobytes() == ref_factor.tobytes()
-        assert (_log_likelihoods(grouped, factor).tobytes()
+        assert (_log_likelihoods(grouped, factor_log(factor)).tobytes()
                 == log_likelihoods_stacked_reference(grouped, factor).tobytes())
         holed = np.where(rng.random(factor.shape) < 0.1, 0.0, factor)
-        assert (_log_likelihoods(grouped, holed).tobytes()
+        assert (_log_likelihoods(grouped, factor_log(holed)).tobytes()
                 == log_likelihoods_stacked_reference(grouped, holed).tobytes())

@@ -56,6 +56,9 @@ def _random_pairs(size):
 
 # Every digit width from 1 to 19: 10^k and 10^k - 1 up to 10^18.
 _WIDTHS = np.sort(np.concatenate([10 ** np.arange(19), 10 ** np.arange(1, 19) - 1]))
+# Repeated values over a range far wider than the rows, so the writer formats
+# the table's distinct values and not 0..max; the blocks of 7 rows share them.
+_WIDE = np.random.default_rng(5).choice([1, 9, 10**6, 123456789, 10**12, 10**15 - 1], 60)
 
 
 @pytest.mark.parametrize("chunk, inputs, outputs", [
@@ -68,6 +71,7 @@ _WIDTHS = np.sort(np.concatenate([10 ** np.arange(19), 10 ** np.arange(1, 19) - 
                  np.array([3, 3, 1000, 2, 999, 10, 1, 7]), id="width-changes-in-block"),
     pytest.param(1 << 16, np.array([3]), np.array([42]), id="one-record"),
     pytest.param(4, np.arange(1, 10), np.arange(9, 0, -1), id="single-digit"),
+    pytest.param(7, _WIDE, _WIDE[::-1], id="wide-range"),
 ])
 def test_write_pairs_matches_savetxt_bytes(tmp_path, monkeypatch, chunk, inputs, outputs):
     monkeypatch.setattr(dataio, "_PAIRS_CHUNK", chunk)
@@ -257,7 +261,8 @@ def test_count_and_label_writers_match_line_formatting(tmp_path, monkeypatch):
     dataio.write_counts(tmp_path / "counts.txt", big)
     write_counts_lines_reference(tmp_path / "reference.txt", big)
     assert (tmp_path / "counts.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
-    for labels in ([1], [3, 1, 2], rng.integers(1, 12, size=23), [9, 10, 100, 1, 1000]):
+    for labels in ([1], [3, 1, 2], rng.integers(1, 12, size=23), [9, 10, 100, 1, 1000],
+                   [0], [10, 0, 7, 0]):
         dataio.write_labels(tmp_path / "labels.txt", labels, 1000)
         write_labels_lines_reference(tmp_path / "reference.txt", labels, 1000)
         assert (tmp_path / "labels.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
@@ -733,6 +738,26 @@ def test_cli_refuses_non_finite_numbers(tmp_path, argv):
     )
     assert result.returncode == 2
     assert re.fullmatch(r"error: [^\n]*(nan|inf)\n", result.stderr), result.stderr
+
+
+def test_cli_reads_a_negative_value_in_exponent_form(tmp_path):
+    """--t0 -1e-3 runs as --t0=-1e-3 does: argparse alone takes a token that
+    starts with - for an option unless it looks like -1 or -0.5."""
+    for name, t0 in (("spaced", ["--t0", "-1e-3"]), ("attached", ["--t0=-1e-3"])):
+        assert main(["generate", "--example", "double-gyre", *t0, "--t1", "0.009",
+                     "--points-per-box", "1", "--out", str(tmp_path / f"{name}.csv")]) == 0
+    for suffix in (".csv", ".csv.meta.json"):
+        spaced, attached = (tmp_path / f"{name}{suffix}" for name in ("spaced", "attached"))
+        assert spaced.read_bytes() == attached.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["compare", "multirun"])
+def test_cli_negative_infinite_tol_reaches_the_tol_check(tmp_path, capsys, command):
+    """--tol -inf exits 2 with the tolerance check's own line, not with
+    argparse's 'expected one argument'."""
+    assert main([command, "--example", "three-coherent", "--runs", "2", "--tol", "-inf",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: tol must be nonnegative, not -inf\n"
 
 
 def test_cli_seed_is_read_where_something_draws(tmp_path):
@@ -1254,8 +1279,8 @@ def test_cli_counts_dipped_runs(tmp_path, monkeypatch):
     likelihoods = dbmr._log_likelihoods
     calls = []
 
-    def dipping(grouped, factor):
-        sums = likelihoods(grouped, factor)
+    def dipping(grouped, log_factor):
+        sums = likelihoods(grouped, log_factor)
         calls.append(len(sums))
         if len(calls) == 3:  # the initial iterates, then two update steps
             sums[0] = -np.inf
@@ -1282,7 +1307,8 @@ def test_cli_multirun_counts_runs_with_inactive_states(tmp_path):
 
 
 # Values every drawn flag may take: boundaries, non-numbers and huge ones.
-_FUZZ_VALUES = ["0", "-1", "1", "2", "nan", "inf", "-inf", "1e300", str(2**40), "1" + "0" * 30]
+_FUZZ_VALUES = ["0", "-1", "-1e-3", "1", "2", "nan", "inf", "-inf", "1e300", str(2**40),
+                "1" + "0" * 30]
 _FUZZ_FLAGS = {
     "generate": ["--epsilon", "--seed", "--A", "--delta", "--omega", "--t0", "--t1", "--step",
                  "--rho", "--points-per-box"],
