@@ -1,57 +1,71 @@
 """Timing of the hot kernels.
 
-Run with ``python3 benchmarks/bench_kernels.py``. The first table times
-RK4 advection of 204 800 points through 400 steps.
+Run with ``python3 benchmarks/bench_kernels.py``. The tables, in the order
+they print:
 
-The second table times the score and group-sum kernels on both count
-storages, dense and sparse (CSC), for square count matrices of 100, 300
-and 2048 categories over a range of densities, with three latent states.
-It shows where the sparse products, whose scipy dispatch costs a fixed
-tens of microseconds per call, overtake the dense BLAS products: the
-crossover behind ``model.SPARSE_MAX_DENSITY`` and
-``model.SPARSE_MIN_ENTRIES``. The last column names the storage that
-``CountMatrix`` selects for that shape and density.
+1. Minor page faults (``ru_minflt``) and time of a 100-restart
+   ``dbmr.multi_start`` at r = 3 on the paper's examples (three-coherent at
+   window noise 3, 100 x 100; interval map at window noise 1, 90 x 90),
+   medians of 9 calls. Between calls a fixed round allocates and frees what
+   ``perfbench/calibration.py``'s kernel does: a small SVD and the text of
+   20 000 integers. An ascent that allocates and frees its stacks every
+   step hands their pages back to the OS and faults them in again; one
+   block per ascent keeps them. This table runs first, before the other
+   tables' large arrays move glibc's mmap and trim thresholds.
 
-The third table times the text formats in a temporary directory: a pairs
-file of 10^6 records over 300 categories, and a counts file of the 10^6
-entries of a fully occupied 1000 x 1000 count matrix, each written and read
-back, in MB/s of file.
+2. RK4 advection of 204 800 points through 400 steps.
 
-The fourth table times the steps of a compare request that once ran on
-dense m x n arrays and now run on the nonzeros of the counts, on the
-2048-box double-gyre sample of the gyre-flow benchmark's first seed-2
-request (64 x 32 boxes, 10 points a box, t_end 2, seed 2000; 0.39 %
-nonzero). It explains that workload's gain; ``perfbench/`` measures it.
+3. The score and group-sum kernels on both count storages, dense and
+   sparse (CSC), for square count matrices of 100, 300 and 2048 categories
+   over a range of densities, with three latent states. It shows where the
+   sparse products, whose scipy dispatch costs a fixed tens of microseconds
+   per call, overtake the dense BLAS products: the crossover behind
+   ``model.SPARSE_MAX_DENSITY`` and ``model.SPARSE_MIN_ENTRIES``. The last
+   column names the storage that ``CountMatrix`` selects for that shape and
+   density.
 
-The fifth table times the k-means of a classical pipeline, both sides with
-10 restarts each: the restarts run one at a time, as kept in
-``tests/dense_reference.py``, against the batched Lloyd loop of
-``svd.kmeans``, on the singular vectors of the three-coherent example at
-window noise 3 (100 x 3 points) and of the gyre sample above (2048 x 3).
-Both give the same labels, which the table asserts. It explains the
-k-means part of paper-batch's gain; ``perfbench/`` measures it.
+4. The text formats, in a temporary directory: a pairs file of 10^6
+   records over 300 categories, and a counts file of the 10^6 entries of a
+   fully occupied 1000 x 1000 count matrix, each written and read back, in
+   MB/s of file.
 
-The sixth table reproduces the size rule of ``svd.full_svd``: three leading
-triplets of the rescaled matrix by LAPACK's thin SVD of the densified matrix
-against ARPACK on its nonzeros, on fully occupied count matrices of 100 to
-400 categories, block-structured (four diagonal blocks over a uniform
-floor) and unstructured (the floor alone). Both paths run
-through ``full_svd`` with ``svd.LAPACK_MAX_ENTRIES`` moved out of the way,
-and their singular values agree, which the table asserts; the last column
-names the path ``full_svd`` takes at the shipped limit. Run it on one BLAS
-thread (``OPENBLAS_NUM_THREADS=1``), as the program's figures were taken.
+5. The steps of a compare request that once ran on dense m x n arrays and
+   now run on the nonzeros of the counts, on the 2048-box double-gyre
+   sample of the gyre-flow benchmark's first seed-2 request (64 x 32 boxes,
+   10 points a box, t_end 2, seed 2000; 0.39 % nonzero). It explains that
+   workload's gain; ``perfbench/`` measures it.
 
-The seventh table times the pieces of one DBMR ascent step of 100 restarts
-at r = 3 on the three-coherent example at window noise 3 (100 x 100), from
-the restarts' initial labels: the two kernels alone, then each piece of the
-step against its former stacked form, kept in ``tests/dense_reference.py``
-(labels by ``np.argmax``, factors from the grouped columns' sums, one
-objective reduction per run, and scores by a clamped log and a second,
-zero-mask product). The score row runs on the second iterate's factors,
-which have zero entries as most of an ascent's do; its current form takes
-the log, floors -inf and makes one product. Both forms give the same bits,
-which the table asserts. It explains the ascent part of paper-batch's
-gain; ``perfbench/`` measures it.
+6. The k-means of a classical pipeline, both sides with 10 restarts each:
+   the restarts run one at a time, as kept in ``tests/dense_reference.py``,
+   against the batched Lloyd loop of ``svd.kmeans``, on the singular
+   vectors of the three-coherent example at window noise 3 (100 x 3 points)
+   and of the gyre sample above (2048 x 3). Both give the same labels, which
+   the table asserts. It explains the k-means part of paper-batch's gain;
+   ``perfbench/`` measures it.
+
+7. The size rule of ``svd.full_svd``: three leading triplets of the
+   rescaled matrix by LAPACK's thin SVD of the densified matrix against
+   ARPACK on its nonzeros, on fully occupied count matrices of 100 to 400
+   categories, block-structured (four diagonal blocks over a uniform floor)
+   and unstructured (the floor alone). Both paths run through ``full_svd``
+   with ``svd.LAPACK_MAX_ENTRIES`` moved out of the way, and their singular
+   values agree, which the table asserts; the last column names the path
+   ``full_svd`` takes at the shipped limit.
+
+8. The pieces of one DBMR ascent step of 100 restarts at r = 3 on the
+   three-coherent example at window noise 3 (100 x 100), from the restarts'
+   initial labels: the two kernels alone, then each piece of the step
+   against its former stacked form, kept in ``tests/dense_reference.py``
+   (labels by ``np.argmax``, factors from the grouped columns' sums, one
+   objective reduction per run, and scores by a clamped log and a second,
+   zero-mask product). The score row runs on the second iterate's factors,
+   which have zero entries as most of an ascent's do; its current form
+   takes the log, floors -inf and makes one product. Both forms give the
+   same bits, which the table asserts. It explains the ascent part of
+   paper-batch's gain; ``perfbench/`` measures it.
+
+Run it on one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the program's
+figures were taken.
 
 Replaced paths. The dense column below was measured on the code before the
 counts and P were stored as their entries (same sample, one BLAS thread of
@@ -70,6 +84,7 @@ the same singular values and the same minimum up to rounding:
 from __future__ import annotations
 
 import math
+import resource
 import sys
 import tempfile
 import time
@@ -79,9 +94,9 @@ import numpy as np
 from scipy import sparse
 
 from cohsets import _accel, dataio, dbmr, svd
-from cohsets.generators import GyreConfig, gen_double_gyre, gen_three_coherent
+from cohsets.generators import GyreConfig, gen_double_gyre, gen_interval_map, gen_three_coherent
 from cohsets.model import CountMatrix, PairDataset, estimate, ingest_pairs, prune_empty
-from cohsets.seeding import mix_seed
+from cohsets.seeding import rng_for
 
 # The k-means restarts run one at a time are kept as a test reference.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -108,6 +123,29 @@ def best_of(fn, *args, repeats: int = REPEATS) -> float:
         fn(*args)
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def allocate_and_free(tall: np.ndarray, ints: list) -> None:
+    """What the benchmark's calibration kernel allocates and frees between requests."""
+    np.linalg.svd(tall, full_matrices=False)
+    "\n".join(f"{a},{a}" for a in ints)
+
+
+def page_fault_table() -> None:
+    rng = np.random.default_rng(12345)
+    tall, ints = rng.random((100, 80)), rng.integers(0, 1000, 20_000).tolist()
+    print(f"{'multi_start, 100 restarts, r=3':<40} {'faults':>7} {'median':>9}")
+    for name, (dataset, _) in (("three-coherent eps=3, 100 x 100", gen_three_coherent(epsilon=3)),
+                               ("interval map eps=1, 90 x 90", gen_interval_map(epsilon=1))):
+        counts, _, _ = prune_empty(ingest_pairs(dataset))
+        faults, times = [], []
+        for _ in range(9):
+            allocate_and_free(tall, ints)
+            before, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+            dbmr.multi_start(counts, 3, 100, seed=2)
+            times.append(time.perf_counter() - start)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print(f"{name:<40} {np.median(faults):>7.0f} {np.median(times) * 1e3:>7.2f}ms")
 
 
 def advection_table(rng: np.random.Generator) -> None:
@@ -262,7 +300,7 @@ def ascent_step_table() -> None:
     three, _ = gen_three_coherent(epsilon=3)
     counts, _, _ = prune_empty(ingest_pairs(three))
     operand, n, r, runs = counts.operand, counts.shape[1], 3, 100
-    labels0 = np.stack([dbmr._random_labels(n, r, mix_seed(0, run)) - 1 for run in range(runs)])
+    labels0 = np.stack([rng_for(0, run).integers(0, r, size=n) for run in range(runs)])
     grouped, factor = dbmr.ml_factors(counts, labels0, r)
     log_factor = factor_log(factor)
     # The second iterate's factors have zero entries, as most score calls of
@@ -303,6 +341,8 @@ def ascent_step_table() -> None:
 
 def main() -> None:
     rng = np.random.default_rng(0)
+    page_fault_table()
+    print()
     advection_table(rng)
     print()
     storage_table(rng)

@@ -84,7 +84,7 @@ def advect_rk4(xs, ys, t0, n_steps, h, a, delta, omega):
     return out_x, out_y
 
 
-def latent_scores(counts, log_factor):
+def latent_scores(counts, log_factor, out=None):
     """Score matrix s[k, j] = sum_i counts[i, j] * log_factor[i, k].
 
     ``log_factor`` is the log of one (m, r) factor, giving (r, n) scores, or
@@ -93,7 +93,7 @@ def latent_scores(counts, log_factor):
     meets a zero factor entry: the one product reads -inf as -1e300, which
     times a zero count adds -0 and times a positive one sends the score below
     -5e299, where no finite score (at least -745 times its column's count
-    total) lies.
+    total) lies. ``out``, when given, receives the scores.
     """
     floored = np.maximum(log_factor, -1e300)
     with np.errstate(over="ignore"):
@@ -103,35 +103,48 @@ def latent_scores(counts, log_factor):
             # its factor alone; one product of all blocks stacked side by side
             # is not (OpenBLAS sums differently in its threaded and
             # matrix-vector paths).
-            scores = np.swapaxes(floored, -1, -2) @ counts
+            scores = np.matmul(np.swapaxes(floored, -1, -2), counts, out=out)
         else:
             # One product serves every run: each score adds its column's
             # nonzeros in storage order, whatever the number of factor columns.
             m, r = floored.shape[-2:]
             stacked = np.moveaxis(floored, -2, 0).reshape(m, -1)
-            scores = (counts.T @ stacked).T.reshape(floored.shape[:-2] + (r, counts.shape[1]))
+            scores = np.empty(floored.shape[:-2] + (r, counts.shape[1])) if out is None else out
+            scores.reshape(-1, counts.shape[1])[...] = (counts.T @ stacked).T
     scores[scores < -5e299] = -np.inf
     return scores
 
 
-def group_sums(counts, labels0, r):
+def group_sums(counts, labels0, r, out=None, work=None):
     """Column sums of ``counts`` grouped by 0-based labels.
 
     ``labels0`` is one row of n labels, giving (m, r) sums, or one row per
     run, shape (runs, n), giving (runs, m, r). ``counts`` is a dense array
     or a scipy sparse matrix; the sums of integer counts are exact in both.
+
+    ``out`` receives the sums and ``work`` ((m + n) runs r float64 entries)
+    holds the one-hot labels and their dense product; both are allocated if
+    not given.
     """
     rows = np.atleast_2d(labels0)
     runs, n = rows.shape
-    onehot = np.zeros((n, runs * r))
+    m, width = counts.shape[0], runs * r
+    if work is None:
+        work = np.empty((m + n) * width)
+    onehot = work[:n * width].reshape(n, width)
+    onehot.fill(0.0)
     onehot[np.arange(n), rows + r * np.arange(runs)[:, np.newaxis]] = 1.0
-    sums = np.ascontiguousarray(counts @ onehot)
-    if np.ndim(labels0) == 1:
-        return sums
+    if isinstance(counts, np.ndarray):
+        sums = np.matmul(counts, onehot, out=work[n * width:(m + n) * width].reshape(m, width))
+    else:
+        sums = np.ascontiguousarray(counts @ onehot)
+    if out is None:
+        out = np.empty((m, r) if np.ndim(labels0) == 1 else (runs, m, r))
     # (m, runs, r) to (runs, m, r), each run's r sums moved as one item of 8 r
     # bytes: a float64 transpose would copy r values per inner loop.
-    items = sums.view(np.dtype((np.void, 8 * r)))
-    return np.ascontiguousarray(items.T).view(np.float64).reshape(runs, -1, r)
+    item = np.dtype((np.void, 8 * r))
+    out.view(item).reshape(runs, m)[...] = sums.view(item).T
+    return out
 
 
 def warmup() -> None:

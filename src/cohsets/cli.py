@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio
+from . import dataio, dbmr
 from .dbmr import output_partition as derive_output_partition, reduce_with_affiliation
 from .generators import GyreConfig, gen_double_gyre, gen_interval_map, gen_three_coherent
 from .model import PairDataset, Partition, count_occurring
@@ -219,7 +219,13 @@ def _resolve(args):
         elif labels.size != col_map.size:
             raise ValueError(f"{what} {labels.size} inputs, expected {n_inputs} "
                              f"(or {col_map.size} after pruning)")
-        return Partition(labels=labels, n_clusters=n_latent or int(labels.max()))
+        n_latent = n_latent or int(labels.max())
+        # A factor of the partition is m x r and its one-hot labels n x r.
+        if n_latent * sum(counts.shape) > dbmr.MAX_STACK_ENTRIES:
+            raise ValueError(f"{labels_path or 'the default labels'}: {n_latent} latent states "
+                             f"on a {counts.shape[0]} x {counts.shape[1]} matrix exceed the cap "
+                             f"of 2**26 entries of rank x (m + n)")
+        return Partition(labels=labels, n_clusters=n_latent)
 
     return counts, row_map, col_map, provenance, input_partition
 

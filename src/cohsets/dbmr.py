@@ -28,7 +28,10 @@ Around the two kernel calls a step works on whole stacks, never per run:
   the row sums of one 2-D array, which add pairwise as a run's sum alone;
 - the labels come from r - 1 elementwise passes over the score slices with
   a strict ``>``, so ties keep the first state, as ``np.argmax`` does;
-- a step takes the new factors as they are; a restart that dipped retires.
+- a step takes the new factors as they are; a restart that dipped retires;
+- every stack is a view of one float64 block per chunk, whose first rows
+  hold the restarts still ascending, so its pages are not handed back to
+  the OS and faulted in again every step.
 """
 
 from __future__ import annotations
@@ -41,14 +44,15 @@ import numpy as np
 
 from ._accel import group_sums, latent_scores
 from .model import CountMatrix, Partition, TransitionModel
-from .seeding import mix_seed
+from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
 
-# A chunk of A restarts holds its stacked factors, scores and one-hot labels
-# in arrays of about A * r * (m + n) float64 entries; this caps that number
-# (8 MB an array). The 100 restarts of an r = 3 fit on a 100 x 100 matrix
-# form one chunk; on a 2048 x 2048 matrix a chunk holds 85 restarts.
+# A chunk of A restarts ascends in one block of five stacks: four of
+# A * r * m float64 entries and a work area of A * r * (m + n). This caps
+# A * r * (m + n), so each stack is at most 8 MB and the block 40 MB. The
+# 100 restarts of an r = 3 fit on a 100 x 100 matrix form one chunk, a
+# 1.4 MB block; on a 2048 x 2048 matrix a chunk holds 85 restarts, 25 MB.
 BATCH_ENTRIES = 2**20
 # Refused above this many entries of runs x r x (m + n): a report derives
 # all final factors as one (runs, m, r) stack, 512 MB of float64 at most.
@@ -263,10 +267,12 @@ def _segment_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _log_likelihoods(grouped: np.ndarray, log_factor: np.ndarray) -> np.ndarray:
+def _log_likelihoods(grouped: np.ndarray, log_factor: np.ndarray, work=None) -> np.ndarray:
     """Per run, sum of G log F over the observed entries (G > 0) of its (m, r)
     block, taken in row-major order; -inf where F is zero on an observed
-    entry. Both arrays are (runs, m, r); the second holds log F.
+    entry. Both arrays are (runs, m, r); the second holds log F. ``work``
+    (2 ``grouped.size`` float64 entries, allocated if not given) holds the
+    products and their rows.
 
     The runs are summed in the order of their number of observed entries.
     """
@@ -274,28 +280,34 @@ def _log_likelihoods(grouped: np.ndarray, log_factor: np.ndarray) -> np.ndarray:
     observed = (grouped > 0.0).reshape(runs, -1)
     lengths = np.count_nonzero(observed, axis=1)
     order = np.argsort(lengths, kind="stable")
-    # Flat positions of the observed entries, run by run in that order.
+    size = grouped.size
+    products, rows = (np.empty(2 * size) if work is None else work[:2 * size]).reshape(2, runs, -1)
+    # G log F on every entry (nan where G = 0 meets log 0, never observed),
+    # then the runs' rows in that order; "clip" lets take write into its out.
+    with np.errstate(invalid="ignore"):
+        np.multiply(grouped.reshape(runs, -1), log_factor.reshape(runs, -1), out=products)
+    np.take(products, order, axis=0, out=rows, mode="clip")
     at = np.flatnonzero(observed[order])
-    at += np.repeat((order - np.arange(runs)) * observed.shape[1], lengths[order])
-    terms = log_factor.take(at)
-    terms *= grouped.take(at)
+    terms = np.take(rows, at, out=products.reshape(-1)[:at.size], mode="clip")
     sums = np.empty(runs)
     sums[order] = _segment_sums(terms, lengths[order])
     return sums
 
 
 def ml_factors(
-    counts: CountMatrix, labels0: np.ndarray, n_latent: int
+    counts: CountMatrix, labels0: np.ndarray, n_latent: int, out=None, work=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(grouped counts, maximum-likelihood factors) for the 0-based labels in
     each row of ``labels0``, both (runs, m, n_latent). Latent states without
-    inputs get the uniform column."""
-    grouped = group_sums(counts.operand, labels0, n_latent)
+    inputs get the uniform column. ``out``, when given, is the pair of
+    arrays to fill; ``work`` is ``group_sums``'s."""
+    grouped, factor = (None, None) if out is None else out
+    grouped = group_sums(counts.operand, labels0, n_latent, out=grouped, work=work)
     # Sums of integer counts are exact, so these latent totals equal the
     # grouped columns' sums bit for bit.
     totals = latent_sums(labels0, counts.column_totals, n_latent)
     with np.errstate(invalid="ignore"):
-        factor = grouped / totals[:, np.newaxis, :]
+        factor = np.divide(grouped, totals[:, np.newaxis, :], out=factor)
     empty = totals == 0.0
     if empty.any():
         np.swapaxes(factor, 1, 2)[empty] = 1.0 / factor.shape[1]
@@ -358,6 +370,18 @@ def _ascend(
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, not {tol}")
     runs = labels0.shape[0]
+    m, n = counts.shape
+    r, operand = n_latent, counts.operand
+    # Stacks 0 and 1 take turns holding the grouped counts and the log
+    # factors, 2 and 3 the objective's products and their rows; the work
+    # holds a step's scores, then its one-hot labels and their product.
+    # With the objective in the work too, the block would be under half a
+    # paper-size request's heap use, and glibc, whose trim threshold is
+    # twice the largest mapping freed, would hand the heap back.
+    block = np.empty(runs * r * (5 * m + n))
+    stacks = block[:4 * runs * m * r].reshape(4, runs, m, r)
+    work = block[4 * runs * m * r:]
+    factors_at = 0  # the stack that holds the log factors
     final_labels = np.empty_like(labels0)
     final_converged = np.zeros(runs, dtype=bool)
     final_dipped = np.zeros(runs, dtype=bool)
@@ -368,17 +392,21 @@ def _ascend(
 
     def iterate(labels0):
         # An iterate's one log, -inf at a zero entry, serves its objective and scores.
-        grouped, factor = ml_factors(counts, labels0, n_latent)
+        live = len(labels0)
+        grouped, factor = stacks[1 - factors_at, :live], stacks[factors_at, :live]
+        ml_factors(counts, labels0, r, out=(grouped, factor), work=work)
         with np.errstate(divide="ignore"):
-            log_factor = np.log(factor, out=factor)
-        return log_factor, _log_likelihoods(grouped, log_factor)
+            np.log(factor, out=factor)
+        return factor, _log_likelihoods(grouped, factor, work=stacks[2:].reshape(-1))
 
     log_factor, objective = iterate(labels0)
     accepted = None  # rows whose iterate was taken, when not all were
     converged = dipped = np.zeros(runs, dtype=bool)
     for index in range(max_steps + 1):
         if index:
-            new_labels0 = _pick_labels(latent_scores(counts.operand, log_factor))
+            scores = latent_scores(operand, log_factor, out=work[:live.size * r * n].reshape(-1, r, n))
+            # The new log factors take the place of these, read by now.
+            new_labels0 = _pick_labels(scores)
             new_log_factor, new_objective = iterate(new_labels0)
             # Both updates are ascent steps; a strict drop can only be a
             # rounding artifact, so a restart that dips keeps its previous
@@ -404,9 +432,13 @@ def _ascend(
         going = ~finished
         if not going.any():
             break
-        live, labels0, log_factor, objective = (
-            live[going], labels0[going], log_factor[going], objective[going]
-        )
+        # The going runs' log factors move to the front of the spent grouped
+        # counts' stack; "clip" lets take write straight into its out.
+        kept = np.flatnonzero(going)
+        factors_at = 1 - factors_at
+        log_factor = np.take(log_factor, kept, axis=0, out=stacks[factors_at, :kept.size],
+                             mode="clip")
+        live, labels0, objective = live[kept], labels0[kept], objective[kept]
     # Each run's taken iterates, in iteration order.
     taken_runs, *columns = (np.concatenate(column) for column in zip(*history))
     order = np.argsort(taken_runs, kind="stable")
@@ -422,10 +454,6 @@ def _ascend(
         )
         for run, (start, end) in enumerate(zip([0] + ends[:-1], ends))
     ]
-
-
-def _random_labels(n_inputs: int, n_latent: int, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).integers(1, n_latent + 1, size=n_inputs)
 
 
 def multi_start(
@@ -455,7 +483,7 @@ def multi_start(
     traces: list[DbmrTrace] = []
     for start in range(0, runs, chunk):
         inits = np.stack([
-            _random_labels(n, n_latent, mix_seed(seed, run))
+            rng_for(seed, run).integers(1, n_latent + 1, size=n)
             for run in range(start, min(start + chunk, runs))
         ])
         traces += _ascend(counts, inits - 1, n_latent, max_steps, tol, snapshots)

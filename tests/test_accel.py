@@ -105,6 +105,29 @@ def test_group_sums_backends_agree():
     assert reference.sum() == counts.sum()
 
 
+def test_kernels_into_out_equal_the_allocating_calls():
+    """Given ``out`` (and ``work`` for the group sums), both kernels write the
+    allocating call's bits into ``out`` and return it: on dense and CSC
+    counts, for one factor and a stack."""
+    rng = np.random.default_rng(197)
+    m, n, r, runs = 9, 12, 4, 3
+    counts = rng.integers(0, 6, size=(m, n)).astype(np.float64)
+    factor = rng.random((runs, m, r))
+    factor[rng.random((runs, m, r)) < 0.3] = 0.0
+    log_factor = factor_log(factor / factor.sum(axis=1, keepdims=True))
+    labels0 = rng.integers(0, r, size=(runs, n))
+    for operand in (counts, sparse.csc_array(counts)):
+        for logs, labels in ((log_factor, labels0), (log_factor[0], labels0[0])):
+            lead = logs.shape[:-2]
+            work = np.full((m + n) * runs * r, np.nan)
+            out = np.full(lead + (r, n), np.nan)
+            assert _accel.latent_scores(operand, logs, out=out) is out
+            assert out.tobytes() == _accel.latent_scores(operand, logs).tobytes()
+            out = np.full(lead + (m, r), np.nan)
+            assert _accel.group_sums(operand, labels, r, out=out, work=work) is out
+            assert out.tobytes() == _accel.group_sums(operand, labels, r).tobytes()
+
+
 def test_numpy_backend_runs_pipelines():
     """A gyre sample and an alternating-ascent fit run on the numpy kernels."""
     dataset, _ = gen_double_gyre(GyreConfig(nx=8, ny=4, points_per_box=4, t_end=0.5))

@@ -40,7 +40,7 @@ from cohsets.dbmr import (
     reduced_singular_values,
     spectrum_depth,
 )
-from cohsets.generators import GyreConfig, gen_double_gyre
+from cohsets.generators import GyreConfig, gen_double_gyre, gen_three_coherent
 from cohsets.model import CountMatrix, Partition, estimate, ingest_pairs, prune_empty
 from cohsets.projection import pythagoras_check, verify_factorization
 from cohsets.report import compare_experiment, multirun_experiment
@@ -381,6 +381,64 @@ def test_multi_start_matches_sequential_runs(data):
         batched = multi_start(counts, n_latent, runs, **options)
         sequential = multi_start_reference(counts, n_latent, runs, **options)
     _assert_same_restarts(batched, sequential)
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_multi_start_with_a_dip_mid_chunk_matches_single_runs(monkeypatch, storage):
+    """A dip forced into the middle row of a chunk's second update step
+    retires that restart at step 2, while the others retire at steps of
+    their own. Every trace is its restart's run alone in the sequential
+    reference; the dipped one keeps its first step's iterate."""
+    dataset, _ = gen_three_coherent(epsilon=3)
+    pruned, _, _ = prune_empty(ingest_pairs(dataset))
+    runs, r, seed = 12, 3, 5
+    likelihoods = dbmr._log_likelihoods
+    calls = []
+
+    def dipping(grouped, log_factor, **kwargs):
+        sums = likelihoods(grouped, log_factor, **kwargs)
+        calls.append(sums.size)
+        if len(calls) == 3:  # the initial iterates, then two update steps
+            sums[sums.size // 2] = -np.inf
+        return sums
+
+    with monkeypatch.context() as patch:
+        counts = _counts_on_storage(patch, pruned.counts, storage)
+        patch.setattr(dbmr, "_log_likelihoods", dipping)
+        _, _, traces = multi_start(counts, r, runs, seed=seed, snapshots=True)
+    assert calls[0] == runs and calls[2] >= 3
+    (dipped,) = [run for run, trace in enumerate(traces) if trace.dipped]
+    assert len({trace.iterations for trace in traces}) > 2
+    for run, trace in enumerate(traces):
+        init = random_partition(counts.shape[1], r, mix_seed(seed, run))
+        _, ref = dbmr_run_reference(counts, init, max_steps=1 if run == dipped else 500)
+        assert trace.objectives.tolist() == [step.objective for step in ref.steps]
+        assert np.array_equal(trace.label_snapshots, [step.labels for step in ref.steps])
+        assert np.array_equal(trace.labels, ref.steps[-1].labels)
+        assert (trace.converged, trace.dipped) == ((True, True) if run == dipped
+                                                  else (ref.converged, ref.dipped))
+
+
+def test_ascent_kernels_write_into_one_block(monkeypatch, three_example):
+    """Every score and group-sum result of an ascent lies in one block, so
+    a step that fell back to allocating its stacks fails here."""
+    results = []
+    for name in ("group_sums", "latent_scores"):
+        def recording(*args, kernel=getattr(dbmr, name), **kwargs):
+            results.append(kernel(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(dbmr, name, recording)
+    counts = three_example[0]
+    labels0 = np.stack([rng_for(0, run).integers(0, 3, counts.shape[1]) for run in range(8)])
+    traces = dbmr._ascend(counts, labels0, 3, 500, 0.0, False)
+    assert len(results) >= 1 + 2 * max(trace.iterations for trace in traces)
+
+    def owner(array):
+        while array.base is not None:
+            array = array.base
+        return array
+
+    assert len({id(owner(result)) for result in results}) == 1
 
 
 @SETTINGS

@@ -1250,6 +1250,22 @@ def test_cli_refuses_restart_stacks_above_the_cap(tmp_path, capsys, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["bounds", "render"])
+def test_cli_refuses_labels_declaring_more_states_than_the_cap(tmp_path, capsys, command):
+    """A labels file's declared r sizes the m x r factor that bounds and
+    render derive; a huge one is refused with one line naming the file
+    before anything of that size is allocated."""
+    labels = tmp_path / "labels.txt"
+    labels.write_text(f"# r={10**12}\n" + "1\n" * 100, encoding="utf-8")
+    flags = (["--labels", str(labels), "--out", str(tmp_path / "out.ppm")]
+             if command == "render" else [str(labels)])
+    assert main([command, "--example", "three-coherent", *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {labels}: {10**12} latent states on a 100 x 100 matrix exceed the cap "
+        f"of 2**26 entries of rank x (m + n)\n")
+    assert sorted(tmp_path.iterdir()) == [labels]
+
+
 def test_cli_gyre_overflow_is_a_numerical_failure(tmp_path, capsys):
     """An amplitude that overflows the RK4 stages exits 3 with one line and no
     warning, instead of binning NaN endpoints into boxes."""
@@ -1279,8 +1295,8 @@ def test_cli_counts_dipped_runs(tmp_path, monkeypatch):
     likelihoods = dbmr._log_likelihoods
     calls = []
 
-    def dipping(grouped, log_factor):
-        sums = likelihoods(grouped, log_factor)
+    def dipping(grouped, log_factor, **kwargs):
+        sums = likelihoods(grouped, log_factor, **kwargs)
         calls.append(len(sums))
         if len(calls) == 3:  # the initial iterates, then two update steps
             sums[0] = -np.inf
