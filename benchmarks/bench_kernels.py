@@ -64,6 +64,14 @@ they print:
    same bits, which the table asserts. It explains the ascent part of
    paper-batch's gain; ``perfbench/`` measures it.
 
+9. ``report.render_compare_images``, the three PPM images of a compare,
+   drawn in blocks of rows: median time of 7 calls and ``tracemalloc``
+   peak, on the 300 x 300 block counts of ``tests/same_outputs.py``'s pairs
+   file grown to the pairs-file benchmark's 10^6 records (nearly full,
+   dense storage) and on the gyre sample above (2048 x 2048, 0.39 %
+   nonzero). Drawing the whole m x n matrices instead peaked at 3.4 and
+   160 MiB and took about 5-7 and 380-470 ms on the same machine.
+
 Run it on one BLAS thread (``OPENBLAS_NUM_THREADS=1``), as the program's
 figures were taken.
 
@@ -77,7 +85,7 @@ the same singular values and the same minimum up to rounding:
     estimate                          61 ms         1.1 ms
     rescaled                          20 ms         0.23 ms
     full_svd (3 triplets)            117 ms          63 ms
-    truncate(...).min()               38 ms         2.7 ms (reduced_min_entry)
+    truncate_reference(...).min()     38 ms         2.7 ms (reduced_min_entry)
     _coherence_scores                 19 ms         0.19 ms
 """
 
@@ -88,14 +96,22 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from cohsets import _accel, dataio, dbmr, svd
+from cohsets import _accel, dataio, dbmr, report, svd
 from cohsets.generators import GyreConfig, gen_double_gyre, gen_interval_map, gen_three_coherent
-from cohsets.model import CountMatrix, PairDataset, estimate, ingest_pairs, prune_empty
+from cohsets.model import (
+    CountMatrix,
+    PairDataset,
+    count_entries,
+    estimate,
+    ingest_pairs,
+    prune_empty,
+)
 from cohsets.seeding import rng_for
 
 # The k-means restarts run one at a time are kept as a test reference.
@@ -339,6 +355,31 @@ def ascent_step_table() -> None:
         print(f"{name:<44} {times[0]} {times[1]}")
 
 
+def images_table(gyre: PairDataset) -> None:
+    rng = np.random.default_rng(20231)
+    inputs = rng.integers(0, 300, 10**6)
+    inside = inputs // 75 * 75 + rng.integers(0, 75, inputs.size)
+    outputs = np.where(rng.random(inputs.size) < 0.25, rng.integers(0, 300, inputs.size), inside)
+    print(f"{'render_compare_images (3 images)':<40} {'median':>9} {'peak':>10}")
+    for name, counts in (
+        ("300 x 300 block counts", count_entries((300, 300), outputs, inputs)),
+        ("2048 x 2048 gyre sample", prune_empty(ingest_pairs(gyre))[0]),
+    ):
+        _, artifacts = report.compare_experiment(counts, 4, runs=3, seed=0)
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp) / "images.json"
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                report.render_compare_images(artifacts, base)
+                times.append(time.perf_counter() - start)
+            tracemalloc.start()
+            report.render_compare_images(artifacts, base)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        print(f"{name:<40} {np.median(times) * 1e3:>7.2f}ms {peak / 2**20:>6.2f} MiB")
+
+
 def main() -> None:
     rng = np.random.default_rng(0)
     page_fault_table()
@@ -357,6 +398,8 @@ def main() -> None:
     svd_rule_table(rng)
     print()
     ascent_step_table()
+    print()
+    images_table(gyre)
 
 
 if __name__ == "__main__":

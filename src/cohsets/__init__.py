@@ -70,7 +70,6 @@ from .svd import (
     full_svd,
     kmeans,
     match_partitions,
-    truncate,
 )
 
 __version__ = "0.1.0"
@@ -120,7 +119,6 @@ __all__ = [
     "render_matrix_image",
     "rng_for",
     "three_coherent_counts",
-    "truncate",
     "verify_factorization",
     "write_counts",
     "write_json",

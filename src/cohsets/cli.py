@@ -312,10 +312,7 @@ def cmd_render(args) -> int:
     output_strip = None
     if partition is not None:
         output_strip = derive_output_partition(reduce_with_affiliation(counts, partition))
-    render_matrix_image(
-        counts.model.matrix, args.out,
-        input_partition=partition, output_partition=output_strip,
-    )
+    render_matrix_image(counts.model.matrix, args.out, partition, output_strip)
     print(f"wrote {args.out}")
     return 0
 

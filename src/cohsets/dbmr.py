@@ -167,11 +167,6 @@ class ReducedModel:
         return self.counts.model
 
     @property
-    def approx(self) -> np.ndarray:
-        """Approximate transition matrix: column j is the factor column of j's label."""
-        return self.factor[:, self.affiliation.labels - 1]
-
-    @property
     def n_latent(self) -> int:
         return self.affiliation.n_clusters
 

@@ -11,9 +11,9 @@ column j's rows (increasing) and counts are the slice
 bins flat keys of the records, pruning relabels the stored entries, and the
 transition matrix P and its rescaled form are CSC matrices on the same
 entries, so memory grows with the records and the nonzeros, never with
-m x n.  Dense m x n arrays remain only in ``CountMatrix.operand`` when the
-storage rule below picks dense (small or dense count matrices, where BLAS
-beats scipy's dispatch), where ``report`` draws a picture, and in the tests.
+m x n.  Dense m x n arrays remain only in ``CountMatrix.operand`` and
+``joint_operand`` when the storage rule below picks dense (small or dense
+count matrices, where BLAS beats scipy's dispatch), and in the tests.
 
 scipy is loaded by ``scipy_sparse`` on first use, and only two things use
 it: the sparse ``operand``, a scipy ``csc_array`` on the counts' arrays, and
@@ -93,6 +93,21 @@ class CscMatrix:
         dense = np.zeros(self.shape, dtype=self.data.dtype)
         dense[_csc_support(self)] = self.data
         return dense
+
+    def row_blocks(self, entries: int):
+        """The matrix in dense float64 blocks of ``entries // n`` rows (at least one),
+        from its entries grouped by block by any sort: they fill distinct cells."""
+        m, n = self.shape
+        step = max(1, entries // n)
+        rows, cols = _csc_support(self)
+        block_of = rows // step
+        order = np.argsort(block_of)
+        ends = np.searchsorted(block_of, np.arange(1, -(-m // step)), sorter=order)
+        flat, data = (rows * n + cols)[order], self.data[order]
+        for start, cells, values in zip(range(0, m, step), np.split(flat, ends), np.split(data, ends)):
+            block = np.zeros((min(step, m - start), n))
+            block.ravel()[cells - start * n] = values
+            yield block
 
     def to_scipy(self):
         """A scipy ``csc_array`` on these same arrays, without a copy."""

@@ -26,10 +26,11 @@ from .dbmr import (
     reduced_singular_values,
     spectrum_depth,
 )
-from .model import CountMatrix, Partition
+from .model import CountMatrix, Partition, as_csc
 from .projection import pythagoras_check, verify_factorization
 from .seeding import mix_seed
-from .svd import classical_pipeline, reduced_min_entry, truncate
+from .svd import ROW_BLOCK_ENTRIES, classical_pipeline, product_blocks, reduced_min_entry
+from .svd import truncated_factors
 
 logger = logging.getLogger(__name__)
 
@@ -43,9 +44,8 @@ _PALETTE = np.array(
 )
 
 # Images are drawn only for matrices of at most this many entries (4096 x
-# 4096). Drawing one builds its m x n float64 matrix and several m x n
-# temporaries, about 0.5 GB at this size, and the PPM holds 3 bytes per
-# entry; the 2048 x 2048 double-gyre default stays under the limit.
+# 4096), which caps a PPM file at 3 bytes an entry, 48 MiB; the 2048 x 2048
+# double-gyre default stays under the limit.
 MAX_IMAGE_CELLS = 2**24
 
 
@@ -60,7 +60,7 @@ def check_image_shape(shape: tuple[int, int]) -> None:
 
 
 def render_matrix_image(
-    matrix: np.ndarray,
+    matrix,
     path: str | Path,
     input_partition: Partition | None = None,
     output_partition: Partition | None = None,
@@ -70,37 +70,48 @@ def render_matrix_image(
     Magnitudes map linearly to darkness; negative entries render in red.
     The left column colors the output partition, the bottom row the input
     partition; absent strips stay white. The canvas is (rows+1, cols+1).
-    ``matrix`` is a dense array or a CSC matrix (``model.CscMatrix`` or
-    scipy's) of at most ``MAX_IMAGE_CELLS`` entries.
+    ``matrix`` is a CSC matrix (see ``model.as_csc``) or a pair (A, B) of
+    factors standing for A @ B.T, of at most ``MAX_IMAGE_CELLS`` entries,
+    drawn in blocks of ``svd.ROW_BLOCK_ENTRIES`` entries: never whole.
     """
-    if len(matrix.shape) != 2 or 0 in matrix.shape:
+    pair = isinstance(matrix, tuple)
+    if not pair:
+        matrix = as_csc(matrix, np.float64)
+    m, n = (matrix[0].shape[0], matrix[1].shape[0]) if pair else matrix.shape
+    if m * n == 0:
         raise ValueError("matrix must be a nonempty 2-d array")
-    check_image_shape(matrix.shape)
-    if not isinstance(matrix, np.ndarray):
-        matrix = matrix.toarray()
-    matrix = matrix.astype(np.float64, copy=False)
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix must have finite entries")
-    m, n = matrix.shape
+    check_image_shape((m, n))
     if input_partition is not None and input_partition.size != n:
         raise ValueError(f"input partition covers {input_partition.size} of {n} columns")
     if output_partition is not None and output_partition.size != m:
         raise ValueError(f"output partition covers {output_partition.size} of {m} rows")
-    scale = float(np.abs(matrix).max())
-    if scale == 0.0:
-        scale = 1.0
-    shade = (255.0 * (1.0 - np.clip(np.abs(matrix) / scale, 0.0, 1.0))).astype(np.uint8)
-    pixels = np.repeat(shade[:, :, np.newaxis], 3, axis=2)
-    pixels[matrix < 0.0, 0] = 255
-    canvas = np.full((m + 1, n + 1, 3), 255, dtype=np.uint8)
-    canvas[:m, 1:] = pixels
-    if output_partition is not None:
-        canvas[:m, 0] = _PALETTE[(output_partition.labels - 1) % len(_PALETTE)]
-    if input_partition is not None:
-        canvas[m, 1:] = _PALETTE[(input_partition.labels - 1) % len(_PALETTE)]
+    if pair:
+        scale = max(np.abs(block).max() for block in product_blocks(*matrix))
+        blocks = product_blocks(*matrix)
+    else:
+        scale = np.abs(matrix.data).max(initial=0.0)
+        blocks = matrix.row_blocks(ROW_BLOCK_ENTRIES)
+    # The largest magnitude is finite only when every entry is.
+    if not np.isfinite(scale):
+        raise ValueError("matrix must have finite entries")
+    scale = float(scale) or 1.0
     with open(path, "wb") as fh:
         fh.write(f"P6\n{n + 1} {m + 1}\n255\n".encode("ascii"))
-        fh.write(canvas.tobytes())
+        start = 0
+        for block in blocks:
+            stop = start + len(block)
+            shade = (255.0 * (1.0 - np.clip(np.abs(block) / scale, 0.0, 1.0))).astype(np.uint8)
+            canvas = np.full((len(block), n + 1, 3), 255, dtype=np.uint8)
+            canvas[:, 1:] = np.stack((shade,) * 3, axis=-1)  # faster than broadcasting
+            canvas[:, 1:, 0][block < 0.0] = 255
+            if output_partition is not None:
+                canvas[:, 0] = _PALETTE[(output_partition.labels[start:stop] - 1) % len(_PALETTE)]
+            fh.write(canvas)
+            start = stop
+        bottom = np.full((n + 1, 3), 255, dtype=np.uint8)
+        if input_partition is not None:
+            bottom[1:] = _PALETTE[(input_partition.labels - 1) % len(_PALETTE)]
+        fh.write(bottom)
 
 
 def write_csv(path: str | Path, rows: list[dict]) -> None:
@@ -269,26 +280,25 @@ def _count_diagnostics(counts: CountMatrix, traces) -> dict:
 
 
 def render_compare_images(artifacts: dict, base: str | Path) -> list[str]:
-    """Write the estimated, truncated, and reduced matrices next to ``base``;
-    the m x n truncated matrix is built here, for its image only."""
+    """Write the estimated, truncated, and reduced matrices next to ``base``,
+    P from its nonzeros and the others from their factors; the reduction's
+    second factor is the one-hot labels, so its product is exact."""
     base = Path(base)
     if base.suffix == ".json":
         base = base.with_suffix("")
-    model = artifacts["model"]
-    classical = artifacts["classical"]
-    reduced = artifacts["reduced"]
+    model, classical, reduced = (artifacts[key] for key in ("model", "classical", "reduced"))
     dbmr_parts = (reduced.affiliation, artifacts["dbmr_output_partition"])
+    one_hot = np.eye(reduced.n_latent)[reduced.affiliation.labels - 1]
     paths = []
     for suffix, matrix, parts in (
         ("P", model.matrix, dbmr_parts),
-        ("svd", truncate(classical.factorization, artifacts["rank"],
-                         model.input_dist, model.output_dist),
+        ("svd", truncated_factors(classical.factorization, artifacts["rank"],
+                                  model.input_dist, model.output_dist),
          (classical.input_partition, classical.output_partition)),
-        ("dbmr", reduced.approx, dbmr_parts),
+        ("dbmr", (reduced.factor, one_hot), dbmr_parts),
     ):
-        path = base.with_name(base.name + f".{suffix}.ppm")
-        render_matrix_image(matrix, path, input_partition=parts[0], output_partition=parts[1])
-        paths.append(str(path))
+        paths.append(str(base.with_name(base.name + f".{suffix}.ppm")))
+        render_matrix_image(matrix, paths[-1], *parts)
     return paths
 
 

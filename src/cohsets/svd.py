@@ -126,7 +126,7 @@ def _arpack_triplets(matrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return left[:, ::-1], sigma[::-1], right_t[::-1]
 
 
-def _truncated_factors(
+def truncated_factors(
     factorization: SvdFactorization,
     rank: int,
     input_dist: np.ndarray,
@@ -144,26 +144,14 @@ def _truncated_factors(
     return left, right
 
 
-def truncate(
-    factorization: SvdFactorization,
-    rank: int,
-    input_dist: np.ndarray,
-    output_dist: np.ndarray,
-) -> np.ndarray:
-    """Rank-``rank`` truncation in transition-matrix coordinates, as a dense
-    m x n array; only images need it whole.
-
-    The truncated rescaled matrix is taken back through the diagonal
-    rescaling that built it from the transition matrix,
-    D_out^{1/2} @ truncated @ D_in^{-1/2}. Its columns sum to one when the
-    leading singular value is simple; it may contain negative entries.
-    """
-    left, right = _truncated_factors(factorization, rank, input_dist, output_dist)
-    return left @ right.T
-
-
-# ``reduced_min_entry`` forms the truncation this many entries at a time.
+# Products of factors, and images, are formed this many entries at a time.
 ROW_BLOCK_ENTRIES = 2**16
+
+
+def product_blocks(left: np.ndarray, right: np.ndarray):
+    """``left @ right.T`` in blocks of rows, never whole."""
+    step = max(1, ROW_BLOCK_ENTRIES // right.shape[0])
+    return (left[start:start + step] @ right.T for start in range(0, left.shape[0], step))
 
 
 def reduced_min_entry(
@@ -172,13 +160,9 @@ def reduced_min_entry(
     input_dist: np.ndarray,
     output_dist: np.ndarray,
 ) -> float:
-    """Smallest entry of ``truncate``'s matrix, formed in blocks of rows so
-    that no m x n array is built."""
-    left, right = _truncated_factors(factorization, rank, input_dist, output_dist)
-    step = max(1, ROW_BLOCK_ENTRIES // right.shape[0])
-    return float(min(
-        (left[start:start + step] @ right.T).min() for start in range(0, left.shape[0], step)
-    ))
+    """Smallest entry of the truncation of ``truncated_factors``."""
+    blocks = product_blocks(*truncated_factors(factorization, rank, input_dist, output_dist))
+    return float(min(block.min() for block in blocks))
 
 
 def _plus_plus_centers(

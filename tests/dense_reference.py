@@ -20,6 +20,9 @@ The estimate, the likelihood and norm of the full model, the cluster
 scores of the partition matching and the truncation are kept as they ran
 before the counts and P were stored as their nonzeros: on dense m x n
 arrays. ``dense`` gives the m x n array of counts or of a stored matrix.
+The truncation and the reduced approximation are also kept as the m x n
+arrays the program built whole before it drew its images in blocks of
+rows, and so is the image renderer, as the byte reference of the drawn PPMs.
 
 k-means is kept as it ran before its restarts iterated together: one
 restart at a time, one boolean-mask mean per cluster.
@@ -46,7 +49,9 @@ from cohsets._accel import group_sums
 from cohsets.dataio import _PAIRS_PREAMBLE
 from cohsets.dbmr import ReducedModel
 from cohsets.model import CountMatrix, PairDataset, Partition, estimate
+from cohsets.report import _PALETTE
 from cohsets.seeding import mix_seed, rng_for
+from cohsets.svd import truncated_factors
 
 
 def dense(matrix) -> np.ndarray:
@@ -121,6 +126,48 @@ def truncate_dense(factorization, rank, input_dist, output_dist):
     return reduced
 
 
+def truncate_reference(factorization, rank, input_dist, output_dist):
+    """The m x n truncation as the program once formed it whole: the product
+    of ``svd.truncated_factors``. ``truncate_dense`` rescales after the
+    product, so it rounds differently."""
+    left, right = truncated_factors(factorization, rank, input_dist, output_dist)
+    return left @ right.T
+
+
+def approx_dense(reduced):
+    """The m x n approximate transition matrix of a reduction: column j is
+    the factor column of j's label."""
+    return reduced.factor[:, reduced.affiliation.labels - 1]
+
+
+def render_matrix_image_reference(matrix, path, input_partition=None, output_partition=None):
+    """``report.render_matrix_image`` as it drew the whole m x n matrix at
+    once, from a dense array or a CSC matrix."""
+    if len(matrix.shape) != 2 or 0 in matrix.shape:
+        raise ValueError("matrix must be a nonempty 2-d array")
+    if not isinstance(matrix, np.ndarray):
+        matrix = matrix.toarray()
+    matrix = matrix.astype(np.float64, copy=False)
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix must have finite entries")
+    m, n = matrix.shape
+    scale = float(np.abs(matrix).max())
+    if scale == 0.0:
+        scale = 1.0
+    shade = (255.0 * (1.0 - np.clip(np.abs(matrix) / scale, 0.0, 1.0))).astype(np.uint8)
+    pixels = np.repeat(shade[:, :, np.newaxis], 3, axis=2)
+    pixels[matrix < 0.0, 0] = 255
+    canvas = np.full((m + 1, n + 1, 3), 255, dtype=np.uint8)
+    canvas[:m, 1:] = pixels
+    if output_partition is not None:
+        canvas[:m, 0] = _PALETTE[(output_partition.labels - 1) % len(_PALETTE)]
+    if input_partition is not None:
+        canvas[m, 1:] = _PALETTE[(input_partition.labels - 1) % len(_PALETTE)]
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{n + 1} {m + 1}\n255\n".encode("ascii"))
+        fh.write(canvas.tobytes())
+
+
 def latent_scores_loop(counts, factor):
     """s[k, j] = sum_i counts[i, j] log factor[i, k]; -inf on a zero factor entry."""
     m, n = counts.shape
@@ -162,7 +209,7 @@ def group_sums_loop(counts, labels0, r):
 def bound_constants_dense(model, reduced):
     """(kappa_diff, kappa_col, deviations) from dense |P - L| temporaries."""
     P = dense(model.matrix)
-    L = reduced.approx
+    L = approx_dense(reduced)
     q = model.output_dist[:, np.newaxis]
     abs_diff = np.abs(P - L)
     zero_tol = 32.0 * np.finfo(np.float64).eps
@@ -191,7 +238,7 @@ def zeros_max_dense(P, weighted, labels0):
 
 def weighted_kl_sum_dense(model, reduced):
     P = dense(model.matrix)
-    L = reduced.approx
+    L = approx_dense(reduced)
     support = P > 0.0
     if (L[support] <= 0.0).any():
         return float("inf")
@@ -201,7 +248,8 @@ def weighted_kl_sum_dense(model, reduced):
 
 
 def frob_gap_sq_dense(model, reduced):
-    gap = dense(model.rescaled) - rescale_dense(reduced.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale_dense(
+        approx_dense(reduced), model.input_dist, model.output_dist)
     return float(np.sum(gap * gap))
 
 
@@ -538,13 +586,13 @@ def verify_factorization_reference(model, reduced):
     """Residuals of the exact factorization through the dense n x n projection."""
     projection = build_projection(model.input_dist, reduced.affiliation)
     factorization = float(
-        np.abs(reduced.approx - dense(model.matrix) @ projection.matrix).max()
+        np.abs(approx_dense(reduced) - dense(model.matrix) @ projection.matrix).max()
     )
     input_fixed = float(
         np.abs(projection.matrix @ model.input_dist - model.input_dist).max()
     )
     output_marginal = float(
-        np.abs(reduced.approx @ model.input_dist - model.output_dist).max()
+        np.abs(approx_dense(reduced) @ model.input_dist - model.output_dist).max()
     )
     return {
         "factorization": factorization,

@@ -52,6 +52,8 @@ COMMANDS = {
        for kappa in ("post", "pr", "q1", "q2")},
     "render": ["render", "--example", "three-coherent", "--labels", "labels.txt",
                "--out", "render.ppm"],
+    # sparse P drawn across 64 row blocks
+    "render-gyre": ["render", *GYRE, "--out", "render-gyre.ppm"],
     "generate": ["generate", *GYRE, "--out", "gyre.csv"],
     "compare-pairs": ["compare", "pairs.csv", "--rank", "4", "--runs", "10",
                       "--out", "pairs.json"],

@@ -28,14 +28,16 @@ from cohsets.generators import (
 )
 from cohsets.model import Partition, estimate, ingest_pairs, prune_empty
 from cohsets.projection import pythagoras_check, verify_factorization
-from cohsets.svd import classical_pipeline, truncate
+from cohsets.svd import classical_pipeline
 from tests.conftest import random_counts
 from tests.dense_reference import (
+    approx_dense,
     build_projection,
     dense,
     log_likelihood_dense,
     pinsker_l2,
     rescale_dense,
+    truncate_reference,
 )
 
 
@@ -47,7 +49,7 @@ def test_three_set_classical_spectrum_and_reduction(three_example):
     assert sigma[0] == pytest.approx(1.0, abs=1e-9)
     assert sigma[1] == pytest.approx(1.0, abs=1e-9)
     assert sigma[2] == pytest.approx(0.6, abs=1e-9)
-    reduced = truncate(result.factorization, 3, model.input_dist, model.output_dist)
+    reduced = truncate_reference(result.factorization, 3, model.input_dist, model.output_dist)
     assert np.abs(reduced - dense(model.matrix)).max() <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -62,7 +64,8 @@ def test_three_set_alternating_best_of_100(three_example):
     best, best_run, traces = multi_start(counts, 3, runs=100, seed=0)
     objective = traces[best_run].objectives[-1]
     assert objective == pytest.approx(-0.954e5, abs=0.001e5)
-    gap = dense(model.rescaled) - rescale_dense(best.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale_dense(
+        approx_dense(best), model.input_dist, model.output_dist)
     gap_sq = float(np.sum(gap * gap))
     assert gap_sq <= 1e-12
     report = frobenius_kl_bound(best)
@@ -81,13 +84,14 @@ def test_interval_map_quantities(interval_example, interval_affiliation):
     assert sigma[2] == pytest.approx(1.0, abs=1e-9)
 
     best, best_run, traces = multi_start(counts, 3, runs=100, seed=0)
-    best_rescaled = rescale_dense(best.approx, model.input_dist, model.output_dist)
+    best_rescaled = rescale_dense(approx_dense(best), model.input_dist, model.output_dist)
     best_sigma = np.linalg.svd(best_rescaled, compute_uv=False)
     coherence = float(best_sigma[:3].sum())
     assert coherence == pytest.approx(3.0, abs=1e-9)
 
     default = reduce_with_affiliation(counts, interval_affiliation)
-    gap = dense(model.rescaled) - rescale_dense(default.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale_dense(
+        approx_dense(default), model.input_dist, model.output_dist)
     assert float(np.sum(gap * gap)) == pytest.approx(27.0, abs=1e-6)
     report = frobenius_kl_bound(default)
     assert report["kappa_value"] == pytest.approx(1 / 30, abs=1e-9)
@@ -170,7 +174,8 @@ def test_randomized_structural_suite():
             rival /= rival.sum(axis=0)
             rival_gap = np.sum((dense(model.rescaled) - rival[:, labels - 1] * scale) ** 2)
             assert lhs <= rival_gap + 1e-12
-        residual = dense(model.rescaled) - rescale_dense(reduced.approx, model.input_dist, model.output_dist)
+        residual = dense(model.rescaled) - rescale_dense(
+            approx_dense(reduced), model.input_dist, model.output_dist)
         for _ in range(5):
             arbitrary = rng.standard_normal((m, n))
             assert abs(np.sum(residual * (arbitrary @ sym))) <= 1e-9

@@ -11,6 +11,7 @@ from cohsets.dbmr import (
 from cohsets.model import Partition, estimate
 from tests.conftest import random_counts
 from tests.dense_reference import (
+    approx_dense,
     balancedness,
     dense,
     deviation_coefficient,
@@ -115,7 +116,7 @@ def test_bound_constants_post_dominates_prior_random():
 
 def _bound_constants_by_column(model, reduced):
     """(kappa_diff, kappa_col, deviations) column by column through the helpers."""
-    P, L, q = dense(model.matrix), reduced.approx, model.output_dist
+    P, L, q = dense(model.matrix), approx_dense(reduced), model.output_dist
     n = P.shape[1]
     diff_terms, col_terms, deviations = np.empty(n), np.empty(n), np.empty(n)
     zero_tol = 32.0 * np.finfo(np.float64).eps
@@ -249,7 +250,7 @@ def test_coherence_lower_bound_three(three_example, three_affiliation):
     bound = coherence_lower_bound(reduced, 0.5)
     # exact reduction: the bound collapses to the full squared norm
     assert bound == pytest.approx(2.36, abs=1e-9)
-    reduced_rescaled = rescale_dense(reduced.approx, model.input_dist, model.output_dist)
+    reduced_rescaled = rescale_dense(approx_dense(reduced), model.input_dist, model.output_dist)
     sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
     assert np.sum(sigma[:3]) >= bound - 1e-9
 
@@ -259,7 +260,7 @@ def test_coherence_lower_bound_interval(interval_example, interval_affiliation):
     reduced = reduce_with_affiliation(counts, interval_affiliation)
     bound = coherence_lower_bound(reduced, 1 / 30)
     assert bound == pytest.approx(30 - 30 * math.log(10), abs=1e-6)
-    reduced_rescaled = rescale_dense(reduced.approx, model.input_dist, model.output_dist)
+    reduced_rescaled = rescale_dense(approx_dense(reduced), model.input_dist, model.output_dist)
     sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
     assert np.sum(sigma[:3]) == pytest.approx(3.0, abs=1e-9)
     assert np.sum(sigma[:3]) >= bound
@@ -287,7 +288,7 @@ def test_coherence_lower_bound_random():
         if constants.kappa_post <= 0:
             continue
         bound = coherence_lower_bound(reduced, constants.kappa_post)
-        reduced_rescaled = rescale_dense(reduced.approx, model.input_dist, model.output_dist)
+        reduced_rescaled = rescale_dense(approx_dense(reduced), model.input_dist, model.output_dist)
         sigma = np.linalg.svd(reduced_rescaled, compute_uv=False)
         assert np.sum(sigma[:r]) >= bound - 1e-9
 
@@ -358,7 +359,7 @@ def test_chain_matches_likelihood_identity(three_example, three_affiliation):
     )
     report = frobenius_kl_bound(reduced)
     full = log_likelihood_dense(counts, dense(model.matrix))
-    merged = log_likelihood_dense(counts, reduced.approx)
+    merged = log_likelihood_dense(counts, approx_dense(reduced))
     expected = (full - merged) / (report["kappa_value"] * counts.total)
     assert report["likelihood_form"] == pytest.approx(expected, rel=1e-12)
     assert report["frob_gap_sq"] <= report["kl_form"] + 1e-9

@@ -22,6 +22,7 @@ from cohsets.projection import pythagoras_check
 from cohsets.report import multirun_experiment
 from tests.conftest import random_counts
 from tests.dense_reference import (
+    approx_dense,
     dense,
     factor_log,
     log_likelihood_dense,
@@ -77,7 +78,7 @@ def test_relaxed_matches_gathered_likelihood():
         r = int(rng.integers(1, 4))
         affiliation = random_partition(counts.shape[1], r, int(rng.integers(1 << 30)))
         reduced = reduce_with_affiliation(counts, affiliation)
-        direct = log_likelihood_dense(counts, reduced.approx)
+        direct = log_likelihood_dense(counts, approx_dense(reduced))
         relaxed = reduced.log_likelihood
         assert relaxed == pytest.approx(direct, rel=1e-12)
 
@@ -163,7 +164,7 @@ def test_dbmr_run_three_default_exact(three_example, three_affiliation):
     counts, model, _ = three_example
     reduced, trace = dbmr_run(counts, three_affiliation)
     assert trace.converged
-    assert np.abs(reduced.approx - dense(model.matrix)).max() < 1e-15
+    assert np.abs(approx_dense(reduced) - dense(model.matrix)).max() < 1e-15
     assert trace.objectives[-1] == pytest.approx(THREE_REFERENCE, abs=1e-6)
     gap_sq, _ = pythagoras_check(counts, reduced.factor[np.newaxis], trace.labels[np.newaxis])
     assert gap_sq[0] < 1e-12
@@ -202,7 +203,7 @@ def test_dbmr_preserves_average_of_extremes():
     init = Partition(labels=np.array([1, 2, 3]), n_clusters=3)
     reduced, trace = dbmr_run(counts, init)
     model = estimate(counts)
-    assert np.abs(reduced.approx - dense(model.matrix)).max() == 0.0
+    assert np.abs(approx_dense(reduced) - dense(model.matrix)).max() == 0.0
     assert reduced.affiliation.inactive == ()
     assert len(np.unique(reduced.affiliation.labels)) == 3
 
@@ -262,7 +263,8 @@ def test_multi_start_three_example(three_example):
     final = traces[best_run].objectives[-1]
     assert final == pytest.approx(THREE_REFERENCE, abs=1e-6)
     assert all(t.objectives[-1] <= final + 1e-9 for t in traces)
-    gap = dense(model.rescaled) - rescale_dense(best.approx, model.input_dist, model.output_dist)
+    gap = dense(model.rescaled) - rescale_dense(
+        approx_dense(best), model.input_dist, model.output_dist)
     assert np.sum(gap * gap) < 1e-12
     finals = {round(t.objectives[-1], 6) for t in traces}
     assert finals == {
@@ -297,7 +299,8 @@ def test_reduced_model_holds_factor_and_affiliation():
     affiliation = random_partition(15, 4, 3)
     reduced = reduce_with_affiliation(counts, affiliation)
     assert [f.name for f in dataclasses.fields(ReducedModel)] == ["counts", "factor", "affiliation"]
-    assert np.array_equal(reduced.approx, reduced.factor[:, affiliation.labels - 1])
+    nz = reduced.nonzero_view
+    assert np.array_equal(nz.approx, approx_dense(reduced)[nz.rows, nz.cols])
 
 
 def test_exact_fit_gap_is_never_negative(three_example, three_affiliation):
@@ -345,7 +348,8 @@ def test_reduced_singular_values_match_direct():
             np.stack([reduced.affiliation.labels for reduced in reductions]),
         )
         for sigma, reduced in zip(fast, reductions):
-            reduced_rescaled = rescale_dense(reduced.approx, model.input_dist, model.output_dist)
+            reduced_rescaled = rescale_dense(approx_dense(reduced), model.input_dist,
+                                             model.output_dist)
             direct = np.linalg.svd(reduced_rescaled, compute_uv=False)
             assert sigma == pytest.approx(direct[: sigma.size], abs=1e-10)
             assert direct[sigma.size :] == pytest.approx(np.zeros(direct.size - sigma.size),

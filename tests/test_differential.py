@@ -11,7 +11,8 @@ bit, with the sequential one kept there, and the batched k-means restarts,
 on points with repeated rows, with the restarts run one at a time. The
 model estimated on the entries of the counts, its likelihood and norm, the
 cluster scores and the truncation's smallest entry are compared with the
-dense m x n formulas kept there too.
+dense m x n formulas kept there too, and the PPM images, drawn in blocks of
+rows, byte for byte with those the whole-matrix renderer draws.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from cohsets import _accel, dbmr, model as model_module, svd
+from cohsets import _accel, dbmr, model as model_module, report, svd
 from cohsets.bounds import (
     _weighted_kl_sum,
     bound_constants,
@@ -41,13 +42,14 @@ from cohsets.dbmr import (
     spectrum_depth,
 )
 from cohsets.generators import GyreConfig, gen_double_gyre, gen_three_coherent
-from cohsets.model import CountMatrix, Partition, estimate, ingest_pairs, prune_empty
+from cohsets.model import CountMatrix, Partition, count_entries, estimate, ingest_pairs, prune_empty
 from cohsets.projection import pythagoras_check, verify_factorization
-from cohsets.report import compare_experiment, multirun_experiment
+from cohsets.report import compare_experiment, multirun_experiment, render_compare_images
 from cohsets.seeding import mix_seed, rng_for
-from cohsets.svd import _coherence_scores, classical_pipeline, full_svd, reduced_min_entry, truncate
+from cohsets.svd import _coherence_scores, classical_pipeline, full_svd, reduced_min_entry
 from tests.conftest import random_counts
 from tests.dense_reference import (
+    approx_dense,
     dense,
     best_labels_reference,
     bound_constants_dense,
@@ -57,6 +59,7 @@ from tests.dense_reference import (
     log_likelihood_dense,
     rescaled_norm_sq_dense,
     truncate_dense,
+    truncate_reference,
     frob_gap_sq_dense,
     dbmr_run_reference,
     group_sums_loop,
@@ -67,6 +70,7 @@ from tests.dense_reference import (
     pythagoras_check_dense,
     random_partition,
     reduced_singular_values_reference,
+    render_matrix_image_reference,
     rescale_dense,
     verify_factorization_reference,
     weighted_kl_sum_dense,
@@ -239,7 +243,7 @@ def test_entry_model_matches_dense_formulas(case, data):
     rank = data.draw(st.integers(1, factorization.rank))
     reference = truncate_dense(factorization, rank, p, q)
     scale = np.abs(reference).max()
-    _assert_close(truncate(factorization, rank, p, q), reference, scale)
+    _assert_close(truncate_reference(factorization, rank, p, q), reference, scale)
     _assert_close(reduced_min_entry(factorization, rank, p, q), reference.min(), scale)
 
 
@@ -701,7 +705,7 @@ def test_pythagoras_matches_dense_formula(case):
     reduced = reduce_with_affiliation(counts, reduced.affiliation)
     p, q = model.input_dist, model.output_dist
     gap, difference = pythagoras_check_dense(dense(model.rescaled),
-                                             rescale_dense(reduced.approx, p, q))
+                                             rescale_dense(approx_dense(reduced), p, q))
     gaps, norms = pythagoras_check(counts, *_stack_of_one(reduced))
     tolerance = 1e-12 * (1.0 + model.rescaled_norm_sq)
     assert abs(gaps[0] - gap) <= tolerance
@@ -798,3 +802,73 @@ def test_reports_carry_storage_counters(three_example):
         assert report["diagnostics"]["svd_values_cut"] == 0
         classical = classical_pipeline(counts, 3, seed=mix_seed(4, 1))
         assert report["diagnostics"]["kmeans_repairs"] == classical.kmeans_repairs
+
+
+def _image_case(name):
+    """(what ``render_matrix_image`` draws, its m x n array, input strip,
+    output strip) of one image case."""
+    rng = np.random.default_rng(26)
+    if name.startswith("csc"):
+        P = random_counts(rng, 11, 9, density=0.3).model.matrix
+        source, matrix = P, dense(P)
+    elif name == "factors":
+        left, right = rng.standard_normal((11, 3)), rng.standard_normal((9, 3))
+        source, matrix = (left, right), left @ right.T
+    elif name == "zero":
+        source = matrix = np.zeros((11, 9))
+    else:
+        m, n = (1, 9) if name.startswith("row") else (11, 1)
+        left, right = rng.random((m, 2)), rng.random((n, 2))
+        source, matrix = ((left, right) if name.endswith("factors") else sparse.csc_array(left @ right.T),
+                          left @ right.T)
+    m, n = matrix.shape
+    if name in ("csc", "factors"):
+        return source, matrix, None, None
+    # 14 labels, so the palette of 12 colors wraps
+    strips = [Partition(labels=rng.integers(1, 15, size), n_clusters=14) for size in (n, m)]
+    return source, matrix, *strips
+
+
+@pytest.mark.parametrize("entries", [svd.ROW_BLOCK_ENTRIES, 20])
+@pytest.mark.parametrize("name", ["csc", "csc-strips", "factors", "zero", "row-csc",
+                                  "row-factors", "column-csc", "column-factors"])
+def test_images_equal_the_whole_matrix_renderer(tmp_path, monkeypatch, name, entries):
+    """Blocks of rows, ragged last block included (20 entries: 2 rows of 9,
+    20 of 1), draw the bytes the whole m x n matrix drew: P from its CSC
+    entries with and without strips, factors with negative entries (the red
+    channel), an all-zero matrix (scale 1), a single row and a single column."""
+    monkeypatch.setattr(svd, "ROW_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(report, "ROW_BLOCK_ENTRIES", entries)
+    source, matrix, input_strip, output_strip = _image_case(name)
+    report.render_matrix_image(source, tmp_path / "blocks.ppm", input_strip, output_strip)
+    render_matrix_image_reference(matrix, tmp_path / "whole.ppm", input_strip, output_strip)
+    assert (tmp_path / "blocks.ppm").read_bytes() == (tmp_path / "whole.ppm").read_bytes()
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ((np.ones((3, 2)), np.array([[1.0, np.nan], [0.0, 1.0]])), "finite entries"),
+    ((np.full((3, 1), 1e300), np.full((2, 1), 1e300)), "finite entries"),
+    (sparse.csc_array(np.array([[0.0, np.inf], [1.0, 0.0]])), "finite entries"),
+    ((np.ones((0, 2)), np.ones((4, 2))), "nonempty"),
+    (np.zeros((3, 0)), "nonempty"),
+    ((np.ones((4097, 1)), np.ones((4097, 1))), "too many to draw"),
+], ids=["nan-factor", "overflowing-product", "inf-entry", "no-rows", "no-columns", "over-cap"])
+def test_images_refuse_what_they_cannot_draw(tmp_path, matrix, message):
+    with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+        report.render_matrix_image(matrix, tmp_path / "m.ppm")
+    assert not (tmp_path / "m.ppm").exists()
+
+
+def test_compare_images_peak_on_the_nonzeros_and_one_block(tmp_path):
+    """Drawing the three compare images of a 1024 x 1024 matrix with 0.5 %
+    nonzeros peaks below 64 bytes a nonzero plus 40 bytes an entry of one
+    block of rows: under half of one m x n float64 array, where drawing the
+    whole matrices took five of them."""
+    n = 1024
+    inputs = np.tile(np.arange(n), 8)
+    outputs = (inputs + np.random.default_rng(26).integers(-3, 4, inputs.size)) % n
+    counts = count_entries((n, n), outputs, inputs)
+    _, artifacts = compare_experiment(counts, 3, runs=2, seed=0)
+    bound = 64 * counts.nonzeros + 40 * svd.ROW_BLOCK_ENTRIES
+    assert bound < 4 * n * n
+    assert _traced_peak(lambda: render_compare_images(artifacts, tmp_path / "r.json")) < bound

@@ -5,7 +5,13 @@ from cohsets.dbmr import ReducedModel, reduce_with_affiliation
 from cohsets.model import Partition, estimate
 from cohsets.projection import pythagoras_check, verify_factorization
 from tests.conftest import random_counts
-from tests.dense_reference import build_projection, dense, rescale_dense, singular_value_dominance
+from tests.dense_reference import (
+    approx_dense,
+    build_projection,
+    dense,
+    rescale_dense,
+    singular_value_dominance,
+)
 
 
 def _affiliation(labels: np.ndarray, r: int) -> Partition:
@@ -186,7 +192,8 @@ def test_frobenius_orthogonality_random():
     labels = rng.integers(1, 4, size=9)
     reduced = reduce_with_affiliation(counts, _affiliation(labels, 3))
     proj = build_projection(model.input_dist, reduced.affiliation)
-    residual = dense(model.rescaled) - rescale_dense(reduced.approx, model.input_dist, model.output_dist)
+    residual = dense(model.rescaled) - rescale_dense(
+        approx_dense(reduced), model.input_dist, model.output_dist)
     for _ in range(50):
         arbitrary = rng.standard_normal((7, 9))
         assert abs(np.sum(residual * (arbitrary @ proj.rescaled))) < 1e-9
@@ -200,7 +207,7 @@ def test_projected_transition_is_best_approximation():
     model = estimate(counts)
     labels = rng.integers(1, 4, size=8)
     reduced = reduce_with_affiliation(counts, _affiliation(labels, 3))
-    reduced_rescaled = rescale_dense(reduced.approx, model.input_dist, model.output_dist)
+    reduced_rescaled = rescale_dense(approx_dense(reduced), model.input_dist, model.output_dist)
     best = np.sum((dense(model.rescaled) - reduced_rescaled) ** 2)
     scale = np.sqrt(model.input_dist)[None, :] / np.sqrt(model.output_dist)[:, None]
     for _ in range(100):
@@ -251,7 +258,7 @@ def test_dominance_matches_reduced_spectrum():
     reduced = reduce_with_affiliation(counts, _affiliation(labels, 3))
     proj = build_projection(model.input_dist, reduced.affiliation)
     via_projection = np.linalg.svd(dense(model.rescaled) @ proj.rescaled, compute_uv=False)
-    reduced_rescaled = rescale_dense(reduced.approx, model.input_dist, model.output_dist)
+    reduced_rescaled = rescale_dense(approx_dense(reduced), model.input_dist, model.output_dist)
     direct = np.linalg.svd(reduced_rescaled, compute_uv=False)
     assert via_projection == pytest.approx(direct, abs=1e-12)
 

@@ -20,7 +20,6 @@ from cohsets.svd import (
     full_svd,
     kmeans,
     match_partitions,
-    truncate,
 )
 from cohsets.model import CountMatrix
 from cohsets.seeding import mix_seed, rng_for
@@ -30,6 +29,7 @@ from tests.dense_reference import (
     dense,
     plus_plus_centers_reference,
     rescale_dense,
+    truncate_reference,
 )
 
 
@@ -222,12 +222,12 @@ def test_truncate_full_rank_reproduces(three_example):
     nonuniform = estimate(random_counts(np.random.default_rng(5), 6, 8))
     for model in (three_example[1], nonuniform):
         fac = full_svd(model.rescaled)
-        reduced = truncate(fac, fac.rank, model.input_dist, model.output_dist)
+        reduced = truncate_reference(fac, fac.rank, model.input_dist, model.output_dist)
         reduced_rescaled = rescale_dense(reduced, model.input_dist, model.output_dist)
         assert reduced_rescaled == pytest.approx(dense(model.rescaled), abs=1e-12)
         assert reduced == pytest.approx(dense(model.matrix), abs=1e-12)
     fac = full_svd(nonuniform.rescaled)
-    reduced = truncate(fac, 2, nonuniform.input_dist, nonuniform.output_dist)
+    reduced = truncate_reference(fac, 2, nonuniform.input_dist, nonuniform.output_dist)
     assert reduced.sum(axis=0) == pytest.approx(np.ones(8), abs=1e-12)
 
 
@@ -236,7 +236,7 @@ def test_truncate_rank_one_is_marginal_outer_product():
     counts = random_counts(rng, 6, 8)
     model = estimate(counts)
     fac = full_svd(model.rescaled)
-    reduced = truncate(fac, 1, model.input_dist, model.output_dist)
+    reduced = truncate_reference(fac, 1, model.input_dist, model.output_dist)
     reduced_rescaled = rescale_dense(reduced, model.input_dist, model.output_dist)
     expected = np.sqrt(model.output_dist)[:, None] * np.sqrt(model.input_dist)[None, :]
     assert reduced_rescaled == pytest.approx(expected, abs=1e-9)
@@ -247,7 +247,7 @@ def test_truncate_rank_out_of_range(three_example):
     fac = full_svd(model.rescaled)
     for bad in (0, 4, -1):
         with pytest.raises(ValueError):
-            truncate(fac, bad, model.input_dist, model.output_dist)
+            truncate_reference(fac, bad, model.input_dist, model.output_dist)
 
 
 def test_truncation_error_matches_tail():
@@ -259,7 +259,7 @@ def test_truncation_error_matches_tail():
         fac = full_svd(matrix)
         for rank in (1, 3, 5):
             # unit marginals make the back-scaling the identity
-            red = truncate(fac, rank, np.ones(9), np.ones(7))
+            red = truncate_reference(fac, rank, np.ones(9), np.ones(7))
             err = np.sum((matrix - red) ** 2)
             assert err == pytest.approx(np.sum(sigma[rank:] ** 2), abs=1e-8)
 
@@ -484,13 +484,13 @@ def test_classical_pipeline_three_example(three_example):
     assert relabelings_equal(result.output_partition, default)
     # matched clusters pair E_k with its own image: 0.8 + 0.8 + 1.0
     assert result.coherence == pytest.approx(2.6, abs=1e-9)
-    reduced = truncate(result.factorization, 3, model.input_dist, model.output_dist)
+    reduced = truncate_reference(result.factorization, 3, model.input_dist, model.output_dist)
     assert reduced == pytest.approx(dense(model.matrix), abs=1e-8)
 
 
 def test_classical_result_holds_no_matrix(interval_example):
-    """The result keeps the factorization and partitions; ``truncate``
-    derives the rank-r matrix."""
+    """The result keeps the factorization and partitions;
+    ``truncated_factors`` derives the rank-r matrix's factors."""
     counts, _, _ = interval_example
     result = classical_pipeline(counts, 3, seed=0)
     arrays = [
