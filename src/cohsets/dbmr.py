@@ -18,7 +18,7 @@ stacked as (runs, m, r). Each restart keeps the arithmetic, and so the
 trace, it has when ascending alone, and retires when its objective dips or
 stalls or it reaches its step cap. ``dbmr_run`` is the batch of one.
 Restarts run in consecutive chunks of max(1, BATCH_ENTRIES // (r (m + n)))
-restarts.
+restarts; each chunk's initial labels are the next rows of one generator's draw.
 
 Around the two kernel calls a step works on whole stacks, never per run:
 - an iterate's factors are logged once, for its objectives and its scores;
@@ -462,9 +462,10 @@ def multi_start(
 ) -> tuple[ReducedModel, int, list[DbmrTrace]]:
     """Run from ``runs`` random initial affiliations; return the best model.
 
-    Run i draws its initial affiliation from a sub-seed mixed from ``seed``
-    and i. The best run maximizes the final objective; ties keep the lowest
-    run index. Returns (best model, best run index, all traces).
+    Run i starts from row i of ``rng_for(seed, 0).integers(1, n_latent + 1,
+    size=(runs, n))``, drawn chunk by chunk, for any chunk size and any
+    ``runs`` > i. The best run maximizes the final objective; ties keep the
+    lowest run index. Returns (best model, best run index, all traces).
     """
     if runs < 1:
         raise ValueError("runs must be positive")
@@ -475,13 +476,11 @@ def multi_start(
         raise ValueError(f"{runs} restarts of {n_latent} latent states on a {m} x {n} matrix "
                          f"exceed the cap of 2**26 entries of runs x rank x (m + n)")
     chunk = max(1, BATCH_ENTRIES // (n_latent * (m + n)))
+    rng = rng_for(seed, 0)
     traces: list[DbmrTrace] = []
     for start in range(0, runs, chunk):
-        inits = np.stack([
-            rng_for(seed, run).integers(1, n_latent + 1, size=n)
-            for run in range(start, min(start + chunk, runs))
-        ])
-        traces += _ascend(counts, inits - 1, n_latent, max_steps, tol, snapshots)
+        labels0 = rng.integers(0, n_latent, size=(min(chunk, runs - start), n))
+        traces += _ascend(counts, labels0, n_latent, max_steps, tol, snapshots)
     finals = [trace.objectives[-1] for trace in traces]
     best_index = finals.index(max(finals))
     best = reduce_with_affiliation(counts, Partition(traces[best_index].labels, n_latent))

@@ -100,10 +100,15 @@ class CscMatrix:
         m, n = self.shape
         step = max(1, entries // n)
         rows, cols = _csc_support(self)
+        flat = rows * n + cols
+        del cols  # each array is freed once read: at most 24 B an entry are alive
         block_of = rows // step
         order = np.argsort(block_of)
         ends = np.searchsorted(block_of, np.arange(1, -(-m // step)), sorter=order)
-        flat, data = (rows * n + cols)[order], self.data[order]
+        del block_of
+        flat = flat[order]
+        data = self.data[order]
+        del order
         for start, cells, values in zip(range(0, m, step), np.split(flat, ends), np.split(data, ends)):
             block = np.zeros((min(step, m - start), n))
             block.ravel()[cells - start * n] = values

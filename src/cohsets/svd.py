@@ -76,10 +76,11 @@ def full_svd(matrix, k: int | None = None) -> SvdFactorization:
     is converted to a ``CscMatrix``, so only the nonzeros are read. Of the
     ``k`` leading values, those at or below the rank cutoff are dropped with
     their vectors. LAPACK computes the thin SVD of the densified matrix when
-    it has at most ``LAPACK_MAX_ENTRIES`` entries, when ``k >= min(m, n)``
-    (so the dense array has at most k rows or columns) and when the matrix
-    is zero; otherwise ARPACK runs on the nonzeros from a fixed start vector,
-    so repeated calls return identical arrays.
+    it has at most ``LAPACK_MAX_ENTRIES`` entries or when ``k >= min(m, n)``
+    (so the dense array has at most k rows or columns); otherwise ARPACK
+    runs on the nonzeros from a fixed start vector, so repeated calls return
+    identical arrays. A zero matrix, on which ARPACK cannot start, has rank
+    0: it returns LAPACK's empty factorization without densifying.
     """
     matrix = as_csc(matrix, np.float64)
     m, n = matrix.shape
@@ -91,8 +92,10 @@ def full_svd(matrix, k: int | None = None) -> SvdFactorization:
     k = size if k is None else k
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    # ARPACK cannot start on a zero matrix.
-    arpack = k < size and m * n > LAPACK_MAX_ENTRIES and matrix.data.any()
+    if not matrix.data.any():
+        return SvdFactorization(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)), "lapack",
+                                values_cut=min(k, size))
+    arpack = k < size and m * n > LAPACK_MAX_ENTRIES
     try:
         if arpack:
             left, sigma, right_t = _arpack_triplets(matrix, k)

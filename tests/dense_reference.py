@@ -50,7 +50,7 @@ from cohsets.dataio import _PAIRS_PREAMBLE
 from cohsets.dbmr import ReducedModel
 from cohsets.model import CountMatrix, PairDataset, Partition, estimate
 from cohsets.report import _PALETTE
-from cohsets.seeding import mix_seed, rng_for
+from cohsets.seeding import rng_for
 from cohsets.svd import truncated_factors
 
 
@@ -68,7 +68,7 @@ def rescale_dense(matrix, input_dist, output_dist):
 
 
 def random_partition(n_inputs, n_latent, seed):
-    """Uniform random labels, drawn as ``dbmr.multi_start`` draws a restart's."""
+    """Uniform random labels from ``np.random.default_rng(seed)``."""
     labels = np.random.default_rng(seed).integers(1, n_latent + 1, size=n_inputs)
     return Partition(labels=labels, n_clusters=n_latent)
 
@@ -457,8 +457,9 @@ def multi_start_reference(
     best_index = -1
     best_objective = float("-inf")
     traces = []
+    inits = rng_for(seed, 0).integers(1, n_latent + 1, size=(runs, counts.shape[1]))
     for run in range(runs):
-        init = random_partition(counts.shape[1], n_latent, mix_seed(seed, run))
+        init = Partition(labels=inits[run], n_clusters=n_latent)
         reduced, trace = dbmr_run_reference(
             counts, init, max_steps=max_steps, tol=tol, snapshots=snapshots
         )

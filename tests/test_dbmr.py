@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cohsets import dbmr
 from cohsets._accel import latent_scores
 from cohsets.dbmr import (
     ReducedModel,
@@ -20,6 +21,7 @@ from cohsets.dbmr import (
 from cohsets.model import CountMatrix, Partition, estimate
 from cohsets.projection import pythagoras_check
 from cohsets.report import multirun_experiment
+from cohsets.seeding import rng_for
 from tests.conftest import random_counts
 from tests.dense_reference import (
     approx_dense,
@@ -254,6 +256,25 @@ def test_random_affiliation_covers_labels():
     counts = np.bincount(labels, minlength=4)[1:]
     # each label is a fair coin among three; 4 sigma around 1000
     assert np.all(np.abs(counts - 1000) < 4 * np.sqrt(3000 * (1 / 3) * (2 / 3)))
+
+
+def test_multi_start_draws_every_restart_from_one_stream(monkeypatch, three_example):
+    """Restart i ascends from row i of one ``rng_for(seed, 0)`` draw, however
+    the restarts are chunked and however many follow it."""
+    counts, _, _ = three_example
+    (m, n), r, runs, seed = counts.shape, 3, 12, 7
+
+    def traced(traces):
+        return [(trace.objectives.tobytes(), trace.labels.tobytes(), trace.converged,
+                 trace.dipped, trace.label_snapshots.tobytes()) for trace in traces]
+
+    inits = rng_for(seed, 0).integers(0, r, size=(runs, n))
+    alone = traced(dbmr._ascend(counts, row[np.newaxis], r, 500, 0.0, True)[0] for row in inits)
+    assert len(set(alone)) == runs
+    for per_chunk in (1, 3, runs):
+        monkeypatch.setattr(dbmr, "BATCH_ENTRIES", per_chunk * r * (m + n))
+        assert traced(multi_start(counts, r, runs, seed=seed, snapshots=True)[2]) == alone
+        assert traced(multi_start(counts, r, 5, seed=seed, snapshots=True)[2]) == alone[:5]
 
 
 def test_multi_start_three_example(three_example):

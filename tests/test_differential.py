@@ -42,7 +42,9 @@ from cohsets.dbmr import (
     spectrum_depth,
 )
 from cohsets.generators import GyreConfig, gen_double_gyre, gen_three_coherent
-from cohsets.model import CountMatrix, Partition, count_entries, estimate, ingest_pairs, prune_empty
+from cohsets.model import (
+    CountMatrix, Partition, as_csc, count_entries, estimate, ingest_pairs, prune_empty,
+)
 from cohsets.projection import pythagoras_check, verify_factorization
 from cohsets.report import compare_experiment, multirun_experiment, render_compare_images
 from cohsets.seeding import mix_seed, rng_for
@@ -413,8 +415,9 @@ def test_multi_start_with_a_dip_mid_chunk_matches_single_runs(monkeypatch, stora
     assert calls[0] == runs and calls[2] >= 3
     (dipped,) = [run for run, trace in enumerate(traces) if trace.dipped]
     assert len({trace.iterations for trace in traces}) > 2
+    inits = rng_for(seed, 0).integers(1, r + 1, size=(runs, counts.shape[1]))
     for run, trace in enumerate(traces):
-        init = random_partition(counts.shape[1], r, mix_seed(seed, run))
+        init = Partition(labels=inits[run], n_clusters=r)
         _, ref = dbmr_run_reference(counts, init, max_steps=1 if run == dipped else 500)
         assert trace.objectives.tolist() == [step.objective for step in ref.steps]
         assert np.array_equal(trace.label_snapshots, [step.labels for step in ref.steps])
@@ -872,3 +875,13 @@ def test_compare_images_peak_on_the_nonzeros_and_one_block(tmp_path):
     bound = 64 * counts.nonzeros + 40 * svd.ROW_BLOCK_ENTRIES
     assert bound < 4 * n * n
     assert _traced_peak(lambda: render_compare_images(artifacts, tmp_path / "r.json")) < bound
+
+
+def test_row_blocks_hold_three_arrays_of_the_entries():
+    """Drawing a full 300 x 300 matrix in blocks of 10 rows holds at most
+    three arrays of 8 bytes an entry at once besides a block: where keeping
+    the columns, block numbers and order alive took 40 bytes an entry."""
+    matrix = as_csc(np.random.default_rng(27).random((300, 300)) + 0.5, np.float64)
+    entries = 3000
+    bound = 26 * matrix.nnz + 16 * entries
+    assert _traced_peak(lambda: sum(1 for _ in matrix.row_blocks(entries))) < bound

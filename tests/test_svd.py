@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,33 @@ def test_compare_reports_kmeans_repairs(monkeypatch, three_example):
     result, artifacts = report.compare_experiment(counts, 3, runs=2)
     assert artifacts["classical"].kmeans_repairs == 2 * 10 * 2 * 2
     assert result["diagnostics"]["kmeans_repairs"] == 2 * 10 * 2 * 2
+
+
+def test_full_svd_of_a_zero_matrix_is_lapacks_empty_factorization():
+    """Every field is what LAPACK's thin SVD of the zeros gives."""
+    for shape, k in (((4, 4), 2), ((3, 5), None), ((5, 2), 4)):
+        left, sigma, right_t = np.linalg.svd(np.zeros(shape), full_matrices=False)
+        k_values = sigma[:k]
+        keep = k_values > 0.0
+        for matrix in (np.zeros(shape), model_module.as_csc(np.zeros(shape), np.float64)):
+            fac = full_svd(matrix, k)
+            for got, want in ((fac.left, left[:, :k][:, keep]), (fac.singular_values, k_values[keep]),
+                              (fac.right, right_t[:k][keep].T)):
+                assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert (fac.path, fac.values_cut) == ("lapack", k_values.size)
+
+
+def test_full_svd_of_a_zero_matrix_does_not_densify():
+    n = 2048
+    zero = model_module.CscMatrix(np.zeros(n + 1), np.zeros(0), np.zeros(0), (n, n))
+    tracemalloc.start()
+    try:
+        fac = full_svd(zero, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (fac.rank, fac.values_cut) == (0, 3)
+    assert peak < 2**20
 
 
 def test_full_svd_drops_numerical_zeros():
