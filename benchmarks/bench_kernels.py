@@ -10,8 +10,11 @@ they print:
    ``perfbench/calibration.py``'s kernel does: a small SVD and the text of
    20 000 integers. An ascent that allocates and frees its stacks every
    step hands their pages back to the OS and faults them in again; one
-   block per ascent keeps them. This table runs first, before the other
-   tables' large arrays move glibc's mmap and trim thresholds.
+   block per ascent keeps them. The last column is the ``tracemalloc`` peak
+   of one more call, made after the timed ones: the block of runs r
+   (3 m + n) float64 entries plus the (runs, n) label arrays of a step.
+   This table runs first, before the other tables' large arrays move
+   glibc's mmap and trim thresholds.
 
 2. RK4 advection of 204 800 points through 400 steps.
 
@@ -59,13 +62,16 @@ they print:
    generator, as it does now; the draws differ by design. From those
    labels: the two kernels alone, then each piece of the step against its
    former stacked form, kept in ``tests/dense_reference.py`` (labels by
-   ``np.argmax``, factors from the grouped columns' sums, one objective
-   reduction per run, and scores by a clamped log and a second, zero-mask
-   product). The score row runs on the second iterate's factors, which
-   have zero entries as most of an ascent's do; its current form takes the
-   log, floors -inf and makes one product. Both forms of each piece give
-   the same bits, which the table asserts. It explains the draw and ascent
-   parts of paper-batch's gains; ``perfbench/`` measures them.
+   ``np.argmax``, factors from the grouped columns' sums, and scores by a
+   clamped log and a second, zero-mask product); the objectives, the sum
+   of G log F over all m r entries with log F floored at -1e300, as one
+   product and one row sum against one reduction per run of the same
+   formula. The kernels take the log floored as the ascent floors it. The
+   score row runs on the second iterate's factors, which have zero entries
+   as most of an ascent's do; its current form takes the floored log and
+   makes one product. Both forms of each piece give the same bits, which
+   the table asserts. It explains the draw and ascent parts of
+   paper-batch's gains; ``perfbench/`` measures them.
 
 9. ``report.render_compare_images``, the three PPM images of a compare,
    drawn in blocks of rows: median time of 7 calls and ``tracemalloc``
@@ -120,7 +126,7 @@ from cohsets.seeding import rng_for
 # The k-means restarts run one at a time are kept as a test reference.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.dense_reference import (  # noqa: E402
-    factor_log,
+    floored_log,
     kmeans_reference,
     latent_scores_reference,
     log_likelihoods_stacked_reference,
@@ -153,7 +159,7 @@ def allocate_and_free(tall: np.ndarray, ints: list) -> None:
 def page_fault_table() -> None:
     rng = np.random.default_rng(12345)
     tall, ints = rng.random((100, 80)), rng.integers(0, 1000, 20_000).tolist()
-    print(f"{'multi_start, 100 restarts, r=3':<40} {'faults':>7} {'median':>9}")
+    print(f"{'multi_start, 100 restarts, r=3':<40} {'faults':>7} {'median':>9} {'peak':>9}")
     for name, (dataset, _) in (("three-coherent eps=3, 100 x 100", gen_three_coherent(epsilon=3)),
                                ("interval map eps=1, 90 x 90", gen_interval_map(epsilon=1))):
         counts, _, _ = prune_empty(ingest_pairs(dataset))
@@ -164,7 +170,12 @@ def page_fault_table() -> None:
             dbmr.multi_start(counts, 3, 100, seed=2)
             times.append(time.perf_counter() - start)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        print(f"{name:<40} {np.median(faults):>7.0f} {np.median(times) * 1e3:>7.2f}ms")
+        tracemalloc.start()
+        dbmr.multi_start(counts, 3, 100, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"{name:<40} {np.median(faults):>7.0f} {np.median(times) * 1e3:>7.2f}ms "
+              f"{peak / 1e3:>6.0f} KB")
 
 
 def advection_table(rng: np.random.Generator) -> None:
@@ -321,7 +332,7 @@ def ascent_step_table() -> None:
     operand, n, r, runs = counts.operand, counts.shape[1], 3, 100
     labels0 = rng_for(0, 0).integers(0, r, size=(runs, n))
     grouped, factor = dbmr.ml_factors(counts, labels0, r)
-    log_factor = factor_log(factor)
+    log_factor = floored_log(factor)
     # The second iterate's factors have zero entries, as most score calls of
     # an ascent meet.
     _, stepped = dbmr.ml_factors(
@@ -333,7 +344,7 @@ def ascent_step_table() -> None:
         ("latent_scores (kernel)", None, lambda: _accel.latent_scores(operand, log_factor)),
         ("scores of zeroed factors: log and products",
          lambda: latent_scores_reference(operand, stepped),
-         lambda: _accel.latent_scores(operand, factor_log(stepped))),
+         lambda: _accel.latent_scores(operand, floored_log(stepped))),
         ("scores and label pick",
          lambda: pick_labels_stacked_reference(_accel.latent_scores(operand, log_factor)),
          lambda: dbmr._pick_labels(_accel.latent_scores(operand, log_factor))),

@@ -88,14 +88,13 @@ def latent_scores(counts, log_factor, out=None):
     """Score matrix s[k, j] = sum_i counts[i, j] * log_factor[i, k].
 
     ``log_factor`` is the log of one (m, r) factor, giving (r, n) scores, or
-    of a stack (runs, m, r), giving (runs, r, n). ``counts`` is a dense
-    array or a scipy sparse matrix. A score is -inf where a positive count
-    meets a zero factor entry: the one product reads -inf as -1e300, which
-    times a zero count adds -0 and times a positive one sends the score below
+    of a stack (runs, m, r), giving (runs, r, n), floored at -1e300 where the
+    factor is zero. ``counts`` is a dense array or a scipy sparse matrix. A
+    score is -inf where a positive count meets a zero factor entry: -1e300
+    times a zero count adds -0, and times a positive one sends the score below
     -5e299, where no finite score (at least -745 times its column's count
     total) lies. ``out``, when given, receives the scores.
     """
-    floored = np.maximum(log_factor, -1e300)
     with np.errstate(over="ignore"):
         if isinstance(counts, np.ndarray):
             # A stack multiplies each run's block with its own BLAS call inside
@@ -103,13 +102,13 @@ def latent_scores(counts, log_factor, out=None):
             # its factor alone; one product of all blocks stacked side by side
             # is not (OpenBLAS sums differently in its threaded and
             # matrix-vector paths).
-            scores = np.matmul(np.swapaxes(floored, -1, -2), counts, out=out)
+            scores = np.matmul(np.swapaxes(log_factor, -1, -2), counts, out=out)
         else:
             # One product serves every run: each score adds its column's
             # nonzeros in storage order, whatever the number of factor columns.
-            m, r = floored.shape[-2:]
-            stacked = np.moveaxis(floored, -2, 0).reshape(m, -1)
-            scores = np.empty(floored.shape[:-2] + (r, counts.shape[1])) if out is None else out
+            m, r = log_factor.shape[-2:]
+            stacked = np.moveaxis(log_factor, -2, 0).reshape(m, -1)
+            scores = np.empty(log_factor.shape[:-2] + (r, counts.shape[1])) if out is None else out
             scores.reshape(-1, counts.shape[1])[...] = (counts.T @ stacked).T
     scores[scores < -5e299] = -np.inf
     return scores

@@ -21,17 +21,19 @@ Restarts run in consecutive chunks of max(1, BATCH_ENTRIES // (r (m + n)))
 restarts; each chunk's initial labels are the next rows of one generator's draw.
 
 Around the two kernel calls a step works on whole stacks, never per run:
-- an iterate's factors are logged once, for its objectives and its scores;
+- an iterate's factors are logged once, in place and floored at -1e300,
+  for its objectives and its scores;
 - the latent totals are one bincount of the counts' exact column totals,
   equal bit for bit to the grouped columns' sums;
-- the objectives of the runs with the same number of observed terms are
-  the row sums of one 2-D array, which add pairwise as a run's sum alone;
+- a run's objective is sum G log F over all m r entries of its block, a zero
+  G adding -0: one product of the stacks and one row sum, each row added
+  pairwise as the run's sum alone, so its bits depend on no other run;
 - the labels come from r - 1 elementwise passes over the score slices with
   a strict ``>``, so ties keep the first state, as ``np.argmax`` does;
 - a step takes the new factors as they are; a restart that dipped retires;
-- every stack is a view of one float64 block per chunk, whose first rows
-  hold the restarts still ascending, so its pages are not handed back to
-  the OS and faulted in again every step.
+- the two stacks and the kernels' work area are views of one float64
+  block per chunk, whose first rows hold the restarts still ascending, so
+  its pages are not handed back to the OS and faulted in again every step.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ from .seeding import rng_for
 
 logger = logging.getLogger(__name__)
 
-# A chunk of A restarts ascends in one block of five stacks: four of
-# A * r * m float64 entries and a work area of A * r * (m + n). This caps
-# A * r * (m + n), so each stack is at most 8 MB and the block 40 MB. The
+# A chunk of A restarts ascends in one block: two stacks of A * r * m
+# float64 entries and a work area of A * r * (m + n). This caps
+# A * r * (m + n), so the work area is at most 8 MB and the block 24 MB. The
 # 100 restarts of an r = 3 fit on a 100 x 100 matrix form one chunk, a
-# 1.4 MB block; on a 2048 x 2048 matrix a chunk holds 85 restarts, 25 MB.
+# 0.96 MB block; on a 2048 x 2048 matrix a chunk holds 85 restarts, 16.7 MB.
 BATCH_ENTRIES = 2**20
 # Refused above this many entries of runs x r x (m + n): a report derives
 # all final factors as one (runs, m, r) stack, 512 MB of float64 at most.
@@ -176,10 +178,10 @@ class ReducedModel:
 
     @cached_property
     def log_likelihood(self) -> float:
-        """Relaxed log-likelihood: each input column scored against its latent column."""
-        grouped = group_sums(self.counts.operand, self.affiliation.labels - 1, self.n_latent)
+        """Relaxed log-likelihood: sum N log L over the positive counts, in the
+        order of ``CountMatrix.full_log_likelihood``; -inf where L is zero on one."""
         with np.errstate(divide="ignore"):
-            return float(_log_likelihoods(grouped[np.newaxis], np.log(self.factor)[np.newaxis])[0])
+            return float(np.sum(self.counts.counts.data * np.log(self.nonzero_view.approx)))
 
     @cached_property
     def nonzero_view(self) -> _Nonzeros:
@@ -242,51 +244,17 @@ class DbmrTrace:
         return self.objectives.size - 1
 
 
-def _segment_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sums of the consecutive segments of ``terms`` with the nondecreasing
-    ``lengths``, each added pairwise as ``np.add.reduce`` adds it alone.
-
-    The segments of one length form one block whose rows they are, and a
-    row reduction adds each row in the order of the 1-D reduction; padding
-    rows to one length would group the terms differently and move the last
-    bits.
-    """
-    sums = np.empty(lengths.size)
-    rows = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), lengths.size]
-    start = 0
-    for first, stop in zip(rows[:-1], rows[1:]):
-        count, length = stop - first, int(lengths[first])
-        block = terms[start:start + count * length].reshape(count, length)
-        sums[first:stop] = np.add.reduce(block, axis=1)
-        start += count * length
-    return sums
-
-
 def _log_likelihoods(grouped: np.ndarray, log_factor: np.ndarray, work=None) -> np.ndarray:
-    """Per run, sum of G log F over the observed entries (G > 0) of its (m, r)
-    block, taken in row-major order; -inf where F is zero on an observed
-    entry. Both arrays are (runs, m, r); the second holds log F. ``work``
-    (2 ``grouped.size`` float64 entries, allocated if not given) holds the
-    products and their rows.
-
-    The runs are summed in the order of their number of observed entries.
+    """Per run, the sum of G log F over all m r entries of its (m, r) block,
+    added pairwise in row-major order as ``np.add.reduce`` adds a run alone.
+    Both arrays are (runs, m, r); the second holds log F floored at -1e300,
+    so a zero G adds -0. ``work`` (``grouped.size`` float64 entries,
+    allocated if not given) holds the products.
     """
     runs = grouped.shape[0]
-    observed = (grouped > 0.0).reshape(runs, -1)
-    lengths = np.count_nonzero(observed, axis=1)
-    order = np.argsort(lengths, kind="stable")
-    size = grouped.size
-    products, rows = (np.empty(2 * size) if work is None else work[:2 * size]).reshape(2, runs, -1)
-    # G log F on every entry (nan where G = 0 meets log 0, never observed),
-    # then the runs' rows in that order; "clip" lets take write into its out.
-    with np.errstate(invalid="ignore"):
-        np.multiply(grouped.reshape(runs, -1), log_factor.reshape(runs, -1), out=products)
-    np.take(products, order, axis=0, out=rows, mode="clip")
-    at = np.flatnonzero(observed[order])
-    terms = np.take(rows, at, out=products.reshape(-1)[:at.size], mode="clip")
-    sums = np.empty(runs)
-    sums[order] = _segment_sums(terms, lengths[order])
-    return sums
+    out = None if work is None else work[:grouped.size].reshape(runs, -1)
+    products = np.multiply(grouped.reshape(runs, -1), log_factor.reshape(runs, -1), out=out)
+    return products.sum(axis=1)
 
 
 def ml_factors(
@@ -368,14 +336,11 @@ def _ascend(
     m, n = counts.shape
     r, operand = n_latent, counts.operand
     # Stacks 0 and 1 take turns holding the grouped counts and the log
-    # factors, 2 and 3 the objective's products and their rows; the work
-    # holds a step's scores, then its one-hot labels and their product.
-    # With the objective in the work too, the block would be under half a
-    # paper-size request's heap use, and glibc, whose trim threshold is
-    # twice the largest mapping freed, would hand the heap back.
-    block = np.empty(runs * r * (5 * m + n))
-    stacks = block[:4 * runs * m * r].reshape(4, runs, m, r)
-    work = block[4 * runs * m * r:]
+    # factors; the work holds a step's scores, then its one-hot labels and
+    # their product, then the objective's products.
+    block = np.empty(runs * r * (3 * m + n))
+    stacks = block[:2 * runs * m * r].reshape(2, runs, m, r)
+    work = block[2 * runs * m * r:]
     factors_at = 0  # the stack that holds the log factors
     final_labels = np.empty_like(labels0)
     final_converged = np.zeros(runs, dtype=bool)
@@ -386,13 +351,15 @@ def _ascend(
     live = np.arange(runs)  # rows of the restarts still ascending
 
     def iterate(labels0):
-        # An iterate's one log, -inf at a zero entry, serves its objective and scores.
+        # An iterate's one log, floored at -1e300 where F is zero, serves its
+        # objective and its scores.
         live = len(labels0)
         grouped, factor = stacks[1 - factors_at, :live], stacks[factors_at, :live]
         ml_factors(counts, labels0, r, out=(grouped, factor), work=work)
         with np.errstate(divide="ignore"):
             np.log(factor, out=factor)
-        return factor, _log_likelihoods(grouped, factor, work=stacks[2:].reshape(-1))
+        np.maximum(factor, -1e300, out=factor)
+        return factor, _log_likelihoods(grouped, factor, work=work)
 
     log_factor, objective = iterate(labels0)
     accepted = None  # rows whose iterate was taken, when not all were

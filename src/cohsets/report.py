@@ -29,7 +29,7 @@ from .dbmr import (
 from .model import CountMatrix, Partition, as_csc
 from .projection import pythagoras_check, verify_factorization
 from .seeding import mix_seed
-from .svd import ROW_BLOCK_ENTRIES, classical_pipeline, product_blocks, reduced_min_entry
+from .svd import ROW_BLOCK_ENTRIES, classical_pipeline, full_svd, product_blocks, reduced_min_entry
 from .svd import truncated_factors
 
 logger = logging.getLogger(__name__)
@@ -173,12 +173,7 @@ def compare_experiment(
     sigma_reduced = reduced_singular_values(
         model, best.factor[np.newaxis], best.affiliation.labels[np.newaxis]
     )[0]
-    # The reduction projects the full model, so no singular value grows.
-    if not (sigma_reduced <= sigma_full + 1e-9 * (1.0 + sigma_full[0])).all():
-        raise FloatingPointError(
-            f"reduced singular values {sigma_reduced.tolist()} exceed the full "
-            f"model's {sigma_full.tolist()}"
-        )
+    _check_dominance(sigma_reduced[np.newaxis], sigma_full)
 
     report = {
         "dataset": {
@@ -252,6 +247,18 @@ def _check_below_full(name: str, value: float, reference: float) -> None:
         )
 
 
+def _check_dominance(reduced: np.ndarray, full: np.ndarray) -> None:
+    """A reduction projects the full model, so none of its singular values
+    grows: each row of ``reduced`` exceeding the ``full`` values by more than
+    1e-9 (1 + sigma_1) is a numerical failure."""
+    grown = ~(reduced <= full + 1e-9 * (1.0 + full[0])).all(axis=1)
+    if grown.any():
+        raise FloatingPointError(
+            f"reduced singular values {reduced[grown.argmax()].tolist()} exceed the full "
+            f"model's {full.tolist()}"
+        )
+
+
 def _check_identities(counts: CountMatrix, factors, labels, direct_gap: float | None = None):
     """Factorization residuals and Pythagoras terms of reductions stacked as
     ``projection`` takes them. A residual above 1e-9, or a ``direct_gap`` (the
@@ -318,8 +325,9 @@ def multirun_experiment(
     Trace rows are produced only when ``trace`` is set; they carry per-iterate
     objective, squared gap, squared approximation norm, and degree of coherence.
     The identities, gaps and spectra of all iterates with ``trace``, else of
-    the final reductions, come from one stacked call each. A run whose final
-    objective exceeds the full model's likelihood is a numerical failure.
+    the final reductions, come from one stacked call each, and every listed
+    spectrum is checked against the full model's leading values. A run whose
+    final objective exceeds the full model's likelihood is a numerical failure.
     """
     model = counts.model
     _, best_run, traces = multi_start(
@@ -329,6 +337,8 @@ def multirun_experiment(
     _, factors = ml_factors(counts, labels - 1, rank)
     _, gaps, norms = _check_identities(counts, factors, labels)
     sigma = reduced_singular_values(model, factors, labels)
+    computed = full_svd(model.rescaled, sigma.shape[1]).singular_values
+    _check_dominance(sigma, np.concatenate([computed, np.zeros(sigma.shape[1] - computed.size)]))
     coherence = sigma[:, :rank].sum(axis=1)
     # A run's final reduction is its last iterate, the last of its rows.
     lasts = np.cumsum([t.objectives.size if trace else 1 for t in traces]) - 1

@@ -42,8 +42,10 @@ LAPACK_MAX_ENTRIES = 2**14
 class SvdFactorization:
     """Leading singular triplets, restricted to values above the rank cutoff.
 
-    ``path`` names the solver that ran, "arpack" or "lapack"; ``values_cut``
-    counts the computed values at or below the rank cutoff, which were dropped.
+    ``path`` names the solver that ran, "arpack" or "lapack"; "lapack" also
+    names the rank-0 factorization of an all-zero matrix, where no solver
+    runs. ``values_cut`` counts the computed values at or below the rank
+    cutoff, which were dropped.
     """
 
     left: np.ndarray

@@ -270,10 +270,15 @@ def pythagoras_check_dense(rescaled_full, rescaled_reduced):
 
 
 def factor_log(factor):
-    """log F, -inf on the zero entries: what the score kernel and the
-    objectives take of an iterate's factor."""
+    """log F, -inf on the zero entries."""
     with np.errstate(divide="ignore"):
         return np.log(factor)
+
+
+def floored_log(factor):
+    """log F floored at -1e300 on the zero entries: what the score kernel
+    and the objectives take of an iterate's factor."""
+    return np.maximum(factor_log(factor), -1e300)
 
 
 def latent_scores_reference(counts, factor):
@@ -299,11 +304,9 @@ def group_sums_reference(counts, labels0, r):
 
 
 def _grouped_log_likelihood(grouped, factor):
-    observed = grouped > 0.0
-    values = factor[observed]
-    if (values <= 0.0).any():
-        return float("-inf")
-    return float(np.sum(grouped[observed] * np.log(values)))
+    """Sum of G log F over all m r entries in row-major order, log F floored
+    at -1e300, so a zero G adds -0."""
+    return float(np.add.reduce((grouped * floored_log(factor)).ravel()))
 
 
 def _factor_and_objective(operand, labels0, n_latent):
@@ -329,13 +332,7 @@ def ml_factors_stacked_reference(operand, labels0, n_latent):
 
 
 def log_likelihoods_stacked_reference(grouped, factor):
-    observed = grouped > 0.0
-    with np.errstate(divide="ignore"):
-        terms = grouped[observed] * np.log(factor[observed])
-    ends = np.cumsum(observed.reshape(observed.shape[0], -1).sum(axis=1)).tolist()
-    return np.array([
-        np.add.reduce(terms[start:end]) for start, end in zip([0] + ends[:-1], ends)
-    ])
+    return np.array([_grouped_log_likelihood(g, f) for g, f in zip(grouped, factor)])
 
 
 def pick_labels_stacked_reference(scores):

@@ -7,7 +7,7 @@ from cohsets.dbmr import multi_start
 from cohsets.generators import GyreConfig, gen_double_gyre
 from cohsets.model import ingest_pairs, prune_empty
 from tests.dense_reference import (
-    factor_log,
+    floored_log,
     group_sums_loop,
     latent_scores_loop,
     latent_scores_reference,
@@ -55,7 +55,7 @@ def test_latent_scores_backends_agree():
     looped = latent_scores_loop(counts, factor)
     finite = np.isfinite(looped)
     for operand in (counts, sparse.csc_array(counts)):
-        scores = _accel.latent_scores(operand, factor_log(factor))
+        scores = _accel.latent_scores(operand, floored_log(factor))
         assert np.array_equal(finite, np.isfinite(scores))
         assert looped[finite] == pytest.approx(scores[finite], rel=1e-12)
 
@@ -81,12 +81,12 @@ def test_latent_scores_of_the_log_equal_the_zero_mask_reference():
     factor /= np.where(factor.sum(axis=1, keepdims=True) > 0.0,
                        factor.sum(axis=1, keepdims=True), 1.0)
     for operand in (counts, sparse.csc_array(counts)):
-        stacked = _accel.latent_scores(operand, factor_log(factor))
+        stacked = _accel.latent_scores(operand, floored_log(factor))
         assert stacked.shape == (runs, r, n)
         for run in range(runs):
             expected = latent_scores_reference(operand, factor[run])
             assert np.isneginf(expected).any() and np.isfinite(expected).any()
-            for scores in (stacked[run], _accel.latent_scores(operand, factor_log(factor[run]))):
+            for scores in (stacked[run], _accel.latent_scores(operand, floored_log(factor[run]))):
                 assert not np.isnan(scores).any()
                 assert np.array_equal(np.isneginf(scores), np.isneginf(expected))
                 assert np.array_equal(scores, expected)
@@ -114,7 +114,7 @@ def test_kernels_into_out_equal_the_allocating_calls():
     counts = rng.integers(0, 6, size=(m, n)).astype(np.float64)
     factor = rng.random((runs, m, r))
     factor[rng.random((runs, m, r)) < 0.3] = 0.0
-    log_factor = factor_log(factor / factor.sum(axis=1, keepdims=True))
+    log_factor = floored_log(factor / factor.sum(axis=1, keepdims=True))
     labels0 = rng.integers(0, r, size=(runs, n))
     for operand in (counts, sparse.csc_array(counts)):
         for logs, labels in ((log_factor, labels0), (log_factor[0], labels0[0])):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +12,14 @@ from cohsets.dbmr import (
     _log_likelihoods,
     ml_factors,
     _pick_labels,
-    _segment_sums,
     dbmr_run,
     multi_start,
     output_partition,
     reduce_with_affiliation,
     reduced_singular_values,
 )
-from cohsets.model import CountMatrix, Partition, estimate
+from cohsets.generators import gen_three_coherent
+from cohsets.model import CountMatrix, Partition, estimate, ingest_pairs, prune_empty
 from cohsets.projection import pythagoras_check
 from cohsets.report import multirun_experiment
 from cohsets.seeding import rng_for
@@ -26,7 +27,7 @@ from tests.conftest import random_counts
 from tests.dense_reference import (
     approx_dense,
     dense,
-    factor_log,
+    floored_log,
     log_likelihood_dense,
     log_likelihoods_stacked_reference,
     ml_factors_stacked_reference,
@@ -126,7 +127,7 @@ def test_update_factor_left_stochastic_random():
 
 def _updated_labels(counts, factor):
     """1-based labels of the ascent's affiliation update for one factor."""
-    return _pick_labels(latent_scores(counts.operand, factor_log(factor)[np.newaxis]))[0] + 1
+    return _pick_labels(latent_scores(counts.operand, floored_log(factor)[np.newaxis]))[0] + 1
 
 
 def test_update_affiliation_is_columnwise_argmax():
@@ -405,31 +406,6 @@ def test_trace_gap_terms_match_direct(three_example):
     _assert_gap_terms_match_direct(counts, model, init)
 
 
-# Lengths around the steps of np.add.reduce's pairwise summation: fewer than
-# 8 terms in order, up to 128 in 8 interleaved partial sums, more by halving,
-# and numpy's buffer of 8192 elements.
-SEGMENT_LENGTHS = [
-    *range(1, 400), 511, 512, 513, 1024, 1025, 2047, 4096, 6144, 8191, 8192, 8193, 9000, 20000,
-]
-
-
-def test_segment_sums_add_as_single_reductions():
-    """Segments summed as rows of one array per length give the bits of
-    ``np.add.reduce`` on each segment alone: finite terms over six orders of
-    magnitude, segments holding -inf, repeated lengths, and empty segments."""
-    rng = np.random.default_rng(53)
-    lengths = np.sort(SEGMENT_LENGTHS * 3 + [0, 0, 0])
-    terms = rng.standard_normal(lengths.sum()) * 10.0 ** rng.uniform(-3.0, 3.0, lengths.sum())
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    for index in rng.choice(lengths.size, 40, replace=False):
-        if lengths[index]:
-            terms[rng.integers(starts[index], ends[index])] = -np.inf
-    alone = np.array([np.add.reduce(terms[a:b]) for a, b in zip(starts, ends)])
-    assert np.isneginf(alone).sum() > 0
-    assert _segment_sums(terms, lengths).tobytes() == alone.tobytes()
-
-
 @pytest.mark.parametrize("r", [1, 2, 3, 7, 96])
 def test_label_pick_matches_argmax(r):
     """The label pick gives ``np.argmax``'s first best state, on score stacks
@@ -447,8 +423,7 @@ def test_label_pick_matches_argmax(r):
 def test_factors_and_objectives_match_stacked_references():
     """Latent totals from the column totals give the factors of the grouped
     columns' sums bit for bit, inactive states (r up to n + 2) included, and
-    the objectives are those of one reduction per run, also for factors with
-    zeros on observed entries (-inf)."""
+    the objectives are those of one reduction per run."""
     rng = np.random.default_rng(61)
     for _ in range(40):
         counts = random_counts(rng, rng.integers(1, 12), rng.integers(1, 12), density=0.5)
@@ -459,8 +434,49 @@ def test_factors_and_objectives_match_stacked_references():
         ref_grouped, ref_factor = ml_factors_stacked_reference(counts.operand, labels0, r)
         assert grouped.tobytes() == ref_grouped.tobytes()
         assert factor.tobytes() == ref_factor.tobytes()
-        assert (_log_likelihoods(grouped, factor_log(factor)).tobytes()
+        assert (_log_likelihoods(grouped, floored_log(factor)).tobytes()
                 == log_likelihoods_stacked_reference(grouped, factor).tobytes())
-        holed = np.where(rng.random(factor.shape) < 0.1, 0.0, factor)
-        assert (_log_likelihoods(grouped, factor_log(holed)).tobytes()
-                == log_likelihoods_stacked_reference(grouped, holed).tobytes())
+
+
+def test_objectives_of_long_rows_match_each_run_alone():
+    """Rows of 24 576 products, past numpy's 8192-element blocks, sum to the
+    bits of each run's objective alone, whatever the batch, and to the
+    per-run reference; zero G meeting the floor adds -0."""
+    rng = np.random.default_rng(67)
+    runs, m, r = 5, 8192, 3
+    grouped = np.where(rng.random((runs, m, r)) < 0.4, 0.0, rng.integers(1, 50, (runs, m, r)))
+    scale = 10.0 ** rng.uniform(-9.0, 0.0, (m, 1))
+    factor = np.where(grouped > 0.0, rng.random((runs, m, r)) * scale, 0.0)
+    log_factor = floored_log(factor)
+    batched = _log_likelihoods(grouped, log_factor)
+    assert np.isfinite(batched).all()
+    assert batched.tobytes() == log_likelihoods_stacked_reference(grouped, factor).tobytes()
+    for run in range(runs):
+        alone = _log_likelihoods(grouped[run:run + 1], log_factor[run:run + 1])
+        assert alone.tobytes() == batched[run:run + 1].tobytes()
+        assert _log_likelihoods(grouped[run:], log_factor[run:])[0] == batched[run]
+
+
+def test_paper_size_ascent_peaks_near_its_block():
+    """A 100-restart r = 3 ascent on the 100 x 100 three-coherent counts at
+    window noise 3 holds its steps in one block of runs r (3 m + n) float64
+    entries, 960 KB. Its traced peak stays under the block plus eight
+    (runs, n) arrays of 8-byte entries, 640 KB, for the labels and keys each
+    step makes outside it: the initial, current, new and final labels, the
+    group sums' one-hot index, and ``latent_sums``' keys and tiled weights.
+    A step that allocates a (runs, m, r) stack outside the block again, or
+    a block of more stacks, goes over."""
+    dataset, _ = gen_three_coherent(epsilon=3)
+    counts, _, _ = prune_empty(ingest_pairs(dataset))
+    runs, r = 100, 3
+    m, n = counts.shape
+    block = runs * r * (3 * m + n) * 8
+    multi_start(counts, r, runs, seed=2)  # warm numpy's and the counts' caches
+    tracemalloc.start()
+    try:
+        multi_start(counts, r, runs, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block == 960_000
+    assert peak < block + 8 * runs * n * 8, peak

@@ -57,7 +57,7 @@ from tests.dense_reference import (
     bound_constants_dense,
     coherence_scores_dense,
     estimate_dense,
-    factor_log,
+    floored_log,
     log_likelihood_dense,
     rescaled_norm_sq_dense,
     truncate_dense,
@@ -121,7 +121,7 @@ def test_kernels_match_loops_on_both_storages(data):
     expected_scores = latent_scores_loop(counts, factor)
     expected_sums = group_sums_loop(counts, labels0, r)
     for operand in (counts, sparse.csc_array(counts), sparse.csr_array(counts)):
-        scores = _accel.latent_scores(operand, factor_log(factor))
+        scores = _accel.latent_scores(operand, floored_log(factor))
         assert scores.shape == (r, n)
         assert np.array_equal(np.isneginf(scores), np.isneginf(expected_scores))
         finite = np.isfinite(expected_scores)
@@ -462,11 +462,11 @@ def test_batched_kernels_and_labels_match_single_runs(data):
     for storage in ("dense", "sparse"):
         with pytest.MonkeyPatch.context() as patch:
             counts = _counts_on_storage(patch, counts_array, storage)
-            scores = _accel.latent_scores(counts.operand, factor_log(factor))
+            scores = _accel.latent_scores(counts.operand, floored_log(factor))
             sums = _accel.group_sums(counts.operand, labels0, r)
             labels = dbmr._pick_labels(scores.copy())
             for run in range(runs):
-                single = _accel.latent_scores(counts.operand, factor_log(factor[run]))
+                single = _accel.latent_scores(counts.operand, floored_log(factor[run]))
                 assert np.array_equal(scores[run], single)
                 assert np.array_equal(sums[run], group_sums_loop(counts_array, labels0[run], r))
                 assert np.array_equal(labels[run], best_labels_reference(counts.operand, factor[run]))
@@ -489,7 +489,7 @@ def test_own_state_scores_finite_under_the_ml_factors(data):
         with pytest.MonkeyPatch.context() as patch:
             counts = _counts_on_storage(patch, counts_array, storage)
             _, factors = ml_factors(counts, labels0, r)
-            scores = _accel.latent_scores(counts.operand, factor_log(factors))
+            scores = _accel.latent_scores(counts.operand, floored_log(factors))
         own = np.take_along_axis(scores, labels0[:, np.newaxis, :], axis=1)
         assert np.isfinite(own).all(), (storage, counts_array, labels0)
 

@@ -826,6 +826,28 @@ def test_cli_compare_exits_3_when_a_singular_value_grows(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--trace"]], ids=["finals", "trace"])
+def test_cli_multirun_exits_3_when_a_singular_value_grows(tmp_path, capsys, monkeypatch, flags):
+    """multirun checks every row of its spectra, each final reduction's or,
+    with --trace, each iterate's, against the full model's leading values:
+    one inflated row is a numerical failure."""
+    from cohsets import report
+
+    spectrum = report.reduced_singular_values
+
+    def inflated(*args):
+        sigma = spectrum(*args)
+        sigma[-1] += 1e-6
+        return sigma
+
+    monkeypatch.setattr(report, "reduced_singular_values", inflated)
+    base = tmp_path / "runs"
+    assert main(["multirun", "--example", "three-coherent", "--runs", "3", *flags,
+                 "--out", str(base)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: reduced singular values")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_multirun_exits_3_when_a_run_beats_the_full_model(tmp_path, capsys, monkeypatch):
     """A restart whose final objective exceeds the full model's likelihood
     is a numerical failure: a reduction is a projection of the full model."""
