@@ -35,12 +35,13 @@ they print:
 5. The steps of a compare request that once ran on dense m x n arrays and
    now run on the nonzeros of the counts, on the 2048-box double-gyre
    sample of the gyre-flow benchmark's first seed-2 request (64 x 32 boxes,
-   10 points a box, t_end 2, seed 2000; 0.39 % nonzero). It explains that
+   10 points a box, t_end 2, seed 2000; 0.38 % nonzero). It explains that
    workload's gain; ``perfbench/`` measures it.
 
 6. The k-means of a classical pipeline, both sides with 10 restarts each:
-   the restarts run one at a time, as kept in ``tests/dense_reference.py``,
-   against the batched Lloyd loop of ``svd.kmeans``, on the singular
+   the restarts run one at a time, each from its row of one draw of
+   uniforms, as kept in ``tests/dense_reference.py``, against the batched
+   Lloyd loop of ``svd.kmeans``, on the singular
    vectors of the three-coherent example at window noise 3 (100 x 3 points)
    and of the gyre sample above (2048 x 3). Both give the same labels, which
    the table asserts. It explains the k-means part of paper-batch's gain;
@@ -77,7 +78,7 @@ they print:
    drawn in blocks of rows: median time of 7 calls and ``tracemalloc``
    peak, on the 300 x 300 block counts of ``tests/same_outputs.py``'s pairs
    file grown to the pairs-file benchmark's 10^6 records (nearly full,
-   dense storage) and on the gyre sample above (2048 x 2048, 0.39 %
+   dense storage) and on the gyre sample above (2048 x 2048, 0.38 %
    nonzero). Drawing the whole m x n matrices instead peaked at 3.4 and
    160 MiB and took about 5-7 and 380-470 ms on the same machine.
 

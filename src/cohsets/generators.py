@@ -22,6 +22,8 @@ DOMAIN_HEIGHT = 1.0
 # Refused above this many RK4 point-steps (integration steps times sampled
 # points), about 80 times the default configuration's 4 000 x 204 800.
 MAX_POINT_STEPS = 2**36
+# Refused above this many sampled points, about 80 times the default 204 800.
+MAX_SAMPLE_POINTS = 2**24
 
 
 def pairs_from_counts(counts: CountMatrix) -> PairDataset:
@@ -133,6 +135,9 @@ class GyreConfig:
             raise ValueError("step must be positive")
         if self.t_end < self.t_start:
             raise ValueError("t_end must not precede t_start")
+        if self.sample_size > MAX_SAMPLE_POINTS:
+            raise ValueError(f"{self.sample_size} points exceed the cap of "
+                             f"{MAX_SAMPLE_POINTS} sampled points")
         ratio = (self.t_end - self.t_start) / self.step
         if ratio > MAX_POINT_STEPS / self.sample_size:
             raise ValueError(f"{ratio:.4g} steps of {self.sample_size} points exceed the "
@@ -192,19 +197,18 @@ def _boxes(x: np.ndarray, y: np.ndarray, config: GyreConfig) -> np.ndarray:
 def gen_double_gyre(config: GyreConfig = GyreConfig()) -> tuple[PairDataset, dict]:
     """Sample box-to-box transitions of the double-gyre flow.
 
-    Each box seeds ``points_per_box`` uniform points from its own random
-    stream (mixed from the config seed and the box index, so the result does
-    not depend on evaluation order). Seeds integrate through the flow
-    unperturbed; labeling noise lands on a copy of the start point and on the
-    end point, with reflection at the domain walls. Box indices are 1-based,
+    One ``rng_for(seed, 0)`` draw of (sample_size, 6) uniforms holds every
+    point's: box b's ``points_per_box`` points are its rows b ppb to
+    (b + 1) ppb - 1, two for the start in the box and four for the labeling
+    noise. Seeds integrate through the flow unperturbed; labeling noise
+    lands on a copy of the start point and on the end point, with
+    reflection at the domain walls. Box indices are 1-based,
     x-major. Metadata reports the config, integration diagnostics, and the
     coordinate ranges of the labeled points.
     """
     ppb = config.points_per_box
     total = config.sample_size
-    uniforms = np.empty((total, 6))
-    for box in range(config.n_boxes):
-        uniforms[box * ppb : (box + 1) * ppb] = rng_for(config.seed, box).random((ppb, 6))
+    uniforms = rng_for(config.seed, 0).random((total, 6))
     ix = np.repeat(np.arange(config.n_boxes) % config.nx, ppb)
     iy = np.repeat(np.arange(config.n_boxes) // config.nx, ppb)
     x_start = (ix + uniforms[:, 0]) * config.box_width

@@ -170,32 +170,26 @@ def reduced_min_entry(
     return float(min(block.min() for block in blocks))
 
 
-def _plus_plus_centers(
-    points: np.ndarray, k: int, rngs: list[np.random.Generator]
-) -> np.ndarray:
-    """Plus-plus centers (restarts, k, d), one restart per generator; each
-    restart makes the draws it makes alone.
+def _plus_plus_centers(points: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Plus-plus centers (restarts, k, d), restart i's from row i of the
+    (restarts, k) ``uniforms``.
 
-    A weighted pick is ``rng.choice(n, p=dist_sq / total)``, drawn in one
-    batch: ``choice`` draws one uniform u and returns the number of entries
-    of its normalized cdf that are <= u, and so does this, with the same
-    arithmetic. A restart whose points all coincide with its centers draws
-    ``rng.integers(n)`` instead.
+    Center c of a restart is the number of entries of the normalized cdf of
+    its weights that are <= its u_c, as ``rng.choice(n, p=weights / total)``
+    picks from its uniform. The weights are the squared distances to the
+    restart's centers so far, or ones where those are all zero: before the
+    first center, and when every point coincides with a center.
     """
-    n = points.shape[0]
-    picks = np.empty((len(rngs), k), dtype=np.int64)
-    picks[:, 0] = [rng.integers(n) for rng in rngs]
-    dist_sq = np.sum((points - points[picks[:, :1]]) ** 2, axis=2)
-    for c in range(1, k):
-        totals = dist_sq.sum(axis=1)
-        weighted = totals > 0.0
-        uniforms = np.array([rng.random() for rng, w in zip(rngs, weighted) if w])
-        cdf = np.cumsum(dist_sq[weighted] / totals[weighted, np.newaxis], axis=1)
+    runs, k = uniforms.shape
+    picks = np.empty((runs, k), dtype=np.int64)
+    dist_sq = np.zeros((runs, points.shape[0]))
+    for c in range(k):
+        weights = np.where(dist_sq.any(axis=1, keepdims=True), dist_sq, 1.0)
+        cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
         cdf /= cdf[:, -1:]
-        picks[weighted, c] = (cdf <= uniforms[:, np.newaxis]).sum(axis=1)
-        picks[~weighted, c] = [rng.integers(n) for rng, w in zip(rngs, weighted) if not w]
-        np.minimum(dist_sq, np.sum((points - points[picks[:, c:c + 1]]) ** 2, axis=2),
-                   out=dist_sq)
+        picks[:, c] = (cdf <= uniforms[:, c:c + 1]).sum(axis=1)
+        new = np.sum((points - points[picks[:, c:c + 1]]) ** 2, axis=2)
+        dist_sq = np.minimum(dist_sq, new) if c else new
     return points[picks]
 
 
@@ -235,25 +229,18 @@ def _cluster_means(columns: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -
 
     ``columns`` (d, at least restarts n) holds the points' coordinates,
     repeated once per restart. The points of a cluster are added in row
-    order, as a mean over axis 0 of an (s, d) array adds them; a lone
-    coordinate is added pairwise, as numpy sums a 1-d array.
+    order.
     """
     runs, k = sizes.shape
     keys = _cluster_keys(labels, k)
-    columns = columns[:, :keys.size]
-    if columns.shape[0] == 1:
-        parts = np.split(columns[0, np.argsort(keys, kind="stable")], np.cumsum(sizes)[:-1])
-        sums = np.array([part.sum() for part in parts])[:, np.newaxis]
-    else:
-        sums = np.stack([np.bincount(keys, column, runs * k) for column in columns], axis=1)
+    sums = np.stack([np.bincount(keys, column[:keys.size], runs * k) for column in columns], 1)
     return (sums / sizes.reshape(-1, 1)).reshape(runs, k, -1)
 
 
-def _lloyd(
-    points: np.ndarray, k: int, rngs: list[np.random.Generator], max_iters: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Lloyd iterations from plus-plus centers, one restart per generator,
-    all restarts advancing together.
+def _lloyd(points: np.ndarray, uniforms: np.ndarray,
+           max_iters: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Lloyd iterations from plus-plus centers, one restart per row of the
+    (restarts, k) ``uniforms``, all restarts advancing together.
 
     Returns each restart's final 0-based labels (restarts, n) and
     within-cluster squared distance, and the empty clusters repaired over
@@ -262,14 +249,14 @@ def _lloyd(
     alone: its distances come from its own BLAS call inside one batched
     ``matmul``, and its objective is summed over its own contiguous row.
     """
-    n = points.shape[0]
-    centers = _plus_plus_centers(points, k, rngs)
+    runs, k = uniforms.shape
+    centers = _plus_plus_centers(points, uniforms)
     norms = np.sum(points**2, axis=1)[:, np.newaxis]
     doubled = 2.0 * points
-    columns = np.tile(points.T, len(rngs))
-    final_labels = np.empty((len(rngs), n), dtype=np.int64)
-    final_objective = np.empty(len(rngs))
-    live = np.arange(len(rngs))  # restarts still iterating
+    columns = np.tile(points.T, runs)
+    final_labels = np.empty((runs, points.shape[0]), dtype=np.int64)
+    final_objective = np.empty(runs)
+    live = np.arange(runs)  # restarts still iterating
     labels = objective = None
     repairs = 0
     for _ in range(max_iters):
@@ -307,11 +294,14 @@ def kmeans(
 ) -> tuple[Partition, int]:
     """Lloyd iterations with plus-plus seeding over ``restarts`` deterministic restarts.
 
-    Restart i draws from ``rng_for(seed, i)``. The best restart is chosen
-    by final within-cluster squared distance; ties keep the lowest restart
-    index. All returned clusters are nonempty. Returns the partition and the
-    empty clusters repaired, summed over restarts. Restarts iterate together
-    in chunks of max(1, ``BATCH_ENTRIES`` // (n max(k, d))).
+    Restart i seeds its centers from row i of one ``rng_for(seed, 0)`` draw
+    of (restarts, k) uniforms; a chunk draws the next rows, and a double
+    takes one output of the generator, so the rows do not depend on the
+    chunking. The best restart is chosen by final within-cluster squared
+    distance; ties keep the lowest restart index. All returned clusters are
+    nonempty. Returns the partition and the empty clusters repaired, summed
+    over restarts. Restarts iterate together in chunks of max(1,
+    ``BATCH_ENTRIES`` // (n max(k, d))).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
@@ -326,10 +316,11 @@ def kmeans(
     if restarts < 1 or max_iters < 1:
         raise ValueError("restarts and max_iters must be positive")
     chunk = max(1, BATCH_ENTRIES // (n * max(n_clusters, d)))
+    rng = rng_for(seed, 0)
     best_labels, best_objective, repairs = None, np.inf, 0
     for start in range(0, restarts, chunk):
-        rngs = [rng_for(seed, restart) for restart in range(start, min(start + chunk, restarts))]
-        labels, objectives, repaired = _lloyd(points, n_clusters, rngs, max_iters)
+        uniforms = rng.random((min(chunk, restarts - start), n_clusters))
+        labels, objectives, repaired = _lloyd(points, uniforms, max_iters)
         repairs += repaired
         best = int(np.argmin(objectives))
         if objectives[best] < best_objective:
@@ -448,12 +439,7 @@ def match_partitions(
     return matched, objective
 
 
-def classical_pipeline(
-    counts: CountMatrix,
-    rank: int,
-    seed: int = 0,
-    restarts: int = 10,
-) -> ClassicalResult:
+def classical_pipeline(counts: CountMatrix, rank: int, seed: int = 0) -> ClassicalResult:
     """Estimate, factorize, cluster both category sets, and match.
 
     The factorization holds the ``spectrum_depth`` leading triplets, enough
@@ -465,12 +451,10 @@ def classical_pipeline(
     factorization = full_svd(model.rescaled, spectrum_depth(rank, min(model.shape)))
     if rank > factorization.rank:
         raise ValueError(f"rank must lie in [1, {factorization.rank}], got {rank}")
-    input_partition, input_repairs = kmeans(
-        factorization.right[:, :rank], rank, restarts=restarts, seed=mix_seed(seed, 1)
-    )
-    raw_output, output_repairs = kmeans(
-        factorization.left[:, :rank], rank, restarts=restarts, seed=mix_seed(seed, 2)
-    )
+    input_partition, input_repairs = kmeans(factorization.right[:, :rank], rank,
+                                            seed=mix_seed(seed, 1))
+    raw_output, output_repairs = kmeans(factorization.left[:, :rank], rank,
+                                        seed=mix_seed(seed, 2))
     output_partition, coherence = match_partitions(model, input_partition, raw_output)
     return ClassicalResult(
         factorization=factorization,

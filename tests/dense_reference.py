@@ -25,7 +25,8 @@ arrays the program built whole before it drew its images in blocks of
 rows, and so is the image renderer, as the byte reference of the drawn PPMs.
 
 k-means is kept as it ran before its restarts iterated together: one
-restart at a time, one boolean-mask mean per cluster.
+restart at a time from its own row of uniforms, one boolean-mask mean per
+cluster whose points are added in row order.
 
 The paper's lemmas that no command runs are checked through short copies
 without input validation: the balancedness constants and Pinsker-type bounds
@@ -647,19 +648,21 @@ def write_labels_lines_reference(path, labels, n_labels):
             fh.write(f"{value}\n")
 
 
-def plus_plus_centers_reference(points, k, rng):
-    n = points.shape[0]
+def plus_plus_centers_reference(points, uniforms):
+    """One restart's plus-plus centers from its row of k uniforms: center c
+    is ``np.searchsorted(cdf, u_c, side="right")`` on the normalized cdf of
+    the squared distances to the centers so far, or of unit weights where
+    those are all zero."""
+    k = uniforms.size
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    centers[0] = points[int(rng.integers(n))]
-    dist_sq = np.sum((points - centers[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = dist_sq.sum()
-        if total > 0.0:
-            idx = int(rng.choice(n, p=dist_sq / total))
-        else:
-            idx = int(rng.integers(n))
-        centers[c] = points[idx]
-        np.minimum(dist_sq, np.sum((points - centers[c]) ** 2, axis=1), out=dist_sq)
+    dist_sq = np.zeros(points.shape[0])
+    for c in range(k):
+        weights = dist_sq if dist_sq.any() else np.ones_like(dist_sq)
+        cdf = np.cumsum(weights / weights.sum())
+        cdf /= cdf[-1]
+        centers[c] = points[int(np.searchsorted(cdf, uniforms[c], side="right"))]
+        gaps = np.sum((points - centers[c]) ** 2, axis=1)
+        dist_sq = np.minimum(dist_sq, gaps) if c else gaps
     return centers
 
 
@@ -690,9 +693,11 @@ def assign_reference(points, centers):
     return labels, int(empties.size)
 
 
-def lloyd_reference(points, k, rng, max_iters):
-    """(labels, centers, objective per iteration, repairs) of one restart."""
-    centers = plus_plus_centers_reference(points, k, rng)
+def lloyd_reference(points, uniforms, max_iters):
+    """(labels, centers, objective per iteration, repairs) of the restart
+    seeded from the row of k ``uniforms``."""
+    k = uniforms.size
+    centers = plus_plus_centers_reference(points, uniforms)
     labels = None
     objectives = []
     repairs = 0
@@ -703,24 +708,24 @@ def lloyd_reference(points, k, rng, max_iters):
             break
         labels = new_labels
         for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
+            members = points[labels == c]
+            centers[c] = np.cumsum(members, axis=0)[-1] / members.shape[0]
         gaps = points - centers[labels]
         objectives.append(float(np.sum(gaps * gaps)))
     return labels, centers, objectives, repairs
 
 
 def kmeans_reference(points, n_clusters, restarts=10, max_iters=100, seed=0):
-    """(best 1-based labels, best objective, repairs over all restarts)."""
+    """(best 1-based labels, best objective, repairs over all restarts).
+    Restart i seeds from row i of one ``rng_for(seed, 0)`` draw."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, np.newaxis]
     best_labels = None
     best_objective = np.inf
     total_repairs = 0
-    for restart in range(restarts):
-        labels, _, objectives, repairs = lloyd_reference(
-            points, n_clusters, rng_for(seed, restart), max_iters
-        )
+    for row in rng_for(seed, 0).random((restarts, n_clusters)):
+        labels, _, objectives, repairs = lloyd_reference(points, row, max_iters)
         total_repairs += repairs
         if objectives[-1] < best_objective:
             best_objective = objectives[-1]

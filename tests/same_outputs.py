@@ -34,6 +34,9 @@ COMMANDS = {
     "compare-three": ["compare", "--example", "three-coherent", "--epsilon", "3",
                       "--runs", "20", "--out", "three.json"],
     "compare-gyre": ["compare", *GYRE, "--runs", "5", "--out", "gyre.json"],
+    # one-column points, so k-means means one coordinate per cluster
+    "compare-rank1": ["compare", "--example", "three-coherent", "--epsilon", "3", "--rank", "1",
+                      "--runs", "10", "--out", "rank1.json"],
     # sparse storage: the snapshot factors derive from the labels on that path
     "multirun-gyre": ["multirun", *GYRE, "--runs", "5", "--trace", "--out", "multi-gyre"],
     # exact window: factors with zero entries, so many scores are -inf

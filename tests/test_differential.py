@@ -603,11 +603,9 @@ def test_kmeans_matches_restarts_run_one_at_a_time(case, per_chunk):
     repairs of the restart run alone; ``kmeans`` picks the same best
     restart, also across chunks of restarts."""
     points, k, restarts, max_iters, seed = case.values()
-    labels, objectives, repairs = svd._lloyd(
-        points, k, [rng_for(seed, restart) for restart in range(restarts)], max_iters
-    )
-    refs = [lloyd_reference(points, k, rng_for(seed, restart), max_iters)
-            for restart in range(restarts)]
+    uniforms = rng_for(seed, 0).random((restarts, k))
+    labels, objectives, repairs = svd._lloyd(points, uniforms, max_iters)
+    refs = [lloyd_reference(points, row, max_iters) for row in uniforms]
     for restart, (ref_labels, _, ref_objectives, _) in enumerate(refs):
         assert np.array_equal(labels[restart], ref_labels)
         assert objectives[restart] == ref_objectives[-1]

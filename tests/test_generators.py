@@ -8,6 +8,7 @@ from cohsets.generators import (
     DOMAIN_HEIGHT,
     DOMAIN_WIDTH,
     MAX_POINT_STEPS,
+    MAX_SAMPLE_POINTS,
     GyreConfig,
     advect,
     gen_double_gyre,
@@ -19,6 +20,7 @@ from cohsets.generators import (
     three_coherent_counts,
 )
 from cohsets.model import ingest_pairs
+from cohsets.seeding import rng_for
 from tests.conftest import random_counts
 from tests.dense_reference import dense
 
@@ -176,6 +178,16 @@ def test_gyre_config_caps_point_steps():
     assert GyreConfig(t_end=40.0 * 80).n_steps == 320_000
 
 
+def test_gyre_config_caps_sample_points():
+    """The point cap sits far above the default's 204 800 points and refuses
+    a sample that the point-step cap lets through at zero steps."""
+    assert 80 * GyreConfig().sample_size < MAX_SAMPLE_POINTS
+    assert GyreConfig(t_end=0.0, points_per_box=MAX_SAMPLE_POINTS // 2048).sample_size == 2**24
+    for settings in ({"points_per_box": 40_000}, {"nx": 2**12, "ny": 2**12, "points_per_box": 2}):
+        with pytest.raises(ValueError, match="sampled points"):
+            GyreConfig(t_end=0.0, **settings)
+
+
 def test_velocity_vanishes_on_walls():
     config = GyreConfig()
     y = np.linspace(0.0, 1.0, 33)
@@ -278,6 +290,32 @@ def test_gen_double_gyre_identity_without_motion_or_noise():
     assert np.array_equal(dataset.inputs, expected)
     assert metadata["clamped_endpoints"] == 0
     assert metadata["max_boundary_drift"] == 0.0
+
+
+def test_gen_double_gyre_rows_of_one_draw():
+    """At t_end == t_start no point moves, so the records follow from one
+    ``rng_for(seed, 0)`` draw of six uniforms per point, box b's points
+    being its rows b ppb to (b + 1) ppb - 1: two place the start in the
+    box and two each shift the labeled start and end."""
+    config = GyreConfig(nx=8, ny=4, points_per_box=5, t_start=0.5, t_end=0.5, seed=11)
+    dataset, _ = gen_double_gyre(config)
+    uniforms = rng_for(11, 0).random((160, 6))
+    box = np.repeat(np.arange(32), 5)
+    x = (box % 8 + uniforms[:, 0]) * config.box_width
+    y = (box // 8 + uniforms[:, 1]) * config.box_height
+
+    def labeled(u_x, u_y):
+        cells = []
+        for start, u, extent, width, count in ((x, u_x, DOMAIN_WIDTH, config.box_width, 8),
+                                               (y, u_y, DOMAIN_HEIGHT, config.box_height, 4)):
+            values = start + (2.0 * u - 1.0) * config.rho
+            values = np.where(values < 0.0, -values, values)
+            values = np.where(values > extent, extent - (values - extent), values)
+            cells.append(np.clip((values / width).astype(np.int64), 0, count - 1))
+        return cells[0] + 8 * cells[1] + 1
+
+    assert np.array_equal(dataset.inputs, labeled(uniforms[:, 2], uniforms[:, 3]))
+    assert np.array_equal(dataset.outputs, labeled(uniforms[:, 4], uniforms[:, 5]))
 
 
 def test_gen_double_gyre_points_stay_in_domain():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohsets import dataio
+from cohsets import cli, dataio
 from cohsets.cli import main
 from cohsets.generators import gen_interval_map, gen_three_coherent
 from cohsets.model import CountMatrix, PairDataset, ingest_pairs
@@ -381,6 +381,17 @@ def test_cli_generate_and_reload(tmp_path, capsys):
 
 def test_cli_generate_requires_example(tmp_path):
     assert main(["generate", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_cli_refuses_a_gyre_sample_above_the_point_cap(tmp_path, capsys, monkeypatch):
+    """At zero steps the point-step cap passes any sample; the point cap
+    refuses 2048 x 40 000 points with exit 2 before any is drawn."""
+    monkeypatch.setattr(cli, "gen_double_gyre", lambda config: pytest.fail("sample drawn"))
+    assert main(["generate", "--example", "double-gyre", "--t1", "0", "--points-per-box",
+                 "40000", "--out", str(tmp_path / "gyre.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: 81920000 points exceed the cap of 16777216 sampled points\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_compare_deterministic_bytes(tmp_path):
@@ -1136,8 +1147,6 @@ def test_cli_refuses_images_of_a_huge_shape(tmp_path, monkeypatch):
     """Above ``report.MAX_IMAGE_CELLS`` entries, compare without --no-images
     and render exit 2 with a message naming --no-images, before any pipeline
     runs."""
-    from cohsets import cli
-
     pairs_path = tmp_path / "wide.csv"
     _occurring_pairs(pairs_path, 4097, 4097)
     monkeypatch.setattr(cli, "compare_experiment", lambda *args, **kwargs: pytest.fail("ran"))

@@ -356,24 +356,26 @@ def test_kmeans_duplicate_points_padded():
     assert repairs == 10 * 2 * 2
 
 
-def test_plus_plus_batched_draws_match_choice():
-    """Each restart's batched weighted picks are those of ``rng.choice`` on
-    its own generator, and the generator is left where ``choice`` leaves it:
-    on points with repeats (zero weights), and on coinciding points, where
-    every weight is zero and the pick is ``rng.integers``."""
+def test_plus_plus_batched_picks_match_one_at_a_time():
+    """Each restart's batched picks are those of the restart alone from the
+    same row of uniforms: on points with repeats (zero weights), and on
+    coinciding points, where every weight is zero and the weights are ones.
+    No pick lands on a point that coincides with an earlier center while
+    another point does not."""
     rng = np.random.default_rng(29)
-    for trial in range(300):
+    for _ in range(300):
         n = int(rng.integers(1, 60))
         distinct = rng.normal(size=(int(rng.integers(1, n + 1)), 2))
         points = distinct[rng.integers(0, distinct.shape[0], n)]
         k = int(rng.integers(1, min(n, 6) + 1))
-        seeds = [trial * 10 + restart for restart in range(4)]
-        batched = [np.random.default_rng(seed) for seed in seeds]
-        centers = _plus_plus_centers(points, k, batched)
-        for row, seed in enumerate(seeds):
-            alone = np.random.default_rng(seed)
-            assert np.array_equal(centers[row], plus_plus_centers_reference(points, k, alone))
-            assert batched[row].random() == alone.random()
+        uniforms = rng.random((4, k))
+        centers = _plus_plus_centers(points, uniforms)
+        for row, u in zip(centers, uniforms):
+            assert np.array_equal(row, plus_plus_centers_reference(points, u))
+            for c in range(1, k):
+                earlier = row[:c, np.newaxis, :]
+                if np.sum((points - earlier) ** 2, axis=2).min(axis=0).any():
+                    assert np.sum((row[c] - row[:c]) ** 2, axis=1).min() > 0.0
 
 
 def test_kmeans_validation():
@@ -393,11 +395,10 @@ def test_lloyd_objective_monotone_and_fixed_point():
     for trial in range(20):
         points = rng.normal(size=(50, 2))
         objectives = np.array([
-            _lloyd(points, 5, [rng_for(trial, restart) for restart in range(3)], cap)[1]
-            for cap in range(1, 25)
+            _lloyd(points, rng_for(trial, 0).random((3, 5)), cap)[1] for cap in range(1, 25)
         ])
         assert np.all(np.diff(objectives, axis=0) <= 1e-12)
-        labels, final, _ = _lloyd(points, 5, [rng_for(trial, restart) for restart in range(3)], 100)
+        labels, final, _ = _lloyd(points, rng_for(trial, 0).random((3, 5)), 100)
         assert np.array_equal(final, objectives[-1])
         for row in labels:
             centers = np.stack([points[row == c].mean(axis=0) for c in range(5)])
