@@ -30,7 +30,10 @@ they print:
 4. The text formats, in a temporary directory: a pairs file of 10^6
    records over 300 categories, and a counts file of the 10^6 entries of a
    fully occupied 1000 x 1000 count matrix, each written and read back, in
-   MB/s of file.
+   MB/s of file, with the ``tracemalloc`` peak of one more call. Each read
+   runs twice: on the file as written, which the block reader parses, and
+   on a copy with CRLF line ends, which goes to ``np.loadtxt``. The table
+   explains a reader's gain; ``perfbench/`` measures it.
 
 5. The steps of a compare request that once ran on dense m x n arrays and
    now run on the nonzeros of the counts, on the 2048-box double-gyre
@@ -229,17 +232,29 @@ def text_io_table(rng: np.random.Generator) -> None:
     )
     dense = rng.integers(1, 100, (side, side))
     counts = CountMatrix(counts=dense, total=int(dense.sum()))
-    print(f"{'text format':<40} {'seconds':>9} {'MB/s':>8}")
+    print(f"{'text format':<40} {'seconds':>9} {'MB/s':>8} {'peak':>9}")
     with tempfile.TemporaryDirectory() as tmp:
         pairs, entries = Path(tmp) / "pairs.csv", Path(tmp) / "counts.txt"
+        pairs_crlf, entries_crlf = Path(tmp) / "pairs-crlf.csv", Path(tmp) / "counts-crlf.txt"
+        crlf = {pairs: pairs_crlf, entries: entries_crlf}
         for name, run, path in (
             ("write_pairs (10^6 records)", lambda: dataio.write_pairs(pairs, dataset), pairs),
             ("read_pairs", lambda: dataio.read_pairs(pairs), pairs),
+            ("read_pairs, CRLF (np.loadtxt)", lambda: dataio.read_pairs(pairs_crlf), pairs_crlf),
             ("write_counts (10^6 entries)", lambda: dataio.write_counts(entries, counts), entries),
             ("read_count_entries", lambda: dataio.read_count_entries(entries), entries),
+            ("read_count_entries, CRLF (np.loadtxt)",
+             lambda: dataio.read_count_entries(entries_crlf), entries_crlf),
         ):
             seconds = best_of(run)
-            print(f"{name:<40} {seconds:>8.3f}s {path.stat().st_size / 1e6 / seconds:>8.1f}")
+            tracemalloc.start()
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            print(f"{name:<40} {seconds:>8.3f}s {path.stat().st_size / 1e6 / seconds:>8.1f} "
+                  f"{peak / 1e6:>6.1f} MB")
+            if name.startswith("write_"):
+                crlf[path].write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
 
 
 def gyre_sample() -> PairDataset:

@@ -170,7 +170,7 @@ def _read_file(path: str):
     target = Path(path)
     if not target.exists():
         raise ValueError(f"no such file: {path}")
-    with open(target, "r", encoding="utf-8") as fh:
+    with open(target, "r", encoding="utf-8", errors="surrogateescape") as fh:
         head = fh.readline().lstrip()
     start = time.perf_counter()
     if head.startswith("#"):

@@ -19,11 +19,13 @@ ends, blank lines (also of only whitespace), spaces around each field, and
 Every other line must hold exactly the format's integer fields (two
 comma-separated for pairs, three whitespace-separated for counts, one for
 labels); a float, an empty field, letters or a wrong field count raise
-``ValueError``.  A body that numpy cannot read is reported with the file
-line of its first malformed line.
+``ValueError``.  A body that numpy cannot read, or with bytes that are not
+UTF-8, is reported with the file line of its first malformed line.
 
-Bodies are parsed by ``np.loadtxt`` from the path, and rows are written by
-formatting whole blocks of digits in numpy.
+A body as the writers emit it (fields of 1 to 18 digits joined by the
+format's one separator, LF after every line) is parsed by numpy in blocks of
+about 64 KiB; every other body is parsed by ``np.loadtxt`` from the path.
+Rows are written by formatting whole blocks of digits in numpy.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ _PAIRS_PREAMBLE = re.compile(r"^#\s*n=(\d+)\s+m=(\d+)\s*$")
 _LABELS_PREAMBLE = re.compile(r"^#\s*r=(\d+)\s*$")
 # Rows per formatted block of the writers; bounds the memory of one block.
 _PAIRS_CHUNK = 1 << 16
+# Bytes per parsed block of the readers; a block and its temporaries stay in cache.
+_BLOCK_BYTES = 1 << 16
+# Digits of the longest field the block reader parses; 18 always fit in int64.
+_DIGITS = 18
+_PLACES = 10 ** np.arange(_DIGITS, dtype=np.int64)
+# What ``errors="surrogateescape"`` decodes a byte that is not UTF-8 to.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _format_rows(table: np.ndarray, sep: str = " "):
@@ -90,32 +99,103 @@ def _loadtxt(source, **kwargs) -> np.ndarray:
         return np.loadtxt(source, dtype=np.int64, ndmin=2, encoding="utf-8", **kwargs)
 
 
-def _load_body(path: str | Path, skiprows: int, fields: int, what: str, **kwargs) -> np.ndarray:
+def _read_blocks(path: str | Path, skiprows: int, fields: int, sep: int) -> np.ndarray | None:
+    """Integer rows of the lines of ``path`` after the first ``skiprows``,
+    if each of those lines is ``fields`` fields of 1 to ``_DIGITS`` ASCII
+    digits joined by the byte ``sep`` and ended by LF, as the writers emit
+    them; else None, before any value is returned.
+
+    The body is cut into blocks of about ``_BLOCK_BYTES`` that end at a line
+    end, so that a block and its temporaries stay in cache. A first pass
+    counts the lines of each block, and a second one parses each block into
+    its rows of one preallocated table, with contiguous columns.
+    """
+    data = Path(path).read_bytes()
+    start = 0
+    for _ in range(skiprows):
+        start = data.find(b"\n", start) + 1 or len(data)
+    # Fewer lines than ``skiprows`` leave no body; a lone CR ends a skipped
+    # line for numpy but not here.
+    if start == len(data) or data[-1] != ord("\n") or data.find(b"\r", 0, start) >= 0:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    bounds = [start]
+    while bounds[-1] < len(data):
+        stop = data.rfind(b"\n", bounds[-1], bounds[-1] + _BLOCK_BYTES)
+        bounds.append((stop if stop >= 0 else data.find(b"\n", bounds[-1])) + 1)
+    blocks = [buf[a:b] for a, b in zip(bounds, bounds[1:])]
+    counts = [np.count_nonzero(block == ord("\n")) for block in blocks]
+    table = np.empty((sum(counts), fields), dtype=np.int64, order="F")
+    row = 0
+    for block, count in zip(blocks, counts):
+        # Every byte is a digit or a separator, and the separators of each
+        # line are ``fields - 1`` times ``sep`` and then LF.
+        if block.max() > ord("9"):
+            return None
+        ends = np.flatnonzero(block < ord("0"))
+        if ends.size != count * fields:
+            return None
+        marks = block[ends].reshape(count, fields)
+        if not ((marks[:, -1] == ord("\n")).all() and (marks[:, :-1] == sep).all()):
+            return None
+        widths = np.diff(ends, prepend=-1) - 1
+        widest = int(widths.max())
+        if widths.min() < 1 or widest > _DIGITS:
+            return None
+        # Each field adds its digit ``place`` places left of its end, scaled in
+        # int64 (``_PLACES`` holds int64 scalars); where the field is narrower,
+        # the byte read there belongs to another field and is masked out.
+        at = ends - 1
+        values = block[at] - np.int64(ord("0"))
+        for place in range(1, widest):
+            at -= 1
+            digit = block[at] - np.uint8(ord("0"))
+            digit *= widths > place
+            values += digit * _PLACES[place]
+        table[row : row + count] = values.reshape(count, fields)
+        row += count
+    return table
+
+
+def _load_body(path: str | Path, skiprows: int, fields: int, what: str,
+               delimiter: str | None = None) -> np.ndarray:
     """Integer rows of the lines of ``path`` after the first ``skiprows``.
 
+    A body as the writers emit it is read by ``_read_blocks``; any other
+    goes to ``np.loadtxt``, split at ``delimiter`` (whitespace by default).
     With a delimiter, numpy reads a line of only whitespace (and comment) as
     one empty field, though the grammar counts it blank; when numpy rejects
     the body, such lines are blanked and the body is read again.
 
     A body still rejected is reported by the file line of its first malformed
     ``what``: the last line of the shortest run of body lines that numpy
-    rejects or reads with other than ``fields`` fields a row. The search
-    parses a logarithmic number of such runs, and only on this error path.
+    rejects or reads with other than ``fields`` fields a row, or the first
+    line with bytes that are not UTF-8. The search parses a logarithmic
+    number of such runs, and only on this error path.
     """
+    table = _read_blocks(path, skiprows, fields, ord(delimiter or " "))
+    if table is not None:
+        return table
     try:
-        return _loadtxt(path, skiprows=skiprows, **kwargs)
+        return _loadtxt(path, skiprows=skiprows, delimiter=delimiter)
     except ValueError as exc:
         error = exc
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line if line.split("#", 1)[0].strip() else "\n" for line in fh]
-    try:
-        return _loadtxt(lines[skiprows:], **kwargs)
-    except ValueError:
-        pass
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    undecodable = next((k for k in range(skiprows, len(lines)) if _UNDECODABLE.search(lines[k])),
+                       len(lines))
+    lines = [line if line.split("#", 1)[0].strip() else "\n" for line in lines]
+    if undecodable == len(lines):
+        try:
+            return _loadtxt(lines[skiprows:], delimiter=delimiter)
+        except ValueError:
+            pass
 
     def malformed(end: int) -> bool:
+        if end > undecodable:
+            return True
         try:
-            table = _loadtxt(lines[skiprows:end], **kwargs)
+            table = _loadtxt(lines[skiprows:end], delimiter=delimiter)
         except ValueError:
             return True
         return table.size > 0 and table.shape[1] != fields
@@ -125,7 +205,7 @@ def _load_body(path: str | Path, skiprows: int, fields: int, what: str, **kwargs
 
 
 def read_pairs(path: str | Path) -> PairDataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
         match = _PAIRS_PREAMBLE.match(first.strip())
         if match is None:
@@ -155,7 +235,7 @@ def write_counts(path: str | Path, counts: CountMatrix) -> None:
 def read_count_entries(path: str | Path) -> tuple:
     """Declared (m, n) and the 0-based row, 0-based column and count of each
     positive entry, checked against the header; allocates nothing of m x n."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline().split()
     if len(first) != 3:
         raise ValueError(f"{path}: expected first line '<m> <n> <S>'")
@@ -197,9 +277,9 @@ def read_labels(path: str | Path) -> tuple[np.ndarray, int]:
 
     A first line ``# r=<r>`` declares r; without it, r is the largest label.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         match = _LABELS_PREAMBLE.match(fh.readline().strip())
-    table = _load_body(path, 0, 1, "label")
+    table = _load_body(path, 0 if match is None else 1, 1, "label")
     if table.size == 0:
         raise ValueError(f"{path}: no labels")
     if table.shape[1] != 1:

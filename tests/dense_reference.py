@@ -603,8 +603,9 @@ def verify_factorization_reference(model, reduced):
 def read_pairs_handle_reference(path):
     """``read_pairs`` with ``np.loadtxt`` on the open handle, after a
     ``tell``/``seek`` past the optional ``x,y`` line; a line of only
-    whitespace and comment is read as blank, as the README grammar says."""
-    with open(path, "r", encoding="utf-8") as fh:
+    whitespace and comment is read as blank, as the README grammar says, and
+    a byte that is not UTF-8 is read as a character no field holds."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
         match = _PAIRS_PREAMBLE.match(first.strip())
         if match is None:

@@ -7,8 +7,10 @@ Usage::
 Each tree's commands run as ``python -m cohsets`` with ``PYTHONPATH`` set to
 that tree, in a temporary directory of its own, writing every output under a
 relative path. Each directory first gets the same inputs: a labels file for
-the three-coherent example and a seeded 300 x 300 block pairs file of 10^5
-records with its labels file. The exit code and the standard output and error of each
+the three-coherent example, a seeded 300 x 300 block pairs file of 10^5
+records with its labels file, and the counts of those records as a counts
+file. The tool formats every input itself, so both trees read the same
+bytes. The exit code and the standard output and error of each
 command are kept as ``NAME.log`` next to its files. Every command that exits
 nonzero, and every file present on one side only or whose bytes differ, is
 printed; the exit code is 1 if there is any, else 0. ``NAME`` arguments run
@@ -63,6 +65,8 @@ COMMANDS = {
     "multirun-pairs": ["multirun", "pairs.csv", "--rank", "4", "--runs", "5", "--trace",
                        "--out", "pairs-multi"],
     "bounds-pairs": ["bounds", "pairs.csv", "pairs-labels.txt", "--out", "pairs-bounds.json"],
+    "compare-counts": ["compare", "counts.txt", "--rank", "4", "--runs", "10",
+                       "--out", "counts.json"],
 }
 
 
@@ -70,9 +74,10 @@ def write_block_pairs(workdir: Path, n: int = 300, blocks: int = 4,
                       records: int = 100_000, leak: float = 0.25) -> None:
     """A seeded pairs file over n x n categories in ``blocks`` diagonal
     blocks: an output leaves its input's block with probability ``leak``.
-    Written next to it, the labels file of the blocks. This is the
-    benchmark's pairs-file regime: a nearly full 300 x 300 count matrix,
-    stored dense and factorized by ARPACK."""
+    Written next to it, the labels file of the blocks and the counts file of
+    the records, one ``i j count`` line per positive count in row-major
+    order. This is the benchmark's pairs-file regime: a nearly full 300 x
+    300 count matrix, stored dense and factorized by ARPACK."""
     rng = np.random.default_rng(20231)
     size = n // blocks
     inputs = rng.integers(0, n, records)
@@ -82,6 +87,9 @@ def write_block_pairs(workdir: Path, n: int = 300, blocks: int = 4,
     (workdir / "pairs.csv").write_text(f"# n={n} m={n}\nx,y\n{body}", encoding="utf-8")
     labels = "".join(f"{j // size + 1}\n" for j in range(n))
     (workdir / "pairs-labels.txt").write_text(f"# r={blocks}\n{labels}", encoding="utf-8")
+    counts = np.bincount(outputs * n + inputs, minlength=n * n).reshape(n, n)
+    entries = "".join(f"{i + 1} {j + 1} {counts[i, j]}\n" for i, j in zip(*np.nonzero(counts)))
+    (workdir / "counts.txt").write_text(f"{n} {n} {records}\n{entries}", encoding="utf-8")
 
 
 def run_commands(tree: Path, workdir: Path, names) -> list[str]:

@@ -10,6 +10,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,10 +111,10 @@ def test_pairs_malformed(tmp_path):
         dataio.read_pairs(wide)
 
 
-def _pairs_body(draw):
-    """A pairs-file body over a 9 x 9 preamble: records with spaces around
+def _grammar_pairs(draw) -> str:
+    """A pairs file over a 9 x 9 preamble: records with spaces around
     their fields and trailing comments, blank and comment lines, and in half
-    the bodies one malformed line."""
+    the files one malformed line."""
     field = st.integers(1, 9).map(str)
     pad = st.sampled_from(["", " ", "  ", "\t"])
     record = st.builds(lambda a, b, p, q, note: f"{p}{a}{q},{p}{b}{q}{note}",
@@ -130,6 +131,38 @@ def _pairs_body(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+# What a body as the writers emit it is changed by to be read by np.loadtxt.
+_ONE_BYTE = [b"\r", b" ", b"#", b"+", b"-", b"\xff", "empty field", "no final LF"]
+
+
+def _pairs_file(draw) -> tuple[bytes, str, int | None]:
+    """A pairs file, the kind of its body and the lines before the body.
+
+    Half the bodies are as the writers emit them, over a 120 x 120 preamble
+    (some fields with a leading zero), and a quarter are such
+    a body changed by one byte of ``_ONE_BYTE``, an emptied field or a
+    dropped final LF. The other quarter are drawn by ``_grammar_pairs``."""
+    kind = draw(st.sampled_from(["canonical", "canonical", "one byte", "grammar"]))
+    if kind == "grammar":
+        return _grammar_pairs(draw).encode(), kind, None
+    value = st.integers(1, 120)
+    field = st.one_of(value.map(str), value.map(lambda v: f"0{v}"))
+    records = draw(st.lists(st.tuples(field, field), min_size=1, max_size=12))
+    head = f"# n=120 m=120\n{draw(st.sampled_from(['', 'x,y', 'X,Y']))}\n".replace("\n\n", "\n")
+    body = "".join(f"{a},{b}\n" for a, b in records).encode()
+    if kind == "one byte":
+        change = draw(st.sampled_from(_ONE_BYTE))
+        if change == "no final LF":
+            body = body[:-1]
+        elif change == "empty field":
+            start, stop = draw(st.sampled_from([m.span() for m in re.finditer(rb"\d+", body)]))
+            body = body[:start] + body[stop:]
+        else:
+            at = draw(st.integers(0, len(body)))
+            body = body[:at] + change + body[at:]
+    return head.encode() + body, kind, head.count("\n")
+
+
 def _read_outcome(reader, path):
     try:
         dataset = reader(path)
@@ -138,31 +171,38 @@ def _read_outcome(reader, path):
     return dataset.inputs.tolist(), dataset.outputs.tolist(), dataset.n_inputs, dataset.n_outputs
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(st.data())
 def test_read_pairs_grammar_matches_handle_reader(data):
     """read_pairs accepts exactly what loadtxt on the open handle accepts,
     with the same arrays or the same error, except that a body loadtxt
     rejects is reported by the file line and text of its malformed line: the
     first line through which the file no longer reads as two-field records.
-    The CLI exits 2 on every rejected file without a traceback."""
-    body = _pairs_body(data.draw)
-    with tempfile.TemporaryDirectory() as tmp:
+    A body as the writers emit it is read by the block reader, at any block
+    size, and one changed by a byte is not. The CLI exits 2 on every rejected
+    file without a traceback."""
+    content, kind, skiprows = _pairs_file(data.draw)
+    block = data.draw(st.sampled_from([5, 7, 16, dataio._BLOCK_BYTES]))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dataio, "_BLOCK_BYTES", block):
         path = Path(tmp) / "pairs.csv"
-        path.write_bytes(body.encode())
+        path.write_bytes(content)
+        if skiprows is not None:
+            table = dataio._read_blocks(path, skiprows, 2, ord(","))
+            assert (table is not None) == (kind == "canonical")
         outcome = _read_outcome(dataio.read_pairs, path)
         expected = _read_outcome(read_pairs_handle_reference, path)
         if isinstance(expected, str) and "malformed record line" in expected:
             pattern = rf"{re.escape(str(path))}: line (\d+): malformed record (.*)"
             line, text = re.fullmatch(pattern, outcome).groups()
-            lines = body.splitlines()
+            lines = content.decode("utf-8", "surrogateescape").splitlines()
             assert text == repr(lines[int(line) - 1].rstrip())
             head = Path(tmp) / "head.csv"
             for end, rejected in ((int(line) - 1, False), (int(line), True)):
-                head.write_text("\n".join(lines[:end]) + "\n", encoding="utf-8")
+                head.write_bytes(("\n".join(lines[:end]) + "\n").encode("utf-8", "surrogateescape"))
                 head_outcome = _read_outcome(read_pairs_handle_reference, head)
-                assert (isinstance(head_outcome, str) and "no records" not in head_outcome) \
-                    == rejected
+                assert (isinstance(head_outcome, str) and any(
+                    reason in head_outcome for reason in ("malformed", "two comma-separated")
+                )) == rejected
         else:
             assert outcome == expected
         if isinstance(outcome, str):
@@ -171,6 +211,107 @@ def test_read_pairs_grammar_matches_handle_reader(data):
                 code = main(["render", str(path), "--out", str(Path(tmp) / "m.ppm")])
             assert code == 2
             assert stderr.getvalue() == f"error: {outcome}\n"
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt ran on a body the writers emit")
+
+
+@pytest.mark.parametrize("block", [dataio._BLOCK_BYTES, 7, 5], ids=str)
+@pytest.mark.parametrize("values", [
+    pytest.param(_WIDTHS[_WIDTHS < 10**18], id="widths-1-to-18"),
+    pytest.param(np.random.default_rng(3).integers(1, 301, 400), id="random"),
+    pytest.param(np.array([42]), id="one-record"),
+])
+def test_written_files_read_through_the_blocks(tmp_path, monkeypatch, block, values):
+    """What write_pairs, write_counts and write_labels emit reads through the
+    block reader at any block size, to the table np.loadtxt reads; the
+    columns of a pairs table are views of one table, not copies."""
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
+    top = int(values.max())
+    pairs, counts, labels = (tmp_path / name for name in ("p.csv", "c.txt", "l.txt"))
+    dataio.write_pairs(pairs, PairDataset(inputs=values, outputs=values[::-1],
+                                          n_inputs=top, n_outputs=top))
+    dataio.write_counts(counts, CountMatrix(counts=values[:, None], total=int(values.sum())))
+    dataio.write_labels(labels, values, top)
+    expected = {path: np.loadtxt(path, dtype=np.int64, ndmin=2, skiprows=skip, delimiter=delimiter)
+                for path, skip, delimiter in ((pairs, 2, ","), (counts, 1, None), (labels, 1, None))}
+    monkeypatch.setattr(dataio, "_loadtxt", _no_loadtxt)
+    dataset = dataio.read_pairs(pairs)
+    assert np.array_equal(np.column_stack([dataset.inputs, dataset.outputs]), expected[pairs])
+    assert dataset.inputs.base is dataset.outputs.base is not None
+    shape, rows, cols, weights = dataio.read_count_entries(counts)
+    assert shape == (values.size, 1)
+    assert np.array_equal(np.column_stack([rows + 1, cols + 1, weights]), expected[counts])
+    read, r = dataio.read_labels(labels)
+    assert np.array_equal(read, expected[labels][:, 0]) and r == top
+
+
+@pytest.mark.parametrize("block", [dataio._BLOCK_BYTES, 7, 5], ids=str)
+def test_block_reader_reads_leading_zeros(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
+    path = tmp_path / "zeros.csv"
+    path.write_bytes(b"# n=1000 m=1000\n007,0100\n000000000000000001,1\n0999,000000000000000042\n")
+    expected = np.loadtxt(path, dtype=np.int64, ndmin=2, skiprows=1, delimiter=",")
+    monkeypatch.setattr(dataio, "_loadtxt", _no_loadtxt)
+    dataset = dataio.read_pairs(path)
+    assert np.array_equal(np.column_stack([dataset.inputs, dataset.outputs]), expected)
+    assert dataset.inputs.tolist() == [7, 1, 999]
+
+
+@pytest.mark.parametrize("body", [
+    b"1,2\r\n", b" 1,2\n", b"1 ,2\n", b"1,2 \n", b"1,\t2\n", b"1,2#c\n", b"#c\n1,2\n",
+    b"+1,2\n", b"1,-2\n", b"1,2\n\n3,4\n", b"1,\n", b",2\n", b"1,2", b"1,2\n3,4",
+    b"1,1000000000000000000\n", b"1,2\xff\n", b"1,\xc3\xa9\n", b"1;2\n", b"1,2,3\n", b"1\n",
+], ids=repr)
+def test_block_reader_declines_every_other_body(tmp_path, body):
+    """A body that is not fields of 1 to 18 digits joined by the separator and
+    ended by LF is left to np.loadtxt, whatever it reads to."""
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(b"# n=9 m=9\n" + body)
+    assert dataio._read_blocks(path, 1, 2, ord(",")) is None
+
+
+def test_block_reader_declines_a_19_digit_field(tmp_path, monkeypatch):
+    """``_WIDTHS`` written whole holds 10^18, a 19-digit field: np.loadtxt
+    reads those files, to the same values."""
+    top = int(_WIDTHS.max())
+    pairs, labels = tmp_path / "p.csv", tmp_path / "l.txt"
+    dataio.write_pairs(pairs, PairDataset(inputs=_WIDTHS, outputs=_WIDTHS[::-1],
+                                          n_inputs=top, n_outputs=top))
+    dataio.write_labels(labels, _WIDTHS, top)
+    assert dataio._read_blocks(pairs, 2, 2, ord(",")) is None
+    assert dataio._read_blocks(labels, 1, 1, ord(" ")) is None
+    dataset = dataio.read_pairs(pairs)
+    assert dataset.inputs.tolist() == _WIDTHS.tolist()
+    assert dataio.read_labels(labels)[0].tolist() == _WIDTHS.tolist()
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("body.csv", b"# n=3 m=3\nx,y\n1,2\n\xff\xfe,3\n", r"line 4: malformed record '\udcff\udcfe,3'"),
+    ("preamble.csv", b"# n=3 m=3\xff\nx,y\n1,2\n",
+     r"expected preamble '# n=<n> m=<m>', got '# n=3 m=3\udcff'"),
+    ("body.txt", b"3 3 2\n1 1 1\n1 2 1 # caf\xe9\n", r"line 3: malformed entry '1 2 1 # caf\udce9'"),
+    ("header.txt", b"\xff 3 2\n1 1 1\n",
+     r"non-integer header field (invalid literal for int() with base 10: '\udcff')"),
+], ids=lambda value: value if isinstance(value, str) and "." in value else "")
+def test_cli_bytes_that_are_not_utf8_name_the_file_line(tmp_path, capsys, name, content, message):
+    """A pairs or counts file with bytes that are not UTF-8 exits 2 and names
+    the file and the line, or the preamble that does not parse; even a byte
+    in a comment makes its line malformed."""
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(["compare", str(path), "--rank", "2", "--runs", "2", "--no-images",
+                 "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_cli_label_bytes_that_are_not_utf8_name_the_file_line(tmp_path, capsys):
+    pairs, labels = tmp_path / "p.csv", tmp_path / "l.txt"
+    pairs.write_bytes(b"# n=2 m=2\n1,1\n2,2\n")
+    labels.write_bytes(b"# r=2\n1\n\xff\n")
+    assert main(["bounds", str(pairs), str(labels), "--out", str(tmp_path / "b.json")]) == 2
+    assert capsys.readouterr().err == f"error: {labels}: line 3: malformed label '\\udcff'\n"
 
 
 def test_cli_whitespace_only_pairs_line_is_blank(tmp_path):

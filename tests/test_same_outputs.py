@@ -17,8 +17,9 @@ def test_same_tree_gives_the_same_bytes():
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    # the inputs (two labels files and a pairs file), the payload and the command's log
-    assert result.stdout == "no difference in 5 files from 1 commands\n"
+    # the inputs (two labels files, a pairs file and a counts file), the payload
+    # and the command's log
+    assert result.stdout == "no difference in 6 files from 1 commands\n"
 
 
 def test_differing_files_lists_one_sided_and_changed_files(tmp_path):
