@@ -18,9 +18,9 @@ ends, blank lines (also of only whitespace), spaces around each field, and
 ``#`` comments, on a line of their own or after the fields (``2,2 # note``).
 Every other line must hold exactly the format's integer fields (two
 comma-separated for pairs, three whitespace-separated for counts, one for
-labels); a float, an empty field, letters or a wrong field count raise
-``ValueError``.  A body that numpy cannot read, or with bytes that are not
-UTF-8, is reported with the file line of its first malformed line.
+labels); a float, an empty field, letters, a byte that is not UTF-8 or a
+wrong field count raise ``ValueError``, reported with the file line of the
+first malformed line.  Comments may hold any bytes.
 
 A body as the writers emit it (fields of 1 to 18 digits joined by the
 format's one separator, LF after every line) is parsed by numpy in blocks of
@@ -49,8 +49,6 @@ _BLOCK_BYTES = 1 << 16
 # Digits of the longest field the block reader parses; 18 always fit in int64.
 _DIGITS = 18
 _PLACES = 10 ** np.arange(_DIGITS, dtype=np.int64)
-# What ``errors="surrogateescape"`` decodes a byte that is not UTF-8 to.
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _format_rows(table: np.ndarray, sep: str = " "):
@@ -106,9 +104,10 @@ def _read_blocks(path: str | Path, skiprows: int, fields: int, sep: int) -> np.n
     them; else None, before any value is returned.
 
     The body is cut into blocks of about ``_BLOCK_BYTES`` that end at a line
-    end, so that a block and its temporaries stay in cache. A first pass
-    counts the lines of each block, and a second one parses each block into
-    its rows of one preallocated table, with contiguous columns.
+    end, so that a block and its temporaries stay in cache. Each block is
+    checked and parsed into its rows of one table, with contiguous columns,
+    which is allocated once the first block has passed: a body that is not
+    as the writers emit it is mostly declined in its first block.
     """
     data = Path(path).read_bytes()
     start = 0
@@ -119,23 +118,19 @@ def _read_blocks(path: str | Path, skiprows: int, fields: int, sep: int) -> np.n
     if start == len(data) or data[-1] != ord("\n") or data.find(b"\r", 0, start) >= 0:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    bounds = [start]
-    while bounds[-1] < len(data):
-        stop = data.rfind(b"\n", bounds[-1], bounds[-1] + _BLOCK_BYTES)
-        bounds.append((stop if stop >= 0 else data.find(b"\n", bounds[-1])) + 1)
-    blocks = [buf[a:b] for a, b in zip(bounds, bounds[1:])]
-    counts = [np.count_nonzero(block == ord("\n")) for block in blocks]
-    table = np.empty((sum(counts), fields), dtype=np.int64, order="F")
-    row = 0
-    for block, count in zip(blocks, counts):
+    table, row = None, 0
+    while start < len(data):
+        stop = data.rfind(b"\n", start, start + _BLOCK_BYTES)
+        stop = (stop if stop >= 0 else data.find(b"\n", start)) + 1
+        block, start = buf[start:stop], stop
         # Every byte is a digit or a separator, and the separators of each
         # line are ``fields - 1`` times ``sep`` and then LF.
         if block.max() > ord("9"):
             return None
         ends = np.flatnonzero(block < ord("0"))
-        if ends.size != count * fields:
+        if ends.size % fields:
             return None
-        marks = block[ends].reshape(count, fields)
+        marks = block[ends].reshape(-1, fields)
         if not ((marks[:, -1] == ord("\n")).all() and (marks[:, :-1] == sep).all()):
             return None
         widths = np.diff(ends, prepend=-1) - 1
@@ -143,17 +138,24 @@ def _read_blocks(path: str | Path, skiprows: int, fields: int, sep: int) -> np.n
         if widths.min() < 1 or widest > _DIGITS:
             return None
         # Each field adds its digit ``place`` places left of its end, scaled in
-        # int64 (``_PLACES`` holds int64 scalars); where the field is narrower,
+        # int64 whatever numpy's promotion rules; where the field is narrower,
         # the byte read there belongs to another field and is masked out.
         at = ends - 1
-        values = block[at] - np.int64(ord("0"))
+        values = block[at].astype(np.int64)
+        values -= ord("0")
         for place in range(1, widest):
             at -= 1
             digit = block[at] - np.uint8(ord("0"))
             digit *= widths > place
-            values += digit * _PLACES[place]
-        table[row : row + count] = values.reshape(count, fields)
-        row += count
+            values += np.multiply(digit, _PLACES[place], dtype=np.int64)
+        if table is None:
+            # Every LF from here on ends one row; numpy counts them faster
+            # than ``bytes.count``.
+            rows = sum(np.count_nonzero(buf[k : k + _BLOCK_BYTES] == ord("\n"))
+                       for k in range(stop - block.size, len(data), _BLOCK_BYTES))
+            table = np.empty((rows, fields), dtype=np.int64, order="F")
+        table[row : row + len(marks)] = values.reshape(-1, fields)
+        row += len(marks)
     return table
 
 
@@ -169,9 +171,11 @@ def _load_body(path: str | Path, skiprows: int, fields: int, what: str,
 
     A body still rejected is reported by the file line of its first malformed
     ``what``: the last line of the shortest run of body lines that numpy
-    rejects or reads with other than ``fields`` fields a row, or the first
-    line with bytes that are not UTF-8. The search parses a logarithmic
-    number of such runs, and only on this error path.
+    rejects or reads with other than ``fields`` fields a row. The lines are
+    decoded with ``surrogateescape``, so a byte that is not UTF-8 is a
+    character no field parses, and one in a comment is dropped with the
+    comment. The search parses a logarithmic number of such runs, and only
+    on this error path.
     """
     table = _read_blocks(path, skiprows, fields, ord(delimiter or " "))
     if table is not None:
@@ -182,18 +186,13 @@ def _load_body(path: str | Path, skiprows: int, fields: int, what: str,
         error = exc
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = fh.readlines()
-    undecodable = next((k for k in range(skiprows, len(lines)) if _UNDECODABLE.search(lines[k])),
-                       len(lines))
     lines = [line if line.split("#", 1)[0].strip() else "\n" for line in lines]
-    if undecodable == len(lines):
-        try:
-            return _loadtxt(lines[skiprows:], delimiter=delimiter)
-        except ValueError:
-            pass
+    try:
+        return _loadtxt(lines[skiprows:], delimiter=delimiter)
+    except ValueError:
+        pass
 
     def malformed(end: int) -> bool:
-        if end > undecodable:
-            return True
         try:
             table = _loadtxt(lines[skiprows:end], delimiter=delimiter)
         except ValueError:

@@ -291,19 +291,27 @@ def test_block_reader_declines_a_19_digit_field(tmp_path, monkeypatch):
     ("body.csv", b"# n=3 m=3\nx,y\n1,2\n\xff\xfe,3\n", r"line 4: malformed record '\udcff\udcfe,3'"),
     ("preamble.csv", b"# n=3 m=3\xff\nx,y\n1,2\n",
      r"expected preamble '# n=<n> m=<m>', got '# n=3 m=3\udcff'"),
-    ("body.txt", b"3 3 2\n1 1 1\n1 2 1 # caf\xe9\n", r"line 3: malformed entry '1 2 1 # caf\udce9'"),
+    ("body.txt", b"3 3 2\n1 1 1\n1 \xe9 1\n", r"line 3: malformed entry '1 \udce9 1'"),
     ("header.txt", b"\xff 3 2\n1 1 1\n",
      r"non-integer header field (invalid literal for int() with base 10: '\udcff')"),
 ], ids=lambda value: value if isinstance(value, str) and "." in value else "")
 def test_cli_bytes_that_are_not_utf8_name_the_file_line(tmp_path, capsys, name, content, message):
     """A pairs or counts file with bytes that are not UTF-8 exits 2 and names
-    the file and the line, or the preamble that does not parse; even a byte
-    in a comment makes its line malformed."""
+    the file and the line, or the preamble that does not parse."""
     path = tmp_path / name
     path.write_bytes(content)
     assert main(["compare", str(path), "--rank", "2", "--runs", "2", "--no-images",
                  "--out", str(tmp_path / "x.json")]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_bytes_that_are_not_utf8_in_a_comment_are_ignored(tmp_path):
+    pairs, counts = tmp_path / "p.csv", tmp_path / "c.txt"
+    pairs.write_bytes(b"# n=2 m=2\n1,1 # caf\xe9\n# \xff\n2,2\n")
+    counts.write_bytes(b"2 2 2\n1 1 1 # caf\xe9\n2 2 1\n")
+    dataset = dataio.read_pairs(pairs)
+    assert dataset.inputs.tolist() == [1, 2] and dataset.outputs.tolist() == [1, 2]
+    assert [a.tolist() for a in dataio.read_count_entries(counts)[1:]] == [[0, 1], [0, 1], [1, 1]]
 
 
 def test_cli_label_bytes_that_are_not_utf8_name_the_file_line(tmp_path, capsys):
